@@ -15,8 +15,9 @@ schema-versioned report (``repro-doctor/v1``):
   per tenant, with the hottest operators and exemplar request ids per
   shape;
 * **regression** -- a verdict against a baseline artifact (a
-  ``repro-telemetry/v1`` snapshot or a ``BENCH_*.json`` with per-request
-  samples): shapes whose p95 / mean / compile cost moved beyond a noise
+  ``repro-telemetry/v1`` snapshot or a samples document of per-request
+  records, ``{"samples": [...]}`` / ``{"baseline": {"samples": [...]}}``):
+  shapes whose p95 / mean / compile cost moved beyond a noise
   threshold, or whose engine mix shifted (e.g. a breaker quietly parking
   a shape on the interpreters), are flagged; below-noise drift is not.
 
@@ -26,7 +27,7 @@ validity (and, with ``--fail-on-regression``, on the verdict itself).
 
     repro-doctor --events events.jsonl --profiles profiles.json \\
                  --telemetry telemetry.json --json --check --out doctor.json
-    repro-doctor --baseline BENCH_PR9.json --current BENCH_NEW.json
+    repro-doctor --baseline samples-before.json --current samples-after.json
 """
 
 from __future__ import annotations
@@ -239,17 +240,16 @@ def events_summary(events_path: str) -> dict:
 
 
 def _normalize_bench(doc: dict) -> Dict[str, dict]:
-    """Per-shape distributions from a BENCH_*.json with request samples.
+    """Per-shape distributions from a samples document.
 
-    Non-faulted runs only: the faulted run's latencies measure the
-    fallback chain under injected failure, not the build.
+    Either ``{"baseline": {"samples": [...]}}`` or a bare
+    ``{"samples": [...]}``; each sample is one request's ``shape``,
+    ``latency_ms``, ``outcome`` and ``engine``.
     """
     samples: List[dict] = []
-    for key in ("baseline", "shape_cached", "per_literal"):
-        run = doc.get(key)
-        if isinstance(run, dict) and isinstance(run.get("samples"), list):
-            samples.extend(run["samples"])
-            break
+    run = doc.get("baseline")
+    if isinstance(run, dict) and isinstance(run.get("samples"), list):
+        samples = run["samples"]
     if not samples and isinstance(doc.get("samples"), list):
         samples = doc["samples"]
     shapes: Dict[str, dict] = {}
@@ -623,7 +623,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--metrics", default=None, metavar="PATH",
                         help="a REGISTRY.snapshot() JSON dump")
     parser.add_argument("--baseline", default=None, metavar="PATH",
-                        help="baseline: telemetry snapshot or BENCH_*.json")
+                        help="baseline: telemetry snapshot or a samples document")
     parser.add_argument("--current", default=None, metavar="PATH",
                         help="current side of the regression compare "
                              "(defaults to --telemetry)")

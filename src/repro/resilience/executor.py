@@ -350,10 +350,6 @@ class ResilientExecutor:
         base = self.session.config or Config()
         return replace(base, **self._config_overrides(), **extra)
 
-    def _guarded_config(self):
-        """Kept for callers/tests that predate ``_override_config``."""
-        return self._override_config()
-
     def _forget_compiled(self, sql: Optional[str], cache_key: Optional[str]) -> None:
         """Evict whatever cache entries the failed compiled attempt used."""
         session = self.session

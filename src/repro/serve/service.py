@@ -468,7 +468,6 @@ class QueryService:
                 else:
                     response.sampled_trace = trace.to_dict()
         response.exec_seconds = time.monotonic() - started
-        response.elapsed_seconds = time.monotonic() - started
         return response
 
     def _run_inner(

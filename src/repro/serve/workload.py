@@ -6,8 +6,7 @@ queries travel as ``tpch: N`` requests and are built from the hand-written
 plans server-side -- together they cover every TPC-H shape, which is the
 point: a serving tier that only survives the easy queries isn't one.
 
-Used by the bench harness (``repro-bench-serve``), the CI smoke
-(``repro-serve --smoke``) and the concurrency tests.
+Used by the CI smoke (``repro-serve --smoke``) and the concurrency tests.
 """
 
 from __future__ import annotations
@@ -120,9 +119,8 @@ def varied_request_for(
     """TPC-H query ``number`` with round-varied literals, same shape.
 
     Every round produces different statement *text* but the same
-    statement *shape*, so a shape-keyed cache compiles once and a
-    text-keyed cache compiles every round -- the delta
-    ``repro-bench-serve --params`` measures.  With ``explicit=True`` the
+    statement *shape*, so a shape-keyed cache compiles once where a
+    text-keyed cache would compile every round.  With ``explicit=True`` the
     request carries the placeholder text plus a ``params`` vector (the
     wire-protocol binding path) instead of baked-in literals.
     """
@@ -152,7 +150,6 @@ def parameterized_workload(
     tenant: str = "default",
     deadline_seconds: Optional[float] = None,
     explicit: bool = False,
-    first_round: int = 0,
 ) -> List[ServiceRequest]:
     """The mixed workload with literal-varying parameterized variants.
 
@@ -160,13 +157,10 @@ def parameterized_workload(
     liftable literals of the 15 SQL queries (the 7 plan-only queries ride
     along unchanged).  All rounds of one query share one statement shape,
     so with the shape-keyed session cache the whole workload compiles
-    each SQL query exactly once.  ``first_round`` offsets the variation
-    index: concurrent clients given disjoint ranges send disjoint literal
-    values (the many-tenants-distinct-literals scenario) while still
-    sharing every statement shape.
+    each SQL query exactly once.
     """
     out: List[ServiceRequest] = []
-    for r in range(first_round, first_round + rounds):
+    for r in range(rounds):
         for q in ALL_QUERIES:
             out.append(
                 varied_request_for(

@@ -130,18 +130,12 @@ class Session:
         config: Optional[Config] = None,
         use_index_rewrites: bool = True,
         max_cache_size: int = 128,
-        auto_parameterize: bool = True,
     ) -> None:
         if max_cache_size <= 0:
             raise ValueError("max_cache_size must be positive")
         self.db = db
         self.config = config
         self.use_index_rewrites = use_index_rewrites
-        # When False, query()/resolve() never lift literals to parameters:
-        # every distinct statement text compiles separately.  Explicit
-        # placeholders still work.  Exists for A/B measurement
-        # (``repro-bench-serve --params``) and as an escape hatch.
-        self.auto_parameterize = auto_parameterize
         self.max_cache_size = max_cache_size
         self._cache: OrderedDict[tuple, CompiledQuery] = OrderedDict()
         self._inflight: dict[tuple, _Inflight] = {}
@@ -289,11 +283,7 @@ class Session:
                 "were supplied",
                 phase="execute",
             )
-        if (
-            self.auto_parameterize
-            and shape.param_count
-            and not self._shape_known_bad(shape.text)
-        ):
+        if shape.param_count and not self._shape_known_bad(shape.text):
             try:
                 plan = self.plan(shape.text)
                 signature = collect_params(plan)
@@ -445,11 +435,7 @@ class Session:
                 "were supplied",
                 phase="execute",
             )
-        if (
-            self.auto_parameterize
-            and shape.param_count
-            and not self._shape_known_bad(shape.text)
-        ):
+        if shape.param_count and not self._shape_known_bad(shape.text):
             try:
                 compiled = self.prepare_shape(shape.text)
                 with span("execute", engine="compiled"):

@@ -147,7 +147,7 @@ def test_compiled_query_shared_across_bindings(tiny_db):
         assert ps.execute([v]) == expected
 
 
-def test_auto_parameterized_query_path_compiles_once(tiny_db):
+def test_auto_lifted_query_path_compiles_once(tiny_db):
     session = Session(tiny_db)
     results = [
         session.query(f"select count(*) from Sales where amount > {v}")

@@ -117,3 +117,21 @@ def test_session_tpch(tpch_db):
         "order by l_returnflag"
     )
     assert [r[0] for r in rows] == ["A", "N", "R"]
+
+
+# -- packaging ----------------------------------------------------------------------
+
+
+def test_console_scripts_resolve():
+    """Every ``[project.scripts]`` entry imports and is callable, and the
+    set is exactly the four CLIs the repo ships."""
+    import importlib
+    from pathlib import Path
+
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    scripts = tomllib.loads(pyproject.read_text())["project"]["scripts"]
+    assert set(scripts) == {"repro-lint", "repro-obs", "repro-serve", "repro-doctor"}
+    for name, target in scripts.items():
+        module, _, attr = target.partition(":")
+        assert callable(getattr(importlib.import_module(module), attr)), name
