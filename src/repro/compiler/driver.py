@@ -3,9 +3,9 @@
 ``LB2Compiler.compile`` performs the whole first Futamura projection in one
 call: it runs the staged evaluator over the plan (one pass, emitting IR),
 renders Python source, and compiles it with the host ``compile()``.  The
-returned :class:`CompiledQuery` carries the source (both Python and the
-illustrative C rendering) plus timing of the generation and compilation
-steps, which the Figure 13 experiment reports.
+returned :class:`CompiledQuery` carries the Python source (the
+illustrative C rendering is produced on demand) plus timing of the
+generation and compilation steps, which the Figure 13 experiment reports.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ class CompiledQuery:
     functions: list[ir.Function] = field(default_factory=list, repr=False)
     param_signature: tuple[ParamSlot, ...] = ()
     _prepared: Optional[Callable] = field(default=None, repr=False)
-    _c_source: str = field(default="", repr=False)
+    _c_source: Optional[str] = field(default=None, repr=False)
 
     def run(self, db: Database, params=None) -> list[tuple]:
         """Execute the compiled query against ``db``; returns result rows.
@@ -120,7 +120,10 @@ class CompiledQuery:
         return self.program.fn("prepare")(db)
 
     def c_source(self) -> str:
-        """The illustrative C rendering of the same staged program."""
+        """The illustrative C rendering of the same staged program,
+        rendered from :attr:`functions` on first call (compiles skip it)."""
+        if self._c_source is None:
+            self._c_source = generate_c(self.functions, header=_header(self.plan))
         return self._c_source
 
 
@@ -221,7 +224,6 @@ class LB2Compiler:
                     datapath(output_cb)
 
             functions = ctx.program()
-            header = f"residual program for plan rooted at {type(plan).__name__}"
             opt_stats = None
             if self.config.opt_level:
                 # The optimizer sits between generation and rendering; at the
@@ -239,7 +241,7 @@ class LB2Compiler:
                         osp.meta["level"] = self.config.opt_level
                         osp.meta["stmts_removed"] = opt_stats.stmts_removed
                         osp.meta["hoisted"] = opt_stats.hoisted
-            source = generate_python(functions, header=header)
+            source = generate_python(functions, header=_header(plan))
             generation_seconds = time.perf_counter() - t0
             if sp:
                 sp.meta["backend"] = builder.backend.name
@@ -291,8 +293,11 @@ class LB2Compiler:
         )
         if opt_stats is not None:
             compiled.codegen_stats["opt"] = opt_stats.to_dict()
-        compiled._c_source = generate_c(functions, header=header)
         return compiled
+
+
+def _header(plan: phys.PhysicalPlan) -> str:
+    return f"residual program for plan rooted at {type(plan).__name__}"
 
 
 def _tuple_rep(ctx: StagingContext, exprs) -> object:

@@ -47,7 +47,6 @@ __all__ = [
     "EngineAttempt",
     "ExecutionReport",
     "FAULT_SITES",
-    "FULL_CHAIN",
     "FallbackPolicy",
     "FaultInjector",
     "FaultSpec",
@@ -65,7 +64,6 @@ __all__ = [
 
 _EXECUTOR_NAMES = {
     "ENGINE_CHAIN",
-    "FULL_CHAIN",
     "EngineAttempt",
     "ExecutionReport",
     "ResilientExecutor",

@@ -23,6 +23,10 @@ import time
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
+from repro.compiler.driver import LB2Compiler
+from repro.compiler.lb2 import Config
+from repro.engine.push import build_op
+from repro.engine.volcano import iterate
 from repro.errors import ReproError, error_code, error_phase
 from repro.obs import events
 from repro.obs.metrics import REGISTRY
@@ -30,16 +34,11 @@ from repro.obs.trace import span
 from repro.resilience.budget import Budget, BudgetGuard
 from repro.resilience.faults import active_injector
 from repro.resilience.policy import DEFAULT_POLICY, FallbackPolicy
+from repro.session import PLAN
 
-#: The default degradation order: fastest first, most battle-tested last.
+#: The degradation order: fastest first, most battle-tested last.  (The
+#: vector lowering is ``Config(codegen="vector")`` on the session.)
 ENGINE_CHAIN = ("compiled", "push", "volcano")
-
-#: Every available engine, including the opt-in batch-vectorized compiled
-#: path.  "vector" is not in the default chain: it shares the compiled
-#: engine's failure modes, so degrading vector -> compiled would usually
-#: retry the same bug; chains that want it say so explicitly, e.g.
-#: ``ResilientExecutor(session, engines=FULL_CHAIN)``.
-FULL_CHAIN = ("vector",) + ENGINE_CHAIN
 
 
 @dataclass
@@ -135,9 +134,9 @@ class ResilientExecutor:
         instrument: bool = False,
         request_id: Optional[str] = None,
     ) -> None:
-        unknown = [e for e in engines if e not in FULL_CHAIN]
+        unknown = [e for e in engines if e not in ENGINE_CHAIN]
         if unknown:
-            raise ValueError(f"unknown engines {unknown}; pick from {FULL_CHAIN}")
+            raise ValueError(f"unknown engines {unknown}; pick from {ENGINE_CHAIN}")
         if not engines:
             raise ValueError("at least one engine is required")
         self.session = session
@@ -161,11 +160,9 @@ class ResilientExecutor:
         self.request_id = request_id
         self._captured_compiled = None
         # Per-request parameterization state (an executor serves one
-        # request at a time): the validated positional vector and the
-        # shape text the compiled engine keys its cache on.  None/None for
-        # a non-parameterized statement.
+        # request at a time): the validated positional vector, None for a
+        # non-parameterized statement.
         self._param_vector: Optional[tuple] = None
-        self._shape_text: Optional[str] = None
 
     # -- public surface -----------------------------------------------------
 
@@ -187,28 +184,34 @@ class ResilientExecutor:
         if resolved.parameterized:
             vector = check_bindings(resolved.signature, resolved.bindings)
         self._param_vector = vector
-        self._shape_text = resolved.text if resolved.parameterized else None
         try:
-            return self._execute(resolved.plan, sql=sql)
+            return self._execute(resolved.plan, resolved.kind, resolved.text)
         finally:
             self._param_vector = None
-            self._shape_text = None
 
     def execute_plan(self, plan, cache_key: Optional[str] = None) -> ResilientResult:
         """Execute a hand-built physical plan with fallback.
 
         With ``cache_key`` set, the compiled engine caches the build under
-        that key via :meth:`Session.prepare_plan` (compile-once semantics
-        for plan-level callers); without it, every call compiles fresh.
+        that plan name (compile-once semantics for plan-level callers);
+        without it, every call compiles fresh.
         """
         plan.validate(self.session.db.catalog)
-        return self._execute(plan, sql=None, cache_key=cache_key)
+        return self._execute(plan, PLAN, cache_key)
+
+    def prepare(self, sql: str):
+        """Resolve ``sql`` as :meth:`query` does and compile it under the
+        key :meth:`query` will look up (if it caches at all); returns the
+        :class:`~repro.session.ResolvedStatement`."""
+        resolved = self.session.resolve(sql)
+        key = self._cache_key(resolved.kind, resolved.text, self._config())
+        if key is not None:
+            self.session.prepare_plan(resolved.plan, key)
+        return resolved
 
     # -- the chain ----------------------------------------------------------
 
-    def _execute(
-        self, plan, sql: Optional[str], cache_key: Optional[str] = None
-    ) -> ResilientResult:
+    def _execute(self, plan, kind: str, text: Optional[str]) -> ResilientResult:
         report = ExecutionReport(
             budget=self.budget,
             request_id=self.request_id or events.current_request_id(),
@@ -221,7 +224,10 @@ class ResilientExecutor:
             self._captured_compiled = None
             with span("attempt", engine=engine) as sp:
                 try:
-                    rows = self._run_engine(engine, plan, sql, guard, cache_key)
+                    if engine == "compiled":
+                        rows = self._run_compiled(plan, kind, text, guard)
+                    else:
+                        rows = self._run_interpreted(engine, plan, guard)
                     ok = True
                 except BaseException as exc:  # noqa: BLE001 - the policy decides
                     report.attempts.append(
@@ -248,7 +254,7 @@ class ResilientExecutor:
                     if engine == "compiled":
                         # Auto-invalidate: never serve a cached compiled query
                         # that just failed (stale plan, codegen bug...).
-                        self._forget_compiled(sql, cache_key)
+                        self._forget_compiled(kind, text)
                     if not self.policy.should_degrade(exc):
                         self._attach(exc, report, guard)
                         raise
@@ -319,105 +325,53 @@ class ResilientExecutor:
             spec.site == "mid-scan" for spec in injector.specs
         )
 
-    def _run_engine(
-        self,
-        engine: str,
-        plan,
-        sql: Optional[str],
-        guard: Optional[BudgetGuard],
-        cache_key: Optional[str] = None,
-    ) -> list[tuple]:
-        if engine == "compiled":
-            return self._run_compiled(plan, sql, guard, cache_key)
-        if engine == "vector":
-            return self._run_vector(plan, guard)
-        if engine == "push":
-            return self._run_push(plan, guard)
-        return self._run_volcano(plan, guard)
-
-    def _config_overrides(self) -> dict:
-        """Config fields this run must override on the session config."""
+    def _config(self):
+        """The session config, or a copy with scan checkpoints (budgets,
+        mid-scan faults) and/or per-operator timers (telemetry) on."""
         overrides: dict = {}
         if self._needs_ticks():
             overrides["budget_checks"] = True
         if self.instrument:
             overrides["instrument"] = True
-        return overrides
+        config = self.session.config
+        if not overrides:
+            return config
+        return replace(config or Config(), **overrides)
 
-    def _override_config(self, **extra):
-        from repro.compiler.lb2 import Config
+    def _cache_key(self, kind: str, text: Optional[str], config):
+        """The session key of the build under ``config``; None when it is
+        not cached: nothing names it, or the config is overridden (a copy,
+        not the session's object) without ``cache_guarded_compiles``."""
+        if text is None or (
+            config is not self.session.config and not self.cache_guarded_compiles
+        ):
+            return None
+        return self.session.cache_key(kind, text, config)
 
-        base = self.session.config or Config()
-        return replace(base, **self._config_overrides(), **extra)
-
-    def _forget_compiled(self, sql: Optional[str], cache_key: Optional[str]) -> None:
-        """Evict whatever cache entries the failed compiled attempt used."""
-        session = self.session
-        configs = [None]
-        if self.cache_guarded_compiles and self._config_overrides():
-            configs.append(self._override_config())
-        for config in configs:
-            if sql is not None:
-                session.forget(sql, config=config)
-            if cache_key is not None:
-                session.forget_plan(cache_key, config=config)
+    def _forget_compiled(self, kind: str, text: Optional[str]) -> None:
+        """Never serve a cached compiled query that just failed: evict this
+        run's key and the same statement under the session's own config."""
+        if text is not None:
+            session = self.session
+            session.evict(
+                session.cache_key(kind, text, self._config()),
+                session.cache_key(kind, text),
+            )
 
     def _run_compiled(
         self,
         plan,
-        sql: Optional[str],
+        kind: str,
+        text: Optional[str],
         guard: Optional[BudgetGuard],
-        cache_key: Optional[str] = None,
     ) -> list[tuple]:
-        from repro.compiler.driver import LB2Compiler
-
         session = self.session
-        shape_text = self._shape_text
-        if self._config_overrides():
-            # Overridden build: cooperative checkpoints in the scan loops
-            # (budgets/deadlines) and/or staged per-operator timers
-            # (telemetry).  Cached only when the owner opted in (the
-            # serving tier, where fresh-compile-per-request would forfeit
-            # the compile-once economics); otherwise fresh.
-            config = self._override_config()
-            if self.cache_guarded_compiles and shape_text is not None:
-                compiled = session.prepare_shape(shape_text, config=config)
-            elif self.cache_guarded_compiles and sql is not None:
-                compiled = session.prepare(sql, config=config)
-            elif self.cache_guarded_compiles and cache_key is not None:
-                compiled = session.prepare_plan(plan, cache_key, config=config)
-            else:
-                compiled = LB2Compiler(
-                    session.db.catalog, session.db, config
-                ).compile(plan)
-        elif shape_text is not None:
-            # Parameterized statement: the shape-keyed entry is shared
-            # across every literal variant -- this is where one compile
-            # serves many bindings.
-            compiled = session.prepare_shape(shape_text)
-        elif sql is not None:
-            compiled = session.prepare(sql)
-        elif cache_key is not None:
-            compiled = session.prepare_plan(plan, cache_key)
+        config = self._config()
+        key = self._cache_key(kind, text, config)
+        if key is None:
+            compiled = LB2Compiler(session.db.catalog, session.db, config).compile(plan)
         else:
-            compiled = LB2Compiler(
-                session.db.catalog, session.db, session.config
-            ).compile(plan)
-        return self._run_query(compiled, guard)
-
-    def _run_vector(self, plan, guard: Optional[BudgetGuard]) -> list[tuple]:
-        """The compiled engine with the batch-vectorized codegen backend.
-
-        Always a fresh compile (the session cache is keyed by its own
-        config).  Under an active budget the vector backend itself falls
-        back to scalar code -- budget ticks are defined per row -- so the
-        guarded build is equivalent to the compiled engine's.
-        """
-        from repro.compiler.driver import LB2Compiler
-
-        session = self.session
-        config = self._override_config(codegen="vector")
-        compiled = LB2Compiler(session.db.catalog, session.db, config).compile(plan)
+            compiled = session.prepare_plan(plan, key)
         return self._run_query(compiled, guard)
 
     def _run_query(self, compiled, guard: Optional[BudgetGuard]) -> list[tuple]:
@@ -442,9 +396,10 @@ class ResilientExecutor:
 
         return bind_params(plan, self._param_vector)
 
-    def _run_push(self, plan, guard: Optional[BudgetGuard]) -> list[tuple]:
-        from repro.engine.push import build_op
-
+    def _run_interpreted(
+        self, engine: str, plan, guard: Optional[BudgetGuard]
+    ) -> list[tuple]:
+        """Push or Volcano over the plan with this request's bindings."""
         db = self.session.db
         plan = self._bound_plan(plan)
         names = plan.field_names(db.catalog)
@@ -455,18 +410,9 @@ class ResilientExecutor:
                 guard.tick(1)
             out.append(tuple(row[n] for n in names))
 
-        build_op(plan, db, db.catalog).exec(collect)
-        return out
-
-    def _run_volcano(self, plan, guard: Optional[BudgetGuard]) -> list[tuple]:
-        from repro.engine.volcano import iterate
-
-        db = self.session.db
-        plan = self._bound_plan(plan)
-        names = plan.field_names(db.catalog)
-        out: list[tuple] = []
-        for row in iterate(plan, db, db.catalog):
-            if guard is not None:
-                guard.tick(1)
-            out.append(tuple(row[n] for n in names))
+        if engine == "push":
+            build_op(plan, db, db.catalog).exec(collect)
+        else:
+            for row in iterate(plan, db, db.catalog):
+                collect(row)
         return out

@@ -10,9 +10,9 @@ ops ride the same framing::
     {"op": "prepare", "sql": "..."} -> {"ok": true, "statement": "...",
                                        "signature": [{"slot": "?0",
                                        "type": "float"}, ...]} -- compile
-                                       once; later executions of any
-                                       literal variant (from any tenant)
-                                       hit the cached shape
+                                       once, under the key executions use;
+                                       later executions of any literal
+                                       variant (from any tenant) hit it
     {"op": "execute", "sql": "...",
      "params": [...]}               -> a normal query response; identical
                                        to a plain query submit with
@@ -233,14 +233,14 @@ class QueryServer:
         return self.service.submit_dict(doc)
 
     def _handle_prepare(self, doc: dict) -> dict:
-        """Compile a parameterized statement once, ahead of executions.
+        """Compile a statement once, ahead of executions.
 
         Replies with the canonical statement text and the typed parameter
-        signature.  The compiled shape lives in the session cache under
-        the statement's shape key -- which has no tenant component -- so
-        one prepare serves every tenant's subsequent ``execute``.  All
-        failures (lex/parse/plan/param errors) come back as typed error
-        documents, never tracebacks.
+        signature.  The statement is compiled as an ``execute`` would
+        compile it (:meth:`QueryService.prepare`), under a key with no
+        tenant component, so one prepare serves every tenant's subsequent
+        ``execute``.  All failures (lex/parse/plan/param errors) come back
+        as typed error documents, never tracebacks.
         """
         sql = doc.get("sql")
         rid = doc.get("request_id")
@@ -260,12 +260,14 @@ class QueryServer:
         # Bind the ambient request context so the compile event and the
         # telemetry sample land on the same shape key later executions
         # record under ("sql:<shape text>", not the raw cache key).
-        shape = ServiceRequest(sql=sql).shape()
         request_id = rid if isinstance(rid, str) else mint_request_id()
         tenant = str(doc.get("tenant", "default"))
+        request = ServiceRequest(sql=sql, tenant=tenant, request_id=request_id)
         try:
-            with events.request_context(request_id, shape=shape, tenant=tenant):
-                statement = self.service.session.prepare_statement(sql)
+            with events.request_context(
+                request_id, shape=request.shape(), tenant=tenant
+            ):
+                statement = self.service.prepare(request)
         except (KeyboardInterrupt, SystemExit):
             raise
         except BaseException as exc:

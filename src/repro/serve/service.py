@@ -52,15 +52,13 @@ from repro.obs.slo import SLOConfig, SLOMonitor
 from repro.obs.telemetry import TELEMETRY, shape_digest
 from repro.obs.trace import Trace, span
 from repro.resilience.budget import Budget
-from repro.resilience.executor import ENGINE_CHAIN, FULL_CHAIN, ResilientExecutor
+from repro.resilience.executor import ENGINE_CHAIN, ResilientExecutor
 from repro.serve.admission import AdmissionGate, TenantQuota, TenantRegistry, TokenBucket
 from repro.serve.breaker import OPEN, PROBE, CircuitBreaker
 from repro.session import Session
 
-#: Engines that go through the compiler (and therefore the breaker).
-COMPILED_ENGINES = frozenset({"compiled", "vector"})
-
-#: Interpreted engines the service degrades to while a breaker is open.
+#: Interpreted engines the service degrades to while a breaker is open
+#: (the compiled engine is the one that goes through the breaker).
 INTERPRETED_CHAIN = ("push", "volcano")
 
 #: Characters allowed in a metric-label segment.  Tenant names arrive off
@@ -123,9 +121,9 @@ class ServiceConfig:
             raise ValueError("workers must be at least 1")
         if self.max_queue_depth < 0:
             raise ValueError("max_queue_depth must be non-negative")
-        unknown = [e for e in self.engines if e not in FULL_CHAIN]
+        unknown = [e for e in self.engines if e not in ENGINE_CHAIN]
         if unknown:
-            raise ValueError(f"unknown engines {unknown}; pick from {FULL_CHAIN}")
+            raise ValueError(f"unknown engines {unknown}; pick from {ENGINE_CHAIN}")
 
 
 @dataclass
@@ -360,6 +358,15 @@ class QueryService:
         )
         return self.submit(request).to_dict()
 
+    def prepare(self, request: ServiceRequest):
+        """Compile ``request.sql`` through the executor an execution of it
+        gets, so the entry is the one every tenant's executions look up."""
+        quota = self._tenants.state(request.tenant).quota
+        executor = self._executor(
+            request, quota, self._deadline_for(request), self.config.engines
+        )
+        return executor.prepare(request.sql)
+
     # -- admission ----------------------------------------------------------
 
     def _validate(self, request: ServiceRequest) -> None:
@@ -371,11 +378,11 @@ class QueryService:
             raise ServiceProtocolError(
                 "request must carry exactly one of 'sql' or 'tpch'"
             )
-        if request.engine is not None and request.engine not in FULL_CHAIN:
+        if request.engine is not None and request.engine not in ENGINE_CHAIN:
             from repro.errors import ServiceProtocolError
 
             raise ServiceProtocolError(
-                f"unknown engine {request.engine!r}; pick from {FULL_CHAIN}"
+                f"unknown engine {request.engine!r}; pick from {ENGINE_CHAIN}"
             )
         if request.params is not None:
             from repro.errors import ServiceProtocolError
@@ -484,20 +491,11 @@ class QueryService:
                 "deadline expired while queued (before execution began)"
             )
         quota = tenant_state.quota
-        budget = Budget(
-            wall_clock_seconds=remaining, max_rows=quota.max_rows
-        )
         shape = request.shape()
         decision = self.breaker.decide(shape)
         response.breaker = decision
-        engines = self._engines_for(request, decision)
-        executor = ResilientExecutor(
-            self.session,
-            budget=budget,
-            engines=engines,
-            cache_guarded_compiles=True,
-            instrument=self.config.telemetry,
-            request_id=request.request_id,
+        executor = self._executor(
+            request, quota, remaining, self._engines_for(request, decision)
         )
         compiled_attempted = False
         try:
@@ -534,9 +532,27 @@ class QueryService:
             kernels=report.kernels,
         )
 
+    def _executor(
+        self,
+        request: ServiceRequest,
+        quota: TenantQuota,
+        seconds: float,
+        engines: Sequence[str],
+    ) -> ResilientExecutor:
+        """The executor ``request`` runs on: ``seconds`` of deadline (and
+        the row quota) as its budget, guarded builds cached."""
+        return ResilientExecutor(
+            self.session,
+            budget=Budget(wall_clock_seconds=seconds, max_rows=quota.max_rows),
+            engines=engines,
+            cache_guarded_compiles=True,
+            instrument=self.config.telemetry,
+            request_id=request.request_id,
+        )
+
     def _engines_for(self, request: ServiceRequest, decision: str) -> Sequence[str]:
         if request.engine is not None:
-            if request.engine in COMPILED_ENGINES and decision == OPEN:
+            if request.engine == "compiled" and decision == OPEN:
                 REGISTRY.counter("serve.rejected.breaker")
                 raise CircuitOpenError(
                     f"circuit breaker open for shape {request.shape()!r} "
@@ -546,9 +562,7 @@ class QueryService:
             return (request.engine,)
         if decision == OPEN:
             REGISTRY.counter("serve.breaker.bypassed")
-            interpreted = tuple(
-                e for e in self.config.engines if e not in COMPILED_ENGINES
-            )
+            interpreted = tuple(e for e in self.config.engines if e != "compiled")
             return interpreted or INTERPRETED_CHAIN
         return self.config.engines
 
@@ -566,7 +580,7 @@ class QueryService:
         """Inspect the attempt trail; True when a compiled engine ran."""
         attempted = False
         for attempt in report.attempts:
-            if attempt.engine not in COMPILED_ENGINES:
+            if attempt.engine != "compiled":
                 continue
             attempted = True
             if attempt.ok:

@@ -6,9 +6,10 @@ SQL text so repeated statements skip planning and code generation (the
 paper: "compilation times ... can often be amortized if queries are
 precompiled and used multiple times").
 
-The cache is a bounded LRU (``max_cache_size`` statements); hits, misses
-and evictions feed :data:`repro.obs.metrics.REGISTRY` and are inspectable
-via :meth:`Session.cache_info`.
+The cache is a bounded LRU (``max_cache_size`` statements) of one
+:class:`CacheKey` type behind one lookup (:meth:`Session.compiled`); hits,
+misses and evictions feed :data:`repro.obs.metrics.REGISTRY` and are
+inspectable via :meth:`Session.cache_info`.
 
 The session is safe to share across threads -- the serving tier
 (:mod:`repro.serve`) hammers one instance from a worker pool.  Cache
@@ -27,7 +28,7 @@ import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import NamedTuple, Optional, Union
 
 from repro.compiler.driver import CompiledQuery, LB2Compiler
 from repro.compiler.lb2 import Config
@@ -43,6 +44,26 @@ from repro.plan.rewrite import optimize_for_level
 from repro.sql import sql_to_plan
 from repro.sql.shape import StatementShape, normalize_statement, statement_shape
 from repro.storage.database import Database
+
+
+#: Cache-key kinds: what a :class:`CacheKey`'s ``text`` names.
+STATEMENT, SHAPE, PLAN = "statement", "shape", "plan"
+
+
+class CacheKey(NamedTuple):
+    """Everything a compiled query was specialized against; built only by
+    :meth:`Session.cache_key`."""
+
+    kind: str
+    text: str
+    config: Optional[Config]
+    db: int  # the database's identity
+    rewrites: bool  # the session's index-rewrite flag
+
+    @property
+    def display(self) -> str:
+        """The :meth:`Session.cache_info` spelling (``shape:``/``plan:``)."""
+        return self.text if self.kind == STATEMENT else f"{self.kind}:{self.text}"
 
 
 class _Inflight:
@@ -120,6 +141,11 @@ class ResolvedStatement:
     def parameterized(self) -> bool:
         return bool(self.signature)
 
+    @property
+    def kind(self) -> str:
+        """The cache-key kind ``text`` is compiled under."""
+        return SHAPE if self.signature else STATEMENT
+
 
 class Session:
     """Compile-and-cache query execution against one database."""
@@ -161,81 +187,55 @@ class Session:
                 plan = optimize_for_level(plan, self.db, self.db.catalog)
         return plan
 
-    def _cache_key(self, sql: str, config: Optional[Config]) -> tuple:
-        """Everything a compiled query was specialized against.
+    def cache_key(
+        self, kind: str, text: str, config: Optional[Config] = None
+    ) -> CacheKey:
+        """The key of canonical ``text`` of ``kind`` under ``config`` (None:
+        the session config).
 
-        Keying by statement text alone served stale plans after a config
-        change or a ``session.db`` swap -- the residual program bakes in
-        dictionary layouts, index choices and instrumentation.  ``Config``
-        is a frozen dataclass (hashable); the database contributes its
-        identity, so rebinding ``session.db`` misses cleanly.
-
-        The statement text is canonicalized by :func:`repro.sql.shape.
-        normalize_statement`: whitespace, keyword case and comments do not
-        fragment the cache.
+        Keying by text alone served stale plans after a config change or a
+        ``session.db`` swap -- the residual program bakes in dictionary
+        layouts, index choices and instrumentation -- so the key carries
+        the config (a frozen, hashable dataclass) and the database identity.
         """
-        return (
-            normalize_statement(sql),
-            config,
-            id(self.db),
-            self.use_index_rewrites,
-        )
-
-    def _plan_cache_key(self, key: str, config: Optional[Config]) -> tuple:
-        return (f"plan:{key}", config, id(self.db), self.use_index_rewrites)
-
-    def _shape_cache_key(self, text: str, config: Optional[Config]) -> tuple:
-        """The cache key of a shape-compiled (parameterized) statement.
-
-        ``text`` is already canonical (it came out of
-        :func:`~repro.sql.shape.statement_shape`); the ``shape:`` prefix
-        keeps shape entries distinguishable in :meth:`cache_info` and in
-        the ``session.cache.shape_*`` counters.
-        """
-        return (f"shape:{text}", config, id(self.db), self.use_index_rewrites)
+        cfg = self.config if config is None else config
+        return CacheKey(kind, text, cfg, id(self.db), self.use_index_rewrites)
 
     def prepare(
         self, sql: str, *, config: Optional[Config] = None
     ) -> CompiledQuery:
-        """The compiled query for ``sql``, cached by statement + config.
-
-        LRU semantics: a hit refreshes the statement's recency; inserting
-        past ``max_cache_size`` evicts the least recently used entry.
-        ``config`` overrides the session config for this statement only
-        (the serving tier uses this to cache budget-checked builds under
-        their own key); None means the session config.
-        """
-        cfg = self.config if config is None else config
-        key = self._cache_key(sql, cfg)
-
-        def compile_sql() -> CompiledQuery:
-            with span("compile", statement=" ".join(sql.split())):
-                compiler = LB2Compiler(self.db.catalog, self.db, cfg)
-                return compiler.compile(self.plan(sql))
-
-        return self._prepare_cached(key, compile_sql)
+        """The compiled query for ``sql`` as written (no literal lifting);
+        whitespace, keyword case and comments do not fragment the cache.
+        ``config`` overrides the session config for this statement only."""
+        return self.compiled(
+            self.cache_key(STATEMENT, normalize_statement(sql), config)
+        )
 
     def prepare_shape(
         self, text: str, *, config: Optional[Config] = None
     ) -> CompiledQuery:
-        """The compiled query for a canonical (usually parameterized) shape.
+        """The compiled query for a :func:`~repro.sql.shape.statement_shape`
+        text, shared by every literal variant of the statement (counted in
+        ``session.cache.shape_hits``/``shape_misses``)."""
+        return self.compiled(self.cache_key(SHAPE, text, config))
 
-        ``text`` must be a shape text from :func:`~repro.sql.shape.
-        statement_shape` -- canonical spelling, placeholders in value
-        positions.  The entry is cached under the ``shape:``-prefixed key,
-        so every literal variant of one statement shares one compile; the
-        ``session.cache.shape_hits``/``shape_misses`` counters track this
-        path separately from per-literal compiles.
+    def prepare_plan(
+        self,
+        plan: PhysicalPlan,
+        key: Union[str, CacheKey],
+        *,
+        config: Optional[Config] = None,
+    ) -> CompiledQuery:
+        """Compile-and-cache ``plan`` under ``key``.
+
+        A ``str`` names a hand-built plan under ``config`` (the caller
+        owns the contract that one name means one plan).  A
+        :class:`CacheKey` is used as is: the resilience layer hands over
+        a statement it already planned, so a miss does not plan again.
         """
-        cfg = self.config if config is None else config
-        key = self._shape_cache_key(text, cfg)
-
-        def compile_shape() -> CompiledQuery:
-            with span("compile", statement=text):
-                compiler = LB2Compiler(self.db.catalog, self.db, cfg)
-                return compiler.compile(self.plan(text))
-
-        return self._prepare_cached(key, compile_shape)
+        if not isinstance(key, CacheKey):
+            key = self.cache_key(PLAN, key, config)
+        return self.compiled(key, plan)
 
     def prepare_statement(
         self, sql: str, *, config: Optional[Config] = None
@@ -255,7 +255,7 @@ class Session:
             compiled = self.prepare_shape(shape.text, config=config)
             return PreparedStatement(self, shape.text, shape, compiled)
         text = normalize_statement(sql)
-        compiled = self.prepare(sql, config=config)
+        compiled = self.compiled(self.cache_key(STATEMENT, text, config))
         return PreparedStatement(self, text, StatementShape(text=text), compiled)
 
     def resolve(
@@ -304,35 +304,16 @@ class Session:
         with self._lock:
             self._shape_fallbacks.add(text)
 
-    def prepare_plan(
-        self, plan: PhysicalPlan, key: str, *, config: Optional[Config] = None
+    def compiled(
+        self, key: CacheKey, plan: Optional[PhysicalPlan] = None
     ) -> CompiledQuery:
-        """Compile-and-cache a hand-built plan under an explicit ``key``.
-
-        The SQL cache amortizes compilation for front-end statements; this
-        is the same economics for callers that build
-        :class:`~repro.plan.physical.PhysicalPlan` trees directly (the
-        TPC-H plan-only queries served by :mod:`repro.serve`).  The caller
-        owns the key contract: one key must always name one plan shape.
-        """
-        cfg = self.config if config is None else config
-        cache_key = self._plan_cache_key(key, cfg)
-
-        def compile_plan() -> CompiledQuery:
-            with span("compile", statement=f"plan:{key}"):
-                compiler = LB2Compiler(self.db.catalog, self.db, cfg)
-                return compiler.compile(plan)
-
-        return self._prepare_cached(cache_key, compile_plan)
-
-    def _prepare_cached(
-        self, key: tuple, compile_fn: Callable[[], CompiledQuery]
-    ) -> CompiledQuery:
-        """Cache lookup with single-flight compilation on miss."""
+        """The one cache lookup, single-flight: a miss compiles ``plan``
+        (default: ``key.text`` planned) under ``key.config``.  LRU: a hit
+        refreshes recency; past ``max_cache_size`` the oldest goes."""
         while True:
             wait_for: Optional[_Inflight] = None
             with self._lock:
-                shaped = key[0].startswith("shape:")
+                shaped = key.kind == SHAPE
                 cached = self._cache.get(key)
                 if cached is not None:
                     self._cache.move_to_end(key)
@@ -369,7 +350,12 @@ class Session:
             # This thread owns the compile; run it outside the lock.
             t0 = time.perf_counter()
             try:
-                compiled = compile_fn()
+                with span("compile", statement=key.display):
+                    if plan is None:
+                        plan = self.plan(key.text)
+                    compiled = LB2Compiler(
+                        self.db.catalog, self.db, key.config
+                    ).compile(plan)
             except BaseException as exc:
                 flight.error = exc
                 with self._lock:
@@ -380,8 +366,8 @@ class Session:
             # compilation: waiters and cache hits never reach this point.
             # The ambient request context (serve worker threads) supplies
             # the request id; the shape falls back to the cache key's
-            # statement text for library callers.
-            shape = events.current_shape() or key[0]
+            # display text for library callers.
+            shape = events.current_shape() or key.display
             seconds = time.perf_counter() - t0
             events.emit(
                 "compile",
@@ -512,7 +498,7 @@ class Session:
                 "single_flight_waits": self._single_flight_waits,
                 "shape_hits": self._shape_hits,
                 "shape_misses": self._shape_misses,
-                "statements": [key[0] for key in self._cache],
+                "statements": [key.display for key in self._cache],
             }
 
     def clear_cache(self) -> None:
@@ -547,22 +533,15 @@ class Session:
         which path cached it.  Note the shape entry is shared: forgetting
         one literal variant forgets the compile for all of them.
         """
-        cfg = self.config if config is None else config
+        keys = [self.cache_key(STATEMENT, normalize_statement(sql), config)]
         shape = statement_shape(sql)
-        with self._lock:
-            dropped = self._cache.pop(self._cache_key(sql, cfg), None) is not None
-            if shape.parameterized:
-                shape_key = self._shape_cache_key(shape.text, cfg)
-                dropped = (
-                    self._cache.pop(shape_key, None) is not None
-                ) or dropped
+        if shape.parameterized:
+            keys.append(self.cache_key(SHAPE, shape.text, config))
+            with self._lock:
                 self._shape_fallbacks.discard(shape.text)
-            return dropped
+        return self.evict(*keys)
 
-    def forget_plan(self, key: str, *, config: Optional[Config] = None) -> bool:
-        """Evict one plan-keyed compiled query; True when it was cached."""
-        cfg = self.config if config is None else config
+    def evict(self, *keys: CacheKey) -> bool:
+        """Drop these entries; True when any of them was cached."""
         with self._lock:
-            return (
-                self._cache.pop(self._plan_cache_key(key, cfg), None) is not None
-            )
+            return any([self._cache.pop(key, None) is not None for key in keys])

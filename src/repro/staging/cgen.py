@@ -13,14 +13,12 @@ from __future__ import annotations
 from typing import Callable, Sequence
 
 from repro.staging import ir
-from repro.staging.pygen import CodegenError
+from repro.staging.pygen import PRIMARY, CodegenError, binding, precedence
 
 _BIN_C = {
     "and": "&&",
     "or": "||",
     "//": "/",
-    "==": "==",
-    "!=": "!=",
 }
 
 # Intrinsic -> C rendering.  Helpers that have no direct C idiom map onto
@@ -91,19 +89,31 @@ def _c_const(value: object) -> str:
     return str(value)
 
 
+# C binding strength of the IR's operators, loosest first.
+_C_PREC = precedence("or", "and", "== !=", "< <= > >=", "+ -", "* / // %", "not neg")
+
+
+def _c_operand(expr: ir.Expr, floor: int) -> str:
+    text = render_expr_c(expr)
+    return f"({text})" if binding(expr, _C_PREC) < floor else text
+
+
 def render_expr_c(expr: ir.Expr) -> str:
-    """Render one IR expression as C source."""
+    """Render one IR expression as C source, parenthesizing a child only
+    where it binds looser than its parent or equally tight on the right."""
     if isinstance(expr, ir.Const):
         return _c_const(expr.value)
     if isinstance(expr, ir.Sym):
         return expr.name
     if isinstance(expr, ir.Bin):
         op = _BIN_C.get(expr.op, expr.op)
-        return f"{render_expr_c(expr.lhs)} {op} {render_expr_c(expr.rhs)}"
+        level = _C_PREC.get(expr.op, -1)
+        return f"{_c_operand(expr.lhs, level)} {op} {_c_operand(expr.rhs, level + 1)}"
     if isinstance(expr, ir.Un):
+        operand = _c_operand(expr.operand, _C_PREC["neg"])
         if expr.op == "not":
-            return f"!{render_expr_c(expr.operand)}"
-        return f"{expr.op}{render_expr_c(expr.operand)}"
+            return f"!{operand}"
+        return f"{expr.op}{operand}"
     if isinstance(expr, ir.Call):
         args = [render_expr_c(a) for a in expr.args]
         fn = _C_CALLS.get(expr.fn)
@@ -111,7 +121,7 @@ def render_expr_c(expr: ir.Expr) -> str:
             return fn(*args)
         return f"{expr.fn}({', '.join(args)})"
     if isinstance(expr, ir.Index):
-        return f"{render_expr_c(expr.arr)}[{render_expr_c(expr.idx)}]"
+        return f"{_c_operand(expr.arr, PRIMARY)}[{render_expr_c(expr.idx)}]"
     if isinstance(expr, ir.TupleExpr):
         inner = ", ".join(render_expr_c(i) for i in expr.items)
         return f"{{{inner}}}"

@@ -12,8 +12,9 @@ Generated functions receive three well-known names:
 * ``out`` -- the output row collector (a list),
 * ``rt``  -- the :mod:`repro.compiler.runtime` helper module.
 
-Because every staged intermediate is bound to a fresh name, all expressions
-rendered here have atomic operands; no precedence analysis is needed.
+Most staged intermediates are bound to fresh names, but not all operands
+are atoms (the open map's probe is ``(cur + 1) % size``), so
+:func:`render_expr` parenthesizes where Python would bind differently.
 """
 
 from __future__ import annotations
@@ -30,14 +31,6 @@ class CodegenError(ReproError):
 
     code = "E_CODEGEN"
     phase = "host-compile"
-
-
-def _py_const(value: object) -> str:
-    if isinstance(value, float):
-        # repr keeps round-trip precision; make sure a dot is present so the
-        # C emitter's counterpart stays in sync about literal kinds.
-        return repr(value)
-    return repr(value)
 
 
 # Intrinsics inlined to plain Python; everything else goes through ``rt.``.
@@ -104,22 +97,54 @@ def _render_call(node: ir.Call, args: Sequence[str]) -> str:
     return f"rt.{node.fn}({', '.join(args)})"
 
 
+def precedence(*levels: str) -> dict[str, int]:
+    """Operator -> binding strength, levels loosest first; ``neg`` = ``-x``."""
+    return {op: n for n, ops in enumerate(levels) for op in ops.split()}
+
+
+# Comparisons chain in Python (``a < b < c`` is not ``(a < b) < c``), so
+# render_expr never nests one in another unparenthesized.
+_PY_PREC = precedence("or", "and", "not", "== != < <= > >=", "+ -", "* / // %", "neg")
+PRIMARY = 99
+
+
+def binding(expr: ir.Expr, prec: dict[str, int]) -> int:
+    """How tightly ``expr`` binds once rendered, in ``prec``'s terms."""
+    if isinstance(expr, ir.Bin):
+        return prec.get(expr.op, -1)
+    if isinstance(expr, ir.Un):
+        return prec["not" if expr.op == "not" else "neg"]
+    if isinstance(expr, ir.Const) and type(expr.value) in (int, float) and expr.value < 0:
+        return prec["neg"]  # rendered with its sign
+    return PRIMARY
+
+
+def _operand(expr: ir.Expr, floor: int) -> str:
+    text = render_expr(expr)
+    return f"({text})" if binding(expr, _PY_PREC) < floor else text
+
+
 def render_expr(expr: ir.Expr) -> str:
-    """Render one IR expression as Python source."""
+    """Render one IR expression as Python source, parenthesizing a child
+    only where it binds looser than its parent or equally tight on the
+    right (or is a comparison under a comparison)."""
     if isinstance(expr, ir.Const):
-        return _py_const(expr.value)
+        return repr(expr.value)
     if isinstance(expr, ir.Sym):
         return expr.name
     if isinstance(expr, ir.Bin):
-        return f"{render_expr(expr.lhs)} {expr.op} {render_expr(expr.rhs)}"
+        level = _PY_PREC.get(expr.op, -1)
+        lhs = _operand(expr.lhs, level + (level == _PY_PREC["<"]))
+        return f"{lhs} {expr.op} {_operand(expr.rhs, level + 1)}"
     if isinstance(expr, ir.Un):
+        operand = _operand(expr.operand, binding(expr, _PY_PREC))
         if expr.op == "not":
-            return f"not {render_expr(expr.operand)}"
-        return f"{expr.op}{render_expr(expr.operand)}"
+            return f"not {operand}"
+        return f"{expr.op}{operand}"
     if isinstance(expr, ir.Call):
         return _render_call(expr, [render_expr(a) for a in expr.args])
     if isinstance(expr, ir.Index):
-        return f"{render_expr(expr.arr)}[{render_expr(expr.idx)}]"
+        return f"{_operand(expr.arr, PRIMARY)}[{render_expr(expr.idx)}]"
     if isinstance(expr, ir.TupleExpr):
         inner = ", ".join(render_expr(i) for i in expr.items)
         if len(expr.items) == 1:

@@ -341,6 +341,23 @@ def test_compiled_open_hashmap(tiny_db):
     assert normalize(got) == normalize(execute_push(plan, tiny_db, tiny_db.catalog))
 
 
+def test_open_hashmap_probe_wraps_from_the_last_slot():
+    """Integer keys hash to themselves, so 7 and 15 both land in the last
+    of 8 slots whatever PYTHONHASHSEED is: the second must probe
+    ``(7 + 1) % 8 == 0``, not ``7 + 1 % 8 == 8`` (an IndexError)."""
+    from repro.catalog import INT, Catalog
+    from repro.catalog.schema import schema
+    from repro.storage import Database
+
+    db = Database(Catalog())
+    db.add_rows(schema("T", ("k", INT)), [(7,), (15,), (7,), (0,)])
+    plan = Agg(Scan("T"), [("k", col("k"))], [("n", count())])
+    compiler = LB2Compiler(db.catalog, db, Config(hashmap="open", open_map_size=8))
+    compiled = compiler.compile(plan)
+    assert "% 8" in compiled.source
+    assert normalize(compiled.run(db)) == normalize([(0, 1), (7, 2), (15, 1)])
+
+
 def test_compiled_source_has_no_operator_dispatch(tiny_db):
     """The residual program must not contain engine abstractions."""
     plan = Select(Scan("Dep"), col("rank").lt(10))

@@ -215,14 +215,17 @@ def test_bind_params_matches_compiled(tiny_db):
 
 
 def test_executor_chain_agrees_on_params(tiny_db):
-    from repro.resilience.executor import FULL_CHAIN, ResilientExecutor
+    from repro.resilience.executor import ENGINE_CHAIN, ResilientExecutor
 
     session = Session(tiny_db)
+    vector = Session(tiny_db, config=Config(codegen="vector"))
     sql = "select count(*) from Sales where amount > ?"
     expected = session.query(sql, [20.0])
-    for engine in FULL_CHAIN:
-        result = ResilientExecutor(session, engines=(engine,)).query(sql, [20.0])
-        assert result.rows == expected, engine
+    runs = [(session, engine) for engine in ENGINE_CHAIN]
+    runs.append((vector, "compiled"))  # the vector lowering, same engine
+    for owner, engine in runs:
+        result = ResilientExecutor(owner, engines=(engine,)).query(sql, [20.0])
+        assert result.rows == expected, (owner.config, engine)
 
 
 def test_unbound_param_eval_is_typed_error(tiny_db):

@@ -8,12 +8,14 @@ it over randomly generated arithmetic/boolean expression trees.
 from __future__ import annotations
 
 import math
+import operator
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.staging import PyProgram, StagingContext, generate_python
 from repro.staging import ir
+from repro.staging.pygen import render_expr
 from repro.staging.rep import RepBool, RepFloat, RepInt
 
 
@@ -173,3 +175,77 @@ def test_fresh_names_never_collide_across_many_binds(values):
     # every bound name is unique
     names = [line.split(" = ")[0].strip() for line in source.splitlines() if " = " in line]
     assert len(names) == len(set(names))
+
+
+# -- emitter precedence: render(tree) means the tree ---------------------------
+
+_TREE_OPS = {
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "/": operator.truediv,
+    "//": operator.floordiv,
+    "%": operator.mod,
+    "==": operator.eq,
+    "!=": operator.ne,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+}
+
+_leaves = st.one_of(
+    st.integers(-20, 20).map(ir.Const),
+    st.booleans().map(ir.Const),
+    st.sampled_from([ir.Sym("a"), ir.Sym("b")]),
+)
+
+
+def _grow(children):
+    return st.one_of(
+        st.builds(
+            ir.Bin, st.sampled_from(sorted(_TREE_OPS) + ["and", "or"]), children, children
+        ),
+        st.builds(ir.Un, st.sampled_from(["not", "-"]), children),
+    )
+
+
+def _evaluate(expr: ir.Expr, env: dict):
+    """Direct evaluation of the tree, node by node (Python semantics)."""
+    if isinstance(expr, ir.Const):
+        return expr.value
+    if isinstance(expr, ir.Sym):
+        return env[expr.name]
+    if isinstance(expr, ir.Un):
+        value = _evaluate(expr.operand, env)
+        return (not value) if expr.op == "not" else -value
+    lhs = _evaluate(expr.lhs, env)
+    if expr.op == "and":
+        return lhs and _evaluate(expr.rhs, env)
+    if expr.op == "or":
+        return lhs or _evaluate(expr.rhs, env)
+    return _TREE_OPS[expr.op](lhs, _evaluate(expr.rhs, env))
+
+
+def _outcome(fn):
+    try:
+        return repr(fn())
+    except ArithmeticError as exc:
+        return type(exc).__name__
+
+
+@given(
+    tree=st.recursive(_leaves, _grow, max_leaves=12),
+    a=st.integers(-9, 9),
+    b=st.integers(-9, 9),
+)
+@settings(max_examples=400, deadline=None)
+def test_rendered_expression_means_the_tree(tree, a, b):
+    """Nested operands keep the IR's grouping once rendered: ``(x + 1) %
+    16`` must not come out as ``x + 1 % 16``, nor ``(a < b) < c`` as a
+    chained comparison."""
+    env = {"a": a, "b": b}
+    source = render_expr(tree)
+    assert _outcome(lambda: eval(source, {}, dict(env))) == _outcome(
+        lambda: _evaluate(tree, env)
+    ), source

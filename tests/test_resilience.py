@@ -282,6 +282,51 @@ def test_fallback_evicts_failed_compiled_query(tiny_db):
     assert session.cached_statements == 0
 
 
+def test_guarded_failure_evicts_the_guarded_entry(tiny_db):
+    """Under ``cache_guarded_compiles`` the failed attempt ran a cached
+    budget-checked build; that entry (not only the plain one) goes."""
+    session = Session(tiny_db)
+    sql = "select count(*) from Sales"
+    executor = ResilientExecutor(
+        session, budget=Budget(wall_clock_seconds=60.0), cache_guarded_compiles=True
+    )
+    assert executor.query(sql).report.engine_trail == ("compiled",)
+    session.prepare(sql)  # the same statement under the session config
+    assert session.cached_statements == 2
+    with FaultInjector(FaultSpec("mid-scan")):
+        result = executor.query(sql)
+    assert result.rows == [(6,)]
+    assert result.report.engine_trail == ("compiled", "push")
+    assert session.cached_statements == 0
+
+
+@pytest.mark.parametrize(
+    "sql",
+    ["select count(*) from Sales", "select count(*) from Sales where amount > 20.0"],
+)
+@pytest.mark.parametrize("guarded", [False, True])
+def test_executor_miss_plans_once(sql, guarded, tiny_db, monkeypatch):
+    """A cache miss compiles the plan ``resolve`` already built."""
+    import repro.session as session_module
+
+    planned = []
+    real = session_module.sql_to_plan
+
+    def counting(text, db):
+        planned.append(text)
+        return real(text, db)
+
+    monkeypatch.setattr(session_module, "sql_to_plan", counting)
+    session = Session(tiny_db)
+    budget = Budget(wall_clock_seconds=60.0) if guarded else None
+    executor = ResilientExecutor(
+        session, budget=budget, cache_guarded_compiles=guarded
+    )
+    executor.query(sql)
+    assert session.cache_info()["misses"] == 1
+    assert len(planned) == 1
+
+
 # -- resilient parallel execution --------------------------------------------------
 
 

@@ -425,6 +425,33 @@ def test_wire_error_replies_reconstruct(server):
             raise_for_error(reply)
 
 
+def test_wire_prepare_compiles_what_execute_runs(server):
+    """The prepare op builds the very entry served executions look up (the
+    budget-checked key), so executions from other tenants compile nothing."""
+    sql = "select count(*) from lineitem where l_tax > ? and l_quantity < ?"
+    host, port = server.address
+    with ServiceClient(host, port) as client:
+        prep = client.prepare(sql)
+        assert prep["ok"], prep
+        assert [s["type"] for s in prep["signature"]] == ["float", "float"]
+        before = REGISTRY.get_counter("compile.count")
+        for tenant, qty in (("default", 10.0), ("mixed", 30.0)):
+            reply = client.execute(sql, [0.02, qty], tenant=tenant)
+            assert reply["ok"] and reply["engine"] == "compiled", reply
+    assert REGISTRY.get_counter("compile.count") - before == 0
+
+
+def test_vector_is_a_lowering_not_an_engine(service, tiny_db):
+    """Pinning the retired "vector" engine is a typed protocol error; the
+    lowering itself is ``Config(codegen="vector")`` on the session."""
+    reply = service.submit_dict({"tpch": 6, "engine": "vector"})
+    assert not reply["ok"] and reply["error"]["code"] == "E_PROTOCOL"
+    with pytest.raises(ValueError):
+        ResilientExecutor(Session(tiny_db), engines=("vector",))
+    with pytest.raises(ValueError):
+        ServiceConfig(engines=("vector", "compiled"))
+
+
 def test_wire_shutdown_is_clean(serve_session):
     config = ServiceConfig(workers=1, query_scale=TINY_SCALE)
     server = QueryServer(
