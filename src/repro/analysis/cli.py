@@ -4,7 +4,7 @@ Usage::
 
     python -m repro.analysis.cli                 # full matrix, exit 1 on findings
     python -m repro.analysis.cli --query 6 -v    # one query, show every program
-    python -m repro.analysis.cli --fast          # compliant config only (CI smoke)
+    python -m repro.analysis.cli --fast          # default + served configs (CI smoke)
     python -m repro.analysis.cli --opt-level 2   # lint the *optimized* programs
     python -m repro.analysis.cli --report opt    # optimizer statistics report
     python -m repro.analysis.cli --json --check  # machine-readable, validated
@@ -51,7 +51,17 @@ SCHEMA = "repro-lint/v1"
 
 def iter_configs(fast: bool = False, opt_level: int = 0) -> Iterator[Config]:
     """Every compilation-knob combination (or just the two codegen
-    backends at defaults for --fast), at the requested ``opt_level``."""
+    backends at defaults for --fast), plus the two programs the service
+    runs under a deadline, at the requested ``opt_level``."""
+    # Served programs are budget-checked builds over an undictionaried
+    # database; without dictionaries this database compiles the same ones.
+    for codegen in ("scalar", "vector"):
+        yield Config(
+            codegen=codegen,
+            budget_checks=True,
+            use_dictionaries=False,
+            opt_level=opt_level,
+        )
     if fast:
         yield Config(opt_level=opt_level)
         yield Config(codegen="vector", opt_level=opt_level)
@@ -83,6 +93,8 @@ def config_label(config: Config, *, split: bool = False) -> str:
     ]
     if config.instrument:
         parts.append("instr")
+    if config.budget_checks:
+        parts.append("budget")
     if config.opt_level:
         parts.append(f"opt{config.opt_level}")
     if split:
@@ -284,7 +296,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--query", type=int, default=None,
                         choices=sorted(QUERIES), help="lint a single query")
     parser.add_argument("--fast", action="store_true",
-                        help="default config only (CI smoke mode)")
+                        help="default and served configs only (CI smoke mode)")
     parser.add_argument("--opt-level", type=int, default=0, choices=(0, 1, 2),
                         help="run the IR optimizer at this level before linting")
     parser.add_argument("--report", choices=("lint", "opt"), default="lint",

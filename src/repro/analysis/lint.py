@@ -15,10 +15,11 @@ Each pass is independent and composes over the shared walker:
   restricted to pure computation, allocation, and database reads -- writes
   to pre-existing state or result output there would reorder observable
   effects;
-* :class:`BulkOpInLoop` -- a whole-column vector kernel staged inside a
-  residual loop body runs once per iteration instead of once per batch,
+* :class:`BulkOpInLoop` -- a whole-batch vector kernel staged inside a
+  residual row loop runs once per iteration instead of once per batch,
   turning the vector backend's O(n) into O(n^2); the batch lowering is
-  supposed to keep every ``v_*`` call at statement nesting depth zero;
+  supposed to keep every ``v_*`` call directly in its batch loop (or at
+  statement nesting depth zero);
 * :class:`DeadInstrumentation` -- an observability intrinsic (``obs_now``)
   staged inside a hot loop, or a timer bind that is never read: profiling
   overhead the instrument lowering is supposed to keep off the per-row path.
@@ -169,7 +170,7 @@ PURE, ALLOC, READ, WRITE, IO = "pure", "alloc", "read", "write", "io"
 CALL_EFFECTS: dict[str, str] = {
     # allocation: creates fresh state, trivially movable ahead of the hot path
     "alloc": ALLOC, "list_new": ALLOC, "dict_new": ALLOC, "set_new": ALLOC,
-    "set_new1": ALLOC, "tuple1": ALLOC,
+    "set_new1": ALLOC, "tuple1": ALLOC, "group_state": ALLOC,
     # database reads: idempotent snapshots of load-time state
     "db_column": READ, "db_column_vec": READ, "db_size": READ, "db_index": READ,
     "db_unique_index": READ, "db_dictionary": READ, "db_date_index": READ,
@@ -177,7 +178,9 @@ CALL_EFFECTS: dict[str, str] = {
     "db_date_runs": READ, "index_lookup": READ, "index_lookup_unique": READ,
     # mutation of the first argument
     "list_append": WRITE, "list_extend": WRITE, "set_add": WRITE,
-    "sort_rows": WRITE,
+    "sort_rows": WRITE, "group_add": WRITE,
+    # reads state the hot path wrote: ranked with writes so no pass moves it
+    "group_merge": WRITE,
     # externally observable effects
     "out_append": IO, "map_full": IO,
     # cooperative budget/fault checkpoint: may raise, must stay in the loop
@@ -199,7 +202,7 @@ _PURE_CALLS = {
     "str_concat", "str_eq", "dict_get", "dict_contains", "dict_items",
     "dict_values", "dict_keys", "dict_len", "list_len", "list_head",
     "set_contains", "set_len", "not_none", "is_none", "topk_rows",
-    "argsort_columns",
+    "argsort_columns", "batch_slice",
 }
 
 #: Whole-column kernels of the batch-vectorized backend.  All of them build
@@ -310,17 +313,19 @@ class HoistSafety(AnalysisPass):
 
 
 class BulkOpInLoop(AnalysisPass):
-    """Flags whole-column vector kernels staged inside a loop body.
+    """Flags whole-batch vector kernels staged inside a row loop body.
 
     The vector backend's contract is that every ``v_*`` kernel runs once
-    per *batch*: filters compose masks, aggregations factorize keys, and
-    the only residual loops left are per-group emission and devectorized
-    edges -- whose column views (``v_tolist``) are bound *before* the loop.
-    A kernel call that ends up inside a ``for``/``while`` body re-scans a
-    full column every iteration, which silently degrades the batch lowering
-    from O(n) to O(n^2).  The walk treats nested functions as part of their
-    enclosing nesting depth: a hoisted ``run`` closure at depth zero is
-    fine, but a kernel inside its scan loop is not.
+    per *batch*: the batch loop (a ``ForRange`` marked ``batch``, one
+    iteration per bounded slice of a table) is the one legal loop around
+    kernels.  Inside it, filters compose masks, aggregations factorize
+    keys, and the only residual loops left are per-group emission and
+    devectorized edges -- whose views (``v_tolist``) are bound *before*
+    the row loop.  A kernel call inside any other ``for``/``while`` body
+    re-scans a whole batch every iteration, which silently degrades the
+    batch lowering from O(n) to O(n^2).  The walk treats nested functions
+    as part of their enclosing nesting depth: a hoisted ``run`` closure at
+    depth zero is fine, but a kernel inside a row loop of it is not.
     """
 
     name = "lint"
@@ -349,14 +354,16 @@ class BulkOpInLoop(AnalysisPass):
                             out.append(self.diag(
                                 "bulk-op-in-loop",
                                 f"vector kernel {node.fn!r} is staged inside "
-                                "a loop body; whole-column kernels must run "
+                                "a loop body; whole-batch kernels must run "
                                 "once per batch, not once per iteration",
                                 fn_name,
                                 stmt,
                                 severity=Severity.WARNING,
                             ))
-            entered = in_loop or isinstance(
-                stmt, (ir.While, ir.ForRange, ir.ForEach)
+            batch_loop = isinstance(stmt, ir.ForRange) and stmt.batch
+            entered = in_loop or (
+                isinstance(stmt, (ir.While, ir.ForRange, ir.ForEach))
+                and not batch_loop
             )
             for sub in ir.stmt_blocks(stmt):
                 self._check_block(fn_name, sub, entered, out)

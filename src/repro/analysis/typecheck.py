@@ -51,6 +51,7 @@ INTRINSIC_RESULT: dict[str, Optional[str]] = {
     "dict_len": "long",
     "db_column": "void*",
     "db_column_vec": None,  # vec_long / vec_double / ... depending on column
+    "batch_slice": None,  # the sliced column's vector type
     "db_size": "long",
     "db_index": "void*",
     "db_unique_index": "void*",
@@ -77,6 +78,9 @@ INTRINSIC_RESULT: dict[str, Optional[str]] = {
     "argsort_columns": "void*",
     "map_full": "void",
     "scan_tick": "void",
+    "group_state": "void*",
+    "group_add": "void",
+    "group_merge": "void*",
     # observability: wall-clock read bracketed around instrumented operators
     "obs_now": "double",
     # batch-vectorized backend kernels (``rt.v_*``); elementwise arithmetic

@@ -9,6 +9,7 @@ key) are routed through here.
 from __future__ import annotations
 
 import functools
+import itertools
 import threading
 from time import perf_counter as _perf_counter
 from typing import Iterable, Sequence
@@ -490,7 +491,7 @@ def v_group_fsum(codes, ngroups, values):
 
 def v_group_count(codes, ngroups):
     if _is_ndarray(codes):
-        return [int(x) for x in _np.bincount(codes, minlength=ngroups)]
+        return _np.bincount(codes, minlength=ngroups).tolist()
     out = [0] * ngroups
     for c in codes:
         out[c] += 1
@@ -540,6 +541,47 @@ def v_group_max(codes, ngroups, values):
     return _group_extreme(
         codes, ngroups, values, max, None if _np is None else _np.maximum
     )
+
+
+def group_state(nkeys: int, nslots: int) -> list:
+    """The kept batches of a grouped aggregation: one list of per-batch
+    chunks per key and per slot (see :func:`group_add`)."""
+    return [[] for _ in range(nkeys + nslots)]
+
+
+def group_add(state: list, grouped, *partials) -> None:
+    """Keep one batch's group keys (its :func:`v_group` result) and its
+    per-group partials (``v_group_*`` results, one per slot)."""
+    for chunks, chunk in zip(state, (*grouped[2:], *partials)):
+        chunks.append(chunk)
+
+
+def group_merge(state: list, folds: Sequence[str]) -> list:
+    """Merge the kept batches: ``[ngroups, keylist_0.., slot_0..]``.
+
+    One :func:`v_group` over every batch's group keys finds the groups;
+    slot ``s`` combines its partials by ``folds[s]`` -- ``"sum"``,
+    ``"min"`` or ``"max"`` -- through the matching ``v_group_*`` kernel.
+    """
+    nkeys = len(state) - len(folds)
+    keys = [_concat(chunks) for chunks in state[:nkeys]]
+    grouped = v_group(len(keys[0]), *keys)
+    codes, ngroups = grouped[0], grouped[1]
+    reduce = {"sum": v_group_sum, "min": v_group_min, "max": v_group_max}
+    slots = [
+        reduce[fold](codes, ngroups, _concat(chunks))
+        for fold, chunks in zip(folds, state[nkeys:])
+    ]
+    return [ngroups, *grouped[2:], *slots]
+
+
+def _concat(chunks: list):
+    """Per-batch value lists as one batch (strings stay Python objects)."""
+    values = list(itertools.chain.from_iterable(chunks))
+    if _np is None:
+        return values
+    strings = bool(values) and isinstance(values[0], str)
+    return _np.asarray(values, dtype=object if strings else None)
 
 
 # -- global (ungrouped) reductions -------------------------------------------

@@ -10,8 +10,9 @@ always produced; the batch lowering lives in :mod:`repro.compiler.vec`.
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING, Callable, Iterator, Optional
 
 from repro.catalog.types import ColumnType
 from repro.staging import ir
@@ -112,24 +113,60 @@ def column_loader(
     return load
 
 
-def emit_scan_tick(comp: "StagedPlanBuilder", i: Optional[RepInt] = None) -> None:
-    """Emit a cooperative budget/fault checkpoint into the current loop.
+def emit_scan_tick(comp: "StagedPlanBuilder") -> None:
+    """Emit a per-row budget/fault checkpoint (candidate-list loops, which
+    have no counter to stride by).  Nothing is emitted unless
+    ``Config.budget_checks`` is set, keeping default codegen byte-stable."""
+    if comp.config.budget_checks:
+        comp.ctx.call_stmt("scan_tick", [1])
 
-    With a counted induction variable ``i`` the check fires every
-    ``budget_check_interval`` rows (one modulo + compare per row, a call
-    only on the sampled rows); candidate-list loops without a counter
-    check per row.  Nothing at all is emitted unless
-    ``Config.budget_checks`` is set, keeping default codegen byte-stable.
+
+@contextlib.contextmanager
+def row_chunks(
+    comp: "StagedPlanBuilder",
+    start: Rep,
+    stop: Rep,
+    size: int,
+    *,
+    charge: bool = True,
+    batch: bool = False,
+) -> Iterator[tuple[RepInt, RepInt]]:
+    """A strided loop over rows ``[start, stop)``, ``size`` rows at a time.
+
+    Yields each chunk's first row and row count.  With ``Config.budget_checks``
+    every chunk opens with ``rt.scan_tick(count)``, so a row quota trips
+    before the chunk's rows are touched and a full scan of n rows charges
+    exactly n; ``charge=False`` ticks 0 instead -- a clock check for rows
+    some enclosing loop already charged.  ``batch`` marks the vector
+    lowering's batch loop (the one loop whole-batch kernels may run in).
     """
+    ctx = comp.ctx
+    with ctx.for_range(start, stop, prefix="c", step=size, batch=batch) as lo:
+        count = ctx.call("min2", [size, stop - lo], result="long", prefix="m")
+        if comp.config.budget_checks:
+            ctx.call_stmt("scan_tick", [count if charge else 0])
+        yield lo, count
+
+
+@contextlib.contextmanager
+def row_loop(
+    comp: "StagedPlanBuilder", start: Rep, stop: Rep, *, charge: bool = True
+) -> Iterator[RepInt]:
+    """A counted row loop over ``[start, stop)``; yields the row index.
+
+    Without budget checks this is the plain ``for`` loop.  With them the
+    rows run in chunks of ``budget_check_interval`` (:func:`row_chunks`):
+    one checkpoint per chunk and no per-row test in the loop body.
+    """
+    ctx = comp.ctx
     if not comp.config.budget_checks:
+        with ctx.for_range(start, stop, prefix="i") as i:
+            yield i
         return
     interval = comp.config.budget_check_interval
-    ctx = comp.ctx
-    if i is None or interval <= 1:
-        ctx.call_stmt("scan_tick", [1])
-        return
-    with ctx.if_((i % interval) == 0):
-        ctx.call_stmt("scan_tick", [interval])
+    with row_chunks(comp, start, stop, interval, charge=charge) as (lo, count):
+        with ctx.for_range(lo, lo + count, prefix="i") as i:
+            yield i
 
 
 def set_stat(ctx: StagingContext, stats: Rep, label: str, counter_name: str) -> None:
@@ -174,17 +211,11 @@ class TableSource:
         cb: Callable[[StagedRecord], None],
         bounds: Optional[tuple[Rep, Rep]] = None,
     ) -> None:
-        if bounds is not None:
-            # Section 4.5: this is the partitioned (driving) scan; the
-            # generated partial covers rows [lo, hi).
-            lo, hi = bounds
-            with self.ctx.for_range(lo, hi, prefix="i") as i:
-                emit_scan_tick(self.comp, i)
-                cb(self.record_at(i))
-        else:
-            with self.ctx.for_range(0, self.state.size, prefix="i") as i:
-                emit_scan_tick(self.comp, i)
-                cb(self.record_at(i))
+        # Section 4.5: with bounds this is the partitioned (driving) scan;
+        # the generated partial covers rows [lo, hi).
+        lo, hi = bounds if bounds is not None else (0, self.state.size)
+        with row_loop(self.comp, lo, hi) as i:
+            cb(self.record_at(i))
 
 
 class DateIndexSource:

@@ -3,10 +3,12 @@
 Operator code in :mod:`repro.compiler.lb2` is written once against the
 backend seam; this module re-lowers the supported shapes -- scans, filters,
 projections and aggregations -- to *batched columnar* residual programs.
-Instead of one row loop per pipeline, the generated code stages whole
-columns (``db.column_vec``), evaluates predicates and expressions with
-``rt.v_*`` batch kernels (NumPy when available, pure-Python lists
-otherwise), and only falls back to row-at-a-time code at the seams:
+Instead of one row loop per pipeline, the generated code walks a table in
+batches of at most :data:`BATCH_ROWS` rows (slices of ``db.column_vec``
+arrays, for the columns the query reads), evaluates predicates and
+expressions with ``rt.v_*`` batch kernels (NumPy when available,
+pure-Python lists otherwise), folds aggregate partials into running state,
+and only falls back to row-at-a-time code at the seams:
 
 * an operator whose shape the vector lowering does not support (joins,
   sorts, compressed-string scans, ...) receives plain scalar rows through a
@@ -16,6 +18,11 @@ otherwise), and only falls back to row-at-a-time code at the seams:
 Eligibility is decided in one whole-plan pass (:meth:`VectorBackend.prepare`)
 before any operator stages code, so each operator's lowering is fixed up
 front -- the operator pass itself never branches on the backend.
+
+Budget checkpoints are batch-granular: a batch scan charges its rows with
+one ``rt.scan_tick`` before any kernel of the batch runs, and devectorized
+row loops check the clock every ``budget_check_interval`` rows, so a
+deadline overshoots by at most one batch's kernel chain.
 """
 
 from __future__ import annotations
@@ -23,7 +30,6 @@ from __future__ import annotations
 import warnings
 from typing import Callable, Optional, Sequence
 
-from repro.catalog.types import ColumnType
 from repro.plan import physical as phys
 from repro.plan.expressions import (
     And,
@@ -43,10 +49,15 @@ from repro.staging.builder import StagingContext
 from repro.staging.rep import Rep, RepInt, rep_for_ctype, vec_ctype
 from repro.compiler.backends import ScalarBackend
 from repro.compiler.runtime import have_numpy
-from repro.compiler.staged_agg import StagedAgg, all_slot_ctypes
+from repro.compiler.staged_agg import GlobalAggState, StagedAgg
 from repro.compiler.staged_hashmap import Slots
 from repro.compiler.staged_record import FieldDesc, StagedRecord, StagedValue
-from repro.compiler.staged_source import column_loader
+from repro.compiler.staged_source import column_loader, row_chunks, row_loop
+
+#: Rows per batch of a batch scan.  Bounds every kernel temporary to one
+#: batch and, under budget checks, how far a scan runs past a tripped
+#: deadline: one batch's kernel chain.
+BATCH_ROWS = 8192
 
 
 def _is_vec(value: object) -> bool:
@@ -63,7 +74,7 @@ class VecRecord:
 
     Implements the same seam as :class:`StagedRecord` -- ``guard`` /
     ``derive`` / ``rows`` plus lazy memoized field access -- but each field
-    is a whole column (``RepVec``) rather than one value, so the same
+    is a column of the batch (``RepVec``) rather than one value, so the same
     operator code lowers to mask kernels and column derivations.  Scalar
     staged values may appear as fields too (lifted constants); they
     broadcast, and selection leaves them untouched.
@@ -76,12 +87,13 @@ class VecRecord:
 
     def __init__(
         self,
-        ctx: StagingContext,
+        comp,
         descs: list[FieldDesc],
         loaders: dict[str, Callable[[], StagedValue]],
         nrows_loader: Callable[[], RepInt],
     ) -> None:
-        self.ctx = ctx
+        self.comp = comp
+        self.ctx = comp.ctx
         self.descs = descs
         self._by_name = {d.name: d for d in descs}
         self._loaders = loaders
@@ -132,7 +144,7 @@ class VecRecord:
         def nrows_loader() -> RepInt:
             return ctx.call("v_len", [sel], result="long", prefix="v")
 
-        cb(VecRecord(ctx, list(self.descs), loaders, nrows_loader))
+        cb(VecRecord(self.comp, list(self.descs), loaders, nrows_loader))
 
     def _filtered_loader(
         self, name: str, sel: Rep
@@ -151,7 +163,7 @@ class VecRecord:
         values: dict[str, StagedValue],
     ) -> "VecRecord":
         """A new batch over already-staged columns (projection output)."""
-        rec = VecRecord(self.ctx, descs, {}, self.nrows)
+        rec = VecRecord(self.comp, descs, {}, self.nrows)
         rec._cache = dict(values)
         return rec
 
@@ -161,8 +173,10 @@ class VecRecord:
         Views are bound lazily but *before* the loop: the first time the
         loop body touches a field, its gather/``v_tolist`` chain is staged
         into a detached block and spliced ahead of the ``for`` -- so only
-        the fields the consumer actually reads pay the whole-column
-        conversion, and none of it re-runs per row.
+        the fields the consumer actually reads pay the whole-batch
+        conversion, and none of it re-runs per row.  Under budget checks
+        the loop checks the clock every ``budget_check_interval`` rows;
+        the batch scan already charged the rows.
         """
         ctx = self.ctx
         n = self.nrows()
@@ -184,7 +198,7 @@ class VecRecord:
             parent[mark:mark] = prelude
             mark += len(prelude)
 
-        with ctx.for_range(0, n, prefix="i") as i:
+        with row_loop(self.comp, 0, n, charge=False) as i:
             loaders: dict[str, Callable[[], StagedValue]] = {}
             for desc in self.descs:
                 def load(desc: FieldDesc = desc) -> StagedValue:
@@ -205,26 +219,47 @@ class VecRecord:
 
 
 class VecScanSource:
-    """A bound base table delivered as one batch of typed column arrays."""
+    """A bound base table delivered in batches of at most :data:`BATCH_ROWS`.
+
+    Each batch record's fields are slices of whole-column arrays; a column
+    array is bound (next to the table size, ahead of the batch loop) the
+    first time the query reads that field, so the program binds only the
+    columns it reads.
+    """
 
     def __init__(self, comp, table: str, rename: dict[str, str]) -> None:
         self.comp = comp
         self.ctx = comp.ctx
-        ctx = self.ctx
-        ctx.comment(f"columnar batch scan of table {table!r}")
-        self.size = ctx.call("db_size", [table], result="long", prefix="n")
-        schema = comp.catalog.table(table)
+        self.table = table
+        self.ctx.comment(f"columnar batch scan of table {table!r}")
+        self.size = self.ctx.call("db_size", [table], result="long", prefix="n")
+        self._block = self.ctx.current_block
+        self._anchor = self._block[-1]  # the size bind; columns follow it
         self.descs: list[FieldDesc] = []
-        self._col_syms: dict[str, Rep] = {}
-        for column in schema.columns:
+        self._stored: dict[str, str] = {}  # field name -> stored column name
+        for column in comp.catalog.table(table).columns:
             name = rename.get(column.name, column.name)
-            self._col_syms[name] = ctx.call(
-                "db_column_vec",
-                [table, column.name],
-                result=vec_ctype(column.type.ctype),
-                prefix="col",
-            )
+            self._stored[name] = column.name
             self.descs.append(FieldDesc(name, column.type))
+        self._columns: dict[str, Rep] = {}
+
+    def _column(self, desc: FieldDesc) -> Rep:
+        """The whole-column array of ``desc``, bound on first read."""
+        if desc.name not in self._columns:
+            ctx = self.ctx
+            prelude: list = []
+            with ctx.emit_into(prelude):
+                column = ctx.call(
+                    "db_column_vec",
+                    [self.table, self._stored[desc.name]],
+                    result=vec_ctype(desc.type.ctype),
+                    prefix="col",
+                )
+            at = next(i for i, s in enumerate(self._block) if s is self._anchor)
+            at += 1 + len(self._columns)
+            self._block[at:at] = prelude
+            self._columns[desc.name] = column
+        return self._columns[desc.name]
 
     def scan(
         self,
@@ -238,11 +273,23 @@ class VecScanSource:
                 "the vector backend cannot partition a batch scan; "
                 "parallel execution uses scalar codegen"
             )
-        loaders = {
-            d.name: (lambda v: lambda: v)(self._col_syms[d.name])
-            for d in self.descs
-        }
-        cb(VecRecord(self.ctx, list(self.descs), loaders, lambda: self.size))
+        ctx = self.ctx
+        with row_chunks(
+            self.comp, 0, self.size, BATCH_ROWS, batch=True
+        ) as (lo, count):
+
+            def slice_loader(desc: FieldDesc) -> Callable[[], StagedValue]:
+                def load() -> StagedValue:
+                    column = self._column(desc)
+                    return ctx.call(
+                        "batch_slice", [column, lo, count],
+                        result=column.ctype, prefix="v",
+                    )
+
+                return load
+
+            loaders = {d.name: slice_loader(d) for d in self.descs}
+            cb(VecRecord(self.comp, list(self.descs), loaders, lambda: count))
 
 
 # ---------------------------------------------------------------------------
@@ -275,14 +322,31 @@ class _IndexedSlots(Slots):
         raise NotImplementedError("vectorized group slots are read-only")
 
 
-class VecAggMap:
-    """Grouped aggregation over one batch: factorize keys, reduce by kernel.
+#: How each aggregate kind's slots combine across batches, slot by slot
+#: (the layout of :meth:`StagedAgg.slot_ctypes`).
+_SLOT_FOLDS = {
+    "count": ("sum",),
+    "sum": ("sum",),
+    "avg": ("sum", "sum"),
+    "min": ("min",),
+    "max": ("max",),
+}
 
-    Implements the accumulate/foreach protocol of the staged hash maps, but
-    ``accumulate`` is called once with a whole batch: it stages one
-    ``v_group`` factorization of the key columns plus one ``v_group_*``
-    reduction per aggregate slot.  ``foreach`` then loops over the group
-    index, which is exactly the scalar emit loop downstream code expects.
+
+def _slot_folds(staged_aggs: Sequence[StagedAgg]) -> list[str]:
+    return [fold for agg in staged_aggs for fold in _SLOT_FOLDS[agg.spec.kind]]
+
+
+class VecAggMap:
+    """Grouped aggregation over batches: factorize, reduce, merge.
+
+    Implements the accumulate/foreach protocol of the staged hash maps;
+    ``accumulate`` is called once per batch and stages one ``v_group``
+    factorization of the key columns, one ``v_group_*`` reduction per
+    aggregate slot, and a ``group_add`` that keeps those per-group partials
+    in state allocated ahead of the scan.  ``foreach`` merges the kept
+    batches (``group_merge``) and loops over the groups, which is exactly
+    the scalar emit loop downstream code expects.
     """
 
     def __init__(
@@ -293,15 +357,18 @@ class VecAggMap:
         slot_ctypes: Sequence[str],
     ) -> None:
         self.ctx = ctx
-        self.node = node
         self.key_ctypes = list(key_ctypes)
         self.slot_ctypes = list(slot_ctypes)
         ctx.comment(
             f"vectorized grouped aggregation; keys: {[n for n, _ in node.keys]}"
         )
-        self._ngroups: Optional[RepInt] = None
-        self._keylists: list[Rep] = []
-        self._slot_arrays: list[Rep] = []
+        self.state = ctx.call(
+            "group_state",
+            [len(self.key_ctypes), len(self.slot_ctypes)],
+            result="void*",
+            prefix="groups",
+        )
+        self._folds: tuple[str, ...] = ()
 
     def accumulate(self, rec: VecRecord, stage_keys, staged_aggs) -> None:
         ctx = self.ctx
@@ -314,40 +381,41 @@ class VecAggMap:
             ctx.bind(ir.Index(grouped.expr, ir.Const(0)), ctype="vec_long", prefix="v"),
             ctx,
         )
-        self._ngroups = RepInt(
+        ngroups = RepInt(
             ctx.bind(ir.Index(grouped.expr, ir.Const(1)), ctype="long", prefix="v"),
             ctx,
         )
-        self._keylists = [
-            Rep(
-                ctx.bind(
-                    ir.Index(grouped.expr, ir.Const(2 + j)),
-                    ctype="void*",
-                    prefix="v",
-                ),
-                ctx,
-                ctype="void*",
-            )
-            for j in range(len(keys))
-        ]
-        ng = self._ngroups
+        partials: list[Rep] = []
         for agg in staged_aggs:
             value = agg.row_value(rec)
-            self._slot_arrays.extend(
-                _grouped_slot_arrays(ctx, agg, codes, ng, value)
-            )
+            partials.extend(_grouped_slot_arrays(ctx, agg, codes, ngroups, value))
+        ctx.call_stmt("group_add", [self.state, grouped, *partials])
+        self._folds = tuple(_slot_folds(staged_aggs))
 
     def foreach(self, on_group) -> None:
         ctx = self.ctx
-        assert self._ngroups is not None, "foreach before accumulate"
-        with ctx.for_range(0, self._ngroups, prefix="g") as gi:
+        merged = ctx.call(
+            "group_merge", [self.state, self._folds], result="void*", prefix="grp"
+        )
+
+        def entry(i: int, ctype: str) -> Rep:
+            sym = ctx.bind(ir.Index(merged.expr, ir.Const(i)), ctype=ctype, prefix="v")
+            return rep_for_ctype(ctype)(sym, ctx)
+
+        nkeys = len(self.key_ctypes)
+        ngroups = entry(0, "long")
+        keylists = [entry(1 + j, "void*") for j in range(nkeys)]
+        slot_arrays = [
+            entry(1 + nkeys + i, "void*") for i in range(len(self.slot_ctypes))
+        ]
+        with ctx.for_range(0, ngroups, prefix="g") as gi:
             keys = [
                 rep_for_ctype(kt)(
                     ctx.bind(ir.Index(kl.expr, gi.expr), ctype=kt), ctx
                 )
-                for kl, kt in zip(self._keylists, self.key_ctypes)
+                for kl, kt in zip(keylists, self.key_ctypes)
             ]
-            slots = _IndexedSlots(ctx, self._slot_arrays, self.slot_ctypes, gi)
+            slots = _IndexedSlots(ctx, slot_arrays, self.slot_ctypes, gi)
             on_group(keys, slots)
 
 
@@ -380,87 +448,63 @@ def _grouped_slot_arrays(
     raise AssertionError(f"aggregate kind {kind!r} passed vector eligibility")
 
 
-class _ValueSlots(Slots):
-    """Aggregate slots that are already-computed staged values (global agg)."""
+def _global_partials(
+    ctx: StagingContext, agg: StagedAgg, value: Optional[StagedValue], n: RepInt
+) -> list[Rep]:
+    """One batch's reduction(s) backing one aggregate's slots."""
+    kind = agg.spec.kind
 
-    def __init__(self, values: Sequence[Rep]) -> None:
-        self.values = list(values)
+    def reduce(fn: str, ctype: str) -> Rep:
+        return ctx.call(fn, [value, n], result=ctype, prefix="v")
 
-    def get(self, i: int) -> Rep:
-        return self.values[i]
+    if kind == "count":
+        if agg.spec.expr is None:
+            return [n]
+        return [reduce("v_count_nn", "long")]
+    if kind == "avg":
+        # Float total + all-rows counter, mirroring the scalar slots.
+        return [reduce("v_fsum", "double"), n]
+    if kind in ("sum", "min", "max"):
+        return [reduce(f"v_{kind}", agg.value_type.ctype)]
+    raise AssertionError(f"aggregate kind {kind!r} passed vector eligibility")
 
-    def set(self, i: int, value) -> None:  # pragma: no cover - defensive
-        raise NotImplementedError("vectorized global slots are read-only")
 
+class GlobalAggVec(GlobalAggState):
+    """Global (ungrouped) aggregation over batches.
 
-class GlobalAggVec:
-    """Global (ungrouped) aggregation over one batch.
-
-    Same ``accumulate`` / ``empty_cond`` / ``result`` protocol as
-    :class:`repro.compiler.staged_agg.GlobalAggState`, lowered to one
-    whole-column reduction kernel per slot instead of a row loop.
+    The scalar lowering's row counter and slot variables, accumulated a
+    batch at a time: one reduction kernel per slot, then -- for a non-empty
+    batch -- the first batch's partials initialize the slots and later ones
+    fold in (sums add, extremes compare).  ``empty_cond`` / ``result`` are
+    the scalar lowering's.
     """
 
     def __init__(self, ctx: StagingContext, staged_aggs) -> None:
-        self.ctx = ctx
         ctx.comment("vectorized global aggregation")
-        self._nrows: Optional[RepInt] = None
-        self.slots: Optional[_ValueSlots] = None
+        super().__init__(ctx, staged_aggs, comment=False)
 
     def accumulate(self, rec: VecRecord, staged_aggs) -> None:
         ctx = self.ctx
         n = rec.nrows()
-        self._nrows = n
-        values: list[Rep] = []
-        for agg in staged_aggs:
-            value = agg.row_value(rec)
-            kind = agg.spec.kind
-            if kind == "count":
-                if agg.spec.expr is None:
-                    values.append(n)
-                else:
-                    values.append(
-                        ctx.call("v_count_nn", [value, n], result="long", prefix="v")
-                    )
-            elif kind == "sum":
-                values.append(
-                    ctx.call(
-                        "v_sum", [value, n], result=agg.value_type.ctype, prefix="v"
-                    )
-                )
-            elif kind == "avg":
-                # Float total + all-rows counter, mirroring the scalar slots.
-                values.append(
-                    ctx.call("v_fsum", [value, n], result="double", prefix="v")
-                )
-                values.append(n)
-            elif kind == "min":
-                values.append(
-                    ctx.call(
-                        "v_min", [value, n], result=agg.value_type.ctype, prefix="v"
-                    )
-                )
-            elif kind == "max":
-                values.append(
-                    ctx.call(
-                        "v_max", [value, n], result=agg.value_type.ctype, prefix="v"
-                    )
-                )
-            else:  # pragma: no cover - guarded by eligibility
-                raise AssertionError(f"aggregate kind {kind!r} in vector path")
-        self.slots = _ValueSlots(values)
-
-    def empty_cond(self) -> Rep:
-        assert self._nrows is not None, "empty_cond before accumulate"
-        return self._nrows == 0
-
-    def result(self, agg: StagedAgg, empty) -> Rep:
-        """One aggregate's SQL value: its empty value, or the reductions."""
-        ctx = self.ctx
-        result = ctx.var(agg.empty_value(ctx), prefix="agg")
-        with ctx.if_(~empty):
-            result.set(agg.finalize(ctx, self.slots))
-        return result.get()
+        partials = [
+            part
+            for agg in staged_aggs
+            for part in _global_partials(ctx, agg, agg.row_value(rec), n)
+        ]
+        with ctx.if_(n > 0):
+            with ctx.if_(self.empty_cond()):
+                for i, part in enumerate(partials):
+                    self.slots.set(i, part)
+            with ctx.else_():
+                for i, fold in enumerate(_slot_folds(staged_aggs)):
+                    acc = self.slots.get(i)
+                    if fold == "sum":
+                        self.slots.set(i, acc + partials[i])
+                    else:
+                        self.slots.set(i, ctx.call(
+                            f"{fold}2", [acc, partials[i]], result=acc.ctype
+                        ))
+            self.seen.set(self.seen.get() + n)
 
 
 # ---------------------------------------------------------------------------
@@ -528,7 +572,6 @@ class VectorBackend(ScalarBackend):
             "scalar_nodes": 0,
             "devectorized_edges": 0,
         }
-        self._forced_scalar: Optional[str] = None
         self._pruned_chains: list[dict] = []
         if not have_numpy():
             warnings.warn(
@@ -543,23 +586,8 @@ class VectorBackend(ScalarBackend):
 
     def prepare(self, root: phys.PhysicalPlan) -> None:
         """Decide, per node, which lowering it gets -- before any staging."""
-        config = self.comp.config
-        if config.budget_checks:
-            # Budget ticks are defined per *row* (a per-batch checkpoint
-            # could blow the budget by a whole batch before noticing); they
-            # force the scalar lowering for the whole plan.  Instrument
-            # counters used to as well, but batch records now advance the
-            # counters by their row count, so instrumentation vectorizes.
-            self._forced_scalar = "budget_checks"
-            self._count_scalar(root)
-            return
         self._analyze(root, consumer=None)
         self._prune(root, kept_above=False)
-
-    def _count_scalar(self, node: phys.PhysicalPlan) -> None:
-        self._counts["scalar_nodes"] += 1
-        for sub in _plan_children(node):
-            self._count_scalar(sub)
 
     def _analyze(
         self,
@@ -663,8 +691,6 @@ class VectorBackend(ScalarBackend):
             "numpy": have_numpy(),
             **self._counts,
         }
-        if self._forced_scalar is not None:
-            out["forced_scalar"] = self._forced_scalar
         if self._pruned_chains:
             out["pruned_chains"] = [dict(c) for c in self._pruned_chains]
         return out

@@ -9,10 +9,14 @@ guard raises :class:`repro.errors.BudgetExceeded` carrying the partial
 statistics gathered so far -- the query aborts at the next checkpoint
 instead of hanging.
 
-Row accounting has checkpoint granularity: a counted scan loop reports
-``budget_check_interval`` rows per tick, so ``max_rows`` can overshoot by
-at most one interval.  Pick an interval no larger than the budget when the
-exact cutoff matters.
+Row accounting has checkpoint granularity.  A checkpoint charges the rows
+its loop is about to scan, before scanning them, so a full scan of n rows
+charges exactly n: a scalar counted loop ticks once per
+``budget_check_interval`` rows, a vector batch scan once per batch (at most
+``repro.compiler.vec.BATCH_ROWS`` rows), and a devectorized row loop ticks
+0 rows every interval only to check the clock.  ``max_rows`` can therefore
+overshoot by at most one interval (scalar) or one batch (vector).  Pick an
+interval no larger than the budget when the exact cutoff matters.
 """
 
 from __future__ import annotations

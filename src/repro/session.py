@@ -32,6 +32,7 @@ from typing import NamedTuple, Optional, Union
 
 from repro.compiler.driver import CompiledQuery, LB2Compiler
 from repro.compiler.lb2 import Config
+from repro.compiler.runtime import have_numpy
 from repro.errors import ParamError
 from repro.obs import events
 from repro.obs.metrics import REGISTRY
@@ -159,6 +160,10 @@ class Session:
     ) -> None:
         if max_cache_size <= 0:
             raise ValueError("max_cache_size must be positive")
+        if config is None and have_numpy():
+            # The fastest lowering is the one served: batch kernels with
+            # per-operator scalar fallback (``Config()`` itself stays scalar).
+            config = Config(codegen="vector")
         self.db = db
         self.config = config
         self.use_index_rewrites = use_index_rewrites

@@ -286,8 +286,10 @@ class StagingContext:
         stop: object,
         prefix: str = "i",
         step: Optional[object] = None,
+        batch: bool = False,
     ) -> Iterator[RepInt]:
-        """Counted loop; yields the staged induction variable."""
+        """Counted loop; yields the staged induction variable.  ``batch``
+        marks a vector batch loop (see :attr:`ir.ForRange.batch`)."""
         var = self.fresh(prefix)
         node = ir.ForRange(
             var,
@@ -295,6 +297,7 @@ class StagingContext:
             lift_expr(self, stop),
             [],
             step=None if step is None else lift_expr(self, step),
+            batch=batch,
         )
         self.emit(node)
         self._block_stack.append(node.body)

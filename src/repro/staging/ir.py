@@ -173,13 +173,19 @@ class While(Stmt):
 
 @dataclass
 class ForRange(Stmt):
-    """``for var in range(start, stop):``."""
+    """``for var in range(start, stop[, step]):``.
+
+    ``batch`` marks the vector lowering's batch loop: each iteration is one
+    bounded batch of a table, so whole-batch kernels in its body run once
+    per batch (emitters render it like any other counted loop).
+    """
 
     var: str
     start: Expr
     stop: Expr
     body: Block = field(default_factory=list)
     step: Optional[Expr] = None
+    batch: bool = False
 
 
 @dataclass

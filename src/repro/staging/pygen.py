@@ -63,6 +63,7 @@ _INLINE: dict[str, Callable[..., str]] = {
     "dict_len": lambda d: f"len({d})",
     "db_column": lambda t, c: f"db.column({t}, {c})",
     "db_column_vec": lambda t, c: f"db.column_vec({t}, {c})",
+    "batch_slice": lambda a, lo, n: f"{a}[{lo}:{lo} + {n}]",
     "db_size": lambda t: f"db.size({t})",
     "db_index": lambda t, c: f"db.index({t}, {c})",
     "db_unique_index": lambda t, c: f"db.unique_index({t}, {c})",

@@ -85,11 +85,13 @@ class ColumnarTable:
     def array(self, name: str):
         """The column as a typed NumPy array (vector backend read path).
 
-        Built lazily on first access and cached; with NumPy absent the raw
-        Python list is returned instead, and the ``v_*`` batch kernels fall
-        back to list processing.  The cache is never invalidated on
-        ``append_row`` -- base tables are immutable once queries run, which
-        is the same assumption the hash/date indexes already make.
+        Built with the rest of the table's load-time structures
+        (:meth:`build_arrays`) or on first access, and cached; with NumPy
+        absent the raw Python list is returned instead, and the ``v_*``
+        batch kernels fall back to list processing.  The cache is never
+        invalidated on ``append_row`` -- base tables are immutable once
+        queries run, which is the same assumption the hash/date indexes
+        already make.
         """
         if name not in self._arrays:
             values = self.column(name)
@@ -99,6 +101,16 @@ class ColumnarTable:
                 dtype = _NP_DTYPES[self.schema.column_type(name)]
                 self._arrays[name] = _np.asarray(values, dtype=dtype)
         return self._arrays[name]
+
+    def build_arrays(self) -> None:
+        """Build every column's array now, on the loading thread.
+
+        Built lazily instead, a table's arrays land wherever the first
+        query that reads them runs -- in a serving worker thread's
+        allocator arena, which keeps the memory after the table is gone.
+        """
+        for name in self.columns:
+            self.array(name)
 
     @classmethod
     def from_rows(

@@ -86,6 +86,7 @@ class Database:
         if name in self._tables:
             raise SchemaError(f"table {name!r} already loaded")
         self._tables[name] = table
+        table.build_arrays()  # the vector lowering's read path
         start = time.perf_counter()
         self._build_auxiliary(table)
         self.build_seconds += time.perf_counter() - start

@@ -29,6 +29,7 @@ from repro.analysis import (
 )
 from repro.compiler.driver import LB2Compiler
 from repro.compiler.lb2 import Config
+from repro.analysis.lint import BulkOpInLoop
 from repro.compiler.parallel import ParallelError, ParallelQuery
 from repro.staging import ir
 from repro.staging.builder import StagingContext, StagingError
@@ -288,6 +289,22 @@ class TestLints:
         # the inner loop's return also exits the outer: neither is flagged
         assert InfiniteLoop().run(fn(body)) == []
 
+    def test_kernels_belong_in_the_batch_loop(self):
+        def kernel(name):
+            return ir.Assign(name, ir.Call("v_not", (ir.Sym("p"),)), ctype="vec_bool")
+
+        def loop(body, batch=False):
+            return ir.ForRange("i", ir.Const(0), ir.Sym("p"), body,
+                               step=ir.Const(8), batch=batch)
+
+        assert BulkOpInLoop().run(fn([loop([kernel("a")], batch=True)])) == []
+        for body in (
+            [loop([kernel("a")])],  # a row loop is no batch loop
+            [loop([ir.ForRange("j", ir.Const(0), ir.Sym("p"), [kernel("a")])],
+                  batch=True)],  # a row loop inside the batch loop
+        ):
+            assert rules(BulkOpInLoop().run(fn(body))) == {"bulk-op-in-loop"}
+
     def _split(self, prelude):
         return fn(prelude + [
             ir.NestedFunc("run", ("out",), [ir.Return(ir.Const(0))]),
@@ -420,6 +437,10 @@ CONFIGS = {
     "open-row-nohoist": Config(hashmap="open", hoist=False),
     "open-column-hoist-dict": Config(
         hashmap="open", sort_layout="column", hoist=True, use_dictionaries=True
+    ),
+    # the served program: batch loops with budget checkpoints
+    "vector-budget-nodict": Config(
+        codegen="vector", budget_checks=True, use_dictionaries=False
     ),
 }
 

@@ -109,16 +109,18 @@ def test_aggregate_walkthrough_open_addressing_c():
 
 
 def test_budget_checks_scan_tick_c_golden():
-    """Budget checkpoints render to C as a sampled support-header call."""
+    """Budget checkpoints render to C as one support-header call per chunk."""
     db = emp_db()
     compiler = LB2Compiler(
         db.catalog, db, Config(budget_checks=True, budget_check_interval=256)
     )
     compiled = compiler.compile(agg_plan())
     c_source = compiled.c_source()
-    # the sampled checkpoint: one modulo bind, a guard, the tick call
-    assert "% 256;" in c_source
-    assert "lb2_scan_tick(256);" in c_source
+    # a strided outer loop charging min(256, rows left), no per-row modulo
+    assert " += 256) {" in c_source
+    assert "= MIN(256, " in c_source
+    assert "lb2_scan_tick(m" in c_source
+    assert "% 256" not in c_source
     # the python rendering of the same program still runs
     assert sorted(compiled.run(db)) == [("CS", 2), ("EE", 1)]
 

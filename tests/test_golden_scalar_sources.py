@@ -12,6 +12,8 @@ specializations of a fully built database) is pinned separately.
 The ``vector`` hashes pin the batch-vectorized backend's output with
 observability *off*: staged profiling (``instrument=True``) must leave the
 uninstrumented residual program byte-identical, for both backends.  The
+``vector_budget`` hashes pin the program a default session serves under a
+deadline (the vector lowering with batch-granular budget checkpoints).  The
 ``instrument`` hashes were re-captured when per-operator wall-clock timing
 joined the row counters in the instrumented datapath.
 """
@@ -44,6 +46,7 @@ CONFIGS = {
     "instrument": Config(instrument=True),
     "budget": Config(budget_checks=True),
     "vector": Config(codegen="vector"),
+    "vector_budget": Config(codegen="vector", budget_checks=True),
 }
 
 

@@ -149,6 +149,71 @@ def test_budget_survives_degradation(tpch_db):
     assert info.value.stats["rows_seen"] > 64
 
 
+@pytest.mark.parametrize("codegen", ["scalar", "vector"])
+def test_row_quota_charges_rows_scanned_not_an_interval(codegen, tpch_db):
+    """A 5-row table under a 100-row quota answers: the compiled scan
+    charges the rows it scans, exactly like the push engine."""
+    session = Session(tpch_db, Config(codegen=codegen))
+    for engines in (("compiled",), ("push",)):
+        executor = ResilientExecutor(
+            session, budget=Budget(max_rows=100), engines=engines
+        )
+        result = executor.query("select r_name from region")
+        assert len(result.rows) == 5
+        assert result.report.budget_stats["rows_seen"] == 5
+
+
+@pytest.mark.parametrize("max_rows", [200, 5000])
+@pytest.mark.parametrize("codegen", ["scalar", "vector"])
+def test_row_quota_trips_typed_within_one_checkpoint(codegen, max_rows, tpch_db):
+    """The budget-trip property over the 22-query mix: a query either
+    answers within its quota or raises a typed ``E_BUDGET`` (no partial
+    rows) having scanned at most one checkpoint past it -- one interval
+    on the scalar lowering, one batch on the vector one."""
+    from repro.compiler import vec
+    from repro.tpch.sql_queries import SQL_QUERIES
+
+    session = Session(tpch_db, Config(codegen=codegen))
+    step = Config().budget_check_interval
+    if codegen == "vector":
+        step = max(step, vec.BATCH_ROWS)
+    tripped = 0
+    for q in range(1, 23):
+        executor = ResilientExecutor(session, budget=Budget(max_rows=max_rows))
+        plan = query_plan(q, scale=TINY_SCALE)
+        try:
+            if q in SQL_QUERIES:
+                result = executor.query(SQL_QUERIES[q])
+            else:
+                result = executor.execute_plan(plan)
+        except BudgetExceeded as exc:
+            tripped += 1
+            assert exc.code == "E_BUDGET" and exc.engine_trail == ("compiled",)
+            assert exc.execution_report.engine is None
+            assert max_rows < exc.stats["rows_seen"] <= max_rows + step, q
+        else:
+            assert result.report.engine == "compiled"
+            assert result.report.budget_stats["rows_seen"] <= max_rows, q
+            expected = execute_push(plan, tpch_db, tpch_db.catalog)
+            assert normalize(result.rows) == normalize(expected), q
+    assert tripped >= (22 if max_rows < 300 else 1)
+
+
+def test_mid_scan_fault_fires_under_the_vector_lowering(tpch_db, sample_reference):
+    """Mid-scan faults ride the batch checkpoints: the vectorized program
+    faults, and the chain degrades to correct rows."""
+    plan = query_plan(6, scale=TINY_SCALE)
+    config = Config(codegen="vector", budget_checks=True)
+    guarded = LB2Compiler(tpch_db.catalog, tpch_db, config).compile(plan)
+    assert guarded.codegen_stats["batch_scans"] == 1
+    executor = ResilientExecutor(Session(tpch_db, Config(codegen="vector")))
+    with FaultInjector(FaultSpec("mid-scan", at={1})) as injector:
+        result = executor.execute_plan(plan)
+    assert injector.fired == [("mid-scan", 1)]  # the second batch's tick
+    assert result.report.engine_trail == ("compiled", "push")
+    assert normalize(result.rows) == sample_reference[6]
+
+
 def test_budget_rejects_nonsense():
     with pytest.raises(ValueError):
         Budget(max_rows=0)
@@ -175,8 +240,9 @@ def test_budget_checks_on_emits_interval_guarded_ticks(tpch_db):
     plan = query_plan(6, scale=TINY_SCALE)
     config = Config(budget_checks=True, budget_check_interval=512)
     source = LB2Compiler(tpch_db.catalog, tpch_db, config).compile(plan).source
-    assert "rt.scan_tick(512)" in source
-    assert "% 512" in source  # periodic, not per-row, in counted loops
+    assert ", 512):" in source  # a strided loop: one tick per 512 rows
+    assert "= min(512, " in source and "rt.scan_tick(m" in source
+    assert "% 512" not in source  # no per-row test in counted loops
 
 
 def test_config_rejects_bad_interval():

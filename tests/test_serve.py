@@ -238,6 +238,53 @@ def test_deadline_maps_to_e_deadline(service):
     assert response.code == "E_DEADLINE"
 
 
+def test_deadline_trips_inside_a_vectorized_scan(service, monkeypatch):
+    """The served program is the vector lowering, and a deadline passing
+    mid-scan trips at the next batch checkpoint as ``E_DEADLINE``."""
+    from repro.compiler import runtime
+
+    if not runtime.have_numpy():
+        pytest.skip("without NumPy a default session serves scalar code")
+    sql = SQL_QUERIES[6]  # lineitem: two batches at this scale
+    assert service.submit(ServiceRequest(sql=sql)).ok  # warm the shape
+    kernel = runtime.v_mask_index
+    calls = []
+
+    def slow_mask_index(mask):
+        calls.append(len(mask))
+        time.sleep(0.2)
+        return kernel(mask)
+
+    monkeypatch.setattr(runtime, "v_mask_index", slow_mask_index)
+    response = service.submit(ServiceRequest(sql=sql, deadline_seconds=0.1))
+    assert not response.ok and response.code == "E_DEADLINE"
+    assert response.error["message"].startswith("wall-clock budget exceeded")
+    assert response.error["engine_trail"] == ["compiled"]
+    assert len(calls) == 1  # the first batch ran; the second never started
+
+
+def test_serving_without_numpy_stays_scalar(monkeypatch):
+    """The no-NumPy leg: a default session keeps the scalar lowering, and
+    serving it raises no RuntimeWarning about slow vector kernels."""
+    import warnings
+
+    from repro.compiler import runtime
+    from repro.storage import buffer
+    from tests.conftest import make_tiny_db
+
+    monkeypatch.setattr(runtime, "_np", None)
+    monkeypatch.setattr(buffer, "_np", None)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        session = Session(make_tiny_db())
+        assert session.config is None
+        with QueryService(session, ServiceConfig(workers=1)) as svc:
+            response = svc.submit(
+                ServiceRequest(sql="select count(*) from Emp where eid < 4")
+            )
+    assert response.ok and response.rows == [(3,)]
+
+
 def test_tenant_deadline_cap_clamps_requests(service):
     # The "hurried" tenant's max_deadline_seconds overrides the generous ask.
     response = service.submit(

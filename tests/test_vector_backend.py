@@ -6,7 +6,9 @@ Three layers under test:
   pure-Python fallback (``runtime._np`` monkeypatched away);
 * the backend seam -- operators never branch on ``Config.codegen``, the
   vector backend's eligibility pass falls back per node (dictionaries,
-  instrumentation, budget checks), and its stats are surfaced through
+  unsupported expressions), bounded batches fold into the same answers
+  and row counts as the scalar lowering (budget checkpoints and
+  instrumentation included), and its stats are surfaced through
   ``CompiledQuery.codegen_stats``;
 * clean degradation without NumPy: a lint-able :class:`RuntimeWarning`,
   never a crash, and identical query results.
@@ -17,6 +19,7 @@ import warnings
 import pytest
 
 from repro.compiler import runtime as rt
+from repro.compiler import vec
 from repro.compiler.driver import LB2Compiler
 from repro.compiler.lb2 import Config
 from repro.plan import (
@@ -29,6 +32,8 @@ from repro.plan import (
     col,
     count,
     lit,
+    max_,
+    min_,
     sum_,
 )
 from repro.storage import OptimizationLevel
@@ -122,6 +127,13 @@ def test_global_kernels_and_empty_batches(kernel_mode):
     assert rt.v_min(empty, 0) is None
     assert rt.v_max(empty, 0) is None
     assert rt.v_count_nn(empty, 0) == 0
+
+
+def test_column_arrays_are_built_when_the_table_loads():
+    """Storage builds every column's array with the table, on the loading
+    thread, not lazily in whichever query worker reads it first."""
+    db = make_tiny_db()
+    assert set(db.table("Sales")._arrays) == {"sid", "sdep", "amount", "sold"}
 
 
 def test_kernels_return_plain_python_scalars(kernel_mode):
@@ -221,15 +233,117 @@ def test_instrumentation_stays_vectorized():
     assert plain.last_kernels == {}
 
 
-def test_budget_checks_disable_vectorization():
+def _ticks(compiled, db) -> tuple[list, list[int]]:
+    """Run ``compiled``, returning its rows and every ``scan_tick`` it made."""
+    ticks: list[int] = []
+    rt.push_tick_hook(ticks.append)
+    try:
+        rows = compiled.run(db)
+    finally:
+        rt.pop_tick_hook(ticks.append)
+    return rows, ticks
+
+
+def test_budget_checks_keep_vectorization(monkeypatch):
+    """Budget checkpoints are batch-granular: the plan stays vectorized and
+    each batch charges its rows with one tick before its kernels run."""
+    monkeypatch.setattr(vec, "BATCH_ROWS", 4)
     db = make_tiny_db()
-    plain = LB2Compiler(
-        db.catalog, db, Config(budget_checks=True)
-    ).compile(agg_plan())
-    vec = LB2Compiler(
+    compiled = LB2Compiler(
         db.catalog, db, Config(codegen="vector", budget_checks=True)
     ).compile(agg_plan())
-    assert vec.source == plain.source
+    stats = compiled.codegen_stats
+    assert stats["batch_scans"] == 1 and stats["vector_aggs"] == 1
+    assert "forced_scalar" not in stats
+    assert compiled.source.count("rt.scan_tick(") == 1
+    rows, ticks = _ticks(compiled, db)
+    assert ticks == [4, 2]  # Emp's 6 rows, one tick per batch
+    scalar = LB2Compiler(db.catalog, db).compile(agg_plan())
+    assert normalize(rows) == normalize(scalar.run(db))
+
+
+def test_full_scan_charges_exactly_its_rows():
+    """A full scan of n rows charges n on both lowerings, in ticks of at
+    most one interval (scalar) or one batch (vector) -- never a whole
+    interval up front for a table smaller than it."""
+    db = make_tiny_db()
+    plan = Select(Scan("Sales"), col("amount").gt(lit(40.0)))
+    for codegen in ("scalar", "vector"):
+        compiled = LB2Compiler(
+            db.catalog, db, Config(codegen=codegen, budget_checks=True)
+        ).compile(plan)
+        _, ticks = _ticks(compiled, db)
+        assert sum(ticks) == 6, codegen
+
+
+MULTI_BATCH_PLANS = [
+    agg_plan(),
+    # groups spanning batches, every foldable slot kind
+    Agg(
+        Select(Scan("Sales"), col("amount").gt(lit(20.0))),
+        [("sdep", col("sdep"))],
+        [
+            ("n", count()),
+            ("total", sum_(col("amount"))),
+            ("mean", avg(col("amount"))),
+            ("lo", min_(col("sold"))),
+            ("hi", max_(col("amount"))),
+        ],
+    ),
+    # a global aggregate whose later batches are empty after the filter
+    Agg(
+        Select(Scan("Sales"), col("amount").gt(lit(200.0))),
+        [],
+        [("n", count()), ("total", sum_(col("amount"))), ("lo", min_(col("sid")))],
+    ),
+    # ... and one over no rows at all
+    Agg(
+        Select(Scan("Sales"), col("amount").gt(lit(1e9))),
+        [],
+        [("n", count()), ("hi", max_(col("amount"))), ("mean", avg(col("amount")))],
+    ),
+    # a devectorized sink
+    Project(
+        Select(Scan("Sales"), col("amount").gt(lit(40.0))),
+        [("sid", col("sid")), ("twice", col("amount") * lit(2.0))],
+    ),
+]
+
+
+@pytest.mark.parametrize("batch_rows", [1, 2, 4, 5, 8192])
+@pytest.mark.parametrize("plan_index", range(len(MULTI_BATCH_PLANS)))
+def test_multi_batch_matches_scalar(batch_rows, plan_index, monkeypatch):
+    """Partials folded across batches equal the scalar lowering: rows,
+    and the instrumented per-operator row counts."""
+    monkeypatch.setattr(vec, "BATCH_ROWS", batch_rows)
+    db = make_tiny_db()
+    plan = MULTI_BATCH_PLANS[plan_index]
+    scalar = LB2Compiler(db.catalog, db, Config(instrument=True)).compile(plan)
+    vector = LB2Compiler(
+        db.catalog, db, Config(codegen="vector", instrument=True)
+    ).compile(plan)
+    assert vector.codegen_stats["batch_scans"] == 1
+    assert normalize(vector.run(db)) == normalize(scalar.run(db))
+    assert vector.last_stats == scalar.last_stats
+
+
+@pytest.mark.parametrize("q", range(1, 23))
+def test_multi_batch_tpch_matches_scalar(q, tpch_db, monkeypatch):
+    """Every TPC-H query over many batches (lineitem in 13) answers and
+    counts like the scalar lowering."""
+    from repro.tpch import query_plan
+    from tests.conftest import TINY_SCALE
+
+    monkeypatch.setattr(vec, "BATCH_ROWS", 1000)
+    plan = query_plan(q, scale=TINY_SCALE)
+    scalar = LB2Compiler(
+        tpch_db.catalog, tpch_db, Config(instrument=True)
+    ).compile(plan)
+    vector = LB2Compiler(
+        tpch_db.catalog, tpch_db, Config(codegen="vector", instrument=True)
+    ).compile(plan)
+    assert normalize(vector.run(tpch_db)) == normalize(scalar.run(tpch_db))
+    assert vector.last_stats == scalar.last_stats
 
 
 def test_dictionary_compressed_scan_falls_back_to_scalar():
