@@ -6,42 +6,14 @@ never rewrite the IR: a structural verifier, a bottom-up type checker, and
 a set of lint passes (unreachable code, dead stores, infinite loops, and
 Section-4.4 hoisting-safety effect analysis).
 
-Two modules go further.  :mod:`repro.analysis.dataflow` derives classic
-dataflow facts from the structured IR -- basic blocks, def-use chains,
-reaching definitions, liveness, and an effect lattice over intrinsics.
-:mod:`repro.analysis.opt` is the one sanctioned exception to the
-"never rewrite" rule: an *optional*, translation-validated optimizer
-(``Config(opt_level=1|2)``) that consumes those facts; at the default
-``opt_level=0`` it never runs and the single-pass property holds
-byte-for-byte.
-
 Entry points:
 
 * :func:`analyze` -- run the full default pipeline over a program;
-* :func:`analyze_function` / :func:`optimize` -- dataflow facts and the
-  verified pass pipeline;
 * ``python -m repro.analysis.cli`` -- the TPC-H lint gate (also the
-  ``--report opt`` optimizer-statistics mode and the ``repro-lint/v1``
-  JSON report);
+  ``repro-lint/v2`` JSON report);
 * ``LB2Compiler.compile(verify=True)`` -- the in-driver verifier hook,
   raising :class:`IRVerificationError` on contract violations.
 """
-
-from repro.analysis.dataflow import (
-    CFG,
-    BasicBlock,
-    DefUse,
-    FunctionDataflow,
-    analyze_function,
-    analyze_program,
-    build_cfg,
-    def_use,
-    expr_effect,
-    liveness,
-    reaching_definitions,
-    stmt_effect,
-)
-from repro.analysis.opt import OptError, OptStats, optimize, stmt_count
 
 from repro.analysis.lint import (
     DeadStore,
@@ -68,39 +40,23 @@ from repro.analysis.walker import (
 
 __all__ = [
     "AnalysisPass",
-    "BasicBlock",
-    "CFG",
     "DeadStore",
-    "DefUse",
     "Diagnostic",
-    "FunctionDataflow",
     "HoistSafety",
     "IRVerificationError",
     "InfiniteLoop",
-    "OptError",
-    "OptStats",
     "Severity",
     "TypeChecker",
     "UnreachableCode",
     "Verifier",
     "analyze",
-    "analyze_function",
-    "analyze_program",
-    "build_cfg",
     "call_effect",
     "compatible",
-    "def_use",
     "default_lint_passes",
     "default_passes",
-    "expr_effect",
     "infer_expr",
     "iter_stmts",
-    "liveness",
-    "optimize",
-    "reaching_definitions",
     "render_excerpt",
     "run_passes",
-    "stmt_count",
-    "stmt_effect",
     "used_names",
 ]

@@ -5,8 +5,6 @@ Usage::
     python -m repro.analysis.cli                 # full matrix, exit 1 on findings
     python -m repro.analysis.cli --query 6 -v    # one query, show every program
     python -m repro.analysis.cli --fast          # default + served configs (CI smoke)
-    python -m repro.analysis.cli --opt-level 2   # lint the *optimized* programs
-    python -m repro.analysis.cli --report opt    # optimizer statistics report
     python -m repro.analysis.cli --json --check  # machine-readable, validated
 
 For each of the 22 TPC-H queries this compiles the residual program under
@@ -19,13 +17,9 @@ over each.
 Any diagnostic fails the gate: the residual program is supposed to be a
 *checked* contract, not just one that happens to run.
 
-``--opt-level N`` compiles the same matrix with the translation-validated
-optimizer (:mod:`repro.analysis.opt`) enabled, holding optimized programs
-to the identical bar.  ``--report opt`` switches from linting to the
-optimizer-statistics report: each query is compiled at every level under
-both codegens and the per-pass counters are tabulated.  ``--json`` emits
-one ``repro-lint/v1`` document (mirroring the ``repro-obs/v1`` style);
-``--check`` validates it with :func:`validate_report`.
+``--json`` emits one ``repro-lint/v2`` document (mirroring the
+``repro-obs/v1`` style); ``--check`` validates it with
+:func:`validate_report`.
 """
 
 from __future__ import annotations
@@ -46,25 +40,20 @@ from repro.storage.database import Database, OptimizationLevel
 from repro.tpch.dbgen import generate_database
 from repro.tpch.queries import QUERIES, query_plan
 
-SCHEMA = "repro-lint/v1"
+SCHEMA = "repro-lint/v2"
 
 
-def iter_configs(fast: bool = False, opt_level: int = 0) -> Iterator[Config]:
+def iter_configs(fast: bool = False) -> Iterator[Config]:
     """Every compilation-knob combination (or just the two codegen
     backends at defaults for --fast), plus the two programs the service
-    runs under a deadline, at the requested ``opt_level``."""
+    runs under a deadline."""
     # Served programs are budget-checked builds over an undictionaried
     # database; without dictionaries this database compiles the same ones.
     for codegen in ("scalar", "vector"):
-        yield Config(
-            codegen=codegen,
-            budget_checks=True,
-            use_dictionaries=False,
-            opt_level=opt_level,
-        )
+        yield Config(codegen=codegen, budget_checks=True, use_dictionaries=False)
     if fast:
-        yield Config(opt_level=opt_level)
-        yield Config(codegen="vector", opt_level=opt_level)
+        yield Config()
+        yield Config(codegen="vector")
         return
     for codegen, hashmap, sort_layout, hoist, use_dicts, instrument in (
         itertools.product(
@@ -79,7 +68,6 @@ def iter_configs(fast: bool = False, opt_level: int = 0) -> Iterator[Config]:
             hoist=hoist,
             use_dictionaries=use_dicts,
             instrument=instrument,
-            opt_level=opt_level,
         )
 
 
@@ -95,8 +83,6 @@ def config_label(config: Config, *, split: bool = False) -> str:
         parts.append("instr")
     if config.budget_checks:
         parts.append("budget")
-    if config.opt_level:
-        parts.append(f"opt{config.opt_level}")
     if split:
         parts.append("prepare/run")
     return "+".join(parts)
@@ -120,7 +106,6 @@ def lint_query(
     scale: float,
     fast: bool,
     findings: list[tuple[str, Diagnostic]],
-    opt_level: int = 0,
 ) -> int:
     """Compile and analyze every program variant of one query; returns the
     number of programs checked."""
@@ -142,7 +127,7 @@ def lint_query(
         if shape.param_count:
             plans["param:"] = sql_to_plan(shape.text, db)
     for plan_tag, plan in plans.items():
-        for config in iter_configs(fast, opt_level):
+        for config in iter_configs(fast):
             compiler = LB2Compiler(db.catalog, db, config)
             label = f"Q{q} {plan_tag}{config_label(config)}"
             compiled = compiler.compile(plan, verify=False)
@@ -163,8 +148,7 @@ def lint_query(
     for hoist in (True,) if fast else (True, False):
         try:
             pq = ParallelQuery(
-                plans[""], db, db.catalog,
-                Config(hoist=hoist, opt_level=opt_level), verify=False,
+                plans[""], db, db.catalog, Config(hoist=hoist), verify=False
             )
         except ParallelError:
             break  # plan shape not partitionable; same for both hoist modes
@@ -177,39 +161,20 @@ def lint_query(
     return checked
 
 
-def opt_report_query(q: int, db: Database, scale: float) -> list[dict]:
-    """Optimizer statistics for one query: both codegens x levels 1 and 2."""
-    plan = query_plan(q, scale=scale)
-    rows: list[dict] = []
-    for codegen in ("scalar", "vector"):
-        levels: dict[str, dict] = {}
-        for level in (1, 2):
-            compiled = LB2Compiler(
-                db.catalog, db, Config(codegen=codegen, opt_level=level)
-            ).compile(plan, verify=False)
-            levels[str(level)] = compiled.codegen_stats["opt"]
-        rows.append({"query": q, "codegen": codegen, "levels": levels})
-    return rows
-
-
 # -- schema validation --------------------------------------------------------
 
 
 def validate_report(doc: object) -> list[str]:
-    """Problems that make ``doc`` invalid under ``repro-lint/v1`` (empty = ok)."""
+    """Problems that make ``doc`` invalid under ``repro-lint/v2`` (empty = ok)."""
     problems: list[str] = []
     if not isinstance(doc, dict):
         return ["report is not an object"]
     if doc.get("schema") != SCHEMA:
         problems.append(f"schema: expected {SCHEMA!r}, got {doc.get('schema')!r}")
-    if doc.get("mode") not in ("lint", "opt"):
-        problems.append(f"mode: expected 'lint' or 'opt', got {doc.get('mode')!r}")
     if not isinstance(doc.get("scale"), (int, float)):
         problems.append("scale: expected number")
     if not isinstance(doc.get("queries"), list) or not doc.get("queries"):
         problems.append("queries: expected non-empty list")
-    if not isinstance(doc.get("opt_level"), int):
-        problems.append("opt_level: expected int")
     if not isinstance(doc.get("programs_checked"), int):
         problems.append("programs_checked: expected int")
     findings = doc.get("findings")
@@ -228,33 +193,6 @@ def validate_report(doc: object) -> list[str]:
         isinstance(v, int) for v in (by_rule or {}).values()
     ):
         problems.append("violations_by_rule: expected object of ints")
-    if doc.get("mode") == "opt":
-        opt = doc.get("opt")
-        if not isinstance(opt, list) or not opt:
-            problems.append("opt: expected non-empty list in opt mode")
-        else:
-            for i, row in enumerate(opt):
-                if not isinstance(row, dict):
-                    problems.append(f"opt[{i}]: not an object")
-                    continue
-                if not isinstance(row.get("query"), int):
-                    problems.append(f"opt[{i}].query: expected int")
-                if row.get("codegen") not in ("scalar", "vector"):
-                    problems.append(f"opt[{i}].codegen: expected scalar|vector")
-                levels = row.get("levels")
-                if not isinstance(levels, dict) or not levels:
-                    problems.append(f"opt[{i}].levels: expected non-empty object")
-                    continue
-                for lv, stats in levels.items():
-                    if not isinstance(stats, dict):
-                        problems.append(f"opt[{i}].levels[{lv}]: not an object")
-                        continue
-                    for key in ("stmts_before", "stmts_after", "stmts_removed",
-                                "exprs_cse", "hoisted", "iterations"):
-                        if not isinstance(stats.get(key), int):
-                            problems.append(
-                                f"opt[{i}].levels[{lv}].{key}: expected int"
-                            )
     metrics = doc.get("metrics")
     if not isinstance(metrics, dict) or not isinstance(
         metrics.get("counters"), dict
@@ -266,29 +204,6 @@ def validate_report(doc: object) -> list[str]:
 # -- entry point --------------------------------------------------------------
 
 
-def _print_opt_report(rows: list[dict]) -> None:
-    header = (
-        f"{'query':>5} {'codegen':>7} {'lvl':>3} {'before':>6} {'after':>6} "
-        f"{'removed':>7} {'cse':>4} {'hoist':>5} {'%':>6}"
-    )
-    print(header)
-    print("-" * len(header))
-    for row in rows:
-        for lv in sorted(row["levels"]):
-            s = row["levels"][lv]
-            pct = (
-                100.0 * (s["stmts_before"] - s["stmts_after"]) / s["stmts_before"]
-                if s["stmts_before"]
-                else 0.0
-            )
-            print(
-                f"{row['query']:>5} {row['codegen']:>7} {lv:>3} "
-                f"{s['stmts_before']:>6} {s['stmts_after']:>6} "
-                f"{s['stmts_removed']:>7} {s['exprs_cse']:>4} "
-                f"{s['hoisted']:>5} {pct:>5.1f}%"
-            )
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(prog="repro.analysis", description=__doc__)
     parser.add_argument("--scale", type=float, default=0.002,
@@ -297,13 +212,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         choices=sorted(QUERIES), help="lint a single query")
     parser.add_argument("--fast", action="store_true",
                         help="default and served configs only (CI smoke mode)")
-    parser.add_argument("--opt-level", type=int, default=0, choices=(0, 1, 2),
-                        help="run the IR optimizer at this level before linting")
-    parser.add_argument("--report", choices=("lint", "opt"), default="lint",
-                        help="'lint' (default) gates on diagnostics; 'opt' "
-                        "tabulates optimizer statistics per query and level")
     parser.add_argument("--json", action="store_true",
-                        help="emit one repro-lint/v1 JSON document to stdout")
+                        help="emit one repro-lint/v2 JSON document to stdout")
     parser.add_argument("--check", action="store_true",
                         help="validate the JSON report against the schema; "
                         "non-zero exit on problems")
@@ -317,16 +227,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     queries = [args.query] if args.query is not None else sorted(QUERIES)
     findings: list[tuple[str, Diagnostic]] = []
     programs = 0
-    opt_rows: list[dict] = []
     for q in queries:
-        if args.report == "opt":
-            opt_rows.extend(opt_report_query(q, db, args.scale))
-            programs += 4  # 2 codegens x 2 levels
-            if args.verbose and not args.json:
-                print(f"Q{q:>2}: optimizer stats collected")
-            continue
         before = len(findings)
-        count = lint_query(q, db, args.scale, args.fast, findings, args.opt_level)
+        count = lint_query(q, db, args.scale, args.fast, findings)
         programs += count
         if args.verbose and not args.json:
             status = "clean" if len(findings) == before else "FINDINGS"
@@ -339,10 +242,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     report = {
         "schema": SCHEMA,
-        "mode": args.report,
         "scale": args.scale,
         "fast": args.fast,
-        "opt_level": args.opt_level,
         "queries": queries,
         "programs_checked": programs,
         "findings": [
@@ -357,15 +258,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             for label, diag in findings
         ],
         "violations_by_rule": by_rule,
-        "opt": opt_rows,
         "metrics": {"counters": REGISTRY.snapshot()["counters"]},
     }
 
     if args.json:
         json.dump(report, sys.stdout, indent=2)
         sys.stdout.write("\n")
-    elif args.report == "opt":
-        _print_opt_report(opt_rows)
     else:
         for label, diag in findings:
             print(f"{label}: {diag.render()}")

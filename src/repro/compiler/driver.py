@@ -224,23 +224,6 @@ class LB2Compiler:
                     datapath(output_cb)
 
             functions = ctx.program()
-            opt_stats = None
-            if self.config.opt_level:
-                # The optimizer sits between generation and rendering; at the
-                # default opt_level=0 this branch never runs and the residual
-                # source is byte-identical to the unoptimized pipeline.
-                from repro.analysis.opt import optimize
-
-                with span("optimize") as osp:
-                    result = optimize(
-                        functions, level=self.config.opt_level, validate=True
-                    )
-                    functions = result.functions
-                    opt_stats = result.stats
-                    if osp:
-                        osp.meta["level"] = self.config.opt_level
-                        osp.meta["stmts_removed"] = opt_stats.stmts_removed
-                        osp.meta["hoisted"] = opt_stats.hoisted
             source = generate_python(functions, header=_header(plan))
             generation_seconds = time.perf_counter() - t0
             if sp:
@@ -266,19 +249,7 @@ class LB2Compiler:
         REGISTRY.counter("compile.count")
         REGISTRY.observe("compile.generation_seconds", generation_seconds)
         REGISTRY.observe("compile.host_seconds", compile_seconds)
-        if opt_stats is not None:
-            REGISTRY.counter("opt.stmts_removed", opt_stats.stmts_removed)
-            REGISTRY.counter("opt.exprs_cse", opt_stats.exprs_cse)
-            REGISTRY.counter("opt.hoisted", opt_stats.hoisted)
-            REGISTRY.counter(
-                "opt.copies_propagated", opt_stats.copies_propagated
-            )
-            REGISTRY.counter("opt.consts_folded", opt_stats.consts_folded)
-            REGISTRY.counter(
-                "opt.branches_simplified", opt_stats.branches_simplified
-            )
-
-        compiled = CompiledQuery(
+        return CompiledQuery(
             plan=plan,
             source=source,
             program=program,
@@ -291,9 +262,6 @@ class LB2Compiler:
             functions=functions,
             param_signature=param_slots,
         )
-        if opt_stats is not None:
-            compiled.codegen_stats["opt"] = opt_stats.to_dict()
-        return compiled
 
 
 def _header(plan: phys.PhysicalPlan) -> str:

@@ -85,13 +85,6 @@ class Config:
       ``"scalar"`` (row-at-a-time loops, the historical output, byte-stable)
       or ``"vector"`` (batch-columnar kernels for eligible scan/filter/
       project/aggregate pipelines, per-operator scalar fallback elsewhere).
-    * ``opt_level`` -- the translation-validated IR optimizer
-      (:mod:`repro.analysis.opt`) applied to the residual program after
-      generation.  ``0`` (default) keeps the paper's single-pass property:
-      no transform runs and the residual source is byte-identical to every
-      existing golden.  ``1`` enables copy/constant propagation,
-      If-simplification and dead-code elimination; ``2`` adds
-      common-subexpression elimination and loop-invariant hoisting.
     """
 
     hashmap: str = "native"
@@ -103,11 +96,8 @@ class Config:
     budget_checks: bool = False
     budget_check_interval: int = 1024
     codegen: str = "scalar"  # "scalar" or "vector"
-    opt_level: int = 0  # 0 = off (byte-identical), 1 = basic, 2 = full
 
     def __post_init__(self) -> None:
-        if self.opt_level not in (0, 1, 2):
-            raise CompileError(f"opt_level must be 0, 1 or 2, got {self.opt_level!r}")
         if self.hashmap not in ("native", "open"):
             raise CompileError(f"unknown hashmap implementation {self.hashmap!r}")
         if self.sort_layout not in ("row", "column"):

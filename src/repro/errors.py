@@ -29,7 +29,6 @@ PHASES = (
     "catalog",
     "plan",
     "codegen",
-    "optimize",
     "verify",
     "host-compile",
     "execute",
@@ -37,7 +36,7 @@ PHASES = (
 
 #: Phases that belong to the *compile path* -- the circuit breaker in the
 #: serve tier counts consecutive failures in these phases per plan shape.
-COMPILE_PHASES = frozenset({"codegen", "optimize", "verify", "host-compile"})
+COMPILE_PHASES = frozenset({"codegen", "verify", "host-compile"})
 
 #: ``code -> class`` registry, populated by ``__init_subclass__``.
 ERROR_CODES: dict[str, type] = {}

@@ -30,19 +30,15 @@ from typing import Optional, Sequence
 SCHEMA = "repro-obs/v1"
 
 
-def build_report(
-    query: int, scale: float, engine: str, opt_level: int = 0
-) -> dict:
+def build_report(query: int, scale: float, engine: str) -> dict:
     """Run one TPC-H query under tracing; returns the report dict.
 
-    ``opt_level`` enables the translation-validated IR optimizer for the
-    compiled/vector engines; its ``opt.*`` counters then appear in the
-    metrics snapshot alongside the compile timings.
+    The compiled engine builds the program a default ``Session`` serves.
     """
-    from repro.compiler.lb2 import Config
     from repro.obs.explain import explain_analyze_plan
     from repro.obs.metrics import REGISTRY
     from repro.obs.trace import Trace, span
+    from repro.session import served_config
     from repro.tpch.dbgen import generate_database, generate_tables
     from repro.tpch.queries import query_plan
 
@@ -53,7 +49,7 @@ def build_report(
         with span("plan"):
             plan = query_plan(query, scale=scale)
         ea = explain_analyze_plan(
-            db, plan, engine=engine, config=Config(opt_level=opt_level)
+            db, plan, engine=engine, config=served_config()
         )
     return {
         "schema": SCHEMA,
@@ -197,11 +193,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="engine to analyze (default: compiled)",
     )
     parser.add_argument(
-        "--opt-level", type=int, default=0, choices=(0, 1, 2),
-        help="IR optimizer level for the compiled/vector engines "
-        "(default: 0 = off)",
-    )
-    parser.add_argument(
         "--json", action="store_true", help="emit the JSON report to stdout"
     )
     parser.add_argument(
@@ -214,7 +205,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    report = build_report(args.query, args.scale, args.engine, args.opt_level)
+    report = build_report(args.query, args.scale, args.engine)
     if args.json:
         json.dump(report, sys.stdout, indent=2)
         sys.stdout.write("\n")

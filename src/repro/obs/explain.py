@@ -30,7 +30,7 @@ from repro.engine.push import execute_push
 from repro.engine.volcano import execute_volcano
 from repro.plan import physical as phys
 
-ENGINES = ("compiled", "vector", "push", "volcano")
+ENGINES = ("compiled", "push", "volcano")
 
 
 @dataclass(frozen=True)
@@ -212,22 +212,17 @@ def explain_analyze_plan(
 ) -> ExplainAnalyze:
     """Run ``plan`` on ``engine`` with per-operator measurement.
 
-    ``engine`` is one of :data:`ENGINES`.  ``"compiled"`` forces the
-    scalar lowering and ``"vector"`` the batch lowering, regardless of
-    what ``config`` says -- the caller is asking for that engine.
+    ``engine`` is one of :data:`ENGINES`.  ``"compiled"`` instruments the
+    program ``config`` (default ``Config()``) describes, lowering included,
+    so a session explains the program it serves.
     """
     if engine not in ENGINES:
         raise ValueError(
             f"unknown engine {engine!r}; expected one of {ENGINES}"
         )
     infos = operator_labels(plan)
-    if engine in ("compiled", "vector"):
-        base = config or Config()
-        cfg = replace(
-            base,
-            instrument=True,
-            codegen="vector" if engine == "vector" else "scalar",
-        )
+    if engine == "compiled":
+        cfg = replace(config or Config(), instrument=True)
         compiled = LB2Compiler(db.catalog, db, cfg).compile(plan)
         result = compiled.run(db)
         rows = compiled.last_stats or {}

@@ -12,9 +12,9 @@ compiler again (**half-open**); success closes the breaker, failure
 re-opens it with a fresh cooldown.
 
 "Compile-path failure" means an error in a compile phase
-(:data:`repro.errors.COMPILE_PHASES`: codegen, optimize, verify,
-host-compile) during the compiled/vector attempt -- a query that compiles
-fine but trips its row budget must not poison the breaker.
+(:data:`repro.errors.COMPILE_PHASES`: codegen, verify, host-compile)
+during the compiled/vector attempt -- a query that compiles fine but
+trips its row budget must not poison the breaker.
 
 State is per-shape under one lock; ``decide`` is the only method the hot
 path calls and it does one dict lookup.

@@ -51,6 +51,17 @@ from repro.storage.database import Database
 STATEMENT, SHAPE, PLAN = "statement", "shape", "plan"
 
 
+def served_config(config: Optional[Config] = None) -> Optional[Config]:
+    """``config``, or the one a :class:`Session` serves when handed none.
+
+    The fastest lowering is the one served: batch kernels with per-operator
+    scalar fallback when NumPy imports (``Config()`` itself stays scalar).
+    """
+    if config is None and have_numpy():
+        return Config(codegen="vector")
+    return config
+
+
 class CacheKey(NamedTuple):
     """Everything a compiled query was specialized against; built only by
     :meth:`Session.cache_key`."""
@@ -160,12 +171,8 @@ class Session:
     ) -> None:
         if max_cache_size <= 0:
             raise ValueError("max_cache_size must be positive")
-        if config is None and have_numpy():
-            # The fastest lowering is the one served: batch kernels with
-            # per-operator scalar fallback (``Config()`` itself stays scalar).
-            config = Config(codegen="vector")
         self.db = db
-        self.config = config
+        self.config = served_config(config)
         self.use_index_rewrites = use_index_rewrites
         self.max_cache_size = max_cache_size
         self._cache: OrderedDict[tuple, CompiledQuery] = OrderedDict()
@@ -464,9 +471,9 @@ class Session:
     def explain_analyze(self, sql: str, engine: str = "compiled"):
         """The annotated operator tree: rows, wall-time, selectivity.
 
-        ``engine`` is ``"compiled"`` (scalar codegen), ``"vector"``,
-        ``"push"`` or ``"volcano"``; all four label operators identically,
-        so their numbers are directly comparable.  Returns an
+        ``engine`` is ``"compiled"`` (the session's own config, lowering
+        included), ``"push"`` or ``"volcano"``; all three label operators
+        identically, so their numbers are directly comparable.  Returns an
         :class:`repro.obs.explain.ExplainAnalyze`.
         """
         from repro.obs.explain import explain_analyze_plan

@@ -323,18 +323,6 @@ def stmt_binds(stmt: Stmt) -> Optional[str]:
     return None
 
 
-def is_transparent(stmt: Stmt) -> bool:
-    """True for statements that exist only for generated-source readability.
-
-    A transparent statement must be invisible to every analysis layer: it
-    never splits a basic block, contributes no defs/uses/effects, and may
-    be deleted or crossed freely -- the same contract that keeps a
-    ``Comment`` from severing an ``if_``/``else_`` pair in the staging
-    context (:meth:`repro.staging.builder.StagingContext.emit`).
-    """
-    return isinstance(stmt, Comment)
-
-
 def is_atom(expr: Expr) -> bool:
     """Return True when ``expr`` needs no binding to a fresh name.
 

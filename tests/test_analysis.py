@@ -1,16 +1,19 @@
 """Tests for the static-analysis layer (:mod:`repro.analysis`).
 
-Two halves:
+Three parts:
 
 * unit tests proving each verifier / type-checker / lint rule fires on a
   hand-built bad program (and stays quiet on the corresponding good one);
 * integration tests asserting the residual programs of all 22 TPC-H
   queries are analysis-clean under representative ``Config`` variants,
   including the Section-4.4 ``prepare``/``run`` split and the Section-4.5
-  parallel partials.
+  parallel partials;
+* the ``repro-lint --json --check`` report and its schema validator.
 """
 
 from __future__ import annotations
+
+import json
 
 import pytest
 
@@ -487,3 +490,36 @@ def test_open_map_double_group_key_runs(tpch_db_full):
         tpch_db_full.catalog, tpch_db_full, Config(hashmap="open")
     ).compile(plan)
     assert normalize(opened.run(tpch_db_full)) == normalize(native.run(tpch_db_full))
+
+
+class TestLintJson:
+    def test_json_report_validates_and_round_trips(self, tmp_path, capsys):
+        from repro.analysis.cli import SCHEMA, main, validate_report
+
+        out = tmp_path / "lint.json"
+        rc = main([
+            "--query", "6", "--fast", "--json", "--check", "--out", str(out),
+        ])
+        capsys.readouterr()
+        assert rc == 0
+        doc = json.loads(out.read_text())
+        assert validate_report(doc) == []
+        assert doc["schema"] == SCHEMA == "repro-lint/v2"
+        assert doc["findings"] == []
+        assert doc["programs_checked"] > 0
+
+    def test_validate_report_flags_broken_documents(self):
+        from repro.analysis.cli import validate_report
+
+        assert validate_report("not a dict")
+        assert validate_report({"schema": "other/v9"})
+        good = {
+            "schema": "repro-lint/v2", "scale": 0.002, "fast": True,
+            "queries": [6], "programs_checked": 1, "findings": [],
+            "violations_by_rule": {}, "metrics": {"counters": {}},
+        }
+        assert validate_report(good) == []
+        assert validate_report(dict(good, schema="repro-lint/v1"))
+        bad = dict(good, findings=[{"label": "x"}])  # missing rule fields
+        assert validate_report(bad)
+        assert validate_report(dict(good, programs_checked="many"))

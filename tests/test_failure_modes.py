@@ -231,7 +231,6 @@ def test_tiny_db_protocol_reopen(tiny_db):
 def test_every_public_error_carries_code_and_phase():
     """Each public exception class is a taxonomy member with a stable
     ``E_*`` code and a recognised pipeline phase."""
-    from repro.analysis.opt import OptError
     from repro.analysis.walker import IRVerificationError
     from repro.compiler.parallel import ParallelWorkerError
     from repro.errors import ERROR_CODES, PHASES, BudgetExceeded, InjectedFault, ReproError
@@ -252,7 +251,6 @@ def test_every_public_error_carries_code_and_phase():
         StagingError,
         CodegenError,
         IRVerificationError,
-        OptError,
         SqlLexError,
         SqlParseError,
         SqlPlanError,

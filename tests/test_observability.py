@@ -6,9 +6,10 @@ Four contracts under test:
   in their parents', and ``span()`` is inert with no trace active;
 * metrics -- the process-wide registry counts what the session, driver,
   and resilience layer feed it, with prefix-scoped reset;
-* EXPLAIN ANALYZE -- all four engines label operators identically and
-  agree row for row, the compiled paths carry staged wall-clock timings
-  and the vector path its kernel counters (NumPy and fallback alike);
+* EXPLAIN ANALYZE -- all three engines label operators identically and
+  agree row for row, the compiled engine explains the lowering its config
+  (or the session) serves, with staged wall-clock timings and, under the
+  vector lowering, kernel counters (NumPy and fallback alike);
 * off means off -- with ``instrument=False`` the residual program is
   byte-identical whether or not a trace is active (the golden suite
   additionally pins the hashes).
@@ -259,9 +260,20 @@ def test_operator_labels_match_instrument_numbering(tiny_db):
     assert {op.label: op.rows for op in ea.operators if op.label in stats} == stats
 
 
-@pytest.mark.parametrize("engine", ENGINES)
-def test_explain_analyze_rows_and_selectivity(tiny_db, engine):
-    ea = explain_analyze_plan(tiny_db, sales_plan(), engine=engine)
+@pytest.mark.parametrize(
+    "engine, config",
+    [
+        ("compiled", None),
+        ("compiled", Config(codegen="vector")),
+        ("push", None),
+        ("volcano", None),
+    ],
+    ids=["compiled", "vector", "push", "volcano"],
+)
+def test_explain_analyze_rows_and_selectivity(tiny_db, engine, config):
+    ea = explain_analyze_plan(
+        tiny_db, sales_plan(), engine=engine, config=config
+    )
     assert ea.engine == engine
     assert ea.result_rows == 3
     assert ea.rows_by_label == {"Scan#1": 6, "Select#2": 5, "Agg#3": 3}
@@ -282,6 +294,9 @@ def test_all_engines_agree_per_operator(tiny_db):
         [("n", False)],
     )
     analyses = {e: explain_analyze_plan(tiny_db, plan, engine=e) for e in ENGINES}
+    analyses["vector"] = explain_analyze_plan(
+        tiny_db, plan, config=Config(codegen="vector")
+    )
     reference = analyses["compiled"]
     for engine, ea in analyses.items():
         assert ea.rows_by_label == reference.rows_by_label, engine
@@ -303,7 +318,9 @@ def test_vector_engine_reports_kernels(kernel_mode):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # fallback mode warns
         db = make_tiny_db()
-        ea = explain_analyze_plan(db, sales_plan(), engine="vector")
+        ea = explain_analyze_plan(
+            db, sales_plan(), config=Config(codegen="vector")
+        )
     assert ea.codegen_stats.get("vector_aggs", 0) >= 1
     assert ea.kernels, f"no kernels observed in {kernel_mode} mode"
     assert any(name.startswith("v_group") for name in ea.kernels)
@@ -312,6 +329,14 @@ def test_vector_engine_reports_kernels(kernel_mode):
         assert entry["rows"] >= 0
     # batch sizes flow through: the filter kernels see the whole Sales table
     assert ea.kernels["v_gt"]["rows"] == 6
+
+
+def test_explain_analyze_explains_the_served_lowering(tiny_db):
+    """A session explains the program it serves: the vector lowering when
+    NumPy imports, the scalar one otherwise -- never a different build."""
+    session = Session(tiny_db)
+    served = session.prepare(SQL).codegen_stats["backend"]
+    assert session.explain_analyze(SQL).codegen_stats["backend"] == served
 
 
 def test_vector_devectorization_reasons_surface(tiny_db):
