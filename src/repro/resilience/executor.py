@@ -31,10 +31,12 @@ from repro.errors import ReproError, error_code, error_phase
 from repro.obs import events
 from repro.obs.metrics import REGISTRY
 from repro.obs.trace import span
+from repro.plan.params import check_bindings
 from repro.resilience.budget import Budget, BudgetGuard
 from repro.resilience.faults import active_injector
 from repro.resilience.policy import DEFAULT_POLICY, FallbackPolicy
 from repro.session import PLAN
+from repro.sql.shape import StatementShape
 
 #: The degradation order: fastest first, most battle-tested last.  (The
 #: vector lowering is ``Config(codegen="vector")`` on the session.)
@@ -166,7 +168,9 @@ class ResilientExecutor:
 
     # -- public surface -----------------------------------------------------
 
-    def query(self, sql: str, params=None) -> ResilientResult:
+    def query(
+        self, sql: str, params=None, *, shape: Optional[StatementShape] = None
+    ) -> ResilientResult:
         """Execute SQL with fallback; planning errors re-raise untouched
         (a bad query is a bad query on every engine).
 
@@ -175,15 +179,17 @@ class ResilientExecutor:
         :meth:`Session.resolve`, so the whole chain -- compiled shapes,
         interpreted substitution -- agrees on one parameterization.
         Binding errors (arity, names, Python types) raise ``E_PARAM``
-        before the first attempt: a bad binding is bad on every engine.
+        before the first attempt: a bad binding is bad on every engine,
+        so it never reaches the fallback policy.  ``shape`` is
+        ``statement_shape(sql)`` when the caller already lexed it; on a
+        cache hit the statement is not planned at all.
         """
-        from repro.plan.params import check_bindings
-
-        resolved = self.session.resolve(sql, params)
-        vector: Optional[tuple] = None
-        if resolved.parameterized:
-            vector = check_bindings(resolved.signature, resolved.bindings)
-        self._param_vector = vector
+        resolved = self.session.resolve(
+            sql, params, shape=shape, config=self._config()
+        )
+        if resolved.parameterized and resolved.vector is None:
+            check_bindings(resolved.signature, None)  # raises: none given
+        self._param_vector = resolved.vector
         try:
             return self._execute(resolved.plan, resolved.kind, resolved.text)
         finally:
@@ -199,12 +205,13 @@ class ResilientExecutor:
         plan.validate(self.session.db.catalog)
         return self._execute(plan, PLAN, cache_key)
 
-    def prepare(self, sql: str):
+    def prepare(self, sql: str, *, shape: Optional[StatementShape] = None):
         """Resolve ``sql`` as :meth:`query` does and compile it under the
         key :meth:`query` will look up (if it caches at all); returns the
         :class:`~repro.session.ResolvedStatement`."""
-        resolved = self.session.resolve(sql)
-        key = self._cache_key(resolved.kind, resolved.text, self._config())
+        config = self._config()
+        resolved = self.session.resolve(sql, shape=shape, config=config)
+        key = self._cache_key(resolved.kind, resolved.text, config)
         if key is not None:
             self.session.prepare_plan(resolved.plan, key)
         return resolved

@@ -7,7 +7,8 @@ flows through, in order:
 1. **admission** on the caller's thread -- global token bucket, tenant
    token bucket + concurrency quota, bounded in-flight gate; every
    rejection is an immediate typed error (``E_RATELIMIT`` / ``E_ADMIT``),
-   never an unbounded queue;
+   never an unbounded queue; the SQL is lexed here, once
+   (:attr:`ServiceRequest.statement`), and every later step reads that;
 2. **execution** on a worker thread -- the request's deadline becomes
    ``Budget.wall_clock_seconds`` (plus the tenant's ``max_rows``), so the
    staged ``scan_tick`` checkpoints abort a runaway scan cooperatively
@@ -35,6 +36,7 @@ import uuid
 from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeout
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, Optional, Sequence, Tuple
 
 from repro.errors import (
@@ -56,6 +58,7 @@ from repro.resilience.executor import ENGINE_CHAIN, ResilientExecutor
 from repro.serve.admission import AdmissionGate, TenantQuota, TenantRegistry, TokenBucket
 from repro.serve.breaker import OPEN, PROBE, CircuitBreaker
 from repro.session import Session
+from repro.sql.shape import StatementShape, statement_shape
 
 #: Interpreted engines the service degrades to while a breaker is open
 #: (the compiled engine is the one that goes through the breaker).
@@ -153,6 +156,14 @@ class ServiceRequest:
     # monotonic clock (queueing attribution for the profile).
     submitted_at: Optional[float] = None
 
+    @cached_property
+    def statement(self) -> Optional[StatementShape]:
+        """``statement_shape(sql)`` (None for a TPC-H plan request): the
+        one lex of this request, first read at admission.  Everything
+        downstream -- the shape key, the breaker, the executor, the
+        session lookup -- reads this value instead of lexing again."""
+        return None if self.sql is None else statement_shape(self.sql)
+
     def shape(self) -> str:
         """The plan-shape key the breaker and compiled cache share.
 
@@ -163,9 +174,7 @@ class ServiceRequest:
         shape-keyed compile.
         """
         if self.sql is not None:
-            from repro.sql.shape import statement_shape
-
-            return "sql:" + statement_shape(self.sql).text
+            return "sql:" + self.statement.text
         return f"tpch:{self.tpch}"
 
 
@@ -365,7 +374,7 @@ class QueryService:
         executor = self._executor(
             request, quota, self._deadline_for(request), self.config.engines
         )
-        return executor.prepare(request.sql)
+        return executor.prepare(request.sql, shape=request.statement)
 
     # -- admission ----------------------------------------------------------
 
@@ -500,7 +509,9 @@ class QueryService:
         compiled_attempted = False
         try:
             if request.sql is not None:
-                result = executor.query(request.sql, request.params)
+                result = executor.query(
+                    request.sql, request.params, shape=request.statement
+                )
             else:
                 result = executor.execute_plan(
                     self._tpch_plan(request.tpch), cache_key=f"tpch:{request.tpch}"

@@ -131,23 +131,23 @@ class PreparedStatement:
 class ResolvedStatement:
     """One statement resolved for execution on *any* engine.
 
-    The :class:`~repro.resilience.executor.ResilientExecutor` plans every
-    request anyway (interpreted engines walk the plan); this bundles that
-    plan with the parameterization decision so the whole fallback chain
-    agrees on it: ``text`` is the cache text the compiled engine keys on,
-    ``signature``/``bindings`` are what :func:`repro.plan.params.
-    check_bindings` turns into the positional vector, and the interpreted
-    engines substitute the same vector via :func:`repro.plan.params.
-    bind_params`.  ``signature`` is empty for a non-parameterized
-    statement (then ``bindings`` is None and ``text`` is the normalized
-    literal spelling).
+    Bundles the parameterization decision with a plan so the whole
+    :class:`~repro.resilience.executor.ResilientExecutor` chain agrees on
+    it: ``text`` is the cache text the compiled engine keys on, ``plan``
+    is what a miss compiles and the interpreted engines walk, and
+    ``vector`` is the validated positional parameter vector the compiled
+    program reads and :func:`repro.plan.params.bind_params` substitutes.
+    ``signature`` is empty for a non-parameterized statement (then
+    ``vector`` is None and ``text`` is the normalized literal spelling);
+    ``vector`` is also None for explicit placeholders resolved without
+    bindings (a compile-ahead ``prepare``).
     """
 
     sql: str
     text: str
     plan: PhysicalPlan
     signature: tuple[ParamSlot, ...]
-    bindings: Optional[Bindings]
+    vector: Optional[tuple]
 
     @property
     def parameterized(self) -> bool:
@@ -157,6 +157,18 @@ class ResolvedStatement:
     def kind(self) -> str:
         """The cache-key kind ``text`` is compiled under."""
         return SHAPE if self.signature else STATEMENT
+
+
+def _fitting_vector(
+    signature: tuple[ParamSlot, ...], values: tuple
+) -> Optional[tuple]:
+    """An auto-lifted statement's literals checked against its shape's
+    slots; None when one of them does not fit its slot type -- a property
+    of this literal variant, not of the shape, so nothing is memoized."""
+    try:
+        return check_bindings(signature, values)
+    except ParamError:
+        return None
 
 
 class Session:
@@ -184,9 +196,11 @@ class Session:
         self._single_flight_waits = 0
         self._shape_hits = 0
         self._shape_misses = 0
-        # Shape texts whose parameterized compile (or auto-binding) failed
-        # with E_PARAM: the query path falls back to per-literal compiles
-        # for these and skips re-attempting the shape on every call.
+        # Shape texts whose parameterized plan or compile failed with
+        # E_PARAM: the query path falls back to per-literal compiles for
+        # these and skips re-attempting the shape on every call.  (A
+        # literal that does not fit its slot type is not the shape's fault
+        # and is never memoized here.)
         self._shape_fallbacks: set[str] = set()
 
     # -- planning ---------------------------------------------------------------
@@ -266,29 +280,43 @@ class Session:
         if shape.explicit:
             compiled = self.prepare_shape(shape.text, config=config)
             return PreparedStatement(self, shape.text, shape, compiled)
-        text = normalize_statement(sql)
+        text = shape.literal_text
         compiled = self.compiled(self.cache_key(STATEMENT, text, config))
         return PreparedStatement(self, text, StatementShape(text=text), compiled)
 
     def resolve(
-        self, sql: str, params: Optional[Bindings] = None
+        self,
+        sql: str,
+        params: Optional[Bindings] = None,
+        *,
+        shape: Optional[StatementShape] = None,
+        config: Optional[Config] = None,
     ) -> ResolvedStatement:
-        """Plan ``sql`` with the parameterization decision made.
+        """``sql`` with the parameterization decision made and its
+        bindings checked.
 
         Engine-agnostic front half of execution, shared with the
         resilience layer: explicit placeholders resolve to the shape text
         with the caller's ``params`` as bindings; an eligible literal
         statement auto-parameterizes (its own literals become the
-        bindings) unless the shape previously failed with ``E_PARAM``, in
-        which case it -- and any statement with nothing to lift --
-        resolves to the normalized literal text with no parameters.
+        bindings) unless the shape failed with ``E_PARAM`` or this
+        statement's literals do not fit its slots, in which case it --
+        and any statement with nothing to lift -- resolves to the
+        normalized literal text with no parameters.
+
+        ``shape`` is ``statement_shape(sql)`` when the caller already
+        lexed it.  The plan and slot signature are read off the entry
+        cached under the key the compiled engine will look up (``config``;
+        None: the session config); only when no entry answers is the
+        statement planned -- a cache hit does no parsing beyond the one
+        lex.
         """
-        shape = statement_shape(sql)
+        if shape is None:
+            shape = statement_shape(sql)
         if shape.explicit:
-            plan = self.plan(shape.text)
-            return ResolvedStatement(
-                sql, shape.text, plan, collect_params(plan), params
-            )
+            plan, signature = self._plan_of(SHAPE, shape.text, config)
+            vector = None if params is None else check_bindings(signature, params)
+            return ResolvedStatement(sql, shape.text, plan, signature, vector)
         if params:
             raise ParamError(
                 "statement has no parameter placeholders but bindings "
@@ -296,17 +324,54 @@ class Session:
                 phase="execute",
             )
         if shape.param_count and not self._shape_known_bad(shape.text):
-            try:
-                plan = self.plan(shape.text)
-                signature = collect_params(plan)
-                check_bindings(signature, shape.values)
+            entry = self._entry(SHAPE, shape.text, config)
+            signature: Optional[tuple[ParamSlot, ...]] = None
+            if entry is not None:
+                plan, signature = entry.plan, entry.param_signature
+            elif (
+                done := self._entry(STATEMENT, shape.literal_text, config)
+            ) is not None:
+                # Nothing compiled the shape, but this very variant took
+                # the per-literal path before: its entry answers, and the
+                # shape is not planned just to learn its slots.
                 return ResolvedStatement(
-                    sql, shape.text, plan, signature, shape.values
+                    sql, shape.literal_text, done.plan, (), None
                 )
-            except ParamError:
-                self._mark_shape_bad(shape.text)
-        text = normalize_statement(sql)
-        return ResolvedStatement(sql, text, self.plan(text), (), None)
+            else:
+                try:
+                    plan = self.plan(shape.text)
+                    signature = collect_params(plan)
+                except ParamError:  # the shape itself cannot be parameterized
+                    self._mark_shape_bad(shape.text)
+            if signature is not None:
+                vector = _fitting_vector(signature, shape.values)
+                if vector is not None:
+                    return ResolvedStatement(
+                        sql, shape.text, plan, signature, vector
+                    )
+        text = shape.literal_text
+        plan, _ = self._plan_of(STATEMENT, text, config)
+        return ResolvedStatement(sql, text, plan, (), None)
+
+    def _entry(
+        self, kind: str, text: str, config: Optional[Config]
+    ) -> Optional[CompiledQuery]:
+        """The entry cached under ``cache_key(kind, text, config)``, if
+        any.  Reading it counts no hit; the caller's :meth:`compiled`
+        lookup does that."""
+        with self._lock:
+            return self._cache.get(self.cache_key(kind, text, config))
+
+    def _plan_of(
+        self, kind: str, text: str, config: Optional[Config]
+    ) -> tuple[PhysicalPlan, tuple[ParamSlot, ...]]:
+        """The plan and slot signature of ``text``: the cached entry's,
+        else planned here."""
+        entry = self._entry(kind, text, config)
+        if entry is not None:
+            return entry.plan, entry.param_signature
+        plan = self.plan(text)
+        return plan, collect_params(plan) if kind == SHAPE else ()
 
     def _shape_known_bad(self, text: str) -> bool:
         with self._lock:
@@ -418,8 +483,9 @@ class Session:
         bindings.  Without placeholders, eligible literals are
         auto-parameterized: statements differing only in those literal
         values share one compiled residual program, keyed by shape.  If
-        the shape cannot be parameterized (``E_PARAM`` anywhere on the
-        shape path), the statement transparently falls back to a
+        the shape cannot be parameterized (its compile fails with
+        ``E_PARAM``), or this statement's own literals do not fit the
+        shape's slot types, the statement transparently falls back to a
         per-literal compile -- results are identical either way.
         """
         shape = statement_shape(sql)
@@ -436,11 +502,14 @@ class Session:
         if shape.param_count and not self._shape_known_bad(shape.text):
             try:
                 compiled = self.prepare_shape(shape.text)
-                with span("execute", engine="compiled"):
-                    return compiled.run(self.db, shape.values)
-            except ParamError:
+            except ParamError:  # the shape itself cannot be parameterized
                 self._mark_shape_bad(shape.text)
-        compiled = self.prepare(sql)
+            else:
+                vector = _fitting_vector(compiled.param_signature, shape.values)
+                if vector is not None:
+                    with span("execute", engine="compiled"):
+                        return compiled.run(self.db, vector)
+        compiled = self.compiled(self.cache_key(STATEMENT, shape.literal_text))
         with span("execute", engine="compiled"):
             return compiled.run(self.db)
 
@@ -545,8 +614,8 @@ class Session:
         which path cached it.  Note the shape entry is shared: forgetting
         one literal variant forgets the compile for all of them.
         """
-        keys = [self.cache_key(STATEMENT, normalize_statement(sql), config)]
         shape = statement_shape(sql)
+        keys = [self.cache_key(STATEMENT, shape.literal_text, config)]
         if shape.parameterized:
             keys.append(self.cache_key(SHAPE, shape.text, config))
             with self._lock:

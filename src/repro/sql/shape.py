@@ -40,7 +40,8 @@ value, so ``-0.05`` becomes one parameter rather than ``0 - ?``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import List, Optional, Sequence, Tuple
 
 from repro.sql.lexer import SqlLexError, Token, tokenize
@@ -65,6 +66,8 @@ class StatementShape:
     ``explicit`` distinguishes user-written placeholders from
     auto-parameterized text; ``param_count``/``param_names`` describe the
     slot vector (``param_names`` is empty for positional statements).
+    ``tokens`` is the lexed statement, kept so :attr:`literal_text` needs
+    no second lex.
     """
 
     text: str
@@ -72,10 +75,21 @@ class StatementShape:
     explicit: bool = False
     param_count: int = 0
     param_names: Tuple[str, ...] = ()
+    tokens: Sequence[Token] = field(default=(), repr=False, compare=False)
 
     @property
     def parameterized(self) -> bool:
         return self.explicit or self.param_count > 0
+
+    @cached_property
+    def literal_text(self) -> str:
+        """The statement with its literals in place, in the canonical
+        spelling of :func:`normalize_statement` (the per-literal cache
+        text); ``text`` itself when nothing was lifted.  Rendered on first
+        read: a shape-cache hit never needs it."""
+        if self.explicit or not self.param_count:
+            return self.text
+        return _render(self.tokens)
 
 
 def _render(tokens: Sequence[Token]) -> str:
@@ -220,6 +234,7 @@ def statement_shape(sql: str) -> StatementShape:
         explicit=False,
         param_count=len(values),
         param_names=(),
+        tokens=tokens,
     )
 
 

@@ -319,6 +319,68 @@ def test_query_with_params_but_no_placeholders_is_typed_error(tiny_db):
         Session(tiny_db).query("select count(*) from Emp", [1])
 
 
+HOSTILE = [None, [], [1.0, 2.0], ["nope"], [True], {"x": 1.0}, "1.0"]
+
+
+@pytest.mark.parametrize("params", HOSTILE)
+def test_hostile_bindings_on_an_executor_hit_never_degrade(tiny_db, tmp_path, params):
+    """Bindings are checked against the cached entry's signature before
+    the first attempt: a bad one is E_PARAM with no engine tried, never a
+    compiled failure the fallback policy would degrade to push."""
+    import json
+
+    from repro.obs import events
+    from repro.resilience.executor import ResilientExecutor
+
+    session = Session(tiny_db)
+    sql = "select count(*) from Sales where amount > ?"
+    executor = ResilientExecutor(session)
+    assert executor.query(sql, [20.0]).rows == [(5,)]  # the shape is cached
+    before = session.cache_info()
+    path = tmp_path / "events.jsonl"
+    log = events.EventLog(str(path))
+    previous = events.install(log)
+    try:
+        with pytest.raises(ParamError) as info:
+            executor.query(sql, params)
+    finally:
+        events.install(previous)
+        log.close()
+    assert error_code(info.value) == "E_PARAM"
+    assert info.value.engine_trail == ()
+    assert getattr(info.value, "execution_report", None) is None
+    kinds = [json.loads(line)["event"] for line in path.read_text().splitlines()]
+    assert "fallback" not in kinds
+    assert session.cache_info()["misses"] == before["misses"]
+
+
+@pytest.mark.parametrize("via", ["session", "executor"])
+def test_ill_typed_literal_variant_does_not_poison_its_shape(tiny_db, via):
+    """``sid < 3.5`` does not fit the shape's INT slot: that request alone
+    takes the per-literal path, and ``sid < 4`` still hits the shape."""
+    from repro.resilience.executor import ResilientExecutor
+
+    session = Session(tiny_db)
+
+    def run(sql):
+        if via == "session":
+            return session.query(sql)
+        return ResilientExecutor(session).query(sql).rows
+
+    text = "select count(*) from Sales where sid < {}"
+    expected = {
+        v: Session(tiny_db).prepare(text.format(v)).run(tiny_db) for v in (3, 3.5, 4)
+    }
+    assert run(text.format(3)) == expected[3]
+    assert run(text.format(3.5)) == expected[3.5]  # per-literal compile
+    before = session.cache_info()
+    assert run(text.format(4)) == expected[4]
+    after = session.cache_info()
+    assert after["shape_hits"] == before["shape_hits"] + 1
+    assert after["misses"] == before["misses"]
+    assert not session._shape_fallbacks
+
+
 # -- TPC-H parity: auto-parameterization must not change answers --------------
 
 
