@@ -180,7 +180,7 @@ CALL_EFFECTS: dict[str, str] = {
     "list_append": WRITE, "list_extend": WRITE, "set_add": WRITE,
     "sort_rows": WRITE, "group_add": WRITE,
     # reads state the hot path wrote: ranked with writes so no pass moves it
-    "group_merge": WRITE,
+    "group_merge": WRITE, "join_finish": WRITE,
     # externally observable effects
     "out_append": IO, "map_full": IO,
     # cooperative budget/fault checkpoint: may raise, must stay in the loop
@@ -215,8 +215,9 @@ VECTOR_KERNEL_CALLS = frozenset({
     "v_and", "v_or", "v_not", "v_neg",
     "v_mask_index", "v_take", "v_len", "v_tolist",
     "v_group", "v_group_sum", "v_group_fsum", "v_group_count",
-    "v_group_count_nn", "v_group_min", "v_group_max",
+    "v_group_count_nn", "v_group_min", "v_group_max", "v_group_distinct",
     "v_sum", "v_fsum", "v_count_nn", "v_min", "v_max",
+    "v_join_probe", "v_join_contains",
 })
 
 

@@ -81,6 +81,7 @@ INTRINSIC_RESULT: dict[str, Optional[str]] = {
     "group_state": "void*",
     "group_add": "void",
     "group_merge": "void*",
+    "join_finish": "void*",
     # observability: wall-clock read bracketed around instrumented operators
     "obs_now": "double",
     # batch-vectorized backend kernels (``rt.v_*``); elementwise arithmetic
@@ -113,6 +114,9 @@ INTRINSIC_RESULT: dict[str, Optional[str]] = {
     "v_group_count_nn": "void*",
     "v_group_min": "void*",
     "v_group_max": "void*",
+    "v_group_distinct": "void*",
+    "v_join_probe": "void*",
+    "v_join_contains": "vec_bool",
     "v_sum": None,
     "v_fsum": "double",
     "v_count_nn": "long",

@@ -85,11 +85,11 @@ class ScalarBackend:
             self.comp, table, table_key, unique, rename, comment, with_table
         )
 
-    def multimap(self, label: str) -> NativeMultiMap:
+    def multimap(self, node, label: str) -> NativeMultiMap:
         self.ctx.comment(label)
         return NativeMultiMap(self.ctx)
 
-    def key_set(self, label: str) -> StagedSet:
+    def key_set(self, node, label: str) -> StagedSet:
         self.ctx.comment(label)
         return StagedSet(self.ctx)
 

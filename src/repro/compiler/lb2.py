@@ -323,7 +323,7 @@ class StagedHashJoin(StagedOp):
         right_dp = self.comp.backend.edge(self.right, self.node)
 
         def allocate():
-            return self.comp.backend.multimap("hash join build table")
+            return self.comp.backend.multimap(self.node, "hash join build table")
 
         def emit(mm, cb: RecCallback) -> None:
             build_descs: list[FieldDesc] = []
@@ -332,14 +332,16 @@ class StagedHashJoin(StagedOp):
                 nonlocal build_descs
                 keys = [_join_key(rec[k]) for k in self.node.left_keys]
                 payloads, build_descs = materialize(rec)
-                mm.insert(keys, payloads)
+                mm.insert(keys, payloads, rec=rec)
 
             left_dp(build)
+            mm.finish()
 
             def probe(rec: StagedRecord) -> None:
                 keys = [_join_key(rec[k]) for k in self.node.right_keys]
                 mm.each_match(
-                    keys, build_descs, lambda left_rec: cb(left_rec.merged(rec))
+                    keys, build_descs, lambda left_rec: cb(left_rec.merged(rec)),
+                    rec=rec,
                 )
 
             right_dp(probe)
@@ -361,7 +363,7 @@ class StagedLeftOuterJoin(StagedOp):
 
         def allocate():
             return self.comp.backend.multimap(
-                "left outer join build table (right side)"
+                self.node, "left outer join build table (right side)"
             )
 
         def emit(mm, cb: RecCallback) -> None:
@@ -424,16 +426,19 @@ class StagedKeySetJoin(StagedOp):
 
         def allocate():
             kind = "semi" if self.keep else "anti"
-            return self.comp.backend.key_set(f"{kind} join key set")
+            return self.comp.backend.key_set(self.node, f"{kind} join key set")
 
         def emit(keyset, cb: RecCallback) -> None:
             def build(rec: StagedRecord) -> None:
-                keyset.add([_join_key(rec[k]) for k in self.node.right_keys])
+                keyset.add([_join_key(rec[k]) for k in self.node.right_keys], rec=rec)
 
             right_dp(build)
+            keyset.finish()
 
             def probe(rec: StagedRecord) -> None:
-                hit = keyset.contains([_join_key(rec[k]) for k in self.node.left_keys])
+                hit = keyset.contains(
+                    [_join_key(rec[k]) for k in self.node.left_keys], rec=rec
+                )
                 rec.guard(hit if self.keep else ~hit, cb)
 
             left_dp(probe)
@@ -605,7 +610,7 @@ class StagedAggOp(StagedOp):
                 for (name, _), agg in zip(self.node.aggs, self.staged_aggs):
                     values[name] = agg.finalize(self.ctx, slots)
                     descs.append(FieldDesc(name, dict(self.out_fields)[name]))
-                cb(StagedRecord.from_values(self.ctx, descs, values))
+                cb(hm.record(descs, values))
 
             hm.foreach(on_group)
 
@@ -822,7 +827,7 @@ class StagedDistinct(StagedOp):
         child_dp = self.comp.backend.edge(self.child, self.node)
 
         def allocate():
-            return self.comp.backend.key_set("distinct key set")
+            return self.comp.backend.key_set(self.node, "distinct key set")
 
         def emit(seen, cb: RecCallback) -> None:
             def on_rec(rec: StagedRecord) -> None:

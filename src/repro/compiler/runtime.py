@@ -12,7 +12,7 @@ import functools
 import itertools
 import threading
 from time import perf_counter as _perf_counter
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 
 def sort_rows(rows: list, spec: Sequence[tuple[int, bool]]) -> list:
@@ -404,33 +404,119 @@ def _factorize_object(column):
     return codes, len(mapping)
 
 
+#: Direct addressing -- one lookup table over a column's whole value span --
+#: is used while the span is at most this many slots per row (with a floor
+#: for short columns and a ceiling on the table's size); wider spans sort.
+#: A slot costs about a twentieth of a sorted row to set up, so one-off
+#: factorizations stay well inside that; a join's key index, probed by
+#: every probe row, may spend more to save a binary search per probe.
+_DIRECT_SLOTS_PER_ROW = 8
+_JOIN_SLOTS_PER_ROW = 32
+_DIRECT_SLOTS_MIN = 4096
+_DIRECT_SLOTS_MAX = 1 << 22
+
+
+def _direct(span: int, n: int, per_row: int = _DIRECT_SLOTS_PER_ROW) -> bool:
+    return span <= min(max(per_row * n, _DIRECT_SLOTS_MIN), _DIRECT_SLOTS_MAX)
+
+
+class _Codebook:
+    """Dense codes ``0 .. size - 1`` for the distinct values of a numeric
+    NumPy array, assigned in ascending value order: ``codes`` (one per
+    row) and ``reps`` (one row position per code).  :meth:`encode` codes
+    another array against the same values.
+
+    Integer (and bool) values whose span is small next to the array get a
+    direct lookup table -- a few linear passes, no sort; wider spans and
+    floats sort once, and :meth:`encode` binary-searches the sorted
+    distinct values.
+    """
+
+    def __init__(self, values, per_row: int = _DIRECT_SLOTS_PER_ROW) -> None:
+        n = len(values)
+        self.table = None
+        if values.dtype.kind in "iub":
+            values = values.astype(_np.int64, copy=False)
+            self.lo = int(values.min()) if n else 0
+            span = int(values.max()) - self.lo + 1 if n else 0
+            if n and _direct(span, n, per_row):
+                offsets = values - self.lo
+                table = _np.full(span, -1, dtype=_np.int64)
+                table[offsets] = _np.arange(n)
+                present = _np.flatnonzero(table >= 0)
+                self.reps = table[present]
+                table[present] = _np.arange(len(present))
+                self.codes = table[offsets]
+                self.size = len(present)
+                self.table = table
+                self.hi = self.lo + span - 1
+                return
+        order = _np.argsort(values)
+        ordered = values[order]
+        first = _np.empty(n, dtype=bool)
+        first[:1] = True
+        _np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+        self.codes = _np.empty(n, dtype=_np.int64)
+        self.codes[order] = _np.cumsum(first) - 1
+        self.sorted = ordered[first]
+        self.reps = order[first]
+        self.size = len(self.sorted)
+
+    def encode(self, values, valid):
+        """``values``' codes (0 where absent) and ``valid`` narrowed to the
+        values this codebook holds."""
+        if self.size == 0:
+            return _np.zeros(len(values), dtype=_np.int64), valid & False
+        if self.table is not None:
+            values = values.astype(_np.int64, copy=False)
+            inside = (values >= self.lo) & (values <= self.hi)
+            codes = self.table[_np.where(inside, values - self.lo, 0)]
+            valid = valid & inside & (codes >= 0)
+        else:
+            codes = _np.minimum(_np.searchsorted(self.sorted, values), self.size - 1)
+            valid = valid & (self.sorted[codes] == values)
+        return _np.where(valid, codes, 0), valid
+
+
+def _group_codes(n, keys):
+    """Dense group ids of the rows of NumPy key columns: ``(codes, ngroups,
+    representatives)``, groups in ascending order of their packed code.
+
+    Keys factorize one at a time and combine by mixed-radix packing; after
+    each key the combined code is re-densified whenever its radix exceeds
+    the row count, so the radix never passes ``n`` and the next packing
+    step stays below ``n * n`` -- far inside int64 -- however many keys
+    there are.  Object (string) columns factorize by one hashing pass:
+    comparison-sorting Python objects costs more.
+    """
+    combined, radix = None, 1
+    for k in keys:
+        if k.dtype == object:
+            codes, nuniq = _factorize_object(k)
+        else:
+            book = _Codebook(k)
+            codes, nuniq = book.codes, book.size
+        if combined is None:
+            combined, radix = codes, nuniq
+        else:
+            combined, radix = combined * nuniq + codes, radix * nuniq
+        if radix > n:
+            book = _Codebook(combined)
+            combined, radix = book.codes, book.size
+    book = _Codebook(combined)
+    return book.codes, book.size, book.reps
+
+
 def v_group(n, *keys):
     """Factorize rows by key columns.
 
-    Returns a flat tuple ``(codes, ngroups, keylist0, keylist1, ...)``:
-    ``codes[i]`` is the dense group id of row ``i`` and ``keylist_j[g]`` the
-    j-th key value of group ``g`` (plain Python scalars).
+    Returns a flat tuple ``(codes, ngroups, keys0, keys1, ...)``:
+    ``codes[i]`` is the dense group id of row ``i`` and ``keys_j[g]`` the
+    j-th key value of group ``g`` (a batch over the groups).
     """
     if _np is not None and keys and all(_is_ndarray(k) for k in keys):
-        # Factorize each key, then combine per-row code tuples into one
-        # dense id by mixed-radix packing.  Object (string) columns avoid
-        # sort-based ``np.unique`` -- comparison-sorting Python objects
-        # costs more than one hashing pass.
-        combined = None
-        for k in keys:
-            if k.dtype == object:
-                codes, nuniq = _factorize_object(k)
-            else:
-                uniq, codes = _np.unique(k, return_inverse=True)
-                nuniq = len(uniq)
-            combined = (
-                codes if combined is None else combined * nuniq + codes
-            )
-        groups, first_idx, final = _np.unique(
-            combined, return_index=True, return_inverse=True
-        )
-        keylists = [k[first_idx].tolist() for k in keys]
-        return (final.astype(_np.int64), len(groups), *keylists)
+        codes, ngroups, first = _group_codes(n, keys)
+        return (codes, ngroups, *(k[first] for k in keys))
     cols = _as_lists(n, keys)
     mapping: dict = {}
     codes = [0] * n
@@ -543,6 +629,46 @@ def v_group_max(codes, ngroups, values):
     )
 
 
+def v_group_distinct(codes, ngroups, values):
+    """One batch's ``(group, value)`` pairs, as ``(codes, values)`` -- the
+    kept partial of a grouped ``count(distinct)``.  Pairs are deduplicated
+    once, when :func:`group_merge` counts them, not per batch: most
+    batches' pairs are already distinct, and a per-batch pass would sort
+    them twice."""
+    if _is_ndarray(codes) and not _is_ndarray(values):
+        values = _full(len(codes), values)
+    return codes, _broadcast_values(codes, values)
+
+
+def _count_distinct(pieces, ngroups: int) -> list:
+    """Per-group count of distinct values over ``(codes, values)`` pieces.
+
+    Values are coded densely (strings by one hashing pass), each pair packs
+    into ``code * nvalues + value code``, and one sort with a neighbour
+    comparison keeps every distinct pair once.
+    """
+    if _np is None:
+        pairs = {pair for codes, values in pieces for pair in zip(codes, values)}
+        out = [0] * ngroups
+        for code, _ in pairs:
+            out[code] += 1
+        return out
+    if not pieces:
+        return [0] * ngroups
+    codes = _np.concatenate([c for c, _ in pieces])
+    values = _np.concatenate([v for _, v in pieces])
+    if values.dtype == object:
+        vcodes, nvalues = _factorize_object(values)
+    else:
+        book = _Codebook(values)
+        vcodes, nvalues = book.codes, book.size
+    pairs = _np.sort(codes * nvalues + vcodes)
+    first = _np.empty(len(pairs), dtype=bool)
+    first[:1] = True
+    _np.not_equal(pairs[1:], pairs[:-1], out=first[1:])
+    return _np.bincount(pairs[first] // max(nvalues, 1), minlength=ngroups).tolist()
+
+
 def group_state(nkeys: int, nslots: int) -> list:
     """The kept batches of a grouped aggregation: one list of per-batch
     chunks per key and per slot (see :func:`group_add`)."""
@@ -551,37 +677,282 @@ def group_state(nkeys: int, nslots: int) -> list:
 
 def group_add(state: list, grouped, *partials) -> None:
     """Keep one batch's group keys (its :func:`v_group` result) and its
-    per-group partials (``v_group_*`` results, one per slot)."""
+    slot partials (``v_group_*`` results, one per slot)."""
     for chunks, chunk in zip(state, (*grouped[2:], *partials)):
         chunks.append(chunk)
 
 
-def group_merge(state: list, folds: Sequence[str]) -> list:
-    """Merge the kept batches: ``[ngroups, keylist_0.., slot_0..]``.
+def group_merge(state: list, folds: Sequence[str], batch: bool = False) -> list:
+    """Merge the kept batches: ``[ngroups, keys_0.., slot_0..]``, every
+    key and slot one column over the groups -- a batch with ``batch``, a
+    list of plain Python values (the per-group emit loop's) without.
 
     One :func:`v_group` over every batch's group keys finds the groups;
     slot ``s`` combines its partials by ``folds[s]`` -- ``"sum"``,
-    ``"min"`` or ``"max"`` -- through the matching ``v_group_*`` kernel.
+    ``"min"`` or ``"max"`` through the matching ``v_group_*`` kernel, and
+    ``"distinct"`` (the ``(group, value)`` pairs of a ``count(distinct)``)
+    by mapping each batch's group ids to merged ones, deduplicating once
+    and counting per group.
     """
     nkeys = len(state) - len(folds)
     keys = [_concat(chunks) for chunks in state[:nkeys]]
     grouped = v_group(len(keys[0]), *keys)
     codes, ngroups = grouped[0], grouped[1]
+    offsets = list(itertools.accumulate((len(c) for c in state[0]), initial=0))
     reduce = {"sum": v_group_sum, "min": v_group_min, "max": v_group_max}
-    slots = [
-        reduce[fold](codes, ngroups, _concat(chunks))
-        for fold, chunks in zip(folds, state[nkeys:])
-    ]
-    return [ngroups, *grouped[2:], *slots]
+    slots = []
+    for fold, chunks in zip(folds, state[nkeys:]):
+        if fold == "distinct":
+            pieces = [
+                (v_take(codes, _shift(local, base)), values)
+                for base, (local, values) in zip(offsets, chunks)
+            ]
+            slots.append(_count_distinct(pieces, ngroups))
+        else:
+            slots.append(reduce[fold](codes, ngroups, _concat(chunks)))
+    convert = _as_batch if batch else _as_plain
+    return [ngroups, *(convert(c) for c in (*grouped[2:], *slots))]
+
+
+def _as_batch(values):
+    return _column(values) if isinstance(values, list) else values
+
+
+def _as_plain(values):
+    return values.tolist() if _is_ndarray(values) else values
+
+
+def _shift(positions, base: int):
+    if _is_ndarray(positions):
+        return positions + base
+    return [p + base for p in positions]
 
 
 def _concat(chunks: list):
-    """Per-batch value lists as one batch (strings stay Python objects)."""
-    values = list(itertools.chain.from_iterable(chunks))
+    """Per-batch values (arrays or lists) as one batch (strings stay
+    Python objects)."""
+    if chunks and all(_is_ndarray(c) for c in chunks):
+        return _np.concatenate(chunks)
+    return _column(list(itertools.chain.from_iterable(chunks)))
+
+
+def _column(values: list):
+    """A list of plain values as a batch (strings stay Python objects)."""
     if _np is None:
         return values
     strings = bool(values) and isinstance(values[0], str)
     return _np.asarray(values, dtype=object if strings else None)
+
+
+# -- batch hash joins and key sets ---------------------------------------------
+#
+# A batch hash join (or semi/anti join key set) keeps its build side as
+# columns.  The build loop appends one ``(n, key.., col..)`` tuple per batch,
+# or one ``(key.., col..)`` tuple per row when the build side runs row at a
+# time; :func:`join_finish` runs once, after the loop, and turns them into
+# columns plus a :class:`JoinIndex`.  Probing is one kernel per probe batch:
+# :func:`v_join_probe` returns the matching (build row, probe row) pairs --
+# in probe order, each probe row's matches in build-insertion order, which
+# is exactly the order a scalar multimap's bucket walk produces -- and
+# :func:`v_join_contains` the key-set membership mask.
+
+def join_finish(state: list, nkeys: int, ncols: int, batched: bool) -> tuple:
+    """The build side after its loop: ``(index, col_0, col_1, ...)``."""
+    width = nkeys + ncols
+    if batched:
+        columns = [
+            _concat_batches([(piece[0], piece[1 + j]) for piece in state])
+            for j in range(width)
+        ]
+    else:
+        columns = [_column([row[j] for row in state]) for j in range(width)]
+    return (JoinIndex(columns[:nkeys]), *columns[nkeys:])
+
+
+def _concat_batches(pieces: list):
+    """``(n, batch-or-broadcast-scalar)`` pieces as one column."""
+    if _np is None:
+        return list(itertools.chain.from_iterable(
+            value if _is_batch(value) else [value] * n for n, value in pieces
+        ))
+    arrays = [value if _is_ndarray(value) else _full(n, value) for n, value in pieces]
+    if not arrays:
+        return _np.empty(0, dtype=_np.int64)
+    return _np.concatenate(arrays)
+
+
+def _full(n: int, value):
+    """A broadcast scalar as an array of ``n`` rows."""
+    return _np.full(n, value, dtype=None if isinstance(value, (bool, int, float)) else object)
+
+
+def _is_int_array(x) -> bool:
+    return _is_ndarray(x) and x.dtype.kind in "iub"
+
+
+class JoinIndex:
+    """Build keys -> build rows, for batch probes.
+
+    Each integer (bool, date) key column is coded densely against its
+    distinct build values (:class:`_Codebook`: a direct table for small
+    spans, binary search otherwise), and composite keys combine those codes
+    by mixed radix -- re-densified whenever the radix outgrows a direct
+    table, so no packed key can overflow int64.  The combined code indexes
+    dense tables: the build row of each code when build keys are unique,
+    else a start/count per code into the build rows sorted stably by code.
+    Without NumPy, or for keys that are not integers, a dict from key to
+    build rows answers instead; both give the same matches in the same
+    order.
+    """
+
+    def __init__(self, keys: list) -> None:
+        self.keys = keys
+        self.size = len(keys[0])
+        self._dict: Optional[dict] = None
+        self._numeric = _np is not None and all(_is_int_array(k) for k in keys)
+        if self._numeric and self.size:
+            self._build(keys)
+
+    # -- numeric tables -------------------------------------------------------
+
+    def _build(self, keys: list) -> None:
+        n = self.size
+        self._books: list = []
+        self._steps: list = []  # per key: None, or the re-densifying codebook
+        codes, radix = None, 1
+        for k in keys:
+            book = _Codebook(k, _JOIN_SLOTS_PER_ROW)
+            self._books.append(book)
+            if codes is None:
+                codes, radix = book.codes, book.size
+            else:
+                codes, radix = codes * book.size + book.codes, radix * book.size
+            step = None
+            if not _direct(radix, n, _JOIN_SLOTS_PER_ROW):
+                step = _Codebook(codes, _JOIN_SLOTS_PER_ROW)
+                codes, radix = step.codes, step.size
+            self._steps.append(step)
+        counts = _np.bincount(codes, minlength=radix)
+        self._unique = int(counts.max()) <= 1
+        if self._unique:
+            self._row_of = _np.full(radix, -1, dtype=_np.int64)
+            self._row_of[codes] = _np.arange(n)
+        else:
+            self._counts = counts
+            self._starts = _np.cumsum(counts) - counts
+            # stable by code: ties (equal keys) keep build-insertion order
+            self._order = _np.argsort(codes * n + _np.arange(n))
+
+    def _slots(self, keys: list, n: int):
+        """Each probe row's table slot (0 where absent), and whether its
+        key occurs on the build side at all."""
+        valid = _np.ones(n, dtype=bool)
+        codes = None
+        for k, book, step in zip(keys, self._books, self._steps):
+            kcodes, valid = book.encode(k, valid)
+            codes = kcodes if codes is None else codes * book.size + kcodes
+            if step is not None:
+                codes, valid = step.encode(codes, valid)
+        return codes, valid
+
+    def _probe_keys(self, keys: list, n: int):
+        """The probe keys as int64-able arrays, or None (use the dict)."""
+        if not self._numeric:
+            return None
+        out = []
+        for k in keys:
+            if not _is_batch(k):
+                if not isinstance(k, (bool, int)):
+                    return None
+                k = _np.full(n, k, dtype=_np.int64)
+            if not _is_int_array(k):
+                return None
+            out.append(k)
+        return out
+
+    # -- probes ---------------------------------------------------------------
+
+    def probe(self, keys: list, n: int):
+        """Matching ``(build rows, probe rows)`` in probe order, each probe
+        row's matches in build-insertion order."""
+        arrays = self._probe_keys(keys, n)
+        if arrays is None:
+            return self._probe_dict(keys, n)
+        if self.size == 0 or n == 0:
+            empty = _np.empty(0, dtype=_np.int64)
+            return empty, empty
+        slots, valid = self._slots(arrays, n)
+        if self._unique:
+            rows = _np.where(valid, self._row_of[slots], -1)
+            probe_rows = _np.flatnonzero(rows >= 0)
+            return rows[probe_rows], probe_rows
+        counts = _np.where(valid, self._counts[slots], 0)
+        probe_rows = _np.repeat(_np.arange(n), counts)
+        run_starts = _np.repeat(_np.cumsum(counts) - counts, counts)
+        within = _np.arange(len(probe_rows)) - run_starts
+        build_rows = self._order[_np.repeat(self._starts[slots], counts) + within]
+        return build_rows, probe_rows
+
+    def contains(self, keys: list, n: int):
+        """Per probe row: does any build row carry its key?"""
+        arrays = self._probe_keys(keys, n)
+        if arrays is None:
+            table = self._lookup()
+            return _index_list(
+                [key in table for key in _key_rows(keys, n)], dtype=bool
+            )
+        if self.size == 0:
+            return _np.zeros(n, dtype=bool)
+        slots, valid = self._slots(arrays, n)
+        if self._unique:
+            return valid & (self._row_of[slots] >= 0)
+        return valid & (self._counts[slots] > 0)
+
+    # -- the dict form ----------------------------------------------------------
+
+    def _lookup(self) -> dict:
+        if self._dict is None:
+            table: dict = {}
+            for row, key in enumerate(_key_rows(self.keys, self.size)):
+                table.setdefault(key, []).append(row)
+            self._dict = table
+        return self._dict
+
+    def _probe_dict(self, keys: list, n: int):
+        table = self._lookup()
+        build_rows: list = []
+        probe_rows: list = []
+        for i, key in enumerate(_key_rows(keys, n)):
+            for row in table.get(key, ()):
+                build_rows.append(row)
+                probe_rows.append(i)
+        return _index_list(build_rows), _index_list(probe_rows)
+
+
+def _key_rows(keys: list, n: int) -> list:
+    """Per-row keys: the value for one key column, a tuple for several."""
+    cols = _as_lists(n, keys)
+    if len(cols) == 1:
+        return cols[0]
+    return list(zip(*cols))
+
+
+def _index_list(values: list, dtype=None):
+    if _np is None:
+        return values
+    return _np.asarray(values, dtype=dtype or _np.int64)
+
+
+def v_join_probe(index, n, *keys):
+    """One probe batch against a finished build: ``(build_rows,
+    probe_rows)``, the gather positions of every match (see
+    :meth:`JoinIndex.probe`)."""
+    return index[0].probe(list(keys), n)
+
+
+def v_join_contains(index, n, *keys):
+    """One probe batch against a finished key set: the membership mask."""
+    return index[0].contains(list(keys), n)
 
 
 # -- global (ungrouped) reductions -------------------------------------------

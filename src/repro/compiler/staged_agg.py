@@ -110,7 +110,7 @@ class StagedAgg:
             count = slots.get(self.base + 1)
             return total / count
         if kind == "count_distinct":
-            return ctx.call("set_len", [slots.get(self.base)], result="long")
+            return slots.distinct_count(self.base)
         return slots.get(self.base)
 
     def empty_value(self, ctx: StagingContext) -> Rep:

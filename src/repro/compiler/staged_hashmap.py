@@ -15,7 +15,11 @@ high-level implementation ... using normal object-oriented techniques"):
   data-structure specialization producing only flat array operations.
 
 Joins use :class:`NativeMultiMap` (key -> list of materialized row tuples)
-and semi/anti joins use :class:`StagedSet`.
+and semi/anti joins use :class:`StagedSet`.  Their ``insert``/``add`` and
+probes also take the record they stage for (``rec=``, unused here: a batch
+lowering, ``repro.compiler.vec.BatchJoinBuild``, reads its row count), and
+operators stage a ``finish`` step between the build and the probe loop (a
+no-op here).
 """
 
 from __future__ import annotations
@@ -25,17 +29,23 @@ from typing import Callable, Sequence
 from repro.staging import ir
 from repro.staging.builder import StagingContext
 from repro.staging.rep import Rep, RepBool, RepInt, rep_for_ctype
-from repro.compiler.staged_record import rebuild_record
+from repro.compiler.staged_record import StagedRecord, rebuild_record
 
 
 class Slots:
     """Read/write access to one group's aggregate slots during an update."""
+
+    ctx: StagingContext
 
     def get(self, i: int) -> Rep:
         raise NotImplementedError
 
     def set(self, i: int, value: Rep) -> None:
         raise NotImplementedError
+
+    def distinct_count(self, i: int) -> Rep:
+        """The value of a ``count(distinct)`` slot: the size of its set."""
+        return self.ctx.call("set_len", [self.get(i)], result="long")
 
 
 class _ListSlots(Slots):
@@ -132,6 +142,10 @@ class _AggAccumulate:
                 agg.update(self.ctx, slots, value)
 
         self.update(keys, on_insert, on_update)
+
+    def record(self, descs, values) -> StagedRecord:
+        """The output record of one group (its keys and finalized values)."""
+        return StagedRecord.from_values(self.ctx, descs, values)
 
 
 class NativeAggMap(_AggAccumulate):
@@ -326,7 +340,7 @@ class NativeMultiMap:
         self.ctx = ctx
         self.hm = ctx.call("dict_new", [], result="void*", prefix="jm")
 
-    def insert(self, keys: Sequence[Rep], values: Sequence[Rep]) -> None:
+    def insert(self, keys: Sequence[Rep], values: Sequence[Rep], rec=None) -> None:
         ctx = self.ctx
         key = _keys_tuple(ctx, keys)
         row = ctx.bind(ir.TupleExpr(tuple(v.expr for v in values)), ctype="void*")
@@ -339,6 +353,9 @@ class NativeMultiMap:
         with ctx.else_():
             ctx.call_stmt("list_append", [bucket, Rep(row, ctx, ctype="void*")])
 
+    def finish(self) -> None:
+        """After the build loop: nothing to do (buckets are already built)."""
+
     def lookup(self, keys: Sequence[Rep]) -> Rep:
         """The bucket (possibly empty tuple) for a probe key."""
         key = _keys_tuple(self.ctx, keys)
@@ -349,7 +366,7 @@ class NativeMultiMap:
         key = _keys_tuple(self.ctx, keys)
         return self.ctx.call("dict_get", [self.hm, key, None], result="void*", prefix="ms")
 
-    def each_match(self, keys: Sequence[Rep], descs, fn) -> None:
+    def each_match(self, keys: Sequence[Rep], descs, fn, rec=None) -> None:
         """Probe and run ``fn`` on each matching build-side record."""
         bucket = self.lookup(keys)
         with self.ctx.for_each(bucket, prefix="m", ctype="void*") as row:
@@ -373,11 +390,14 @@ class StagedSet:
         self.ctx = ctx
         self.set_ = ctx.call("set_new", [], result="void*", prefix="ks")
 
-    def add(self, keys: Sequence[Rep]) -> None:
+    def add(self, keys: Sequence[Rep], rec=None) -> None:
         key = _keys_tuple(self.ctx, keys)
         self.ctx.call_stmt("set_add", [self.set_, key])
 
-    def contains(self, keys: Sequence[Rep]) -> RepBool:
+    def finish(self) -> None:
+        """After the build loop: nothing to do (the set is already built)."""
+
+    def contains(self, keys: Sequence[Rep], rec=None) -> RepBool:
         key = _keys_tuple(self.ctx, keys)
         return self.ctx.call("set_contains", [self.set_, key], result="bool")  # type: ignore[return-value]
 

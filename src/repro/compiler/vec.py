@@ -2,17 +2,20 @@
 
 Operator code in :mod:`repro.compiler.lb2` is written once against the
 backend seam; this module re-lowers the supported shapes -- scans, filters,
-projections and aggregations -- to *batched columnar* residual programs.
-Instead of one row loop per pipeline, the generated code walks a table in
-batches of at most :data:`BATCH_ROWS` rows (slices of ``db.column_vec``
-arrays, for the columns the query reads), evaluates predicates and
-expressions with ``rt.v_*`` batch kernels (NumPy when available,
-pure-Python lists otherwise), folds aggregate partials into running state,
-and only falls back to row-at-a-time code at the seams:
+projections, integer-keyed hash/semi/anti joins and aggregations -- to
+*batched columnar* residual programs.  Instead of one row loop per
+pipeline, the generated code walks a table in batches of at most
+:data:`BATCH_ROWS` rows (slices of ``db.column_vec`` arrays, for the
+columns the query reads), evaluates predicates and expressions with
+``rt.v_*`` batch kernels (NumPy when available, pure-Python lists
+otherwise), keeps join build sides as columns and probes them a batch at a
+time, folds aggregate partials into running state, and only falls back to
+row-at-a-time code at the seams:
 
-* an operator whose shape the vector lowering does not support (joins,
-  sorts, compressed-string scans, ...) receives plain scalar rows through a
-  devectorizing adapter inserted on the operator edge, and
+* an operator whose shape the vector lowering does not support (sorts,
+  outer and group joins, string-keyed joins, LIKE/CASE, compressed-string
+  scans, ...) receives plain scalar rows through a devectorizing adapter
+  inserted on the operator edge, and
 * everything it allocates comes from the scalar backend unchanged.
 
 Eligibility is decided in one whole-plan pass (:meth:`VectorBackend.prepare`)
@@ -22,7 +25,8 @@ front -- the operator pass itself never branches on the backend.
 Budget checkpoints are batch-granular: a batch scan charges its rows with
 one ``rt.scan_tick`` before any kernel of the batch runs, and devectorized
 row loops check the clock every ``budget_check_interval`` rows, so a
-deadline overshoots by at most one batch's kernel chain.
+deadline overshoots by at most one batch's kernel chain -- which, past a
+batch join, runs over that probe batch's matches (its fan-out).
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ from __future__ import annotations
 import warnings
 from typing import Callable, Optional, Sequence
 
+from repro.catalog.types import ColumnType
 from repro.plan import physical as phys
 from repro.plan.expressions import (
     And,
@@ -321,6 +326,26 @@ class _IndexedSlots(Slots):
     def set(self, i: int, value) -> None:  # pragma: no cover - defensive
         raise NotImplementedError("vectorized group slots are read-only")
 
+    def distinct_count(self, i: int) -> Rep:
+        return RepInt(self.get(i).expr, self.ctx)  # merged to a count already
+
+
+class _ColumnSlots(Slots):
+    """Aggregate slots as whole columns over the merged groups (read-only):
+    finalizers stage kernels over every group at once."""
+
+    def __init__(self, arrays: Sequence[Rep]) -> None:
+        self.arrays = list(arrays)
+
+    def get(self, i: int) -> Rep:
+        return self.arrays[i]
+
+    def set(self, i: int, value) -> None:  # pragma: no cover - defensive
+        raise NotImplementedError("vectorized group slots are read-only")
+
+    def distinct_count(self, i: int) -> Rep:
+        return self.arrays[i]  # merged to counts already
+
 
 #: How each aggregate kind's slots combine across batches, slot by slot
 #: (the layout of :meth:`StagedAgg.slot_ctypes`).
@@ -330,6 +355,7 @@ _SLOT_FOLDS = {
     "avg": ("sum", "sum"),
     "min": ("min",),
     "max": ("max",),
+    "count_distinct": ("distinct",),
 }
 
 
@@ -345,20 +371,26 @@ class VecAggMap:
     factorization of the key columns, one ``v_group_*`` reduction per
     aggregate slot, and a ``group_add`` that keeps those per-group partials
     in state allocated ahead of the scan.  ``foreach`` merges the kept
-    batches (``group_merge``) and loops over the groups, which is exactly
-    the scalar emit loop downstream code expects.
+    batches (``group_merge``).  With ``batch_out`` it hands the operator
+    every group at once -- key and slot columns, from which :meth:`record`
+    builds one output batch with a row per group -- for a batch consumer
+    (a filter or join over the groups); otherwise it loops over the groups,
+    the scalar emit loop a row-at-a-time consumer expects.
     """
 
     def __init__(
         self,
-        ctx: StagingContext,
+        comp,
         node: phys.Agg,
         key_ctypes: Sequence[str],
         slot_ctypes: Sequence[str],
+        batch_out: bool,
     ) -> None:
-        self.ctx = ctx
+        self.comp = comp
+        self.ctx = ctx = comp.ctx
         self.key_ctypes = list(key_ctypes)
         self.slot_ctypes = list(slot_ctypes)
+        self.batch_out = batch_out
         ctx.comment(
             f"vectorized grouped aggregation; keys: {[n for n, _ in node.keys]}"
         )
@@ -369,6 +401,7 @@ class VecAggMap:
             prefix="groups",
         )
         self._folds: tuple[str, ...] = ()
+        self._ngroups: Optional[RepInt] = None
 
     def accumulate(self, rec: VecRecord, stage_keys, staged_aggs) -> None:
         ctx = self.ctx
@@ -394,16 +427,25 @@ class VecAggMap:
 
     def foreach(self, on_group) -> None:
         ctx = self.ctx
-        merged = ctx.call(
-            "group_merge", [self.state, self._folds], result="void*", prefix="grp"
-        )
+        args = [self.state, self._folds] + ([True] if self.batch_out else [])
+        merged = ctx.call("group_merge", args, result="void*", prefix="grp")
 
         def entry(i: int, ctype: str) -> Rep:
             sym = ctx.bind(ir.Index(merged.expr, ir.Const(i)), ctype=ctype, prefix="v")
             return rep_for_ctype(ctype)(sym, ctx)
 
         nkeys = len(self.key_ctypes)
-        ngroups = entry(0, "long")
+        ngroups = self._ngroups = entry(0, "long")  # type: ignore[assignment]
+        if self.batch_out:
+            # a count(distinct) slot merges to counts: void* -> vec_long
+            on_group(
+                [entry(1 + j, vec_ctype(kt)) for j, kt in enumerate(self.key_ctypes)],
+                _ColumnSlots([
+                    entry(1 + nkeys + i, vec_ctype(ct))
+                    for i, ct in enumerate(self.slot_ctypes)
+                ]),
+            )
+            return
         keylists = [entry(1 + j, "void*") for j in range(nkeys)]
         slot_arrays = [
             entry(1 + nkeys + i, "void*") for i in range(len(self.slot_ctypes))
@@ -417,6 +459,15 @@ class VecAggMap:
             ]
             slots = _IndexedSlots(ctx, slot_arrays, self.slot_ctypes, gi)
             on_group(keys, slots)
+
+    def record(self, descs: list[FieldDesc], values: dict):
+        """One group's output row, or (``batch_out``) the output batch."""
+        if not self.batch_out:
+            return StagedRecord.from_values(self.ctx, descs, values)
+        ngroups = self._ngroups
+        rec = VecRecord(self.comp, descs, {}, lambda: ngroups)
+        rec._cache = dict(values)
+        return rec
 
 
 def _grouped_slot_arrays(
@@ -445,6 +496,8 @@ def _grouped_slot_arrays(
         return [reduce("v_group_min", value)]
     if kind == "max":
         return [reduce("v_group_max", value)]
+    if kind == "count_distinct":
+        return [reduce("v_group_distinct", value)]
     raise AssertionError(f"aggregate kind {kind!r} passed vector eligibility")
 
 
@@ -508,11 +561,142 @@ class GlobalAggVec(GlobalAggState):
 
 
 # ---------------------------------------------------------------------------
+# Batch joins
+# ---------------------------------------------------------------------------
+
+
+class BatchJoinBuild:
+    """A join's build side kept as columns, probed one batch at a time.
+
+    The build loop appends one tuple per batch -- the row count, the key
+    columns, the payload columns -- or, when the build input runs row at a
+    time, one tuple per row; :meth:`finish` stages ``rt.join_finish`` once,
+    after the loop, which concatenates the columns and indexes the keys
+    (:class:`repro.compiler.runtime.JoinIndex`).  Semi/anti joins use the
+    same structure with no payload (:meth:`contains`); inner joins gather
+    payload and probe columns through the matches (:meth:`each_match`).
+    """
+
+    def __init__(
+        self, comp, label: str, nkeys: int, ncols: int, batched: bool
+    ) -> None:
+        self.comp = comp
+        self.ctx = ctx = comp.ctx
+        ctx.comment(f"{label} (batch build: columns + key index)")
+        self.nkeys = nkeys
+        self.ncols = ncols
+        self.batched = batched
+        self.state = ctx.call("list_new", [], result="void*", prefix="jb")
+        self.built: Optional[Rep] = None
+
+    def _append(self, rec, items: Sequence[Rep]) -> None:
+        ctx = self.ctx
+        if self.batched:
+            items = [rec.nrows(), *items]
+        row = ctx.bind(ir.TupleExpr(tuple(v.expr for v in items)), ctype="void*")
+        ctx.call_stmt("list_append", [self.state, Rep(row, ctx, ctype="void*")])
+
+    def insert(self, keys: Sequence[Rep], values: Sequence[Rep], rec) -> None:
+        self._append(rec, [*keys, *values])
+
+    def add(self, keys: Sequence[Rep], rec) -> None:
+        self._append(rec, keys)
+
+    def finish(self) -> None:
+        self.built = self.ctx.call(
+            "join_finish",
+            [self.state, self.nkeys, self.ncols, self.batched],
+            result="void*",
+            prefix="jx",
+        )
+
+    def _probe_args(self, rec: VecRecord, keys: Sequence[Rep]) -> list:
+        assert self.built is not None, "probe before finish()"
+        return [self.built, rec.nrows(), *keys]
+
+    def each_match(self, keys, descs, fn, rec: VecRecord) -> None:
+        """Hand ``fn`` the probe batch's matches (build columns first)."""
+        ctx = self.ctx
+        matches = ctx.call(
+            "v_join_probe", self._probe_args(rec, keys), result="void*", prefix="jm"
+        )
+
+        def part(i: int) -> Rep:
+            sym = ctx.bind(ir.Index(matches.expr, ir.Const(i)), ctype="void*", prefix="v")
+            return Rep(sym, ctx, ctype="void*")
+
+        fn(_MatchBatch(self, descs, part(0), part(1)))
+
+    def contains(self, keys, rec: VecRecord) -> Rep:
+        """The probe batch's key-set membership mask."""
+        return self.ctx.call(
+            "v_join_contains", self._probe_args(rec, keys),
+            result="vec_bool", prefix="v",
+        )
+
+
+class _MatchBatch:
+    """One probe batch's matches, waiting for the probe batch they pair
+    with: :meth:`merged` is the join's output batch -- build columns
+    gathered through ``build_rows``, probe columns through ``probe_rows``
+    -- with build fields first, as the scalar join merges them."""
+
+    def __init__(
+        self, build: BatchJoinBuild, descs: list[FieldDesc], build_rows: Rep,
+        probe_rows: Rep,
+    ) -> None:
+        self.build = build
+        self.descs = list(descs)
+        self.build_rows = build_rows
+        self.probe_rows = probe_rows
+
+    def merged(self, probe: VecRecord) -> VecRecord:
+        build = self.build
+        ctx = build.ctx
+        clash = {d.name for d in self.descs} & set(probe.field_names)
+        if clash:
+            raise KeyError(f"merged record field clash: {sorted(clash)}")
+
+        def build_loader(j: int, desc: FieldDesc) -> Callable[[], StagedValue]:
+            def load() -> StagedValue:
+                ctype = vec_ctype(desc.type.ctype)
+                column = rep_for_ctype(ctype)(
+                    ctx.bind(ir.Index(build.built.expr, ir.Const(1 + j)),
+                             ctype=ctype, prefix="v"),
+                    ctx,
+                )
+                return column._vcall("v_take", [column, self.build_rows], type(column))
+
+            return load
+
+        def probe_loader(name: str) -> Callable[[], StagedValue]:
+            def load() -> StagedValue:
+                value = probe[name]
+                if not _is_vec(value):
+                    return value  # broadcast scalars are row-invariant
+                return value._vcall("v_take", [value, self.probe_rows], type(value))
+
+            return load
+
+        loaders = {d.name: build_loader(j, d) for j, d in enumerate(self.descs)}
+        loaders.update({name: probe_loader(name) for name in probe.field_names})
+
+        def nrows_loader() -> RepInt:
+            return ctx.call("v_len", [self.build_rows], result="long", prefix="v")
+
+        return VecRecord(
+            build.comp, self.descs + list(probe.descs), loaders, nrows_loader
+        )
+
+
+# ---------------------------------------------------------------------------
 # Eligibility analysis
 # ---------------------------------------------------------------------------
 
 _VEC_AGG_KINDS = frozenset({"count", "sum", "avg", "min", "max"})
 _CONST_TYPES = (bool, int, float, str)
+#: Join key types a batch join packs into integer codes.
+_JOIN_KEY_TYPES = frozenset({ColumnType.INT, ColumnType.DATE, ColumnType.BOOL})
 
 
 def _expr_supported(expr: Expr) -> bool:
@@ -564,10 +748,13 @@ class VectorBackend(ScalarBackend):
         super().__init__(comp)
         self._batch: set[int] = set()  # id(node) -> emits VecRecords
         self._vec_aggs: set[int] = set()  # id(node) -> vectorized Agg
+        self._uses: dict[int, int] = {}  # id(node) -> occurrences in the plan
         self._counts = {
             "batch_scans": 0,
             "batch_selects": 0,
             "batch_projects": 0,
+            "batch_joins": 0,
+            "batch_key_set_joins": 0,
             "vector_aggs": 0,
             "scalar_nodes": 0,
             "devectorized_edges": 0,
@@ -594,6 +781,7 @@ class VectorBackend(ScalarBackend):
         node: phys.PhysicalPlan,
         consumer: Optional[phys.PhysicalPlan],
     ) -> None:
+        self._uses[id(node)] = self._uses.get(id(node), 0) + 1
         for sub in _plan_children(node):
             self._analyze(sub, consumer=node)
         if isinstance(node, phys.Scan) and self._scan_ok(node):
@@ -614,9 +802,23 @@ class VectorBackend(ScalarBackend):
                 self._batch.add(id(node))
                 self._counts["batch_projects"] += 1
                 return
+        elif isinstance(node, phys.HashJoin):
+            # probed by batches of the right input; built from either kind
+            if id(node.right) in self._batch and self._join_ok(node, node.left):
+                self._batch.add(id(node))
+                self._counts["batch_joins"] += 1
+                return
+        elif isinstance(node, (phys.SemiJoin, phys.AntiJoin)):
+            # the left input is probed; the right one builds the key set
+            if id(node.left) in self._batch and self._join_ok(node, node.right):
+                self._batch.add(id(node))
+                self._counts["batch_key_set_joins"] += 1
+                return
         elif isinstance(node, phys.Agg):
             if id(node.child) in self._batch and self._agg_ok(node):
                 self._vec_aggs.add(id(node))
+                if node.keys:
+                    self._batch.add(id(node))  # emits its groups as one batch
                 self._counts["vector_aggs"] += 1
                 return
         self._counts["scalar_nodes"] += 1
@@ -627,14 +829,27 @@ class VectorBackend(ScalarBackend):
         # everything above them) keep the scalar lowering.
         return not any(f.compressed for f in self.comp.static_fields(node))
 
+    def _join_ok(self, node, build: phys.PhysicalPlan) -> bool:
+        """Integer-like keys on both sides and a plain build side (its
+        columns are kept as arrays, so no dictionary codes)."""
+        if self.comp.config.hashmap != "native" or not node.left_keys:
+            return False
+        catalog = self.comp.catalog
+        for side, keys in ((node.left, node.left_keys), (node.right, node.right_keys)):
+            types = side.field_types(catalog)
+            if any(types[k] not in _JOIN_KEY_TYPES for k in keys):
+                return False
+        return not any(f.compressed for f in self.comp.static_fields(build))
+
     # -- benefit pruning ------------------------------------------------------
     #
     # Candidacy is about *correctness* (every expression has a kernel);
     # whether batching pays is a separate question.  A batch chain that
-    # neither filters (a mask shrinks the devectorized residual loop) nor
-    # feeds a vector aggregation stages whole columns only to convert them
-    # straight back -- pure overhead (a Scan -> Project pair under a join,
-    # say), so such chains are stripped back to the scalar lowering.
+    # neither filters (a mask shrinks the devectorized residual loop), nor
+    # joins (a batch probe replaces a per-row lookup), nor feeds a vector
+    # aggregation stages whole columns only to convert them straight back --
+    # pure overhead (a Scan -> Project pair under a scalar join, say), so
+    # such chains are stripped back to the scalar lowering.
 
     _STRIP_COUNTERS = {
         phys.Scan: "batch_scans",
@@ -646,30 +861,40 @@ class VectorBackend(ScalarBackend):
         nid = id(node)
         if nid in self._batch and not kept_above:
             # the top of a maximal batch chain: does it earn its keep?
-            if not self._chain_has_select(node):
+            if not self._chain_earns(node):
                 stripped = self._strip(node)
-                self._pruned_chains.append({
-                    "root": type(node).__name__,
-                    "reason": "no-select-in-chain",
-                    "nodes": stripped,
-                })
+                if stripped:
+                    self._pruned_chains.append({
+                        "root": type(node).__name__,
+                        "reason": "no-select-in-chain",
+                        "nodes": stripped,
+                    })
         keeps = nid in self._batch or nid in self._vec_aggs
         for sub in _plan_children(node):
             self._prune(sub, kept_above=keeps)
 
-    def _chain_has_select(self, node: phys.PhysicalPlan) -> bool:
-        if id(node) not in self._batch:
+    def _chain_earns(self, node: phys.PhysicalPlan) -> bool:
+        """Does the batch chain under ``node`` filter or join?  A grouped
+        aggregate ends the chain: its batched input always pays (it feeds
+        kernels), its batched output only through what consumes it."""
+        if id(node) not in self._batch or isinstance(node, phys.Agg):
             return False
-        if isinstance(node, phys.Select):
+        if isinstance(node, (phys.Select, phys.HashJoin, phys.SemiJoin, phys.AntiJoin)):
             return True
-        return any(self._chain_has_select(sub) for sub in _plan_children(node))
+        return any(self._chain_earns(sub) for sub in _plan_children(node))
 
     def _strip(self, node: phys.PhysicalPlan) -> int:
-        """Demote a batch chain to scalar; returns how many nodes it held."""
+        """Demote a batch chain to scalar; returns how many nodes it held.
+
+        A subplan the plan uses twice (a view, say) is one node with two
+        consumers; it keeps its lowering, and the demoted consumer reads
+        it through a devectorizing edge."""
         nid = id(node)
-        if nid not in self._batch:
+        if nid not in self._batch or self._uses[nid] > 1:
             return 0
         self._batch.discard(nid)
+        if isinstance(node, phys.Agg):
+            return 0  # still aggregates in batches; emits its groups as rows
         self._counts[self._STRIP_COUNTERS[type(node)]] -= 1
         self._counts["scalar_nodes"] += 1
         return 1 + sum(self._strip(sub) for sub in _plan_children(node))
@@ -679,7 +904,9 @@ class VectorBackend(ScalarBackend):
             if not _expr_supported(expr):
                 return False
         for _, spec in node.aggs:
-            if spec.kind not in _VEC_AGG_KINDS:
+            # count(distinct) keeps (group, value) pairs: grouped only
+            grouped_distinct = spec.kind == "count_distinct" and node.keys
+            if spec.kind not in _VEC_AGG_KINDS and not grouped_distinct:
                 return False
             if spec.expr is not None and not _expr_supported(spec.expr):
                 return False
@@ -721,9 +948,29 @@ class VectorBackend(ScalarBackend):
             return VecScanSource(self.comp, node.table, node.rename_map)
         return super().scan_source(node)
 
+    def multimap(self, node, label: str):
+        if id(node) in self._batch:
+            return BatchJoinBuild(
+                self.comp, label, len(node.left_keys),
+                len(node.left.fields(self.comp.catalog)),
+                batched=id(node.left) in self._batch,
+            )
+        return super().multimap(node, label)
+
+    def key_set(self, node, label: str):
+        if id(node) in self._batch:
+            return BatchJoinBuild(
+                self.comp, label, len(node.right_keys), 0,
+                batched=id(node.right) in self._batch,
+            )
+        return super().key_set(node, label)
+
     def agg_map(self, node, key_ctypes, slot_ctypes):
         if id(node) in self._vec_aggs:
-            return VecAggMap(self.ctx, node, key_ctypes, slot_ctypes)
+            return VecAggMap(
+                self.comp, node, key_ctypes, slot_ctypes,
+                batch_out=id(node) in self._batch,
+            )
         return super().agg_map(node, key_ctypes, slot_ctypes)
 
     def global_agg_state(self, node, staged_aggs):

@@ -1,0 +1,319 @@
+"""Joins in batches: the join/key-set/count(distinct) kernels and their
+lowering.
+
+* kernel properties against dict-based references, under NumPy and the
+  pure-Python fallback: match *order* as well as the match set, with
+  duplicates on both sides, empty inputs, absent and negative keys, dense
+  and sparse key domains, and composite keys whose packed span would
+  overflow int64;
+* ``v_group`` keeps distinct groups apart however many keys there are;
+* every TPC-H plan with a join answers like the scalar lowering at any
+  batch size -- in the same order where it has no Sort -- with the same
+  per-operator row counts;
+* the served builds of the join-heavy queries really lower their joins to
+  batches.
+"""
+
+from __future__ import annotations
+
+import contextlib
+from dataclasses import replace
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.compiler import runtime as rt
+from repro.compiler import vec
+from repro.compiler.driver import LB2Compiler
+from repro.compiler.lb2 import Config
+from repro.plan import col
+from repro.plan import physical as phys
+from repro.resilience import Budget, ResilientExecutor
+from repro.session import Session
+from repro.tpch import query_plan
+from repro.tpch.sql_queries import SQL_QUERIES
+from tests.conftest import TINY_SCALE, normalize
+from tests.test_vector_backend import kernel_mode  # noqa: F401 - fixture
+
+# -- kernel properties --------------------------------------------------------
+
+#: Kernel modes for Hypothesis properties (a function-scoped fixture would
+#: not be re-run per generated example, so the mode switches per example).
+MODES = [
+    pytest.param("numpy", marks=pytest.mark.skipif(
+        not rt.have_numpy(), reason="NumPy not available")),
+    "fallback",
+]
+
+
+@contextlib.contextmanager
+def kernels(mode: str):
+    """Run the ``rt`` kernels under NumPy or the pure-Python fallback."""
+    saved = rt._np
+    if mode == "fallback":
+        rt._np = None
+    try:
+        yield
+    finally:
+        rt._np = saved
+
+
+#: Key domains: a span small next to the rows (direct tables), a wide one
+#: (sorted lookups), and one whose composite span overflows int64.
+DOMAINS = {
+    "dense": st.integers(-8, 24),
+    "sparse": st.integers(-(1 << 40), 1 << 40),
+    "overflow": st.sampled_from([-(1 << 62), -7, 0, 5, 1 << 62]),
+}
+
+
+@st.composite
+def join_case(draw):
+    """Build keys, probe keys (some shared with the build, some absent),
+    and how the build arrives: in batches (with their sizes) or by row."""
+    nkeys = draw(st.integers(1, 3))
+    domain = DOMAINS[draw(st.sampled_from(sorted(DOMAINS)))]
+    key = st.tuples(*[domain] * nkeys)
+    build = draw(st.lists(key, max_size=30))
+    probe_key = st.one_of(key, st.sampled_from(build)) if build else key
+    probe = draw(st.lists(probe_key, max_size=30))
+    cuts = draw(st.lists(st.integers(0, len(build)), max_size=4))
+    batched = draw(st.booleans())
+    return nkeys, build, probe, sorted(cuts), batched
+
+
+def _batch(values):
+    if rt.have_numpy():
+        import numpy as np
+
+        return np.asarray(values, dtype=np.int64)
+    return list(values)
+
+
+def _columns(rows, nkeys):
+    return [_batch([row[j] for row in rows]) for j in range(nkeys)]
+
+
+def _finish(nkeys, build, cuts, batched):
+    """``rt.join_finish`` over ``build`` (payload: each row's position)."""
+    if not batched:
+        return rt.join_finish(
+            [(*row, i) for i, row in enumerate(build)], nkeys, 1, False
+        )
+    state = []
+    for lo, hi in zip([0, *cuts], [*cuts, len(build)]):
+        chunk = build[lo:hi]
+        state.append((len(chunk), *_columns(chunk, nkeys), _batch(range(lo, hi))))
+    return rt.join_finish(state, nkeys, 1, True)
+
+
+def _key(row, nkeys):
+    return row if nkeys > 1 else row[0]
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=join_case())
+@pytest.mark.parametrize("mode", MODES)
+def test_join_probe_matches_a_dict_multimap_in_order(mode, case):
+    """Matches come in probe order, each probe row's in build-insertion
+    order: exactly a scalar multimap's bucket walk."""
+    with kernels(mode):
+        _check_join_probe(*case)
+
+
+def _check_join_probe(nkeys, build, probe, cuts, batched):
+    table: dict = {}
+    for i, row in enumerate(build):
+        table.setdefault(_key(row, nkeys), []).append(i)
+    expected = [
+        (b, p) for p, row in enumerate(probe) for b in table.get(_key(row, nkeys), ())
+    ]
+    built = _finish(nkeys, build, cuts, batched)
+    build_rows, probe_rows = rt.v_join_probe(built, len(probe), *_columns(probe, nkeys))
+    pairs = list(zip(rt.v_tolist(build_rows), rt.v_tolist(probe_rows)))
+    assert pairs == expected
+    # the payload column gathers through the matches
+    assert rt.v_tolist(rt.v_take(built[1], build_rows)) == [b for b, _ in expected]
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=join_case())
+@pytest.mark.parametrize("mode", MODES)
+def test_key_set_mask_matches_set_membership(mode, case):
+    with kernels(mode):
+        _check_key_set(*case)
+
+
+def _check_key_set(nkeys, build, probe, cuts, batched):
+    keys = {_key(row, nkeys) for row in build}
+    if batched:
+        built = _finish(nkeys, build, cuts, True)
+    else:
+        built = rt.join_finish([tuple(row) for row in build], nkeys, 0, False)
+    mask = rt.v_join_contains(built, len(probe), *_columns(probe, nkeys))
+    assert [bool(m) for m in rt.v_tolist(mask)] == [
+        _key(row, nkeys) in keys for row in probe
+    ]
+
+
+def test_probe_keys_broadcast_from_a_scalar(kernel_mode):
+    """A constant probe key (a lifted literal) matches every probe row."""
+    built = _finish(1, [(3,), (1,), (3,)], [], batched=False)
+    build_rows, probe_rows = rt.v_join_probe(built, 2, 3)
+    assert list(zip(rt.v_tolist(build_rows), rt.v_tolist(probe_rows))) == [
+        (0, 0), (2, 0), (0, 1), (2, 1)
+    ]
+    assert rt.v_tolist(rt.v_join_contains(built, 2, 9)) == [False, False]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    rows=st.lists(
+        st.tuples(
+            st.integers(-3, 3),
+            st.one_of(DOMAINS["dense"], DOMAINS["sparse"]),
+        ),
+        max_size=40,
+    ),
+    cuts=st.lists(st.integers(0, 40), max_size=4),
+    strings=st.booleans(),
+)
+@pytest.mark.parametrize("mode", MODES)
+def test_grouped_count_distinct_matches_sets(mode, rows, cuts, strings):
+    """Per-batch (group, value) pairs, deduplicated once at the merge,
+    count like a per-group set -- whichever batch a value arrives in."""
+    with kernels(mode):
+        _check_count_distinct(rows, cuts, strings)
+
+
+def _check_count_distinct(rows, cuts, strings):
+    expected: dict = {}
+    for group, value in rows:
+        expected.setdefault(group, set()).add(str(value) if strings else value)
+    state = rt.group_state(1, 1)
+    cuts = sorted(c for c in cuts if c <= len(rows))
+    for lo, hi in zip([0, *cuts], [*cuts, len(rows)]):
+        chunk = rows[lo:hi]
+        if not chunk:
+            continue
+        values = [str(v) if strings else v for _, v in chunk]
+        if rt.have_numpy():
+            import numpy as np
+
+            values = np.asarray(values, dtype=object if strings else np.int64)
+        grouped = rt.v_group(len(chunk), _batch([g for g, _ in chunk]))
+        partial = rt.v_group_distinct(grouped[0], grouped[1], values)
+        rt.group_add(state, grouped, partial)
+    for batch in (False, True):
+        ngroups, groups, counts = rt.group_merge(state, ("distinct",), batch)
+        assert ngroups == len(expected)
+        got = dict(zip(rt.v_tolist(groups), rt.v_tolist(counts)))
+        assert got == {g: len(vs) for g, vs in expected.items()}
+
+
+def test_v_group_keeps_groups_apart_past_int64(kernel_mode):
+    """Five keys of 10 000 distinct values each: mixed-radix packing would
+    need 10**20 codes and wrap int64, landing the extra row on row 0's
+    group; re-densifying the combined code keeps all 10 001 groups."""
+    extra = (1844, 6744, 737, 955, 1616)
+    keys = [_batch([*range(10_000), value]) for value in extra]
+    grouped = rt.v_group(10_001, *keys)
+    assert grouped[1] == 10_001
+    codes = rt.v_tolist(grouped[0])
+    assert codes[-1] != codes[0]
+
+
+# -- the lowering -------------------------------------------------------------
+
+
+def _has(plan, kinds) -> bool:
+    return isinstance(plan, kinds) or any(_has(c, kinds) for c in plan.children())
+
+
+JOIN_KINDS = (
+    phys.HashJoin, phys.SemiJoin, phys.AntiJoin, phys.LeftOuterJoin,
+    phys.GroupJoin, phys.IndexJoin, phys.IndexSemiJoin,
+)
+JOIN_QUERIES = [
+    q for q in range(1, 23) if _has(query_plan(q, scale=TINY_SCALE), JOIN_KINDS)
+]
+
+
+def _rounded(rows):
+    return [
+        tuple(round(v, 4) if isinstance(v, float) else v for v in row) for row in rows
+    ]
+
+
+@pytest.mark.parametrize("batch_rows", [1, 5, 1000, 8192])
+@pytest.mark.parametrize("q", JOIN_QUERIES)
+def test_join_plans_match_scalar_at_any_batch_size(q, batch_rows, tpch_db, monkeypatch):
+    """Batch joins emit the scalar join's rows: the same rows, in the same
+    order when nothing sorts them afterwards, and the same per-operator
+    row counts, however the probe side is cut into batches."""
+    monkeypatch.setattr(vec, "BATCH_ROWS", batch_rows)
+    plan = query_plan(q, scale=TINY_SCALE)
+    scalar = LB2Compiler(tpch_db.catalog, tpch_db, Config(instrument=True)).compile(plan)
+    vector = LB2Compiler(
+        tpch_db.catalog, tpch_db, Config(codegen="vector", instrument=True)
+    ).compile(plan)
+    rows, expected = vector.run(tpch_db), scalar.run(tpch_db)
+    if _has(plan, phys.Sort):
+        assert normalize(rows) == normalize(expected)
+    else:
+        assert _rounded(rows) == _rounded(expected)
+    assert vector.last_stats == scalar.last_stats
+
+
+def _served_build(session: Session, q: int):
+    """The program a deadline-carrying request for TPC-H ``q`` runs: the
+    statement's auto-lifted shape (the plan, for plan requests) under the
+    session's lowering plus batch-granular budget checkpoints."""
+    executor = ResilientExecutor(session, budget=Budget(wall_clock_seconds=60))
+    config = replace(session.config, budget_checks=True)
+    if q not in SQL_QUERIES:
+        return LB2Compiler(session.db.catalog, session.db, config).compile(
+            query_plan(q, scale=TINY_SCALE)
+        )
+    resolved = executor.prepare(SQL_QUERIES[q])
+    return session.compiled(session.cache_key(resolved.kind, resolved.text, config))
+
+
+@pytest.mark.parametrize("q", [21, 9, 18, 3, 5, 7])
+def test_served_builds_lower_joins_to_batches(q, tpch_db):
+    if not rt.have_numpy():
+        pytest.skip("a session serves the scalar lowering without NumPy")
+    stats = _served_build(Session(tpch_db), q).codegen_stats
+    assert stats["backend"] == "vector"
+    assert stats["batch_joins"] + stats["batch_key_set_joins"] >= 1, stats
+
+
+def test_string_keys_and_outer_joins_stay_scalar(tiny_db):
+    """Eligibility is structural: a string-keyed join and a left outer join
+    keep the scalar lowering (the probe side is a batch chain in both)."""
+    emp = phys.Select(phys.Scan("Emp"), col("eid").gt(0))
+    dep = phys.Scan("Dep")
+    for plan in (
+        phys.HashJoin(dep, emp, ["dname"], ["edname"]),
+        phys.LeftOuterJoin(emp, dep, ["edname"], ["dname"]),
+    ):
+        compiled = LB2Compiler(
+            tiny_db.catalog, tiny_db, Config(codegen="vector")
+        ).compile(plan)
+        assert compiled.codegen_stats["batch_joins"] == 0
+        assert normalize(compiled.run(tiny_db)) == normalize(
+            LB2Compiler(tiny_db.catalog, tiny_db).compile(plan).run(tiny_db)
+        )
+
+
+def test_a_subplan_used_twice_keeps_one_lowering(tpch_db):
+    """Q15 reads its revenue view twice (one plan node, two consumers).
+    Pruning one consumer's batch chain must not demote the shared view
+    under the other, which still consumes batches (here with open maps,
+    where the view's join consumer stays scalar)."""
+    plan = query_plan(15, scale=TINY_SCALE)
+    expected = LB2Compiler(tpch_db.catalog, tpch_db).compile(plan).run(tpch_db)
+    for hashmap in ("native", "open"):
+        config = Config(codegen="vector", hashmap=hashmap)
+        compiled = LB2Compiler(tpch_db.catalog, tpch_db, config).compile(plan)
+        assert normalize(compiled.run(tpch_db)) == normalize(expected), hashmap

@@ -169,7 +169,10 @@ def test_row_quota_trips_typed_within_one_checkpoint(codegen, max_rows, tpch_db)
     """The budget-trip property over the 22-query mix: a query either
     answers within its quota or raises a typed ``E_BUDGET`` (no partial
     rows) having scanned at most one checkpoint past it -- one interval
-    on the scalar lowering, one batch on the vector one."""
+    on the scalar lowering, one batch on the vector one.  Checkpoints
+    charge scanned rows, so batch joins leave the row bound as it is; the
+    work past a checkpoint is that batch's kernel chain, including one
+    probe batch's fan-out."""
     from repro.compiler import vec
     from repro.tpch.sql_queries import SQL_QUERIES
 
