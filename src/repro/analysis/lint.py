@@ -217,7 +217,7 @@ VECTOR_KERNEL_CALLS = frozenset({
     "v_group", "v_group_sum", "v_group_fsum", "v_group_count",
     "v_group_count_nn", "v_group_min", "v_group_max", "v_group_distinct",
     "v_sum", "v_fsum", "v_count_nn", "v_min", "v_max",
-    "v_join_probe", "v_join_contains",
+    "v_join_probe", "v_join_probe_outer", "v_join_contains", "v_like",
 })
 
 

@@ -116,7 +116,9 @@ INTRINSIC_RESULT: dict[str, Optional[str]] = {
     "v_group_max": "void*",
     "v_group_distinct": "void*",
     "v_join_probe": "void*",
+    "v_join_probe_outer": "void*",
     "v_join_contains": "vec_bool",
+    "v_like": "vec_bool",
     "v_sum": None,
     "v_fsum": "double",
     "v_count_nn": "long",

@@ -92,7 +92,7 @@ class CompiledQuery:
         raw: dict = {}
         kernels: dict = {}
 
-        def observe(name: str, nrows: int) -> None:
+        def observe(name: str, nrows: int, args: tuple) -> None:
             entry = kernels.setdefault(name, {"calls": 0, "rows": 0})
             entry["calls"] += 1
             entry["rows"] += nrows

@@ -380,9 +380,10 @@ class StagedLeftOuterJoin(StagedOp):
                     value = value_output(rec[name])
                     payloads.append(value)
                     build_descs.append(FieldDesc(name, rec.desc(name).type))
-                mm.insert(keys, payloads)
+                mm.insert(keys, payloads, rec=rec)
 
             right_dp(build)
+            mm.finish()
 
             def probe(rec: StagedRecord) -> None:
                 keys = [_join_key(rec[k]) for k in self.node.left_keys]
@@ -403,6 +404,7 @@ class StagedLeftOuterJoin(StagedOp):
                     build_descs,
                     lambda right_rec: cb(rec.merged(right_rec)),
                     on_missing,
+                    rec=rec,
                 )
 
             left_dp(probe)

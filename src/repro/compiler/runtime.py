@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import re
 import threading
 from time import perf_counter as _perf_counter
 from typing import Iterable, Optional, Sequence
@@ -95,21 +96,28 @@ def argsort_columns(columns: Sequence[list], spec: Sequence[tuple[int, bool]]) -
     return order
 
 
+@functools.lru_cache(maxsize=256)
+def _like_regex(pattern: str) -> "re.Pattern[str]":
+    return re.compile(
+        "".join(
+            ".*" if ch == "%" else "." if ch == "_" else re.escape(ch)
+            for ch in pattern
+        ),
+        re.DOTALL,
+    )
+
+
 def like(value: str, pattern: str) -> bool:
     """SQL LIKE with ``%`` wildcards (the general fallback path).
 
     The compiler specializes the common shapes (``abc%``, ``%abc``,
     ``%abc%``, exact) to direct string operations at generation time; this
     helper handles arbitrary multi-``%`` patterns such as ``%a%b%``.
-    ``_`` (single char) is supported for completeness.
+    ``_`` (single char) is supported for completeness.  The whole value
+    must match, newlines included (``%`` and ``_`` match them too); each
+    pattern compiles once.
     """
-    import re
-
-    regex = "^" + "".join(
-        ".*" if ch == "%" else "." if ch == "_" else re.escape(ch)
-        for ch in pattern
-    ) + "$"
-    return re.match(regex, value) is not None
+    return _like_regex(pattern).fullmatch(value) is not None
 
 
 def like_contains2(value: str, first: str, second: str) -> bool:
@@ -230,11 +238,25 @@ def scan_tick(n: int = 1) -> None:
 # speed.  Either operand of a binary kernel may also be a plain Python
 # scalar (a broadcast constant).  All kernels are pure: they allocate fresh
 # outputs and never mutate their inputs.
+#
+# String columns arrive in the fixed-width ``S{w}`` layout storage gives
+# ASCII text (``repro.storage.buffer.typed_strings``), else as object
+# arrays.  Kernels work on the bytes: a ``str`` operand is encoded once per
+# call, and strings decode back to ``str`` at one boundary -- wherever
+# values leave a batch (:func:`v_tolist`, the group keys a merge hands to a
+# row loop, a global min/max).  ``bytes`` never reach a result row, a
+# scalar hash-map key or a comparison with a ``str``.
 
 try:
     import numpy as _np
 except ImportError:  # pragma: no cover - exercised via the no-numpy tests
     _np = None
+
+from repro.storage.buffer import typed_strings
+
+#: NumPy's string functions (``np.strings`` from NumPy 2, ``np.char``
+#: before it).
+_np_strings = None if _np is None else getattr(_np, "strings", None) or _np.char
 
 
 def have_numpy() -> bool:
@@ -250,6 +272,67 @@ def _is_batch(x) -> bool:
     return isinstance(x, list) or _is_ndarray(x)
 
 
+def _is_bytes(x) -> bool:
+    """An ``S{w}`` batch: ASCII strings in the fixed-width layout."""
+    return _is_ndarray(x) and x.dtype.kind == "S"
+
+
+def _is_numeric(x) -> bool:
+    return _is_ndarray(x) and x.dtype.kind in "iubf"
+
+
+def _to_list(a) -> list:
+    """A batch as a list of plain Python values, strings as ``str``.
+
+    Typed strings decode value by value: on 1- to 8 192-row batches that
+    beat converting to a ``U`` array first (0.5 against 1.0 ms at 8 192
+    rows), and it allocates no 4-byte-per-character temporary.
+    """
+    if not _is_ndarray(a):
+        return a
+    if a.dtype.kind == "S":
+        return list(map(bytes.decode, a.tolist()))
+    return a.tolist()
+
+
+def _str_objects(a):
+    """An ``S{w}`` batch as an object array of ``str``: what it must meet
+    text in, since ``U`` arrays, like ``S``, drop trailing NULs."""
+    return _np.array(_to_list(a), dtype=object)
+
+
+def _ascii(value: str) -> Optional[bytes]:
+    """``value`` as the bytes an ``S`` batch would hold, or None when no
+    value of such a batch can equal it (non-ASCII, or a NUL ``S`` drops)."""
+    if value.isascii() and "\0" not in value:
+        return value.encode("ascii")
+    return None
+
+
+def _text_pair(a, b):
+    """Make an ``S`` batch and its other operand comparable.
+
+    A ``str`` scalar is encoded once; when the other side holds ``str``
+    values the bytes cannot meet (a non-ASCII or NUL-bearing scalar, an
+    object or unicode batch), the ``S`` batch decodes to ``str`` objects
+    instead.
+    """
+    if _is_bytes(a) == _is_bytes(b):
+        return a, b  # both bytes, or no bytes at all
+    if _is_bytes(b):
+        b, a = _text_pair(b, a)
+        return a, b
+    if isinstance(b, str):
+        encoded = _ascii(b)
+        if encoded is not None:
+            return a, encoded
+        # a 0-d object array, or NumPy would make the scalar a NUL-dropping U
+        return _str_objects(a), _np.array(b, dtype=object)
+    if _is_ndarray(b) and b.dtype.kind in "OU":
+        return _str_objects(a), b
+    return a, b
+
+
 def _pair(a, b):
     """Align two elementwise operands into equal-length Python lists."""
     if _is_batch(a) and _is_batch(b):
@@ -262,6 +345,8 @@ def _pair(a, b):
 def _ew(a, b, op):
     """Elementwise binary kernel body: NumPy fast path or list fallback."""
     if _is_ndarray(a) or _is_ndarray(b):
+        if _is_bytes(a) or _is_bytes(b):
+            a, b = _text_pair(a, b)
         return op(a, b)
     xs, ys = _pair(a, b)
     return [op(x, y) for x, y in zip(xs, ys)]
@@ -364,35 +449,153 @@ def v_len(x) -> int:
     return len(x)
 
 
-def v_tolist(a):
+def v_tolist(a, valid=None):
     """Materialize a batch as a list of plain Python scalars.
 
     The vector -> scalar boundary: devectorized loops index this list, and
     downstream scalar code (hashing, sorting, result normalization) must
-    see Python ints/floats/strs, never NumPy scalars.
+    see Python ints/floats/strs, never NumPy scalars or bytes.  With
+    ``valid`` (a null-extended column of an outer join), the slots it
+    marks false are None.
     """
-    if _is_ndarray(a):
-        return a.tolist()
-    return a
+    values = _to_list(a)
+    if valid is None:
+        return values
+    return [v if ok else None for v, ok in zip(values, _to_list(valid))]
+
+
+# -- LIKE -----------------------------------------------------------------------
+
+
+def v_like(values, pattern: str, negate: bool):
+    """SQL ``[NOT] LIKE`` over a batch of strings, specialized by pattern
+    shape exactly as the scalar lowering is (``_like_shape``).
+
+    A typed (``S``) or unicode batch is scanned with NumPy's string
+    functions -- ``startswith``, ``endswith``, ``find``; for ``%a%b%``,
+    ``b`` is searched after ``a``'s first occurrence only in the rows
+    holding ``a``.  On q13's ``o_comment`` (``S85``, 15 000 rows) that
+    took 1.5 ms, against 2.8 ms for a Python loop over its ``str`` values
+    and 3.0 ms for a second ``find`` over every row.  An object batch, a list
+    batch and the generic shape (``_``, or ``%`` inside the text) run the
+    interpreters' per-value test, whose generic case is :func:`like` --
+    as does a pattern holding a NUL, which NumPy's strings would drop.
+    """
+    from repro.plan.expressions import _like_shape, like_predicate
+
+    shape, parts = _like_shape(pattern)
+    if (
+        _is_ndarray(values)
+        and values.dtype.kind in "SU"
+        and shape != "generic"
+        and "\0" not in pattern
+    ):
+        mask = _like_strings(values, shape, parts)
+    else:
+        test = like_predicate(pattern)
+        mask = _index_list([test(v) for v in _to_list(values)], dtype=bool)
+    if not negate:
+        return mask
+    return ~mask if _is_ndarray(mask) else [not m for m in mask]
+
+
+def _like_strings(values, shape: str, parts: tuple):
+    if values.dtype.kind == "S":
+        encoded = tuple(_ascii(p) for p in parts)
+        if None in encoded:
+            values = values.astype(str)  # a part no ASCII value holds
+        else:
+            parts = encoded
+    if shape == "any":
+        return _np.ones(len(values), dtype=bool)
+    if shape == "exact":
+        return values == parts[0]
+    if shape == "prefix":
+        return _np_strings.startswith(values, parts[0])
+    if shape == "suffix":
+        return _np_strings.endswith(values, parts[0])
+    first = _np_strings.find(values, parts[0])
+    found = first >= 0
+    if shape == "contains2":
+        rows = _np.flatnonzero(found)
+        after = _np_strings.find(values[rows], parts[1], first[rows] + len(parts[0]))
+        found[rows] = after >= 0
+    return found
 
 
 # -- grouping -----------------------------------------------------------------
 
 
 def _as_lists(n: int, keys):
-    out = []
-    for k in keys:
-        if _is_ndarray(k):
-            out.append(k.tolist())
-        elif isinstance(k, list):
-            out.append(k)
-        else:
-            out.append([k] * n)
-    return out
+    return [_to_list(k) if _is_batch(k) else [k] * n for k in keys]
+
+
+#: Odd multiplier folding a wide string's words into one 64-bit hash.
+_WORD_MIX = None if _np is None else _np.uint64(0x9E3779B97F4A7C15)
+
+
+def _string_codes(a):
+    """Dense codes of an ``S{w}`` batch: ``(codes, size)``.
+
+    Up to 8 bytes wide, a value (NUL-padded to the column's width) is one
+    integer word, its bytes packed big-endian into the word's low bytes:
+    words compare in the values' lexicographic order (ASCII keeps them
+    below ``2**63``), and short values span few words, so a
+    :class:`_Codebook` codes q1's one-character flags by direct table.  A
+    wider value, padded to whole 8-byte words, folds its words into one
+    64-bit hash, which one codebook codes; checking every value against
+    its group's first value makes the codes exact, and on a hash
+    collision the values themselves are sorted (``np.unique``).
+    Measured on 100- to 8 192-row batches of 14- to 40-byte values,
+    feeding the words to ``_group_codes`` as composite keys instead costs
+    1.6-4x the hash (a codebook per word); the hash runs 0.9-2.4x as fast
+    as the object-array hashing it replaces from 1 000 rows up, and
+    ~25 us behind it on 100-row batches.
+    """
+    n, width = len(a), a.dtype.itemsize
+    data = _np.ascontiguousarray(a).view(_np.uint8).reshape(n, width)
+    if width <= 8:
+        raw = _np.zeros((n, 8), dtype=_np.uint8)
+        raw[:, 8 - width:] = data
+        book = _Codebook(raw.view(">u8").ravel().astype(_np.int64))
+        return book.codes, book.size
+    raw = _np.zeros((n, -(-width // 8) * 8), dtype=_np.uint8)
+    raw[:, :width] = data
+    words = raw.view(_np.uint64)
+    mixed = words[:, 0].copy()
+    for j in range(1, words.shape[1]):
+        mixed *= _WORD_MIX
+        mixed += words[:, j]
+    book = _Codebook(mixed.view(_np.int64))
+    if (a[book.reps][book.codes] == a).all():
+        return book.codes, book.size
+    values, codes = _np.unique(a, return_inverse=True)
+    return codes.ravel(), len(values)
+
+
+#: Below this many rows a typed string column is coded by hashing its
+#: values in a dict, like an object column: :func:`_string_codes` has a
+#: fixed cost of ~20 us, which batches of a few rows past a selective
+#: join (q5 groups 2- to 32-row batches by ``n_name``) never earn back;
+#: measured, the two cross over between 128 and 256 rows.
+_DICT_CODED_ROWS = 256
+
+
+def _dense_codes(column):
+    """Dense codes ``0 .. size - 1`` of a NumPy column's distinct values:
+    ``(codes, size)``."""
+    strings = column.dtype.kind == "S"
+    if column.dtype == object or (strings and len(column) < _DICT_CODED_ROWS):
+        return _factorize_object(column)
+    if strings:
+        return _string_codes(column)
+    book = _Codebook(column)
+    return book.codes, book.size
 
 
 def _factorize_object(column):
-    """Dense integer codes for an object-dtype column via one hash pass."""
+    """Dense integer codes for an object-dtype column (or a short typed
+    string one) via one hash pass."""
     mapping: dict = {}
     codes = _np.empty(len(column), dtype=_np.int64)
     for i, value in enumerate(column.tolist()):
@@ -486,16 +689,14 @@ def _group_codes(n, keys):
     each key the combined code is re-densified whenever its radix exceeds
     the row count, so the radix never passes ``n`` and the next packing
     step stays below ``n * n`` -- far inside int64 -- however many keys
-    there are.  Object (string) columns factorize by one hashing pass:
-    comparison-sorting Python objects costs more.
+    there are.  A typed string column codes through its packed words
+    (:func:`_string_codes`); an object column (text the typed layout
+    cannot hold) factorizes by one hashing pass, since comparison-sorting
+    Python objects costs more.
     """
     combined, radix = None, 1
     for k in keys:
-        if k.dtype == object:
-            codes, nuniq = _factorize_object(k)
-        else:
-            book = _Codebook(k)
-            codes, nuniq = book.codes, book.size
+        codes, nuniq = _dense_codes(k)
         if combined is None:
             combined, radix = codes, nuniq
         else:
@@ -541,11 +742,7 @@ def _broadcast_values(codes, values):
 
 def _plain_pair(codes, values):
     """Force a (codes, values) pair into plain Python lists (slow path)."""
-    if _is_ndarray(codes):
-        codes = codes.tolist()
-    if _is_ndarray(values):
-        values = values.tolist()
-    return codes, values
+    return _to_list(codes), _to_list(values)
 
 
 def v_group_sum(codes, ngroups, values):
@@ -584,27 +781,35 @@ def v_group_count(codes, ngroups):
     return out
 
 
-def v_group_count_nn(codes, ngroups, values):
-    """Per-group count of non-None values (``count(expr)``)."""
+def v_group_count_nn(codes, ngroups, values, valid=None):
+    """Per-group count of non-None values (``count(expr)``); with ``valid``
+    (a null-extended field's mask) only of the slots it marks true."""
     values = _broadcast_values(codes, values)
     if _is_ndarray(values) and values.dtype != object:
-        return v_group_count(codes, ngroups)  # typed arrays hold no Nones
+        # typed arrays hold no Nones
+        if valid is None:
+            return v_group_count(codes, ngroups)
+        return v_group_sum(codes, ngroups, valid)
     codes, values = _plain_pair(codes, values)
+    present = _present(values, valid)
     out = [0] * ngroups
-    for c, v in zip(codes, values):
-        if v is not None:
+    for c, ok in zip(codes, present):
+        if ok:
             out[c] += 1
     return out
 
 
+def _present(values: list, valid) -> list:
+    """Which of ``values`` a ``count`` counts: not None, and -- with
+    ``valid`` -- not masked out."""
+    if valid is None:
+        return [v is not None for v in values]
+    return [ok and v is not None for v, ok in zip(values, _to_list(valid))]
+
+
 def _group_extreme(codes, ngroups, values, op, np_ufunc):
     values = _broadcast_values(codes, values)
-    if (
-        _is_ndarray(codes)
-        and _is_ndarray(values)
-        and values.dtype != object
-        and np_ufunc is not None
-    ):
+    if _is_ndarray(codes) and _is_numeric(values) and np_ufunc is not None:
         _, first_idx = _np.unique(codes, return_index=True)
         out = values[first_idx].copy()
         np_ufunc.at(out, codes, values)
@@ -643,8 +848,8 @@ def v_group_distinct(codes, ngroups, values):
 def _count_distinct(pieces, ngroups: int) -> list:
     """Per-group count of distinct values over ``(codes, values)`` pieces.
 
-    Values are coded densely (strings by one hashing pass), each pair packs
-    into ``code * nvalues + value code``, and one sort with a neighbour
+    Values are coded densely (:func:`_dense_codes`), each pair packs into
+    ``code * nvalues + value code``, and one sort with a neighbour
     comparison keeps every distinct pair once.
     """
     if _np is None:
@@ -656,12 +861,7 @@ def _count_distinct(pieces, ngroups: int) -> list:
     if not pieces:
         return [0] * ngroups
     codes = _np.concatenate([c for c, _ in pieces])
-    values = _np.concatenate([v for _, v in pieces])
-    if values.dtype == object:
-        vcodes, nvalues = _factorize_object(values)
-    else:
-        book = _Codebook(values)
-        vcodes, nvalues = book.codes, book.size
+    vcodes, nvalues = _dense_codes(_concat_arrays([v for _, v in pieces]))
     pairs = _np.sort(codes * nvalues + vcodes)
     first = _np.empty(len(pairs), dtype=bool)
     first[:1] = True
@@ -710,16 +910,12 @@ def group_merge(state: list, folds: Sequence[str], batch: bool = False) -> list:
             slots.append(_count_distinct(pieces, ngroups))
         else:
             slots.append(reduce[fold](codes, ngroups, _concat(chunks)))
-    convert = _as_batch if batch else _as_plain
+    convert = _as_batch if batch else _to_list
     return [ngroups, *(convert(c) for c in (*grouped[2:], *slots))]
 
 
 def _as_batch(values):
     return _column(values) if isinstance(values, list) else values
-
-
-def _as_plain(values):
-    return values.tolist() if _is_ndarray(values) else values
 
 
 def _shift(positions, base: int):
@@ -729,19 +925,30 @@ def _shift(positions, base: int):
 
 
 def _concat(chunks: list):
-    """Per-batch values (arrays or lists) as one batch (strings stay
-    Python objects)."""
+    """Per-batch values (arrays or lists) as one batch."""
     if chunks and all(_is_ndarray(c) for c in chunks):
-        return _np.concatenate(chunks)
+        return _concat_arrays(chunks)
     return _column(list(itertools.chain.from_iterable(chunks)))
 
 
+def _concat_arrays(arrays: list):
+    """One array from several; when some hold ``str`` objects, the ``S``
+    pieces decode first, so bytes and ``str`` never share an array."""
+    kinds = {a.dtype.kind for a in arrays}
+    if "S" in kinds and kinds & {"O", "U"}:
+        arrays = [_str_objects(a) if a.dtype.kind == "S" else a for a in arrays]
+    return _np.concatenate(arrays)
+
+
 def _column(values: list):
-    """A list of plain values as a batch (strings stay Python objects)."""
+    """A list of plain values as a batch; strings get the layout storage
+    would give a column of them (:func:`typed_strings`)."""
     if _np is None:
         return values
-    strings = bool(values) and isinstance(values[0], str)
-    return _np.asarray(values, dtype=object if strings else None)
+    if values and isinstance(values[0], str):
+        typed = typed_strings(values)
+        return typed if typed is not None else _np.asarray(values, dtype=object)
+    return _np.asarray(values)
 
 
 # -- batch hash joins and key sets ---------------------------------------------
@@ -754,10 +961,19 @@ def _column(values: list):
 # :func:`v_join_probe` returns the matching (build row, probe row) pairs --
 # in probe order, each probe row's matches in build-insertion order, which
 # is exactly the order a scalar multimap's bucket walk produces -- and
-# :func:`v_join_contains` the key-set membership mask.
+# :func:`v_join_contains` the key-set membership mask.  A left outer join
+# probes with :func:`v_join_probe_outer`, which also keeps every probe row
+# that matches nothing, paired with build row -1.
 
-def join_finish(state: list, nkeys: int, ncols: int, batched: bool) -> tuple:
-    """The build side after its loop: ``(index, col_0, col_1, ...)``."""
+def join_finish(
+    state: list, nkeys: int, ncols: int, batched: bool, outer: bool = False
+) -> tuple:
+    """The build side after its loop: ``(index, col_0, col_1, ...)``.
+
+    An outer join's columns end in one placeholder row: the unmatched
+    probe rows gather it through build row -1, and their validity mask
+    hides it.
+    """
     width = nkeys + ncols
     if batched:
         columns = [
@@ -766,7 +982,16 @@ def join_finish(state: list, nkeys: int, ncols: int, batched: bool) -> tuple:
         ]
     else:
         columns = [_column([row[j] for row in state]) for j in range(width)]
-    return (JoinIndex(columns[:nkeys]), *columns[nkeys:])
+    payload = columns[nkeys:]
+    if outer:
+        payload = [_with_placeholder(column) for column in payload]
+    return (JoinIndex(columns[:nkeys]), *payload)
+
+
+def _with_placeholder(column):
+    if _np is None:
+        return [*column, None]
+    return _np.concatenate([column, _np.zeros(1, dtype=column.dtype)])
 
 
 def _concat_batches(pieces: list):
@@ -778,12 +1003,15 @@ def _concat_batches(pieces: list):
     arrays = [value if _is_ndarray(value) else _full(n, value) for n, value in pieces]
     if not arrays:
         return _np.empty(0, dtype=_np.int64)
-    return _np.concatenate(arrays)
+    return _concat_arrays(arrays)
 
 
 def _full(n: int, value):
-    """A broadcast scalar as an array of ``n`` rows."""
-    return _np.full(n, value, dtype=None if isinstance(value, (bool, int, float)) else object)
+    """A broadcast scalar as an array of ``n`` rows, in the layout a
+    column of it would get."""
+    if isinstance(value, (bool, int, float)):
+        return _np.full(n, value)
+    return _np.repeat(_column([value]), n)
 
 
 def _is_int_array(x) -> bool:
@@ -872,25 +1100,40 @@ class JoinIndex:
 
     # -- probes ---------------------------------------------------------------
 
-    def probe(self, keys: list, n: int):
+    def probe(self, keys: list, n: int, outer: bool = False):
         """Matching ``(build rows, probe rows)`` in probe order, each probe
-        row's matches in build-insertion order."""
+        row's matches in build-insertion order.  With ``outer``, a probe
+        row that matches nothing appears once, in its place, with build
+        row -1."""
         arrays = self._probe_keys(keys, n)
         if arrays is None:
-            return self._probe_dict(keys, n)
+            return self._probe_dict(keys, n, outer)
         if self.size == 0 or n == 0:
+            if outer:
+                return _np.full(n, -1, dtype=_np.int64), _np.arange(n)
             empty = _np.empty(0, dtype=_np.int64)
             return empty, empty
         slots, valid = self._slots(arrays, n)
         if self._unique:
             rows = _np.where(valid, self._row_of[slots], -1)
+            if outer:
+                return rows, _np.arange(n)
             probe_rows = _np.flatnonzero(rows >= 0)
             return rows[probe_rows], probe_rows
         counts = _np.where(valid, self._counts[slots], 0)
-        probe_rows = _np.repeat(_np.arange(n), counts)
-        run_starts = _np.repeat(_np.cumsum(counts) - counts, counts)
+        starts = self._starts[slots]
+        taken = counts
+        if outer:
+            # an unmatched row takes one output slot, gathering build row 0
+            # there (any in-range row) until it is set to -1 below
+            taken = _np.maximum(counts, 1)
+            starts = _np.where(counts > 0, starts, 0)
+        probe_rows = _np.repeat(_np.arange(n), taken)
+        run_starts = _np.repeat(_np.cumsum(taken) - taken, taken)
         within = _np.arange(len(probe_rows)) - run_starts
-        build_rows = self._order[_np.repeat(self._starts[slots], counts) + within]
+        build_rows = self._order[_np.repeat(starts, taken) + within]
+        if outer:
+            build_rows[_np.repeat(counts == 0, taken)] = -1
         return build_rows, probe_rows
 
     def contains(self, keys: list, n: int):
@@ -918,12 +1161,13 @@ class JoinIndex:
             self._dict = table
         return self._dict
 
-    def _probe_dict(self, keys: list, n: int):
+    def _probe_dict(self, keys: list, n: int, outer: bool):
         table = self._lookup()
         build_rows: list = []
         probe_rows: list = []
+        unmatched = [-1] if outer else []
         for i, key in enumerate(_key_rows(keys, n)):
-            for row in table.get(key, ()):
+            for row in table.get(key, unmatched):
                 build_rows.append(row)
                 probe_rows.append(i)
         return _index_list(build_rows), _index_list(probe_rows)
@@ -948,6 +1192,12 @@ def v_join_probe(index, n, *keys):
     probe_rows)``, the gather positions of every match (see
     :meth:`JoinIndex.probe`)."""
     return index[0].probe(list(keys), n)
+
+
+def v_join_probe_outer(index, n, *keys):
+    """:func:`v_join_probe` for a left outer join: each probe row that
+    matches nothing is kept, in probe order, with build row -1."""
+    return index[0].probe(list(keys), n, outer=True)
 
 
 def v_join_contains(index, n, *keys):
@@ -979,12 +1229,14 @@ def v_fsum(values, n):
     return float(sum(values))
 
 
-def v_count_nn(values, n):
+def v_count_nn(values, n, valid=None):
+    """Count of non-None values; with ``valid`` (a null-extended field's
+    mask) only of the slots it marks true."""
     if not _is_batch(values):
         return n if values is not None else 0
     if _is_ndarray(values) and values.dtype != object:
-        return len(values)
-    return sum(1 for v in values if v is not None)
+        return len(values) if valid is None else v_sum(valid, n)
+    return sum(_present(_to_list(values), valid))
 
 
 def v_min(values, n):
@@ -992,10 +1244,10 @@ def v_min(values, n):
         return values if n else None
     if len(values) == 0:
         return None
-    if _is_ndarray(values) and values.dtype != object:
+    if _is_numeric(values):
         out = values.min()
         return int(out) if values.dtype.kind in "iub" else float(out)
-    return min(values)
+    return min(_to_list(values))
 
 
 def v_max(values, n):
@@ -1003,10 +1255,10 @@ def v_max(values, n):
         return values if n else None
     if len(values) == 0:
         return None
-    if _is_ndarray(values) and values.dtype != object:
+    if _is_numeric(values):
         out = values.max()
         return int(out) if values.dtype.kind in "iub" else float(out)
-    return max(values)
+    return max(_to_list(values))
 
 
 # -- kernel invocation observer -----------------------------------------------
@@ -1015,17 +1267,20 @@ def v_max(values, n):
 # over what batch sizes.  Rather than staging counters into the residual
 # source (which would break the byte-identity contract between observed and
 # unobserved runs), every ``v_*`` kernel is wrapped once at import time; the
-# wrapper reports ``(name, batch_len)`` to an installable observer.  With no
-# observer installed the overhead is one ``is None`` check per kernel call --
-# and kernels run once per *batch*, not per row, so it never touches the hot
-# path.  Nested kernels (``v_group_count_nn`` delegates to ``v_group_count``
-# on the typed-array path) report both invocations.
+# wrapper reports ``(name, batch_len, args)`` to an installable observer.
+# With no observer installed the overhead is one ``is None`` check per kernel
+# call -- and kernels run once per *batch*, not per row, so it never touches
+# the hot path.  Nested kernels (``v_group_count_nn`` delegates to
+# ``v_group_count`` or ``v_group_sum`` on the typed-array path) report both
+# invocations.
 
 _KERNEL_OBSERVER = None
 
 
 def set_kernel_observer(observer):
-    """Install ``observer(name, batch_len)``; returns the previous one."""
+    """Install ``observer(name, batch_len, args)`` -- ``batch_len`` is the
+    length of the kernel's first batch argument, ``args`` all of them;
+    returns the previous observer."""
     global _KERNEL_OBSERVER
     previous = _KERNEL_OBSERVER
     _KERNEL_OBSERVER = observer
@@ -1042,7 +1297,7 @@ def _observed(name, fn):
                 if _is_batch(arg):
                     batch_len = len(arg)
                     break
-            _KERNEL_OBSERVER(name, batch_len)
+            _KERNEL_OBSERVER(name, batch_len, args)
         return result
 
     return wrapper

@@ -372,7 +372,9 @@ class NativeMultiMap:
         with self.ctx.for_each(bucket, prefix="m", ctype="void*") as row:
             fn(rebuild_record(self.ctx, row, descs))
 
-    def each_match_or_missing(self, keys: Sequence[Rep], descs, fn, on_missing) -> None:
+    def each_match_or_missing(
+        self, keys: Sequence[Rep], descs, fn, on_missing, rec=None
+    ) -> None:
         """Probe with an explicit no-match branch (outer join shape)."""
         bucket = self.lookup_or_none(keys)
         missing = self.ctx.call("is_none", [bucket], result="bool")

@@ -1,10 +1,11 @@
 """The batch-vectorized code-generation backend (the second lowering).
 
 Operator code in :mod:`repro.compiler.lb2` is written once against the
-backend seam; this module re-lowers the supported shapes -- scans, filters,
-projections, integer-keyed hash/semi/anti joins and aggregations -- to
-*batched columnar* residual programs.  Instead of one row loop per
-pipeline, the generated code walks a table in batches of at most
+backend seam; this module re-lowers the supported shapes -- scans, filters
+(``LIKE`` included), projections, integer-keyed hash/semi/anti/left outer
+joins and aggregations -- to *batched columnar* residual programs.  Instead
+of one row loop per pipeline, the generated code walks a table in batches
+of at most
 :data:`BATCH_ROWS` rows (slices of ``db.column_vec`` arrays, for the
 columns the query reads), evaluates predicates and expressions with
 ``rt.v_*`` batch kernels (NumPy when available, pure-Python lists
@@ -13,8 +14,9 @@ time, folds aggregate partials into running state, and only falls back to
 row-at-a-time code at the seams:
 
 * an operator whose shape the vector lowering does not support (sorts,
-  outer and group joins, string-keyed joins, LIKE/CASE, compressed-string
-  scans, ...) receives plain scalar rows through a devectorizing adapter
+  group joins, string-keyed joins, CASE/SUBSTRING, compressed-string
+  scans, any use but ``count`` of an outer join's null-extended fields,
+  ...) receives plain scalar rows through a devectorizing adapter
   inserted on the operator edge, and
 * everything it allocates comes from the scalar backend unchanged.
 
@@ -31,6 +33,7 @@ batch join, runs over that probe batch's matches (its fan-out).
 
 from __future__ import annotations
 
+import functools
 import warnings
 from typing import Callable, Optional, Sequence
 
@@ -45,13 +48,14 @@ from repro.plan.expressions import (
     Expr,
     ExtractYear,
     InList,
+    Like,
     Not,
     Or,
     Param,
 )
 from repro.staging import ir
 from repro.staging.builder import StagingContext
-from repro.staging.rep import Rep, RepInt, rep_for_ctype, vec_ctype
+from repro.staging.rep import Rep, RepInt, RepVecInt, rep_for_ctype, vec_ctype
 from repro.compiler.backends import ScalarBackend
 from repro.compiler.runtime import have_numpy
 from repro.compiler.staged_agg import GlobalAggState, StagedAgg
@@ -78,11 +82,19 @@ class VecRecord:
     """A generation-time *batch* of records: name -> staged column.
 
     Implements the same seam as :class:`StagedRecord` -- ``guard`` /
-    ``derive`` / ``rows`` plus lazy memoized field access -- but each field
-    is a column of the batch (``RepVec``) rather than one value, so the same
-    operator code lowers to mask kernels and column derivations.  Scalar
-    staged values may appear as fields too (lifted constants); they
-    broadcast, and selection leaves them untouched.
+    ``derive`` / ``rows`` / ``merged`` plus lazy memoized field access --
+    but each field is a column of the batch (``RepVec``) rather than one
+    value, so the same operator code lowers to mask kernels and column
+    derivations.  Scalar staged values may appear as fields too (lifted
+    constants); they broadcast, and selection leaves them untouched.
+
+    ``nullable`` maps the null-extended fields of an outer join's output
+    to the loader of their validity mask: the column holds a placeholder
+    wherever the mask is false, and only ``count(field)`` (which counts
+    the non-None values the mask keeps) and the devectorizing :meth:`rows`
+    (which yields None there)
+    read such a field -- the backend's ``prepare`` keeps every other
+    consumer row-at-a-time.
     """
 
     #: Record callbacks receiving one of these see a whole batch; the
@@ -96,6 +108,7 @@ class VecRecord:
         descs: list[FieldDesc],
         loaders: dict[str, Callable[[], StagedValue]],
         nrows_loader: Callable[[], RepInt],
+        nullable: Optional[dict[str, Callable[[], Rep]]] = None,
     ) -> None:
         self.comp = comp
         self.ctx = comp.ctx
@@ -105,6 +118,7 @@ class VecRecord:
         self._cache: dict[str, StagedValue] = {}
         self._nrows_loader = nrows_loader
         self._nrows: Optional[RepInt] = None
+        self.nullable = nullable or {}
 
     @property
     def field_names(self) -> list[str]:
@@ -130,6 +144,12 @@ class VecRecord:
             self._nrows = self._nrows_loader()
         return self._nrows
 
+    def validity(self, expr) -> Optional[Rep]:
+        """The validity mask when ``expr`` is a null-extended field."""
+        if isinstance(expr, Col) and expr.name in self.nullable:
+            return self.nullable[expr.name]()
+        return None
+
     # -- the backend seam --------------------------------------------------------
 
     def guard(self, cond, cb: Callable[["VecRecord"], None]) -> None:
@@ -150,6 +170,11 @@ class VecRecord:
             return ctx.call("v_len", [sel], result="long", prefix="v")
 
         cb(VecRecord(self.comp, list(self.descs), loaders, nrows_loader))
+
+    def merged(self, other: "_MatchBatch") -> "VecRecord":
+        """An outer join's output: this probe batch's fields, then the
+        build fields ``other`` (the batch's matches) gathers."""
+        return other.merged(self)
 
     def _filtered_loader(
         self, name: str, sel: Rep
@@ -195,8 +220,11 @@ class VecRecord:
             with ctx.emit_into(prelude):
                 value = self[desc.name]
                 if _is_vec(value):
+                    args = [value]
+                    if desc.name in self.nullable:
+                        args.append(self.nullable[desc.name]())
                     views[desc.name] = ctx.call(
-                        "v_tolist", [value], result="void*", prefix="rows"
+                        "v_tolist", args, result="void*", prefix="rows"
                     )
                 else:
                     views[desc.name] = None  # broadcast scalar
@@ -420,8 +448,9 @@ class VecAggMap:
         )
         partials: list[Rep] = []
         for agg in staged_aggs:
-            value = agg.row_value(rec)
-            partials.extend(_grouped_slot_arrays(ctx, agg, codes, ngroups, value))
+            partials.extend(
+                _grouped_slot_arrays(ctx, agg, codes, ngroups, *_agg_input(rec, agg))
+            )
         ctx.call_stmt("group_add", [self.state, grouped, *partials])
         self._folds = tuple(_slot_folds(staged_aggs))
 
@@ -470,14 +499,29 @@ class VecAggMap:
         return rec
 
 
+def _agg_input(rec: VecRecord, agg: StagedAgg):
+    """``(value, valid)``: the batch's values of one aggregate's
+    expression and -- for a count of a null-extended field -- the field's
+    validity mask (the count reads both: a matched build value may itself
+    be None)."""
+    return agg.row_value(rec), rec.validity(agg.spec.expr)
+
+
+def _mask_arg(valid: Optional[Rep]) -> list[Rep]:
+    """The optional trailing ``valid`` argument of the count kernels."""
+    return [] if valid is None else [valid]
+
+
 def _grouped_slot_arrays(
     ctx: StagingContext,
     agg: StagedAgg,
     codes: Rep,
     ngroups: RepInt,
     value: Optional[StagedValue],
+    valid: Optional[Rep],
 ) -> list[Rep]:
-    """The per-group result array(s) backing one aggregate's slots."""
+    """The per-group result array(s) backing one aggregate's slots
+    (``valid``: the mask of the null-extended field a count counts)."""
     kind = agg.spec.kind
 
     def reduce(fn: str, *args) -> Rep:
@@ -486,7 +530,7 @@ def _grouped_slot_arrays(
     if kind == "count":
         if agg.spec.expr is None:
             return [reduce("v_group_count")]
-        return [reduce("v_group_count_nn", value)]
+        return [reduce("v_group_count_nn", value, *_mask_arg(valid))]
     if kind == "sum":
         return [reduce("v_group_sum", value)]
     if kind == "avg":
@@ -502,18 +546,23 @@ def _grouped_slot_arrays(
 
 
 def _global_partials(
-    ctx: StagingContext, agg: StagedAgg, value: Optional[StagedValue], n: RepInt
+    ctx: StagingContext,
+    agg: StagedAgg,
+    value: Optional[StagedValue],
+    valid: Optional[Rep],
+    n: RepInt,
 ) -> list[Rep]:
-    """One batch's reduction(s) backing one aggregate's slots."""
+    """One batch's reduction(s) backing one aggregate's slots (``valid``
+    as for :func:`_grouped_slot_arrays`)."""
     kind = agg.spec.kind
 
-    def reduce(fn: str, ctype: str) -> Rep:
-        return ctx.call(fn, [value, n], result=ctype, prefix="v")
+    def reduce(fn: str, ctype: str, *extra) -> Rep:
+        return ctx.call(fn, [value, n, *extra], result=ctype, prefix="v")
 
     if kind == "count":
         if agg.spec.expr is None:
             return [n]
-        return [reduce("v_count_nn", "long")]
+        return [reduce("v_count_nn", "long", *_mask_arg(valid))]
     if kind == "avg":
         # Float total + all-rows counter, mirroring the scalar slots.
         return [reduce("v_fsum", "double"), n]
@@ -539,11 +588,9 @@ class GlobalAggVec(GlobalAggState):
     def accumulate(self, rec: VecRecord, staged_aggs) -> None:
         ctx = self.ctx
         n = rec.nrows()
-        partials = [
-            part
-            for agg in staged_aggs
-            for part in _global_partials(ctx, agg, agg.row_value(rec), n)
-        ]
+        partials = []
+        for agg in staged_aggs:
+            partials.extend(_global_partials(ctx, agg, *_agg_input(rec, agg), n))
         with ctx.if_(n > 0):
             with ctx.if_(self.empty_cond()):
                 for i, part in enumerate(partials):
@@ -574,11 +621,19 @@ class BatchJoinBuild:
     after the loop, which concatenates the columns and indexes the keys
     (:class:`repro.compiler.runtime.JoinIndex`).  Semi/anti joins use the
     same structure with no payload (:meth:`contains`); inner joins gather
-    payload and probe columns through the matches (:meth:`each_match`).
+    payload and probe columns through the matches (:meth:`each_match`),
+    and left outer joins through the matches plus the unmatched probe
+    rows, null-extended (:meth:`each_match_or_missing`).
     """
 
     def __init__(
-        self, comp, label: str, nkeys: int, ncols: int, batched: bool
+        self,
+        comp,
+        label: str,
+        nkeys: int,
+        ncols: int,
+        batched: bool,
+        outer: bool = False,
     ) -> None:
         self.comp = comp
         self.ctx = ctx = comp.ctx
@@ -586,6 +641,7 @@ class BatchJoinBuild:
         self.nkeys = nkeys
         self.ncols = ncols
         self.batched = batched
+        self.outer = outer
         self.state = ctx.call("list_new", [], result="void*", prefix="jb")
         self.built: Optional[Rep] = None
 
@@ -603,12 +659,10 @@ class BatchJoinBuild:
         self._append(rec, keys)
 
     def finish(self) -> None:
-        self.built = self.ctx.call(
-            "join_finish",
-            [self.state, self.nkeys, self.ncols, self.batched],
-            result="void*",
-            prefix="jx",
-        )
+        args = [self.state, self.nkeys, self.ncols, self.batched]
+        if self.outer:
+            args.append(True)
+        self.built = self.ctx.call("join_finish", args, result="void*", prefix="jx")
 
     def _probe_args(self, rec: VecRecord, keys: Sequence[Rep]) -> list:
         assert self.built is not None, "probe before finish()"
@@ -616,16 +670,28 @@ class BatchJoinBuild:
 
     def each_match(self, keys, descs, fn, rec: VecRecord) -> None:
         """Hand ``fn`` the probe batch's matches (build columns first)."""
+        fn(self._matches("v_join_probe", keys, descs, rec))
+
+    def each_match_or_missing(
+        self, keys, descs, fn, on_missing, rec: VecRecord
+    ) -> None:
+        """Hand ``fn`` the probe batch's matches and unmatched rows at
+        once, in probe order; ``on_missing`` is not staged, since the
+        unmatched rows ride in the batch with their build fields
+        null-extended."""
+        fn(self._matches("v_join_probe_outer", keys, descs, rec))
+
+    def _matches(self, kernel: str, keys, descs, rec: VecRecord) -> "_MatchBatch":
         ctx = self.ctx
         matches = ctx.call(
-            "v_join_probe", self._probe_args(rec, keys), result="void*", prefix="jm"
+            kernel, self._probe_args(rec, keys), result="void*", prefix="jm"
         )
 
         def part(i: int) -> Rep:
             sym = ctx.bind(ir.Index(matches.expr, ir.Const(i)), ctype="void*", prefix="v")
             return Rep(sym, ctx, ctype="void*")
 
-        fn(_MatchBatch(self, descs, part(0), part(1)))
+        return _MatchBatch(self, descs, part(0), part(1))
 
     def contains(self, keys, rec: VecRecord) -> Rep:
         """The probe batch's key-set membership mask."""
@@ -639,7 +705,10 @@ class _MatchBatch:
     """One probe batch's matches, waiting for the probe batch they pair
     with: :meth:`merged` is the join's output batch -- build columns
     gathered through ``build_rows``, probe columns through ``probe_rows``
-    -- with build fields first, as the scalar join merges them."""
+    -- with fields in the scalar join's order: build fields first for an
+    inner join, probe fields first for an outer join, whose build fields
+    are null-extended where ``build_rows`` is -1 (their validity mask is
+    ``build_rows >= 0``, staged once, on first use)."""
 
     def __init__(
         self, build: BatchJoinBuild, descs: list[FieldDesc], build_rows: Rep,
@@ -684,8 +753,18 @@ class _MatchBatch:
         def nrows_loader() -> RepInt:
             return ctx.call("v_len", [self.build_rows], result="long", prefix="v")
 
+        if not build.outer:
+            return VecRecord(
+                build.comp, self.descs + list(probe.descs), loaders, nrows_loader
+            )
+
+        @functools.cache
+        def validity() -> Rep:
+            return RepVecInt(self.build_rows.expr, ctx) >= 0
+
         return VecRecord(
-            build.comp, self.descs + list(probe.descs), loaders, nrows_loader
+            build.comp, list(probe.descs) + self.descs, loaders, nrows_loader,
+            nullable={d.name: validity for d in self.descs},
         )
 
 
@@ -697,15 +776,18 @@ _VEC_AGG_KINDS = frozenset({"count", "sum", "avg", "min", "max"})
 _CONST_TYPES = (bool, int, float, str)
 #: Join key types a batch join packs into integer codes.
 _JOIN_KEY_TYPES = frozenset({ColumnType.INT, ColumnType.DATE, ColumnType.BOOL})
+#: Batch operators that earn their chain its batches (see ``_chain_earns``).
+_EARNING = (
+    phys.Select, phys.HashJoin, phys.SemiJoin, phys.AntiJoin, phys.LeftOuterJoin,
+)
 
 
 def _expr_supported(expr: Expr) -> bool:
     """Can ``expr`` stage against batch columns?
 
     Exactly the expression forms whose staged operators lower to ``v_*``
-    kernels.  ``Like`` / ``Case`` / ``Substring`` stage through string
-    methods or staged branches, so they (and anything containing them)
-    run scalar.
+    kernels.  ``Case`` / ``Substring`` stage through staged branches or
+    string methods, so they (and anything containing them) run scalar.
     """
     if isinstance(expr, Col):
         return True
@@ -721,13 +803,28 @@ def _expr_supported(expr: Expr) -> bool:
         return _expr_supported(expr.lhs) and _expr_supported(expr.rhs)
     if isinstance(expr, (And, Or)):
         return all(_expr_supported(t) for t in expr.terms)
-    if isinstance(expr, (Not, ExtractYear)):
+    if isinstance(expr, (Not, ExtractYear, Like)):
         return _expr_supported(expr.term)
     if isinstance(expr, InList):
         return _expr_supported(expr.term) and all(
             isinstance(v, _CONST_TYPES) for v in expr.values
         )
     return False
+
+
+def _counts_only(node: phys.PhysicalPlan, fields: frozenset[str]) -> bool:
+    """Does ``node`` read the null-extended ``fields`` only as
+    ``count(field)`` -- the one use a batch serves, by counting the
+    validity mask?  Every other reader takes the rows, with Nones."""
+    if not isinstance(node, phys.Agg):
+        return False
+    if any(expr.columns() & fields for _, expr in node.keys):
+        return False
+    return all(
+        spec.kind == "count" and isinstance(spec.expr, Col)
+        for _, spec in node.aggs
+        if spec.columns() & fields
+    )
 
 
 def _plan_children(node: phys.PhysicalPlan) -> list[phys.PhysicalPlan]:
@@ -749,12 +846,15 @@ class VectorBackend(ScalarBackend):
         self._batch: set[int] = set()  # id(node) -> emits VecRecords
         self._vec_aggs: set[int] = set()  # id(node) -> vectorized Agg
         self._uses: dict[int, int] = {}  # id(node) -> occurrences in the plan
+        # id(batch outer join) -> the null-extended fields it emits
+        self._nullable: dict[int, frozenset[str]] = {}
         self._counts = {
             "batch_scans": 0,
             "batch_selects": 0,
             "batch_projects": 0,
             "batch_joins": 0,
             "batch_key_set_joins": 0,
+            "batch_outer_joins": 0,
             "vector_aggs": 0,
             "scalar_nodes": 0,
             "devectorized_edges": 0,
@@ -784,6 +884,13 @@ class VectorBackend(ScalarBackend):
         self._uses[id(node)] = self._uses.get(id(node), 0) + 1
         for sub in _plan_children(node):
             self._analyze(sub, consumer=node)
+        nullable = frozenset().union(
+            *(self._nullable.get(id(sub), ()) for sub in _plan_children(node))
+        )
+        if nullable and not _counts_only(node, nullable):
+            # reads null-extended fields: takes rows, through a devectorizing edge
+            self._counts["scalar_nodes"] += 1
+            return
         if isinstance(node, phys.Scan) and self._scan_ok(node):
             self._batch.add(id(node))
             self._counts["batch_scans"] += 1
@@ -813,6 +920,15 @@ class VectorBackend(ScalarBackend):
             if id(node.left) in self._batch and self._join_ok(node, node.right):
                 self._batch.add(id(node))
                 self._counts["batch_key_set_joins"] += 1
+                return
+        elif isinstance(node, phys.LeftOuterJoin):
+            # the preserved left input is probed; the right one builds
+            if id(node.left) in self._batch and self._join_ok(node, node.right):
+                self._batch.add(id(node))
+                self._nullable[id(node)] = frozenset(
+                    node.right.field_names(self.comp.catalog)
+                )
+                self._counts["batch_outer_joins"] += 1
                 return
         elif isinstance(node, phys.Agg):
             if id(node.child) in self._batch and self._agg_ok(node):
@@ -879,7 +995,7 @@ class VectorBackend(ScalarBackend):
         kernels), its batched output only through what consumes it."""
         if id(node) not in self._batch or isinstance(node, phys.Agg):
             return False
-        if isinstance(node, (phys.Select, phys.HashJoin, phys.SemiJoin, phys.AntiJoin)):
+        if isinstance(node, _EARNING):
             return True
         return any(self._chain_earns(sub) for sub in _plan_children(node))
 
@@ -950,10 +1066,13 @@ class VectorBackend(ScalarBackend):
 
     def multimap(self, node, label: str):
         if id(node) in self._batch:
+            # an inner join builds its left input, an outer join its right
+            outer = isinstance(node, phys.LeftOuterJoin)
+            build = node.right if outer else node.left
             return BatchJoinBuild(
                 self.comp, label, len(node.left_keys),
-                len(node.left.fields(self.comp.catalog)),
-                batched=id(node.left) in self._batch,
+                len(build.fields(self.comp.catalog)),
+                batched=id(build) in self._batch, outer=outer,
             )
         return super().multimap(node, label)
 

@@ -16,8 +16,9 @@ paper's claim that the compiler is the interpreter, re-typed.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from repro.catalog.types import ColumnType
 
@@ -434,6 +435,29 @@ def _like_shape(pattern: str) -> tuple[str, tuple[str, ...]]:
     return "generic", (pattern,)
 
 
+@functools.lru_cache(maxsize=256)
+def like_predicate(pattern: str) -> Callable[[str], bool]:
+    """The (un-negated) LIKE test of ``pattern`` on one value, specialized
+    by shape: what the interpreters run per row, and the batch kernel per
+    value of a batch it cannot scan natively."""
+    shape, parts = _like_shape(pattern)
+    if shape == "exact":
+        return lambda value: value == pattern
+    if shape == "prefix":
+        return lambda value: value.startswith(parts[0])
+    if shape == "suffix":
+        return lambda value: value.endswith(parts[0])
+    if shape == "contains":
+        return lambda value: parts[0] in value
+    if shape == "any":
+        return lambda value: True
+    from repro.compiler import runtime
+
+    if shape == "contains2":
+        return lambda value: runtime.like_contains2(value, *parts)
+    return lambda value: runtime.like(value, pattern)
+
+
 @dataclass(frozen=True)
 class Like(Expr):
     """SQL LIKE, specialized by pattern shape at construction time."""
@@ -447,24 +471,7 @@ class Like(Expr):
         return _like_shape(self.pattern)[0]
 
     def _match(self, value: str) -> bool:
-        shape, parts = _like_shape(self.pattern)
-        if shape == "exact":
-            result = value == self.pattern
-        elif shape == "prefix":
-            result = value.startswith(parts[0])
-        elif shape == "suffix":
-            result = value.endswith(parts[0])
-        elif shape == "contains":
-            result = parts[0] in value
-        elif shape == "contains2":
-            first = value.find(parts[0])
-            result = first >= 0 and value.find(parts[1], first + len(parts[0])) >= 0
-        elif shape == "any":
-            result = True
-        else:
-            from repro.compiler import runtime
-
-            result = runtime.like(value, self.pattern)
+        result = like_predicate(self.pattern)(value)
         return not result if self.negate else result
 
     def eval(self, row: dict) -> bool:
@@ -472,6 +479,9 @@ class Like(Expr):
 
     def stage(self, rec):
         value = self.term.stage(rec)
+        if getattr(value, "is_vector", False):
+            # a batch column: one kernel per batch covers every shape
+            return value.like(self.pattern, self.negate)
         shape, parts = _like_shape(self.pattern)
         ctx = rec.ctx
         if shape == "exact":

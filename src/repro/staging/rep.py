@@ -438,10 +438,13 @@ class RepVecBool(RepVec):
 
 
 class RepVecStr(RepVec):
-    """A staged batch of strings (comparisons only; no LIKE kernels)."""
+    """A staged batch of strings: comparisons and ``LIKE``."""
 
     ctype = "vec_str"
     scalar_ctype = "char*"
+
+    def like(self, pattern: str, negate: bool) -> "RepVecBool":
+        return self._vcall("v_like", [self, pattern, negate], RepVecBool)
 
     def __lt__(self, other: Liftable) -> "RepVecBool":
         return self._vbin("v_lt", other, RepVecBool)

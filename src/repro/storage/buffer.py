@@ -28,6 +28,25 @@ _NP_DTYPES = None if _np is None else {
 }
 
 
+def typed_strings(values: Sequence):
+    """``values`` as a fixed-width ``S{w}`` NumPy array, or None.
+
+    The CHAR(n) layout: ``w`` bytes per value, ``w`` the longest value.
+    Only a column of ASCII ``str`` values with no NUL qualifies -- exactly
+    the values that round-trip through ``S`` (which holds bytes and drops
+    trailing NULs); any other column (non-ASCII text, a NUL, a ``None``)
+    keeps an object array.  The batch kernels decode back to ``str`` where
+    values leave a batch.
+    """
+    try:
+        text = "".join(values)
+    except TypeError:  # a None, or something that is not a string
+        return None
+    if not text.isascii() or "\0" in text:
+        return None
+    return _np.array(values, dtype="S")
+
+
 class ColumnarTable:
     """Column-oriented storage: ``{column name -> list of values}``."""
 
@@ -88,18 +107,24 @@ class ColumnarTable:
         Built with the rest of the table's load-time structures
         (:meth:`build_arrays`) or on first access, and cached; with NumPy
         absent the raw Python list is returned instead, and the ``v_*``
-        batch kernels fall back to list processing.  The cache is never
+        batch kernels fall back to list processing.  A STRING column gets
+        the fixed-width layout of :func:`typed_strings` when its values
+        allow it, an object array otherwise.  The cache is never
         invalidated on ``append_row`` -- base tables are immutable once
         queries run, which is the same assumption the hash/date indexes
         already make.
         """
         if name not in self._arrays:
             values = self.column(name)
+            ctype = self.schema.column_type(name)
+            array = None
             if _np is None:
-                self._arrays[name] = values
-            else:
-                dtype = _NP_DTYPES[self.schema.column_type(name)]
-                self._arrays[name] = _np.asarray(values, dtype=dtype)
+                array = values
+            elif ctype is ColumnType.STRING:
+                array = typed_strings(values)
+            if array is None:
+                array = _np.asarray(values, dtype=_NP_DTYPES[ctype])
+            self._arrays[name] = array
         return self._arrays[name]
 
     def build_arrays(self) -> None:

@@ -2,14 +2,16 @@
 lowering.
 
 * kernel properties against dict-based references, under NumPy and the
-  pure-Python fallback: match *order* as well as the match set, with
-  duplicates on both sides, empty inputs, absent and negative keys, dense
-  and sparse key domains, and composite keys whose packed span would
-  overflow int64;
+  pure-Python fallback: match *order* as well as the match set (for outer
+  probes, the unmatched probe rows in their places too), with duplicates
+  on both sides, empty inputs, absent and negative keys, dense and sparse
+  key domains, and composite keys whose packed span would overflow int64;
 * ``v_group`` keeps distinct groups apart however many keys there are;
 * every TPC-H plan with a join answers like the scalar lowering at any
   batch size -- in the same order where it has no Sort -- with the same
-  per-operator row counts;
+  per-operator row counts, and so do left outer joins over an empty build,
+  an all-unmatched probe, duplicate build keys and build fields that are
+  themselves NULL, feeding a batch count or (devectorized) a sum;
 * the served builds of the join-heavy queries really lower their joins to
   batches.
 """
@@ -22,17 +24,20 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.catalog import Catalog
 from repro.compiler import runtime as rt
 from repro.compiler import vec
 from repro.compiler.driver import LB2Compiler
 from repro.compiler.lb2 import Config
-from repro.plan import col
+from repro.plan import col, count, count_col, lit, sum_
 from repro.plan import physical as phys
+from repro.plan.expressions import ExtractYear, Like, Not
 from repro.resilience import Budget, ResilientExecutor
 from repro.session import Session
 from repro.tpch import query_plan
 from repro.tpch.sql_queries import SQL_QUERIES
-from tests.conftest import TINY_SCALE, normalize
+from repro.storage import Database
+from tests.conftest import TINY_SCALE, make_tiny_db, normalize
 from tests.test_vector_backend import kernel_mode  # noqa: F401 - fixture
 
 # -- kernel properties --------------------------------------------------------
@@ -94,17 +99,17 @@ def _columns(rows, nkeys):
     return [_batch([row[j] for row in rows]) for j in range(nkeys)]
 
 
-def _finish(nkeys, build, cuts, batched):
+def _finish(nkeys, build, cuts, batched, outer=False):
     """``rt.join_finish`` over ``build`` (payload: each row's position)."""
     if not batched:
         return rt.join_finish(
-            [(*row, i) for i, row in enumerate(build)], nkeys, 1, False
+            [(*row, i) for i, row in enumerate(build)], nkeys, 1, False, outer
         )
     state = []
     for lo, hi in zip([0, *cuts], [*cuts, len(build)]):
         chunk = build[lo:hi]
         state.append((len(chunk), *_columns(chunk, nkeys), _batch(range(lo, hi))))
-    return rt.join_finish(state, nkeys, 1, True)
+    return rt.join_finish(state, nkeys, 1, True, outer)
 
 
 def _key(row, nkeys):
@@ -134,6 +139,58 @@ def _check_join_probe(nkeys, build, probe, cuts, batched):
     assert pairs == expected
     # the payload column gathers through the matches
     assert rt.v_tolist(rt.v_take(built[1], build_rows)) == [b for b, _ in expected]
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=join_case())
+@pytest.mark.parametrize("mode", MODES)
+def test_outer_probe_keeps_unmatched_rows_in_place(mode, case):
+    """A left outer join's probe: the inner matches, plus each probe row
+    that matches nothing -- once, in probe order, with build row -1,
+    whose payload gather lands on the placeholder row."""
+    with kernels(mode):
+        _check_outer_probe(*case)
+
+
+def _check_outer_probe(nkeys, build, probe, cuts, batched):
+    table: dict = {}
+    for i, row in enumerate(build):
+        table.setdefault(_key(row, nkeys), []).append(i)
+    expected = [
+        (b, p)
+        for p, row in enumerate(probe)
+        for b in table.get(_key(row, nkeys), [-1])
+    ]
+    built = _finish(nkeys, build, cuts, batched, outer=True)
+    build_rows, probe_rows = rt.v_join_probe_outer(
+        built, len(probe), *_columns(probe, nkeys)
+    )
+    pairs = list(zip(rt.v_tolist(build_rows), rt.v_tolist(probe_rows)))
+    assert pairs == expected
+    payload = rt.v_tolist(rt.v_take(built[1], build_rows))
+    assert [v for v, (b, _) in zip(payload, expected) if b >= 0] == [
+        b for b, _ in expected if b >= 0
+    ]
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_masked_counts_skip_hidden_slots_and_none_values(mode):
+    """``count(field)`` of a null-extended field counts the slots its mask
+    keeps whose value is not None: a typed column holds no None, an object
+    column (a STRING column with NULLs) may."""
+    with kernels(mode):
+        codes = _batch([0, 1, 0, 1, 1])
+        valid = rt.v_ge(_batch([3, -1, 0, 2, 4]), 0)
+        typed = _batch([5, 0, 7, 8, 9])
+        text = ["a", None, None, "b", None]
+        if rt.have_numpy():
+            import numpy as np
+
+            text = np.asarray(text, dtype=object)
+        assert rt.v_count_nn(typed, 5, valid) == 4
+        assert rt.v_count_nn(text, 5, valid) == 2
+        assert rt.v_group_count_nn(codes, 2, typed, valid) == [2, 2]
+        assert rt.v_group_count_nn(codes, 2, text, valid) == [1, 1]
 
 
 @settings(max_examples=150, deadline=None)
@@ -288,9 +345,20 @@ def test_served_builds_lower_joins_to_batches(q, tpch_db):
     assert stats["batch_joins"] + stats["batch_key_set_joins"] >= 1, stats
 
 
-def test_string_keys_and_outer_joins_stay_scalar(tiny_db):
-    """Eligibility is structural: a string-keyed join and a left outer join
-    keep the scalar lowering (the probe side is a batch chain in both)."""
+def test_served_q13_runs_its_outer_join_and_like_in_batches(tpch_db):
+    """q13's customer probe, its orders build under ``NOT LIKE`` and both
+    aggregations all lower to batches; only the Sort takes rows."""
+    if not rt.have_numpy():
+        pytest.skip("a session serves the scalar lowering without NumPy")
+    stats = _served_build(Session(tpch_db), 13).codegen_stats
+    assert stats["batch_outer_joins"] >= 1, stats
+    assert stats["batch_selects"] >= 1 and stats["vector_aggs"] == 2, stats
+    assert stats["scalar_nodes"] == 1, stats
+
+
+def test_string_keyed_joins_stay_scalar(tiny_db):
+    """Eligibility is structural: a string-keyed join, inner or outer,
+    keeps the scalar lowering (the probe side is a batch chain in both)."""
     emp = phys.Select(phys.Scan("Emp"), col("eid").gt(0))
     dep = phys.Scan("Dep")
     for plan in (
@@ -300,10 +368,154 @@ def test_string_keys_and_outer_joins_stay_scalar(tiny_db):
         compiled = LB2Compiler(
             tiny_db.catalog, tiny_db, Config(codegen="vector")
         ).compile(plan)
-        assert compiled.codegen_stats["batch_joins"] == 0
+        stats = compiled.codegen_stats
+        assert stats["batch_joins"] == stats["batch_outer_joins"] == 0
         assert normalize(compiled.run(tiny_db)) == normalize(
             LB2Compiler(tiny_db.catalog, tiny_db).compile(plan).run(tiny_db)
         )
+
+
+def _emp(offset: int) -> phys.PhysicalPlan:
+    """Emp's ids with an integer join key ``k = eid + offset``."""
+    return phys.Project(
+        phys.Scan("Emp"), [("eid", col("eid")), ("k", col("eid") + lit(offset))]
+    )
+
+
+def _sales(key) -> phys.PhysicalPlan:
+    return phys.Project(
+        phys.Scan("Sales"),
+        [
+            ("sid", col("sid")), ("skey", key), ("amount", col("amount")),
+            ("sdep", col("sdep")),
+        ],
+    )
+
+
+def _null_sdep_db() -> Database:
+    """The tiny database with Sales 3's ``sdep`` NULL, so that STRING
+    column loads as an object array holding None."""
+    tiny = make_tiny_db()
+    db = Database(Catalog())
+    for name in ("Dep", "Emp", "Sales"):
+        schema = tiny.catalog.table(name)
+        rows = list(zip(*(tiny.column(name, c.name) for c in schema.columns)))
+        if name == "Sales":
+            rows = [(s, None if s == 3 else d, *rest) for s, d, *rest in rows]
+        db.add_rows(schema, rows)
+    return db
+
+
+#: Left outer joins of Emp (probed) against Sales (built), by the shape of
+#: the build side.
+OUTER_JOINS = {
+    # Sales years: 1994 three times, 1995, 1996, 1997; Emp keys 1994-1999
+    "duplicate build keys": phys.LeftOuterJoin(
+        _emp(1993), _sales(ExtractYear(col("sold"))), ["k"], ["skey"]
+    ),
+    "all unmatched": phys.LeftOuterJoin(
+        _emp(0), _sales(col("sid") + lit(100)), ["k"], ["skey"]
+    ),
+    "empty build": phys.LeftOuterJoin(
+        _emp(0),
+        phys.Select(_sales(col("sid")), col("amount").gt(lit(1e9))),
+        ["k"], ["skey"],
+    ),
+    "filtered both sides": phys.LeftOuterJoin(
+        phys.Select(_emp(0), col("eid").gt(1)),
+        phys.Select(phys.Scan("Sales"), Not(Like(col("sdep"), "C%"))),
+        ["k"], ["sid"],
+    ),
+    # The build input is a string-keyed (so scalar) outer join: the Sales
+    # rows of CS and EE find no Dep ranked above 5, so their ``amount``
+    # (Dep's rank here) is None in matched build rows.
+    "null build values": phys.LeftOuterJoin(
+        _emp(0),
+        phys.Project(
+            phys.LeftOuterJoin(
+                phys.Scan("Sales"),
+                phys.Select(phys.Scan("Dep"), col("rank").gt(lit(5))),
+                ["sdep"], ["dname"],
+            ),
+            [("skey", col("sid")), ("amount", col("rank")), ("sdep", col("sdep"))],
+        ),
+        ["k"], ["skey"],
+    ),
+    # Run on _null_sdep_db: a stored STRING column holding None.
+    "null build strings": phys.LeftOuterJoin(_emp(0), _sales(col("sid")), ["k"], ["skey"]),
+}
+
+
+def _counted(join):
+    """count(null-extended field) per probe row: a batch consumer."""
+    return phys.Agg(
+        join,
+        [("eid", col("eid"))],
+        [
+            ("n", count_col(col("amount"))), ("named", count_col(col("sdep"))),
+            ("rows", count()),
+        ],
+    )
+
+
+def _summed(join):
+    """sum(null-extended field): any use but count devectorizes."""
+    return phys.Agg(join, [("eid", col("eid"))], [("s", sum_(col("amount")))])
+
+
+OUTER_PLANS = [
+    (name, consumer)
+    for name in OUTER_JOINS
+    for consumer in ("join", "count", "global count", "sum")
+]
+
+
+def _outer_plan(name: str, consumer: str) -> phys.PhysicalPlan:
+    join = OUTER_JOINS[name]
+    if consumer == "count":
+        return _counted(join)
+    if consumer == "global count":
+        return phys.Agg(
+            join, [],
+            [("n", count_col(col("amount"))), ("named", count_col(col("sdep")))],
+        )
+    if consumer == "sum":
+        return _summed(join)
+    return join
+
+
+@pytest.mark.parametrize("batch_rows", [1, 5, 8192])
+@pytest.mark.parametrize("name,consumer", OUTER_PLANS)
+def test_outer_joins_match_scalar_at_any_batch_size(
+    name, consumer, batch_rows, tiny_db, monkeypatch
+):
+    """A batch left outer join emits the scalar join's rows in its order
+    -- matches and null-extended unmatched rows -- with the same row
+    counts; a count of a null-extended field stays in batches (and skips
+    matched build values that are None), a sum takes the rows."""
+    monkeypatch.setattr(vec, "BATCH_ROWS", batch_rows)
+    db = _null_sdep_db() if name == "null build strings" else tiny_db
+    plan = _outer_plan(name, consumer)
+    scalar = LB2Compiler(db.catalog, db, Config(instrument=True)).compile(plan)
+    vector = LB2Compiler(
+        db.catalog, db, Config(codegen="vector", instrument=True)
+    ).compile(plan)
+    stats = vector.codegen_stats
+    assert stats["batch_outer_joins"] == 1, stats
+    rows, expected = vector.run(db), scalar.run(db)
+    if consumer == "join":
+        assert rows == expected
+    else:
+        assert normalize(rows) == normalize(expected)
+    assert vector.last_stats == scalar.last_stats
+    # the nested build's Dep filter is a batch chain under a scalar join
+    build_edges = 1 if name == "null build values" else 0
+    if consumer == "sum":
+        assert stats["vector_aggs"] == 0
+        assert stats["devectorized_edges"] == build_edges + 1
+    elif consumer != "join":
+        assert stats["vector_aggs"] == 1
+        assert stats["devectorized_edges"] == build_edges
 
 
 def test_a_subplan_used_twice_keeps_one_lowering(tpch_db):

@@ -24,10 +24,10 @@ from repro.compiler.driver import LB2Compiler
 from repro.compiler.lb2 import Config
 from repro.plan import (
     Agg,
-    Like,
     Project,
     Scan,
     Select,
+    Substring,
     avg,
     col,
     count,
@@ -358,11 +358,11 @@ def test_dictionary_compressed_scan_falls_back_to_scalar():
 
 
 def test_unsupported_predicate_falls_back_per_operator():
-    """LIKE has no vector kernel: the Select stays scalar while the plan
-    still compiles and answers correctly."""
+    """SUBSTRING has no vector kernel: the Select stays scalar while the
+    plan still compiles and answers correctly."""
     db = make_tiny_db()
     plan = Agg(
-        Select(Scan("Emp"), Like(col("edname"), "C%")),
+        Select(Scan("Emp"), Substring(col("edname"), 1, 1).eq(lit("C"))),
         [],
         [("cnt", count())],
     )
