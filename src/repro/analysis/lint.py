@@ -178,7 +178,11 @@ CALL_EFFECTS: dict[str, str] = {
     "db_date_runs": READ, "index_lookup": READ, "index_lookup_unique": READ,
     # mutation of the first argument
     "list_append": WRITE, "list_extend": WRITE, "set_add": WRITE,
-    "sort_rows": WRITE, "group_add": WRITE,
+    "sort_rows": WRITE,
+    # batch kernels that fold a batch into a group table (their first argument)
+    "v_group_ids": WRITE, "v_agg_sum": WRITE, "v_agg_fsum": WRITE,
+    "v_agg_count": WRITE, "v_agg_count_nn": WRITE, "v_agg_min": WRITE,
+    "v_agg_max": WRITE, "v_agg_distinct": WRITE,
     # reads state the hot path wrote: ranked with writes so no pass moves it
     "group_merge": WRITE, "join_finish": WRITE,
     # externally observable effects
@@ -205,7 +209,8 @@ _PURE_CALLS = {
     "argsort_columns", "batch_slice",
 }
 
-#: Whole-column kernels of the batch-vectorized backend.  All of them build
+#: Whole-column kernels of the batch-vectorized backend.  All but the group
+#: table's (``v_group_ids`` and the ``v_agg_*`` folds, WRITE above) build
 #: fresh arrays from their inputs (no argument is mutated, nothing external
 #: is observed), so they are PURE for hoisting -- but each call walks an
 #: entire column, so :class:`BulkOpInLoop` rejects them inside loop bodies.
@@ -214,8 +219,8 @@ VECTOR_KERNEL_CALLS = frozenset({
     "v_eq", "v_ne", "v_lt", "v_le", "v_gt", "v_ge",
     "v_and", "v_or", "v_not", "v_neg",
     "v_mask_index", "v_take", "v_len", "v_tolist",
-    "v_group", "v_group_sum", "v_group_fsum", "v_group_count",
-    "v_group_count_nn", "v_group_min", "v_group_max", "v_group_distinct",
+    "v_group", "v_group_sum", "v_group_ids", "v_agg_sum", "v_agg_fsum",
+    "v_agg_count", "v_agg_count_nn", "v_agg_min", "v_agg_max", "v_agg_distinct",
     "v_sum", "v_fsum", "v_count_nn", "v_min", "v_max",
     "v_join_probe", "v_join_probe_outer", "v_join_contains", "v_like",
 })

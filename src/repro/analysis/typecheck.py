@@ -79,7 +79,6 @@ INTRINSIC_RESULT: dict[str, Optional[str]] = {
     "map_full": "void",
     "scan_tick": "void",
     "group_state": "void*",
-    "group_add": "void",
     "group_merge": "void*",
     "join_finish": "void*",
     # observability: wall-clock read bracketed around instrumented operators
@@ -109,12 +108,14 @@ INTRINSIC_RESULT: dict[str, Optional[str]] = {
     "v_tolist": "void*",
     "v_group": "void*",
     "v_group_sum": "void*",
-    "v_group_fsum": "void*",
-    "v_group_count": "void*",
-    "v_group_count_nn": "void*",
-    "v_group_min": "void*",
-    "v_group_max": "void*",
-    "v_group_distinct": "void*",
+    "v_group_ids": "vec_long",
+    "v_agg_sum": "void",
+    "v_agg_fsum": "void",
+    "v_agg_count": "void",
+    "v_agg_count_nn": "void",
+    "v_agg_min": "void",
+    "v_agg_max": "void",
+    "v_agg_distinct": "void",
     "v_join_probe": "void*",
     "v_join_probe_outer": "void*",
     "v_join_contains": "vec_bool",

@@ -376,14 +376,13 @@ class _ColumnSlots(Slots):
 
 
 #: How each aggregate kind's slots combine across batches, slot by slot
-#: (the layout of :meth:`StagedAgg.slot_ctypes`).
+#: (the layout of :meth:`StagedAgg.slot_ctypes`), in a global aggregate.
 _SLOT_FOLDS = {
     "count": ("sum",),
     "sum": ("sum",),
     "avg": ("sum", "sum"),
     "min": ("min",),
     "max": ("max",),
-    "count_distinct": ("distinct",),
 }
 
 
@@ -392,18 +391,19 @@ def _slot_folds(staged_aggs: Sequence[StagedAgg]) -> list[str]:
 
 
 class VecAggMap:
-    """Grouped aggregation over batches: factorize, reduce, merge.
+    """Grouped aggregation over batches into one group table.
 
-    Implements the accumulate/foreach protocol of the staged hash maps;
-    ``accumulate`` is called once per batch and stages one ``v_group``
-    factorization of the key columns, one ``v_group_*`` reduction per
-    aggregate slot, and a ``group_add`` that keeps those per-group partials
-    in state allocated ahead of the scan.  ``foreach`` merges the kept
-    batches (``group_merge``).  With ``batch_out`` it hands the operator
-    every group at once -- key and slot columns, from which :meth:`record`
-    builds one output batch with a row per group -- for a batch consumer
-    (a filter or join over the groups); otherwise it loops over the groups,
-    the scalar emit loop a row-at-a-time consumer expects.
+    Implements the accumulate/foreach protocol of the staged hash maps.
+    The table (``rt.group_state``) is allocated ahead of the input loop;
+    ``accumulate`` is called once per batch and stages one ``v_group_ids``
+    -- every row's global group id -- and one ``v_agg_*`` fold per
+    aggregate slot into the table's accumulators.  ``foreach`` stages
+    ``group_merge``, which orders the groups and hands out their key and
+    slot columns.  With ``batch_out`` it hands the operator every group at
+    once, from which :meth:`record` builds one output batch with a row per
+    group, for a batch consumer (a filter or join over the groups);
+    otherwise it loops over the groups, the scalar emit loop a
+    row-at-a-time consumer expects.
     """
 
     def __init__(
@@ -428,35 +428,21 @@ class VecAggMap:
             result="void*",
             prefix="groups",
         )
-        self._folds: tuple[str, ...] = ()
         self._ngroups: Optional[RepInt] = None
 
     def accumulate(self, rec: VecRecord, stage_keys, staged_aggs) -> None:
         ctx = self.ctx
         keys = stage_keys(rec)
-        n = rec.nrows()
-        grouped = ctx.call(
-            "v_group", [n] + list(keys), result="void*", prefix="grp"
+        ids = ctx.call(
+            "v_group_ids", [self.state, rec.nrows(), *keys],
+            result="vec_long", prefix="gid",
         )
-        codes = rep_for_ctype("vec_long")(
-            ctx.bind(ir.Index(grouped.expr, ir.Const(0)), ctype="vec_long", prefix="v"),
-            ctx,
-        )
-        ngroups = RepInt(
-            ctx.bind(ir.Index(grouped.expr, ir.Const(1)), ctype="long", prefix="v"),
-            ctx,
-        )
-        partials: list[Rep] = []
         for agg in staged_aggs:
-            partials.extend(
-                _grouped_slot_arrays(ctx, agg, codes, ngroups, *_agg_input(rec, agg))
-            )
-        ctx.call_stmt("group_add", [self.state, grouped, *partials])
-        self._folds = tuple(_slot_folds(staged_aggs))
+            _fold_batch(ctx, self.state, agg, ids, *_agg_input(rec, agg))
 
     def foreach(self, on_group) -> None:
         ctx = self.ctx
-        args = [self.state, self._folds] + ([True] if self.batch_out else [])
+        args = [self.state] + ([True] if self.batch_out else [])
         merged = ctx.call("group_merge", args, result="void*", prefix="grp")
 
         def entry(i: int, ctype: str) -> Rep:
@@ -512,37 +498,34 @@ def _mask_arg(valid: Optional[Rep]) -> list[Rep]:
     return [] if valid is None else [valid]
 
 
-def _grouped_slot_arrays(
+def _fold_batch(
     ctx: StagingContext,
+    groups: Rep,
     agg: StagedAgg,
-    codes: Rep,
-    ngroups: RepInt,
+    ids: Rep,
     value: Optional[StagedValue],
     valid: Optional[Rep],
-) -> list[Rep]:
-    """The per-group result array(s) backing one aggregate's slots
-    (``valid``: the mask of the null-extended field a count counts)."""
+) -> None:
+    """Stage the folds of one batch into one aggregate's slots of the
+    group table (``valid``: the mask of the null-extended field a count
+    counts)."""
     kind = agg.spec.kind
-
-    def reduce(fn: str, *args) -> Rep:
-        return ctx.call(fn, [codes, ngroups, *args], result="void*", prefix="v")
-
     if kind == "count":
         if agg.spec.expr is None:
-            return [reduce("v_group_count")]
-        return [reduce("v_group_count_nn", value, *_mask_arg(valid))]
-    if kind == "sum":
-        return [reduce("v_group_sum", value)]
-    if kind == "avg":
+            folds = [("v_agg_count", [])]
+        else:
+            folds = [("v_agg_count_nn", [value, *_mask_arg(valid)])]
+    elif kind == "avg":
         # Matches the scalar layout: a float total plus an all-rows counter.
-        return [reduce("v_group_fsum", value), reduce("v_group_count")]
-    if kind == "min":
-        return [reduce("v_group_min", value)]
-    if kind == "max":
-        return [reduce("v_group_max", value)]
-    if kind == "count_distinct":
-        return [reduce("v_group_distinct", value)]
-    raise AssertionError(f"aggregate kind {kind!r} passed vector eligibility")
+        folds = [("v_agg_fsum", [value]), ("v_agg_count", [])]
+    elif kind in ("sum", "min", "max"):
+        folds = [(f"v_agg_{kind}", [value])]
+    elif kind == "count_distinct":
+        folds = [("v_agg_distinct", [value])]
+    else:
+        raise AssertionError(f"aggregate kind {kind!r} passed vector eligibility")
+    for offset, (kernel, args) in enumerate(folds):
+        ctx.call_stmt(kernel, [groups, agg.base + offset, ids, *args])
 
 
 def _global_partials(
@@ -553,7 +536,7 @@ def _global_partials(
     n: RepInt,
 ) -> list[Rep]:
     """One batch's reduction(s) backing one aggregate's slots (``valid``
-    as for :func:`_grouped_slot_arrays`)."""
+    as for :func:`_fold_batch`)."""
     kind = agg.spec.kind
 
     def reduce(fn: str, ctype: str, *extra) -> Rep:

@@ -189,8 +189,11 @@ def test_masked_counts_skip_hidden_slots_and_none_values(mode):
             text = np.asarray(text, dtype=object)
         assert rt.v_count_nn(typed, 5, valid) == 4
         assert rt.v_count_nn(text, 5, valid) == 2
-        assert rt.v_group_count_nn(codes, 2, typed, valid) == [2, 2]
-        assert rt.v_group_count_nn(codes, 2, text, valid) == [1, 1]
+        groups = rt.group_state(1, 2)
+        ids = rt.v_group_ids(groups, 5, codes)
+        rt.v_agg_count_nn(groups, 0, ids, typed, valid)
+        rt.v_agg_count_nn(groups, 1, ids, text, valid)
+        assert rt.group_merge(groups) == [2, [0, 1], [2, 2], [1, 1]]
 
 
 @settings(max_examples=150, deadline=None)
@@ -237,8 +240,9 @@ def test_probe_keys_broadcast_from_a_scalar(kernel_mode):
 )
 @pytest.mark.parametrize("mode", MODES)
 def test_grouped_count_distinct_matches_sets(mode, rows, cuts, strings):
-    """Per-batch (group, value) pairs, deduplicated once at the merge,
-    count like a per-group set -- whichever batch a value arrives in."""
+    """(group, value) pairs, deduplicated against the pairs every earlier
+    batch brought, count like a per-group set -- whichever batch a value
+    arrives in."""
     with kernels(mode):
         _check_count_distinct(rows, cuts, strings)
 
@@ -247,22 +251,19 @@ def _check_count_distinct(rows, cuts, strings):
     expected: dict = {}
     for group, value in rows:
         expected.setdefault(group, set()).add(str(value) if strings else value)
-    state = rt.group_state(1, 1)
     cuts = sorted(c for c in cuts if c <= len(rows))
-    for lo, hi in zip([0, *cuts], [*cuts, len(rows)]):
-        chunk = rows[lo:hi]
-        if not chunk:
-            continue
-        values = [str(v) if strings else v for _, v in chunk]
-        if rt.have_numpy():
-            import numpy as np
-
-            values = np.asarray(values, dtype=object if strings else np.int64)
-        grouped = rt.v_group(len(chunk), _batch([g for g, _ in chunk]))
-        partial = rt.v_group_distinct(grouped[0], grouped[1], values)
-        rt.group_add(state, grouped, partial)
     for batch in (False, True):
-        ngroups, groups, counts = rt.group_merge(state, ("distinct",), batch)
+        state = rt.group_state(1, 1)
+        for lo, hi in zip([0, *cuts], [*cuts, len(rows)]):
+            chunk = rows[lo:hi]
+            values = [str(v) if strings else v for _, v in chunk]
+            if rt.have_numpy():
+                import numpy as np
+
+                values = np.asarray(values, dtype=object if strings else np.int64)
+            ids = rt.v_group_ids(state, len(chunk), _batch([g for g, _ in chunk]))
+            rt.v_agg_distinct(state, 0, ids, values)
+        ngroups, groups, counts = rt.group_merge(state, batch)
         assert ngroups == len(expected)
         got = dict(zip(rt.v_tolist(groups), rt.v_tolist(counts)))
         assert got == {g: len(vs) for g, vs in expected.items()}

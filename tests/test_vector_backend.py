@@ -91,25 +91,39 @@ def test_comparison_and_mask_kernels(kernel_mode):
     assert rt.v_len(sel) == 2
 
 
+def _grouped(keys, vals, nbatches=2):
+    """Group ``vals`` by ``keys`` through a group table, in ``nbatches``
+    batches: the merged ``[ngroups, keys, sum, count, min, max, fsum]``."""
+    groups = rt.group_state(1, 5)
+    n = len(keys)
+    cuts = [n * i // nbatches for i in range(nbatches + 1)]
+    for lo, hi in zip(cuts, cuts[1:]):
+        k, v = keys[lo:hi], vals[lo:hi]
+        ids = rt.v_group_ids(groups, hi - lo, k)
+        rt.v_agg_sum(groups, 0, ids, v)
+        rt.v_agg_count(groups, 1, ids)
+        rt.v_agg_min(groups, 2, ids, v)
+        rt.v_agg_max(groups, 3, ids, v)
+        rt.v_agg_fsum(groups, 4, ids, v)
+    return rt.group_merge(groups)
+
+
 def test_group_kernels(kernel_mode):
     keys = _batch(["b", "a", "b", "a", "b"])
     vals = _batch([1, 10, 2, 20, 3])
-    grouped = rt.v_group(5, keys)
-    codes, ngroups = grouped[0], grouped[1]
+    ngroups, keylist, sums, counts, mins, maxs, fsums = _grouped(keys, vals)
     assert ngroups == 2
-    keylist = grouped[2]
-    sums = rt.v_group_sum(codes, ngroups, vals)
-    counts = rt.v_group_count(codes, ngroups)
     by_key = {
-        keylist[g]: (sums[g], counts[g]) for g in range(ngroups)
+        keylist[g]: (sums[g], counts[g], mins[g], maxs[g], fsums[g])
+        for g in range(ngroups)
     }
-    assert by_key == {"a": (30, 2), "b": (6, 3)}
-    mins = rt.v_group_min(codes, ngroups, vals)
-    maxs = rt.v_group_max(codes, ngroups, vals)
-    assert {keylist[g]: (mins[g], maxs[g]) for g in range(ngroups)} == {
-        "a": (10, 20),
-        "b": (1, 3),
-    }
+    assert by_key == {"a": (30, 2, 10, 20, 30.0), "b": (6, 3, 1, 3, 6.0)}
+    # the stateless factorization the merge orders groups with
+    grouped = rt.v_group(5, keys)
+    assert grouped[1] == 2
+    assert rt.v_tolist(rt.v_group_sum(grouped[0], 2, vals)) == [
+        30 if k == "a" else 6 for k in rt.v_tolist(grouped[2])
+    ]
 
 
 def test_global_kernels_and_empty_batches(kernel_mode):
@@ -138,21 +152,27 @@ def test_column_arrays_are_built_when_the_table_loads():
 
 def test_kernels_return_plain_python_scalars(kernel_mode):
     """Aggregate results must be plain ints/floats -- NumPy scalar types
-    leaking into result rows would break downstream equality/typing."""
+    leaking into result rows would break downstream equality/typing (the
+    wire cannot JSON-encode ``np.int64``).  Batches are arrays; values
+    become plain where they leave a batch: the global reductions, the
+    merged groups a row loop reads, and ``v_tolist``."""
     vals = _batch([1, 2, 3])
-    grouped = rt.v_group(3, _batch(["x", "y", "x"]))
-    codes, ngroups = grouped[0], grouped[1]
     for scalar in (
         rt.v_sum(vals, 3),
         rt.v_fsum(vals, 3),
         rt.v_min(vals, 3),
         rt.v_max(vals, 3),
         rt.v_count_nn(vals, 3),
-        rt.v_group_sum(codes, ngroups, vals)[0],
-        rt.v_group_fsum(codes, ngroups, vals)[0],
-        rt.v_group_count(codes, ngroups)[0],
     ):
         assert type(scalar) in PLAIN_SCALARS, type(scalar)
+    merged = _grouped(_batch(["x", "y", "x"]), vals)
+    assert type(merged[0]) is int
+    for column in merged[1:]:
+        assert isinstance(column, list)
+        assert all(type(v) in PLAIN_SCALARS for v in column), column
+    grouped = rt.v_group(3, _batch([7, 8, 7]))
+    for batch in (grouped[0], grouped[2], rt.v_group_sum(grouped[0], grouped[1], vals)):
+        assert all(type(v) in PLAIN_SCALARS for v in rt.v_tolist(batch))
 
 
 # -- the seam -----------------------------------------------------------------
@@ -229,7 +249,7 @@ def test_instrumentation_stays_vectorized():
     # identical per-operator row counts from both lowerings
     assert vec.last_stats == plain.last_stats
     # the kernel observer saw the batch kernels fire during the run
-    assert vec.last_kernels and "v_group" in vec.last_kernels
+    assert vec.last_kernels and "v_group_ids" in vec.last_kernels
     assert plain.last_kernels == {}
 
 
