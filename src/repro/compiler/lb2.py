@@ -268,6 +268,8 @@ class StagedProject(StagedOp):
                         value: StagedValue = rep_for_ctype(types[name].ctype)(
                             ir.Sym(slot.name), self.ctx
                         )
+                    elif isinstance(expr, Col):
+                        value = rec.field_ref(expr.name)
                     else:
                         value = expr.stage(rec)
                     values[name] = value

@@ -300,6 +300,10 @@ class StagedRecord:
         """Deliver this record row-at-a-time (identity for scalar records)."""
         cb(self)
 
+    def field_ref(self, name: str) -> StagedValue:
+        """A field a projection passes through unchanged (to :meth:`derive`)."""
+        return self[name]
+
     def derive(
         self,
         descs: list[FieldDesc],

@@ -78,6 +78,48 @@ def _is_vec(value: object) -> bool:
 # ---------------------------------------------------------------------------
 
 
+class _Rows:
+    """Row ids into a batch's source, staged on first use: ``step`` alone,
+    or -- below a ``parent`` level -- ``take(parent, step)``, the two
+    levels' ids composed into one vector.  :meth:`then` hands out one
+    composition per next step, so every field of a source that is read
+    through the same levels shares one composed vector."""
+
+    def __init__(
+        self, ctx: StagingContext, step: Rep, parent: Optional["_Rows"] = None
+    ) -> None:
+        self.ctx = ctx
+        self.step = step
+        self.parent = parent
+        self._rep: Optional[Rep] = None
+        self._next: dict[int, "_Rows"] = {}
+
+    def rep(self) -> Rep:
+        if self._rep is None:
+            if self.parent is None:
+                self._rep = self.step
+            else:
+                self._rep = self.ctx.call(
+                    "v_take", [self.parent.rep(), self.step],
+                    result="void*", prefix="rid",
+                )
+        return self._rep
+
+    def then(self, step: Rep) -> "_Rows":
+        """These row ids, then the ones a later level keeps."""
+        if id(step) not in self._next:
+            self._next[id(step)] = _Rows(self.ctx, step, self)
+        return self._next[id(step)]
+
+
+class _FieldRef:
+    """A batch field a projection passes through, not yet gathered."""
+
+    def __init__(self, name: str, ctype: str) -> None:
+        self.name = name
+        self.ctype = ctype  # what the projection's field descriptor reads
+
+
 class VecRecord:
     """A generation-time *batch* of records: name -> staged column.
 
@@ -87,6 +129,16 @@ class VecRecord:
     value, so the same operator code lowers to mask kernels and column
     derivations.  Scalar staged values may appear as fields too (lifted
     constants); they broadcast, and selection leaves them untouched.
+
+    Fields are gathered late.  A filter or a batch join does not gather
+    its input's columns; its output record remembers the row ids it keeps
+    (``sel``, or a join's ``probe_rows`` / ``build_rows``), and a field is
+    gathered when something reads it -- once, from its base column (a
+    batch slice, a build column, or a column an earlier level already
+    materialized) through the row ids of every level since, composed once
+    per batch and shared by all fields of that source
+    (``take(take(c, i), j)`` is ``take(c, take(i, j))``; see
+    :class:`_Rows`).
 
     ``nullable`` maps the null-extended fields of an outer join's output
     to the loader of their validity mask: the column holds a placeholder
@@ -109,6 +161,10 @@ class VecRecord:
         loaders: dict[str, Callable[[], StagedValue]],
         nrows_loader: Callable[[], RepInt],
         nullable: Optional[dict[str, Callable[[], Rep]]] = None,
+        gathers: Optional[
+            dict[str, tuple[Callable[[], StagedValue], Optional["_Rows"]]]
+        ] = None,
+        parent: Optional[tuple["VecRecord", "_Rows"]] = None,
     ) -> None:
         self.comp = comp
         self.ctx = comp.ctx
@@ -119,6 +175,12 @@ class VecRecord:
         self._nrows_loader = nrows_loader
         self._nrows: Optional[RepInt] = None
         self.nullable = nullable or {}
+        # fields gathered from a base column through row ids (a join's
+        # build fields, a projection's pass-throughs), and the record
+        # every other field is gathered from, through the row ids this
+        # level keeps
+        self._gathers = gathers or {}
+        self._parent = parent
 
     @property
     def field_names(self) -> list[str]:
@@ -135,8 +197,29 @@ class VecRecord:
     def __getitem__(self, name: str) -> StagedValue:
         if name not in self._cache:
             self.desc(name)
-            self._cache[name] = self._loaders[name]()
+            if name in self._loaders:
+                value = self._loaders[name]()
+            else:
+                base, rows = self._gather_plan(name)
+                value = base()
+                # broadcast scalars pass through
+                if rows is not None and _is_vec(value):
+                    value = value._vcall("v_take", [value, rows.rep()], type(value))
+            self._cache[name] = value
         return self._cache[name]
+
+    def _gather_plan(self, name: str):
+        """``(base, rows)``: the loader of the column ``name`` is gathered
+        from and the row ids that gather reads, or None for the column
+        itself (already materialized here, or a base field)."""
+        if name in self._cache or name in self._loaders:
+            return (lambda: self[name]), None
+        if name in self._gathers:
+            return self._gathers[name]
+        assert self._parent is not None, f"batch field {name!r} has no source"
+        parent, step = self._parent
+        base, rows = parent._gather_plan(name)
+        return base, (step if rows is None else rows.then(step.step))
 
     def nrows(self) -> RepInt:
         """The (staged) number of rows in this batch, bound once."""
@@ -162,39 +245,41 @@ class VecRecord:
             return
         ctx = self.ctx
         sel = ctx.call("v_mask_index", [cond], result="void*", prefix="sel")
-        loaders = {
-            d.name: self._filtered_loader(d.name, sel) for d in self.descs
-        }
 
         def nrows_loader() -> RepInt:
             return ctx.call("v_len", [sel], result="long", prefix="v")
 
-        cb(VecRecord(self.comp, list(self.descs), loaders, nrows_loader))
+        cb(VecRecord(
+            self.comp, list(self.descs), {}, nrows_loader,
+            parent=(self, _Rows(ctx, sel)),
+        ))
 
     def merged(self, other: "_MatchBatch") -> "VecRecord":
         """An outer join's output: this probe batch's fields, then the
         build fields ``other`` (the batch's matches) gathers."""
         return other.merged(self)
 
-    def _filtered_loader(
-        self, name: str, sel: Rep
-    ) -> Callable[[], StagedValue]:
-        def load() -> StagedValue:
-            value = self[name]
-            if not _is_vec(value):
-                return value  # broadcast scalars are selection-invariant
-            return value._vcall("v_take", [value, sel], type(value))
-
-        return load
+    def field_ref(self, name: str):
+        """A field a projection passes through unchanged: the column when
+        this batch holds it already, else a reference that :meth:`derive`
+        gathers only where the projection's output is read."""
+        if name in self._cache:
+            return self._cache[name]
+        return _FieldRef(name, vec_ctype(self.desc(name).type.ctype))
 
     def derive(
         self,
         descs: list[FieldDesc],
         values: dict[str, StagedValue],
     ) -> "VecRecord":
-        """A new batch over already-staged columns (projection output)."""
+        """A new batch over already-staged columns (projection output) and
+        pass-through fields of this batch, gathered late."""
         rec = VecRecord(self.comp, descs, {}, self.nrows)
-        rec._cache = dict(values)
+        for name, value in values.items():
+            if isinstance(value, _FieldRef):
+                rec._gathers[name] = self._gather_plan(value.name)
+            else:
+                rec._cache[name] = value
         return rec
 
     def rows(self, cb: Callable[[StagedRecord], None]) -> None:
@@ -687,11 +772,11 @@ class BatchJoinBuild:
 class _MatchBatch:
     """One probe batch's matches, waiting for the probe batch they pair
     with: :meth:`merged` is the join's output batch -- build columns
-    gathered through ``build_rows``, probe columns through ``probe_rows``
-    -- with fields in the scalar join's order: build fields first for an
-    inner join, probe fields first for an outer join, whose build fields
-    are null-extended where ``build_rows`` is -1 (their validity mask is
-    ``build_rows >= 0``, staged once, on first use)."""
+    gathered (late) through ``build_rows``, probe columns through
+    ``probe_rows`` -- with fields in the scalar join's order: build fields
+    first for an inner join, probe fields first for an outer join, whose
+    build fields are null-extended where ``build_rows`` is -1 (their
+    validity mask is ``build_rows >= 0``, staged once, on first use)."""
 
     def __init__(
         self, build: BatchJoinBuild, descs: list[FieldDesc], build_rows: Rep,
@@ -709,36 +794,31 @@ class _MatchBatch:
         if clash:
             raise KeyError(f"merged record field clash: {sorted(clash)}")
 
-        def build_loader(j: int, desc: FieldDesc) -> Callable[[], StagedValue]:
+        def column(j: int, desc: FieldDesc) -> Callable[[], StagedValue]:
+            @functools.cache
             def load() -> StagedValue:
                 ctype = vec_ctype(desc.type.ctype)
-                column = rep_for_ctype(ctype)(
+                return rep_for_ctype(ctype)(
                     ctx.bind(ir.Index(build.built.expr, ir.Const(1 + j)),
                              ctype=ctype, prefix="v"),
                     ctx,
                 )
-                return column._vcall("v_take", [column, self.build_rows], type(column))
 
             return load
 
-        def probe_loader(name: str) -> Callable[[], StagedValue]:
-            def load() -> StagedValue:
-                value = probe[name]
-                if not _is_vec(value):
-                    return value  # broadcast scalars are row-invariant
-                return value._vcall("v_take", [value, self.probe_rows], type(value))
-
-            return load
-
-        loaders = {d.name: build_loader(j, d) for j, d in enumerate(self.descs)}
-        loaders.update({name: probe_loader(name) for name in probe.field_names})
+        build_rows = _Rows(ctx, self.build_rows)
+        gathers = {
+            d.name: (column(j, d), build_rows) for j, d in enumerate(self.descs)
+        }
+        parent = (probe, _Rows(ctx, self.probe_rows))
 
         def nrows_loader() -> RepInt:
             return ctx.call("v_len", [self.build_rows], result="long", prefix="v")
 
         if not build.outer:
             return VecRecord(
-                build.comp, self.descs + list(probe.descs), loaders, nrows_loader
+                build.comp, self.descs + list(probe.descs), {}, nrows_loader,
+                gathers=gathers, parent=parent,
             )
 
         @functools.cache
@@ -746,8 +826,9 @@ class _MatchBatch:
             return RepVecInt(self.build_rows.expr, ctx) >= 0
 
         return VecRecord(
-            build.comp, list(probe.descs) + self.descs, loaders, nrows_loader,
+            build.comp, list(probe.descs) + self.descs, {}, nrows_loader,
             nullable={d.name: validity for d in self.descs},
+            gathers=gathers, parent=parent,
         )
 
 

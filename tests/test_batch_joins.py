@@ -216,6 +216,139 @@ def _check_key_set(nkeys, build, probe, cuts, batched):
     ]
 
 
+#: int64 extremes: a probe key this far from the build span must neither
+#: wrap into it nor overflow the offset.
+_EDGE = [-(1 << 63), -(1 << 63) + 1, (1 << 63) - 2, (1 << 63) - 1]
+
+
+@st.composite
+def one_key_case(draw):
+    """A single-key build (unique or not, possibly empty or one row) whose
+    span sits at the direct-table bound, one slot past it, or anywhere,
+    and probe keys below, inside and above it -- as int64, int32, bool or
+    date (yyyymmdd) arrays."""
+    dtype = draw(st.sampled_from(["int64", "int32", "bool", "date"]))
+    bound = rt._direct_bound(30, rt._JOIN_SLOTS_PER_ROW, rt._DIRECT_SLOTS_MIN)
+    if dtype == "bool":
+        values = st.integers(0, 1)
+    elif dtype == "date":
+        values = st.integers(19920101, 19981231)
+    elif dtype == "int32":
+        values = st.integers(-(1 << 31), (1 << 31) - 1 - bound)
+    else:
+        values = st.one_of(st.integers(-50, 50), st.sampled_from(_EDGE))
+    lo = draw(values)
+    shape = draw(st.sampled_from(["free", "at bound", "past bound"]))
+    width = 40 if shape == "free" else bound - (shape == "at bound")
+    if lo + width >= 1 << 63:
+        lo -= width
+    hi = lo + width
+    if dtype == "bool":
+        pool = values
+    elif shape == "free":
+        pool = st.integers(lo, hi)
+    else:
+        pool = st.sampled_from([lo, hi, (lo + hi) // 2])
+    build = draw(st.lists(pool, max_size=30))
+    if shape != "free" and dtype != "bool" and len(build) >= 2:
+        build[:2] = [lo, hi]
+    if draw(st.booleans()):
+        build = list(dict.fromkeys(build))  # unique build keys
+    extra = [
+        k for k in [lo - 2, lo - 1, hi + 1] + (_EDGE if dtype == "int64" else [])
+        if -(1 << 63) <= k < 1 << 63
+    ]
+    probe = draw(st.lists(st.one_of(pool, st.sampled_from(extra)), max_size=30))
+    return dtype, build, probe
+
+
+def _typed(values, dtype):
+    import numpy as np
+
+    if dtype == "bool":
+        return np.asarray(values, dtype=bool)
+    if dtype == "int32":
+        return np.asarray(values, dtype=np.int32)
+    return np.asarray(values, dtype=np.int64)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=one_key_case())
+def test_one_key_probe_and_contains_match_a_dict_multimap(case):
+    """A single integer key -- the one-table form while its span is within
+    the direct bound, codebooks past it -- probes like a dict multimap, in
+    order, and its key set answers like a set, wherever the probe keys
+    fall in int64."""
+    if not rt.have_numpy():
+        pytest.skip("the one-table form is NumPy's")
+    dtype, build, probe = case
+    if dtype == "int32":
+        probe = [k for k in probe if -(1 << 31) <= k < (1 << 31)]
+    if dtype == "bool":
+        probe = [k for k in probe if k in (0, 1)]
+    table: dict = {}
+    for i, key in enumerate(build):
+        table.setdefault(key, []).append(i)
+    keys = _typed(probe, dtype)
+    built = rt.join_finish(
+        [(len(build), _typed(build, dtype), _batch(range(len(build))))], 1, 1, True
+    )
+    build_rows, probe_rows = rt.v_join_probe(built, len(probe), keys)
+    assert list(zip(rt.v_tolist(build_rows), rt.v_tolist(probe_rows))) == [
+        (b, p) for p, key in enumerate(probe) for b in table.get(key, ())
+    ]
+    outer = rt.join_finish(
+        [(len(build), _typed(build, dtype), _batch(range(len(build))))],
+        1, 1, True, True,
+    )
+    build_rows, probe_rows = rt.v_join_probe_outer(outer, len(probe), keys)
+    assert list(zip(rt.v_tolist(build_rows), rt.v_tolist(probe_rows))) == [
+        (b, p) for p, key in enumerate(probe) for b in table.get(key, [-1])
+    ]
+    key_set = rt.join_finish([(len(build), _typed(build, dtype))], 1, 0, True)
+    mask = rt.v_join_contains(key_set, len(probe), keys)
+    assert [bool(m) for m in rt.v_tolist(mask)] == [key in table for key in probe]
+
+
+def test_one_table_form_covers_spans_up_to_the_direct_bound(kernel_mode):
+    """A single key spanning exactly the direct bound takes one table; one
+    slot more takes the codebooks; both answer alike."""
+    if not rt.have_numpy():
+        pytest.skip("the one-table form is NumPy's")
+    bound = rt._direct_bound(3, rt._JOIN_SLOTS_PER_ROW, rt._DIRECT_SLOTS_MIN)
+    for hi, one_table in ((bound - 1, True), (bound, False)):
+        index = rt.JoinIndex([_batch([0, hi, 7])])
+        assert (index._lo is not None) == one_table
+        rows, probes = index.probe([_batch([hi, -1, 7, hi + 1, 0])], 5)
+        assert list(zip(rt.v_tolist(rows), rt.v_tolist(probes))) == [
+            (1, 0), (2, 2), (0, 4)
+        ]
+
+
+@pytest.mark.parametrize("batched", [True, False])
+def test_a_key_set_probed_only_for_membership_never_sorts(kernel_mode, batched):
+    """``contains`` reads per-slot counts only; the stable build-row order
+    is computed on the first ``probe``, which still returns each probe
+    row's matches in build-insertion order."""
+    if not rt.have_numpy():
+        pytest.skip("the sorted build order is NumPy's")
+    keys = [5, 3, 5, 9, 3, 5]
+    for wide in (False, True):  # one table, then codebooks
+        build = [k * (1 << 40) if wide else k for k in keys]
+        if batched:
+            built = rt.join_finish([(len(build), _batch(build))], 1, 0, True)
+        else:
+            built = rt.join_finish([(k,) for k in build], 1, 0, False)
+        index = built[0]
+        probe = _batch([build[0], 4, build[1]])
+        assert rt.v_tolist(rt.v_join_contains(built, 3, probe)) == [True, False, True]
+        assert "_order" not in vars(index)
+        rows, probes = rt.v_join_probe(built, 3, probe)
+        assert list(zip(rt.v_tolist(rows), rt.v_tolist(probes))) == [
+            (0, 0), (2, 0), (5, 0), (1, 2), (4, 2)
+        ]
+
+
 def test_probe_keys_broadcast_from_a_scalar(kernel_mode):
     """A constant probe key (a lifted literal) matches every probe row."""
     built = _finish(1, [(3,), (1,), (3,)], [], batched=False)

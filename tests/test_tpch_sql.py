@@ -10,6 +10,10 @@ import pytest
 
 from repro.compiler.driver import LB2Compiler
 from repro.engine import execute_push
+from repro.plan import optimizer
+from repro.plan import physical as phys
+from repro.resilience import ResilientExecutor
+from repro.session import Session
 from repro.sql import sql_to_plan
 from repro.tpch import query_plan
 from repro.tpch.sql_queries import PLAN_ONLY, SQL_QUERIES
@@ -65,3 +69,38 @@ def test_sql_output_column_order_matches(q, tpch_db):
     sql_names = sql_to_plan(SQL_QUERIES[q], tpch_db).field_names(tpch_db.catalog)
     plan_names = query_plan(q, scale=TINY_SCALE).field_names(tpch_db.catalog)
     assert len(sql_names) == len(plan_names)
+
+
+def _scan_tables(node) -> set:
+    tables = {node.table} if isinstance(node, phys.Scan) else set()
+    for child in node.children():
+        tables |= _scan_tables(child)
+    return tables
+
+
+def test_served_q9_probes_part_first(tpch_db):
+    """q9's lineitem stream meets the 6 %-selective ``part`` build before
+    any other: the join directly over the lineitem scan builds ``part``."""
+    session = Session(tpch_db)
+    plan = ResilientExecutor(session).prepare(SQL_QUERIES[9]).plan
+    joins = []
+
+    def walk(node):
+        if isinstance(node, phys.HashJoin) and _scan_tables(node.right) == {"lineitem"}:
+            joins.append(node)
+        for child in node.children():
+            walk(child)
+
+    walk(plan)
+    assert [_scan_tables(j.left) for j in joins] == [{"part"}]
+
+
+@pytest.mark.parametrize("q", SQL_NUMBERS)
+def test_probe_order_keeps_every_statements_rows(q, tpch_db, monkeypatch):
+    """Reordering a probe spine changes which build a row meets first, not
+    which rows come out."""
+    ordered = sql_to_plan(SQL_QUERIES[q], tpch_db)
+    monkeypatch.setattr(optimizer, "_probe_order", lambda plan, *_: plan)
+    greedy = sql_to_plan(SQL_QUERIES[q], tpch_db)
+    rows = [execute_push(p, tpch_db, tpch_db.catalog) for p in (ordered, greedy)]
+    assert normalize(rows[0]) == normalize(rows[1])
