@@ -34,6 +34,7 @@ from repro.analysis.walker import Diagnostic, analyze
 from repro.compiler.driver import LB2Compiler
 from repro.compiler.lb2 import Config
 from repro.compiler.parallel import ParallelError, ParallelQuery
+from repro.compiler.runtime import have_numpy
 from repro.obs.metrics import REGISTRY
 from repro.plan.rewrite import optimize_for_level
 from repro.storage.database import Database, OptimizationLevel
@@ -46,18 +47,20 @@ SCHEMA = "repro-lint/v2"
 def iter_configs(fast: bool = False) -> Iterator[Config]:
     """Every compilation-knob combination (or just the two codegen
     backends at defaults for --fast), plus the two programs the service
-    runs under a deadline."""
+    runs under a deadline.  The vector backend requires NumPy: without it
+    only scalar configs are yielded."""
+    codegens = ("scalar", "vector") if have_numpy() else ("scalar",)
     # Served programs are budget-checked builds over an undictionaried
     # database; without dictionaries this database compiles the same ones.
-    for codegen in ("scalar", "vector"):
+    for codegen in codegens:
         yield Config(codegen=codegen, budget_checks=True, use_dictionaries=False)
     if fast:
-        yield Config()
-        yield Config(codegen="vector")
+        for codegen in codegens:
+            yield Config(codegen=codegen)
         return
     for codegen, hashmap, sort_layout, hoist, use_dicts, instrument in (
         itertools.product(
-            ("scalar", "vector"), ("native", "open"), ("row", "column"),
+            codegens, ("native", "open"), ("row", "column"),
             (True, False), (True, False), (False, True),
         )
     ):

@@ -115,9 +115,17 @@ class ScalarBackend:
 
 
 def make_backend(comp: "StagedPlanBuilder"):
-    """The backend selected by ``Config.codegen``."""
+    """The backend selected by ``Config.codegen``; the vector lowering's
+    kernels require NumPy."""
     if comp.config.codegen == "vector":
+        from repro.compiler.lb2 import CompileError
+        from repro.compiler.runtime import have_numpy
         from repro.compiler.vec import VectorBackend
 
+        if not have_numpy():
+            raise CompileError(
+                "codegen='vector' requires NumPy: install the 'fast' extra "
+                "(pip install repro[fast])"
+            )
         return VectorBackend(comp)
     return ScalarBackend(comp)

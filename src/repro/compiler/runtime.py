@@ -7,14 +7,14 @@ building a comparison key, a budget checkpoint) through ``rt``.  The
 second is the batch lowering's kernels (``v_*``, ``join_finish``,
 ``group_state`` / ``group_merge``): a batch program's hot path *is* these
 calls, one per batch and operation -- predicates, gathers, join probes,
-grouping and aggregate folds -- over NumPy arrays, or over lists when NumPy
-is absent.
+grouping and aggregate folds -- over NumPy arrays.  The batch lowering
+requires NumPy; this module still imports without it, since scalar
+programs call the helpers of the first kind.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import re
 import threading
 from time import perf_counter as _perf_counter
@@ -237,12 +237,11 @@ def scan_tick(n: int = 1) -> None:
 #
 # Residual programs compiled with ``Config(codegen="vector")`` call these
 # ``v_*`` kernels over whole column arrays instead of emitting per-row
-# loops.  With NumPy installed (the ``repro[fast]`` extra) operands are
-# ``numpy.ndarray``; without it, storage hands out plain Python lists and
-# every kernel falls back to list comprehensions -- same results, scalar
-# speed.  Either operand of a binary kernel may also be a plain Python
-# scalar (a broadcast constant).  All kernels are pure: they allocate fresh
-# outputs and never mutate their inputs.
+# loops.  Operands are ``numpy.ndarray`` (the ``repro[fast]`` extra, which
+# ``make_backend`` requires for that config); either operand of a binary
+# kernel may also be a plain Python scalar (a broadcast constant).  All
+# kernels are pure: they allocate fresh outputs and never mutate their
+# inputs.
 #
 # String columns arrive in the fixed-width ``S{w}`` layout storage gives
 # ASCII text (``repro.storage.buffer.typed_strings``), else as object
@@ -269,21 +268,18 @@ def have_numpy() -> bool:
     return _np is not None
 
 
-def _is_ndarray(x) -> bool:
-    return _np is not None and isinstance(x, _np.ndarray)
-
-
 def _is_batch(x) -> bool:
-    return isinstance(x, list) or _is_ndarray(x)
+    """An array, as opposed to a broadcast scalar."""
+    return isinstance(x, _np.ndarray)
 
 
 def _is_bytes(x) -> bool:
     """An ``S{w}`` batch: ASCII strings in the fixed-width layout."""
-    return _is_ndarray(x) and x.dtype.kind == "S"
+    return _is_batch(x) and x.dtype.kind == "S"
 
 
 def _is_numeric(x) -> bool:
-    return _is_ndarray(x) and x.dtype.kind in "iubf"
+    return _is_batch(x) and x.dtype.kind in "iubf"
 
 
 def _to_list(a) -> list:
@@ -293,8 +289,6 @@ def _to_list(a) -> list:
     beat converting to a ``U`` array first (0.5 against 1.0 ms at 8 192
     rows), and it allocates no 4-byte-per-character temporary.
     """
-    if not _is_ndarray(a):
-        return a
     if a.dtype.kind == "S":
         return list(map(bytes.decode, a.tolist()))
     return a.tolist()
@@ -333,28 +327,17 @@ def _text_pair(a, b):
             return a, encoded
         # a 0-d object array, or NumPy would make the scalar a NUL-dropping U
         return _str_objects(a), _np.array(b, dtype=object)
-    if _is_ndarray(b) and b.dtype.kind in "OU":
+    if _is_batch(b) and b.dtype.kind in "OU":
         return _str_objects(a), b
     return a, b
 
 
-def _pair(a, b):
-    """Align two elementwise operands into equal-length Python lists."""
-    if _is_batch(a) and _is_batch(b):
-        return a, b
-    if _is_batch(a):
-        return a, [b] * len(a)
-    return [a] * len(b), b
-
-
 def _ew(a, b, op):
-    """Elementwise binary kernel body: NumPy fast path or list fallback."""
-    if _is_ndarray(a) or _is_ndarray(b):
-        if _is_bytes(a) or _is_bytes(b):
-            a, b = _text_pair(a, b)
-        return op(a, b)
-    xs, ys = _pair(a, b)
-    return [op(x, y) for x, y in zip(xs, ys)]
+    """Elementwise binary kernel body; a typed string batch meets its
+    other operand through :func:`_text_pair`."""
+    if _is_bytes(a) or _is_bytes(b):
+        a, b = _text_pair(a, b)
+    return op(a, b)
 
 
 def v_add(a, b):
@@ -406,29 +389,19 @@ def v_ge(a, b):
 
 
 def v_and(a, b):
-    if _is_ndarray(a) or _is_ndarray(b):
-        return a & b
-    xs, ys = _pair(a, b)
-    return [bool(x and y) for x, y in zip(xs, ys)]
+    return a & b
 
 
 def v_or(a, b):
-    if _is_ndarray(a) or _is_ndarray(b):
-        return a | b
-    xs, ys = _pair(a, b)
-    return [bool(x or y) for x, y in zip(xs, ys)]
+    return a | b
 
 
 def v_not(a):
-    if _is_ndarray(a):
-        return ~a
-    return [not x for x in a]
+    return ~a
 
 
 def v_neg(a):
-    if _is_ndarray(a):
-        return -a
-    return [-x for x in a]
+    return -a
 
 
 # -- selection ----------------------------------------------------------------
@@ -436,18 +409,14 @@ def v_neg(a):
 
 def v_mask_index(mask):
     """Row positions where ``mask`` is true (the selection vector)."""
-    if _is_ndarray(mask):
-        return _np.nonzero(mask)[0]
-    return [i for i, m in enumerate(mask) if m]
+    return _np.nonzero(mask)[0]
 
 
 def v_take(a, idx):
     """Gather ``a`` at positions ``idx``; scalars broadcast through."""
     if not _is_batch(a):
         return a
-    if _is_ndarray(a):
-        return a.take(idx)
-    return [a[int(i)] for i in idx]
+    return a.take(idx)
 
 
 def v_len(x) -> int:
@@ -481,27 +450,20 @@ def v_like(values, pattern: str, negate: bool):
     ``b`` is searched after ``a``'s first occurrence only in the rows
     holding ``a``.  On q13's ``o_comment`` (``S85``, 15 000 rows) that
     took 1.5 ms, against 2.8 ms for a Python loop over its ``str`` values
-    and 3.0 ms for a second ``find`` over every row.  An object batch, a list
-    batch and the generic shape (``_``, or ``%`` inside the text) run the
+    and 3.0 ms for a second ``find`` over every row.  An object batch and
+    the generic shape (``_``, or ``%`` inside the text) run the
     interpreters' per-value test, whose generic case is :func:`like` --
     as does a pattern holding a NUL, which NumPy's strings would drop.
     """
     from repro.plan.expressions import _like_shape, like_predicate
 
     shape, parts = _like_shape(pattern)
-    if (
-        _is_ndarray(values)
-        and values.dtype.kind in "SU"
-        and shape != "generic"
-        and "\0" not in pattern
-    ):
+    if values.dtype.kind in "SU" and shape != "generic" and "\0" not in pattern:
         mask = _like_strings(values, shape, parts)
     else:
         test = like_predicate(pattern)
-        mask = _index_list([test(v) for v in _to_list(values)], dtype=bool)
-    if not negate:
-        return mask
-    return ~mask if _is_ndarray(mask) else [not m for m in mask]
+        mask = _np.asarray([test(v) for v in _to_list(values)], dtype=bool)
+    return ~mask if negate else mask
 
 
 def _like_strings(values, shape: str, parts: tuple):
@@ -529,10 +491,6 @@ def _like_strings(values, shape: str, parts: tuple):
 
 
 # -- grouping -----------------------------------------------------------------
-
-
-def _as_lists(n: int, keys):
-    return [_to_list(k) if _is_batch(k) else [k] * n for k in keys]
 
 
 #: Odd multiplier folding a wide string's words into one 64-bit hash.
@@ -735,23 +693,8 @@ def v_group(n, *keys):
     ``codes[i]`` is the dense group id of row ``i`` and ``keys_j[g]`` the
     j-th key value of group ``g`` (a batch over the groups).
     """
-    if _np is not None and keys and all(_is_ndarray(k) for k in keys):
-        codes, ngroups, first = _group_codes(n, keys)
-        return (codes, ngroups, *(k[first] for k in keys))
-    cols = _as_lists(n, keys)
-    mapping: dict = {}
-    codes = [0] * n
-    keylists: list[list] = [[] for _ in keys]
-    for i in range(n):
-        kt = tuple(c[i] for c in cols)
-        gid = mapping.get(kt)
-        if gid is None:
-            gid = len(mapping)
-            mapping[kt] = gid
-            for kl, v in zip(keylists, kt):
-                kl.append(v)
-        codes[i] = gid
-    return (codes, len(mapping), *keylists)
+    codes, ngroups, first = _group_codes(n, keys)
+    return (codes, ngroups, *(k[first] for k in keys))
 
 
 #: Integer sums stay exact in float64 below the first bound, in int64
@@ -770,24 +713,15 @@ def _int_bound(values) -> int:
 
 def _batch_of(n: int, value):
     """A key or value operand as an array of ``n`` rows."""
-    if _is_ndarray(value):
+    if _is_batch(value):
         return value
-    if isinstance(value, list):
-        return _column(value)
     return _full(n, value)
 
 
 def v_group_sum(codes, ngroups, values):
-    """Per-group sums of one batch over dense ``codes`` (an array; a list
-    without NumPy).  Integer sums are exact: float ``bincount`` weights
-    while no sum can reach 2**53, int64 while none can reach 2**63, and
-    Python ints past that."""
-    if not _is_ndarray(codes):
-        values = values if _is_batch(values) else [values] * len(codes)
-        out = [0] * ngroups
-        for c, v in zip(codes, _to_list(values)):
-            out[c] += v
-        return out
+    """Per-group sums of one batch over dense ``codes``.  Integer sums are
+    exact: float ``bincount`` weights while no sum can reach 2**53, int64
+    while none can reach 2**63, and Python ints past that."""
     values = _batch_of(len(codes), values)
     if values.dtype.kind == "f":
         return _np.bincount(codes, weights=values, minlength=ngroups)
@@ -1731,66 +1665,6 @@ class GroupTable:
         return order
 
 
-class _ListGroupTable:
-    """The group table without NumPy: a dict from key tuples to group
-    ids and lists for the accumulators; groups stay in arrival order."""
-
-    def __init__(self, nkeys: int, nslots: int) -> None:
-        self.index: dict = {}
-        self.reps: list = [[] for _ in range(nkeys)]
-        self.slots: list = [[] for _ in range(nslots)]
-        self.pairs: list = [set() for _ in range(nslots)]
-
-    def ids(self, n: int, keys) -> list:
-        index = self.index
-        ids = []
-        for key in zip(*_as_lists(n, keys)):
-            g = index.get(key)
-            if g is None:
-                g = index[key] = len(index)
-                for rep, v in zip(self.reps, key):
-                    rep.append(v)
-            ids.append(g)
-        return ids
-
-    def _acc(self, slot: int, fill) -> list:
-        acc = self.slots[slot]
-        acc.extend([fill] * (len(self.index) - len(acc)))
-        return acc
-
-    def add(self, slot: int, ids, values, floats: bool = False) -> None:
-        acc = self._acc(slot, 0.0 if floats else 0)
-        for g, v in zip(ids, _as_lists(len(ids), [values])[0]):
-            acc[g] += float(v) if floats else v
-
-    def count(self, slot: int, ids, values=None, valid=None) -> None:
-        acc = self._acc(slot, 0)
-        if values is None:
-            present = [True] * len(ids)
-        else:
-            present = _present(_as_lists(len(ids), [values])[0], valid)
-        for g, ok in zip(ids, present):
-            if ok:
-                acc[g] += 1
-
-    def extreme(self, slot: int, ids, values, pick: str) -> None:
-        acc = self._acc(slot, None)
-        for g, v in zip(ids, _as_lists(len(ids), [values])[0]):
-            current = acc[g]
-            if current is None or (v < current if pick == "min" else v > current):
-                acc[g] = v
-
-    def distinct(self, slot: int, ids, values) -> None:
-        acc, seen = self._acc(slot, 0), self.pairs[slot]
-        for pair in zip(ids, _as_lists(len(ids), [values])[0]):
-            if pair not in seen:
-                seen.add(pair)
-                acc[pair[0]] += 1
-
-    def merge(self, batch: bool) -> list:
-        return [len(self.index), *self.reps, *self.slots]
-
-
 def _present(values: list, valid) -> list:
     """Which of ``values`` a ``count`` counts: not None, and -- with
     ``valid`` -- not masked out."""
@@ -1800,10 +1674,8 @@ def _present(values: list, valid) -> list:
 
 
 def group_state(nkeys: int, nslots: int):
-    """A grouped aggregation's group table, allocated ahead of its input
-    loop: :class:`GroupTable`, or its dict twin without NumPy."""
-    if _np is None:
-        return _ListGroupTable(nkeys, nslots)
+    """A grouped aggregation's group table (:class:`GroupTable`),
+    allocated ahead of its input loop."""
     return GroupTable(nkeys, nslots)
 
 
@@ -1852,8 +1724,7 @@ def group_merge(groups, batch: bool = False) -> list:
     every key and slot one column over the groups -- a batch with
     ``batch`` (typed strings stay typed), else a list of plain Python
     values, never NumPy scalars or bytes (the per-group emit loop's).
-    With NumPy the groups come in ascending key order
-    (:meth:`GroupTable._order`), without it in arrival order."""
+    The groups come in the key order :meth:`GroupTable._order` gives."""
     return groups.merge(batch)
 
 
@@ -1869,8 +1740,6 @@ def _concat_arrays(arrays: list):
 def _column(values: list):
     """A list of plain values as a batch; strings get the layout storage
     would give a column of them (:func:`typed_strings`)."""
-    if _np is None:
-        return values
     if values and isinstance(values[0], str):
         typed = typed_strings(values)
         return typed if typed is not None else _np.asarray(values, dtype=object)
@@ -1919,18 +1788,12 @@ def join_finish(
 
 
 def _with_placeholder(column):
-    if _np is None:
-        return [*column, None]
     return _np.concatenate([column, _np.zeros(1, dtype=column.dtype)])
 
 
 def _concat_batches(pieces: list):
     """``(n, batch-or-broadcast-scalar)`` pieces as one column."""
-    if _np is None:
-        return list(itertools.chain.from_iterable(
-            value if _is_batch(value) else [value] * n for n, value in pieces
-        ))
-    arrays = [value if _is_ndarray(value) else _full(n, value) for n, value in pieces]
+    arrays = [_batch_of(n, value) for n, value in pieces]
     if not arrays:
         return _np.empty(0, dtype=_np.int64)
     return _concat_arrays(arrays)
@@ -1945,7 +1808,7 @@ def _full(n: int, value):
 
 
 def _is_int_array(x) -> bool:
-    return _is_ndarray(x) and x.dtype.kind in "iub"
+    return _is_batch(x) and x.dtype.kind in "iub"
 
 
 class JoinIndex:
@@ -1964,16 +1827,18 @@ class JoinIndex:
     distinct build values (:class:`_Codebook`: a direct table for small
     spans, binary search otherwise), and composite keys combine those
     codes by mixed radix -- re-densified whenever the radix outgrows a
-    direct table, so no packed key can overflow int64.  Without NumPy, or
-    for keys that are not integers, a dict from key to build rows answers
-    instead; all forms give the same matches in the same order.
+    direct table, so no packed key can overflow int64.  A build key array
+    that is not integer -- an object array holding ``None`` (an INT field
+    from a left outer join's null-extended side), or the float64 array an
+    empty row-built build yields -- makes a dict from key to build rows
+    answer instead; all forms give the same matches in the same order.
     """
 
     def __init__(self, keys: list) -> None:
         self.keys = keys
         self.size = len(keys[0])
         self._dict: Optional[dict] = None
-        self._numeric = _np is not None and all(_is_int_array(k) for k in keys)
+        self._numeric = all(_is_int_array(k) for k in keys)
         if self._numeric and self.size:
             self._build(keys)
 
@@ -2102,9 +1967,7 @@ class JoinIndex:
         arrays = self._probe_keys(keys, n)
         if arrays is None:
             table = self._lookup()
-            return _index_list(
-                [key in table for key in _key_rows(keys, n)], dtype=bool
-            )
+            return _np.asarray([key in table for key in _key_rows(keys, n)], dtype=bool)
         if self.size == 0:
             return _np.zeros(n, dtype=bool)
         slots = self._slots(arrays, n)
@@ -2131,21 +1994,18 @@ class JoinIndex:
             for row in table.get(key, unmatched):
                 build_rows.append(row)
                 probe_rows.append(i)
-        return _index_list(build_rows), _index_list(probe_rows)
+        return (
+            _np.asarray(build_rows, dtype=_np.int64),
+            _np.asarray(probe_rows, dtype=_np.int64),
+        )
 
 
 def _key_rows(keys: list, n: int) -> list:
     """Per-row keys: the value for one key column, a tuple for several."""
-    cols = _as_lists(n, keys)
+    cols = [_to_list(k) if _is_batch(k) else [k] * n for k in keys]
     if len(cols) == 1:
         return cols[0]
     return list(zip(*cols))
-
-
-def _index_list(values: list, dtype=None):
-    if _np is None:
-        return values
-    return _np.asarray(values, dtype=dtype or _np.int64)
 
 
 def v_join_probe(index, n, *keys):
@@ -2176,23 +2036,19 @@ def v_join_contains(index, n, *keys):
 def v_sum(values, n):
     if not _is_batch(values):
         return values * n
-    if _is_ndarray(values):
-        if values.dtype.kind in "iub":
-            if _int_bound(values) * len(values) >= _INT64_LIMIT:
-                return sum(values.tolist())  # int64 would wrap: Python ints
-            return int(values.sum())
-        if values.dtype == object:
-            return sum(values.tolist())
-        return float(values.sum())
-    return sum(values)
+    if values.dtype.kind in "iub":
+        if _int_bound(values) * len(values) >= _INT64_LIMIT:
+            return sum(values.tolist())  # int64 would wrap: Python ints
+        return int(values.sum())
+    if values.dtype == object:
+        return sum(values.tolist())
+    return float(values.sum())
 
 
 def v_fsum(values, n):
     if not _is_batch(values):
         return float(values) * n
-    if _is_ndarray(values):
-        return float(values.sum())
-    return float(sum(values))
+    return float(values.sum())
 
 
 def v_count_nn(values, n, valid=None):
@@ -2200,7 +2056,7 @@ def v_count_nn(values, n, valid=None):
     mask) only of the slots it marks true."""
     if not _is_batch(values):
         return n if values is not None else 0
-    if _is_ndarray(values) and values.dtype != object:
+    if values.dtype != object:
         return len(values) if valid is None else v_sum(valid, n)
     return sum(_present(_to_list(values), valid))
 

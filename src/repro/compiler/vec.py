@@ -8,9 +8,10 @@ of one row loop per pipeline, the generated code walks a table in batches
 of at most
 :data:`BATCH_ROWS` rows (slices of ``db.column_vec`` arrays, for the
 columns the query reads), evaluates predicates and expressions with
-``rt.v_*`` batch kernels (NumPy when available, pure-Python lists
-otherwise), keeps join build sides as columns and probes them a batch at a
-time, folds aggregate partials into running state, and only falls back to
+``rt.v_*`` batch kernels over NumPy arrays (this lowering requires
+NumPy: :func:`~repro.compiler.backends.make_backend` refuses it without),
+keeps join build sides as columns and probes them a batch at a time,
+folds aggregate partials into running state, and only falls back to
 row-at-a-time code at the seams:
 
 * an operator whose shape the vector lowering does not support (sorts,
@@ -34,7 +35,6 @@ batch join, runs over that probe batch's matches (its fan-out).
 from __future__ import annotations
 
 import functools
-import warnings
 from typing import Callable, Optional, Sequence
 
 from repro.catalog.types import ColumnType
@@ -57,7 +57,6 @@ from repro.staging import ir
 from repro.staging.builder import StagingContext
 from repro.staging.rep import Rep, RepInt, RepVecInt, rep_for_ctype, vec_ctype
 from repro.compiler.backends import ScalarBackend
-from repro.compiler.runtime import have_numpy
 from repro.compiler.staged_agg import GlobalAggState, StagedAgg
 from repro.compiler.staged_hashmap import Slots
 from repro.compiler.staged_record import FieldDesc, StagedRecord, StagedValue
@@ -924,14 +923,6 @@ class VectorBackend(ScalarBackend):
             "devectorized_edges": 0,
         }
         self._pruned_chains: list[dict] = []
-        if not have_numpy():
-            warnings.warn(
-                "NumPy is not installed: the vector backend will run its "
-                "batch kernels as pure-Python list loops. Install the "
-                "'fast' extra (pip install repro[fast]) for the fast path.",
-                RuntimeWarning,
-                stacklevel=2,
-            )
 
     # -- whole-plan analysis --------------------------------------------------
 
@@ -1093,11 +1084,7 @@ class VectorBackend(ScalarBackend):
         return True
 
     def stats(self) -> dict:
-        out = {
-            "backend": self.name,
-            "numpy": have_numpy(),
-            **self._counts,
-        }
+        out = {"backend": self.name, **self._counts}
         if self._pruned_chains:
             out["pruned_chains"] = [dict(c) for c in self._pruned_chains]
         return out

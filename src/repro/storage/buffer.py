@@ -2,6 +2,9 @@
 
 ``ColumnarTable`` is the primary store: one Python list per column.  It is
 what compiled queries read directly (raw subscripting in the residual code).
+When NumPy imports, each column also has a typed array
+(:meth:`ColumnarTable.array`): the vector lowering's read path, which
+requires NumPy.
 ``RowTable`` is the row-oriented variant used to demonstrate layout choice;
 both expose the same interface so engines are layout-agnostic, mirroring the
 paper's ``FlatBuffer`` / ``ColumnarBuffer`` pair.
@@ -105,10 +108,9 @@ class ColumnarTable:
         """The column as a typed NumPy array (vector backend read path).
 
         Built with the rest of the table's load-time structures
-        (:meth:`build_arrays`) or on first access, and cached; with NumPy
-        absent the raw Python list is returned instead, and the ``v_*``
-        batch kernels fall back to list processing.  A STRING column gets
-        the fixed-width layout of :func:`typed_strings` when its values
+        (:meth:`build_arrays`) or on first access, and cached; it needs
+        NumPy, as the vector lowering that reads it does.  A STRING column
+        gets the fixed-width layout of :func:`typed_strings` when its values
         allow it, an object array otherwise.  The cache is never
         invalidated on ``append_row`` -- base tables are immutable once
         queries run, which is the same assumption the hash/date indexes
@@ -118,9 +120,7 @@ class ColumnarTable:
             values = self.column(name)
             ctype = self.schema.column_type(name)
             array = None
-            if _np is None:
-                array = values
-            elif ctype is ColumnType.STRING:
+            if ctype is ColumnType.STRING:
                 array = typed_strings(values)
             if array is None:
                 array = _np.asarray(values, dtype=_NP_DTYPES[ctype])
@@ -133,7 +133,10 @@ class ColumnarTable:
         Built lazily instead, a table's arrays land wherever the first
         query that reads them runs -- in a serving worker thread's
         allocator arena, which keeps the memory after the table is gone.
+        Without NumPy there is no vector lowering to read them: a no-op.
         """
+        if _np is None:
+            return
         for name in self.columns:
             self.array(name)
 

@@ -140,14 +140,8 @@ class Database:
         return self.table(table).column(column)
 
     def column_vec(self, table: str, column: str):
-        """The column as a typed batch array (vector backend read path).
-
-        Row-layout tables have no cached array form; they hand back the
-        materialized column list, which the batch kernels accept as-is.
-        """
-        t = self.table(table)
-        array = getattr(t, "array", None)
-        return array(column) if array is not None else t.column(column)
+        """The column as a typed NumPy array (vector backend read path)."""
+        return self.table(table).array(column)
 
     def size(self, table: str) -> int:
         return len(self.table(table))

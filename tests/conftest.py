@@ -6,10 +6,17 @@ import pytest
 
 from repro.catalog import Catalog, FLOAT, INT, STRING, DATE
 from repro.catalog.schema import schema
+from repro.compiler.runtime import have_numpy
 from repro.storage import Database, OptimizationLevel
 from repro.tpch.dbgen import generate_database, generate_tables
 
 TINY_SCALE = 0.002
+
+#: Marks a test of the vector lowering (or its kernels), which requires
+#: NumPy: an install without the ``fast`` extra skips it.
+needs_numpy = pytest.mark.skipif(
+    not have_numpy(), reason="the vector lowering requires NumPy"
+)
 
 
 def make_tiny_db(level: OptimizationLevel = OptimizationLevel.COMPLIANT) -> Database:

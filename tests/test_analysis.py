@@ -37,7 +37,7 @@ from repro.compiler.parallel import ParallelError, ParallelQuery
 from repro.staging import ir
 from repro.staging.builder import StagingContext, StagingError
 from repro.tpch.queries import QUERIES, query_plan
-from tests.conftest import TINY_SCALE
+from tests.conftest import TINY_SCALE, needs_numpy
 
 
 def fn(body, params=("p",), name="f"):
@@ -448,7 +448,14 @@ CONFIGS = {
 }
 
 
-@pytest.mark.parametrize("label", sorted(CONFIGS))
+@pytest.mark.parametrize(
+    "label",
+    [
+        pytest.param(label, marks=needs_numpy)
+        if CONFIGS[label].codegen == "vector" else label
+        for label in sorted(CONFIGS)
+    ],
+)
 @pytest.mark.parametrize("q", sorted(QUERIES))
 def test_tpch_residual_programs_analysis_clean(q, label, tpch_db_full):
     plan = query_plan(q, scale=TINY_SCALE)

@@ -1,24 +1,26 @@
 """Joins in batches: the join/key-set/count(distinct) kernels and their
 lowering.
 
-* kernel properties against dict-based references, under NumPy and the
-  pure-Python fallback: match *order* as well as the match set (for outer
-  probes, the unmatched probe rows in their places too), with duplicates
-  on both sides, empty inputs, absent and negative keys, dense and sparse
-  key domains, and composite keys whose packed span would overflow int64;
+* kernel properties against dict-based references: match *order* as
+  well as the match set (for outer probes, the unmatched probe rows in
+  their places too), with duplicates on both sides, empty inputs, absent
+  and negative keys, dense and sparse key domains, and composite keys
+  whose packed span would overflow int64;
 * ``v_group`` keeps distinct groups apart however many keys there are;
 * every TPC-H plan with a join answers like the scalar lowering at any
   batch size -- in the same order where it has no Sort -- with the same
   per-operator row counts, and so do left outer joins over an empty build,
   an all-unmatched probe, duplicate build keys and build fields that are
   themselves NULL, feeding a batch count or (devectorized) a sum;
+* an INT build key that holds None (from a scalar outer join) takes the
+  dict form of the join index, and inner and outer joins over it answer
+  like the scalar lowering;
 * the served builds of the join-heavy queries really lower their joins to
   batches.
 """
 
 from __future__ import annotations
 
-import contextlib
 from dataclasses import replace
 
 import pytest
@@ -37,31 +39,11 @@ from repro.session import Session
 from repro.tpch import query_plan
 from repro.tpch.sql_queries import SQL_QUERIES
 from repro.storage import Database
-from tests.conftest import TINY_SCALE, make_tiny_db, normalize
-from tests.test_vector_backend import kernel_mode  # noqa: F401 - fixture
+from tests.conftest import TINY_SCALE, make_tiny_db, needs_numpy, normalize
+
+pytestmark = needs_numpy
 
 # -- kernel properties --------------------------------------------------------
-
-#: Kernel modes for Hypothesis properties (a function-scoped fixture would
-#: not be re-run per generated example, so the mode switches per example).
-MODES = [
-    pytest.param("numpy", marks=pytest.mark.skipif(
-        not rt.have_numpy(), reason="NumPy not available")),
-    "fallback",
-]
-
-
-@contextlib.contextmanager
-def kernels(mode: str):
-    """Run the ``rt`` kernels under NumPy or the pure-Python fallback."""
-    saved = rt._np
-    if mode == "fallback":
-        rt._np = None
-    try:
-        yield
-    finally:
-        rt._np = saved
-
 
 #: Key domains: a span small next to the rows (direct tables), a wide one
 #: (sorted lookups), and one whose composite span overflows int64.
@@ -88,11 +70,9 @@ def join_case(draw):
 
 
 def _batch(values):
-    if rt.have_numpy():
-        import numpy as np
+    import numpy as np
 
-        return np.asarray(values, dtype=np.int64)
-    return list(values)
+    return np.asarray(values, dtype=np.int64)
 
 
 def _columns(rows, nkeys):
@@ -118,15 +98,10 @@ def _key(row, nkeys):
 
 @settings(max_examples=150, deadline=None)
 @given(case=join_case())
-@pytest.mark.parametrize("mode", MODES)
-def test_join_probe_matches_a_dict_multimap_in_order(mode, case):
+def test_join_probe_matches_a_dict_multimap_in_order(case):
     """Matches come in probe order, each probe row's in build-insertion
     order: exactly a scalar multimap's bucket walk."""
-    with kernels(mode):
-        _check_join_probe(*case)
-
-
-def _check_join_probe(nkeys, build, probe, cuts, batched):
+    nkeys, build, probe, cuts, batched = case
     table: dict = {}
     for i, row in enumerate(build):
         table.setdefault(_key(row, nkeys), []).append(i)
@@ -143,16 +118,11 @@ def _check_join_probe(nkeys, build, probe, cuts, batched):
 
 @settings(max_examples=150, deadline=None)
 @given(case=join_case())
-@pytest.mark.parametrize("mode", MODES)
-def test_outer_probe_keeps_unmatched_rows_in_place(mode, case):
+def test_outer_probe_keeps_unmatched_rows_in_place(case):
     """A left outer join's probe: the inner matches, plus each probe row
     that matches nothing -- once, in probe order, with build row -1,
     whose payload gather lands on the placeholder row."""
-    with kernels(mode):
-        _check_outer_probe(*case)
-
-
-def _check_outer_probe(nkeys, build, probe, cuts, batched):
+    nkeys, build, probe, cuts, batched = case
     table: dict = {}
     for i, row in enumerate(build):
         table.setdefault(_key(row, nkeys), []).append(i)
@@ -173,38 +143,29 @@ def _check_outer_probe(nkeys, build, probe, cuts, batched):
     ]
 
 
-@pytest.mark.parametrize("mode", MODES)
-def test_masked_counts_skip_hidden_slots_and_none_values(mode):
+def test_masked_counts_skip_hidden_slots_and_none_values():
     """``count(field)`` of a null-extended field counts the slots its mask
     keeps whose value is not None: a typed column holds no None, an object
     column (a STRING column with NULLs) may."""
-    with kernels(mode):
-        codes = _batch([0, 1, 0, 1, 1])
-        valid = rt.v_ge(_batch([3, -1, 0, 2, 4]), 0)
-        typed = _batch([5, 0, 7, 8, 9])
-        text = ["a", None, None, "b", None]
-        if rt.have_numpy():
-            import numpy as np
+    import numpy as np
 
-            text = np.asarray(text, dtype=object)
-        assert rt.v_count_nn(typed, 5, valid) == 4
-        assert rt.v_count_nn(text, 5, valid) == 2
-        groups = rt.group_state(1, 2)
-        ids = rt.v_group_ids(groups, 5, codes)
-        rt.v_agg_count_nn(groups, 0, ids, typed, valid)
-        rt.v_agg_count_nn(groups, 1, ids, text, valid)
-        assert rt.group_merge(groups) == [2, [0, 1], [2, 2], [1, 1]]
+    codes = _batch([0, 1, 0, 1, 1])
+    valid = rt.v_ge(_batch([3, -1, 0, 2, 4]), 0)
+    typed = _batch([5, 0, 7, 8, 9])
+    text = np.asarray(["a", None, None, "b", None], dtype=object)
+    assert rt.v_count_nn(typed, 5, valid) == 4
+    assert rt.v_count_nn(text, 5, valid) == 2
+    groups = rt.group_state(1, 2)
+    ids = rt.v_group_ids(groups, 5, codes)
+    rt.v_agg_count_nn(groups, 0, ids, typed, valid)
+    rt.v_agg_count_nn(groups, 1, ids, text, valid)
+    assert rt.group_merge(groups) == [2, [0, 1], [2, 2], [1, 1]]
 
 
 @settings(max_examples=150, deadline=None)
 @given(case=join_case())
-@pytest.mark.parametrize("mode", MODES)
-def test_key_set_mask_matches_set_membership(mode, case):
-    with kernels(mode):
-        _check_key_set(*case)
-
-
-def _check_key_set(nkeys, build, probe, cuts, batched):
+def test_key_set_mask_matches_set_membership(case):
+    nkeys, build, probe, cuts, batched = case
     keys = {_key(row, nkeys) for row in build}
     if batched:
         built = _finish(nkeys, build, cuts, True)
@@ -279,8 +240,6 @@ def test_one_key_probe_and_contains_match_a_dict_multimap(case):
     the direct bound, codebooks past it -- probes like a dict multimap, in
     order, and its key set answers like a set, wherever the probe keys
     fall in int64."""
-    if not rt.have_numpy():
-        pytest.skip("the one-table form is NumPy's")
     dtype, build, probe = case
     if dtype == "int32":
         probe = [k for k in probe if -(1 << 31) <= k < (1 << 31)]
@@ -310,11 +269,9 @@ def test_one_key_probe_and_contains_match_a_dict_multimap(case):
     assert [bool(m) for m in rt.v_tolist(mask)] == [key in table for key in probe]
 
 
-def test_one_table_form_covers_spans_up_to_the_direct_bound(kernel_mode):
+def test_one_table_form_covers_spans_up_to_the_direct_bound():
     """A single key spanning exactly the direct bound takes one table; one
     slot more takes the codebooks; both answer alike."""
-    if not rt.have_numpy():
-        pytest.skip("the one-table form is NumPy's")
     bound = rt._direct_bound(3, rt._JOIN_SLOTS_PER_ROW, rt._DIRECT_SLOTS_MIN)
     for hi, one_table in ((bound - 1, True), (bound, False)):
         index = rt.JoinIndex([_batch([0, hi, 7])])
@@ -326,12 +283,10 @@ def test_one_table_form_covers_spans_up_to_the_direct_bound(kernel_mode):
 
 
 @pytest.mark.parametrize("batched", [True, False])
-def test_a_key_set_probed_only_for_membership_never_sorts(kernel_mode, batched):
+def test_a_key_set_probed_only_for_membership_never_sorts(batched):
     """``contains`` reads per-slot counts only; the stable build-row order
     is computed on the first ``probe``, which still returns each probe
     row's matches in build-insertion order."""
-    if not rt.have_numpy():
-        pytest.skip("the sorted build order is NumPy's")
     keys = [5, 3, 5, 9, 3, 5]
     for wide in (False, True):  # one table, then codebooks
         build = [k * (1 << 40) if wide else k for k in keys]
@@ -349,7 +304,7 @@ def test_a_key_set_probed_only_for_membership_never_sorts(kernel_mode, batched):
         ]
 
 
-def test_probe_keys_broadcast_from_a_scalar(kernel_mode):
+def test_probe_keys_broadcast_from_a_scalar():
     """A constant probe key (a lifted literal) matches every probe row."""
     built = _finish(1, [(3,), (1,), (3,)], [], batched=False)
     build_rows, probe_rows = rt.v_join_probe(built, 2, 3)
@@ -371,16 +326,12 @@ def test_probe_keys_broadcast_from_a_scalar(kernel_mode):
     cuts=st.lists(st.integers(0, 40), max_size=4),
     strings=st.booleans(),
 )
-@pytest.mark.parametrize("mode", MODES)
-def test_grouped_count_distinct_matches_sets(mode, rows, cuts, strings):
+def test_grouped_count_distinct_matches_sets(rows, cuts, strings):
     """(group, value) pairs, deduplicated against the pairs every earlier
     batch brought, count like a per-group set -- whichever batch a value
     arrives in."""
-    with kernels(mode):
-        _check_count_distinct(rows, cuts, strings)
+    import numpy as np
 
-
-def _check_count_distinct(rows, cuts, strings):
     expected: dict = {}
     for group, value in rows:
         expected.setdefault(group, set()).add(str(value) if strings else value)
@@ -389,20 +340,21 @@ def _check_count_distinct(rows, cuts, strings):
         state = rt.group_state(1, 1)
         for lo, hi in zip([0, *cuts], [*cuts, len(rows)]):
             chunk = rows[lo:hi]
-            values = [str(v) if strings else v for _, v in chunk]
-            if rt.have_numpy():
-                import numpy as np
-
-                values = np.asarray(values, dtype=object if strings else np.int64)
+            values = np.asarray(
+                [str(v) if strings else v for _, v in chunk],
+                dtype=object if strings else np.int64,
+            )
             ids = rt.v_group_ids(state, len(chunk), _batch([g for g, _ in chunk]))
             rt.v_agg_distinct(state, 0, ids, values)
-        ngroups, groups, counts = rt.group_merge(state, batch)
+        ngroups, *columns = rt.group_merge(state, batch)
+        if batch:
+            columns = [rt.v_tolist(c) for c in columns]
         assert ngroups == len(expected)
-        got = dict(zip(rt.v_tolist(groups), rt.v_tolist(counts)))
+        got = dict(zip(*columns))
         assert got == {g: len(vs) for g, vs in expected.items()}
 
 
-def test_v_group_keeps_groups_apart_past_int64(kernel_mode):
+def test_v_group_keeps_groups_apart_past_int64():
     """Five keys of 10 000 distinct values each: mixed-radix packing would
     need 10**20 codes and wrap int64, landing the extra row on row 0's
     group; re-densifying the combined code keeps all 10 001 groups."""
@@ -472,8 +424,6 @@ def _served_build(session: Session, q: int):
 
 @pytest.mark.parametrize("q", [21, 9, 18, 3, 5, 7])
 def test_served_builds_lower_joins_to_batches(q, tpch_db):
-    if not rt.have_numpy():
-        pytest.skip("a session serves the scalar lowering without NumPy")
     stats = _served_build(Session(tpch_db), q).codegen_stats
     assert stats["backend"] == "vector"
     assert stats["batch_joins"] + stats["batch_key_set_joins"] >= 1, stats
@@ -482,8 +432,6 @@ def test_served_builds_lower_joins_to_batches(q, tpch_db):
 def test_served_q13_runs_its_outer_join_and_like_in_batches(tpch_db):
     """q13's customer probe, its orders build under ``NOT LIKE`` and both
     aggregations all lower to batches; only the Sort takes rows."""
-    if not rt.have_numpy():
-        pytest.skip("a session serves the scalar lowering without NumPy")
     stats = _served_build(Session(tpch_db), 13).codegen_stats
     assert stats["batch_outer_joins"] >= 1, stats
     assert stats["batch_selects"] >= 1 and stats["vector_aggs"] == 2, stats
@@ -650,6 +598,47 @@ def test_outer_joins_match_scalar_at_any_batch_size(
     elif consumer != "join":
         assert stats["vector_aggs"] == 1
         assert stats["devectorized_edges"] == build_edges
+
+
+def test_a_none_bearing_int_build_key_takes_the_dict_index(tiny_db):
+    """An INT build key from a scalar left outer join's null-extended side
+    holds None: its build column is an object array, which the join index
+    answers through its dict form.  A batch inner join and a batch outer
+    join over it both match the scalar lowering's rows."""
+    build = phys.Project(
+        phys.LeftOuterJoin(
+            phys.Scan("Sales"),
+            phys.Select(phys.Scan("Dep"), col("rank").gt(lit(5))),
+            ["sdep"], ["dname"],
+        ),
+        # Dep ranks above 5: ME 20, BIO 7; CS and EE Sales rows get None
+        [("skey", col("rank")), ("sid", col("sid"))],
+    )
+    probe = _emp(1)  # k = eid + 1: 2 .. 7, so Emp 6 meets BIO's rank 7
+    plans = {
+        "batch_joins": phys.HashJoin(build, probe, ["skey"], ["k"]),
+        "batch_outer_joins": phys.LeftOuterJoin(probe, build, ["k"], ["skey"]),
+    }
+    for stat, plan in plans.items():
+        vector = LB2Compiler(
+            tiny_db.catalog, tiny_db, Config(codegen="vector")
+        ).compile(plan)
+        assert vector.codegen_stats[stat] >= 1, vector.codegen_stats
+        numeric: list = []
+
+        def observe(name, n, args):
+            if name.startswith("v_join_probe"):
+                numeric.append(args[0][0]._numeric)
+
+        previous = rt.set_kernel_observer(observe)
+        try:
+            rows = vector.run(tiny_db)
+        finally:
+            rt.set_kernel_observer(previous)
+        assert numeric and not any(numeric), stat
+        expected = LB2Compiler(tiny_db.catalog, tiny_db).compile(plan).run(tiny_db)
+        assert normalize(rows) == normalize(expected), stat
+        assert rows, stat
 
 
 def test_a_subplan_used_twice_keeps_one_lowering(tpch_db):

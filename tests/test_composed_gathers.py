@@ -20,7 +20,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.catalog import Catalog, INT
 from repro.catalog.schema import schema
-from repro.compiler import runtime as rt
 from repro.compiler import vec
 from repro.compiler.driver import LB2Compiler
 from repro.compiler.lb2 import Config
@@ -30,7 +29,9 @@ from repro.resilience import Budget, ResilientExecutor
 from repro.session import Session
 from repro.storage import Database
 from repro.tpch.sql_queries import SQL_QUERIES
-from tests.conftest import normalize
+from tests.conftest import needs_numpy, normalize
+
+pytestmark = needs_numpy
 
 
 def _chain_db() -> Database:
@@ -148,8 +149,6 @@ def test_served_builds_gather_each_column_once(tpch_db, q):
     """Past a filter, a projection or a join, each column is gathered once
     from its base column (a batch slice, a build column, or a value an
     earlier level read and so materialized) -- never level by level."""
-    if not rt.have_numpy():
-        pytest.skip("a session serves the scalar lowering without NumPy")
     session = Session(tpch_db)
     executor = ResilientExecutor(session, budget=Budget(wall_clock_seconds=60))
     resolved = executor.prepare(SQL_QUERIES[q])

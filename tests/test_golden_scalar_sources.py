@@ -31,7 +31,7 @@ from repro.compiler.lb2 import Config
 from repro.plan.rewrite import optimize_for_level
 from repro.tpch import query_plan
 from repro.tpch.queries import QUERIES
-from tests.conftest import TINY_SCALE
+from tests.conftest import TINY_SCALE, needs_numpy
 
 GOLDEN_PATH = pathlib.Path(__file__).parent / "golden" / "scalar_sources.json"
 GOLDEN = json.loads(GOLDEN_PATH.read_text())
@@ -54,15 +54,27 @@ def _sha(source: str) -> str:
     return hashlib.sha256(source.encode()).hexdigest()
 
 
-@pytest.mark.parametrize("q", ALL_QUERIES)
-def test_scalar_source_is_byte_identical(q, tpch_db):
+def _check_sources(q, db, codegen: str) -> None:
     plan = query_plan(q, scale=TINY_SCALE)
     for label, cfg in CONFIGS.items():
-        compiler = LB2Compiler(tpch_db.catalog, tpch_db, cfg)
+        if cfg.codegen != codegen:
+            continue
+        compiler = LB2Compiler(db.catalog, db, cfg)
         src = compiler.compile(plan).source
         assert _sha(src) == GOLDEN[f"q{q}:compliant:{label}"], (
             f"q{q} residual source drifted under config {label!r}"
         )
+
+
+@pytest.mark.parametrize("q", ALL_QUERIES)
+def test_scalar_source_is_byte_identical(q, tpch_db):
+    _check_sources(q, tpch_db, "scalar")
+
+
+@needs_numpy
+@pytest.mark.parametrize("q", ALL_QUERIES)
+def test_vector_source_is_byte_identical(q, tpch_db):
+    _check_sources(q, tpch_db, "vector")
 
 
 @pytest.mark.parametrize("q", ALL_QUERIES)

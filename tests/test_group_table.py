@@ -8,8 +8,8 @@
   floats, a dependent key that breaks only in a late batch, and every fold
   -- ``sum``, ``avg``'s two slots, ``min``, ``max``, counts under a
   validity mask and ``count(distinct)`` with duplicates across batches;
-  with NumPy the merged groups of integer, float and short typed-string
-  keys come in ascending key order;
+  the merged groups of integer, float and short typed-string keys come in
+  ascending key order;
 * the same shapes through the compiler, at ``BATCH_ROWS`` 1, 5 and 8192,
   answer like the scalar lowering as a bag of rows;
 * integer sums near ``2**62`` are exact in both lowerings, grouped or not;
@@ -37,9 +37,10 @@ from repro.resilience import Budget, ResilientExecutor
 from repro.session import Session
 from repro.storage import Database
 from repro.tpch.sql_queries import SQL_QUERIES
-from tests.conftest import normalize
-from tests.test_batch_joins import MODES, _served_build, kernels
-from tests.test_vector_backend import kernel_mode  # noqa: F401 - fixture
+from tests.conftest import needs_numpy, normalize
+from tests.test_batch_joins import _served_build
+
+pytestmark = needs_numpy
 
 
 #: The direct table's floor: a span of this many slots is direct, one more
@@ -91,8 +92,6 @@ def table_case(draw):
 
 def _arrays(values, column: int):
     """One column of the rows as a batch: typed strings, numbers."""
-    if not rt.have_numpy():
-        return list(values)
     import numpy as np
 
     if column in (1, 2):
@@ -130,36 +129,36 @@ def _run_table(rows, cuts, keys, batch: bool):
         valid = rt.v_eq(part[6], 1)
         rt.v_agg_count_nn(groups, 5, ids, part[5], valid)
         rt.v_agg_distinct(groups, 6, ids, part[7])
-    merged = rt.group_merge(groups, batch)
-    return merged[0], [rt.v_tolist(c) for c in merged[1:]]
+    ngroups, *columns = rt.group_merge(groups, batch)
+    if batch:
+        columns = [rt.v_tolist(c) for c in columns]
+    return ngroups, columns
 
 
 @settings(max_examples=200, deadline=None)
 @given(case=table_case())
-@pytest.mark.parametrize("mode", MODES)
-def test_group_table_matches_a_dict(mode, case):
+def test_group_table_matches_a_dict(case):
     rows, cuts, keys = case
     expected = _reference(rows, keys)
-    with kernels(mode):
-        for batch in (False, True):
-            ngroups, columns = _run_table(rows, cuts, keys, batch)
-            nkeys = len(keys)
-            got_keys = list(zip(*columns[:nkeys])) if ngroups else []
-            assert ngroups == len(expected) == len(set(got_keys))
-            got = {}
-            for key, *slots in zip(got_keys, *columns[nkeys:]):
-                got[key] = (*slots[:1], round(slots[1], 6), *slots[2:])
-            assert got == {
-                k: (e[0], round(e[1], 6), *e[2:]) for k, e in expected.items()
-            }
-            for column in columns:
-                assert all(type(v) in (int, float, str) for v in column)
-            if mode == "numpy" and all(j in (0, 1, 3, 4) for j in keys):
-                # integers, floats and short strings: ascending key order
-                assert got_keys == sorted(got_keys)
+    for batch in (False, True):
+        ngroups, columns = _run_table(rows, cuts, keys, batch)
+        nkeys = len(keys)
+        got_keys = list(zip(*columns[:nkeys])) if ngroups else []
+        assert ngroups == len(expected) == len(set(got_keys))
+        got = {}
+        for key, *slots in zip(got_keys, *columns[nkeys:]):
+            got[key] = (*slots[:1], round(slots[1], 6), *slots[2:])
+        assert got == {
+            k: (e[0], round(e[1], 6), *e[2:]) for k, e in expected.items()
+        }
+        for column in columns:
+            assert all(type(v) in (int, float, str) for v in column)
+        if all(j in (0, 1, 3, 4) for j in keys):
+            # integers, floats and short strings: ascending key order
+            assert got_keys == sorted(got_keys)
 
 
-def test_a_key_breaking_in_a_late_batch_is_promoted(kernel_mode):
+def test_a_key_breaking_in_a_late_batch_is_promoted():
     """The second key follows from the first for two batches; the third
     splits a group, which keeps its id while the new pair gets one."""
     groups = rt.group_state(2, 1)
@@ -176,8 +175,6 @@ def test_a_key_breaking_in_a_late_batch_is_promoted(kernel_mode):
 
 
 def _ints(values):
-    if not rt.have_numpy():
-        return list(values)
     import numpy as np
 
     return np.asarray(values, dtype=np.int64)
@@ -267,7 +264,7 @@ def test_integer_sums_near_2_62_are_exact(values, batch_rows):
         vec.BATCH_ROWS = saved
 
 
-def test_int_sum_kernels_past_float_and_int64(kernel_mode):
+def test_int_sum_kernels_past_float_and_int64():
     big = [2**60 + 1, 2**60 + 3]
     assert rt.v_sum(_ints([2**62, 2**62]), 2) == 2**63
     assert rt.v_tolist(rt.v_group_sum(_ints([0, 0]), 1, _ints(big))) == [2**61 + 4]
@@ -284,8 +281,6 @@ def test_int_sum_kernels_past_float_and_int64(kernel_mode):
 def test_concurrent_instrumented_runs_see_only_their_kernels(tpch_db):
     """Each thread's instrumented run reports its own kernels: the kernel
     observer is per thread, and none is left installed afterwards."""
-    if not rt.have_numpy():
-        pytest.skip("scalar builds fire no kernels")
     from repro.tpch import query_plan
     from tests.conftest import TINY_SCALE
 
@@ -323,8 +318,6 @@ def test_served_rows_hold_plain_python_values(q, tpch_db):
     """Integer-keyed, string-keyed and dependent-key groupings, an avg and
     count(distinct): the served rows hold ints, floats and strs only (the
     wire cannot JSON-encode ``np.int64``)."""
-    if not rt.have_numpy():
-        pytest.skip("a session serves the scalar lowering without NumPy")
     session = Session(tpch_db)
     if q in SQL_QUERIES:
         executor = ResilientExecutor(session, budget=Budget(wall_clock_seconds=60))

@@ -9,7 +9,7 @@ Four contracts under test:
 * EXPLAIN ANALYZE -- all three engines label operators identically and
   agree row for row, the compiled engine explains the lowering its config
   (or the session) serves, with staged wall-clock timings and, under the
-  vector lowering, kernel counters (NumPy and fallback alike);
+  vector lowering (which requires NumPy), kernel counters;
 * off means off -- with ``instrument=False`` the residual program is
   byte-identical whether or not a trace is active (the golden suite
   additionally pins the hashes).
@@ -27,26 +27,9 @@ from repro.obs.metrics import REGISTRY, MetricsRegistry
 from repro.obs.trace import Trace, active_trace, span
 from repro.plan import Agg, HashJoin, Scan, Select, Sort, col, count, sum_
 from repro.session import Session
-from tests.conftest import make_tiny_db, normalize
+from tests.conftest import needs_numpy, normalize
 
 SQL = "select sdep, count(*) n from Sales where amount > 20.0 group by sdep"
-
-
-@pytest.fixture(params=["numpy", "fallback"])
-def kernel_mode(request, monkeypatch):
-    """Kernel-counter tests run under NumPy and the pure-Python fallback
-    (the ``_observed`` wrappers call the originals, which read ``_np`` at
-    call time, so monkeypatching it away exercises the fallback path).
-    Build the database *inside* the test: fallback mode must also see
-    list-backed column buffers, not ndarrays made while NumPy was up."""
-    if request.param == "fallback":
-        from repro.storage import buffer
-
-        monkeypatch.setattr(rt, "_np", None)
-        monkeypatch.setattr(buffer, "_np", None)
-    elif not rt.have_numpy():
-        pytest.skip("NumPy not available")
-    return request.param
 
 
 @pytest.fixture(autouse=True)
@@ -264,7 +247,7 @@ def test_operator_labels_match_instrument_numbering(tiny_db):
     "engine, config",
     [
         ("compiled", None),
-        ("compiled", Config(codegen="vector")),
+        pytest.param("compiled", Config(codegen="vector"), marks=needs_numpy),
         ("push", None),
         ("volcano", None),
     ],
@@ -284,6 +267,7 @@ def test_explain_analyze_rows_and_selectivity(tiny_db, engine, config):
         assert op.seconds is not None and op.seconds >= 0.0
 
 
+@needs_numpy
 def test_all_engines_agree_per_operator(tiny_db):
     plan = Sort(
         Agg(
@@ -312,17 +296,11 @@ def test_compiled_timings_are_inclusive(tiny_db):
     assert agg >= select >= scan >= 0.0
 
 
-def test_vector_engine_reports_kernels(kernel_mode):
-    import warnings
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)  # fallback mode warns
-        db = make_tiny_db()
-        ea = explain_analyze_plan(
-            db, sales_plan(), config=Config(codegen="vector")
-        )
+@needs_numpy
+def test_vector_engine_reports_kernels(tiny_db):
+    ea = explain_analyze_plan(tiny_db, sales_plan(), config=Config(codegen="vector"))
     assert ea.codegen_stats.get("vector_aggs", 0) >= 1
-    assert ea.kernels, f"no kernels observed in {kernel_mode} mode"
+    assert ea.kernels, "no kernels observed"
     assert any(name.startswith("v_group") for name in ea.kernels)
     for entry in ea.kernels.values():
         assert entry["calls"] >= 1
@@ -339,6 +317,7 @@ def test_explain_analyze_explains_the_served_lowering(tiny_db):
     assert session.explain_analyze(SQL).codegen_stats["backend"] == served
 
 
+@needs_numpy
 def test_vector_devectorization_reasons_surface(tiny_db):
     """A batch chain without a Select (and no vector agg consuming it) is
     benefit-pruned; stats say which chain and why."""
@@ -362,6 +341,7 @@ def test_explain_analyze_rejects_unknown_engine(tiny_db):
 # -- off means off ------------------------------------------------------------
 
 
+@needs_numpy
 def test_uninstrumented_source_identical_under_active_trace(tiny_db):
     """Tracing is a driver-level concern: the residual program must not
     change because a Trace happens to be active."""

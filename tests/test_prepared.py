@@ -23,6 +23,7 @@ from repro.sql import sql_to_plan
 from repro.sql.lexer import tokenize
 from repro.sql.shape import normalize_statement, statement_shape
 from repro.tpch.sql_queries import SQL_QUERIES
+from tests.conftest import needs_numpy
 
 
 # -- lexing and parsing placeholders ------------------------------------------
@@ -186,6 +187,7 @@ def test_split_prepare_rejects_params(tiny_db):
         )
 
 
+@needs_numpy
 def test_vector_codegen_shares_bindings_too(tiny_db):
     session = Session(tiny_db, config=Config(codegen="vector"))
     ps = session.prepare_statement(
@@ -214,6 +216,7 @@ def test_bind_params_matches_compiled(tiny_db):
     assert volcano == compiled
 
 
+@needs_numpy
 def test_executor_chain_agrees_on_params(tiny_db):
     from repro.resilience.executor import ENGINE_CHAIN, ResilientExecutor
 
@@ -384,7 +387,7 @@ def test_ill_typed_literal_variant_does_not_poison_its_shape(tiny_db, via):
 # -- TPC-H parity: auto-parameterization must not change answers --------------
 
 
-@pytest.mark.parametrize("codegen", ["scalar", "vector"])
+@pytest.mark.parametrize("codegen", ["scalar", pytest.param("vector", marks=needs_numpy)])
 def test_tpch_auto_param_parity(tpch_db, codegen):
     config = Config(codegen=codegen)
     plain = Session(tpch_db, config=config)

@@ -27,7 +27,7 @@ from repro.resilience import (
 )
 from repro.session import Session
 from repro.tpch import query_plan
-from tests.conftest import TINY_SCALE, make_tiny_db, normalize
+from tests.conftest import TINY_SCALE, make_tiny_db, needs_numpy, normalize
 
 SAMPLE_QUERIES = (1, 6, 14)
 COMPILE_SITES = ("codegen", "verify", "host-compile")
@@ -149,7 +149,7 @@ def test_budget_survives_degradation(tpch_db):
     assert info.value.stats["rows_seen"] > 64
 
 
-@pytest.mark.parametrize("codegen", ["scalar", "vector"])
+@pytest.mark.parametrize("codegen", ["scalar", pytest.param("vector", marks=needs_numpy)])
 def test_row_quota_charges_rows_scanned_not_an_interval(codegen, tpch_db):
     """A 5-row table under a 100-row quota answers: the compiled scan
     charges the rows it scans, exactly like the push engine."""
@@ -164,7 +164,7 @@ def test_row_quota_charges_rows_scanned_not_an_interval(codegen, tpch_db):
 
 
 @pytest.mark.parametrize("max_rows", [200, 5000])
-@pytest.mark.parametrize("codegen", ["scalar", "vector"])
+@pytest.mark.parametrize("codegen", ["scalar", pytest.param("vector", marks=needs_numpy)])
 def test_row_quota_trips_typed_within_one_checkpoint(codegen, max_rows, tpch_db):
     """The budget-trip property over the 22-query mix: a query either
     answers within its quota or raises a typed ``E_BUDGET`` (no partial
@@ -202,6 +202,7 @@ def test_row_quota_trips_typed_within_one_checkpoint(codegen, max_rows, tpch_db)
     assert tripped >= (22 if max_rows < 300 else 1)
 
 
+@needs_numpy
 def test_mid_scan_fault_fires_under_the_vector_lowering(tpch_db, sample_reference):
     """Mid-scan faults ride the batch checkpoints: the vectorized program
     faults, and the chain degrades to correct rows."""

@@ -247,12 +247,6 @@ def test_like_on_every_batch_layout_matches_the_reference(values, pattern, negat
     for batch in (_typed(values), np.asarray(values, dtype=object), np.asarray(values)):
         got = rt.v_tolist(rt.v_like(batch, pattern, negate))
         assert got == expected, (batch.dtype, pattern)
-    saved = rt._np
-    rt._np = None  # the pure-Python kernels: lists in, lists out
-    try:
-        assert rt.v_like(list(values), pattern, negate) == expected
-    finally:
-        rt._np = saved
 
 
 @settings(max_examples=60, deadline=None)

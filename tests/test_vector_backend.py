@@ -2,16 +2,19 @@
 
 Three layers under test:
 
-* the ``rt.v_*`` kernels themselves, on both the NumPy path and the
-  pure-Python fallback (``runtime._np`` monkeypatched away);
+* the ``rt.v_*`` kernels themselves, over NumPy arrays;
 * the backend seam -- operators never branch on ``Config.codegen``, the
   vector backend's eligibility pass falls back per node (dictionaries,
   unsupported expressions), bounded batches fold into the same answers
   and row counts as the scalar lowering (budget checkpoints and
   instrumentation included), and its stats are surfaced through
   ``CompiledQuery.codegen_stats``;
-* clean degradation without NumPy: a lint-able :class:`RuntimeWarning`,
-  never a crash, and identical query results.
+* the contract without NumPy: the vector lowering, which requires it, is
+  a typed :class:`CompileError` that the fallback chain degrades past,
+  and the scalar lowering neither needs NumPy nor warns.
+
+Tests of the vector lowering carry ``needs_numpy``: an install without
+NumPy skips them.
 """
 
 import warnings
@@ -21,7 +24,7 @@ import pytest
 from repro.compiler import runtime as rt
 from repro.compiler import vec
 from repro.compiler.driver import LB2Compiler
-from repro.compiler.lb2 import Config
+from repro.compiler.lb2 import CompileError, Config
 from repro.plan import (
     Agg,
     Project,
@@ -36,34 +39,25 @@ from repro.plan import (
     min_,
     sum_,
 )
+from repro.resilience import ResilientExecutor
+from repro.session import Session
 from repro.storage import OptimizationLevel
-from tests.conftest import make_tiny_db, normalize
+from tests.conftest import make_tiny_db, needs_numpy, normalize
 
 PLAIN_SCALARS = (bool, int, float, str, type(None))
 
 
-@pytest.fixture(params=["numpy", "fallback"])
-def kernel_mode(request, monkeypatch):
-    """Run kernel tests under NumPy and under the pure-Python fallback."""
-    if request.param == "fallback":
-        monkeypatch.setattr(rt, "_np", None)
-    elif not rt.have_numpy():
-        pytest.skip("NumPy not available")
-    return request.param
-
-
 def _batch(values):
-    if rt.have_numpy():
-        import numpy as np
+    import numpy as np
 
-        return np.asarray(values)
-    return list(values)
+    return np.asarray(values)
 
 
 # -- kernels ------------------------------------------------------------------
 
 
-def test_elementwise_kernels(kernel_mode):
+@needs_numpy
+def test_elementwise_kernels():
     a = _batch([1, 2, 3, 4])
     b = _batch([10, 20, 30, 40])
     assert rt.v_tolist(rt.v_add(a, b)) == [11, 22, 33, 44]
@@ -75,7 +69,8 @@ def test_elementwise_kernels(kernel_mode):
     assert rt.v_tolist(rt.v_neg(a)) == [-1, -2, -3, -4]
 
 
-def test_comparison_and_mask_kernels(kernel_mode):
+@needs_numpy
+def test_comparison_and_mask_kernels():
     a = _batch([5, 1, 7, 3])
     ge = rt.v_ge(a, 3)
     lt = rt.v_lt(a, 7)
@@ -108,7 +103,8 @@ def _grouped(keys, vals, nbatches=2):
     return rt.group_merge(groups)
 
 
-def test_group_kernels(kernel_mode):
+@needs_numpy
+def test_group_kernels():
     keys = _batch(["b", "a", "b", "a", "b"])
     vals = _batch([1, 10, 2, 20, 3])
     ngroups, keylist, sums, counts, mins, maxs, fsums = _grouped(keys, vals)
@@ -126,7 +122,8 @@ def test_group_kernels(kernel_mode):
     ]
 
 
-def test_global_kernels_and_empty_batches(kernel_mode):
+@needs_numpy
+def test_global_kernels_and_empty_batches():
     vals = _batch([4, 1, 3])
     assert rt.v_sum(vals, 3) == 8
     assert rt.v_fsum(vals, 3) == 8.0
@@ -143,6 +140,7 @@ def test_global_kernels_and_empty_batches(kernel_mode):
     assert rt.v_count_nn(empty, 0) == 0
 
 
+@needs_numpy
 def test_column_arrays_are_built_when_the_table_loads():
     """Storage builds every column's array with the table, on the loading
     thread, not lazily in whichever query worker reads it first."""
@@ -150,7 +148,8 @@ def test_column_arrays_are_built_when_the_table_loads():
     assert set(db.table("Sales")._arrays) == {"sid", "sdep", "amount", "sold"}
 
 
-def test_kernels_return_plain_python_scalars(kernel_mode):
+@needs_numpy
+def test_kernels_return_plain_python_scalars():
     """Aggregate results must be plain ints/floats -- NumPy scalar types
     leaking into result rows would break downstream equality/typing (the
     wire cannot JSON-encode ``np.int64``).  Batches are arrays; values
@@ -186,6 +185,7 @@ def agg_plan():
     )
 
 
+@needs_numpy
 def test_vector_backend_matches_scalar_on_tiny_db():
     db = make_tiny_db()
     plans = [
@@ -206,6 +206,7 @@ def test_vector_backend_matches_scalar_on_tiny_db():
         assert got["scalar"] == got["vector"]
 
 
+@needs_numpy
 def test_vector_stats_are_surfaced():
     db = make_tiny_db()
     compiled = LB2Compiler(
@@ -233,6 +234,7 @@ def test_operators_never_branch_on_the_backend():
     assert "config.codegen" in inspect.getsource(backends.make_backend)
 
 
+@needs_numpy
 def test_instrumentation_stays_vectorized():
     """Batch records advance the staged counters by their row count, so
     EXPLAIN ANALYZE observes the vector lowering instead of disabling it."""
@@ -264,6 +266,7 @@ def _ticks(compiled, db) -> tuple[list, list[int]]:
     return rows, ticks
 
 
+@needs_numpy
 def test_budget_checks_keep_vectorization(monkeypatch):
     """Budget checkpoints are batch-granular: the plan stays vectorized and
     each batch charges its rows with one tick before its kernels run."""
@@ -282,6 +285,7 @@ def test_budget_checks_keep_vectorization(monkeypatch):
     assert normalize(rows) == normalize(scalar.run(db))
 
 
+@needs_numpy
 def test_full_scan_charges_exactly_its_rows():
     """A full scan of n rows charges n on both lowerings, in ticks of at
     most one interval (scalar) or one batch (vector) -- never a whole
@@ -330,6 +334,7 @@ MULTI_BATCH_PLANS = [
 ]
 
 
+@needs_numpy
 @pytest.mark.parametrize("batch_rows", [1, 2, 4, 5, 8192])
 @pytest.mark.parametrize("plan_index", range(len(MULTI_BATCH_PLANS)))
 def test_multi_batch_matches_scalar(batch_rows, plan_index, monkeypatch):
@@ -347,6 +352,7 @@ def test_multi_batch_matches_scalar(batch_rows, plan_index, monkeypatch):
     assert vector.last_stats == scalar.last_stats
 
 
+@needs_numpy
 @pytest.mark.parametrize("q", range(1, 23))
 def test_multi_batch_tpch_matches_scalar(q, tpch_db, monkeypatch):
     """Every TPC-H query over many batches (lineitem in 13) answers and
@@ -366,6 +372,7 @@ def test_multi_batch_tpch_matches_scalar(q, tpch_db, monkeypatch):
     assert vector.last_stats == scalar.last_stats
 
 
+@needs_numpy
 def test_dictionary_compressed_scan_falls_back_to_scalar():
     db = make_tiny_db(OptimizationLevel.IDX_DATE_STR)
     config = Config(codegen="vector", use_dictionaries=True)
@@ -377,6 +384,7 @@ def test_dictionary_compressed_scan_falls_back_to_scalar():
     )
 
 
+@needs_numpy
 def test_unsupported_predicate_falls_back_per_operator():
     """SUBSTRING has no vector kernel: the Select stays scalar while the
     plan still compiles and answers correctly."""
@@ -393,23 +401,27 @@ def test_unsupported_predicate_falls_back_per_operator():
     assert compiled.run(db) == [(3,)]
 
 
-# -- degradation without NumPy ------------------------------------------------
+# -- without NumPy -------------------------------------------------------------
 
 
-def test_vector_backend_warns_without_numpy(monkeypatch):
-    from repro.storage import buffer
-
+def test_vector_backend_without_numpy_is_a_compile_error(monkeypatch):
+    """The vector lowering requires NumPy: asked for without it, the
+    compile fails with a typed error naming the ``fast`` extra.  A
+    session configured for it raises that error from ``query``; under
+    the default fallback policy the push interpreter answers instead."""
     monkeypatch.setattr(rt, "_np", None)
-    monkeypatch.setattr(buffer, "_np", None)
     db = make_tiny_db()
-    with pytest.warns(RuntimeWarning, match="NumPy is not installed"):
-        compiled = LB2Compiler(
-            db.catalog, db, Config(codegen="vector")
-        ).compile(agg_plan())
-    # degraded, not broken: the pure-Python kernels answer identically
-    assert normalize(compiled.run(db)) == normalize(
-        LB2Compiler(db.catalog, db).compile(agg_plan()).run(db)
-    )
+    with pytest.raises(CompileError, match="'fast' extra") as raised:
+        LB2Compiler(db.catalog, db, Config(codegen="vector")).compile(agg_plan())
+    assert raised.value.code == "E_COMPILE"
+    sql = "select edname, count(*) cnt from Emp where eid < 6 group by edname"
+    session = Session(db, Config(codegen="vector"))
+    with pytest.raises(CompileError):
+        session.query(sql)
+    result = ResilientExecutor(session).query(sql)
+    assert result.report.engine == "push"
+    assert [a.error_code for a in result.report.attempts] == ["E_COMPILE", None]
+    assert normalize(result.rows) == normalize(Session(db, Config()).query(sql))
 
 
 def test_scalar_backend_never_warns_without_numpy(monkeypatch):
