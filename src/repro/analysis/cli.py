@@ -17,17 +17,16 @@ over each.
 Any diagnostic fails the gate: the residual program is supposed to be a
 *checked* contract, not just one that happens to run.
 
-``--json`` emits one ``repro-lint/v2`` document (mirroring the
-``repro-obs/v1`` style); ``--check`` validates it with
-:func:`validate_report`.
+``--json`` emits one ``repro-lint/v2`` document; ``--check`` validates it
+against :data:`REPORT` with :func:`repro.obs.artifacts.check`.
 """
 
 from __future__ import annotations
 
 import argparse
 import itertools
-import json
 import sys
+from functools import partial
 from typing import Iterator, Optional, Sequence
 
 from repro.analysis.walker import Diagnostic, analyze
@@ -35,6 +34,9 @@ from repro.compiler.driver import LB2Compiler
 from repro.compiler.lb2 import Config
 from repro.compiler.parallel import ParallelError, ParallelQuery
 from repro.compiler.runtime import have_numpy
+from repro.obs.artifacts import (
+    Const, ListOf, MapOf, add_report_flags, check, finish_report,
+)
 from repro.obs.metrics import REGISTRY
 from repro.plan.rewrite import optimize_for_level
 from repro.storage.database import Database, OptimizationLevel
@@ -166,42 +168,19 @@ def lint_query(
 
 # -- schema validation --------------------------------------------------------
 
+REPORT = {
+    "schema": Const(SCHEMA),
+    "scale": float,
+    "queries": ListOf(int, non_empty=True),
+    "programs_checked": int,
+    "findings": ListOf(dict.fromkeys(
+        ("label", "pass", "rule", "severity", "message", "function"), str
+    )),
+    "violations_by_rule": MapOf(int),
+    "metrics": {"counters": dict},
+}
 
-def validate_report(doc: object) -> list[str]:
-    """Problems that make ``doc`` invalid under ``repro-lint/v2`` (empty = ok)."""
-    problems: list[str] = []
-    if not isinstance(doc, dict):
-        return ["report is not an object"]
-    if doc.get("schema") != SCHEMA:
-        problems.append(f"schema: expected {SCHEMA!r}, got {doc.get('schema')!r}")
-    if not isinstance(doc.get("scale"), (int, float)):
-        problems.append("scale: expected number")
-    if not isinstance(doc.get("queries"), list) or not doc.get("queries"):
-        problems.append("queries: expected non-empty list")
-    if not isinstance(doc.get("programs_checked"), int):
-        problems.append("programs_checked: expected int")
-    findings = doc.get("findings")
-    if not isinstance(findings, list):
-        problems.append("findings: expected list")
-    else:
-        for i, f in enumerate(findings):
-            if not isinstance(f, dict):
-                problems.append(f"findings[{i}]: not an object")
-                continue
-            for key in ("label", "pass", "rule", "severity", "message", "function"):
-                if not isinstance(f.get(key), str):
-                    problems.append(f"findings[{i}].{key}: expected str")
-    by_rule = doc.get("violations_by_rule")
-    if not isinstance(by_rule, dict) or not all(
-        isinstance(v, int) for v in (by_rule or {}).values()
-    ):
-        problems.append("violations_by_rule: expected object of ints")
-    metrics = doc.get("metrics")
-    if not isinstance(metrics, dict) or not isinstance(
-        metrics.get("counters"), dict
-    ):
-        problems.append("metrics.counters: expected object")
-    return problems
+validate_report = partial(check, REPORT, what="report")
 
 
 # -- entry point --------------------------------------------------------------
@@ -215,13 +194,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         choices=sorted(QUERIES), help="lint a single query")
     parser.add_argument("--fast", action="store_true",
                         help="default and served configs only (CI smoke mode)")
-    parser.add_argument("--json", action="store_true",
-                        help="emit one repro-lint/v2 JSON document to stdout")
-    parser.add_argument("--check", action="store_true",
-                        help="validate the JSON report against the schema; "
-                        "non-zero exit on problems")
-    parser.add_argument("--out", default=None,
-                        help="also write the JSON report to a file")
+    add_report_flags(parser, SCHEMA)
     parser.add_argument("-v", "--verbose", action="store_true",
                         help="print every program checked")
     args = parser.parse_args(argv)
@@ -264,31 +237,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "metrics": {"counters": REGISTRY.snapshot()["counters"]},
     }
 
-    if args.json:
-        json.dump(report, sys.stdout, indent=2)
-        sys.stdout.write("\n")
-    else:
+    def show(_report: dict) -> None:
         for label, diag in findings:
             print(f"{label}: {diag.render()}")
-    if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(report, fh, indent=2)
-            fh.write("\n")
 
+    invalid = finish_report(args, report, validate_report, show)
     summary = (
         f"{programs} residual programs analyzed across "
         f"{len(queries)} queries: "
         + ("clean" if not findings else f"{len(findings)} findings")
     )
     print(summary, file=sys.stderr)
-    if args.check:
-        problems = validate_report(report)
-        if problems:
-            for problem in problems:
-                print(f"schema violation: {problem}", file=sys.stderr)
-            return 1
-        print("schema ok", file=sys.stderr)
-    return 1 if findings else 0
+    return 1 if invalid or findings else 0
 
 
 if __name__ == "__main__":

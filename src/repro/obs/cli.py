@@ -23,9 +23,12 @@ The JSON layout (documented in docs/OBSERVABILITY.md)::
 from __future__ import annotations
 
 import argparse
-import json
-import sys
+from functools import partial
 from typing import Optional, Sequence
+
+from repro.obs.artifacts import (
+    Const, ListOf, Where, add_report_flags, check, finish_report,
+)
 
 SCHEMA = "repro-obs/v1"
 
@@ -64,71 +67,29 @@ def build_report(query: int, scale: float, engine: str) -> dict:
 
 # -- schema validation --------------------------------------------------------
 
+SPAN = Where(
+    {"name": str, "start": float, "end": float, "seconds": float, "meta": dict},
+    lambda sp: sp["end"] >= sp["start"],
+    "end precedes start",
+)
+SPAN.spec["children"] = ListOf(SPAN)  # spans nest: tie the knot
 
-def _check_span(sp: object, path: str, problems: list[str]) -> None:
-    if not isinstance(sp, dict):
-        problems.append(f"{path}: span is not an object")
-        return
-    for key, kind in (
-        ("name", str), ("meta", dict), ("children", list),
-    ):
-        if not isinstance(sp.get(key), kind):
-            problems.append(f"{path}.{key}: expected {kind.__name__}")
-    for key in ("start", "end", "seconds"):
-        if not isinstance(sp.get(key), (int, float)):
-            problems.append(f"{path}.{key}: expected number")
-    if (
-        isinstance(sp.get("start"), (int, float))
-        and isinstance(sp.get("end"), (int, float))
-        and sp["end"] < sp["start"]
-    ):
-        problems.append(f"{path}: end precedes start")
-    for i, child in enumerate(sp.get("children") or []):
-        _check_span(child, f"{path}.children[{i}]", problems)
+REPORT = {
+    "schema": Const(SCHEMA),
+    "query": int,
+    "scale": float,
+    "engine": str,
+    "trace": SPAN,
+    "explain": {
+        "result_rows": int,
+        "operators": ListOf(
+            {"label": str, "rows": int, "children": list}, non_empty=True
+        ),
+    },
+    "metrics": {"counters": dict, "gauges": dict, "histograms": dict},
+}
 
-
-def validate_report(doc: object) -> list[str]:
-    """Problems that make ``doc`` invalid under ``repro-obs/v1`` (empty = ok)."""
-    problems: list[str] = []
-    if not isinstance(doc, dict):
-        return ["report is not an object"]
-    if doc.get("schema") != SCHEMA:
-        problems.append(f"schema: expected {SCHEMA!r}, got {doc.get('schema')!r}")
-    for key in ("query", "scale", "engine", "trace", "explain", "metrics"):
-        if key not in doc:
-            problems.append(f"missing top-level key {key!r}")
-    if "trace" in doc:
-        _check_span(doc["trace"], "trace", problems)
-    explain = doc.get("explain")
-    if isinstance(explain, dict):
-        if not isinstance(explain.get("result_rows"), int):
-            problems.append("explain.result_rows: expected int")
-        operators = explain.get("operators")
-        if not isinstance(operators, list) or not operators:
-            problems.append("explain.operators: expected non-empty list")
-        else:
-            for i, op in enumerate(operators):
-                if not isinstance(op, dict):
-                    problems.append(f"explain.operators[{i}]: not an object")
-                    continue
-                if not isinstance(op.get("label"), str):
-                    problems.append(f"explain.operators[{i}].label: expected str")
-                if not isinstance(op.get("rows"), int):
-                    problems.append(f"explain.operators[{i}].rows: expected int")
-                if not isinstance(op.get("children"), list):
-                    problems.append(
-                        f"explain.operators[{i}].children: expected list"
-                    )
-    elif "explain" in doc:
-        problems.append("explain: expected object")
-    metrics = doc.get("metrics")
-    if isinstance(metrics, dict):
-        for key in ("counters", "gauges", "histograms"):
-            if not isinstance(metrics.get(key), dict):
-                problems.append(f"metrics.{key}: expected object")
-    elif "metrics" in doc:
-        problems.append("metrics: expected object")
-    return problems
+validate_report = partial(check, REPORT, what="report")
 
 
 # -- entry point --------------------------------------------------------------
@@ -192,37 +153,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "--engine", default="compiled", choices=ENGINES,
         help="engine to analyze (default: compiled)",
     )
-    parser.add_argument(
-        "--json", action="store_true", help="emit the JSON report to stdout"
-    )
-    parser.add_argument(
-        "--check", action="store_true",
-        help="validate the report against the repro-obs/v1 schema; "
-        "non-zero exit on problems",
-    )
-    parser.add_argument(
-        "--out", default=None, help="also write the JSON report to a file"
-    )
+    add_report_flags(parser, SCHEMA)
     args = parser.parse_args(argv)
 
     report = build_report(args.query, args.scale, args.engine)
-    if args.json:
-        json.dump(report, sys.stdout, indent=2)
-        sys.stdout.write("\n")
-    else:
-        _print_text(report)
-    if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(report, fh, indent=2)
-            fh.write("\n")
-    if args.check:
-        problems = validate_report(report)
-        if problems:
-            for problem in problems:
-                print(f"schema violation: {problem}", file=sys.stderr)
-            return 1
-        print("schema ok", file=sys.stderr)
-    return 0
+    return finish_report(args, report, validate_report, _print_text)
 
 
 if __name__ == "__main__":

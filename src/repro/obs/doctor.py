@@ -21,9 +21,11 @@ schema-versioned report (``repro-doctor/v1``):
   threshold, or whose engine mix shifted (e.g. a breaker quietly parking
   a shape on the interpreters), are flagged; below-noise drift is not.
 
-Like the other CLIs, the report has a ``validate_report`` checker and
-``--json`` / ``--check`` / ``--out`` flags, so CI can gate on schema
-validity (and, with ``--fail-on-regression``, on the verdict itself).
+Each input is checked against the schema it declares (a bad one is a
+:data:`DoctorInputError`).  Like the other CLIs, the report has a spec
+(:data:`REPORT`, checked by ``validate_report``) and ``--json`` /
+``--check`` / ``--out`` flags, so CI can gate on schema validity (and,
+with ``--fail-on-regression``, on the verdict itself).
 
     repro-doctor --events events.jsonl --profiles profiles.json \\
                  --telemetry telemetry.json --json --check --out doctor.json
@@ -33,16 +35,20 @@ validity (and, with ``--fail-on-regression``, on the verdict itself).
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
+from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.obs.artifacts import (
+    ArtifactError, Const, ListOf, Maybe, OneOf, Where, add_report_flags,
+    check, finish_report, read_json,
+)
 from repro.obs.events import read_events, validate_log
 from repro.obs.metrics import percentile
-from repro.obs.sampler import SCHEMA as PROFILES_SCHEMA
+from repro.obs.sampler import PROFILES
 from repro.obs.telemetry import SCHEMA as TELEMETRY_SCHEMA
-from repro.obs.telemetry import shape_digest
+from repro.obs.telemetry import SNAPSHOT, shape_digest
 
 SCHEMA = "repro-doctor/v1"
 
@@ -56,18 +62,18 @@ _VERDICTS = ("ok", "regressed", "skipped")
 # -- input loading ------------------------------------------------------------
 
 
-class DoctorInputError(Exception):
-    """An artifact could not be read or is not what it claims to be."""
+#: What the doctor raises for an artifact it cannot read or that does
+#: not match the schema it declares.
+DoctorInputError = ArtifactError
 
 
-def _load_json(path: str, what: str) -> dict:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise DoctorInputError(f"unreadable {what} {path!r}: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise DoctorInputError(f"{what} {path!r}: expected a JSON object")
+def _read_compared(path: str, what: str) -> dict:
+    """One side of the regression compare: a document declaring
+    ``repro-telemetry/v1`` is held to that schema, an unversioned
+    samples document only to being an object."""
+    doc = read_json(path, {}, what)
+    if doc.get("schema") == TELEMETRY_SCHEMA:
+        doc = read_json(path, SNAPSHOT, what)
     return doc
 
 
@@ -206,29 +212,30 @@ def tail_report(profiles_doc: dict) -> dict:
 
 def events_summary(events_path: str) -> dict:
     problems = validate_log(events_path)
+    if problems:
+        raise DoctorInputError(
+            f"invalid event log {events_path!r}: {'; '.join(problems[:3])}"
+        )
     kinds: Dict[str, int] = {}
     codes: Dict[str, int] = {}
     rids: set = set()
     burns: List[dict] = []
-    if not problems:
-        for doc in read_events(events_path):
-            kinds[doc["event"]] = kinds.get(doc["event"], 0) + 1
-            if doc.get("request_id"):
-                rids.add(doc["request_id"])
-            if doc["event"] == "reject" and doc.get("code"):
-                codes[doc["code"]] = codes.get(doc["code"], 0) + 1
-            if doc["event"] == "slo_burn":
-                burns.append(
-                    {
-                        "scope": doc.get("scope"),
-                        "state": doc.get("state"),
-                        "burn_short": doc.get("burn_short"),
-                        "ts": doc.get("ts"),
-                    }
-                )
+    for doc in read_events(events_path):
+        kinds[doc["event"]] = kinds.get(doc["event"], 0) + 1
+        if doc.get("request_id"):
+            rids.add(doc["request_id"])
+        if doc["event"] == "reject" and doc.get("code"):
+            codes[doc["code"]] = codes.get(doc["code"], 0) + 1
+        if doc["event"] == "slo_burn":
+            burns.append(
+                {
+                    "scope": doc.get("scope"),
+                    "state": doc.get("state"),
+                    "burn_short": doc.get("burn_short"),
+                    "ts": doc.get("ts"),
+                }
+            )
     return {
-        "valid": not problems,
-        "problems": problems[:5],
         "events": kinds,
         "requests": len(rids),
         "error_codes": codes,
@@ -420,12 +427,7 @@ def build_report(
     }
     profiles_doc = None
     if profiles_path is not None:
-        profiles_doc = _load_json(profiles_path, "profiles snapshot")
-        if profiles_doc.get("schema") != PROFILES_SCHEMA:
-            raise DoctorInputError(
-                f"profiles snapshot {profiles_path!r}: schema "
-                f"{profiles_doc.get('schema')!r}, expected {PROFILES_SCHEMA!r}"
-            )
+        profiles_doc = read_json(profiles_path, PROFILES, "profiles snapshot")
         report["tail"] = tail_report(profiles_doc)
     if events_path is not None:
         summary = events_summary(events_path)
@@ -436,20 +438,15 @@ def build_report(
             "slo_burns": len(summary["slo_burns"]),
         }
         report["slo"] = {"burn_events": summary["slo_burns"]}
-        if not summary["valid"]:
-            raise DoctorInputError(
-                f"invalid event log {events_path!r}: {summary['problems']}"
-            )
     elif profiles_doc is not None:
-        profiles = profiles_doc.get("profiles", [])
         report["summary"] = {
-            "requests": int(profiles_doc.get("offered", len(profiles))),
+            "requests": profiles_doc["offered"],
             "events": {},
             "error_codes": {},
             "slo_burns": 0,
         }
     if metrics_path is not None:
-        snapshot = _load_json(metrics_path, "metrics snapshot")
+        snapshot = read_json(metrics_path, {}, "metrics snapshot")
         histograms = snapshot.get("histograms") or {}
         latency = histograms.get("serve.latency_seconds") or {}
         report["metrics"] = {
@@ -464,8 +461,9 @@ def build_report(
                 if name.startswith("slo.burn.")
             },
         }
+    telemetry_doc: Optional[dict] = None
     if telemetry_path is not None:
-        telemetry_doc = _load_json(telemetry_path, "telemetry snapshot")
+        telemetry_doc = read_json(telemetry_path, SNAPSHOT, "telemetry snapshot")
         shapes = _normalize_telemetry(telemetry_doc)
         report["telemetry"] = {
             "shapes": len(shapes),
@@ -476,13 +474,11 @@ def build_report(
             },
         }
     if baseline_path is not None:
-        baseline_doc = _load_json(baseline_path, "baseline")
+        baseline_doc = _read_compared(baseline_path, "baseline")
         if current_path is not None:
-            current_doc = _load_json(current_path, "current")
-        elif telemetry_path is not None:
-            current_doc = _load_json(telemetry_path, "telemetry snapshot")
+            current_doc = _read_compared(current_path, "current")
         else:
-            current_doc = {}
+            current_doc = telemetry_doc or {}
         report["regression"] = regression_report(
             baseline_doc,
             current_doc,
@@ -496,62 +492,28 @@ def build_report(
 # -- schema validation --------------------------------------------------------
 
 
-def validate_report(doc: object) -> List[str]:
-    """Problems that make ``doc`` invalid under ``repro-doctor/v1``."""
-    problems: List[str] = []
-    if not isinstance(doc, dict):
-        return ["report is not an object"]
-    if doc.get("schema") != SCHEMA:
-        problems.append(f"schema: expected {SCHEMA!r}, got {doc.get('schema')!r}")
-    if not isinstance(doc.get("inputs"), dict):
-        problems.append("inputs: expected object")
-    summary = doc.get("summary")
-    if not isinstance(summary, dict):
-        problems.append("summary: expected object")
-    else:
-        for key in ("requests", "slo_burns"):
-            if key in summary and not isinstance(summary[key], int):
-                problems.append(f"summary.{key}: expected integer")
-    tail = doc.get("tail")
-    if tail is not None:
-        if not isinstance(tail, dict):
-            problems.append("tail: expected object")
-        else:
-            for key in ("threshold_ms", "slow_count"):
-                if not isinstance(tail.get(key), (int, float)):
-                    problems.append(f"tail.{key}: expected number")
-            att = tail.get("attribution_ms")
-            if not isinstance(att, dict) or not all(
-                isinstance(att.get(k), (int, float)) and att.get(k, -1) >= 0
-                for k in ("queue", "compile", "execute", "other")
-            ):
-                problems.append(
-                    "tail.attribution_ms: expected non-negative "
-                    "queue/compile/execute/other"
-                )
-            for group, key in (("by_shape", "shape"), ("by_tenant", "tenant")):
-                entries = tail.get(group)
-                if not isinstance(entries, list):
-                    problems.append(f"tail.{group}: expected list")
-                    continue
-                for i, entry in enumerate(entries):
-                    if not isinstance(entry, dict) or key not in entry:
-                        problems.append(f"tail.{group}[{i}]: missing {key!r}")
-                    elif not isinstance(entry.get("count"), int):
-                        problems.append(f"tail.{group}[{i}]: count: expected int")
-    regression = doc.get("regression")
-    if regression is not None:
-        if not isinstance(regression, dict):
-            problems.append("regression: expected object")
-        else:
-            if regression.get("verdict") not in _VERDICTS:
-                problems.append(
-                    f"regression.verdict: {regression.get('verdict')!r} "
-                    f"not one of {_VERDICTS}"
-                )
-            if not isinstance(regression.get("flagged"), list):
-                problems.append("regression.flagged: expected list")
-    return problems
+_NON_NEGATIVE = Where(float, lambda x: x >= 0, "expected non-negative number")
+
+REPORT = {
+    "schema": Const(SCHEMA),
+    "inputs": dict,
+    "summary": {
+        "requests": Maybe(int, null=False),
+        "slo_burns": Maybe(int, null=False),
+    },
+    "tail": Maybe({
+        "threshold_ms": float,
+        "slow_count": int,
+        "attribution_ms": dict.fromkeys(
+            ("queue", "compile", "execute", "other"), _NON_NEGATIVE
+        ),
+        "by_shape": ListOf({"shape": str, "count": int}),
+        "by_tenant": ListOf({"tenant": str, "count": int}),
+    }),
+    "regression": Maybe({"verdict": OneOf(_VERDICTS), "flagged": list}),
+}
+
+validate_report = partial(check, REPORT, what="report")
 
 
 # -- rendering ----------------------------------------------------------------
@@ -631,10 +593,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         help="relative regression threshold (default 1.3x)")
     parser.add_argument("--min-samples", type=int, default=5)
     parser.add_argument("--noise-floor-ms", type=float, default=2.0)
-    parser.add_argument("--json", action="store_true", dest="as_json")
-    parser.add_argument("--check", action="store_true",
-                        help="validate the report against repro-doctor/v1")
-    parser.add_argument("--out", default=None, metavar="PATH")
+    add_report_flags(parser, SCHEMA)
     parser.add_argument("--fail-on-regression", action="store_true",
                         help="exit 3 when the regression verdict is 'regressed'")
     args = parser.parse_args(argv)
@@ -657,21 +616,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except DoctorInputError as exc:
         print(f"repro-doctor: {exc}", file=sys.stderr)
         return 1
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    if args.as_json:
-        print(json.dumps(report, indent=2, sort_keys=True))
-    else:
-        print(render_text(report))
-    if args.check:
-        problems = validate_report(report)
-        if problems:
-            for problem in problems:
-                print(f"repro-doctor: invalid report: {problem}", file=sys.stderr)
-            return 1
-        print("repro-doctor: report schema ok", file=sys.stderr)
+    if finish_report(
+        args, report, validate_report, lambda r: print(render_text(r))
+    ):
+        return 1
     if args.fail_on_regression:
         if (report.get("regression") or {}).get("verdict") == "regressed":
             return 3

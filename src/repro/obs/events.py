@@ -30,7 +30,10 @@ import os
 import threading
 import time
 from contextlib import contextmanager
+from functools import partial
 from typing import Iterator, List, Optional
+
+from repro.obs.artifacts import Const, ListOf, Maybe, OneOf, check
 
 SCHEMA = "repro-events/v1"
 
@@ -212,26 +215,18 @@ def emit(kind: str, request_id: Optional[str] = None, **fields) -> Optional[dict
 
 # -- schema validation ---------------------------------------------------------
 
+EVENT = {
+    "schema": Const(SCHEMA),
+    "ts": float,
+    "event": OneOf(EVENT_KINDS),
+    "request_id": Maybe(str),
+    **dict.fromkeys(
+        ("shape", "tenant", "engine", "code", "trace_id", "scope", "state"),
+        Maybe(str, null=False),
+    ),
+}
 
-def validate_event(doc: object) -> List[str]:
-    """Problems that make ``doc`` invalid under ``repro-events/v1``."""
-    problems: List[str] = []
-    if not isinstance(doc, dict):
-        return ["event is not an object"]
-    if doc.get("schema") != SCHEMA:
-        problems.append(f"schema: expected {SCHEMA!r}, got {doc.get('schema')!r}")
-    if not isinstance(doc.get("ts"), (int, float)):
-        problems.append("ts: expected number")
-    kind = doc.get("event")
-    if kind not in EVENT_KINDS:
-        problems.append(f"event: {kind!r} not one of {EVENT_KINDS}")
-    rid = doc.get("request_id")
-    if rid is not None and not isinstance(rid, str):
-        problems.append("request_id: expected string or null")
-    for key in ("shape", "tenant", "engine", "code", "trace_id", "scope", "state"):
-        if key in doc and not isinstance(doc[key], str):
-            problems.append(f"{key}: expected string")
-    return problems
+validate_event = partial(check, EVENT, what="event")
 
 
 def read_events(path: str) -> Iterator[dict]:
@@ -245,11 +240,7 @@ def read_events(path: str) -> Iterator[dict]:
 
 def validate_log(path: str) -> List[str]:
     """Every schema problem across one JSONL event file (empty = ok)."""
-    problems: List[str] = []
     try:
-        for i, doc in enumerate(read_events(path)):
-            for problem in validate_event(doc):
-                problems.append(f"event[{i}]: {problem}")
-    except (OSError, json.JSONDecodeError) as exc:
-        problems.append(f"unreadable event log: {exc}")
-    return problems
+        return check(ListOf(EVENT), list(read_events(path)), "event log")
+    except (OSError, ValueError) as exc:
+        return [f"unreadable event log: {exc}"]

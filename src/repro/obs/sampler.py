@@ -28,21 +28,23 @@ The module also carries the W3C-style ``traceparent`` helpers
 :class:`~repro.serve.client.ServiceClient` uses to mint a distributed
 trace context that rides the wire into the worker's request context.
 
-Stdlib-only leaf (imports only :mod:`repro.obs.metrics`), like the rest
-of :mod:`repro.obs`.
+Stdlib-only leaf (imports only :mod:`repro.obs.metrics` and
+:mod:`repro.obs.artifacts`), like the rest of :mod:`repro.obs`.
 """
 
 from __future__ import annotations
 
-import json
-import os
 import re
 import threading
 import time
 import uuid
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Dict, List, Optional, Tuple
 
+from repro.obs.artifacts import (
+    Const, ListOf, Maybe, OneOf, Where, check, write_json_atomic,
+)
 from repro.obs.metrics import DEFAULT_BUCKETS, Histogram, nearest_rank_index
 
 SCHEMA = "repro-profiles/v1"
@@ -289,57 +291,28 @@ class TailSampler:
             }
 
     def save(self, path: str) -> str:
-        """Atomically write the snapshot to ``path`` (tmp + replace)."""
-        doc = self.snapshot()
-        tmp = f"{path}.tmp.{os.getpid()}"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        os.replace(tmp, path)
-        return path
+        """Atomically write the snapshot to ``path``."""
+        return write_json_atomic(path, self.snapshot())
 
 
 # -- schema validation --------------------------------------------------------
 
+_COUNT = Where(int, lambda n: n >= 0, "expected non-negative int")
 
-def validate_profiles(doc: object) -> List[str]:
-    """Problems that make ``doc`` invalid under ``repro-profiles/v1``."""
-    problems: List[str] = []
-    if not isinstance(doc, dict):
-        return ["profiles snapshot is not an object"]
-    if doc.get("schema") != SCHEMA:
-        problems.append(f"schema: expected {SCHEMA!r}, got {doc.get('schema')!r}")
-    for key in ("offered", "kept", "evicted", "capacity"):
-        if not isinstance(doc.get(key), int) or doc.get(key, 0) < 0:
-            problems.append(f"{key}: expected non-negative integer")
-    if not isinstance(doc.get("threshold_seconds"), (int, float)):
-        problems.append("threshold_seconds: expected number")
-    profiles = doc.get("profiles")
-    if not isinstance(profiles, list):
-        return problems + ["profiles: expected list"]
-    for i, p in enumerate(profiles):
-        where = f"profiles[{i}]"
-        if not isinstance(p, dict):
-            problems.append(f"{where}: expected object")
-            continue
-        if not isinstance(p.get("request_id"), str) or not p.get("request_id"):
-            problems.append(f"{where}: request_id: expected non-empty string")
-        for key in ("latency_seconds", "queued_seconds", "exec_seconds", "ts"):
-            if not isinstance(p.get(key), (int, float)):
-                problems.append(f"{where}: {key}: expected number")
-        outcome = p.get("outcome")
-        if not isinstance(outcome, str) or not (
-            outcome == "ok" or outcome.startswith("E_")
-        ):
-            problems.append(
-                f"{where}: outcome: expected 'ok' or an E_* code, got {outcome!r}"
-            )
-        if p.get("keep_reason") not in KEEP_REASONS:
-            problems.append(
-                f"{where}: keep_reason: {p.get('keep_reason')!r} not one of "
-                f"{KEEP_REASONS}"
-            )
-        trace = p.get("trace")
-        if trace is not None and not isinstance(trace, dict):
-            problems.append(f"{where}: trace: expected object or absent")
-    return problems
+PROFILE = {
+    "request_id": Where(str, bool, "expected non-empty str"),
+    **dict.fromkeys(("latency_seconds", "queued_seconds", "exec_seconds", "ts"), float),
+    "outcome": Where(str, lambda o: o == "ok" or o.startswith("E_"),
+                     "expected 'ok' or an E_* code"),
+    "keep_reason": OneOf(KEEP_REASONS),
+    "trace": Maybe(dict),
+}
+
+PROFILES = {
+    "schema": Const(SCHEMA),
+    **dict.fromkeys(("offered", "kept", "evicted", "capacity"), _COUNT),
+    "threshold_seconds": float,
+    "profiles": ListOf(PROFILE),
+}
+
+validate_profiles = partial(check, PROFILES, what="profiles snapshot")

@@ -28,7 +28,12 @@ import json
 import os
 import threading
 import time
-from typing import Dict, List, Optional
+from functools import partial
+from typing import Dict, Optional
+
+from repro.obs.artifacts import (
+    Const, MapOf, check, read_json, write_json_atomic,
+)
 
 SCHEMA = "repro-telemetry/v1"
 
@@ -176,29 +181,21 @@ class TelemetryStore:
         target = path or self.path
         if target is None:
             raise ValueError("no path: pass one or enable(path=...)")
-        doc = self.snapshot()
-        tmp = f"{target}.tmp.{os.getpid()}"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        os.replace(tmp, target)
-        return target
+        return write_json_atomic(target, self.snapshot())
 
     def load(self, path: Optional[str] = None) -> int:
         """Merge a previous snapshot back in; returns shapes merged.
 
         Counts and totals add; ``max_seconds`` takes the max -- loading
         the same snapshot twice double-counts, by design (the store
-        aggregates, it does not deduplicate runs).
+        aggregates, it does not deduplicate runs).  A snapshot that does
+        not parse or match :data:`SNAPSHOT` raises
+        :class:`~repro.obs.artifacts.ArtifactError` (a ``ValueError``).
         """
         target = path or self.path
         if target is None or not os.path.exists(target):
             return 0
-        with open(target, encoding="utf-8") as fh:
-            doc = json.load(fh)
-        problems = validate_snapshot(doc)
-        if problems:
-            raise ValueError(f"invalid telemetry snapshot {target}: {problems[0]}")
+        doc = read_json(target, SNAPSHOT, "telemetry snapshot")
         merged = 0
         with self._lock:
             for shape, incoming in doc["shapes"].items():
@@ -228,42 +225,20 @@ class TelemetryStore:
         return merged
 
 
-def validate_snapshot(doc: object) -> List[str]:
-    """Problems that make ``doc`` invalid under ``repro-telemetry/v1``."""
-    problems: List[str] = []
-    if not isinstance(doc, dict):
-        return ["snapshot is not an object"]
-    if doc.get("schema") != SCHEMA:
-        problems.append(f"schema: expected {SCHEMA!r}, got {doc.get('schema')!r}")
-    shapes = doc.get("shapes")
-    if not isinstance(shapes, dict):
-        return problems + ["shapes: expected object"]
-    for shape, entry in shapes.items():
-        where = f"shapes[{shape!r}]"
-        if not isinstance(entry, dict):
-            problems.append(f"{where}: not an object")
-            continue
-        for key in ("compile", "executions", "engines", "operators", "kernels"):
-            if not isinstance(entry.get(key), dict):
-                problems.append(f"{where}.{key}: expected object")
-        compile_stats = entry.get("compile")
-        if isinstance(compile_stats, dict):
-            for key in ("count", "total_seconds", "max_seconds"):
-                if not isinstance(compile_stats.get(key), (int, float)):
-                    problems.append(f"{where}.compile.{key}: expected number")
-        executions = entry.get("executions")
-        if isinstance(executions, dict):
-            for key in ("count", "rows_total", "total_seconds"):
-                if not isinstance(executions.get(key), (int, float)):
-                    problems.append(f"{where}.executions.{key}: expected number")
-        for label, op in (entry.get("operators") or {}).items():
-            if not isinstance(op, dict) or not isinstance(
-                op.get("total_seconds"), (int, float)
-            ):
-                problems.append(
-                    f"{where}.operators[{label!r}]: expected timing object"
-                )
-    return problems
+SNAPSHOT = {
+    "schema": Const(SCHEMA),
+    "shapes": MapOf({
+        "compile": {"count": int, "total_seconds": float, "max_seconds": float},
+        "executions": {"count": int, "rows_total": int, "total_seconds": float},
+        "engines": MapOf(int),
+        "operators": MapOf(
+            {"count": int, "total_seconds": float, "rows_total": int}
+        ),
+        "kernels": MapOf({"calls": int, "rows": int}),
+    }),
+}
+
+validate_snapshot = partial(check, SNAPSHOT, what="snapshot")
 
 
 #: The process-wide store; disabled until someone calls ``enable()``.

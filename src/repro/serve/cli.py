@@ -42,7 +42,6 @@ Exit code 0 on success, 1 with a diagnostic on any violation.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import tempfile
@@ -51,12 +50,13 @@ import time
 from typing import List, Optional, Sequence
 
 from repro.obs import events as obs_events
+from repro.obs.artifacts import ArtifactError, read_json
 from repro.obs.events import EventLog, read_events, validate_log
 from repro.obs.export import validate_exposition
 from repro.obs.metrics import REGISTRY, percentile
 from repro.obs.sampler import make_traceparent, validate_profiles
 from repro.obs.slo import SLOConfig
-from repro.obs.telemetry import TELEMETRY, validate_snapshot
+from repro.obs.telemetry import SNAPSHOT, TELEMETRY
 from repro.serve.admission import TenantQuota
 from repro.serve.client import ServiceClient
 from repro.serve.server import QueryServer
@@ -288,10 +288,7 @@ def _assert_telemetry(telemetry_path: str) -> None:
     """The telemetry snapshot is schema-valid and every executed shape
     carries per-operator timings (the service runs instrumented builds)."""
     TELEMETRY.save()
-    with open(telemetry_path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    problems = validate_snapshot(doc)
-    _check(not problems, f"invalid telemetry snapshot: {problems[:3]}")
+    doc = read_json(telemetry_path, SNAPSHOT, "telemetry snapshot")
     shapes = doc["shapes"]
     _check(len(shapes) >= 22, f"expected >= 22 shapes, got {len(shapes)}")
     for shape, entry in shapes.items():
@@ -685,7 +682,7 @@ def cmd_smoke(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 0
-    except _SmokeFailure as exc:
+    except (_SmokeFailure, ArtifactError) as exc:
         print(f"smoke FAILED: {exc}", file=sys.stderr)
         return 1
     finally:

@@ -530,3 +530,4 @@ class TestLintJson:
         bad = dict(good, findings=[{"label": "x"}])  # missing rule fields
         assert validate_report(bad)
         assert validate_report(dict(good, programs_checked="many"))
+        assert validate_report(dict(good, programs_checked=True))

@@ -192,6 +192,11 @@ def test_validate_profiles_rejects_malformed_documents():
     problems = validate_profiles(doc)
     assert any("request_id" in p for p in problems)
     assert any("outcome" in p for p in problems)
+    counts = validate_profiles(
+        dict(doc, offered=True, threshold_seconds=False, profiles=[])
+    )
+    assert any("offered" in p for p in counts)
+    assert any("threshold_seconds" in p for p in counts)
 
 
 # -- SLO burn-rate monitoring -------------------------------------------------
@@ -578,6 +583,20 @@ def test_doctor_cli_check_and_regression_exit_codes(artifact_dir, capsys):
     bad = artifact_dir / "corrupt.json"
     bad.write_text("{not json")
     assert doctor_main(["--profiles", str(bad)]) == 1
+    # Well-formed JSON that does not match the schema it declares.
+    bare = artifact_dir / "bare-profiles.json"
+    bare.write_text(json.dumps({
+        "schema": PROFILES_SCHEMA, "offered": 1, "kept": 1, "evicted": 0,
+        "capacity": 8, "threshold_seconds": 0.0,
+        "profiles": [{"request_id": "a", "outcome": "ok"}],
+    }))
+    assert doctor_main(["--profiles", str(bare)]) == 1
+    shapeless = artifact_dir / "bad-telemetry.json"
+    shapeless.write_text(json.dumps(
+        {"schema": TELEMETRY_SCHEMA, "shapes": {"s": {"compile": "x"}}}
+    ))
+    assert doctor_main(["--telemetry", str(shapeless)]) == 1
+    assert doctor_main(["--baseline", str(shapeless)]) == 1
 
 
 def test_validate_report_catches_broken_sections():
