@@ -18,7 +18,7 @@ import functools
 import re
 import threading
 from time import perf_counter as _perf_counter
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 
 def sort_rows(rows: list, spec: Sequence[tuple[int, bool]]) -> list:
@@ -141,14 +141,6 @@ def map_full() -> None:
     )
 
 
-def round_half_up(value: float, digits: int) -> float:
-    """Decimal-style rounding used when formatting numeric results."""
-    scale = 10 ** digits
-    if value >= 0:
-        return int(value * scale + 0.5) / scale
-    return -int(-value * scale + 0.5) / scale
-
-
 def timed(fn, *args, **kwargs):
     """Run ``fn`` and return ``(result, elapsed_seconds)``."""
     import time
@@ -167,13 +159,6 @@ def obs_now() -> float:
     on, so uninstrumented codegen stays byte-identical.
     """
     return _perf_counter()
-
-
-def first_or_none(seq: Iterable):
-    """Return the first element of ``seq`` or None when empty."""
-    for item in seq:
-        return item
-    return None
 
 
 # -- cooperative budget / fault hooks ----------------------------------------

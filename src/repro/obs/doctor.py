@@ -14,12 +14,11 @@ schema-versioned report (``repro-doctor/v1``):
   other) from each profile's span tree, broken down per plan shape and
   per tenant, with the hottest operators and exemplar request ids per
   shape;
-* **regression** -- a verdict against a baseline artifact (a
-  ``repro-telemetry/v1`` snapshot or a samples document of per-request
-  records, ``{"samples": [...]}`` / ``{"baseline": {"samples": [...]}}``):
-  shapes whose p95 / mean / compile cost moved beyond a noise
-  threshold, or whose engine mix shifted (e.g. a breaker quietly parking
-  a shape on the interpreters), are flagged; below-noise drift is not.
+* **regression** -- a verdict of one ``repro-telemetry/v1`` snapshot
+  against a baseline snapshot: shapes whose mean execution or compile
+  cost moved beyond a noise threshold, or whose engine mix shifted (e.g.
+  a breaker quietly parking a shape on the interpreters), are flagged;
+  below-noise drift is not.
 
 Each input is checked against the schema it declares (a bad one is a
 :data:`DoctorInputError`).  Like the other CLIs, the report has a spec
@@ -29,7 +28,7 @@ with ``--fail-on-regression``, on the verdict itself).
 
     repro-doctor --events events.jsonl --profiles profiles.json \\
                  --telemetry telemetry.json --json --check --out doctor.json
-    repro-doctor --baseline samples-before.json --current samples-after.json
+    repro-doctor --baseline telemetry-before.json --current telemetry-after.json
 """
 
 from __future__ import annotations
@@ -38,7 +37,7 @@ import argparse
 import sys
 import time
 from functools import partial
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from repro.obs.artifacts import (
     ArtifactError, Const, ListOf, Maybe, OneOf, Where, add_report_flags,
@@ -47,7 +46,6 @@ from repro.obs.artifacts import (
 from repro.obs.events import read_events, validate_log
 from repro.obs.metrics import percentile
 from repro.obs.sampler import PROFILES
-from repro.obs.telemetry import SCHEMA as TELEMETRY_SCHEMA
 from repro.obs.telemetry import SNAPSHOT, shape_digest
 
 SCHEMA = "repro-doctor/v1"
@@ -65,16 +63,6 @@ _VERDICTS = ("ok", "regressed", "skipped")
 #: What the doctor raises for an artifact it cannot read or that does
 #: not match the schema it declares.
 DoctorInputError = ArtifactError
-
-
-def _read_compared(path: str, what: str) -> dict:
-    """One side of the regression compare: a document declaring
-    ``repro-telemetry/v1`` is held to that schema, an unversioned
-    samples document only to being an object."""
-    doc = read_json(path, {}, what)
-    if doc.get("schema") == TELEMETRY_SCHEMA:
-        doc = read_json(path, SNAPSHOT, what)
-    return doc
 
 
 # -- tail attribution ---------------------------------------------------------
@@ -246,47 +234,6 @@ def events_summary(events_path: str) -> dict:
 # -- regression analysis ------------------------------------------------------
 
 
-def _normalize_bench(doc: dict) -> Dict[str, dict]:
-    """Per-shape distributions from a samples document.
-
-    Either ``{"baseline": {"samples": [...]}}`` or a bare
-    ``{"samples": [...]}``; each sample is one request's ``shape``,
-    ``latency_ms``, ``outcome`` and ``engine``.
-    """
-    samples: List[dict] = []
-    run = doc.get("baseline")
-    if isinstance(run, dict) and isinstance(run.get("samples"), list):
-        samples = run["samples"]
-    if not samples and isinstance(doc.get("samples"), list):
-        samples = doc["samples"]
-    shapes: Dict[str, dict] = {}
-    for s in samples:
-        if not isinstance(s, dict) or not s.get("shape"):
-            continue
-        entry = shapes.setdefault(
-            s["shape"], {"latencies": [], "engines": {}, "errors": 0, "count": 0}
-        )
-        entry["count"] += 1
-        if s.get("outcome", "ok") == "ok":
-            entry["latencies"].append(float(s.get("latency_ms", 0.0)))
-            engine = s.get("engine")
-            if engine:
-                entry["engines"][engine] = entry["engines"].get(engine, 0) + 1
-        else:
-            entry["errors"] += 1
-    out: Dict[str, dict] = {}
-    for digest, entry in shapes.items():
-        lat = sorted(entry["latencies"])
-        out[digest] = {
-            "count": entry["count"],
-            "errors": entry["errors"],
-            "p95_ms": percentile(lat, 0.95) if lat else None,
-            "mean_ms": (sum(lat) / len(lat)) if lat else None,
-            "engines": entry["engines"],
-        }
-    return out
-
-
 def _normalize_telemetry(doc: dict) -> Dict[str, dict]:
     """Per-shape records from a ``repro-telemetry/v1`` snapshot."""
     out: Dict[str, dict] = {}
@@ -298,9 +245,7 @@ def _normalize_telemetry(doc: dict) -> Dict[str, dict]:
         n = execs.get("count", 0)
         record: dict = {
             "count": n,
-            "errors": 0,
             "engines": dict(entry.get("engines") or {}),
-            "p95_ms": None,
             "mean_ms": (execs.get("total_seconds", 0.0) / n * 1e3) if n else None,
         }
         if comp.get("count"):
@@ -309,12 +254,6 @@ def _normalize_telemetry(doc: dict) -> Dict[str, dict]:
             )
         out[entry["digest"]] = record
     return out
-
-
-def _normalize_baseline(doc: dict) -> Tuple[str, Dict[str, dict]]:
-    if doc.get("schema") == TELEMETRY_SCHEMA:
-        return "telemetry", _normalize_telemetry(doc)
-    return "bench", _normalize_bench(doc)
 
 
 def _mix_distance(a: Dict[str, int], b: Dict[str, int]) -> float:
@@ -335,15 +274,17 @@ def regression_report(
     min_samples: int = 5,
     noise_floor_ms: float = 2.0,
 ) -> dict:
-    """Compare per-shape distributions; flag movement beyond the noise.
+    """Compare two telemetry snapshots per shape; flag movement beyond
+    the noise.
 
-    A latency/compile metric is flagged when current exceeds baseline by
-    both the relative ``threshold`` *and* the absolute ``noise_floor_ms``
-    (tiny shapes jitter by whole ratios inside a millisecond); an engine
-    mix is flagged past :data:`ENGINE_MIX_TOLERANCE` total variation.
+    A mean execution or compile time is flagged when current exceeds
+    baseline by both the relative ``threshold`` *and* the absolute
+    ``noise_floor_ms`` (tiny shapes jitter by whole ratios inside a
+    millisecond); an engine mix is flagged past
+    :data:`ENGINE_MIX_TOLERANCE` total variation.
     """
-    base_kind, base = _normalize_baseline(baseline_doc)
-    cur_kind, cur = _normalize_baseline(current_doc)
+    base = _normalize_telemetry(baseline_doc)
+    cur = _normalize_telemetry(current_doc)
     flagged: List[dict] = []
     compared = skipped = 0
     for digest in sorted(set(base) & set(cur)):
@@ -352,7 +293,7 @@ def regression_report(
             skipped += 1
             continue
         compared += 1
-        for metric in ("p95_ms", "mean_ms", "compile_ms"):
+        for metric in ("mean_ms", "compile_ms"):
             bv, cv = b.get(metric), c.get(metric)
             if bv is None or cv is None or bv <= 0:
                 continue
@@ -386,8 +327,6 @@ def regression_report(
         verdict = "ok"
     return {
         "verdict": verdict,
-        "baseline_kind": base_kind,
-        "current_kind": cur_kind,
         "threshold": threshold,
         "min_samples": min_samples,
         "noise_floor_ms": noise_floor_ms,
@@ -474,9 +413,9 @@ def build_report(
             },
         }
     if baseline_path is not None:
-        baseline_doc = _read_compared(baseline_path, "baseline")
+        baseline_doc = read_json(baseline_path, SNAPSHOT, "baseline")
         if current_path is not None:
-            current_doc = _read_compared(current_path, "current")
+            current_doc = read_json(current_path, SNAPSHOT, "current")
         else:
             current_doc = telemetry_doc or {}
         report["regression"] = regression_report(
@@ -585,10 +524,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--metrics", default=None, metavar="PATH",
                         help="a REGISTRY.snapshot() JSON dump")
     parser.add_argument("--baseline", default=None, metavar="PATH",
-                        help="baseline: telemetry snapshot or a samples document")
+                        help="repro-telemetry/v1 snapshot to compare against")
     parser.add_argument("--current", default=None, metavar="PATH",
-                        help="current side of the regression compare "
-                             "(defaults to --telemetry)")
+                        help="repro-telemetry/v1 snapshot for the current "
+                             "side of the compare (defaults to --telemetry)")
     parser.add_argument("--threshold", type=float, default=1.3,
                         help="relative regression threshold (default 1.3x)")
     parser.add_argument("--min-samples", type=int, default=5)

@@ -11,8 +11,8 @@ every character outside ``[a-zA-Z0-9_:]`` to ``_`` and prefixing
 ``repro_``; histograms render as the classic cumulative
 ``_bucket{le="..."}`` / ``_sum`` / ``_count`` triple.
 
-:func:`validate_exposition` is the line-format checker the CI smoke runs
-over a live scrape -- deliberately strict about shape (every sample line
+:func:`validate_exposition` is the line-format checker the serving tests
+run over a live scrape -- deliberately strict about shape (every sample line
 must parse as ``name[{labels}] value``, every metric must be typed), not
 a full Prometheus parser.
 """

@@ -230,7 +230,7 @@ class TailSampler:
             if reason is None:
                 return False
             profile.keep_reason = reason
-            # Re-offered ids (the smoke reuses ids across phases) replace
+            # Re-offered ids (a client may reuse its request ids) replace
             # their previous profile instead of growing the reservoir.
             self._store.pop(profile.request_id, None)
             self._store[profile.request_id] = profile

@@ -38,8 +38,8 @@ FAULT_SITES = ("codegen", "verify", "host-compile", "worker-run", "mid-scan")
 class FaultSpec:
     """Arm one site: fail invocations whose 0-based ordinal is in ``at``.
 
-    ``at=None`` matches *every* ordinal (sustained failure -- the serve
-    smoke uses this to hold a circuit breaker open).  ``key`` (when not
+    ``at=None`` matches *every* ordinal (sustained failure -- the serving
+    tests use this to hold a circuit breaker open).  ``key`` (when not
     None) additionally restricts the spec to fault-point calls made with a
     matching ``key=`` argument -- e.g. one parallel worker's index.
     ``times`` bounds how many faults the spec raises in total

@@ -2,7 +2,7 @@
 
 One socket, one request in flight at a time (a lock serializes callers);
 for concurrent load, open one :class:`ServiceClient` per client thread --
-that is what the bench harness and the CI smoke do, and it mirrors how a
+that is what the perf ledger and the serving tests do, and it mirrors how a
 connection pool would use the service.
 
 Every query request leaves the client with a W3C-style ``traceparent``

@@ -159,18 +159,6 @@ class ResolvedStatement:
         return SHAPE if self.signature else STATEMENT
 
 
-def _fitting_vector(
-    signature: tuple[ParamSlot, ...], values: tuple
-) -> Optional[tuple]:
-    """An auto-lifted statement's literals checked against its shape's
-    slots; None when one of them does not fit its slot type -- a property
-    of this literal variant, not of the shape, so nothing is memoized."""
-    try:
-        return check_bindings(signature, values)
-    except ParamError:
-        return None
-
-
 class Session:
     """Compile-and-cache query execution against one database."""
 
@@ -196,11 +184,13 @@ class Session:
         self._single_flight_waits = 0
         self._shape_hits = 0
         self._shape_misses = 0
-        # Shape texts whose parameterized plan or compile failed with
-        # E_PARAM: the query path falls back to per-literal compiles for
-        # these and skips re-attempting the shape on every call.  (A
-        # literal that does not fit its slot type is not the shape's fault
-        # and is never memoized here.)
+        # Shape texts whose parameterized plan failed with E_PARAM:
+        # :meth:`resolve` falls back to per-literal compiles for these and
+        # skips re-planning the shape on every call.  (Compiling a planned
+        # shape raises no E_PARAM of its own: the compiler's only source
+        # is ``collect_params``, which resolve already ran on that plan.
+        # A literal that does not fit its slot type is not the shape's
+        # fault and is never memoized here.)
         self._shape_fallbacks: set[str] = set()
 
     # -- planning ---------------------------------------------------------------
@@ -344,8 +334,13 @@ class Session:
                 except ParamError:  # the shape itself cannot be parameterized
                     self._mark_shape_bad(shape.text)
             if signature is not None:
-                vector = _fitting_vector(signature, shape.values)
-                if vector is not None:
+                try:
+                    vector = check_bindings(signature, shape.values)
+                except ParamError:
+                    # This variant's literals do not fit the shape's slot
+                    # types: not the shape's fault, so nothing is memoized.
+                    pass
+                else:
                     return ResolvedStatement(
                         sql, shape.text, plan, signature, vector
                     )
@@ -477,41 +472,18 @@ class Session:
     ) -> list[tuple]:
         """Execute SQL (compiled); returns result rows.
 
-        With explicit placeholders in ``sql``, ``params`` supplies the
-        bindings (sequence for ``?``, mapping or first-occurrence-ordered
-        sequence for ``:name``) and the compiled shape is shared across
-        bindings.  Without placeholders, eligible literals are
-        auto-parameterized: statements differing only in those literal
-        values share one compiled residual program, keyed by shape.  If
-        the shape cannot be parameterized (its compile fails with
-        ``E_PARAM``), or this statement's own literals do not fit the
-        shape's slot types, the statement transparently falls back to a
-        per-literal compile -- results are identical either way.
+        :meth:`resolve` makes the parameterization decision -- explicit
+        placeholders bind ``params``, eligible literals auto-parameterize
+        onto one shape-keyed compile, anything else compiles per literal
+        (results are identical either way) -- and the compiled engine
+        runs the entry cached under the key it names.
         """
-        shape = statement_shape(sql)
-        if shape.explicit:
-            compiled = self.prepare_shape(shape.text)
-            with span("execute", engine="compiled"):
-                return compiled.run(self.db, params)
-        if params:
-            raise ParamError(
-                "statement has no parameter placeholders but bindings "
-                "were supplied",
-                phase="execute",
-            )
-        if shape.param_count and not self._shape_known_bad(shape.text):
-            try:
-                compiled = self.prepare_shape(shape.text)
-            except ParamError:  # the shape itself cannot be parameterized
-                self._mark_shape_bad(shape.text)
-            else:
-                vector = _fitting_vector(compiled.param_signature, shape.values)
-                if vector is not None:
-                    with span("execute", engine="compiled"):
-                        return compiled.run(self.db, vector)
-        compiled = self.compiled(self.cache_key(STATEMENT, shape.literal_text))
+        resolved = self.resolve(sql, params)
+        compiled = self.compiled(
+            self.cache_key(resolved.kind, resolved.text), resolved.plan
+        )
         with span("execute", engine="compiled"):
-            return compiled.run(self.db)
+            return compiled.run(self.db, resolved.vector)
 
     def execute_plan(self, plan: PhysicalPlan) -> list[tuple]:
         """Execute a hand-built physical plan (compiled, uncached)."""

@@ -3,10 +3,10 @@ SLO burn-rate windows, and the ``repro-doctor`` attribution/regression
 report.
 
 The regression tests are the acceptance gate for the doctor: a synthetic
-per-shape slowdown injected into a bench-style samples document must be
-flagged against the unperturbed baseline, while comparing the baseline
-against itself must report a clean verdict -- same artifacts, same
-thresholds, opposite answers.
+per-shape slowdown injected into a telemetry snapshot must be flagged
+against the unperturbed baseline, while comparing the baseline against
+itself must report a clean verdict -- same artifacts, same thresholds,
+opposite answers.
 """
 
 from __future__ import annotations
@@ -426,95 +426,79 @@ def test_tail_report_groups_slow_and_errored_by_shape_and_tenant():
 # -- doctor: regression verdicts ----------------------------------------------
 
 
-def _bench_doc(slowdown=None, engine=None, run_key="baseline"):
-    """A BENCH_*.json-shaped document with per-request samples for two
-    shapes; ``slowdown`` multiplies one shape's latencies."""
-    slowdown = slowdown or {}
-    samples = []
-    for shape, base_ms in (("shape-a", 10.0), ("shape-b", 40.0)):
-        for i in range(8):
-            samples.append(
-                {
-                    "rid": f"{shape}-{i}",
-                    "shape": shape,
-                    "tenant": "bench-0",
-                    "latency_ms": base_ms * slowdown.get(shape, 1.0) + i * 0.1,
-                    "outcome": "ok",
-                    "engine": engine or "compiled",
-                }
-            )
-    return {run_key: {"samples": samples}, "shapes": {}}
+_BASE_MS = {"shape-a": 10.0, "shape-b": 40.0}
+
+
+def _telemetry_doc(ms=None, engine="compiled", count=8, compile_ms=5.0):
+    """A ``repro-telemetry/v1`` snapshot: ``count`` executions of each
+    shape in ``ms`` (digest -> mean execution milliseconds)."""
+    shapes = {}
+    for digest, mean_ms in (ms or _BASE_MS).items():
+        shapes[f"sql:{digest}"] = {
+            "digest": digest,
+            "compile": {
+                "count": 1,
+                "total_seconds": compile_ms / 1e3,
+                "max_seconds": compile_ms / 1e3,
+            },
+            "executions": {
+                "count": count,
+                "rows_total": count,
+                "total_seconds": count * mean_ms / 1e3,
+            },
+            "engines": {engine: count},
+            "operators": {},
+            "kernels": {},
+        }
+    return {"schema": TELEMETRY_SCHEMA, "shapes": shapes}
 
 
 def test_regression_flags_an_injected_per_shape_slowdown():
-    baseline = _bench_doc()
-    current = _bench_doc(slowdown={"shape-b": 3.0})
+    baseline = _telemetry_doc()
+    current = _telemetry_doc({**_BASE_MS, "shape-b": 120.0})
     rep = regression_report(baseline, current)
     assert rep["verdict"] == "regressed"
     assert rep["compared_shapes"] == 2
     flagged_shapes = {f["shape"] for f in rep["flagged"]}
     assert flagged_shapes == {"shape-b"}  # the unperturbed shape is quiet
-    metrics = {f["metric"] for f in rep["flagged"]}
-    assert "p95_ms" in metrics and "mean_ms" in metrics
+    assert {f["metric"] for f in rep["flagged"]} == {"mean_ms"}
     assert all(f["ratio"] > 2.5 for f in rep["flagged"])
 
 
 def test_regression_unperturbed_rerun_reports_ok():
-    baseline = _bench_doc()
-    rep = regression_report(baseline, _bench_doc())
+    rep = regression_report(_telemetry_doc(), _telemetry_doc())
     assert rep["verdict"] == "ok"
     assert rep["flagged"] == [] and rep["compared_shapes"] == 2
 
 
 def test_regression_below_noise_floor_is_not_flagged():
     # 3x ratio but sub-millisecond absolute movement: jitter, not news.
-    base = {"baseline": {"samples": [
-        {"rid": f"r{i}", "shape": "tiny", "latency_ms": 0.2, "outcome": "ok"}
-        for i in range(6)
-    ]}}
-    cur = {"baseline": {"samples": [
-        {"rid": f"r{i}", "shape": "tiny", "latency_ms": 0.6, "outcome": "ok"}
-        for i in range(6)
-    ]}}
+    base = _telemetry_doc({"tiny": 0.2}, count=6)
+    cur = _telemetry_doc({"tiny": 0.6}, count=6)
     assert regression_report(base, cur)["verdict"] == "ok"
 
 
 def test_regression_engine_mix_shift_is_flagged():
-    baseline = _bench_doc(engine="compiled")
-    current = _bench_doc(engine="vector")
+    baseline = _telemetry_doc(engine="compiled")
+    current = _telemetry_doc(engine="push")
     rep = regression_report(baseline, current)
     assert rep["verdict"] == "regressed"
     assert {f["metric"] for f in rep["flagged"]} == {"engine_mix"}
 
 
 def test_regression_skips_undersampled_shapes():
-    thin = {"baseline": {"samples": [
-        {"rid": "r0", "shape": "rare", "latency_ms": 5.0, "outcome": "ok"}
-    ]}}
+    thin = _telemetry_doc({"rare": 5.0}, count=1)
     rep = regression_report(thin, thin, min_samples=5)
     assert rep["verdict"] == "skipped"
     assert rep["compared_shapes"] == 0 and rep["skipped_shapes"] == 1
 
 
 def test_regression_accepts_a_telemetry_baseline():
-    def telem(total_seconds):
-        return {
-            "schema": TELEMETRY_SCHEMA,
-            "shapes": {
-                "sql:q": {
-                    "digest": "d1",
-                    "executions": {"count": 10, "total_seconds": total_seconds},
-                    "compile": {"count": 2, "total_seconds": 0.2},
-                    "engines": {"compiled": 10},
-                }
-            },
-        }
-
-    rep = regression_report(telem(1.0), telem(3.5))
-    assert rep["baseline_kind"] == "telemetry"
+    # Compile cost is compared per compile, apart from execution time.
+    rep = regression_report(_telemetry_doc(), _telemetry_doc(compile_ms=50.0))
     assert rep["verdict"] == "regressed"
-    assert {f["metric"] for f in rep["flagged"]} == {"mean_ms"}
-    assert regression_report(telem(1.0), telem(1.0))["verdict"] == "ok"
+    assert {f["metric"] for f in rep["flagged"]} == {"compile_ms"}
+    assert {f["shape"] for f in rep["flagged"]} == set(_BASE_MS)
 
 
 # -- doctor: report + CLI -----------------------------------------------------
@@ -522,16 +506,16 @@ def test_regression_accepts_a_telemetry_baseline():
 
 @pytest.fixture()
 def artifact_dir(tmp_path):
-    """A profiles snapshot + baseline/current bench docs on disk."""
+    """A profiles snapshot + baseline/current telemetry snapshots on disk."""
     sampler = TailSampler(capacity=16, warmup=2)
     sampler.offer(
         _profile("slow-a", 0.8, shape="select count(*) from lineitem")
     )
     sampler.offer(_profile("err-b", 0.01, outcome="E_PLAN"))
     sampler.save(str(tmp_path / "profiles.json"))
-    (tmp_path / "baseline.json").write_text(json.dumps(_bench_doc()))
+    (tmp_path / "baseline.json").write_text(json.dumps(_telemetry_doc()))
     (tmp_path / "regressed.json").write_text(
-        json.dumps(_bench_doc(slowdown={"shape-b": 3.0}))
+        json.dumps(_telemetry_doc({**_BASE_MS, "shape-b": 120.0}))
     )
     return tmp_path
 
@@ -597,6 +581,11 @@ def test_doctor_cli_check_and_regression_exit_codes(artifact_dir, capsys):
     ))
     assert doctor_main(["--telemetry", str(shapeless)]) == 1
     assert doctor_main(["--baseline", str(shapeless)]) == 1
+    # A compare side is a telemetry snapshot; an unversioned document of
+    # per-request samples is not one.
+    samples = artifact_dir / "samples.json"
+    samples.write_text(json.dumps({"samples": [{"shape": "s", "latency_ms": 1.0}]}))
+    assert doctor_main(["--baseline", str(samples)]) == 1
 
 
 def test_validate_report_catches_broken_sections():

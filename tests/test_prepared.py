@@ -17,6 +17,8 @@ from repro.catalog.types import ColumnType
 from repro.compiler.driver import LB2Compiler
 from repro.compiler.lb2 import CompileError, Config
 from repro.errors import ParamError, error_code, error_from_dict, error_to_dict
+from repro.obs.metrics import REGISTRY
+from repro.obs.trace import Trace
 from repro.plan.params import bind_params, check_bindings, collect_params
 from repro.session import Session
 from repro.sql import sql_to_plan
@@ -384,6 +386,21 @@ def test_ill_typed_literal_variant_does_not_poison_its_shape(tiny_db, via):
     assert not session._shape_fallbacks
 
 
+def test_unparameterizable_shape_falls_back_per_literal_once(tiny_db):
+    """``? < ?`` gives the planner no type for either slot, so planning
+    the shape raises E_PARAM: the statement compiles per literal, and
+    later variants never plan the shape again."""
+    session = Session(tiny_db)
+    assert session.query("select count(*) from Sales where 1 < 2") == [(6,)]
+    assert session.query("select count(*) from Sales where 3 < 2") == [(0,)]
+    with Trace("again") as trace:
+        assert session.query("select count(*) from Sales where 3 < 2") == [(0,)]
+    info = session.cache_info()
+    assert info["shape_misses"] == info["shape_hits"] == 0
+    assert info["misses"] == 2 and info["hits"] == 1
+    assert [c.name for c in trace.root.children] == ["execute"]
+
+
 # -- TPC-H parity: auto-parameterization must not change answers --------------
 
 
@@ -400,6 +417,34 @@ def test_tpch_auto_param_parity(tpch_db, codegen):
     assert info["shape_misses"] >= 10
 
 
+def _vary_value(value: object, round_index: int) -> object:
+    """A literal's value for round ``round_index`` (round 0 = original):
+    numbers drift so the statement *text* changes while its *shape* does
+    not; strings stay fixed (perturbed names would mostly select nothing)."""
+    if isinstance(value, (bool, str)):
+        return value
+    if isinstance(value, float):
+        return round(value * (1.0 + 0.01 * round_index), 6)
+    if isinstance(value, int):
+        return value + round_index
+    return value
+
+
+def _substitute(shape_text: str, values) -> str:
+    """The shape text with its placeholders filled back in as literals."""
+    it = iter(values)
+
+    def literal(value: object) -> str:
+        if isinstance(value, str):
+            return "'" + value.replace("'", "''") + "'"
+        return repr(value)
+
+    return " ".join(
+        literal(next(it)) if part == "?" else part
+        for part in shape_text.split(" ")
+    )
+
+
 def test_tpch_literal_variants_share_compiles(tpch_db):
     session = Session(tpch_db)
     q6 = SQL_QUERIES[6]
@@ -407,9 +452,8 @@ def test_tpch_literal_variants_share_compiles(tpch_db):
     assert shape.param_count >= 3
     session.query(q6)
     before = session.cache_info()
+    shape_hits = REGISTRY.get_counter("session.cache.shape_hits")
     # Re-run with perturbed literals: same shape, zero new compiles.
-    from repro.serve.workload import _substitute, _vary_value
-
     varied = _substitute(
         shape.text, [_vary_value(v, 1) for v in shape.values]
     )
@@ -418,6 +462,7 @@ def test_tpch_literal_variants_share_compiles(tpch_db):
     after = session.cache_info()
     assert after["shape_misses"] == before["shape_misses"]
     assert after["shape_hits"] == before["shape_hits"] + 1
+    assert REGISTRY.get_counter("session.cache.shape_hits") == shape_hits + 1
 
 
 # -- goldens: non-parameterized compiles stay byte-identical ------------------

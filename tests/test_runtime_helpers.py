@@ -89,14 +89,6 @@ def test_like_contains2():
 # -- misc ---------------------------------------------------------------------------------
 
 
-def test_round_half_up():
-    assert rt.round_half_up(2.5, 0) == 3.0
-    assert rt.round_half_up(2.4, 0) == 2.0
-    assert rt.round_half_up(-2.5, 0) == -3.0
-    assert rt.round_half_up(1.005, 2) == pytest.approx(1.0, abs=0.02)
-    assert rt.round_half_up(12.345, 2) == pytest.approx(12.35)
-
-
 def test_map_full_raises():
     with pytest.raises(RuntimeError, match="open_map_size"):
         rt.map_full()
@@ -105,9 +97,3 @@ def test_map_full_raises():
 def test_timed():
     result, seconds = rt.timed(lambda x: x * 2, 21)
     assert result == 42 and seconds >= 0.0
-
-
-def test_first_or_none():
-    assert rt.first_or_none([7, 8]) == 7
-    assert rt.first_or_none([]) is None
-    assert rt.first_or_none(iter(())) is None

@@ -1,5 +1,6 @@
-"""Serving-tier tests: admission, breaker, deadlines, wire protocol, and
-the concurrency hammer against one shared Session.
+"""Serving-tier tests: admission, breaker, deadlines, wire protocol, the
+concurrency hammer against one shared Session, and one end-to-end run of
+the ``repro-serve`` entry point.
 
 The hammer (satellite of the serve PR) is the load-bearing test: N client
 threads drive all 22 TPC-H queries through one :class:`QueryService` and
@@ -218,7 +219,14 @@ def test_protocol_violations_are_typed(service):
     neither = service.submit(ServiceRequest())
     bad_engine = service.submit(ServiceRequest(tpch=1, engine="gpu"))
     bad_number = service.submit(ServiceRequest(tpch=99))
-    for response in (both, neither, bad_engine, bad_number):
+    # Bindings travel as a list or an object, and only with SQL.
+    string_params = service.submit(
+        ServiceRequest(sql=SQL_QUERIES[6], params="10.0,0.07")
+    )
+    plan_params = service.submit(ServiceRequest(tpch=6, params=[1]))
+    for response in (
+        both, neither, bad_engine, bad_number, string_params, plan_params
+    ):
         assert not response.ok
         assert response.code == "E_PROTOCOL"
 
@@ -320,6 +328,7 @@ def test_breaker_opens_degrades_and_recovers(service, serve_session):
         ResilientExecutor(serve_session, engines=("volcano",)).query(sql).rows
     )
     serve_session.clear_cache()  # force every request through the compiler
+    opened = REGISTRY.get_counter("serve.breaker.opened")
     with FaultInjector(FaultSpec("codegen", at=None, times=None)):
         for _ in range(service.config.breaker_threshold + 1):
             response = service.submit(ServiceRequest(sql=sql))
@@ -327,6 +336,7 @@ def test_breaker_opens_degrades_and_recovers(service, serve_session):
             assert response.ok and response.degraded
             assert normalize(response.rows) == golden
     assert service.breaker.state(shape) == "open"
+    assert REGISTRY.get_counter("serve.breaker.opened") == opened + 1
 
     # While open, a request that pins a compiled engine is rejected typed...
     pinned = service.submit(ServiceRequest(sql=sql, engine="compiled"))
@@ -547,10 +557,14 @@ def test_request_id_echoed_and_stamped_on_errors(service):
 
 
 def test_wire_request_id_round_trips(server):
+    from repro.obs.sampler import make_traceparent
+
     host, port = server.address
+    tp = make_traceparent()
     with ServiceClient(host, port) as client:
-        reply = client.sql(SQL_QUERIES[6], request_id="wire-rid-1")
+        reply = client.sql(SQL_QUERIES[6], request_id="wire-rid-1", traceparent=tp)
         assert reply["ok"] and reply["request_id"] == "wire-rid-1"
+        assert reply["trace_id"] == tp.split("-")[1]
         bad = client.request({"sql": "selekt", "request_id": "wire-rid-2"})
         assert not bad["ok"]
         assert bad["request_id"] == "wire-rid-2"
@@ -764,6 +778,32 @@ def test_service_traceparent_rides_to_response_and_profile(serve_session):
         assert "trace_id" not in garbled
 
 
+def test_hostile_bindings_reply_e_param_and_are_sampled(serve_session):
+    """Bad bindings are typed ``E_PARAM`` replies, never tracebacks, and
+    the tail sampler keeps each one's profile."""
+    sql = "select count(*) from lineitem where l_quantity > ? and l_discount < ?"
+    hostile = {
+        "arity": {"sql": sql, "params": [10.0]},
+        "type": {"sql": sql, "params": [10.0, "x"]},
+        "table": {
+            "sql": "select count(*) from ? where l_quantity > 1.0",
+            "params": ["lineitem"],
+        },
+        "mixed": {
+            "sql": "select count(*) from lineitem where l_quantity > ? "
+                   "and l_discount < :d",
+            "params": [10.0],
+        },
+    }
+    config = ServiceConfig(workers=1, query_scale=TINY_SCALE, sampling=True)
+    with QueryService(serve_session, config) as svc:
+        for label, doc in hostile.items():
+            reply = svc.submit_dict({**doc, "request_id": f"hostile-{label}"})
+            assert not reply["ok"] and reply["error"]["code"] == "E_PARAM", reply
+            profile = svc.sampler.get(f"hostile-{label}")
+            assert profile is not None and profile.outcome == "E_PARAM"
+
+
 def test_wire_profiles_op_serves_snapshot_and_typed_error(serve_session):
     from repro.obs.sampler import validate_profiles
     from repro.serve import raise_for_error
@@ -807,3 +847,178 @@ def test_admission_gate_exports_inflight_gauges():
     assert gauges["serve.queue.depth"] == 1  # back-compat alias tracks it
     gate.leave()
     assert REGISTRY.snapshot()["gauges"]["serve.inflight"] == 0
+
+
+# -- repro-serve end to end ---------------------------------------------------
+
+
+def _free_port() -> int:
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        return sock.getsockname()[1]
+
+
+def _connect(port: int, server: threading.Thread) -> ServiceClient:
+    """A client of the ``repro-serve`` starting up in ``server``."""
+    deadline = time.monotonic() + 60.0
+    while True:
+        try:
+            return ServiceClient("127.0.0.1", port)
+        except OSError:
+            assert server.is_alive(), "repro-serve exited before listening"
+            assert time.monotonic() < deadline, "repro-serve never listened"
+            time.sleep(0.05)
+
+
+def _mix_round(port: int, round_index: int, clients: int) -> list:
+    """The 22-query mix once from each of ``clients`` concurrent
+    connections; every submission gets its own request id."""
+    replies, errors = [], []
+    lock = threading.Lock()
+
+    def one_client(idx: int) -> None:
+        tenant = f"e2e-{idx}"
+        try:
+            with ServiceClient("127.0.0.1", port) as client:
+                for q in range(1, 23):
+                    rid = f"{tenant}-r{round_index}-q{q}"
+                    if q in SQL_QUERIES:
+                        reply = client.sql(SQL_QUERIES[q], tenant=tenant, request_id=rid)
+                    else:
+                        reply = client.tpch(q, tenant=tenant, request_id=rid)
+                    with lock:
+                        replies.append(reply)
+        except BaseException as exc:  # pragma: no cover - reported below
+            with lock:
+                errors.append(exc)
+
+    threads = [
+        threading.Thread(target=one_client, args=(i,), daemon=True)
+        for i in range(clients)
+    ]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=120.0)
+    assert not errors, errors[:3]
+    assert len(replies) == clients * 22
+    return replies
+
+
+def test_repro_serve_end_to_end(tmp_path):
+    """The product entry point over real sockets: a mix round from two
+    clients while compile faults fire, a clean round, the in-band
+    shutdown -- then the artifacts ``repro-serve`` left behind must join
+    up.  Checks only what the service-level tests above do not."""
+    from repro.obs.artifacts import read_json
+    from repro.obs.doctor import main as doctor_main
+    from repro.obs.events import read_events, validate_log
+    from repro.obs.metrics import percentile
+    from repro.obs.sampler import PROFILES
+    from repro.obs.telemetry import SNAPSHOT, TELEMETRY
+    from repro.serve import cli
+
+    events, telemetry, profiles = (
+        str(tmp_path / name)
+        for name in ("events.jsonl", "telemetry.json", "profiles.json")
+    )
+    port = _free_port()
+    # Exemplars and SLO counters live in the process-wide registry.
+    REGISTRY.reset("serve.")
+    REGISTRY.reset("slo.")
+    TELEMETRY.reset()
+    exit_codes = []
+    server = threading.Thread(
+        target=lambda: exit_codes.append(cli.main([
+            "--port", str(port), "--scale", str(TINY_SCALE), "--workers", "2",
+            "--events", events, "--telemetry", telemetry,
+            "--profiles", profiles, "--slo-latency", "30",
+        ])),
+        daemon=True,
+    )
+    server.start()
+    try:
+        _connect(port, server).close()
+        # Shapes are still cold, so every compile visits the fault sites.
+        every = 3
+        with FaultInjector(
+            FaultSpec("codegen", at=frozenset(range(0, 4096, every)), times=None),
+            FaultSpec("host-compile", at=frozenset(range(1, 4096, every)), times=None),
+        ):
+            faulted = _mix_round(port, 0, clients=2)
+        clean = _mix_round(port, 1, clients=2)
+        with _connect(port, server) as client:
+            metrics = client.metrics()["snapshot"]
+            slo = client.stats()["slo"]
+            assert client.shutdown()
+        server.join(timeout=30.0)
+        assert exit_codes == [0]
+        assert not TELEMETRY.enabled
+    finally:
+        if server.is_alive():  # pragma: no cover - a failed run above
+            with _connect(port, server) as client:
+                client.shutdown()
+            server.join(timeout=30.0)
+        TELEMETRY.reset()
+    replies = faulted + clean
+
+    # Every reply is rows; the faulted round degraded instead of failing.
+    assert all(r["ok"] for r in replies), [r for r in replies if not r["ok"]][:3]
+    assert any(r.get("degraded") for r in faulted)
+
+    # The event log joins per request: one admit, exactly one terminal.
+    assert validate_log(events) == []
+    kinds: dict = {}
+    for doc in read_events(events):
+        kinds.setdefault(doc.get("request_id"), []).append(doc["event"])
+    for reply in replies:
+        seen = kinds.get(reply["request_id"], [])
+        assert seen.count("admit") == 1, (reply["request_id"], seen)
+        terminal = [k for k in seen if k in ("complete", "reject")]
+        assert len(terminal) == 1, (reply["request_id"], seen)
+
+    # The snapshot written on exit has operator timings per executed shape.
+    shapes = read_json(telemetry, SNAPSHOT, "telemetry snapshot")["shapes"]
+    executed = [e for e in shapes.values() if e["executions"]["count"]]
+    assert len(executed) >= 22
+    assert all(e["operators"] for e in executed)
+    assert all(
+        op["total_seconds"] >= 0.0 and op["count"] >= 0
+        for e in executed
+        for op in e["operators"].values()
+    )
+
+    # Stored profiles cover the slow decile and every degraded reply (with
+    # its span tree), and every serve.* exemplar id resolves to one.
+    snapshot = read_json(profiles, PROFILES, "profiles snapshot")
+    assert snapshot["kept"] * 10 >= snapshot["offered"]
+    stored = {p["request_id"]: p for p in snapshot["profiles"]}
+    timed = sorted((r["elapsed_ms"], r["request_id"]) for r in replies)
+    cut = percentile([t for t, _ in timed], 0.9)
+    top = [rid for t, rid in timed if t >= cut]
+    assert sum(rid in stored for rid in top) >= 0.7 * len(top)
+    for reply in replies:
+        if reply.get("degraded"):
+            assert (stored[reply["request_id"]].get("trace") or {}).get("children")
+    exemplars = [
+        e["id"]
+        for name, h in metrics["histograms"].items()
+        if name.startswith("serve.")
+        for cell in (h.get("exemplars") or {}).values()
+        for e in cell
+    ]
+    assert exemplars and set(exemplars) <= set(stored)
+
+    # The SLO latch, the burn gauge and the alert counter agree: a healthy
+    # run under a 30 s threshold burns nothing and never fired.
+    service = slo["service"]
+    alerts = metrics["counters"].get("slo.alerts", 0)
+    assert service["good"] == len(replies) and service["bad"] == 0
+    assert metrics["gauges"]["slo.burn.service"] == service["burn_short"] == 0.0
+    assert not service["alerting"] and alerts == 0
+
+    # repro-doctor's schema gate passes over the three artifacts.
+    assert doctor_main([
+        "--events", events, "--telemetry", telemetry, "--profiles", profiles,
+        "--json", "--check", "--out", str(tmp_path / "doctor.json"),
+    ]) == 0
