@@ -164,75 +164,17 @@ class InfiniteLoop(AnalysisPass):
 
 # -- effect analysis ---------------------------------------------------------
 
-#: Effect classes of call intrinsics, for the hoisting-safety rule.
-PURE, ALLOC, READ, WRITE, IO = "pure", "alloc", "read", "write", "io"
-
-CALL_EFFECTS: dict[str, str] = {
-    # allocation: creates fresh state, trivially movable ahead of the hot path
-    "alloc": ALLOC, "list_new": ALLOC, "dict_new": ALLOC, "set_new": ALLOC,
-    "set_new1": ALLOC, "tuple1": ALLOC, "group_state": ALLOC,
-    # database reads: idempotent snapshots of load-time state
-    "db_column": READ, "db_column_vec": READ, "db_size": READ, "db_index": READ,
-    "db_unique_index": READ, "db_dictionary": READ, "db_date_index": READ,
-    "db_encoded": READ, "db_dict_strings": READ, "db_date_candidates": READ,
-    "db_date_runs": READ, "index_lookup": READ, "index_lookup_unique": READ,
-    # mutation of the first argument
-    "list_append": WRITE, "list_extend": WRITE, "set_add": WRITE,
-    "sort_rows": WRITE,
-    # batch kernels that fold a batch into a group table (their first argument)
-    "v_group_ids": WRITE, "v_agg_sum": WRITE, "v_agg_fsum": WRITE,
-    "v_agg_count": WRITE, "v_agg_count_nn": WRITE, "v_agg_min": WRITE,
-    "v_agg_max": WRITE, "v_agg_distinct": WRITE,
-    # reads state the hot path wrote: ranked with writes so no pass moves it
-    "group_merge": WRITE, "join_finish": WRITE,
-    # externally observable effects
-    "out_append": IO, "map_full": IO,
-    # cooperative budget/fault checkpoint: may raise, must stay in the loop
-    "scan_tick": IO,
-    # observability clock read: idempotent-for-safety (moving one changes a
-    # measurement, never a result), so hoisting analysis treats it as READ
-    "obs_now": READ,
-}
-
 #: Observability intrinsics the instrument lowering stages.  Bracketing an
 #: operator costs two of these per *datapath invocation* (depth zero); one
 #: inside a residual loop body would fire per row instead -- dead
 #: instrumentation overhead on the hot path.
 OBS_CALLS = frozenset({"obs_now"})
 
-_PURE_CALLS = {
-    "len", "to_float", "to_int", "hash_str", "hash_int", "abs", "min2",
-    "max2", "str_startswith", "str_endswith", "str_contains", "str_slice",
-    "str_concat", "str_eq", "dict_get", "dict_contains", "dict_items",
-    "dict_values", "dict_keys", "dict_len", "list_len", "list_head",
-    "set_contains", "set_len", "not_none", "is_none", "topk_rows",
-    "argsort_columns", "batch_slice",
-}
-
-#: Whole-column kernels of the batch-vectorized backend.  All but the group
-#: table's (``v_group_ids`` and the ``v_agg_*`` folds, WRITE above) build
-#: fresh arrays from their inputs (no argument is mutated, nothing external
-#: is observed), so they are PURE for hoisting -- but each call walks an
-#: entire column, so :class:`BulkOpInLoop` rejects them inside loop bodies.
-VECTOR_KERNEL_CALLS = frozenset({
-    "v_add", "v_sub", "v_mul", "v_div", "v_floordiv", "v_mod",
-    "v_eq", "v_ne", "v_lt", "v_le", "v_gt", "v_ge",
-    "v_and", "v_or", "v_not", "v_neg",
-    "v_mask_index", "v_take", "v_len", "v_tolist",
-    "v_group", "v_group_sum", "v_group_ids", "v_agg_sum", "v_agg_fsum",
-    "v_agg_count", "v_agg_count_nn", "v_agg_min", "v_agg_max", "v_agg_distinct",
-    "v_sum", "v_fsum", "v_count_nn", "v_min", "v_max",
-    "v_join_probe", "v_join_probe_outer", "v_join_contains", "v_like",
-})
-
 
 def call_effect(fn: str) -> Optional[str]:
-    """The effect class of an intrinsic; None when unknown (conservative)."""
-    if fn in CALL_EFFECTS:
-        return CALL_EFFECTS[fn]
-    if fn in _PURE_CALLS or fn in VECTOR_KERNEL_CALLS:
-        return PURE
-    return None
+    """The effect class of an intrinsic; None when undeclared (conservative)."""
+    row = ir.INTRINSICS.get(fn)
+    return None if row is None else row.effect
 
 
 class HoistSafety(AnalysisPass):
@@ -283,10 +225,10 @@ class HoistSafety(AnalysisPass):
             for node in ir.walk_expr(expr):
                 if isinstance(node, ir.Call):
                     effect = call_effect(node.fn)
-                    if effect in (WRITE, IO):
+                    if effect in (ir.WRITE, ir.IO):
                         target = node.args[0] if node.args else None
                         if (
-                            effect == WRITE
+                            effect == ir.WRITE
                             and isinstance(target, ir.Sym)
                             and target.name in local_allocs
                         ):
@@ -311,23 +253,28 @@ class HoistSafety(AnalysisPass):
         for expr in ir.stmt_exprs(stmt):
             check_expr(expr)
         if isinstance(stmt, ir.Assign):
-            if isinstance(stmt.expr, ir.Call) and call_effect(stmt.expr.fn) == ALLOC:
+            if isinstance(stmt.expr, ir.Call) and call_effect(stmt.expr.fn) == ir.ALLOC:
                 local_allocs.add(stmt.name)
         for sub in ir.stmt_blocks(stmt):
             for inner in sub:
                 self._check_hoisted(fn_name, inner, local_allocs, out)
 
 
+def _is_kernel(fn: str) -> bool:
+    row = ir.INTRINSICS.get(fn)
+    return row is not None and row.kernel
+
+
 class BulkOpInLoop(AnalysisPass):
     """Flags whole-batch vector kernels staged inside a row loop body.
 
-    The vector backend's contract is that every ``v_*`` kernel runs once
-    per *batch*: the batch loop (a ``ForRange`` marked ``batch``, one
-    iteration per bounded slice of a table) is the one legal loop around
-    kernels.  Inside it, filters compose masks, aggregations factorize
-    keys, and the only residual loops left are per-group emission and
-    devectorized edges -- whose views (``v_tolist``) are bound *before*
-    the row loop.  A kernel call inside any other ``for``/``while`` body
+    The vector backend's contract is that every kernel (an
+    :data:`ir.INTRINSICS` row marked ``kernel``) runs once per *batch*:
+    the batch loop (a ``ForRange`` marked ``batch``, one iteration per
+    bounded slice of a table) is the one legal loop around kernels.
+    Inside it, filters compose masks, aggregations factorize keys, and the
+    only residual loops left are per-group emission and devectorized
+    edges -- whose views (``v_tolist``) are bound *before* the row loop.  A kernel call inside any other ``for``/``while`` body
     re-scans a whole batch every iteration, which silently degrades the
     batch lowering from O(n) to O(n^2).  The walk treats nested functions
     as part of their enclosing nesting depth: a hoisted ``run`` closure at
@@ -353,10 +300,7 @@ class BulkOpInLoop(AnalysisPass):
             if in_loop:
                 for expr in ir.stmt_exprs(stmt):
                     for node in ir.walk_expr(expr):
-                        if (
-                            isinstance(node, ir.Call)
-                            and node.fn in VECTOR_KERNEL_CALLS
-                        ):
+                        if isinstance(node, ir.Call) and _is_kernel(node.fn):
                             out.append(self.diag(
                                 "bulk-op-in-loop",
                                 f"vector kernel {node.fn!r} is staged inside "

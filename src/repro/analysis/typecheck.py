@@ -3,11 +3,13 @@
 ``ir.Assign.ctype`` defaults to ``"long"``; the Python target never reads
 it, but the C emitter renders it as the declaration type -- so a staged
 string (or double) bound without an explicit hint silently miscompiles in
-C.  This pass reconstructs types from the leaves (constants, intrinsic
-signatures, operators) and flags every hint the inference contradicts.
+C.  This pass reconstructs types from the leaves (constants, the intrinsic
+result types declared in :data:`repro.staging.ir.INTRINSICS`, operators)
+and flags every hint the inference contradicts.
 
 Inference is deliberately partial: opaque values (subscripts into runtime
-collections, unknown helpers) type as *unknown* and are never flagged.
+collections, opaque or undeclared intrinsics) type as *unknown* and are
+never flagged.
 ``"void*"`` declarations are opaque-pointer declarations and accept
 anything; ``bool``/``long`` are mutually compatible (C integers).
 """
@@ -18,114 +20,6 @@ from typing import Optional, Sequence
 
 from repro.analysis.walker import AnalysisPass, Diagnostic
 from repro.staging import ir
-
-# Result C types of the intrinsics both emitters know.  ``None`` marks an
-# opaque/unknown result; "void" marks statement-position helpers.
-INTRINSIC_RESULT: dict[str, Optional[str]] = {
-    "len": "long",
-    "to_float": "double",
-    "to_int": "long",
-    "hash_str": "long",
-    "hash_int": "long",
-    "abs": "long",
-    "min2": None,
-    "max2": None,
-    "str_startswith": "bool",
-    "str_endswith": "bool",
-    "str_contains": "bool",
-    "str_slice": "char*",
-    "str_concat": "char*",
-    "str_eq": "bool",
-    "alloc": "void*",
-    "list_new": "void*",
-    "list_append": "void",
-    "list_len": "long",
-    "list_extend": "void",
-    "list_head": "void*",
-    "dict_new": "void*",
-    "dict_get": None,
-    "dict_contains": "bool",
-    "dict_items": "void*",
-    "dict_values": "void*",
-    "dict_keys": "void*",
-    "dict_len": "long",
-    "db_column": "void*",
-    "db_column_vec": None,  # vec_long / vec_double / ... depending on column
-    "batch_slice": None,  # the sliced column's vector type
-    "db_size": "long",
-    "db_index": "void*",
-    "db_unique_index": "void*",
-    "db_dictionary": "void*",
-    "db_date_index": "void*",
-    "db_encoded": "void*",
-    "db_dict_strings": "void*",
-    "db_date_candidates": "void*",
-    "db_date_runs": "void*",
-    "index_lookup": "void*",
-    "index_lookup_unique": "long",
-    "set_new": "void*",
-    "set_new1": "void*",
-    "set_add": "void",
-    "set_contains": "bool",
-    "set_len": "long",
-    "tuple1": "void*",
-    "not_none": "bool",
-    "is_none": "bool",
-    "out_append": "void",
-    # runtime-module helpers routed through ``rt.``
-    "sort_rows": "void",
-    "topk_rows": "void*",
-    "argsort_columns": "void*",
-    "map_full": "void",
-    "scan_tick": "void",
-    "group_state": "void*",
-    "group_merge": "void*",
-    "join_finish": "void*",
-    # observability: wall-clock read bracketed around instrumented operators
-    "obs_now": "double",
-    # batch-vectorized backend kernels (``rt.v_*``); elementwise arithmetic
-    # kernels are polymorphic over the element type, comparisons and boolean
-    # combinators always produce mask vectors
-    "v_add": None,
-    "v_sub": None,
-    "v_mul": None,
-    "v_div": "vec_double",
-    "v_floordiv": "vec_long",
-    "v_mod": "vec_long",
-    "v_eq": "vec_bool",
-    "v_ne": "vec_bool",
-    "v_lt": "vec_bool",
-    "v_le": "vec_bool",
-    "v_gt": "vec_bool",
-    "v_ge": "vec_bool",
-    "v_and": "vec_bool",
-    "v_or": "vec_bool",
-    "v_not": "vec_bool",
-    "v_neg": None,
-    "v_mask_index": "void*",
-    "v_take": None,
-    "v_len": "long",
-    "v_tolist": "void*",
-    "v_group": "void*",
-    "v_group_sum": "void*",
-    "v_group_ids": "vec_long",
-    "v_agg_sum": "void",
-    "v_agg_fsum": "void",
-    "v_agg_count": "void",
-    "v_agg_count_nn": "void",
-    "v_agg_min": "void",
-    "v_agg_max": "void",
-    "v_agg_distinct": "void",
-    "v_join_probe": "void*",
-    "v_join_probe_outer": "void*",
-    "v_join_contains": "vec_bool",
-    "v_like": "vec_bool",
-    "v_sum": None,
-    "v_fsum": "double",
-    "v_count_nn": "long",
-    "v_min": None,
-    "v_max": None,
-}
 
 _COMPARISONS = {"==", "!=", "<", "<=", ">", ">="}
 _NUMERIC = {"long", "bool", "double"}
@@ -161,7 +55,7 @@ def infer_expr(expr: ir.Expr, env: dict[str, Optional[str]]) -> Optional[str]:
             if lhs in ("long", "bool") and rhs in ("long", "bool"):
                 return "long"
             return None
-        # + - * : numeric promotion; string + never appears (str_concat does)
+        # + - * : numeric promotion, or concatenation of two strings
         if lhs == "double" or rhs == "double":
             return "double"
         if lhs in ("long", "bool") and rhs in ("long", "bool"):
@@ -174,7 +68,8 @@ def infer_expr(expr: ir.Expr, env: dict[str, Optional[str]]) -> Optional[str]:
             return "bool"
         return infer_expr(expr.operand, env)
     if isinstance(expr, ir.Call):
-        result = INTRINSIC_RESULT.get(expr.fn)
+        row = ir.INTRINSICS.get(expr.fn)
+        result = None if row is None else row.result
         if result == "void":
             return None
         if result is None and expr.fn in ("min2", "max2") and len(expr.args) == 2:

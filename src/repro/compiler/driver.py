@@ -143,7 +143,6 @@ class LB2Compiler:
     def compile(
         self,
         plan: phys.PhysicalPlan,
-        name: str = "query",
         split_prepare: bool = False,
         verify: bool = True,
     ) -> CompiledQuery:
@@ -273,13 +272,3 @@ def _tuple_rep(ctx: StagingContext, exprs) -> object:
 
     sym = ctx.bind(ir.TupleExpr(tuple(exprs)), ctype="void*")
     return Rep(sym, ctx, ctype="void*")
-
-
-def execute_compiled(
-    plan: phys.PhysicalPlan,
-    db: Database,
-    catalog: Catalog,
-    config: Optional[Config] = None,
-) -> list[tuple]:
-    """One-shot convenience: compile and run a plan."""
-    return LB2Compiler(catalog, db, config).compile(plan).run(db)

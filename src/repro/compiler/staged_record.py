@@ -207,14 +207,6 @@ def value_output(value: StagedValue) -> Rep:
     return value
 
 
-def rebuild_value(rep: Rep, desc: FieldDesc, ctx: StagingContext) -> StagedValue:
-    """Re-wrap a materialized payload according to its field descriptor."""
-    if desc.compressed:
-        assert desc.strings_sym is not None and desc.dictionary is not None
-        return DicValue(RepInt(rep.expr, ctx), desc.dictionary, desc.strings_sym, ctx)
-    return rep
-
-
 class StagedRecord:
     """The generation-time record: name -> lazily loaded staged value.
 

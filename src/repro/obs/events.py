@@ -64,12 +64,6 @@ def current_shape() -> Optional[str]:
     return getattr(_CTX, "shape", None)
 
 
-def current_trace_id() -> Optional[str]:
-    """The distributed trace id bound to this thread, if any (the
-    client-minted ``traceparent`` trace id propagated over the wire)."""
-    return getattr(_CTX, "trace_id", None)
-
-
 @contextmanager
 def request_context(
     request_id: Optional[str],

@@ -91,14 +91,6 @@ def _map_expr(expr: Expr, fn) -> Expr:
     return expr
 
 
-def _walk_exprs(expr: Expr, out: list) -> None:
-    def visit(param: Param) -> Expr:
-        out.append(param)
-        return param
-
-    _map_expr(expr, visit)
-
-
 def _map_agg(spec: AggSpec, fn) -> AggSpec:
     if spec.expr is None:
         return spec

@@ -241,14 +241,6 @@ def _const_value(expr: Expr):
     return expr
 
 
-def _conjuncts(expr: Optional[Expr]) -> list[Expr]:
-    if expr is None:
-        return []
-    if isinstance(expr, And):
-        return list(expr.terms)
-    return [expr]
-
-
 def _aliases_of(expr: Expr) -> set[str]:
     return {name.split(".", 1)[0] for name in expr.columns()}
 

@@ -271,9 +271,6 @@ class StagingContext:
     def break_(self) -> None:
         self.emit(ir.Break())
 
-    def continue_(self) -> None:
-        self.emit(ir.Continue())
-
     def break_if(self, cond: Rep) -> None:
         """Emit ``if cond: break`` -- the staged loop-exit idiom."""
         with self.if_(cond):

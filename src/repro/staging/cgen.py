@@ -10,7 +10,7 @@ the environment).
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Sequence
 
 from repro.staging import ir
 from repro.staging.pygen import PRIMARY, CodegenError, binding, precedence
@@ -19,59 +19,6 @@ _BIN_C = {
     "and": "&&",
     "or": "||",
     "//": "/",
-}
-
-# Intrinsic -> C rendering.  Helpers that have no direct C idiom map onto
-# named functions assumed to live in a small hand-written support header,
-# just as LB2's generated C calls into a scan/print support layer.
-_C_CALLS: dict[str, Callable[..., str]] = {
-    "len": lambda a: f"strlen({a})",
-    "to_float": lambda a: f"(double){a}",
-    "to_int": lambda a: f"(long){a}",
-    "hash_str": lambda a: f"hash_string({a})",
-    "hash_int": lambda a: f"{a}",
-    "abs": lambda a: f"labs({a})",
-    "min2": lambda a, b: f"MIN({a}, {b})",
-    "max2": lambda a, b: f"MAX({a}, {b})",
-    "str_startswith": lambda a, b: f"str_starts_with({a}, {b})",
-    "str_endswith": lambda a, b: f"str_ends_with({a}, {b})",
-    "str_contains": lambda a, b: f"(strstr({a}, {b}) != NULL)",
-    "str_slice": lambda a, lo, hi: f"str_slice({a}, {lo}, {hi})",
-    "str_concat": lambda a, b: f"str_concat({a}, {b})",
-    "str_eq": lambda a, b: f"(strcmp({a}, {b}) == 0)",
-    "alloc": lambda n, v: f"array_fill({n}, {v})",
-    "list_new": lambda: "buffer_new()",
-    "list_append": lambda l, v: f"buffer_append({l}, {v})",
-    "list_len": lambda l: f"buffer_size({l})",
-    "list_head": lambda l, n: f"buffer_head({l}, {n})",
-    "dict_new": lambda: "hashmap_new()",
-    "dict_get": lambda d, k, default: f"hashmap_get({d}, {k}, {default})",
-    "dict_contains": lambda d, k: f"hashmap_contains({d}, {k})",
-    "dict_items": lambda d: f"hashmap_items({d})",
-    "db_column": lambda t, c: f"load_column({t}, {c})",
-    "db_column_vec": lambda t, c: f"load_column_vec({t}, {c})",
-    "scan_tick": lambda n: f"lb2_scan_tick({n})",
-    "db_size": lambda t: f"table_size({t})",
-    "db_index": lambda t, c: f"load_index({t}, {c})",
-    "db_unique_index": lambda t, c: f"load_unique_index({t}, {c})",
-    "db_dictionary": lambda t, c: f"load_dictionary({t}, {c})",
-    "db_date_index": lambda t, c: f"load_date_index({t}, {c})",
-    "db_encoded": lambda t, c: f"load_encoded_column({t}, {c})",
-    "db_dict_strings": lambda t, c: f"load_dictionary_strings({t}, {c})",
-    "db_date_candidates": lambda t, c, lo, hi: (
-        f"date_index_candidates({t}, {c}, {lo}, {hi})"
-    ),
-    "db_date_runs": lambda t, c, lo, hi: (
-        f"date_index_runs({t}, {c}, {lo}, {hi})"
-    ),
-    "index_lookup": lambda idx, k: f"index_lookup({idx}, {k})",
-    "index_lookup_unique": lambda idx, k: f"index_lookup_unique({idx}, {k})",
-    "set_new": lambda: "hashset_new()",
-    "set_new1": lambda v: f"hashset_of({v})",
-    "set_add": lambda s, v: f"hashset_add({s}, {v})",
-    "set_contains": lambda s, v: f"hashset_contains({s}, {v})",
-    "set_len": lambda s: f"hashset_size({s})",
-    "out_append": lambda v: f"emit_row({v})",
 }
 
 
@@ -116,9 +63,12 @@ def render_expr_c(expr: ir.Expr) -> str:
         return f"{expr.op}{operand}"
     if isinstance(expr, ir.Call):
         args = [render_expr_c(a) for a in expr.args]
-        fn = _C_CALLS.get(expr.fn)
-        if fn is not None:
-            return fn(*args)
+        row = ir.INTRINSICS.get(expr.fn)
+        if row is not None and row.c is not None:
+            return row.c.format(*args)
+        # No C idiom: a helper assumed to live in a small hand-written
+        # support header, just as LB2's generated C calls into a scan/print
+        # support layer.
         return f"{expr.fn}({', '.join(args)})"
     if isinstance(expr, ir.Index):
         return f"{_c_operand(expr.arr, PRIMARY)}[{render_expr_c(expr.idx)}]"

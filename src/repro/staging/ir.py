@@ -65,15 +65,177 @@ class Un(Expr):
 
 @dataclass(frozen=True)
 class Call(Expr):
-    """A call to a named intrinsic or runtime helper.
-
-    The Python emitter inlines known intrinsics (``len``, ``hash_str``,
-    ``tuple``...) and routes everything else through the ``rt`` runtime
-    module; the C emitter maps them onto C idioms or helper functions.
+    """A call to a named intrinsic; ``fn`` must be a key of :data:`INTRINSICS`,
+    which says how each target renders it, its result type and its effect.
     """
 
     fn: str
     args: tuple[Expr, ...]
+
+
+# --------------------------------------------------------------------------
+# Intrinsics
+#
+# Every name an ``ir.Call`` may carry is declared here, once: the Python and
+# C emitters, the type checker and the lint passes all read this table, so
+# adding or removing a runtime kernel means editing exactly one row.
+# --------------------------------------------------------------------------
+
+#: Effect classes, for the Section-4.4 hoisting-safety lint.
+PURE, ALLOC, READ, WRITE, IO = "pure", "alloc", "read", "write", "io"
+
+
+@dataclass(frozen=True)
+class Intrinsic:
+    """One intrinsic's contract.
+
+    ``py`` and ``c`` are ``str.format`` templates over the rendered
+    arguments; ``None`` renders a plain call, ``rt.<name>(...)`` into the
+    runtime module in Python and ``<name>(...)`` against the support header
+    in C.  ``result`` is the C result type: ``None`` is opaque (never
+    flagged), ``"void"`` a statement-position helper.  ``kernel`` marks a
+    whole-batch vector kernel, which must run once per batch.
+    """
+
+    result: Optional[str]
+    effect: str
+    py: Optional[str] = None
+    c: Optional[str] = None
+    kernel: bool = False
+
+
+def _kernel(result: Optional[str], effect: str = PURE) -> Intrinsic:
+    return Intrinsic(result, effect, kernel=True)
+
+
+INTRINSICS: dict[str, Intrinsic] = {
+    # scalar values
+    "len": Intrinsic("long", PURE, "len({0})", "strlen({0})"),
+    "to_float": Intrinsic("double", PURE, "float({0})", "(double){0}"),
+    "to_int": Intrinsic("long", PURE, "int({0})", "(long){0}"),
+    "hash_str": Intrinsic("long", PURE, "hash({0})", "hash_string({0})"),
+    "min2": Intrinsic(None, PURE, "min({0}, {1})", "MIN({0}, {1})"),
+    "max2": Intrinsic(None, PURE, "max({0}, {1})", "MAX({0}, {1})"),
+    "not_none": Intrinsic("bool", PURE, "({0} is not None)"),
+    "is_none": Intrinsic("bool", PURE, "({0} is None)"),
+    # strings
+    "str_startswith": Intrinsic(
+        "bool", PURE, "{0}.startswith({1})", "str_starts_with({0}, {1})"
+    ),
+    "str_endswith": Intrinsic(
+        "bool", PURE, "{0}.endswith({1})", "str_ends_with({0}, {1})"
+    ),
+    "str_contains": Intrinsic(
+        "bool", PURE, "({1} in {0})", "(strstr({0}, {1}) != NULL)"
+    ),
+    "str_slice": Intrinsic("char*", PURE, "{0}[{1}:{2}]", "str_slice({0}, {1}, {2})"),
+    "like": Intrinsic("bool", PURE),
+    "like_contains2": Intrinsic("bool", PURE),
+    # lists, dicts and sets; WRITE mutates the first argument
+    "alloc": Intrinsic("void*", ALLOC, "[{1}] * {0}", "array_fill({0}, {1})"),
+    "list_new": Intrinsic("void*", ALLOC, "[]", "buffer_new()"),
+    "list_append": Intrinsic("void", WRITE, "{0}.append({1})", "buffer_append({0}, {1})"),
+    "list_len": Intrinsic("long", PURE, "len({0})", "buffer_size({0})"),
+    "list_head": Intrinsic("void*", PURE, "{0}[:{1}]", "buffer_head({0}, {1})"),
+    "dict_new": Intrinsic("void*", ALLOC, "{{}}", "hashmap_new()"),
+    "dict_get": Intrinsic(None, PURE, "{0}.get({1}, {2})", "hashmap_get({0}, {1}, {2})"),
+    "dict_items": Intrinsic("void*", PURE, "{0}.items()", "hashmap_items({0})"),
+    "dict_len": Intrinsic("long", PURE, "len({0})"),
+    "set_new": Intrinsic("void*", ALLOC, "set()", "hashset_new()"),
+    "set_new1": Intrinsic("void*", ALLOC, "{{{0}}}", "hashset_of({0})"),
+    "set_add": Intrinsic("void", WRITE, "{0}.add({1})", "hashset_add({0}, {1})"),
+    "set_contains": Intrinsic("bool", PURE, "({1} in {0})", "hashset_contains({0}, {1})"),
+    "set_len": Intrinsic("long", PURE, "len({0})", "hashset_size({0})"),
+    # database reads: idempotent snapshots of load-time state
+    "db_column": Intrinsic("void*", READ, "db.column({0}, {1})", "load_column({0}, {1})"),
+    "db_column_vec": Intrinsic(  # vec_long / vec_double / ... by column
+        None, READ, "db.column_vec({0}, {1})", "load_column_vec({0}, {1})"
+    ),
+    "db_size": Intrinsic("long", READ, "db.size({0})", "table_size({0})"),
+    "db_index": Intrinsic("void*", READ, "db.index({0}, {1})", "load_index({0}, {1})"),
+    "db_unique_index": Intrinsic(
+        "void*", READ, "db.unique_index({0}, {1})", "load_unique_index({0}, {1})"
+    ),
+    "db_encoded": Intrinsic(
+        "void*", READ, "db.encoded_column({0}, {1})", "load_encoded_column({0}, {1})"
+    ),
+    "db_dict_strings": Intrinsic(
+        "void*", READ, "db.dictionary({0}, {1}).strings",
+        "load_dictionary_strings({0}, {1})",
+    ),
+    "db_date_candidates": Intrinsic(
+        "void*", READ, "db.date_index({0}, {1}).candidate_list({2}, {3})",
+        "date_index_candidates({0}, {1}, {2}, {3})",
+    ),
+    "db_date_runs": Intrinsic(
+        "void*", READ, "db.date_index({0}, {1}).runs({2}, {3})",
+        "date_index_runs({0}, {1}, {2}, {3})",
+    ),
+    "index_lookup": Intrinsic("void*", READ, "{0}.get({1}, ())", "index_lookup({0}, {1})"),
+    "index_lookup_unique": Intrinsic(
+        "long", READ, "{0}.get({1}, -1)", "index_lookup_unique({0}, {1})"
+    ),
+    # runtime-module helpers
+    "sort_rows": Intrinsic("void", WRITE),
+    "topk_rows": Intrinsic("void*", PURE),
+    "argsort_columns": Intrinsic("void*", PURE),
+    "group_state": Intrinsic("void*", ALLOC),
+    # read state the hot path wrote: ranked with writes so no pass moves them
+    "group_merge": Intrinsic("void*", WRITE),
+    "join_finish": Intrinsic("void*", WRITE),
+    # externally observable effects
+    "out_append": Intrinsic("void", IO, "out.append({0})", "emit_row({0})"),
+    "map_full": Intrinsic("void", IO),
+    # cooperative budget/fault checkpoint: may raise, must stay in the loop
+    "scan_tick": Intrinsic("void", IO, c="lb2_scan_tick({0})"),
+    # observability clock read: moving one changes a measurement, never a
+    # result, so hoisting treats it as a read
+    "obs_now": Intrinsic("double", READ),
+    # the batch lowering; the sliced column's vector type
+    "batch_slice": Intrinsic(None, PURE, "{0}[{1}:{1} + {2}]"),
+    # Whole-batch kernels (``rt.v_*``).  Elementwise arithmetic is
+    # polymorphic over the element type; comparisons and boolean combinators
+    # produce mask vectors.  All but the group table's folds build fresh
+    # arrays from their inputs, so they are pure.
+    "v_add": _kernel(None),
+    "v_sub": _kernel(None),
+    "v_mul": _kernel(None),
+    "v_div": _kernel("vec_double"),
+    "v_floordiv": _kernel("vec_long"),
+    "v_mod": _kernel("vec_long"),
+    "v_neg": _kernel(None),
+    "v_eq": _kernel("vec_bool"),
+    "v_ne": _kernel("vec_bool"),
+    "v_lt": _kernel("vec_bool"),
+    "v_le": _kernel("vec_bool"),
+    "v_gt": _kernel("vec_bool"),
+    "v_ge": _kernel("vec_bool"),
+    "v_and": _kernel("vec_bool"),
+    "v_or": _kernel("vec_bool"),
+    "v_not": _kernel("vec_bool"),
+    "v_like": _kernel("vec_bool"),
+    "v_mask_index": _kernel("void*"),
+    "v_take": _kernel(None),
+    "v_len": _kernel("long"),
+    "v_tolist": _kernel("void*"),
+    "v_sum": _kernel(None),
+    "v_fsum": _kernel("double"),
+    "v_count_nn": _kernel("long"),
+    "v_min": _kernel(None),
+    "v_max": _kernel(None),
+    "v_join_probe": _kernel("void*"),
+    "v_join_probe_outer": _kernel("void*"),
+    "v_join_contains": _kernel("vec_bool"),
+    # the group table (their first argument) folds each batch
+    "v_group_ids": _kernel("vec_long", WRITE),
+    "v_agg_sum": _kernel("void", WRITE),
+    "v_agg_fsum": _kernel("void", WRITE),
+    "v_agg_count": _kernel("void", WRITE),
+    "v_agg_count_nn": _kernel("void", WRITE),
+    "v_agg_min": _kernel("void", WRITE),
+    "v_agg_max": _kernel("void", WRITE),
+    "v_agg_distinct": _kernel("void", WRITE),
+}
 
 
 @dataclass(frozen=True)

@@ -33,68 +33,12 @@ class CodegenError(ReproError):
     phase = "host-compile"
 
 
-# Intrinsics inlined to plain Python; everything else goes through ``rt.``.
-_INLINE: dict[str, Callable[..., str]] = {
-    "len": lambda a: f"len({a})",
-    "to_float": lambda a: f"float({a})",
-    "to_int": lambda a: f"int({a})",
-    "hash_str": lambda a: f"hash({a})",
-    "hash_int": lambda a: f"({a})",
-    "abs": lambda a: f"abs({a})",
-    "min2": lambda a, b: f"min({a}, {b})",
-    "max2": lambda a, b: f"max({a}, {b})",
-    "str_startswith": lambda a, b: f"{a}.startswith({b})",
-    "str_endswith": lambda a, b: f"{a}.endswith({b})",
-    "str_contains": lambda a, b: f"({b} in {a})",
-    "str_slice": lambda a, lo, hi: f"{a}[{lo}:{hi}]",
-    "str_concat": lambda a, b: f"({a} + {b})",
-    "alloc": lambda n, v: f"[{v}] * {n}",
-    "list_new": lambda: "[]",
-    "list_append": lambda l, v: f"{l}.append({v})",
-    "list_len": lambda l: f"len({l})",
-    "list_extend": lambda l, v: f"{l}.extend({v})",
-    "list_head": lambda l, n: f"{l}[:{n}]",
-    "dict_new": lambda: "{}",
-    "dict_get": lambda d, k, default: f"{d}.get({k}, {default})",
-    "dict_contains": lambda d, k: f"({k} in {d})",
-    "dict_items": lambda d: f"{d}.items()",
-    "dict_values": lambda d: f"{d}.values()",
-    "dict_keys": lambda d: f"{d}.keys()",
-    "dict_len": lambda d: f"len({d})",
-    "db_column": lambda t, c: f"db.column({t}, {c})",
-    "db_column_vec": lambda t, c: f"db.column_vec({t}, {c})",
-    "batch_slice": lambda a, lo, n: f"{a}[{lo}:{lo} + {n}]",
-    "db_size": lambda t: f"db.size({t})",
-    "db_index": lambda t, c: f"db.index({t}, {c})",
-    "db_unique_index": lambda t, c: f"db.unique_index({t}, {c})",
-    "db_dictionary": lambda t, c: f"db.dictionary({t}, {c})",
-    "db_date_index": lambda t, c: f"db.date_index({t}, {c})",
-    "db_encoded": lambda t, c: f"db.encoded_column({t}, {c})",
-    "db_dict_strings": lambda t, c: f"db.dictionary({t}, {c}).strings",
-    "db_date_candidates": lambda t, c, lo, hi: (
-        f"db.date_index({t}, {c}).candidate_list({lo}, {hi})"
-    ),
-    "db_date_runs": lambda t, c, lo, hi: (
-        f"db.date_index({t}, {c}).runs({lo}, {hi})"
-    ),
-    "index_lookup": lambda idx, k: f"{idx}.get({k}, ())",
-    "index_lookup_unique": lambda idx, k: f"{idx}.get({k}, -1)",
-    "set_new": lambda: "set()",
-    "set_new1": lambda v: f"{{{v}}}",
-    "set_add": lambda s, v: f"{s}.add({v})",
-    "set_contains": lambda s, v: f"({v} in {s})",
-    "set_len": lambda s: f"len({s})",
-    "tuple1": lambda a: f"({a},)",
-    "not_none": lambda a: f"({a} is not None)",
-    "is_none": lambda a: f"({a} is None)",
-    "out_append": lambda v: f"out.append({v})",
-}
-
-
 def _render_call(node: ir.Call, args: Sequence[str]) -> str:
-    fn = _INLINE.get(node.fn)
-    if fn is not None:
-        return fn(*args)
+    row = ir.INTRINSICS.get(node.fn)
+    if row is None:
+        raise CodegenError(f"undeclared intrinsic {node.fn!r} (see ir.INTRINSICS)")
+    if row.py is not None:
+        return row.py.format(*args)
     return f"rt.{node.fn}({', '.join(args)})"
 
 

@@ -130,9 +130,6 @@ class Database:
         except KeyError:
             raise SchemaError(f"table {name!r} is not loaded") from None
 
-    def has_loaded(self, name: str) -> bool:
-        return name in self._tables
-
     def table_names(self) -> list[str]:
         return sorted(self._tables)
 

@@ -97,9 +97,6 @@ class DateIndex:
     def __len__(self) -> int:
         return len(self._partitions)
 
-    def partition_keys(self) -> list[int]:
-        return list(self._keys)
-
     def candidates(self, lo: Optional[int], hi: Optional[int]) -> Iterator[int]:
         """Row ids in partitions overlapping the date range ``[lo, hi]``.
 

@@ -183,7 +183,7 @@ class TestTypeChecker:
             ir.Assign("s", ir.Const("abc"), ctype="char*"),
             ir.Assign("n", ir.Call("len", (ir.Sym("s"),)), ctype="long"),
             ir.Assign("d", ir.Call("to_float", (ir.Sym("n"),)), ctype="double"),
-            ir.Assign("b", ir.Call("str_eq", (ir.Sym("s"), ir.Const("x"))),
+            ir.Assign("b", ir.Call("str_startswith", (ir.Sym("s"), ir.Const("x"))),
                       ctype="bool"),
         ]
         assert self.check(body) == []
@@ -191,6 +191,13 @@ class TestTypeChecker:
     def test_inference_through_intrinsics(self):
         body = [ir.Assign("n", ir.Call("len", (ir.Sym("p"),)), ctype="char*")]
         assert rules(self.check(body)) == {"ctype-mismatch"}
+
+    def test_like_result_is_checked(self):
+        # bool fits a long (both C integers), so the wrong hint is a string
+        like = ir.Call("like", (ir.Sym("p"), ir.Const("%x%")))
+        assert rules(self.check([ir.Assign("x", like, ctype="char*")])) == {
+            "ctype-mismatch"
+        }
 
     def test_void_pointer_accepts_anything(self):
         body = [ir.Assign("x", ir.Const("abc"), ctype="void*")]
@@ -333,6 +340,11 @@ class TestLints:
         prelude = [ir.ExprStmt(ir.Call("list_append",
                                        (ir.Sym("db"), ir.Const(0))))]
         assert rules(HoistSafety().run(self._split(prelude))) == {"hoist-unsafe"}
+
+    def test_hoisted_like_is_pure(self):
+        like = ir.Call("like", (ir.Const("abc"), ir.Const("a%")))
+        prelude = [ir.Assign("x", like, ctype="bool")]
+        assert HoistSafety().run(self._split(prelude)) == []
 
     def test_hoisted_unknown_helper_flagged(self):
         prelude = [ir.Assign("x", ir.Call("mystery", ()), ctype="void*")]

@@ -778,6 +778,26 @@ def test_service_traceparent_rides_to_response_and_profile(serve_session):
         assert "trace_id" not in garbled
 
 
+def test_service_rate_limit_and_request_traces(serve_session):
+    # The service-wide bucket, ahead of every tenant's own.
+    limited = ServiceConfig(
+        workers=1, query_scale=TINY_SCALE, rate_limit=0.001, rate_burst=1
+    )
+    with QueryService(serve_session, limited) as svc:
+        assert svc.submit(ServiceRequest(sql=SQL_QUERIES[6])).ok
+        before = REGISTRY.get_counter("serve.rejected.ratelimit")
+        shed = svc.submit(ServiceRequest(sql=SQL_QUERIES[6]))
+        assert not shed.ok and shed.code == "E_RATELIMIT"
+        assert REGISTRY.get_counter("serve.rejected.ratelimit") == before + 1
+
+    # ``repro-serve --trace``: every reply carries its span tree.
+    traced = ServiceConfig(workers=1, query_scale=TINY_SCALE, trace_requests=True)
+    with QueryService(serve_session, traced) as svc:
+        reply = svc.submit(ServiceRequest(sql=SQL_QUERIES[6])).to_dict()
+    assert reply["ok"]
+    assert "serve.request" in {c["name"] for c in reply["trace"]["children"]}
+
+
 def test_hostile_bindings_reply_e_param_and_are_sampled(serve_session):
     """Bad bindings are typed ``E_PARAM`` replies, never tracebacks, and
     the tail sampler keeps each one's profile."""
