@@ -64,8 +64,13 @@ from repro.compiler.staged_source import column_loader, row_chunks, row_loop
 
 #: Rows per batch of a batch scan.  Bounds every kernel temporary to one
 #: batch and, under budget checks, how far a scan runs past a tripped
-#: deadline: one batch's kernel chain.
-BATCH_ROWS = 8192
+#: deadline: one batch's kernel chain.  An int64 batch column is 256 KiB,
+#: so a kernel's few temporaries stay in a 2 MiB L2.  Swept on the served
+#: mix at SF 0.01: 8 192 pays the per-batch steps (kernel wrappers, ticks,
+#: group-table and join-index bookkeeping) four times as often; at 65 536
+#: the temporaries outgrow L2, and q1, q18 and q21 lose 20-40 %.  See
+#: docs/VECTORIZED.md, "Measured: batch size".
+BATCH_ROWS = 32768
 
 
 def _is_vec(value: object) -> bool:

@@ -388,7 +388,7 @@ def _rounded(rows):
     ]
 
 
-@pytest.mark.parametrize("batch_rows", [1, 5, 1000, 8192])
+@pytest.mark.parametrize("batch_rows", [1, 5, 1000, 8192, vec.BATCH_ROWS])
 @pytest.mark.parametrize("q", JOIN_QUERIES)
 def test_join_plans_match_scalar_at_any_batch_size(q, batch_rows, tpch_db, monkeypatch):
     """Batch joins emit the scalar join's rows: the same rows, in the same
@@ -566,7 +566,7 @@ def _outer_plan(name: str, consumer: str) -> phys.PhysicalPlan:
     return join
 
 
-@pytest.mark.parametrize("batch_rows", [1, 5, 8192])
+@pytest.mark.parametrize("batch_rows", [1, 5, 8192, vec.BATCH_ROWS])
 @pytest.mark.parametrize("name,consumer", OUTER_PLANS)
 def test_outer_joins_match_scalar_at_any_batch_size(
     name, consumer, batch_rows, tiny_db, monkeypatch

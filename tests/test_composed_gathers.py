@@ -96,7 +96,7 @@ def _chain(steps, aggregate: bool) -> phys.PhysicalPlan:
     return plan
 
 
-@pytest.mark.parametrize("batch_rows", [1, 5, 8192])
+@pytest.mark.parametrize("batch_rows", [1, 5, 8192, vec.BATCH_ROWS])
 @settings(max_examples=40, deadline=None)
 @given(steps=st.lists(STEP, min_size=1, max_size=5), aggregate=st.booleans())
 def test_random_join_chains_match_scalar_in_order(batch_rows, steps, aggregate):

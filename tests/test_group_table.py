@@ -10,8 +10,8 @@
   validity mask and ``count(distinct)`` with duplicates across batches;
   the merged groups of integer, float and short typed-string keys come in
   ascending key order;
-* the same shapes through the compiler, at ``BATCH_ROWS`` 1, 5 and 8192,
-  answer like the scalar lowering as a bag of rows;
+* the same shapes through the compiler, at ``BATCH_ROWS`` 1, 5, 8192 and
+  the shipped cap, answer like the scalar lowering as a bag of rows;
 * integer sums near ``2**62`` are exact in both lowerings, grouped or not;
 * two threads running instrumented builds each see only their kernels;
 * served TPC-H rows hold plain Python values only.
@@ -216,7 +216,7 @@ def _plan(keys):
 
 @settings(max_examples=40, deadline=None)
 @given(case=table_case())
-@pytest.mark.parametrize("batch_rows", [1, 5, 8192])
+@pytest.mark.parametrize("batch_rows", [1, 5, 8192, vec.BATCH_ROWS])
 def test_grouped_plans_match_scalar_at_any_batch_size(batch_rows, case):
     rows, _, keys = case
     rows = [(*r[:6], int(r[6]), r[7]) for r in rows]
@@ -241,7 +241,7 @@ NEAR = st.integers((1 << 62) - 8, (1 << 62) + 8) | st.integers(-(1 << 62) - 8, -
 @settings(max_examples=60, deadline=None)
 @given(
     values=st.lists(st.tuples(st.integers(0, 2), NEAR | st.integers(-5, 5)), min_size=1, max_size=12),
-    batch_rows=st.sampled_from([1, 5, 8192]),
+    batch_rows=st.sampled_from([1, 5, 8192, vec.BATCH_ROWS]),
 )
 def test_integer_sums_near_2_62_are_exact(values, batch_rows):
     """The scalar lowering sums Python ints; int64 kernels wrapped

@@ -203,9 +203,15 @@ def test_row_quota_trips_typed_within_one_checkpoint(codegen, max_rows, tpch_db)
 
 
 @needs_numpy
-def test_mid_scan_fault_fires_under_the_vector_lowering(tpch_db, sample_reference):
+def test_mid_scan_fault_fires_under_the_vector_lowering(
+    tpch_db, sample_reference, monkeypatch
+):
     """Mid-scan faults ride the batch checkpoints: the vectorized program
     faults, and the chain degrades to correct rows."""
+    from repro.compiler import vec
+
+    # 8 192-row batches split this scale's lineitem (12 005 rows) in two.
+    monkeypatch.setattr(vec, "BATCH_ROWS", 8192)
     plan = query_plan(6, scale=TINY_SCALE)
     config = Config(codegen="vector", budget_checks=True)
     guarded = LB2Compiler(tpch_db.catalog, tpch_db, config).compile(plan)

@@ -246,25 +246,31 @@ def test_deadline_maps_to_e_deadline(service):
     assert response.code == "E_DEADLINE"
 
 
-def test_deadline_trips_inside_a_vectorized_scan(service, monkeypatch):
+def test_deadline_trips_inside_a_vectorized_scan(tpch_db, monkeypatch):
     """The served program is the vector lowering, and a deadline passing
     mid-scan trips at the next batch checkpoint as ``E_DEADLINE``."""
-    from repro.compiler import runtime
+    from repro.compiler import runtime, vec
 
     if not runtime.have_numpy():
         pytest.skip("without NumPy a default session serves scalar code")
-    sql = SQL_QUERIES[6]  # lineitem: two batches at this scale
-    assert service.submit(ServiceRequest(sql=sql)).ok  # warm the shape
-    kernel = runtime.v_mask_index
-    calls = []
+    # 8 192-row batches split this scale's lineitem (12 005 rows) in two.
+    # The batch size is not part of the cache key, so the program is
+    # compiled by a fresh session rather than the module's shared one.
+    monkeypatch.setattr(vec, "BATCH_ROWS", 8192)
+    sql = SQL_QUERIES[6]  # lineitem: two batches
+    config = ServiceConfig(workers=1, query_scale=TINY_SCALE)
+    with QueryService(Session(tpch_db), config) as service:
+        assert service.submit(ServiceRequest(sql=sql)).ok  # warm the shape
+        kernel = runtime.v_mask_index
+        calls = []
 
-    def slow_mask_index(mask):
-        calls.append(len(mask))
-        time.sleep(0.2)
-        return kernel(mask)
+        def slow_mask_index(mask):
+            calls.append(len(mask))
+            time.sleep(0.2)
+            return kernel(mask)
 
-    monkeypatch.setattr(runtime, "v_mask_index", slow_mask_index)
-    response = service.submit(ServiceRequest(sql=sql, deadline_seconds=0.1))
+        monkeypatch.setattr(runtime, "v_mask_index", slow_mask_index)
+        response = service.submit(ServiceRequest(sql=sql, deadline_seconds=0.1))
     assert not response.ok and response.code == "E_DEADLINE"
     assert response.error["message"].startswith("wall-clock budget exceeded")
     assert response.error["engine_trail"] == ["compiled"]

@@ -335,7 +335,7 @@ MULTI_BATCH_PLANS = [
 
 
 @needs_numpy
-@pytest.mark.parametrize("batch_rows", [1, 2, 4, 5, 8192])
+@pytest.mark.parametrize("batch_rows", [1, 2, 4, 5, 8192, vec.BATCH_ROWS])
 @pytest.mark.parametrize("plan_index", range(len(MULTI_BATCH_PLANS)))
 def test_multi_batch_matches_scalar(batch_rows, plan_index, monkeypatch):
     """Partials folded across batches equal the scalar lowering: rows,
