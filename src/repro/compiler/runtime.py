@@ -424,6 +424,29 @@ def v_tolist(a, valid=None):
     return [v if ok else None for v, ok in zip(values, _to_list(valid))]
 
 
+# -- SUBSTRING ------------------------------------------------------------------
+
+
+def v_substr(values, lo: int, hi: int):
+    """``substring`` over a batch of strings: characters ``lo:hi`` of each
+    value, the bounds :func:`repro.plan.expressions.substring_bounds` gives.
+
+    A typed (``S{w}``) batch holds one byte per character, so it slices
+    bytes ``lo:hi`` through a ``uint8`` view into an ``S{hi - lo}`` batch;
+    a value shorter than ``hi`` ends at its last byte, because ``S`` drops
+    the NUL padding.  Any other batch slices value by value, as the scalar
+    lowering does.
+    """
+    if values.dtype.kind != "S":
+        return _np.array([v[lo:hi] for v in _to_list(values)], dtype=object)
+    n, width = len(values), values.dtype.itemsize
+    hi = min(hi, width)
+    if hi <= lo:
+        return _np.zeros(n, dtype="S1")  # every value empty
+    data = _np.ascontiguousarray(values).view(_np.uint8).reshape(n, width)
+    return _np.ascontiguousarray(data[:, lo:hi]).view(f"S{hi - lo}").ravel()
+
+
 # -- LIKE -----------------------------------------------------------------------
 
 
@@ -1794,8 +1817,15 @@ def _full(n: int, value):
     return _np.repeat(_column([value]), n)
 
 
-def _is_int_array(x) -> bool:
-    return _is_batch(x) and x.dtype.kind in "iub"
+def _key_kind(x) -> Optional[str]:
+    """How a join key array codes: ``"i"`` (integer, bool and date keys,
+    which direct tables take), ``"f"`` (floats, which only sort), or None
+    (anything else, which the dict form answers)."""
+    if not _is_batch(x):
+        return None
+    if x.dtype.kind in "iub":
+        return "i"
+    return "f" if x.dtype.kind == "f" else None
 
 
 class JoinIndex:
@@ -1812,20 +1842,24 @@ class JoinIndex:
     number, so a probe is one subtraction, one compare and one gather per
     table.  Otherwise each key column is coded densely against its
     distinct build values (:class:`_Codebook`: a direct table for small
-    spans, binary search otherwise), and composite keys combine those
-    codes by mixed radix -- re-densified whenever the radix outgrows a
-    direct table, so no packed key can overflow int64.  A build key array
-    that is not integer -- an object array holding ``None`` (an INT field
-    from a left outer join's null-extended side), or the float64 array an
-    empty row-built build yields -- makes a dict from key to build rows
-    answer instead; all forms give the same matches in the same order.
+    integer spans, binary search plus an equality check otherwise -- the
+    only form a float key takes, so ``-0.0`` meets ``0.0`` and no key is
+    truncated), and composite keys combine those codes by mixed radix --
+    re-densified whenever the radix outgrows a direct table, so no packed
+    key can overflow int64.  A build key array that is neither integer
+    nor float -- an object array holding ``None`` (an INT field from a
+    left outer join's null-extended side) -- or a probe key of the other
+    kind than its build column (an integer meeting a float) makes a dict
+    from key to build rows answer instead; all forms give the same
+    matches in the same order.
     """
 
     def __init__(self, keys: list) -> None:
         self.keys = keys
         self.size = len(keys[0])
         self._dict: Optional[dict] = None
-        self._numeric = all(_is_int_array(k) for k in keys)
+        self._kinds = [_key_kind(k) for k in keys]
+        self._numeric = None not in self._kinds
         if self._numeric and self.size:
             self._build(keys)
 
@@ -1834,7 +1868,7 @@ class JoinIndex:
     def _build(self, keys: list) -> None:
         n = self.size
         self._lo = None  # the one-table form's lowest key
-        if len(keys) == 1:
+        if self._kinds == ["i"]:
             key = keys[0].astype(_np.int64, copy=False)
             lo = int(key.min())
             span = int(key.max()) - lo + 1
@@ -1897,16 +1931,20 @@ class JoinIndex:
         return _np.where(valid, codes, self._radix)
 
     def _probe_keys(self, keys: list, n: int):
-        """The probe keys as int64-able arrays, or None (use the dict)."""
+        """The probe keys as arrays of their build columns' kinds, or None
+        (use the dict)."""
         if not self._numeric:
             return None
         out = []
-        for k in keys:
+        for k, kind in zip(keys, self._kinds):
             if not _is_batch(k):
-                if not isinstance(k, (bool, int)):
+                if isinstance(k, (bool, int)):
+                    k = _np.full(n, k, dtype=_np.int64)
+                elif isinstance(k, float):
+                    k = _np.full(n, k)
+                else:
                     return None
-                k = _np.full(n, k, dtype=_np.int64)
-            if not _is_int_array(k):
+            if _key_kind(k) != kind:
                 return None
             out.append(k)
         return out
@@ -1918,14 +1956,14 @@ class JoinIndex:
         row's matches in build-insertion order.  With ``outer``, a probe
         row that matches nothing appears once, in its place, with build
         row -1."""
-        arrays = self._probe_keys(keys, n)
-        if arrays is None:
-            return self._probe_dict(keys, n, outer)
         if self.size == 0 or n == 0:
             if outer:
                 return _np.full(n, -1, dtype=_np.int64), _np.arange(n)
             empty = _np.empty(0, dtype=_np.int64)
             return empty, empty
+        arrays = self._probe_keys(keys, n)
+        if arrays is None:
+            return self._probe_dict(keys, n, outer)
         slots = self._slots(arrays, n)
         if self._unique:
             rows = self._row_of.take(slots)
@@ -1951,12 +1989,12 @@ class JoinIndex:
 
     def contains(self, keys: list, n: int):
         """Per probe row: does any build row carry its key?"""
+        if self.size == 0:
+            return _np.zeros(n, dtype=bool)
         arrays = self._probe_keys(keys, n)
         if arrays is None:
             table = self._lookup()
             return _np.asarray([key in table for key in _key_rows(keys, n)], dtype=bool)
-        if self.size == 0:
-            return _np.zeros(n, dtype=bool)
         slots = self._slots(arrays, n)
         if self._unique:
             return self._row_of.take(slots) >= 0

@@ -2,10 +2,10 @@
 
 Operator code in :mod:`repro.compiler.lb2` is written once against the
 backend seam; this module re-lowers the supported shapes -- scans, filters
-(``LIKE`` included), projections, integer-keyed hash/semi/anti/left outer
-joins and aggregations -- to *batched columnar* residual programs.  Instead
-of one row loop per pipeline, the generated code walks a table in batches
-of at most
+(``LIKE`` and ``SUBSTRING`` included), projections, integer- or
+float-keyed hash/semi/anti/left outer joins and aggregations -- to
+*batched columnar* residual programs.  Instead of one row loop per
+pipeline, the generated code walks a table in batches of at most
 :data:`BATCH_ROWS` rows (slices of ``db.column_vec`` arrays, for the
 columns the query reads), evaluates predicates and expressions with
 ``rt.v_*`` batch kernels over NumPy arrays (this lowering requires
@@ -15,10 +15,10 @@ folds aggregate partials into running state, and only falls back to
 row-at-a-time code at the seams:
 
 * an operator whose shape the vector lowering does not support (sorts,
-  group joins, string-keyed joins, CASE/SUBSTRING, compressed-string
-  scans, any use but ``count`` of an outer join's null-extended fields,
-  ...) receives plain scalar rows through a devectorizing adapter
-  inserted on the operator edge, and
+  group joins, string-keyed joins, joins pairing an integer key with a
+  float one, CASE, compressed-string scans, any use but ``count`` of an
+  outer join's null-extended fields, ...) receives plain scalar rows
+  through a devectorizing adapter inserted on the operator edge, and
 * everything it allocates comes from the scalar backend unchanged.
 
 Eligibility is decided in one whole-plan pass (:meth:`VectorBackend.prepare`)
@@ -52,6 +52,7 @@ from repro.plan.expressions import (
     Not,
     Or,
     Param,
+    Substring,
 )
 from repro.staging import ir
 from repro.staging.builder import StagingContext
@@ -842,8 +843,14 @@ class _MatchBatch:
 
 _VEC_AGG_KINDS = frozenset({"count", "sum", "avg", "min", "max"})
 _CONST_TYPES = (bool, int, float, str)
-#: Join key types a batch join packs into integer codes.
-_JOIN_KEY_TYPES = frozenset({ColumnType.INT, ColumnType.DATE, ColumnType.BOOL})
+#: Join key types a batch join codes, by kind: a key pair must agree on it
+#: (an integer key meeting a float one takes rows).
+_JOIN_KEY_KINDS = {
+    ColumnType.INT: "int",
+    ColumnType.DATE: "int",
+    ColumnType.BOOL: "int",
+    ColumnType.FLOAT: "float",
+}
 #: Batch operators that earn their chain its batches (see ``_chain_earns``).
 _EARNING = (
     phys.Select, phys.HashJoin, phys.SemiJoin, phys.AntiJoin, phys.LeftOuterJoin,
@@ -854,8 +861,8 @@ def _expr_supported(expr: Expr) -> bool:
     """Can ``expr`` stage against batch columns?
 
     Exactly the expression forms whose staged operators lower to ``v_*``
-    kernels.  ``Case`` / ``Substring`` stage through staged branches or
-    string methods, so they (and anything containing them) run scalar.
+    kernels.  ``Case`` stages through staged branches, so it (and anything
+    containing it) runs scalar.
     """
     if isinstance(expr, Col):
         return True
@@ -871,7 +878,7 @@ def _expr_supported(expr: Expr) -> bool:
         return _expr_supported(expr.lhs) and _expr_supported(expr.rhs)
     if isinstance(expr, (And, Or)):
         return all(_expr_supported(t) for t in expr.terms)
-    if isinstance(expr, (Not, ExtractYear, Like)):
+    if isinstance(expr, (Not, ExtractYear, Like, Substring)):
         return _expr_supported(expr.term)
     if isinstance(expr, InList):
         return _expr_supported(expr.term) and all(
@@ -1006,14 +1013,16 @@ class VectorBackend(ScalarBackend):
         return not any(f.compressed for f in self.comp.static_fields(node))
 
     def _join_ok(self, node, build: phys.PhysicalPlan) -> bool:
-        """Integer-like keys on both sides and a plain build side (its
-        columns are kept as arrays, so no dictionary codes)."""
+        """Key pairs both integer-like or both float, and a plain build
+        side (its columns are kept as arrays, so no dictionary codes)."""
         if self.comp.config.hashmap != "native" or not node.left_keys:
             return False
         catalog = self.comp.catalog
-        for side, keys in ((node.left, node.left_keys), (node.right, node.right_keys)):
-            types = side.field_types(catalog)
-            if any(types[k] not in _JOIN_KEY_TYPES for k in keys):
+        left = node.left.field_types(catalog)
+        right = node.right.field_types(catalog)
+        for lk, rk in zip(node.left_keys, node.right_keys):
+            kind = _JOIN_KEY_KINDS.get(left[lk])
+            if kind is None or kind != _JOIN_KEY_KINDS.get(right[rk]):
                 return False
         return not any(f.compressed for f in self.comp.static_fields(build))
 

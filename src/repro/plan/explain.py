@@ -23,6 +23,7 @@ from repro.plan.expressions import (
     Expr,
     ExtractYear,
     InList,
+    IsNotNull,
     Like,
     Not,
     Or,
@@ -61,6 +62,8 @@ def format_expr(expr: Expr) -> str:
         return f"YEAR({format_expr(expr.term)})"
     if isinstance(expr, Substring):
         return f"SUBSTR({format_expr(expr.term)}, {expr.start}, {expr.length})"
+    if isinstance(expr, IsNotNull):
+        return f"{format_expr(expr.term)} IS NOT NULL"
     return type(expr).__name__
 
 

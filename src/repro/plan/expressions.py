@@ -400,6 +400,28 @@ class Not(Expr):
         return ColumnType.BOOL
 
 
+@dataclass(frozen=True)
+class IsNotNull(Expr):
+    """``term IS NOT NULL``."""
+
+    term: Expr
+
+    def eval(self, row: dict) -> bool:
+        return self.term.eval(row) is not None
+
+    def stage(self, rec):
+        return rec.ctx.call("not_none", [self.term.stage(rec)], result="bool")
+
+    def template(self, rec: str) -> str:
+        return f"({self.term.template(rec)} is not None)"
+
+    def columns(self) -> set[str]:
+        return self.term.columns()
+
+    def result_type(self, types: Types) -> ColumnType:
+        return ColumnType.BOOL
+
+
 def _like_shape(pattern: str) -> tuple[str, tuple[str, ...]]:
     """Classify a LIKE pattern for specialization.
 
@@ -594,25 +616,42 @@ class ExtractYear(Expr):
         return ColumnType.INT
 
 
+def substring_bounds(start: int, length: int) -> tuple[int, int]:
+    """The 0-based slice ``lo:hi`` that ``substring(s from start for
+    length)`` takes.
+
+    SQL numbers characters from 1 and returns those at positions
+    ``start .. start + length - 1`` that exist: a start below 1 keeps only
+    the part of that span from position 1 on (``from 0 for 3`` is the
+    first two characters), and a span ending before position 1 is empty.
+    """
+    lo = max(start - 1, 0)
+    return lo, max(start - 1 + length, lo)
+
+
 @dataclass(frozen=True)
 class Substring(Expr):
-    """``substring(s from start for length)`` -- 1-based, like SQL."""
+    """``substring(s from start for length)`` -- 1-based, like SQL; every
+    lowering slices :func:`substring_bounds`."""
 
     term: Expr
     start: int
     length: int
 
+    @property
+    def bounds(self) -> tuple[int, int]:
+        return substring_bounds(self.start, self.length)
+
     def eval(self, row: dict) -> str:
-        value = self.term.eval(row)
-        return value[self.start - 1 : self.start - 1 + self.length]
+        lo, hi = self.bounds
+        return self.term.eval(row)[lo:hi]
 
     def stage(self, rec):
-        value = self.term.stage(rec)
-        return value.substring(self.start - 1, self.start - 1 + self.length)
+        return self.term.stage(rec).substring(*self.bounds)
 
     def template(self, rec: str) -> str:
-        lo = self.start - 1
-        return f"{self.term.template(rec)}[{lo}:{lo + self.length}]"
+        lo, hi = self.bounds
+        return f"{self.term.template(rec)}[{lo}:{hi}]"
 
     def columns(self) -> set[str]:
         return self.term.columns()

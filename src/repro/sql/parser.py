@@ -81,6 +81,12 @@ class _Parser:
             f"{message}, found {token.kind} {token.value!r} at position {token.position}"
         )
 
+    def integer(self, message: str) -> int:
+        """Consume an integer literal; anything else fails with ``message``."""
+        if self.cur.kind != "number" or not self.cur.value.isdigit():
+            self.fail(message)
+        return int(self.advance().value)
+
     def fail_param(self, message: str) -> None:
         token = self.cur
         raise ParamError(f"{message} (at position {token.position})", phase="plan")
@@ -167,9 +173,7 @@ class _Parser:
                     "LIMIT cannot be a parameter; the bound is baked "
                     "into the residual program"
                 )
-            if token.kind != "number":
-                self.fail("expected a number after LIMIT")
-            limit = int(self.advance().value)
+            limit = self.integer("expected an integer after LIMIT")
         return ast.SelectStmt(
             items=items,
             from_tables=from_tables,
@@ -393,15 +397,11 @@ class _Parser:
             self.expect_kw("from")
             if self.cur.kind == "param":
                 self.fail_param("a SUBSTRING position cannot be a parameter")
-            if self.cur.kind != "number":
-                self.fail("expected a start position")
-            start = int(self.advance().value)
+            start = self.integer("expected an integer start position")
             self.expect_kw("for")
             if self.cur.kind == "param":
                 self.fail_param("a SUBSTRING length cannot be a parameter")
-            if self.cur.kind != "number":
-                self.fail("expected a length")
-            length = int(self.advance().value)
+            length = self.integer("expected an integer length")
             self.expect_sym(")")
             return ast.SubstringOp(term, start, length)
         if token.is_kw(*_AGG_NAMES):

@@ -38,6 +38,7 @@ from repro.plan.expressions import (
     ExprError,
     ExtractYear,
     InList,
+    IsNotNull,
     Like,
     Not,
     Or,
@@ -624,8 +625,11 @@ def _apply_scalar_compare(
     if len(inner_fields) != 1:
         raise SqlPlanError("scalar subqueries must select exactly one column")
     scalar_name = f"__scalar{index}"
+    # An empty input aggregates to NULL, and a comparison with NULL is never
+    # true: a NULL scalar leaves no build row, so the join drops every row.
     inner_proj = phys.Project(
-        inner_plan, [(scalar_name, Col(inner_fields[0])), ("__kr", Const(1))]
+        phys.Select(inner_plan, IsNotNull(Col(inner_fields[0]))),
+        [(scalar_name, Col(inner_fields[0])), ("__kr", Const(1))],
     )
     outer_fields = base.field_names(catalog)
     outer_proj = phys.Project(

@@ -214,6 +214,7 @@ INTRINSICS: dict[str, Intrinsic] = {
     "v_or": _kernel("vec_bool"),
     "v_not": _kernel("vec_bool"),
     "v_like": _kernel("vec_bool"),
+    "v_substr": _kernel("vec_str"),
     "v_mask_index": _kernel("void*"),
     "v_take": _kernel(None),
     "v_len": _kernel("long"),

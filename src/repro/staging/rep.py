@@ -438,13 +438,16 @@ class RepVecBool(RepVec):
 
 
 class RepVecStr(RepVec):
-    """A staged batch of strings: comparisons and ``LIKE``."""
+    """A staged batch of strings: comparisons, ``LIKE`` and ``SUBSTRING``."""
 
     ctype = "vec_str"
     scalar_ctype = "char*"
 
     def like(self, pattern: str, negate: bool) -> "RepVecBool":
         return self._vcall("v_like", [self, pattern, negate], RepVecBool)
+
+    def substring(self, start: int, stop: int) -> "RepVecStr":
+        return self._vcall("v_substr", [self, start, stop], RepVecStr)
 
     def __lt__(self, other: Liftable) -> "RepVecBool":
         return self._vbin("v_lt", other, RepVecBool)

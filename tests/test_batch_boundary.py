@@ -5,7 +5,9 @@ so the other tests cross batch boundaries only by shrinking the constant.
 Here SF 0.01 is built once: its lineitem (59 965 rows) is more than one
 batch at the shipped cap, and the served program -- the vector lowering
 with batch-granular budget checkpoints -- must still answer like push and
-charge every scanned row exactly once.
+charge every scanned row exactly once.  Q2 and Q22, whose partsupp
+(8 000 rows) and customer (1 500 rows) scans fit one batch at the shipped
+cap, are cut into many at smaller ones.
 """
 
 import math
@@ -59,3 +61,17 @@ def test_q6_ticks_once_per_batch_and_charges_every_row(sf001_db):
         runtime.pop_tick_hook(ticks.append)
     assert len(ticks) == math.ceil(LINEITEM_ROWS / vec.BATCH_ROWS) > 1
     assert sum(ticks) == LINEITEM_ROWS
+
+
+@pytest.mark.parametrize("batch_rows", [5, 8192])
+@pytest.mark.parametrize("q", [2, 22])
+def test_q2_and_q22_answer_like_push_across_batches(q, batch_rows, sf001_db, monkeypatch):
+    """q2's float-keyed partsupp probe and q22's ``SUBSTRING`` batches,
+    over scans cut into several batches."""
+    monkeypatch.setattr(vec, "BATCH_ROWS", batch_rows)
+    plan = query_plan(q, scale=SCALE)
+    compiled = LB2Compiler(sf001_db.catalog, sf001_db, Config(codegen="vector")).compile(plan)
+    assert compiled.codegen_stats["batch_joins"] >= 1
+    push = ResilientExecutor(Session(sf001_db), engines=("push",)).execute_plan(plan)
+    assert normalize(compiled.run(sf001_db)) == normalize(push.rows)
+    assert push.rows

@@ -15,8 +15,12 @@ lowering.
 * an INT build key that holds None (from a scalar outer join) takes the
   dict form of the join index, and inner and outer joins over it answer
   like the scalar lowering;
+* float keys code through the sorted codebook (``-0.0`` meets ``0.0``,
+  duplicates keep build order, an empty build matches nothing), an
+  integer key meeting a float one compares values through the dict form,
+  and a plan's INT = FLOAT join pair keeps the scalar lowering;
 * the served builds of the join-heavy queries really lower their joins to
-  batches.
+  batches, q2's float-keyed partsupp probe and all of q22 included.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ from repro.plan import physical as phys
 from repro.plan.expressions import ExtractYear, Like, Not
 from repro.resilience import Budget, ResilientExecutor
 from repro.session import Session
+from repro.sql import sql_to_plan
 from repro.tpch import query_plan
 from repro.tpch.sql_queries import SQL_QUERIES
 from repro.storage import Database
@@ -314,6 +319,107 @@ def test_probe_keys_broadcast_from_a_scalar():
     assert rt.v_tolist(rt.v_join_contains(built, 2, 9)) == [False, False]
 
 
+#: Float keys with a signed zero pair, a float holding an integer, and
+#: values past int64's range, which a truncating cast would fold together.
+FLOATS = st.sampled_from([-0.0, 0.0, 1.5, -3.25, 7.0, 1e300, -1e300, 2.0 ** 70])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    build=st.lists(st.tuples(st.integers(0, 3), FLOATS), max_size=30),
+    probe=st.lists(st.tuples(st.integers(0, 3), FLOATS), max_size=30),
+    composite=st.booleans(),
+)
+def test_float_keys_probe_like_a_dict_multimap(build, probe, composite):
+    """A float key -- alone, or after an integer one -- codes through the
+    sorted codebook (no direct table), and probes, outer probes and key
+    sets answer like a dict, where ``-0.0`` equals ``0.0``."""
+    import numpy as np
+
+    def columns(rows):
+        floats = np.asarray([r[1] for r in rows], dtype=np.float64)
+        if not composite:
+            return [floats]
+        return [_batch([r[0] for r in rows]), floats]
+
+    def key(row):
+        return row if composite else row[1]
+
+    table: dict = {}
+    for i, row in enumerate(build):
+        table.setdefault(key(row), []).append(i)
+    state = [(len(build), *columns(build), _batch(range(len(build))))]
+    nkeys = len(columns(build))
+    built = rt.join_finish(state, nkeys, 1, True)
+    index = built[0]
+    assert index._numeric
+    if build:
+        assert index._lo is None and index._books[-1].table is None  # floats sort
+    rows, probes = rt.v_join_probe(built, len(probe), *columns(probe))
+    assert list(zip(rt.v_tolist(rows), rt.v_tolist(probes))) == [
+        (b, p) for p, row in enumerate(probe) for b in table.get(key(row), ())
+    ]
+    outer = rt.join_finish(state, nkeys, 1, True, True)
+    rows, probes = rt.v_join_probe_outer(outer, len(probe), *columns(probe))
+    assert list(zip(rt.v_tolist(rows), rt.v_tolist(probes))) == [
+        (b, p) for p, row in enumerate(probe) for b in table.get(key(row), [-1])
+    ]
+    mask = rt.v_join_contains(built, len(probe), *columns(probe))
+    assert rt.v_tolist(mask) == [key(row) in table for row in probe]
+
+
+def test_float_keys_with_duplicates_absent_keys_and_signed_zeros():
+    import numpy as np
+
+    index = rt.JoinIndex([np.asarray([2.5, -0.0, 2.5, 7.25, 0.0])])
+    rows, probes = index.probe([np.asarray([2.5, 0.0, 3.0, -0.0, 7.25, 7.0])], 6)
+    assert list(zip(rt.v_tolist(rows), rt.v_tolist(probes))) == [
+        (0, 0), (2, 0), (1, 1), (4, 1), (1, 3), (4, 3), (3, 4)
+    ]
+    # a broadcast float probe key
+    rows, probes = index.probe([7.25], 2)
+    assert list(zip(rt.v_tolist(rows), rt.v_tolist(probes))) == [(3, 0), (3, 1)]
+    assert rt.v_tolist(index.contains([np.asarray([-0.0, 1.0])], 2)) == [True, False]
+
+
+@pytest.mark.parametrize("batched", [True, False])
+def test_an_empty_float_build_matches_nothing(batched):
+    import numpy as np
+
+    if batched:
+        state = [(0, np.empty(0, dtype=np.float64), _batch([]))]
+    else:
+        state = []  # a row-built build that saw no row
+    probe = np.asarray([0.0, 1.5])
+    assert [rt.v_tolist(a) for a in rt.v_join_probe(
+        rt.join_finish(state, 1, 1, batched), 2, probe
+    )] == [[], []]
+    assert [rt.v_tolist(a) for a in rt.v_join_probe_outer(
+        rt.join_finish(state, 1, 1, batched, True), 2, probe
+    )] == [[-1, -1], [0, 1]]
+    assert rt.v_tolist(rt.v_join_contains(
+        rt.join_finish(state, 1, 0, batched), 2, probe
+    )) == [False, False]
+
+
+def test_an_integer_key_meeting_a_float_one_compares_values():
+    """Built from integers and probed with floats (or the other way), the
+    index takes its dict form: ``7 == 7.0`` matches and ``7.5`` matches
+    nothing -- no key is truncated to an integer table slot."""
+    import numpy as np
+
+    for build, probe in (
+        (_batch([7, 3, 7]), np.asarray([7.0, 7.5, 3.0])),
+        (np.asarray([7.0, 3.0, 7.0]), _batch([7, 8, 3])),
+    ):
+        index = rt.JoinIndex([build])
+        rows, probes = index.probe([probe], 3)
+        assert list(zip(rt.v_tolist(rows), rt.v_tolist(probes))) == [
+            (0, 0), (2, 0), (1, 2)
+        ]
+        assert index._dict is not None
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     rows=st.lists(
@@ -436,6 +542,59 @@ def test_served_q13_runs_its_outer_join_and_like_in_batches(tpch_db):
     assert stats["batch_outer_joins"] >= 1, stats
     assert stats["batch_selects"] >= 1 and stats["vector_aggs"] == 2, stats
     assert stats["scalar_nodes"] == 1, stats
+
+
+def _count(plan, kind) -> int:
+    return isinstance(plan, kind) + sum(_count(c, kind) for c in plan.children())
+
+
+def test_served_q22_runs_in_batches(tpch_db):
+    """``SUBSTRING`` has a kernel, so q22's customer filters, its scalar
+    subquery's join, its ``NOT EXISTS`` key set over orders and its
+    grouping all run in batches: no scan takes rows and no edge
+    devectorizes."""
+    stats = _served_build(Session(tpch_db), 22).codegen_stats
+    scans = _count(sql_to_plan(SQL_QUERIES[22], tpch_db), phys.Scan)
+    assert stats["batch_scans"] == scans == 3, stats
+    assert stats["devectorized_edges"] == 0, stats
+    assert stats["batch_joins"] == stats["batch_key_set_joins"] == 1, stats
+    assert stats["vector_aggs"] == 2, stats
+
+
+def test_served_q2_probes_partsupp_in_batches(tpch_db):
+    """q2's ``(partkey, min(supplycost))`` join has a FLOAT key pair: it
+    probes partsupp in batches, like every other join of the plan."""
+    plan = query_plan(2, scale=TINY_SCALE)
+    stats = _served_build(Session(tpch_db), 2).codegen_stats
+    assert stats["batch_joins"] == _count(plan, phys.HashJoin) == 8, stats
+    assert stats["batch_scans"] == _count(plan, phys.Scan), stats
+
+
+def test_float_keyed_joins_run_in_batches_and_mixed_pairs_take_rows(tpch_db):
+    """A FLOAT = FLOAT join probes in batches; an INT = FLOAT pair
+    (``ps_supplycost = p_size``) keeps the scalar lowering, and both
+    answer like it -- a truncated float key would match more rows."""
+    part = phys.Project(
+        phys.Scan("part"), [("p_partkey", col("p_partkey")), ("p_size", col("p_size"))]
+    )
+    partsupp = phys.Select(phys.Scan("partsupp"), col("ps_availqty").gt(lit(0)))
+    cheap = phys.Project(
+        phys.Select(phys.Scan("partsupp"), col("ps_availqty").lt(lit(100))),
+        [("c_cost", col("ps_supplycost")), ("c_partkey", col("ps_partkey"))],
+    )
+    cases = {
+        "mixed": (phys.HashJoin(part, partsupp, ["p_size"], ["ps_supplycost"]), 0),
+        "float": (phys.HashJoin(cheap, partsupp, ["c_cost"], ["ps_supplycost"]), 1),
+    }
+    for name, (plan, batch_joins) in cases.items():
+        vector = LB2Compiler(
+            tpch_db.catalog, tpch_db, Config(codegen="vector")
+        ).compile(plan)
+        assert vector.codegen_stats["batch_joins"] == batch_joins, name
+        rows = vector.run(tpch_db)
+        expected = LB2Compiler(tpch_db.catalog, tpch_db).compile(plan).run(tpch_db)
+        assert normalize(rows) == normalize(expected), name
+        assert rows, name
 
 
 def test_string_keyed_joins_stay_scalar(tiny_db):

@@ -221,6 +221,9 @@ def test_parse_errors():
         "select a from",
         "select a from t where",
         "select a from t limit x",
+        "select a from t limit 1.5",
+        "select substring(a from 1.5 for 2) from t",
+        "select substring(a from 1 for 2.0) from t",
         "select a from t order by",
         "select a from t group by",
         "select a from t trailing garbage here ..",

@@ -3,11 +3,15 @@
 import pytest
 
 from repro.compiler.driver import LB2Compiler
+from repro.compiler.lb2 import Config
 from repro.engine import execute_push, execute_volcano
+from repro.serve import QueryService, ServiceConfig, ServiceRequest
+from repro.session import Session
 from repro.sql import SqlPlanError, sql_to_plan
 from repro.sql.parser import parse_select
 from repro.sql import ast_nodes as ast
-from tests.conftest import TINY_SCALE, normalize
+from repro.tpch.sql_queries import SQL_QUERIES
+from tests.conftest import TINY_SCALE, needs_numpy, normalize
 
 
 def run_sql(text, db):
@@ -149,6 +153,41 @@ def test_scalar_subquery_under_group_by(tiny_db):
         tiny_db,
     )
     assert rows == [("CS", 2)]
+
+
+EMPTY_SCALAR = (
+    "select count(*) from customer where c_acctbal > "
+    "(select avg(c_acctbal) from customer where c_acctbal > 1000000.0)"
+)
+
+
+@pytest.mark.parametrize(
+    "codegen", ["scalar", pytest.param("vector", marks=needs_numpy)]
+)
+def test_comparing_with_an_empty_scalar_subquery_keeps_no_row(codegen, tpch_db):
+    """An empty input averages to NULL, and no comparison with NULL is
+    true: the count is 0 on every engine and under either lowering."""
+    plan = sql_to_plan(EMPTY_SCALAR, tpch_db)
+    assert execute_push(plan, tpch_db, tpch_db.catalog) == [(0,)]
+    assert execute_volcano(plan, tpch_db, tpch_db.catalog) == [(0,)]
+    config = Config(codegen=codegen)
+    assert LB2Compiler(tpch_db.catalog, tpch_db, config).compile(plan).run(tpch_db) == [(0,)]
+
+
+def test_served_q22_with_an_empty_subquery_answers_no_group(tpch_db):
+    """q22's subquery literal is lifted, so a variant whose bound no
+    customer passes runs the program the canonical text compiled."""
+    q22 = SQL_QUERIES[22]
+    variant = q22.replace("c_acctbal > 0.0", "c_acctbal > 1000000.0")
+    assert variant != q22
+    config = ServiceConfig(workers=1, query_scale=TINY_SCALE)
+    with QueryService(Session(tpch_db), config) as service:
+        warm = service.submit(ServiceRequest(sql=q22))
+        assert warm.ok and warm.rows
+        reply = service.submit(ServiceRequest(sql=variant))
+        assert reply.ok, reply.error
+        assert reply.rows == [] and reply.engine == "compiled" and not reply.degraded
+        assert service.session.cache_info()["shape_hits"] >= 1
 
 
 def test_tpch_q4_in_sql_matches_plan(tpch_db):

@@ -27,10 +27,10 @@ from repro.compiler.driver import LB2Compiler
 from repro.compiler.lb2 import CompileError, Config
 from repro.plan import (
     Agg,
+    Case,
     Project,
     Scan,
     Select,
-    Substring,
     avg,
     col,
     count,
@@ -386,11 +386,12 @@ def test_dictionary_compressed_scan_falls_back_to_scalar():
 
 @needs_numpy
 def test_unsupported_predicate_falls_back_per_operator():
-    """SUBSTRING has no vector kernel: the Select stays scalar while the
-    plan still compiles and answers correctly."""
+    """CASE has no vector kernel: the Select stays scalar while the plan
+    still compiles and answers correctly."""
     db = make_tiny_db()
+    is_cs = Case(col("edname").eq(lit("CS")), lit(1), lit(0))
     plan = Agg(
-        Select(Scan("Emp"), Substring(col("edname"), 1, 1).eq(lit("C"))),
+        Select(Scan("Emp"), is_cs.eq(lit(1))),
         [],
         [("cnt", count())],
     )
