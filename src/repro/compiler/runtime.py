@@ -230,18 +230,24 @@ def scan_tick(n: int = 1) -> None:
 #
 # String columns arrive in the fixed-width ``S{w}`` layout storage gives
 # ASCII text (``repro.storage.buffer.typed_strings``), else as object
-# arrays.  Kernels work on the bytes: a ``str`` operand is encoded once per
-# call, and strings decode back to ``str`` at one boundary -- wherever
-# values leave a batch (:func:`v_tolist`, the group keys a merge hands to a
-# row loop, a global min/max).  ``bytes`` never reach a result row, a
-# scalar hash-map key or a comparison with a ``str``.
+# arrays.  ``w`` is a word width -- 1, 2, 4 or a multiple of 8 -- so a
+# typed batch is also, with no copy, an ``(n, k)`` array of unsigned
+# integer words (:func:`_word_view`), and every ``S`` batch a kernel makes
+# keeps that width.  Equality (and ``IN``, staged as ORed equalities),
+# prefix ``LIKE`` and group keys run on the words; a ``str`` operand is
+# padded and packed once per call.  Range compares and the other ``LIKE``
+# shapes work on the bytes.  Strings decode back to ``str`` at one
+# boundary -- wherever values leave a batch (:func:`v_tolist`, the group
+# keys a merge hands to a row loop, a global min/max).  ``bytes`` never
+# reach a result row, a scalar hash-map key or a comparison with a
+# ``str``.
 
 try:
     import numpy as _np
 except ImportError:  # pragma: no cover - exercised via the no-numpy tests
     _np = None
 
-from repro.storage.buffer import typed_strings
+from repro.storage.buffer import typed_strings, word_width
 
 #: NumPy's string functions (``np.strings`` from NumPy 2, ``np.char``
 #: before it).
@@ -318,6 +324,90 @@ def _text_pair(a, b):
     return a, b
 
 
+def _word_view(a):
+    """An ``S{w}`` batch as an ``(n, k)`` array of little-endian unsigned
+    integer words: ``uint8``, ``uint16`` or ``uint32`` when ``w`` is 1, 2
+    or 4 (``k = 1``), else ``uint64`` (``k = w / 8``).  No copy
+    for a contiguous batch of a word width, the only kind storage and the
+    kernels make; any other batch is copied into that form first.  ASCII
+    bytes are below 128, so a ``uint64`` word is also a non-negative
+    ``int64``."""
+    width = a.dtype.itemsize
+    if width != word_width(width):
+        a = a.astype(f"S{word_width(width)}")
+        width = a.dtype.itemsize
+    word = _word_dtype(width)
+    return _np.ascontiguousarray(a).view(word).reshape(len(a), width // word.itemsize)
+
+
+#: The unsigned integer a typed string of 1, 2 or 4 bytes is; wider ones
+#: split into ``uint64`` words.  Little-endian on every platform, so a
+#: value's NUL padding is always its words' high bytes.
+_WORDS = None if _np is None else {
+    width: _np.dtype(f"<u{width}") for width in (1, 2, 4, 8)
+}
+
+
+def _word_dtype(width: int):
+    """The unsigned integer a typed string of ``width`` bytes splits into."""
+    return _WORDS.get(width) or _WORDS[8]
+
+
+def _word_match(a, value: bytes, prefix: bool = False):
+    """Rows of the typed batch ``a`` equal to ``value`` -- with ``prefix``,
+    starting with it -- compared as words.  ``value`` is padded with NULs
+    and packed once; a prefix's last word is masked to its bytes.  A value
+    longer than the batch's width matches nothing."""
+    words = _word_view(a)
+    n, k = words.shape
+    size = words.dtype.itemsize
+    if len(value) > k * size:
+        return _np.zeros(n, dtype=bool)
+    used = -(-len(value) // size) if prefix else k  # a prefix is never empty
+    key = _np.frombuffer(value.ljust(used * size, b"\0"), dtype=words.dtype)
+    mask = None
+    for j in range(used):
+        column = words[:, j]
+        tail = len(value) - j * size
+        if prefix and tail < size:
+            column = column & _np.frombuffer(
+                (b"\xff" * tail).ljust(size, b"\0"), dtype=words.dtype
+            )[0]
+        if mask is None:
+            mask = column == key[j]
+        else:
+            mask &= column == key[j]
+    return mask
+
+
+def _rows_equal(a, b):
+    """Row-wise equality of two typed batches of one dtype, on words."""
+    x, y = _word_view(a), _word_view(b)
+    mask = x[:, 0] == y[:, 0]
+    for j in range(1, x.shape[1]):
+        mask &= x[:, j] == y[:, j]
+    return mask
+
+
+def _text_eq(a, b, negate: bool):
+    """``a == b`` (``!=`` with ``negate``) where an operand is a typed
+    batch: on words when the other is a ``str`` the batch could hold or a
+    batch of the same dtype, else through :func:`_text_pair`."""
+    if not _is_bytes(a):
+        a, b = b, a
+    mask = None
+    if isinstance(b, str):
+        encoded = _ascii(b)
+        if encoded is not None:
+            mask = _word_match(a, encoded)
+    elif _is_bytes(b) and b.dtype == a.dtype:
+        mask = _rows_equal(a, b)
+    if mask is None:
+        a, b = _text_pair(a, b)
+        return a != b if negate else a == b
+    return ~mask if negate else mask
+
+
 def _ew(a, b, op):
     """Elementwise binary kernel body; a typed string batch meets its
     other operand through :func:`_text_pair`."""
@@ -351,11 +441,15 @@ def v_mod(a, b):
 
 
 def v_eq(a, b):
-    return _ew(a, b, lambda x, y: x == y)
+    if _is_bytes(a) or _is_bytes(b):
+        return _text_eq(a, b, False)
+    return a == b
 
 
 def v_ne(a, b):
-    return _ew(a, b, lambda x, y: x != y)
+    if _is_bytes(a) or _is_bytes(b):
+        return _text_eq(a, b, True)
+    return a != b
 
 
 def v_lt(a, b):
@@ -431,11 +525,11 @@ def v_substr(values, lo: int, hi: int):
     """``substring`` over a batch of strings: characters ``lo:hi`` of each
     value, the bounds :func:`repro.plan.expressions.substring_bounds` gives.
 
-    A typed (``S{w}``) batch holds one byte per character, so it slices
-    bytes ``lo:hi`` through a ``uint8`` view into an ``S{hi - lo}`` batch;
-    a value shorter than ``hi`` ends at its last byte, because ``S`` drops
-    the NUL padding.  Any other batch slices value by value, as the scalar
-    lowering does.
+    A typed (``S{w}``) batch holds one byte per character, so it copies
+    bytes ``lo:hi`` through a ``uint8`` view into a batch of the next word
+    width (:func:`repro.storage.buffer.word_width`); a value shorter than
+    ``hi`` ends at its last byte, because ``S`` drops the NUL padding.  Any
+    other batch slices value by value, as the scalar lowering does.
     """
     if values.dtype.kind != "S":
         return _np.array([v[lo:hi] for v in _to_list(values)], dtype=object)
@@ -444,7 +538,9 @@ def v_substr(values, lo: int, hi: int):
     if hi <= lo:
         return _np.zeros(n, dtype="S1")  # every value empty
     data = _np.ascontiguousarray(values).view(_np.uint8).reshape(n, width)
-    return _np.ascontiguousarray(data[:, lo:hi]).view(f"S{hi - lo}").ravel()
+    out = _np.zeros((n, word_width(hi - lo)), dtype=_np.uint8)
+    out[:, : hi - lo] = data[:, lo:hi]
+    return out.view(f"S{out.shape[1]}").ravel()
 
 
 # -- LIKE -----------------------------------------------------------------------
@@ -454,7 +550,11 @@ def v_like(values, pattern: str, negate: bool):
     """SQL ``[NOT] LIKE`` over a batch of strings, specialized by pattern
     shape exactly as the scalar lowering is (``_like_shape``).
 
-    A typed (``S``) or unicode batch is scanned with NumPy's string
+    On a typed (``S``) batch, an ``exact`` or ``prefix`` pattern compares
+    words (:func:`_word_match`; a prefix over the 2 000 rows of ``p_name``
+    took 12 us, against 47 us for ``np.strings.startswith``, and 11
+    against 16 us on ``p_type``).  The other
+    shapes, and a unicode batch, are scanned with NumPy's string
     functions -- ``startswith``, ``endswith``, ``find``; for ``%a%b%``,
     ``b`` is searched after ``a``'s first occurrence only in the rows
     holding ``a``.  On q13's ``o_comment`` (``S85``, 15 000 rows) that
@@ -480,6 +580,8 @@ def _like_strings(values, shape: str, parts: tuple):
         encoded = tuple(_ascii(p) for p in parts)
         if None in encoded:
             values = values.astype(str)  # a part no ASCII value holds
+        elif shape in ("exact", "prefix"):
+            return _word_match(values, encoded[0], shape == "prefix")
         else:
             parts = encoded
     if shape == "any":
@@ -507,17 +609,21 @@ _WORD_MIX = None if _np is None else _np.uint64(0x9E3779B97F4A7C15)
 
 
 def _words(a):
-    """An ``S{w}`` batch (``w`` at most 8) as int64 words: each value,
-    NUL-padded to the column's width, packed big-endian into a word's low
-    bytes.  Words compare in the values' lexicographic order (ASCII keeps
-    them below ``2**63``), and short values span few words."""
-    n, width = len(a), a.dtype.itemsize
-    data = _np.ascontiguousarray(a).view(_np.uint8)
-    if width == 1:
-        return data.astype(_np.int64)
-    raw = _np.zeros((n, 8), dtype=_np.uint8)
-    raw[:, 8 - width:] = data.reshape(n, width)
-    return raw.view(">u8").ravel().astype(_np.int64)
+    """An ``S{w}`` batch with ``w`` at most 8 as one integer word per value:
+    a view (:func:`_word_view`; ``int64`` for 8 bytes, the narrower words
+    widen on use like any integer column).  A value's little-endian word
+    does not depend on the width it is stored at -- the NUL padding is its
+    high bytes -- but only one-byte words order as the values do
+    (:func:`_ordered_words`)."""
+    words = _word_view(a)[:, 0]
+    return words.view("<i8") if words.dtype.itemsize == 8 else words
+
+
+def _ordered_words(a):
+    """An ``S{w}`` batch with ``w`` at most 8 as big-endian ``int64`` words,
+    which compare as the values do: a copy, made for the few groups a
+    merge orders."""
+    return _words(a).byteswap().astype(_np.int64)
 
 
 def _string_codes(a):
@@ -525,31 +631,25 @@ def _string_codes(a):
 
     Up to 8 bytes wide, a value is one integer word (:func:`_words`), so a
     :class:`_Codebook` codes q1's one-character flags by direct table.  A
-    wider value, padded to whole 8-byte words, folds its words into one
-    64-bit hash, which one codebook codes; checking every value against
-    its group's first value makes the codes exact, and on a hash
-    collision the values themselves are sorted (``np.unique``).
-    Measured on 100- to 32 768-row batches of 18- to 72-byte values,
-    feeding the words to ``_group_codes`` as composite keys instead costs
-    1.5-6x the hash (a codebook per word), unless the leading words never
-    vary (``Customer#...`` names: 0.7-0.9x); the hash runs 1.3-2.7x as
-    fast as the object-array hashing it replaces from 1 000 rows up, and
-    ~20-40 us behind it on 100-row batches.
+    wider value's ``uint64`` words (a view) fold into one 64-bit hash,
+    which one codebook codes; checking every value's words against its
+    group's first value's makes the codes exact, and on a hash collision
+    the values themselves are sorted (``np.unique``).  Measured on 100- to
+    32 768-row batches of 18- to 72-byte values, feeding the words to
+    ``_group_codes`` as composite keys instead costs 1.5-6x the hash (a
+    codebook per word), unless the leading words never vary
+    (``Customer#...`` names: 0.7-0.9x).
     """
-    n, width = len(a), a.dtype.itemsize
-    if width <= 8:
+    if a.dtype.itemsize <= 8:
         book = _Codebook(_words(a))
         return book.codes, book.size
-    data = _np.ascontiguousarray(a).view(_np.uint8).reshape(n, width)
-    raw = _np.zeros((n, -(-width // 8) * 8), dtype=_np.uint8)
-    raw[:, :width] = data
-    words = raw.view(_np.uint64)
+    words = _word_view(a)
     mixed = words[:, 0].copy()
     for j in range(1, words.shape[1]):
         mixed *= _WORD_MIX
         mixed += words[:, j]
     book = _Codebook(mixed.view(_np.int64))
-    if (a[book.reps][book.codes] == a).all():
+    if (words[book.reps[book.codes]] == words).all():
         return book.codes, book.size
     values, codes = _np.unique(a, return_inverse=True)
     return codes.ravel(), len(values)
@@ -557,9 +657,11 @@ def _string_codes(a):
 
 #: Below this many rows a typed string column is coded by hashing its
 #: values in a dict, like an object column: :func:`_string_codes` has a
-#: fixed cost of ~20 us, which batches of a few rows past a selective
+#: fixed cost of ~16-22 us, which batches of a few rows past a selective
 #: join (q5 groups 2- to 32-row batches by ``n_name``) never earn back;
-#: measured, the two cross over between 128 and 256 rows.
+#: measured, the two cross over between 128 and 256 rows.  Viewing the
+#: values as words instead of copying them left that cost where it was:
+#: it is the codebook's, not the packing's.
 _DICT_CODED_ROWS = 256
 
 
@@ -1188,19 +1290,20 @@ class _Values:
 
     * integers through an :class:`_IdMap` of the values, floats of their
       bit patterns (``-0.0`` folded onto ``0.0``), typed strings of at most
-      8 bytes of their words (:func:`_words`);
+      8 bytes of their words (:func:`_words`, which are the same at every
+      such width);
     * wider typed strings (as bytes) and object batches through a dict,
       which compares the values themselves.
 
-    A batch in another layout than the first (a string of another width,
-    text after bytes, floats after integers) re-codes the kept values once
-    into the dict over plain Python values, keeping every code.
+    A batch in another layout than the first (text after bytes, a wide
+    string after a short one, floats after integers) re-codes the kept
+    values once into the dict over plain Python values, keeping every
+    code.
     """
 
     def __init__(self) -> None:
         self.size = 0
         self.kind = None
-        self.width = 0
         self.map = _IdMap()
         self.values = _Grow()  # each code's value (the numeric kinds)
         self.index: dict = {}  # value -> code (the dict kinds)
@@ -1211,10 +1314,8 @@ class _Values:
             return _EMPTY, _EMPTY
         kind = _value_kind(a)
         if self.kind is None:
-            self.kind, self.width = kind, a.dtype.itemsize
-        elif self.kind != "object" and (
-            kind != self.kind or kind == "word" and a.dtype.itemsize != self.width
-        ):
+            self.kind = kind
+        elif self.kind != "object" and kind != self.kind:
             self._recode()
         if self.kind == "object":
             return self._dict_codes(_to_list(a))
@@ -1225,7 +1326,7 @@ class _Values:
         elif self.kind == "float":
             keys = (a + 0.0).view(_np.int64)
         else:
-            keys = _words(a)
+            keys = _words(a).astype(_np.int64, copy=False)
         codes, new = self.map.ids(keys, rows)
         if len(new):
             self.values.extend(a[new])
@@ -1247,9 +1348,10 @@ class _Values:
 
     def ordered(self):
         """The codes in ascending order of their values, when a direct
-        table holds them (integers, short typed strings); else None."""
+        table holds integers; else None (a typed string's little-endian
+        word does not order as its value)."""
         table = self.map.table
-        if self.kind not in ("int", "word") or table is None:
+        if self.kind != "int" or table is None:
             return None
         return table[table > 0].astype(_np.int64) - 1
 
@@ -1279,8 +1381,9 @@ class _Values:
 def _follows(reps, ids, key) -> bool:
     """Does every row's ``key`` equal its group's stored value?  The first
     rows are checked alone first: a key that does not follow usually
-    shows it there, without a compare over the whole batch (q16's
-    25-byte ``p_type`` costs 0.3 ms a batch to compare)."""
+    shows it there, without a compare over the whole batch.  Typed
+    strings compare as words: the compare of 5 000 rows of ``S88`` took
+    17 us, against 350-440 us as bytes."""
     head = _FOLLOW_HEAD
     if len(ids) > head and not _equal(reps[ids[:head]], key[:head]):
         return False
@@ -1288,6 +1391,8 @@ def _follows(reps, ids, key) -> bool:
 
 
 def _equal(a, b) -> bool:
+    if _is_bytes(a) and _is_bytes(b) and a.dtype == b.dtype:
+        return bool((_word_view(a) == _word_view(b)).all())
     return bool(_ew(a, b, lambda x, y: x == y).all())
 
 
@@ -1377,7 +1482,7 @@ class GroupTable:
 
     It starts *direct* when its first key holds integers or typed
     strings of at most 8 bytes: a group's id is its key's offset from
-    ``lo`` (its packed word's, for strings), ``size`` is the span the
+    ``lo`` (its little-endian word's, for strings), ``size`` is the span the
     accumulators cover, and ``seen`` marks the offsets that are groups
     -- no lookup at all, while the span obeys :func:`_direct` over
     the rows seen (grown with room, moving every group by the same
@@ -1426,12 +1531,12 @@ class GroupTable:
         if not len(first):
             return _EMPTY
         kind = _value_kind(first)
-        kind = (kind, first.dtype.itemsize if kind == "word" else 0)
+        kind = (kind, word_width(first.dtype.itemsize) if kind == "word" else 0)
         if kind[0] not in ("int", "word") or self.kind not in (None, kind):
             return self._to_coded(-1)
         self.kind = kind
         self.dtype = first.dtype
-        k = _words(first) if kind[0] == "word" else first.astype(_np.int64, copy=False)
+        k = (_words(first) if kind[0] == "word" else first).astype(_np.int64, copy=False)
         lo, hi = int(k.min()), int(k.max())
         if self.lo is None or lo < self.lo or hi >= self.lo + self.size:
             if not self._regrid(lo, hi):
@@ -1488,8 +1593,7 @@ class GroupTable:
         if self.kind[0] == "int":
             return keys.astype(self.dtype)
         width = self.kind[1]
-        raw = keys.astype(">u8").view(_np.uint8).reshape(-1, 8)[:, 8 - width:]
-        return _np.ascontiguousarray(raw).view(f"S{width}").ravel()
+        return keys.astype(_word_dtype(width)).view(f"S{width}")
 
     def _to_coded(self, failed: int) -> int:
         """Leave the direct form: replay the groups seen through the
@@ -1639,7 +1743,12 @@ class GroupTable:
             keys = [rep.view()[order] for rep in self.reps]
         else:  # offsets ascend with the first key, which the others follow
             order = _np.flatnonzero(self.seen[: self.size])
-            keys = [self._first_key(order)] + [rep.view()[order] for rep in self.reps[1:]]
+            first = self._first_key(order)
+            if self.kind[0] == "word" and self.kind[1] > 1:
+                # a little-endian word orders as its value only at one byte
+                by = _np.argsort(_ordered_words(first))
+                order, first = order[by], first[by]
+            keys = [first] + [rep.view()[order] for rep in self.reps[1:]]
         columns = keys + [s.result(self.size, order) for s in self.slots]
         if not batch:
             columns = [_to_list(c) for c in columns]
@@ -1647,7 +1756,8 @@ class GroupTable:
 
     def _order(self):
         """The groups in ascending order of their keys -- integers, floats
-        and typed strings of at most 8 bytes -- up to the first key of
+        and typed strings of at most 8 bytes (by their big-endian words,
+        made over the groups) -- up to the first key of
         another kind (wider strings, objects), with ties in arrival order.
         Only keys up to the last one that tells groups apart count: later
         ones follow from those."""
@@ -1664,7 +1774,7 @@ class GroupTable:
             kind = column.dtype.kind
             if not (kind in "iubf" or kind == "S" and column.dtype.itemsize <= 8):
                 break
-            keys.append(_words(column) if kind == "S" else column)
+            keys.append(_ordered_words(column) if kind == "S" else column)
         if not keys:
             return _np.arange(n)
         codes, ngroups, _ = _group_codes(n, keys)

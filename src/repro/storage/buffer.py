@@ -31,15 +31,33 @@ _NP_DTYPES = None if _np is None else {
 }
 
 
+def word_width(width: int) -> int:
+    """The width a typed string column is stored at: 1, 2 or 4 bytes, or a
+    multiple of 8 -- the widths a ``uint8`` .. ``uint64`` view divides."""
+    if width <= 2:
+        return max(width, 1)
+    if width <= 4:
+        return 4
+    return -(-width // 8) * 8
+
+
 def typed_strings(values: Sequence):
     """``values`` as a fixed-width ``S{w}`` NumPy array, or None.
 
-    The CHAR(n) layout: ``w`` bytes per value, ``w`` the longest value.
-    Only a column of ASCII ``str`` values with no NUL qualifies -- exactly
-    the values that round-trip through ``S`` (which holds bytes and drops
-    trailing NULs); any other column (non-ASCII text, a NUL, a ``None``)
-    keeps an object array.  The batch kernels decode back to ``str`` where
-    values leave a batch.
+    The CHAR(n) layout: ``w`` bytes per value, the longest value's length
+    rounded up to a word width (:func:`word_width`), so every batch is
+    also, with no copy, an array of unsigned integer words -- the form the
+    string kernels compare and group on.  Only a column of ASCII ``str``
+    values with no NUL qualifies -- exactly the values that round-trip
+    through ``S`` (which holds bytes and drops trailing NULs, so the
+    padding changes no value); any other column (non-ASCII text, a NUL, a
+    ``None``) keeps an object array.  The batch kernels decode back to
+    ``str`` where values leave a batch.
+
+    The small widths stay small: q1's one-byte flags stay ``S1``, so a
+    gather of them moves one byte per row.  Padding every column to a
+    multiple of 8 bytes instead ran q1 1.04x and the served mix round
+    1.04x (``benchmarks/ab.py``, four pairs).
     """
     try:
         text = "".join(values)
@@ -47,7 +65,8 @@ def typed_strings(values: Sequence):
         return None
     if not text.isascii() or "\0" in text:
         return None
-    return _np.array(values, dtype="S")
+    width = word_width(max(map(len, values), default=0))
+    return _np.array(values, dtype=f"S{width}")
 
 
 class ColumnarTable:

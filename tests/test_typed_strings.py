@@ -59,8 +59,10 @@ def test_only_ascii_text_without_nul_gets_the_typed_layout():
         ),
         [("ab ", "café", "a\0b", "x", "", 1), ("c", "d", "e", None, "", 2)],
     )
-    assert db.column_vec("T", "ascii").dtype == np.dtype("S3")
+    # the longest value (3 bytes) padded to a word width; values unchanged
+    assert db.column_vec("T", "ascii").dtype == np.dtype("S4")
     assert db.column_vec("T", "ascii").tolist() == [b"ab ", b"c"]  # spaces kept
+    assert rt.v_tolist(db.column_vec("T", "ascii")) == db.column("T", "ascii")
     assert db.column_vec("T", "empty").dtype == np.dtype("S1")
     for name in ("accent", "nul", "null"):
         array = db.column_vec("T", name)
@@ -71,17 +73,18 @@ def test_only_ascii_text_without_nul_gets_the_typed_layout():
 
 
 #: ``column_vec`` dtypes of every TPC-H table at the test scale, in schema
-#: order: every string column is typed, with its longest value's width.
+#: order: every string column is typed, with its longest value's width
+#: rounded up to a word width (1, 2, 4 or a multiple of 8 bytes).
 TPCH_DTYPES = {
-    "customer": "int64 |S18 |S37 int64 |S15 float64 |S10 |S72",
+    "customer": "int64 |S24 |S40 int64 |S16 float64 |S16 |S72",
     "lineitem": "int64 int64 int64 int64 float64 float64 float64 float64 "
-                "|S1 |S1 int64 int64 int64 |S17 |S7 |S64",
-    "nation": "int64 |S14 int64 |S82",
-    "orders": "int64 int64 |S1 float64 int64 |S15 |S15 int64 |S81",
-    "part": "int64 |S48 |S14 |S8 |S25 int64 |S10 float64 |S50",
-    "partsupp": "int64 int64 int64 float64 |S106",
-    "region": "int64 |S11 |S62",
-    "supplier": "int64 |S18 |S35 int64 |S15 float64 |S66",
+                "|S1 |S1 int64 int64 int64 |S24 |S8 |S64",
+    "nation": "int64 |S16 int64 |S88",
+    "orders": "int64 int64 |S1 float64 int64 |S16 |S16 int64 |S88",
+    "part": "int64 |S48 |S16 |S8 |S32 int64 |S16 float64 |S56",
+    "partsupp": "int64 int64 int64 float64 |S112",
+    "region": "int64 |S16 |S64",
+    "supplier": "int64 |S24 |S40 int64 |S16 float64 |S72",
 }
 
 
@@ -94,6 +97,12 @@ def test_tpch_column_arrays_are_typed(tpch_db):
         for table in tpch_db.table_names()
     }
     assert got == TPCH_DTYPES
+    # the padding changes no value
+    for table in tpch_db.table_names():
+        for c in tpch_db.table(table).schema.columns:
+            array = tpch_db.column_vec(table, c.name)
+            if array.dtype.kind == "S":
+                assert rt.v_tolist(array) == tpch_db.column(table, c.name), (table, c.name)
 
 
 # -- kernel properties ------------------------------------------------------------
