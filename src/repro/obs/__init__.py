@@ -14,7 +14,7 @@ from repro.obs.metrics import (
     percentile,
 )
 from repro.obs.sampler import (
-    RequestProfile,
+    RequestRecord,
     TailSampler,
     make_traceparent,
     parse_traceparent,
@@ -29,7 +29,7 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "REGISTRY",
-    "RequestProfile",
+    "RequestRecord",
     "SLOConfig",
     "SLOMonitor",
     "Span",

@@ -3,7 +3,7 @@ that matter.
 
 Head sampling (decide at request start) cannot know which requests will
 turn out interesting; *tail* sampling decides at request **end**, when
-the outcome is known.  The serve tier builds a :class:`RequestProfile`
+the outcome is known.  The serve tier builds a :class:`RequestRecord`
 for every finished request -- latency, outcome, engine trail, the full
 trace span tree, per-operator timings -- and offers it to the process's
 :class:`TailSampler`, which keeps it only when the request is worth a
@@ -52,6 +52,9 @@ SCHEMA = "repro-profiles/v1"
 #: Reasons a profile was retained, in keep-priority order.
 KEEP_REASONS = ("error", "breaker", "degraded", "warmup", "slow")
 
+#: The latency quantile above which an ok request counts as slow.
+SLOW_QUANTILE = 0.9
+
 
 # -- traceparent propagation --------------------------------------------------
 
@@ -86,33 +89,52 @@ def parse_traceparent(value: object) -> Optional[Tuple[str, str]]:
     return trace_id, span_id
 
 
-# -- the per-request profile --------------------------------------------------
+# -- the per-request record ---------------------------------------------------
 
 
-@dataclass
-class RequestProfile:
-    """Everything the doctor needs to explain one request after the fact."""
+@dataclass(slots=True)
+class RequestRecord:
+    """One finished request: built once by the serve tier when the request
+    ends, then read by every sink -- the sampler keeps it as the request's
+    profile, the telemetry store and the SLO monitor fold it in, and the
+    histograms, counters and events take their fields from it.
+
+    ``tenant``/``shape`` are the names the client and the planner gave;
+    ``tenant_label``/``shape_label`` are their registry-safe, capped forms.
+    Plain (not frozen) slots: a frozen build costs several times more per
+    request, and the sampler stamps ``keep_reason`` on the records it keeps.
+    """
 
     request_id: str
-    shape: Optional[str] = None
     tenant: str = "default"
-    latency_seconds: float = 0.0
+    tenant_label: str = "default"
+    shape: Optional[str] = None
+    shape_label: Optional[str] = None
     outcome: str = "ok"  # "ok" or the E_* error code
+    phase: Optional[str] = None  # the failing phase, for errors
     engine: Optional[str] = None
     engine_trail: Tuple[str, ...] = ()
     degraded: bool = False
     breaker: Optional[str] = None  # breaker decision, when one was made
+    rows: int = 0
+    latency_seconds: float = 0.0  # admission -> reply
     queued_seconds: float = 0.0  # admission -> worker pickup
     exec_seconds: float = 0.0  # worker wall clock (queueing excluded)
+    attempt_seconds: float = 0.0  # the answering engine attempt alone
     trace: Optional[dict] = None  # the full span tree (Trace.to_dict())
     trace_id: Optional[str] = None  # propagated traceparent trace id
     operator_times: Optional[Dict[str, float]] = None
     operator_rows: Optional[Dict[str, int]] = None
-    kernels: Optional[Dict[str, int]] = None
+    kernels: Optional[Dict[str, dict]] = None
     ts: float = field(default_factory=time.time)
     keep_reason: Optional[str] = None  # stamped by the sampler
 
+    @property
+    def ok(self) -> bool:
+        return self.outcome == "ok"
+
     def to_dict(self) -> dict:
+        """The record's ``repro-profiles/v1`` profile document."""
         doc = {
             "request_id": self.request_id,
             "tenant": self.tenant,
@@ -156,7 +178,7 @@ class TailSampler:
     Thread-safe: ``offer`` runs on the serve tier's caller threads.  The
     slow-decile threshold adapts as traffic flows -- it is the *lower*
     edge of the histogram bucket holding the nearest-rank
-    ``slow_quantile`` sample, so every request in the same latency
+    :data:`SLOW_QUANTILE` sample, so every request in the same latency
     bucket as the current p90 qualifies (generous by one bucket rather
     than missing the decile by one).
     """
@@ -164,21 +186,17 @@ class TailSampler:
     def __init__(
         self,
         capacity: int = 512,
-        slow_quantile: float = 0.9,
         warmup: int = 32,
         buckets=DEFAULT_BUCKETS,
     ) -> None:
         if capacity < 1:
             raise ValueError("capacity must be at least 1")
-        if not 0.0 < slow_quantile < 1.0:
-            raise ValueError("slow_quantile must be in (0, 1)")
         if warmup < 0:
             raise ValueError("warmup must be non-negative")
         self.capacity = capacity
-        self.slow_quantile = slow_quantile
         self.warmup = warmup
         self._hist = Histogram(buckets)
-        self._store: Dict[str, RequestProfile] = {}  # rid -> profile (FIFO)
+        self._store: Dict[str, RequestRecord] = {}  # rid -> profile (FIFO)
         self._lock = threading.Lock()
         self.offered = 0
         self.kept = 0
@@ -190,7 +208,7 @@ class TailSampler:
         h = self._hist
         if h.count < max(1, self.warmup):
             return 0.0  # warmup: everything qualifies
-        rank = nearest_rank_index(h.count, self.slow_quantile)
+        rank = nearest_rank_index(h.count, SLOW_QUANTILE)
         seen = 0
         for i, n in enumerate(h.bucket_counts):
             seen += n
@@ -203,21 +221,21 @@ class TailSampler:
         with self._lock:
             return self._threshold_locked()
 
-    def _keep_reason_locked(self, profile: RequestProfile) -> Optional[str]:
-        if profile.outcome != "ok":
+    def _keep_reason_locked(self, rec: RequestRecord) -> Optional[str]:
+        if not rec.ok:
             return "error"
-        if profile.breaker in ("open", "probe"):
+        if rec.breaker in ("open", "probe"):
             return "breaker"
-        if profile.degraded:
+        if rec.degraded:
             return "degraded"
         if self._hist.count <= max(1, self.warmup):
             return "warmup"
-        if profile.latency_seconds >= self._threshold_locked():
+        if rec.latency_seconds >= self._threshold_locked():
             return "slow"
         return None
 
-    def offer(self, profile: RequestProfile) -> bool:
-        """Feed one finished request; True when its profile was kept.
+    def offer(self, rec: RequestRecord) -> bool:
+        """Feed one finished request; True when its record was kept.
 
         The caller attaches the request id as a histogram exemplar only
         on True, so every exemplar points at a stored profile (modulo
@@ -225,15 +243,15 @@ class TailSampler:
         """
         with self._lock:
             self.offered += 1
-            self._hist.observe(profile.latency_seconds)
-            reason = self._keep_reason_locked(profile)
+            self._hist.observe(rec.latency_seconds)
+            reason = self._keep_reason_locked(rec)
             if reason is None:
                 return False
-            profile.keep_reason = reason
+            rec.keep_reason = reason
             # Re-offered ids (a client may reuse its request ids) replace
             # their previous profile instead of growing the reservoir.
-            self._store.pop(profile.request_id, None)
-            self._store[profile.request_id] = profile
+            self._store.pop(rec.request_id, None)
+            self._store[rec.request_id] = rec
             self.kept += 1
             while len(self._store) > self.capacity:
                 self._evict_locked()
@@ -255,11 +273,11 @@ class TailSampler:
 
     # -- introspection -------------------------------------------------------
 
-    def get(self, request_id: str) -> Optional[RequestProfile]:
+    def get(self, request_id: str) -> Optional[RequestRecord]:
         with self._lock:
             return self._store.get(request_id)
 
-    def profiles(self) -> List[RequestProfile]:
+    def profiles(self) -> List[RequestRecord]:
         """The kept profiles, oldest first (detached list, live objects)."""
         with self._lock:
             return list(self._store.values())
@@ -282,7 +300,7 @@ class TailSampler:
                 "schema": SCHEMA,
                 "written_unix": time.time(),
                 "capacity": self.capacity,
-                "slow_quantile": self.slow_quantile,
+                "slow_quantile": SLOW_QUANTILE,
                 "threshold_seconds": self._threshold_locked(),
                 "offered": self.offered,
                 "kept": self.kept,

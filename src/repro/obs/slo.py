@@ -22,9 +22,9 @@ each **plan shape**, and on every record:
   ``repro-events/v1`` log and bumps the ``slo.alerts`` counter.
 
 Windows are rings of time-aligned counter pairs, so memory is fixed per
-scope and recording is O(1); scope cardinality is capped (the serve tier
-additionally passes pre-capped tenant/shape labels).  Stdlib-only leaf
-over :mod:`repro.obs.metrics` / :mod:`repro.obs.events`.
+scope and recording is O(1); scopes are keyed by the record's tenant and
+shape labels, which the serve tier has already sanitized and capped.
+Stdlib-only leaf over :mod:`repro.obs.metrics` / :mod:`repro.obs.events`.
 """
 
 from __future__ import annotations
@@ -48,7 +48,6 @@ class SLOConfig:
     long_window_seconds: float = 300.0  # long (confirming) window
     burn_threshold: float = 2.0  # alert at/above this burn rate
     min_requests: int = 20  # short-window floor before alerting
-    max_tracked: int = 64  # per-scope-kind label cap
 
     def __post_init__(self) -> None:
         if self.latency_threshold_seconds <= 0:
@@ -64,8 +63,6 @@ class SLOConfig:
             raise ValueError("burn_threshold must be positive")
         if self.min_requests < 1:
             raise ValueError("min_requests must be at least 1")
-        if self.max_tracked < 1:
-            raise ValueError("max_tracked must be at least 1")
 
 
 class _Ring:
@@ -145,48 +142,28 @@ class SLOMonitor:
 
     # -- recording -----------------------------------------------------------
 
-    def record(
-        self,
-        latency_seconds: float,
-        ok: bool,
-        tenant: Optional[str] = None,
-        shape: Optional[str] = None,
-        request_id: Optional[str] = None,
-        now: Optional[float] = None,
-    ) -> None:
-        """Record one finished request against every scope it belongs to.
-
-        ``tenant``/``shape`` must already be registry-safe labels (the
-        serve tier passes its capped, sanitized forms).
-        """
+    def record(self, rec, now: Optional[float] = None) -> None:
+        """Record one finished request (a :class:`~repro.obs.sampler.
+        RequestRecord`) against the service, its tenant label and its
+        shape label."""
         cfg = self.config
         now = self._clock() if now is None else now
-        good = ok and latency_seconds <= cfg.latency_threshold_seconds
-        scopes: List[Tuple[str, _Tracker]] = []
+        good = rec.ok and rec.latency_seconds <= cfg.latency_threshold_seconds
+        scopes: List[Tuple[str, _Tracker]] = [("service", self._service)]
         with self._lock:
-            scopes.append(("service", self._service))
-            if tenant is not None:
-                tracker = self._scoped_locked(self._tenants, tenant)
-                if tracker is not None:
-                    scopes.append((f"tenant.{tenant}", tracker))
-            if shape is not None:
-                tracker = self._scoped_locked(self._shapes, shape)
-                if tracker is not None:
-                    scopes.append((f"shape.{shape}", tracker))
+            for kind, store, label in (
+                ("tenant", self._tenants, rec.tenant_label),
+                ("shape", self._shapes, rec.shape_label),
+            ):
+                if label is not None:
+                    tracker = store.get(label)
+                    if tracker is None:
+                        tracker = store[label] = _Tracker(cfg)
+                    scopes.append((f"{kind}.{label}", tracker))
             for scope, tracker in scopes:
                 tracker.record(now, good)
         for scope, tracker in scopes:
-            self._evaluate(scope, tracker, now, request_id)
-
-    def _scoped_locked(
-        self, store: Dict[str, _Tracker], label: str
-    ) -> Optional[_Tracker]:
-        tracker = store.get(label)
-        if tracker is None:
-            if len(store) >= self.config.max_tracked:
-                return None  # overflow scopes still count in the service scope
-            tracker = store[label] = _Tracker(self.config)
-        return tracker
+            self._evaluate(scope, tracker, now, rec.request_id)
 
     # -- burn evaluation -----------------------------------------------------
 

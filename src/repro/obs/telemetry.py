@@ -118,44 +118,37 @@ class TelemetryStore:
             if host_seconds is not None:
                 c["host_seconds"] = c.get("host_seconds", 0.0) + host_seconds
 
-    def record_execution(
-        self,
-        shape: str,
-        engine: str,
-        rows: int,
-        seconds: float,
-        operator_times: Optional[dict] = None,
-        operator_rows: Optional[dict] = None,
-        kernels: Optional[dict] = None,
-    ) -> None:
-        """One request executed ``shape`` on ``engine``.
+    def record_execution(self, rec) -> None:
+        """Fold in one finished request (a :class:`~repro.obs.sampler.
+        RequestRecord`); only answered requests count as executions.
 
         ``operator_times``/``operator_rows`` are the per-operator label
         maps from the staged instrumentation (``CompiledQuery.last_times``
-        / ``last_stats``, or an ``explain_analyze`` result); ``kernels``
-        is the vector backend's ``{name: {calls, rows}}``.
+        / ``last_stats``); ``kernels`` is the vector backend's
+        ``{name: {calls, rows}}``.
         """
-        if not self.enabled:
+        if not self.enabled or not rec.ok:
             return
         with self._lock:
-            entry = self._entry(shape)
+            entry = self._entry(rec.shape)
             ex = entry["executions"]
             ex["count"] += 1
-            ex["rows_total"] += int(rows)
-            ex["total_seconds"] += seconds
+            ex["rows_total"] += rec.rows
+            ex["total_seconds"] += rec.attempt_seconds
+            engine = rec.engine or "unknown"
             entry["engines"][engine] = entry["engines"].get(engine, 0) + 1
-            for label, t in (operator_times or {}).items():
+            for label, t in (rec.operator_times or {}).items():
                 op = entry["operators"].setdefault(
                     label, {"count": 0, "total_seconds": 0.0, "rows_total": 0}
                 )
                 op["count"] += 1
                 op["total_seconds"] += float(t)
-            for label, n in (operator_rows or {}).items():
+            for label, n in (rec.operator_rows or {}).items():
                 op = entry["operators"].setdefault(
                     label, {"count": 0, "total_seconds": 0.0, "rows_total": 0}
                 )
                 op["rows_total"] += int(n)
-            for name, k in (kernels or {}).items():
+            for name, k in (rec.kernels or {}).items():
                 agg = entry["kernels"].setdefault(name, {"calls": 0, "rows": 0})
                 agg["calls"] += int(k.get("calls", 0))
                 agg["rows"] += int(k.get("rows", 0))

@@ -151,11 +151,15 @@ class TenantState:
         self._active = 0
         self._lock = threading.Lock()
 
-    def admit(self) -> None:
-        """Charge this request against the tenant; raises typed rejections."""
+    def admit(self, label: str) -> None:
+        """Charge this request against the tenant; raises typed rejections.
+
+        ``label`` is the tenant's registry-safe, capped metric label (the
+        raw ``name`` comes off the wire and only appears in messages).
+        """
         if self.bucket is not None and not self.bucket.try_acquire():
             REGISTRY.counter("serve.rejected.ratelimit")
-            REGISTRY.counter(f"serve.tenant.{self.name}.ratelimited")
+            REGISTRY.counter(f"serve.tenant.{label}.ratelimited")
             raise RateLimitError(
                 f"tenant {self.name!r} over its rate limit "
                 f"({self.quota.rate}/s, burst {self.quota.burst})",
@@ -167,14 +171,14 @@ class TenantState:
                 and self._active >= self.quota.max_concurrent
             ):
                 REGISTRY.counter("serve.rejected.overload")
-                REGISTRY.counter(f"serve.tenant.{self.name}.overloaded")
+                REGISTRY.counter(f"serve.tenant.{label}.overloaded")
                 raise ServiceOverloadError(
                     f"tenant {self.name!r} at its concurrency limit "
                     f"({self.quota.max_concurrent})",
                     depth=self._active,
                 )
             self._active += 1
-        REGISTRY.counter(f"serve.tenant.{self.name}.admitted")
+        REGISTRY.counter(f"serve.tenant.{label}.admitted")
 
     def release(self) -> None:
         with self._lock:

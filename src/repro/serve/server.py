@@ -157,21 +157,13 @@ class QueryServer:
         try:
             doc = json.loads(line)
         except json.JSONDecodeError as exc:
-            REGISTRY.counter("serve.errors.E_PROTOCOL")
-            return {
-                "ok": False,
-                "error": error_to_dict(
-                    ServiceProtocolError(f"malformed JSON request: {exc}")
-                ),
-            }
+            return _error_reply(
+                ServiceProtocolError(f"malformed JSON request: {exc}"), {}
+            )
         if not isinstance(doc, dict):
-            REGISTRY.counter("serve.errors.E_PROTOCOL")
-            return {
-                "ok": False,
-                "error": error_to_dict(
-                    ServiceProtocolError("request must be a JSON object")
-                ),
-            }
+            return _error_reply(
+                ServiceProtocolError("request must be a JSON object"), {}
+            )
         op = doc.get("op")
         if op == "ping":
             return {"ok": True, "pong": True, "id": doc.get("id")}
@@ -192,16 +184,8 @@ class QueryServer:
         if op == "profiles":
             sampler = self.service.sampler
             if sampler is None:
-                REGISTRY.counter("serve.errors.E_PROTOCOL")
-                return {
-                    "ok": False,
-                    "id": doc.get("id"),
-                    "error": error_to_dict(
-                        ServiceProtocolError(
-                            "tail sampling is not enabled on this service"
-                        )
-                    ),
-                }
+                exc = ServiceProtocolError("tail sampling is not enabled on this service")
+                return _error_reply(exc, doc)
             return {
                 "ok": True,
                 "id": doc.get("id"),
@@ -220,16 +204,7 @@ class QueryServer:
         if op == "shutdown":
             raise _ShutdownRequested()
         if op is not None:
-            REGISTRY.counter("serve.errors.E_PROTOCOL")
-            exc = ServiceProtocolError(f"unknown op {op!r}")
-            rid = doc.get("request_id")
-            if isinstance(rid, str):
-                exc.with_request(rid)
-            return {
-                "ok": False,
-                "id": doc.get("id"),
-                "error": error_to_dict(exc),
-            }
+            return _error_reply(ServiceProtocolError(f"unknown op {op!r}"), doc)
         return self.service.submit_dict(doc)
 
     def _handle_prepare(self, doc: dict) -> dict:
@@ -244,16 +219,10 @@ class QueryServer:
         """
         sql = doc.get("sql")
         rid = doc.get("request_id")
-
-        def fail(exc: BaseException) -> dict:
-            if hasattr(exc, "with_request") and isinstance(rid, str):
-                exc.with_request(rid)
-            code = error_to_dict(exc).get("code") or "E_INTERNAL"
-            REGISTRY.counter(f"serve.errors.{code}")
-            return {"ok": False, "id": doc.get("id"), "error": error_to_dict(exc)}
-
         if not isinstance(sql, str):
-            return fail(ServiceProtocolError("'prepare' requires a 'sql' string"))
+            return _error_reply(
+                ServiceProtocolError("'prepare' requires a 'sql' string"), doc
+            )
         from repro.obs import events
         from repro.serve.service import ServiceRequest, mint_request_id
 
@@ -271,7 +240,7 @@ class QueryServer:
         except (KeyboardInterrupt, SystemExit):
             raise
         except BaseException as exc:
-            return fail(exc)
+            return _error_reply(exc, doc)
         REGISTRY.counter("serve.prepared")
         return {
             "ok": True,
@@ -282,6 +251,18 @@ class QueryServer:
                 for slot in statement.signature
             ],
         }
+
+
+def _error_reply(exc: BaseException, doc: dict) -> dict:
+    """The one wire error reply to request ``doc`` (``{}`` when the line
+    did not parse to an object): stamps the client's ``request_id`` on the
+    error, counts ``serve.errors.<code>``, echoes the client's ``id``."""
+    rid = doc.get("request_id")
+    if isinstance(rid, str) and hasattr(exc, "with_request"):
+        exc.with_request(rid)
+    error = error_to_dict(exc)
+    REGISTRY.counter(f"serve.errors.{error['code']}")
+    return {"ok": False, "id": doc.get("id"), "error": error}
 
 
 def wait_for_port(host: str, port: int, timeout: float = 5.0) -> bool:

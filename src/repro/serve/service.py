@@ -49,12 +49,12 @@ from repro.errors import (
 )
 from repro.obs import events
 from repro.obs.metrics import REGISTRY
-from repro.obs.sampler import RequestProfile, TailSampler, parse_traceparent
+from repro.obs.sampler import RequestRecord, TailSampler, parse_traceparent
 from repro.obs.slo import SLOConfig, SLOMonitor
 from repro.obs.telemetry import TELEMETRY, shape_digest
 from repro.obs.trace import Trace, span
 from repro.resilience.budget import Budget
-from repro.resilience.executor import ENGINE_CHAIN, ResilientExecutor
+from repro.resilience.executor import ENGINE_CHAIN, ExecutionReport, ResilientExecutor
 from repro.serve.admission import AdmissionGate, TenantQuota, TenantRegistry, TokenBucket
 from repro.serve.breaker import OPEN, PROBE, CircuitBreaker
 from repro.session import Session
@@ -69,6 +69,10 @@ INTERPRETED_CHAIN = ("push", "volcano")
 #: is interpolated into a registry key.
 _LABEL_SAFE = re.compile(r"[^A-Za-z0-9_.-]")
 _LABEL_MAX_CHARS = 48
+
+#: At most this many distinct plan-shape labels get their own
+#: ``serve.shape.*`` family; the overflow shares ``other``.
+MAX_SHAPE_LABELS = 256
 
 
 def mint_request_id() -> str:
@@ -107,17 +111,14 @@ class ServiceConfig:
     # by default, same "off means off" contract as telemetry.
     sampling: bool = False
     sampler_capacity: int = 512
-    sampler_slow_quantile: float = 0.9
     sampler_warmup: int = 32
     # SLO burn-rate monitoring: a config arms per-service/tenant/shape
     # sliding windows; None (the default) disables the monitor entirely.
     slo: Optional[SLOConfig] = None
-    # Cardinality caps for wire-controlled metric label families: at most
-    # this many distinct tenant / plan-shape labels get their own
-    # ``serve.tenant.*`` / ``serve.shape.*`` names; the overflow shares
-    # the ``other`` bucket.
+    # Cardinality cap for the wire-controlled tenant label: at most this
+    # many distinct tenants get their own ``serve.tenant.*`` names; the
+    # overflow shares the ``other`` bucket.
     max_tenant_labels: int = 64
-    max_shape_labels: int = 256
 
     def __post_init__(self) -> None:
         if self.workers < 1:
@@ -196,14 +197,9 @@ class ServiceResponse:
     request_id: Optional[str] = None
     shape: Optional[str] = None  # the plan-shape key (not serialized)
     trace_id: Optional[str] = None  # propagated traceparent trace id
-    # Profile material the tail sampler consumes; none of it is
-    # serialized to the wire (the client already paid for the rows).
+    # The queued/exec split of elapsed_seconds (not serialized).
     queued_seconds: float = 0.0
     exec_seconds: float = 0.0
-    operator_times: Optional[dict] = None
-    operator_rows: Optional[dict] = None
-    kernels: Optional[dict] = None
-    sampled_trace: Optional[dict] = None  # trace kept for sampling only
 
     @property
     def code(self) -> Optional[str]:
@@ -252,11 +248,7 @@ class QueryService:
             max_workers=cfg.workers, thread_name_prefix="repro-serve"
         )
         self.sampler: Optional[TailSampler] = (
-            TailSampler(
-                capacity=cfg.sampler_capacity,
-                slow_quantile=cfg.sampler_slow_quantile,
-                warmup=cfg.sampler_warmup,
-            )
+            TailSampler(capacity=cfg.sampler_capacity, warmup=cfg.sampler_warmup)
             if cfg.sampling
             else None
         )
@@ -297,14 +289,15 @@ class QueryService:
         request.submitted_at = started
         if request.request_id is None:
             request.request_id = mint_request_id()
+        tenant = self._tenant_label(request.tenant)
         REGISTRY.counter("serve.requests")
-        REGISTRY.counter(f"serve.tenant.{self._tenant_label(request.tenant)}.requests")
+        REGISTRY.counter(f"serve.tenant.{tenant}.requests")
         try:
             self._validate(request)
             deadline = started + self._deadline_for(request)
-            self._admit(request)  # raises typed rejections; no gate held
+            self._admit(request, tenant)  # raises typed rejections; no gate held
         except ReproError as exc:
-            return self._reject(request, exc, started)
+            return self._reject(request, tenant, exc, started)
         events.emit(
             "admit",
             request_id=request.request_id,
@@ -321,7 +314,7 @@ class QueryService:
             self._gate.leave()
             tenant_state.release()
             return self._reject(
-                request, ReproError(f"service unavailable: {exc}"), started
+                request, tenant, ReproError(f"service unavailable: {exc}"), started
             )
         future.add_done_callback(
             lambda _f: (self._gate.leave(), tenant_state.release())
@@ -329,7 +322,7 @@ class QueryService:
         grace = self.config.deadline_grace_seconds
         timeout = max(0.0, deadline - time.monotonic()) + grace
         try:
-            response = future.result(timeout=timeout)
+            response, report, trace = future.result(timeout=timeout)
         except FutureTimeout:
             # The worker overran its cooperative checkpoints; answer the
             # client now with a fresh response object (the worker still owns
@@ -339,13 +332,13 @@ class QueryService:
                 f"deadline exceeded: no result within "
                 f"{self._deadline_for(request):.3f}s (+{grace:.3f}s grace)"
             )
-            return self._reject(request, exc, started)
+            return self._reject(request, tenant, exc, started)
         except BaseException as exc:  # pragma: no cover - defensive
             if isinstance(exc, (KeyboardInterrupt, SystemExit)):
                 raise
-            return self._reject(request, exc, started)
+            return self._reject(request, tenant, exc, started)
         response.elapsed_seconds = time.monotonic() - started
-        self._account(response)
+        self._account(response, tenant, report, trace)
         return response
 
     def submit_dict(self, doc: dict) -> dict:
@@ -416,7 +409,7 @@ class QueryService:
             deadline = min(deadline, quota.max_deadline_seconds)
         return deadline
 
-    def _admit(self, request: ServiceRequest) -> None:
+    def _admit(self, request: ServiceRequest, tenant_label: str) -> None:
         """Global bucket -> tenant limits -> gate; all shed, none queue."""
         from repro.errors import RateLimitError
 
@@ -427,7 +420,7 @@ class QueryService:
                 f"({self.config.rate_limit}/s)"
             )
         tenant_state = self._tenants.state(request.tenant)
-        tenant_state.admit()
+        tenant_state.admit(tenant_label)
         try:
             self._gate.enter()
         except BaseException:
@@ -439,7 +432,9 @@ class QueryService:
 
     def _run(
         self, request: ServiceRequest, tenant_state, deadline: float
-    ) -> ServiceResponse:
+    ) -> Tuple[ServiceResponse, Optional[ExecutionReport], Optional[dict]]:
+        """The response, the answering execution's report (None on error)
+        and the request's span tree (None when untraced)."""
         started = time.monotonic()
         rid = request.request_id
         shape = request.shape()
@@ -462,6 +457,7 @@ class QueryService:
                 meta["parent_id"] = parsed[1]
             trace = Trace("request", **meta)
             trace.__enter__()
+        report = trace_doc = None
         try:
             # Bind the ambient request context so deep layers (the
             # session's single-flight compile, the executor's fallback
@@ -471,20 +467,19 @@ class QueryService:
                 rid, shape=shape, tenant=request.tenant, trace_id=trace_id
             ):
                 with span("serve.request", tenant=request.tenant):
-                    self._run_inner(request, tenant_state, deadline, response)
+                    report = self._run_inner(request, tenant_state, deadline, response)
         except BaseException as exc:
             if isinstance(exc, (KeyboardInterrupt, SystemExit)):
                 raise
-            self._fill_error(response, exc, rid)
+            self._fill_error(response, exc)
         finally:
             if trace is not None:
                 trace.__exit__(None, None, None)
+                trace_doc = trace.to_dict()
                 if self.config.trace_requests:
-                    response.trace = trace.to_dict()
-                else:
-                    response.sampled_trace = trace.to_dict()
+                    response.trace = trace_doc
         response.exec_seconds = time.monotonic() - started
-        return response
+        return response, report, trace_doc
 
     def _run_inner(
         self,
@@ -492,7 +487,7 @@ class QueryService:
         tenant_state,
         deadline: float,
         response: ServiceResponse,
-    ) -> None:
+    ) -> ExecutionReport:
         remaining = deadline - time.monotonic()
         if remaining <= 0:
             REGISTRY.counter("serve.deadline.expired_in_queue")
@@ -520,7 +515,7 @@ class QueryService:
             compiled_attempted = self._feed_breaker_from_error(shape, exc)
             if decision == PROBE and not compiled_attempted:
                 self.breaker.abort_probe(shape)
-            raise self._map_budget_error(exc, quota, request)
+            raise self._map_budget_error(exc, quota)
         compiled_attempted = self._feed_breaker_from_report(shape, result.report)
         if decision == PROBE and not compiled_attempted:
             self.breaker.abort_probe(shape)
@@ -529,19 +524,7 @@ class QueryService:
         response.engine = result.report.engine
         response.engine_trail = result.report.engine_trail
         response.degraded = result.report.degraded or decision == OPEN
-        report = result.report
-        response.operator_times = report.operator_times
-        response.operator_rows = report.operator_rows
-        response.kernels = report.kernels
-        TELEMETRY.record_execution(
-            shape,
-            report.engine or "unknown",
-            len(response.rows),
-            report.attempts[-1].seconds if report.attempts else 0.0,
-            operator_times=report.operator_times,
-            operator_rows=report.operator_rows,
-            kernels=report.kernels,
-        )
+        return result.report
 
     def _executor(
         self,
@@ -609,42 +592,34 @@ class QueryService:
     # -- error shaping ------------------------------------------------------
 
     def _map_budget_error(
-        self, exc: BaseException, quota: TenantQuota, request: ServiceRequest
+        self, exc: BaseException, quota: TenantQuota
     ) -> BaseException:
-        """Wall-clock budget trips were deadline-driven here; rename them."""
+        """Wall-clock budget trips were deadline-driven here; rename them.
+        A trip of the tenant's row quota stays ``E_BUDGET``."""
         if isinstance(exc, DeadlineExceeded) or not isinstance(exc, BudgetExceeded):
             return exc
         stats = exc.stats
-        rows_tripped = (
-            quota.max_rows is not None
-            and stats.get("rows_seen", 0) > quota.max_rows
-        )
-        if rows_tripped:
-            REGISTRY.counter(
-                f"serve.tenant.{self._tenant_label(request.tenant)}.budget_trips"
-            )
-            return exc  # an operator-set row quota: stays E_BUDGET
+        if quota.max_rows is not None and stats.get("rows_seen", 0) > quota.max_rows:
+            return exc
         mapped = DeadlineExceeded(str(exc), stats=stats)
         mapped.engine_trail = exc.engine_trail
         return mapped
 
-    def _fill_error(
-        self,
-        response: ServiceResponse,
-        exc: BaseException,
-        request_id: Optional[str] = None,
-    ) -> None:
+    def _fill_error(self, response: ServiceResponse, exc: BaseException) -> None:
         response.ok = False
-        rid = request_id or response.request_id
         if isinstance(exc, ReproError) and exc.request_id is None:
-            exc.with_request(rid)
+            exc.with_request(response.request_id)
         response.error = error_to_dict(exc)
         report = getattr(exc, "execution_report", None)
         if report is not None:
             response.engine_trail = report.engine_trail
 
     def _reject(
-        self, request: ServiceRequest, exc: BaseException, started: float
+        self,
+        request: ServiceRequest,
+        tenant_label: str,
+        exc: BaseException,
+        started: float,
     ) -> ServiceResponse:
         response = ServiceResponse(
             id=request.id,
@@ -656,142 +631,128 @@ class QueryService:
                 else None
             ),
         )
-        self._fill_error(response, exc, request.request_id)
+        self._fill_error(response, exc)
         response.elapsed_seconds = time.monotonic() - started
-        self._account(response)
+        self._account(response, tenant_label)
         return response
 
     # -- metric labels (wire-controlled, so capped) --------------------------
 
-    def _tenant_label(self, tenant: str) -> str:
-        """Registry-safe tenant label: sanitized, truncated, interned.
-
-        The first ``max_tenant_labels`` distinct labels get their own
-        ``serve.tenant.*`` family; later ones share ``other`` so a
-        hostile client cannot grow the registry without bound.
-        """
-        label = _LABEL_SAFE.sub("_", str(tenant))[:_LABEL_MAX_CHARS] or "_"
+    def _capped(self, seen: set, label: str, cap: int) -> str:
+        """The service's one label rule: the first ``cap`` distinct labels
+        of a family keep their own name, later ones share ``other``, so a
+        hostile client cannot grow the registry without bound."""
         with self._label_lock:
-            if label in self._tenant_labels:
-                return label
-            if len(self._tenant_labels) < self.config.max_tenant_labels:
-                self._tenant_labels.add(label)
+            if label in seen or len(seen) < cap:
+                seen.add(label)
                 return label
         return "other"
+
+    def _tenant_label(self, tenant: str) -> str:
+        """Registry-safe tenant label: sanitized, truncated, capped."""
+        label = _LABEL_SAFE.sub("_", str(tenant))[:_LABEL_MAX_CHARS] or "_"
+        return self._capped(self._tenant_labels, label, self.config.max_tenant_labels)
 
     def _shape_label(self, shape: str) -> str:
-        """Registry-safe plan-shape label: the telemetry digest, capped.
+        """Plan-shape label: the telemetry digest (also in every telemetry
+        snapshot entry, so per-shape histograms join operator profiles),
+        capped."""
+        return self._capped(self._shape_labels, shape_digest(shape), MAX_SHAPE_LABELS)
 
-        The 8-hex digest also appears in every telemetry snapshot entry,
-        so per-shape latency histograms join per-shape operator profiles.
-        """
-        label = shape_digest(shape)
-        with self._label_lock:
-            if label in self._shape_labels:
-                return label
-            if len(self._shape_labels) < self.config.max_shape_labels:
-                self._shape_labels.add(label)
-                return label
-        return "other"
+    # -- accounting: one record per finished request --------------------------
 
-    def _account(self, response: ServiceResponse) -> None:
-        tenant_label = self._tenant_label(response.tenant)
-        shape_label = (
-            self._shape_label(response.shape)
-            if response.shape is not None
-            else None
-        )
-        # Tail sampling decides *before* the histogram observations so a
-        # kept request's id can ride into the matching latency bucket as
-        # an exemplar -- the link from a p99 bucket to its deep profile.
-        exemplar: Optional[str] = None
-        if self.sampler is not None:
-            kept = self.sampler.offer(self._profile_of(response))
-            if kept:
-                exemplar = response.request_id
-        REGISTRY.observe(
-            "serve.latency_seconds", response.elapsed_seconds, exemplar=exemplar
-        )
-        REGISTRY.observe(
-            f"serve.tenant.{tenant_label}.latency_seconds",
-            response.elapsed_seconds,
-            exemplar=exemplar,
-        )
-        if shape_label is not None:
-            REGISTRY.observe(
-                f"serve.shape.{shape_label}.latency_seconds",
-                response.elapsed_seconds,
-                exemplar=exemplar,
-            )
-        if self.slo is not None:
-            self.slo.record(
-                response.elapsed_seconds,
-                ok=response.ok,
-                tenant=tenant_label,
-                shape=shape_label,
-                request_id=response.request_id,
-            )
-        elapsed_ms = round(response.elapsed_seconds * 1e3, 3)
-        if response.ok:
-            REGISTRY.counter("serve.completed")
-            if response.degraded:
-                REGISTRY.counter("serve.degraded")
-            events.emit(
-                "complete",
-                request_id=response.request_id,
-                shape=response.shape,
-                tenant=response.tenant,
-                engine=response.engine,
-                degraded=response.degraded,
-                rows=len(response.rows or ()),
-                elapsed_ms=elapsed_ms,
-            )
-        else:
-            REGISTRY.counter("serve.failed")
-            REGISTRY.counter(f"serve.errors.{response.code}")
-            error = response.error or {}
-            if response.code in ("E_BUDGET", "E_DEADLINE"):
-                events.emit(
-                    "budget_trip",
-                    request_id=response.request_id,
-                    shape=response.shape,
-                    tenant=response.tenant,
-                    code=response.code,
-                    phase=error.get("phase"),
-                )
-            events.emit(
-                "reject",
-                request_id=response.request_id,
-                shape=response.shape,
-                tenant=response.tenant,
-                code=response.code,
-                phase=error.get("phase"),
-                elapsed_ms=elapsed_ms,
-            )
-
-    def _profile_of(self, response: ServiceResponse) -> RequestProfile:
-        """The tail sampler's view of one finished request."""
-        return RequestProfile(
-            request_id=response.request_id or "unknown",
-            shape=response.shape,
+    def _account(
+        self,
+        response: ServiceResponse,
+        tenant_label: str,
+        report: Optional[ExecutionReport] = None,
+        trace: Optional[dict] = None,
+    ) -> None:
+        """Build the request's :class:`RequestRecord` and hand it to every
+        sink: sampler, histograms, SLO monitor, telemetry, counters, events."""
+        shape = response.shape
+        rec = RequestRecord(
+            request_id=response.request_id,
             tenant=response.tenant,
-            latency_seconds=response.elapsed_seconds,
+            tenant_label=tenant_label,
+            shape=shape,
+            shape_label=None if shape is None else self._shape_label(shape),
             outcome="ok" if response.ok else (response.code or "E_RUNTIME"),
+            phase=response.error.get("phase") if response.error else None,
             engine=response.engine,
             engine_trail=tuple(response.engine_trail),
             degraded=response.degraded,
             breaker=response.breaker,
+            rows=len(response.rows or ()),
+            latency_seconds=response.elapsed_seconds,
             queued_seconds=response.queued_seconds,
             exec_seconds=response.exec_seconds,
-            trace=(
-                response.sampled_trace
-                if response.sampled_trace is not None
-                else response.trace
+            attempt_seconds=(
+                report.attempts[-1].seconds if report and report.attempts else 0.0
             ),
+            trace=trace,
             trace_id=response.trace_id,
-            operator_times=response.operator_times,
-            operator_rows=response.operator_rows,
-            kernels=response.kernels,
+            operator_times=getattr(report, "operator_times", None),
+            operator_rows=getattr(report, "operator_rows", None),
+            kernels=getattr(report, "kernels", None),
+        )
+        # Tail sampling decides *before* the histogram observations so a
+        # kept request's id can ride into the matching latency bucket as
+        # an exemplar -- the link from a p99 bucket to its deep profile.
+        exemplar = None
+        if self.sampler is not None and self.sampler.offer(rec):
+            exemplar = rec.request_id
+        latency = rec.latency_seconds
+        REGISTRY.observe("serve.latency_seconds", latency, exemplar=exemplar)
+        REGISTRY.observe(
+            f"serve.tenant.{rec.tenant_label}.latency_seconds", latency,
+            exemplar=exemplar,
+        )
+        if rec.shape_label is not None:
+            REGISTRY.observe(
+                f"serve.shape.{rec.shape_label}.latency_seconds", latency,
+                exemplar=exemplar,
+            )
+        if self.slo is not None:
+            self.slo.record(rec)
+        TELEMETRY.record_execution(rec)
+        elapsed_ms = round(latency * 1e3, 3)
+        if rec.ok:
+            REGISTRY.counter("serve.completed")
+            if rec.degraded:
+                REGISTRY.counter("serve.degraded")
+            events.emit(
+                "complete",
+                request_id=rec.request_id,
+                shape=rec.shape,
+                tenant=rec.tenant,
+                engine=rec.engine,
+                degraded=rec.degraded,
+                rows=rec.rows,
+                elapsed_ms=elapsed_ms,
+            )
+            return
+        REGISTRY.counter("serve.failed")
+        REGISTRY.counter(f"serve.errors.{rec.outcome}")
+        if rec.outcome == "E_BUDGET":  # only a tenant row quota stays E_BUDGET
+            REGISTRY.counter(f"serve.tenant.{rec.tenant_label}.budget_trips")
+        if rec.outcome in ("E_BUDGET", "E_DEADLINE"):
+            events.emit(
+                "budget_trip",
+                request_id=rec.request_id,
+                shape=rec.shape,
+                tenant=rec.tenant,
+                code=rec.outcome,
+                phase=rec.phase,
+            )
+        events.emit(
+            "reject",
+            request_id=rec.request_id,
+            shape=rec.shape,
+            tenant=rec.tenant,
+            code=rec.outcome,
+            phase=rec.phase,
+            elapsed_ms=elapsed_ms,
         )
 
     # -- introspection ------------------------------------------------------

@@ -20,7 +20,7 @@ from repro.obs.events import EventLog
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.sampler import (
     SCHEMA as PROFILES_SCHEMA,
-    RequestProfile,
+    RequestRecord,
     TailSampler,
     make_traceparent,
     parse_traceparent,
@@ -91,7 +91,7 @@ def test_traceparent_malformed_parses_to_none(bad):
 
 
 def _profile(rid, latency=0.01, outcome="ok", **kw):
-    return RequestProfile(
+    return RequestRecord(
         request_id=rid, latency_seconds=latency, outcome=outcome, **kw
     )
 
@@ -127,7 +127,7 @@ def test_sampler_slow_decile_threshold_is_a_generous_bucket_edge():
     # 85 fast (1ms band) + 15 slow (90ms band): the p90 sample sits in
     # the slow bucket, so the threshold is that bucket's *lower* edge
     # and every one of the slow requests qualifies.
-    s = TailSampler(capacity=256, warmup=4, slow_quantile=0.9)
+    s = TailSampler(capacity=256, warmup=4)
     for i in range(85):
         s.offer(_profile(f"fast-{i}", 0.001))
     kept = sum(1 for i in range(15) if s.offer(_profile(f"slow-{i}", 0.09)))
@@ -202,6 +202,16 @@ def test_validate_profiles_rejects_malformed_documents():
 # -- SLO burn-rate monitoring -------------------------------------------------
 
 
+def _rec(latency, ok, tenant=None, shape=None):
+    return RequestRecord(
+        request_id="r",
+        latency_seconds=latency,
+        outcome="ok" if ok else "E_RUNTIME",
+        tenant_label=tenant,
+        shape_label=shape,
+    )
+
+
 def _slo_config(**kw):
     base = dict(
         latency_threshold_seconds=0.1,
@@ -226,18 +236,18 @@ def test_slo_burn_fires_once_and_resolves(tmp_path):
         # Ten bad requests: bad_fraction 1.0 -> burn 10 in both windows,
         # at the min_requests floor -> one firing transition.
         for _ in range(10):
-            mon.record(1.0, ok=True)  # slow counts as bad
+            mon.record(_rec(1.0, ok=True))  # slow counts as bad
             clock.advance(0.5)
         snap = mon.snapshot()
         assert snap["service"]["alerting"]
         assert snap["service"]["burn_short"] == pytest.approx(10.0)
         assert reg.get_counter("slo.alerts") == 1
-        mon.record(1.0, ok=False)  # still burning: no second alert
+        mon.record(_rec(1.0, ok=False))  # still burning: no second alert
         assert reg.get_counter("slo.alerts") == 1
         # March past the short window; one good request re-evaluates the
         # now-clean window and resolves the alert.
         clock.advance(35.0)
-        mon.record(0.01, ok=True)
+        mon.record(_rec(0.01, ok=True))
         assert not mon.snapshot()["service"]["alerting"]
     finally:
         events.install(None)
@@ -254,7 +264,7 @@ def test_slo_min_requests_floor_prevents_spike_paging():
     reg = MetricsRegistry()
     mon = SLOMonitor(_slo_config(min_requests=10), clock=clock, registry=reg)
     for _ in range(9):  # all bad, but under the traffic floor
-        mon.record(1.0, ok=False)
+        mon.record(_rec(1.0, ok=False))
     assert not mon.snapshot()["service"]["alerting"]
     assert reg.get_counter("slo.alerts") == 0
 
@@ -266,32 +276,30 @@ def test_slo_long_window_confirms_before_firing():
     reg = MetricsRegistry()
     mon = SLOMonitor(_slo_config(), clock=clock, registry=reg)
     for _ in range(200):  # a long healthy stretch
-        mon.record(0.01, ok=True)
+        mon.record(_rec(0.01, ok=True))
         clock.advance(0.25)
     # Step past the short window (still inside the long one), then burst:
     # the short window sees only the burst, the long window remembers
     # the healthy stretch and refuses to confirm.
     clock.advance(31.0)
     for _ in range(12):
-        mon.record(1.0, ok=False)
+        mon.record(_rec(1.0, ok=False))
     snap = mon.snapshot()
     assert snap["service"]["burn_short"] >= 2.0
     assert snap["service"]["burn_long"] < 2.0
     assert not snap["service"]["alerting"]
 
 
-def test_slo_scopes_tenants_and_shapes_with_cardinality_cap():
+def test_slo_scopes_tenants_and_shapes():
     clock = FakeClock()
     reg = MetricsRegistry()
-    mon = SLOMonitor(
-        _slo_config(max_tracked=2), clock=clock, registry=reg
-    )
+    mon = SLOMonitor(_slo_config(), clock=clock, registry=reg)
     for tenant in ("a", "b", "c"):
-        mon.record(0.01, ok=True, tenant=tenant, shape="s1")
+        mon.record(_rec(0.01, ok=True, tenant=tenant, shape="s1"))
     snap = mon.snapshot()
-    assert set(snap["tenants"]) == {"a", "b"}  # capped at 2
+    # Scopes are the record's labels, which the service has already capped.
+    assert set(snap["tenants"]) == {"a", "b", "c"}
     assert set(snap["shapes"]) == {"s1"}
-    # Overflow tenants still count in the service scope.
     assert snap["service"]["good"] == 3
     gauges = reg.snapshot()["gauges"]
     assert gauges.get("slo.burn.service") == 0.0
@@ -302,7 +310,7 @@ def test_slo_windows_expire_with_the_clock():
     clock = FakeClock()
     mon = SLOMonitor(_slo_config(), clock=clock, registry=MetricsRegistry())
     for _ in range(5):
-        mon.record(1.0, ok=False)
+        mon.record(_rec(1.0, ok=False))
     assert mon.snapshot()["service"]["bad"] == 5
     clock.advance(90.0)  # past both windows
     snap = mon.snapshot()

@@ -86,16 +86,16 @@ def test_admission_gate_sheds_at_limit():
 
 def test_tenant_concurrency_and_rate_quotas():
     state = TenantState("t", TenantQuota(max_concurrent=1))
-    state.admit()
+    state.admit("t")
     with pytest.raises(ServiceOverloadError):
-        state.admit()
+        state.admit("t")
     state.release()
-    state.admit()  # slot came back
+    state.admit("t")  # slot came back
 
     limited = TenantState("slow", TenantQuota(rate=0.001, burst=1))
-    limited.admit()  # spends the single burst token
+    limited.admit("slow")  # spends the single burst token
     with pytest.raises(RateLimitError) as excinfo:
-        limited.admit()
+        limited.admit("slow")
     assert excinfo.value.code == "E_RATELIMIT"
     assert excinfo.value.tenant == "slow"
 
@@ -618,6 +618,26 @@ def test_hostile_tenant_labels_are_sanitized_and_capped(serve_session):
                       "capped", "hurried", "metrics-test", "mixed",
                       "breaker-test"} | {f"hammer-{i}" for i in range(8)}
 
+    # Hostile tenants on *valid* SQL get past validation into admission,
+    # whose per-tenant counters (and the SLO scopes) must use the same
+    # capped label.
+    from repro.obs.slo import SLOConfig
+
+    config = ServiceConfig(
+        workers=1, query_scale=TINY_SCALE, max_tenant_labels=2, slo=SLOConfig()
+    )
+    admitted_other = REGISTRY.get_counter("serve.tenant.other.admitted")
+    with QueryService(serve_session, config) as svc:
+        for i in range(5):
+            tenant = f'evil{i} {{x}}"'
+            assert svc.submit(ServiceRequest(sql=SQL_QUERIES[6], tenant=tenant)).ok
+        slo_tenants = set(svc.slo.snapshot()["tenants"])
+    assert slo_tenants == {"evil0__x__", "evil1__x__", "other"}
+    counters = REGISTRY.counters_with_prefix("serve.tenant.")
+    assert not any(" " in name or "{" in name or '"' in name for name in counters)
+    assert REGISTRY.get_counter("serve.tenant.evil0__x__.admitted") >= 1
+    assert REGISTRY.get_counter("serve.tenant.other.admitted") == admitted_other + 3
+
 
 def test_service_telemetry_captures_operator_times(serve_session, tmp_path):
     from repro.obs.telemetry import TELEMETRY
@@ -860,6 +880,217 @@ def test_wire_profiles_op_serves_snapshot_and_typed_error(serve_session):
             assert reply["error"]["code"] == "E_PROTOCOL"
             with pytest.raises(Exception):
                 raise_for_error(reply)
+
+
+def test_wire_error_replies_count_and_echo_the_request_id(serve_session):
+    """Every wire-level error reply (malformed line, non-object, sampling
+    off, unknown op, failed prepare) is typed, counted under
+    ``serve.errors.<code>``, and echoes the client's ``id`` and
+    ``request_id`` whenever the line carried them."""
+    plain = QueryService(
+        serve_session, ServiceConfig(workers=1, query_scale=TINY_SCALE)
+    )
+    before = REGISTRY.get_counter("serve.errors.E_PROTOCOL")
+    with QueryServer(plain, port=0) as srv:
+        for line in ("this is not json", "[1, 2, 3]"):
+            reply = srv.handle_line(line)
+            assert not reply["ok"] and reply["error"]["code"] == "E_PROTOCOL"
+        for op in ("profiles", "dance", "prepare"):
+            doc = {"op": op, "id": 7, "request_id": f"rid-{op}"}
+            reply = srv.handle_line(json.dumps(doc))
+            assert not reply["ok"] and reply["error"]["code"] == "E_PROTOCOL"
+            assert reply["id"] == 7
+            assert reply["error"]["request_id"] == f"rid-{op}"
+    assert REGISTRY.get_counter("serve.errors.E_PROTOCOL") == before + 5
+
+
+def _served_round(session, tmp_path):
+    """One served round with every sink on -- sampling, an armed SLO, the
+    telemetry store and an event log: an answered request, a parse error
+    and a tenant row-quota trip.  Returns the service's artifacts and the
+    histogram counts each request added."""
+    from repro.obs import events
+    from repro.obs.events import EventLog, read_events
+    from repro.obs.sampler import make_traceparent
+    from repro.obs.slo import SLOConfig
+    from repro.obs.telemetry import TELEMETRY, shape_digest
+
+    config = ServiceConfig(
+        workers=1,
+        query_scale=TINY_SCALE,
+        sampling=True,
+        telemetry=True,
+        slo=SLOConfig(latency_threshold_seconds=30.0),
+        tenants={"rec-rows": TenantQuota(max_rows=1)},
+    )
+    requests = {
+        "rec-ok": ServiceRequest(
+            sql=SQL_QUERIES[6], tenant="rec-a", request_id="rec-ok",
+            traceparent=make_traceparent(),
+        ),
+        "rec-parse": ServiceRequest(
+            sql="SELECT FROM nothing", tenant="rec-b", request_id="rec-parse"
+        ),
+        "rec-budget": ServiceRequest(
+            sql=SQL_QUERIES[1], tenant="rec-rows", request_id="rec-budget"
+        ),
+    }
+    log = EventLog(str(tmp_path / "events.jsonl"))
+    previous = events.install(log)
+    TELEMETRY.reset()
+    TELEMETRY.enable()
+    added = {}
+    try:
+        with QueryService(session, config) as svc:
+            svc.session.clear_cache()  # every shape compiles: compile keys
+            responses = {}
+            for rid, request in requests.items():
+                names = [
+                    "serve.latency_seconds",
+                    f"serve.tenant.{request.tenant}.latency_seconds",
+                    f"serve.shape.{shape_digest(request.shape())}.latency_seconds",
+                ]
+                counts = [
+                    (REGISTRY.histogram(n) or {"count": 0})["count"] for n in names
+                ]
+                responses[rid] = svc.submit(request)
+                added[rid] = {
+                    n: REGISTRY.histogram(n)["count"] - c
+                    for n, c in zip(names, counts)
+                }
+            profiles = svc.sampler.snapshot()
+            slo = svc.slo.snapshot()
+        telemetry = TELEMETRY.snapshot()
+    finally:
+        TELEMETRY.disable()
+        TELEMETRY.reset()
+        events.install(previous)
+        log.close()
+    return {
+        "responses": responses,
+        "profiles": profiles,
+        "events": list(read_events(str(tmp_path / "events.jsonl"))),
+        "telemetry": telemetry,
+        "slo": slo,
+        "added": added,
+    }
+
+
+def test_every_sink_agrees_on_one_request(serve_session, tmp_path):
+    from repro.obs.telemetry import shape_digest
+
+    art = _served_round(serve_session, tmp_path)
+    ok, parse, budget = (
+        art["responses"][k] for k in ("rec-ok", "rec-parse", "rec-budget")
+    )
+    assert ok.ok and parse.code == "E_SQL_PARSE" and budget.code == "E_BUDGET"
+    profiles = {p["request_id"]: p for p in art["profiles"]["profiles"]}
+    for rid, response in art["responses"].items():
+        profile = profiles[rid]  # warmup + errors: all three kept
+        digest = shape_digest(profile["shape"])
+        outcome = "ok" if response.ok else response.code
+        assert profile["outcome"] == outcome
+        assert profile["tenant"] == response.tenant
+        assert profile["shape"] == response.shape
+        # the three latency histograms each saw the request once, under
+        # the same tenant label and shape digest
+        assert art["added"][rid] == {
+            "serve.latency_seconds": 1,
+            f"serve.tenant.{response.tenant}.latency_seconds": 1,
+            f"serve.shape.{digest}.latency_seconds": 1,
+        }
+        hist = REGISTRY.histogram(f"serve.shape.{digest}.latency_seconds")
+        assert rid in {e["id"] for exs in hist["exemplars"].values() for e in exs}
+        # the SLO monitor scored it under the same labels
+        scope = art["slo"]["tenants"][response.tenant]
+        assert (scope["good"], scope["bad"]) == (int(response.ok), int(not response.ok))
+        assert digest in art["slo"]["shapes"]
+        # the last event says the same thing
+        last = [e for e in art["events"] if e["request_id"] == rid][-1]
+        assert last["event"] == ("complete" if response.ok else "reject")
+        assert last["tenant"] == response.tenant
+        assert last["shape"] == response.shape
+        if response.ok:
+            assert last["rows"] == len(response.rows)
+        else:
+            assert last["code"] == outcome
+        # telemetry counts answered executions only
+        entry = art["telemetry"]["shapes"].get(response.shape)
+        executions = entry["executions"]["count"] if entry else 0
+        assert executions == int(response.ok)
+        if response.ok:
+            assert entry["digest"] == digest
+            assert entry["executions"]["rows_total"] == len(response.rows)
+            assert entry["engines"] == {response.engine: 1}
+    budget_kinds = [e["event"] for e in art["events"] if e["request_id"] == "rec-budget"]
+    assert budget_kinds[-2:] == ["budget_trip", "reject"]
+    assert REGISTRY.get_counter("serve.tenant.rec-rows.budget_trips") >= 1
+    service = art["slo"]["service"]
+    assert (service["good"], service["bad"]) == (1, 2)
+
+
+def test_artifact_keys_of_one_served_round(serve_session, tmp_path):
+    """Pins the key sets of the ``repro-profiles/v1``, ``repro-events/v1``
+    and ``repro-telemetry/v1`` documents one round writes, optional keys
+    included, so no refactor of the accounting can drop one unnoticed."""
+    from repro.compiler.runtime import have_numpy
+
+    art = _served_round(serve_session, tmp_path)
+    snap = art["profiles"]
+    assert set(snap) == {
+        "schema", "written_unix", "capacity", "slow_quantile",
+        "threshold_seconds", "offered", "kept", "evicted", "profiles",
+    }
+    common = {
+        "request_id", "tenant", "latency_seconds", "outcome",
+        "queued_seconds", "exec_seconds", "ts", "shape", "breaker", "trace",
+        "keep_reason",
+    }
+    kernels = {"kernels"} if have_numpy() else set()
+    assert {p["request_id"]: set(p) for p in snap["profiles"]} == {
+        "rec-ok": common | {
+            "engine", "engine_trail", "trace_id", "operator_times",
+            "operator_rows",
+        } | kernels,
+        "rec-parse": common,
+        "rec-budget": common | {"engine_trail"},
+    }
+    keys = {}
+    for e in art["events"]:
+        keys.setdefault((e["request_id"], e["event"]), set()).update(e)
+    base = {"schema", "ts", "event", "request_id", "shape", "tenant"}
+    compiled = base | {"seconds", "generation_seconds", "host_seconds"}
+    failed = base | {"code", "phase"}
+    assert keys == {
+        ("rec-ok", "admit"): base,
+        ("rec-ok", "compile"): compiled | {"trace_id"},
+        ("rec-ok", "complete"): base | {"engine", "degraded", "rows", "elapsed_ms"},
+        ("rec-parse", "admit"): base,
+        ("rec-parse", "reject"): failed | {"elapsed_ms"},
+        ("rec-budget", "admit"): base,
+        ("rec-budget", "compile"): compiled,
+        ("rec-budget", "fallback"): failed | {"engine"},
+        ("rec-budget", "budget_trip"): failed,
+        ("rec-budget", "reject"): failed | {"elapsed_ms"},
+    }
+    tel = art["telemetry"]
+    assert set(tel) == {"schema", "started", "written", "shapes"}
+    for entry in tel["shapes"].values():
+        assert set(entry) == {
+            "digest", "compile", "executions", "engines", "operators", "kernels",
+        }
+        assert set(entry["executions"]) == {"count", "rows_total", "total_seconds"}
+        for op in entry["operators"].values():
+            assert set(op) == {"count", "total_seconds", "rows_total"}
+        for k in entry["kernels"].values():
+            assert set(k) == {"calls", "rows"}
+    compile_keys = {
+        frozenset(e["compile"]) for e in tel["shapes"].values() if e["compile"]["count"]
+    }
+    assert compile_keys == {frozenset({
+        "count", "total_seconds", "max_seconds", "generation_seconds",
+        "host_seconds",
+    })}
 
 
 def test_admission_gate_exports_inflight_gauges():

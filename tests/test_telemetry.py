@@ -44,6 +44,7 @@ from repro.obs.metrics import (
     nearest_rank_index,
     percentile,
 )
+from repro.obs.sampler import RequestRecord
 from repro.obs.telemetry import (
     TelemetryStore,
     shape_digest,
@@ -370,10 +371,17 @@ def test_event_kinds_cover_the_request_lifecycle():
 # -- the telemetry store ------------------------------------------------------
 
 
+def _executed(shape, engine, rows, seconds, **profile):
+    return RequestRecord(
+        request_id="r", shape=shape, engine=engine, rows=rows,
+        attempt_seconds=seconds, **profile,
+    )
+
+
 def test_telemetry_disabled_records_nothing():
     store = TelemetryStore()
     store.record_compile("sql:q", 0.5)
-    store.record_execution("sql:q", "compiled", 10, 0.01)
+    store.record_execution(_executed("sql:q", "compiled", 10, 0.01))
     assert store.snapshot()["shapes"] == {}
 
 
@@ -381,13 +389,17 @@ def test_telemetry_aggregates_per_shape():
     store = TelemetryStore(enabled=True)
     store.record_compile("sql:q", 0.5, generation_seconds=0.3, host_seconds=0.2)
     store.record_compile("sql:q", 0.1)
-    store.record_execution(
+    store.record_execution(_executed(
         "sql:q", "compiled", 10, 0.01,
         operator_times={"Scan#1": 0.004, "Agg#2": 0.001},
         operator_rows={"Scan#1": 100, "Agg#2": 10},
         kernels={"filter_mask": {"calls": 2, "rows": 100}},
+    ))
+    store.record_execution(_executed("sql:q", "push", 10, 0.05))
+    # a failed request is not an execution
+    store.record_execution(
+        RequestRecord(request_id="x", shape="sql:q", outcome="E_PLAN")
     )
-    store.record_execution("sql:q", "push", 10, 0.05)
     entry = store.snapshot()["shapes"]["sql:q"]
     assert entry["digest"] == shape_digest("sql:q")
     assert entry["compile"]["count"] == 2
@@ -405,13 +417,13 @@ def test_telemetry_aggregates_per_shape():
 def test_telemetry_save_load_merges(tmp_path):
     path = str(tmp_path / "telemetry.json")
     store = TelemetryStore(path=path, enabled=True)
-    store.record_execution("sql:q", "compiled", 5, 0.01)
+    store.record_execution(_executed("sql:q", "compiled", 5, 0.01))
     saved = store.save()
     assert saved == path
     with open(path, encoding="utf-8") as fh:
         assert validate_snapshot(json.load(fh)) == []
     other = TelemetryStore(enabled=True)
-    other.record_execution("sql:q", "volcano", 5, 0.02)
+    other.record_execution(_executed("sql:q", "volcano", 5, 0.02))
     assert other.load(path) == 1
     entry = other.snapshot()["shapes"]["sql:q"]
     assert entry["executions"]["count"] == 2
@@ -421,7 +433,7 @@ def test_telemetry_save_load_merges(tmp_path):
 def test_telemetry_save_is_atomic(tmp_path):
     path = str(tmp_path / "t.json")
     store = TelemetryStore(path=path, enabled=True)
-    store.record_execution("s", "compiled", 1, 0.001)
+    store.record_execution(_executed("s", "compiled", 1, 0.001))
     store.save()
     store.save()  # replaces, never appends
     with open(path, encoding="utf-8") as fh:
@@ -445,7 +457,7 @@ def test_validate_snapshot_rejects_malformed():
 
 def test_telemetry_reset_clears_shapes():
     store = TelemetryStore(enabled=True)
-    store.record_execution("s", "compiled", 1, 0.001)
+    store.record_execution(_executed("s", "compiled", 1, 0.001))
     store.reset()
     assert store.snapshot()["shapes"] == {}
 
