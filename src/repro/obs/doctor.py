@@ -1,19 +1,22 @@
-"""``repro-doctor``: join the observability artifacts into a diagnosis.
+"""``repro-doctor``: read the request stream into a diagnosis.
 
-The obs stack *collects* -- traces, histograms, a JSONL event log, a
-per-shape telemetry store, tail-sampled request profiles -- but none of
-those artifacts answers the operator questions directly: *where does the
-tail latency go*, and *did this build regress*.  The doctor reads
-whatever subset of artifacts it is given and produces one
-schema-versioned report (``repro-doctor/v1``):
+The serve tier's event log is its one per-request stream: every
+submitted request ends in exactly one ``request`` line whose body is the
+request's record (outcome, latency with its queued/exec split, engine
+trail, rows; the span tree and per-operator times when the tail sampler
+kept it), beside the ``admit``/``compile``/``fallback``/``slo_burn``
+lines.  The doctor reads that stream -- the log at ``--events`` and its
+rotated backups, oldest first -- and produces one schema-versioned
+report (``repro-doctor/v2``):
 
-* **summary** -- request/error/alert counts joined from the event log
-  (or the profiles when no log is given);
-* **tail** -- for the requests at or above the sampler's slow-decile
-  threshold: wall-clock attribution (queueing vs compile vs execute vs
-  other) from each profile's span tree, broken down per plan shape and
-  per tenant, with the hottest operators and exemplar request ids per
-  shape;
+* **summary** -- request count, error codes by outcome, degraded count,
+  exact p50/p95/p99 latency and the ``slo_burn`` transitions;
+* **tail** -- every request line at or over the stream's exact p90
+  latency, plus every error line: wall-clock attribution (queueing vs
+  compile vs execute vs other; from the span tree when the line has one,
+  else from its queued/exec split) per plan shape and per tenant, with
+  the hottest operators and exemplar request ids per shape;
+* **compile** -- compile cost per plan shape, from the ``compile`` lines;
 * **regression** -- a verdict of one ``repro-telemetry/v1`` snapshot
   against a baseline snapshot: shapes whose mean execution or compile
   cost moved beyond a noise threshold, or whose engine mix shifted (e.g.
@@ -26,8 +29,7 @@ Each input is checked against the schema it declares (a bad one is a
 ``--check`` / ``--out`` flags, so CI can gate on schema validity (and,
 with ``--fail-on-regression``, on the verdict itself).
 
-    repro-doctor --events events.jsonl --profiles profiles.json \\
-                 --telemetry telemetry.json --json --check --out doctor.json
+    repro-doctor --events events.jsonl --json --check --out doctor.json
     repro-doctor --baseline telemetry-before.json --current telemetry-after.json
 """
 
@@ -36,29 +38,28 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from collections import Counter
 from functools import partial
 from typing import Dict, List, Optional, Sequence
 
 from repro.obs.artifacts import (
-    ArtifactError, Const, ListOf, Maybe, OneOf, Where, add_report_flags,
+    ArtifactError, Const, ListOf, MapOf, Maybe, OneOf, Where, add_report_flags,
     check, finish_report, read_json,
 )
-from repro.obs.events import read_events, validate_log
+from repro.obs.events import read_log
 from repro.obs.metrics import percentile
-from repro.obs.sampler import PROFILES
 from repro.obs.telemetry import SNAPSHOT, shape_digest
 
-SCHEMA = "repro-doctor/v1"
+SCHEMA = "repro-doctor/v2"
+
+#: The stream latency quantile at or over which a request is in the tail.
+TAIL_QUANTILE = 0.9
 
 #: Total-variation distance beyond which an engine-mix shift is flagged
 #: (0.25 = a quarter of traffic answered by different engines).
 ENGINE_MIX_TOLERANCE = 0.25
 
 _VERDICTS = ("ok", "regressed", "skipped")
-
-
-# -- input loading ------------------------------------------------------------
-
 
 #: What the doctor raises for an artifact it cannot read or that does
 #: not match the schema it declares.
@@ -148,25 +149,23 @@ def _aggregate(profiles: Sequence[dict]) -> dict:
     }
 
 
-def tail_report(profiles_doc: dict) -> dict:
-    """The slow-decile attribution section from a profiles snapshot."""
-    threshold = float(profiles_doc.get("threshold_seconds", 0.0))
-    profiles = [
-        p for p in profiles_doc.get("profiles", []) if isinstance(p, dict)
-    ]
+def tail_report(lines: Sequence[dict]) -> dict:
+    """The tail attribution section over a stream's ``request`` lines:
+    every line at or over the exact p90 latency, plus every error."""
+    threshold = percentile(
+        sorted(line["latency_seconds"] for line in lines), TAIL_QUANTILE
+    )
     slow = [
-        p
-        for p in profiles
-        if float(p.get("latency_seconds", 0.0)) >= threshold
-        or p.get("outcome", "ok") != "ok"
+        line for line in lines
+        if line["latency_seconds"] >= threshold or line["outcome"] != "ok"
     ]
     by_shape: Dict[str, List[dict]] = {}
     by_tenant: Dict[str, List[dict]] = {}
-    for p in slow:
-        shape = p.get("shape")
+    for line in slow:
+        shape = line.get("shape")
         digest = shape_digest(shape) if shape else "none"
-        by_shape.setdefault(digest, []).append(p)
-        by_tenant.setdefault(str(p.get("tenant", "default")), []).append(p)
+        by_shape.setdefault(digest, []).append(line)
+        by_tenant.setdefault(line["tenant"], []).append(line)
 
     def named(groups: Dict[str, List[dict]], key: str) -> List[dict]:
         out = []
@@ -186,7 +185,7 @@ def tail_report(profiles_doc: dict) -> dict:
     overall = _aggregate(slow)
     return {
         "threshold_ms": threshold * 1e3,
-        "profiles": len(profiles),
+        "lines": len(lines),
         "slow_count": len(slow),
         "attribution_ms": overall["attribution_ms"],
         "attribution_share": overall["attribution_share"],
@@ -195,40 +194,40 @@ def tail_report(profiles_doc: dict) -> dict:
     }
 
 
-# -- summary from the event log -----------------------------------------------
+# -- summary and compile cost from the stream ---------------------------------
 
 
-def events_summary(events_path: str) -> dict:
-    problems = validate_log(events_path)
-    if problems:
-        raise DoctorInputError(
-            f"invalid event log {events_path!r}: {'; '.join(problems[:3])}"
-        )
-    kinds: Dict[str, int] = {}
-    codes: Dict[str, int] = {}
-    rids: set = set()
-    burns: List[dict] = []
-    for doc in read_events(events_path):
-        kinds[doc["event"]] = kinds.get(doc["event"], 0) + 1
-        if doc.get("request_id"):
-            rids.add(doc["request_id"])
-        if doc["event"] == "reject" and doc.get("code"):
-            codes[doc["code"]] = codes.get(doc["code"], 0) + 1
-        if doc["event"] == "slo_burn":
-            burns.append(
-                {
-                    "scope": doc.get("scope"),
-                    "state": doc.get("state"),
-                    "burn_short": doc.get("burn_short"),
-                    "ts": doc.get("ts"),
-                }
-            )
+def stream_summary(docs: Sequence[dict], lines: Sequence[dict]) -> dict:
+    """Counts and exact latency quantiles over one stream."""
+    kinds = dict(Counter(doc["event"] for doc in docs))
+    codes = dict(Counter(line["outcome"] for line in lines if line["outcome"] != "ok"))
+    latencies = sorted(line["latency_seconds"] for line in lines)
     return {
+        "requests": len(lines),
         "events": kinds,
-        "requests": len(rids),
         "error_codes": codes,
-        "slo_burns": burns,
+        "degraded": sum(1 for line in lines if line.get("degraded")),
+        "latency_ms": {
+            f"p{round(q * 100)}": percentile(latencies, q) * 1e3
+            for q in (0.5, 0.95, 0.99)
+        },
+        "slo_burns": kinds.get("slo_burn", 0),
     }
+
+
+def compile_report(docs: Sequence[dict]) -> Dict[str, dict]:
+    """Compile count and mean cost per plan-shape digest."""
+    out: Dict[str, dict] = {}
+    for doc in docs:
+        if doc["event"] == "compile":
+            entry = out.setdefault(
+                shape_digest(doc.get("shape") or ""), {"count": 0, "total_ms": 0.0}
+            )
+            entry["count"] += 1
+            entry["total_ms"] += float(doc.get("seconds", 0.0)) * 1e3
+    for entry in out.values():
+        entry["mean_ms"] = entry["total_ms"] / entry["count"]
+    return out
 
 
 # -- regression analysis ------------------------------------------------------
@@ -341,86 +340,41 @@ def regression_report(
 
 def build_report(
     events_path: Optional[str] = None,
-    telemetry_path: Optional[str] = None,
-    profiles_path: Optional[str] = None,
-    metrics_path: Optional[str] = None,
     baseline_path: Optional[str] = None,
     current_path: Optional[str] = None,
     threshold: float = 1.3,
     min_samples: int = 5,
     noise_floor_ms: float = 2.0,
 ) -> dict:
-    """Join whatever artifacts were given into one ``repro-doctor/v1``."""
+    """One ``repro-doctor/v2`` report from the stream at ``events_path``
+    and, given both, a baseline/current pair of telemetry snapshots."""
     report: dict = {
         "schema": SCHEMA,
         "generated_unix": time.time(),
         "inputs": {
             "events": events_path,
-            "telemetry": telemetry_path,
-            "profiles": profiles_path,
-            "metrics": metrics_path,
             "baseline": baseline_path,
             "current": current_path,
         },
         "summary": {},
     }
-    profiles_doc = None
-    if profiles_path is not None:
-        profiles_doc = read_json(profiles_path, PROFILES, "profiles snapshot")
-        report["tail"] = tail_report(profiles_doc)
     if events_path is not None:
-        summary = events_summary(events_path)
-        report["summary"] = {
-            "requests": summary["requests"],
-            "events": summary["events"],
-            "error_codes": summary["error_codes"],
-            "slo_burns": len(summary["slo_burns"]),
+        docs = read_log(events_path)
+        lines = [doc for doc in docs if doc["event"] == "request"]
+        report["summary"] = stream_summary(docs, lines)
+        report["slo"] = {
+            "burn_events": [
+                {k: doc.get(k) for k in ("scope", "state", "burn_short", "ts")}
+                for doc in docs
+                if doc["event"] == "slo_burn"
+            ]
         }
-        report["slo"] = {"burn_events": summary["slo_burns"]}
-    elif profiles_doc is not None:
-        report["summary"] = {
-            "requests": profiles_doc["offered"],
-            "events": {},
-            "error_codes": {},
-            "slo_burns": 0,
-        }
-    if metrics_path is not None:
-        snapshot = read_json(metrics_path, {}, "metrics snapshot")
-        histograms = snapshot.get("histograms") or {}
-        latency = histograms.get("serve.latency_seconds") or {}
-        report["metrics"] = {
-            "latency_quantiles_ms": {
-                q: v * 1e3
-                for q, v in (latency.get("quantiles") or {}).items()
-            },
-            "exemplars": latency.get("exemplars") or {},
-            "burn_gauges": {
-                name: value
-                for name, value in (snapshot.get("gauges") or {}).items()
-                if name.startswith("slo.burn.")
-            },
-        }
-    telemetry_doc: Optional[dict] = None
-    if telemetry_path is not None:
-        telemetry_doc = read_json(telemetry_path, SNAPSHOT, "telemetry snapshot")
-        shapes = _normalize_telemetry(telemetry_doc)
-        report["telemetry"] = {
-            "shapes": len(shapes),
-            "compiles_ms": {
-                d: round(r["compile_ms"], 3)
-                for d, r in sorted(shapes.items())
-                if "compile_ms" in r
-            },
-        }
-    if baseline_path is not None:
-        baseline_doc = read_json(baseline_path, SNAPSHOT, "baseline")
-        if current_path is not None:
-            current_doc = read_json(current_path, SNAPSHOT, "current")
-        else:
-            current_doc = telemetry_doc or {}
+        report["tail"] = tail_report(lines)
+        report["compile"] = compile_report(docs)
+    if baseline_path is not None and current_path is not None:
         report["regression"] = regression_report(
-            baseline_doc,
-            current_doc,
+            read_json(baseline_path, SNAPSHOT, "baseline"),
+            read_json(current_path, SNAPSHOT, "current"),
             threshold=threshold,
             min_samples=min_samples,
             noise_floor_ms=noise_floor_ms,
@@ -437,8 +391,10 @@ REPORT = {
     "schema": Const(SCHEMA),
     "inputs": dict,
     "summary": {
-        "requests": Maybe(int, null=False),
-        "slo_burns": Maybe(int, null=False),
+        **dict.fromkeys(("requests", "degraded", "slo_burns"), Maybe(int, null=False)),
+        "latency_ms": Maybe(
+            dict.fromkeys(("p50", "p95", "p99"), _NON_NEGATIVE), null=False
+        ),
     },
     "tail": Maybe({
         "threshold_ms": float,
@@ -449,6 +405,7 @@ REPORT = {
         "by_shape": ListOf({"shape": str, "count": int}),
         "by_tenant": ListOf({"tenant": str, "count": int}),
     }),
+    "compile": Maybe(MapOf({"count": int, "mean_ms": _NON_NEGATIVE})),
     "regression": Maybe({"verdict": OneOf(_VERDICTS), "flagged": list}),
 }
 
@@ -463,17 +420,20 @@ def render_text(report: dict) -> str:
     summary = report.get("summary") or {}
     if summary:
         codes = summary.get("error_codes") or {}
+        latency = summary.get("latency_ms") or {}
         lines.append(
             f"  requests={summary.get('requests', 0)} "
-            f"errors={sum(codes.values())} slo_burns={summary.get('slo_burns', 0)}"
+            f"errors={sum(codes.values())} degraded={summary.get('degraded', 0)} "
+            f"slo_burns={summary.get('slo_burns', 0)}  "
+            + " ".join(f"{q}={v:.1f}ms" for q, v in latency.items())
         )
     tail = report.get("tail")
     if tail:
         att = tail["attribution_ms"]
         share = tail["attribution_share"]
         lines.append(
-            f"  tail: {tail['slow_count']}/{tail['profiles']} profiles at/over "
-            f"{tail['threshold_ms']:.1f}ms"
+            f"  tail: {tail['slow_count']}/{tail['lines']} requests at/over "
+            f"{tail['threshold_ms']:.1f}ms (p90) or failed"
         )
         lines.append(
             "    attribution: "
@@ -516,18 +476,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         prog="repro-doctor", description=__doc__.splitlines()[0]
     )
     parser.add_argument("--events", default=None, metavar="PATH",
-                        help="repro-events/v1 JSONL log")
-    parser.add_argument("--telemetry", default=None, metavar="PATH",
-                        help="repro-telemetry/v1 snapshot")
-    parser.add_argument("--profiles", default=None, metavar="PATH",
-                        help="repro-profiles/v1 tail-sampler snapshot")
-    parser.add_argument("--metrics", default=None, metavar="PATH",
-                        help="a REGISTRY.snapshot() JSON dump")
+                        help="repro-events/v2 log (its rotated PATH.N "
+                             "backups are read too, oldest first)")
     parser.add_argument("--baseline", default=None, metavar="PATH",
                         help="repro-telemetry/v1 snapshot to compare against")
     parser.add_argument("--current", default=None, metavar="PATH",
                         help="repro-telemetry/v1 snapshot for the current "
-                             "side of the compare (defaults to --telemetry)")
+                             "side of the compare")
     parser.add_argument("--threshold", type=float, default=1.3,
                         help="relative regression threshold (default 1.3x)")
     parser.add_argument("--min-samples", type=int, default=5)
@@ -536,16 +491,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--fail-on-regression", action="store_true",
                         help="exit 3 when the regression verdict is 'regressed'")
     args = parser.parse_args(argv)
-    if not any((args.events, args.telemetry, args.profiles, args.metrics,
-                args.baseline)):
-        parser.error("give at least one artifact "
-                     "(--events/--telemetry/--profiles/--metrics/--baseline)")
+    if (args.baseline is None) != (args.current is None):
+        parser.error("--baseline and --current go together")
+    if args.events is None and args.baseline is None:
+        parser.error("give --events, or --baseline with --current")
     try:
         report = build_report(
             events_path=args.events,
-            telemetry_path=args.telemetry,
-            profiles_path=args.profiles,
-            metrics_path=args.metrics,
             baseline_path=args.baseline,
             current_path=args.current,
             threshold=args.threshold,

@@ -1,11 +1,15 @@
 """Structured JSONL event log: one line per request-lifecycle event.
 
 The serve tier narrates every request as a sequence of typed events --
-``admit``, ``compile``, ``fallback``, ``budget_trip``, ``complete`` (or
-``reject``) -- each carrying the request's correlation id, so a log
-grep on one ``request_id`` reconstructs that request's whole story and
-joins it against the wire reply and the trace.  Events are one JSON
-object per line (schema ``repro-events/v1``) in a size-rotated file.
+``admit``, ``compile``, ``fallback`` and, once per submitted request, the
+terminal ``request`` line -- each carrying the request's correlation id,
+so a log grep on one ``request_id`` reconstructs that request's whole
+story and joins it against the wire reply.  The ``request`` line's body
+is the request's :class:`~repro.obs.sampler.RequestRecord` document
+(outcome, latency split, engine trail, rows; the span tree and operator
+times when the tail sampler kept it), so the log is the one per-request
+stream ``repro-doctor`` reads.  Events are one JSON object per line
+(schema ``repro-events/v2``) in a size-rotated file.
 
 Two pieces of ambient, thread-local state make the emission sites cheap
 and cycle-free:
@@ -19,8 +23,8 @@ and cycle-free:
   fallback) can stamp events without threading the id through every
   signature.
 
-Stdlib-only leaf, like :mod:`repro.obs.metrics` and
-:mod:`repro.obs.trace`.
+Stdlib-only leaf over :mod:`repro.obs.artifacts` and
+:mod:`repro.obs.sampler` (the record spec).
 """
 
 from __future__ import annotations
@@ -30,22 +34,20 @@ import os
 import threading
 import time
 from contextlib import contextmanager
-from functools import partial
 from typing import Iterator, List, Optional
 
-from repro.obs.artifacts import Const, ListOf, Maybe, OneOf, check
+from repro.obs.artifacts import ArtifactError, Const, Maybe, OneOf, check
+from repro.obs.sampler import RECORD
 
-SCHEMA = "repro-events/v1"
+SCHEMA = "repro-events/v2"
 
 #: Every event kind the schema admits, in lifecycle order.
 EVENT_KINDS = (
-    "admit",       # request passed admission control
-    "reject",      # request rejected (admission, protocol, deadline...)
-    "compile",     # a compilation actually ran (cache misses only)
-    "fallback",    # one engine attempt failed; the chain degrades
-    "budget_trip", # a budget/deadline guard fired mid-execution
-    "complete",    # a response (rows) left the service
-    "slo_burn",    # an SLO burn-rate alert fired (or resolved)
+    "admit",     # request passed admission control
+    "compile",   # a compilation actually ran (cache misses only)
+    "fallback",  # one engine attempt failed and the next engine runs
+    "request",   # the request finished: its record (one per request)
+    "slo_burn",  # an SLO burn-rate alert fired (or resolved)
 )
 
 
@@ -207,7 +209,7 @@ def emit(kind: str, request_id: Optional[str] = None, **fields) -> Optional[dict
     return log.emit(kind, request_id=request_id, **fields)
 
 
-# -- schema validation ---------------------------------------------------------
+# -- schema validation and reading ---------------------------------------------
 
 EVENT = {
     "schema": Const(SCHEMA),
@@ -220,7 +222,14 @@ EVENT = {
     ),
 }
 
-validate_event = partial(check, EVENT, what="event")
+
+def validate_event(doc: object) -> List[str]:
+    """Every schema problem of one event; a ``request`` line is also
+    checked against the record spec."""
+    problems = check(EVENT, doc, "event")
+    if not problems and doc["event"] == "request":
+        problems = check(RECORD, doc, "request line")
+    return problems
 
 
 def read_events(path: str) -> Iterator[dict]:
@@ -232,9 +241,38 @@ def read_events(path: str) -> Iterator[dict]:
                 yield json.loads(line)
 
 
+def log_files(path: str) -> List[str]:
+    """The files of the log at ``path``, oldest first: its rotated
+    backups ``path.N`` ... ``path.1``, then ``path`` itself."""
+    backups = []
+    while os.path.exists(f"{path}.{len(backups) + 1}"):
+        backups.append(f"{path}.{len(backups) + 1}")
+    return backups[::-1] + [path]
+
+
+def read_log(path: str) -> List[dict]:
+    """Every event the log at ``path`` retains, rotated backups first,
+    each checked; raises :class:`~repro.obs.artifacts.ArtifactError` on
+    an unreadable file or an invalid line."""
+    docs: List[dict] = []
+    problems: List[str] = []
+    for name in log_files(path):
+        try:
+            for n, doc in enumerate(read_events(name), 1):
+                docs.append(doc)
+                problems += [f"{name}:{n}: {p}" for p in validate_event(doc)]
+        except (OSError, ValueError) as exc:
+            raise ArtifactError(f"unreadable event log {name!r}: {exc}") from exc
+    if problems:
+        raise ArtifactError(f"invalid event log {path!r}: {'; '.join(problems[:3])}")
+    return docs
+
+
 def validate_log(path: str) -> List[str]:
-    """Every schema problem across one JSONL event file (empty = ok)."""
+    """The problem that makes the log at ``path`` unreadable or invalid
+    (empty = ok)."""
     try:
-        return check(ListOf(EVENT), list(read_events(path)), "event log")
-    except (OSError, ValueError) as exc:
-        return [f"unreadable event log: {exc}"]
+        read_log(path)
+    except ArtifactError as exc:
+        return [str(exc)]
+    return []

@@ -20,8 +20,10 @@ deep look:
 Kept profiles live in a bounded reservoir (eviction prefers the fastest
 ok-profile, so errors and genuine tail latencies survive) and the kept
 request's id is attached as an **exemplar** to the matching latency
-histogram bucket -- a p99 bucket in a metrics snapshot then links
-directly to a stored profile ``repro-doctor`` can open.
+histogram bucket.  The record's one document, :meth:`RequestRecord.
+to_dict`, is both a snapshot profile and the body of the request's
+``request`` line in the event log, so a p99 bucket's exemplar resolves
+to a kept line ``repro-doctor`` can open.
 
 The module also carries the W3C-style ``traceparent`` helpers
 (``00-<32 hex trace-id>-<16 hex span-id>-<2 hex flags>``) the
@@ -40,14 +42,12 @@ import time
 import uuid
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
-from repro.obs.artifacts import (
-    Const, ListOf, Maybe, OneOf, Where, check, write_json_atomic,
-)
+from repro.obs.artifacts import Const, ListOf, Maybe, OneOf, Where, check
 from repro.obs.metrics import DEFAULT_BUCKETS, Histogram, nearest_rank_index
 
-SCHEMA = "repro-profiles/v1"
+SCHEMA = "repro-profiles/v2"
 
 #: Reasons a profile was retained, in keep-priority order.
 KEEP_REASONS = ("error", "breaker", "degraded", "warmup", "slow")
@@ -96,8 +96,9 @@ def parse_traceparent(value: object) -> Optional[Tuple[str, str]]:
 class RequestRecord:
     """One finished request: built once by the serve tier when the request
     ends, then read by every sink -- the sampler keeps it as the request's
-    profile, the telemetry store and the SLO monitor fold it in, and the
-    histograms, counters and events take their fields from it.
+    profile, the telemetry store and the SLO monitor fold it in, the
+    histograms and counters take their fields from it, and the event log
+    writes it as the request's one ``request`` line.
 
     ``tenant``/``shape`` are the names the client and the planner gave;
     ``tenant_label``/``shape_label`` are their registry-safe, capped forms.
@@ -134,38 +135,36 @@ class RequestRecord:
         return self.outcome == "ok"
 
     def to_dict(self) -> dict:
-        """The record's ``repro-profiles/v1`` profile document."""
+        """The record's one document: a ``repro-profiles/v2`` profile and
+        the body of its ``repro-events/v2`` ``request`` line.  The span
+        tree and the per-operator views ride along only on a record the
+        sampler kept (``keep_reason`` set)."""
         doc = {
             "request_id": self.request_id,
             "tenant": self.tenant,
             "latency_seconds": self.latency_seconds,
             "outcome": self.outcome,
+            "rows": self.rows,
             "queued_seconds": self.queued_seconds,
             "exec_seconds": self.exec_seconds,
             "ts": self.ts,
         }
-        if self.shape is not None:
-            doc["shape"] = self.shape
-        if self.engine is not None:
-            doc["engine"] = self.engine
+        for key in ("shape", "phase", "engine", "breaker", "trace_id"):
+            value = getattr(self, key)
+            if value is not None:
+                doc[key] = value
         if self.engine_trail:
             doc["engine_trail"] = list(self.engine_trail)
         if self.degraded:
             doc["degraded"] = True
-        if self.breaker is not None:
-            doc["breaker"] = self.breaker
-        if self.trace is not None:
-            doc["trace"] = self.trace
-        if self.trace_id is not None:
-            doc["trace_id"] = self.trace_id
-        if self.operator_times:
-            doc["operator_times"] = dict(self.operator_times)
-        if self.operator_rows:
-            doc["operator_rows"] = dict(self.operator_rows)
-        if self.kernels:
-            doc["kernels"] = dict(self.kernels)
         if self.keep_reason is not None:
             doc["keep_reason"] = self.keep_reason
+            if self.trace is not None:
+                doc["trace"] = self.trace
+            for key in ("operator_times", "operator_rows", "kernels"):
+                value = getattr(self, key)
+                if value:
+                    doc[key] = dict(value)
         return doc
 
 
@@ -277,11 +276,6 @@ class TailSampler:
         with self._lock:
             return self._store.get(request_id)
 
-    def profiles(self) -> List[RequestRecord]:
-        """The kept profiles, oldest first (detached list, live objects)."""
-        with self._lock:
-            return list(self._store.values())
-
     def stats(self) -> dict:
         with self._lock:
             return {
@@ -308,29 +302,33 @@ class TailSampler:
                 "profiles": [p.to_dict() for p in self._store.values()],
             }
 
-    def save(self, path: str) -> str:
-        """Atomically write the snapshot to ``path``."""
-        return write_json_atomic(path, self.snapshot())
-
 
 # -- schema validation --------------------------------------------------------
 
 _COUNT = Where(int, lambda n: n >= 0, "expected non-negative int")
 
-PROFILE = {
+#: One finished request's document: a ``request`` line in the event log
+#: (``keep_reason`` only when the sampler kept it) or, wrapped in
+#: :data:`PROFILES`, a snapshot profile (``keep_reason`` required).
+RECORD = {
     "request_id": Where(str, bool, "expected non-empty str"),
+    "tenant": str,
     **dict.fromkeys(("latency_seconds", "queued_seconds", "exec_seconds", "ts"), float),
     "outcome": Where(str, lambda o: o == "ok" or o.startswith("E_"),
                      "expected 'ok' or an E_* code"),
-    "keep_reason": OneOf(KEEP_REASONS),
-    "trace": Maybe(dict),
+    "rows": _COUNT,
+    **dict.fromkeys(("shape", "phase", "engine", "breaker", "trace_id"),
+                    Maybe(str, null=False)),
+    "keep_reason": Maybe(OneOf(KEEP_REASONS), null=False),
+    "trace": Maybe(dict, null=False),
 }
 
 PROFILES = {
     "schema": Const(SCHEMA),
     **dict.fromkeys(("offered", "kept", "evicted", "capacity"), _COUNT),
     "threshold_seconds": float,
-    "profiles": ListOf(PROFILE),
+    "profiles": ListOf(Where(RECORD, lambda p: "keep_reason" in p,
+                             "expected a kept profile (keep_reason)")),
 }
 
 validate_profiles = partial(check, PROFILES, what="profiles snapshot")

@@ -19,7 +19,9 @@ therefore overshoot by at most one interval (scalar) or one batch (vector).
 Pick an interval no larger than the budget when the exact cutoff matters.
 A deadline overshoots by at most one 32 768-row batch's kernel chain: over
 the 22 served TPC-H statements at SF 0.01 the longest is q1's, ~5.2 ms on
-a 2-core Xeon VM (~3.4 ms with 8 192-row batches).
+a 2-core Xeon VM (~3.4 ms with 8 192-row batches).  The resilient executor
+checks the clock once more when an attempt returns, so an answer ready
+only after its deadline is a trip, not a late reply.
 """
 
 from __future__ import annotations

@@ -27,7 +27,7 @@ from repro.compiler.driver import LB2Compiler
 from repro.compiler.lb2 import Config
 from repro.engine.push import build_op
 from repro.engine.volcano import iterate
-from repro.errors import ReproError, error_code, error_phase
+from repro.errors import BudgetExceeded, ReproError, error_code, error_phase
 from repro.obs import events
 from repro.obs.metrics import REGISTRY
 from repro.obs.trace import span
@@ -225,7 +225,7 @@ class ResilientExecutor:
         )
         guard = BudgetGuard(self.budget) if self._budget_active() else None
         last_error: Optional[BaseException] = None
-        for engine in self.engines:
+        for index, engine in enumerate(self.engines):
             start = time.perf_counter()
             ok = False
             self._captured_compiled = None
@@ -235,6 +235,10 @@ class ResilientExecutor:
                         rows = self._run_compiled(plan, kind, text, guard)
                     else:
                         rows = self._run_interpreted(engine, plan, guard)
+                    if guard is not None:
+                        # One last clock check: an answer that is ready only
+                        # after the deadline is a trip, not a late reply.
+                        guard.tick(0)
                     ok = True
                 except BaseException as exc:  # noqa: BLE001 - the policy decides
                     report.attempts.append(
@@ -249,22 +253,25 @@ class ResilientExecutor:
                     )
                     last_error = exc
                     REGISTRY.counter(f"engine.failed.{engine}")
-                    events.emit(
-                        "fallback",
-                        request_id=report.request_id,
-                        engine=engine,
-                        code=error_code(exc),
-                        phase=error_phase(exc) or "execute",
-                    )
                     if sp:
                         sp.meta["error"] = error_code(exc) or type(exc).__name__
-                    if engine == "compiled":
+                    if engine == "compiled" and not isinstance(exc, BudgetExceeded):
                         # Auto-invalidate: never serve a cached compiled query
-                        # that just failed (stale plan, codegen bug...).
+                        # that just failed (stale plan, codegen bug...).  A
+                        # budget or deadline trip is the request's, not the
+                        # build's: the build stays cached.
                         self._forget_compiled(kind, text)
                     if not self.policy.should_degrade(exc):
                         self._attach(exc, report, guard)
                         raise
+                    if index + 1 < len(self.engines):  # the next engine runs
+                        events.emit(
+                            "fallback",
+                            request_id=report.request_id,
+                            engine=engine,
+                            code=error_code(exc),
+                            phase=error_phase(exc) or "execute",
+                        )
             if not ok:
                 continue
             report.attempts.append(

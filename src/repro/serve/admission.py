@@ -192,29 +192,40 @@ class TenantState:
 
 
 class TenantRegistry:
-    """Lazily materialized per-tenant state, with a default quota."""
+    """Per-tenant state: one per configured tenant, and one per capped
+    label for the rest, under the default quota.
+
+    Wire tenant names are unbounded, so unconfigured tenants are keyed
+    by their registry label (sanitized, capped): every name past the
+    label cap shares the one ``other`` state, its bucket and its
+    concurrency count, and rotating names cannot mint fresh quotas.
+    """
 
     def __init__(
         self,
         quotas: Optional[Dict[str, TenantQuota]] = None,
         default: Optional[TenantQuota] = None,
     ) -> None:
-        self._quotas = dict(quotas or {})
+        self._named = {name: TenantState(name, q) for name, q in (quotas or {}).items()}
         self._default = default or TenantQuota()
-        self._states: Dict[str, TenantState] = {}
+        self._states: Dict[str, TenantState] = {}  # label -> state
         self._lock = threading.Lock()
 
-    def state(self, tenant: str) -> TenantState:
+    def state(self, tenant: str, label: str) -> TenantState:
+        """``tenant``'s own state when it is configured, else its label's."""
+        st = self._named.get(tenant)
+        if st is not None:
+            return st
         with self._lock:
-            st = self._states.get(tenant)
+            st = self._states.get(label)
             if st is None:
-                quota = self._quotas.get(tenant, self._default)
-                st = self._states[tenant] = TenantState(tenant, quota)
+                st = self._states[label] = TenantState(label, self._default)
             return st
 
     def snapshot(self) -> dict:
         with self._lock:
-            return {
-                name: {"active": st.active, "quota": st.quota.__dict__}
-                for name, st in self._states.items()
-            }
+            states = {**self._states, **self._named}
+        return {
+            name: {"active": st.active, "quota": st.quota.__dict__}
+            for name, st in states.items()
+        }

@@ -5,11 +5,14 @@ client sends the in-band ``shutdown`` op::
 
     repro-serve --port 7433 --scale 0.01 --workers 8
 
-``--events``, ``--telemetry`` and ``--profiles`` name the observability
-artifacts (``repro-events/v1``, ``repro-telemetry/v1``,
-``repro-profiles/v1``) that ``repro-doctor`` joins; the last two are
-written on exit.  ``tests/test_serve.py`` drives this entry point end to
-end over real sockets.
+``--events`` names the event log (``repro-events/v2``): one ``request``
+line per submitted request, carrying its record (and, with
+``--sampling``, the span tree and operator times of every request the
+tail sampler kept) -- the stream ``repro-doctor --events`` reads.
+``--telemetry`` names the ``repro-telemetry/v1`` snapshot written on
+exit, the doctor's ``--baseline``/``--current`` input.
+``tests/test_serve.py`` drives this entry point end to end over real
+sockets.
 """
 
 from __future__ import annotations
@@ -53,7 +56,7 @@ def build_service(args: argparse.Namespace) -> QueryService:
         query_scale=args.scale,
         trace_requests=args.trace,
         telemetry=args.telemetry is not None,
-        sampling=args.sampling or args.profiles is not None,
+        sampling=args.sampling,
         sampler_capacity=args.sampler_capacity,
         slo=slo_config,
     )
@@ -85,10 +88,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
             TELEMETRY.save()
             TELEMETRY.disable()
             print(f"repro-serve telemetry snapshot: {args.telemetry}",
-                  file=sys.stderr)
-        if args.profiles is not None and service.sampler is not None:
-            service.sampler.save(args.profiles)
-            print(f"repro-serve sampled profiles: {args.profiles}",
                   file=sys.stderr)
         if log is not None:
             obs_events.install(None)
@@ -122,10 +121,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         help="enable the workload-telemetry store and "
                              "snapshot it to PATH on shutdown")
     parser.add_argument("--sampling", action="store_true",
-                        help="enable tail-based profile sampling")
-    parser.add_argument("--profiles", default=None, metavar="PATH",
-                        help="write the repro-profiles/v1 snapshot to PATH "
-                             "on shutdown (implies --sampling)")
+                        help="enable tail-based profile sampling (kept "
+                             "requests' lines carry their span trees)")
     parser.add_argument("--sampler-capacity", type=int, default=1024,
                         help="bounded profile store size for the tail sampler")
     parser.add_argument("--slo-latency", type=float, default=None,

@@ -124,7 +124,7 @@ class ServiceClient:
         return self.request({"op": "metrics"})["metrics"]
 
     def profiles(self) -> dict:
-        """The tail sampler's ``repro-profiles/v1`` snapshot (raises the
+        """The tail sampler's ``repro-profiles/v2`` snapshot (raises the
         typed protocol error when sampling is off on the server)."""
         return raise_for_error(self.request({"op": "profiles"}))["profiles"]
 

@@ -24,7 +24,7 @@ ops ride the same framing::
                                        registry as JSON plus the
                                        Prometheus-style text rendering
     {"op": "profiles"}              -> {"ok": true, "profiles": {...}} --
-                                       the tail sampler's repro-profiles/v1
+                                       the tail sampler's repro-profiles/v2
                                        snapshot (typed error when sampling
                                        is off)
     {"op": "shutdown"}              -> {"ok": true, "bye": true} and the

@@ -294,8 +294,9 @@ class QueryService:
         REGISTRY.counter(f"serve.tenant.{tenant}.requests")
         try:
             self._validate(request)
-            deadline = started + self._deadline_for(request)
-            self._admit(request, tenant)  # raises typed rejections; no gate held
+            tenant_state = self._tenants.state(request.tenant, tenant)
+            deadline = started + self._deadline_for(request, tenant_state.quota)
+            self._admit(tenant_state, tenant)  # raises typed rejections; no gate held
         except ReproError as exc:
             return self._reject(request, tenant, exc, started)
         events.emit(
@@ -307,7 +308,6 @@ class QueryService:
         # Admitted: the gate slot is held until the worker finishes (or the
         # client gives up waiting -- the slot follows the *work*, which is
         # what protects the pool, not the waiting client).
-        tenant_state = self._tenants.state(request.tenant)
         try:
             future = self._pool.submit(self._run, request, tenant_state, deadline)
         except RuntimeError as exc:  # pool already shut down
@@ -330,7 +330,8 @@ class QueryService:
             REGISTRY.counter("serve.deadline.overrun")
             exc = DeadlineExceeded(
                 f"deadline exceeded: no result within "
-                f"{self._deadline_for(request):.3f}s (+{grace:.3f}s grace)"
+                f"{self._deadline_for(request, tenant_state.quota):.3f}s "
+                f"(+{grace:.3f}s grace)"
             )
             return self._reject(request, tenant, exc, started)
         except BaseException as exc:  # pragma: no cover - defensive
@@ -363,9 +364,11 @@ class QueryService:
     def prepare(self, request: ServiceRequest):
         """Compile ``request.sql`` through the executor an execution of it
         gets, so the entry is the one every tenant's executions look up."""
-        quota = self._tenants.state(request.tenant).quota
+        quota = self._tenants.state(
+            request.tenant, self._tenant_label(request.tenant)
+        ).quota
         executor = self._executor(
-            request, quota, self._deadline_for(request), self.config.engines
+            request, quota, self._deadline_for(request, quota), self.config.engines
         )
         return executor.prepare(request.sql, shape=request.statement)
 
@@ -400,8 +403,7 @@ class QueryService:
                     f"(named ':name'), got {type(request.params).__name__}"
                 )
 
-    def _deadline_for(self, request: ServiceRequest) -> float:
-        quota = self._tenants.state(request.tenant).quota
+    def _deadline_for(self, request: ServiceRequest, quota: TenantQuota) -> float:
         deadline = request.deadline_seconds
         if deadline is None or deadline <= 0:
             deadline = self.config.default_deadline_seconds
@@ -409,7 +411,7 @@ class QueryService:
             deadline = min(deadline, quota.max_deadline_seconds)
         return deadline
 
-    def _admit(self, request: ServiceRequest, tenant_label: str) -> None:
+    def _admit(self, tenant_state, tenant_label: str) -> None:
         """Global bucket -> tenant limits -> gate; all shed, none queue."""
         from repro.errors import RateLimitError
 
@@ -419,7 +421,6 @@ class QueryService:
                 f"service over its global rate limit "
                 f"({self.config.rate_limit}/s)"
             )
-        tenant_state = self._tenants.state(request.tenant)
         tenant_state.admit(tenant_label)
         try:
             self._gate.enter()
@@ -669,7 +670,8 @@ class QueryService:
         trace: Optional[dict] = None,
     ) -> None:
         """Build the request's :class:`RequestRecord` and hand it to every
-        sink: sampler, histograms, SLO monitor, telemetry, counters, events."""
+        sink: sampler, histograms, SLO monitor, telemetry, counters, and
+        the event log's one ``request`` line."""
         shape = response.shape
         rec = RequestRecord(
             request_id=response.request_id,
@@ -716,44 +718,18 @@ class QueryService:
         if self.slo is not None:
             self.slo.record(rec)
         TELEMETRY.record_execution(rec)
-        elapsed_ms = round(latency * 1e3, 3)
         if rec.ok:
             REGISTRY.counter("serve.completed")
             if rec.degraded:
                 REGISTRY.counter("serve.degraded")
-            events.emit(
-                "complete",
-                request_id=rec.request_id,
-                shape=rec.shape,
-                tenant=rec.tenant,
-                engine=rec.engine,
-                degraded=rec.degraded,
-                rows=rec.rows,
-                elapsed_ms=elapsed_ms,
-            )
-            return
-        REGISTRY.counter("serve.failed")
-        REGISTRY.counter(f"serve.errors.{rec.outcome}")
-        if rec.outcome == "E_BUDGET":  # only a tenant row quota stays E_BUDGET
-            REGISTRY.counter(f"serve.tenant.{rec.tenant_label}.budget_trips")
-        if rec.outcome in ("E_BUDGET", "E_DEADLINE"):
-            events.emit(
-                "budget_trip",
-                request_id=rec.request_id,
-                shape=rec.shape,
-                tenant=rec.tenant,
-                code=rec.outcome,
-                phase=rec.phase,
-            )
-        events.emit(
-            "reject",
-            request_id=rec.request_id,
-            shape=rec.shape,
-            tenant=rec.tenant,
-            code=rec.outcome,
-            phase=rec.phase,
-            elapsed_ms=elapsed_ms,
-        )
+        else:
+            REGISTRY.counter("serve.failed")
+            REGISTRY.counter(f"serve.errors.{rec.outcome}")
+            if rec.outcome == "E_BUDGET":  # only a tenant row quota stays E_BUDGET
+                REGISTRY.counter(f"serve.tenant.{rec.tenant_label}.budget_trips")
+        log = events.installed()
+        if log is not None:  # no log, no line: the document is not built
+            log.emit("request", **rec.to_dict())
 
     # -- introspection ------------------------------------------------------
 

@@ -1,6 +1,6 @@
 """Diagnosis-tier tests: tail-based sampling, traceparent propagation,
 SLO burn-rate windows, and the ``repro-doctor`` attribution/regression
-report.
+report over the request stream (the event log's ``request`` lines).
 
 The regression tests are the acceptance gate for the doctor: a synthetic
 per-shape slowdown injected into a telemetry snapshot must be flagged
@@ -12,13 +12,16 @@ opposite answers.
 from __future__ import annotations
 
 import json
+import os
 
 import pytest
 
 from repro.obs import events
-from repro.obs.events import EventLog
+from repro.obs.artifacts import check
+from repro.obs.events import EventLog, read_log
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.sampler import (
+    RECORD,
     SCHEMA as PROFILES_SCHEMA,
     RequestRecord,
     TailSampler,
@@ -141,7 +144,7 @@ def test_sampler_reoffered_id_replaces_instead_of_growing():
     s = TailSampler(capacity=8, warmup=1)
     s.offer(_profile("rid", 0.001, outcome="E_PLAN"))
     s.offer(_profile("rid", 0.002, outcome="E_PARAM"))
-    assert len(s.profiles()) == 1
+    assert s.stats()["stored"] == 1
     assert s.get("rid").outcome == "E_PARAM"
 
 
@@ -166,18 +169,36 @@ def test_sampler_eviction_falls_back_to_oldest_when_all_are_errors():
     assert s.get("e2") is not None and s.get("e3") is not None
 
 
-def test_sampler_snapshot_validates_and_round_trips(tmp_path):
+def test_sampler_snapshot_validates_and_round_trips():
     s = TailSampler(capacity=8, warmup=2)
     s.offer(_profile("a", 0.01, shape="select 1", trace={"name": "serve.request"}))
-    s.offer(_profile("b", 0.02, outcome="E_PLAN"))
+    s.offer(_profile("b", 0.02, outcome="E_PLAN", phase="parse"))
     snap = s.snapshot()
     assert snap["schema"] == PROFILES_SCHEMA
     assert validate_profiles(snap) == []
-    path = tmp_path / "profiles.json"
-    s.save(str(path))
-    loaded = json.loads(path.read_text())
+    loaded = json.loads(json.dumps(snap))
     assert validate_profiles(loaded) == []
-    assert {p["request_id"] for p in loaded["profiles"]} == {"a", "b"}
+    profiles = {p["request_id"]: p for p in loaded["profiles"]}
+    assert set(profiles) == {"a", "b"}
+    assert profiles["a"]["trace"] == {"name": "serve.request"}
+    assert profiles["b"]["phase"] == "parse" and profiles["b"]["rows"] == 0
+
+
+def test_record_document_carries_the_trace_only_when_kept():
+    """One serializer: a kept record's document is its snapshot profile
+    and its full log line; an unkept one leaves the trace and the
+    per-operator views out."""
+    heavy = dict(
+        trace={"name": "serve.request"}, operator_times={"Scan#0": 0.1},
+        operator_rows={"Scan#0": 5}, kernels={"v_eq": {"calls": 1, "rows": 5}},
+    )
+    rec = _profile("r", 0.01, rows=5, **heavy)
+    assert not set(heavy) & set(rec.to_dict())
+    assert check(RECORD, rec.to_dict(), "line") == []
+    rec.keep_reason = "slow"
+    doc = rec.to_dict()
+    assert {k: doc[k] for k in heavy} == heavy and doc["rows"] == 5
+    assert check(RECORD, doc, "line") == []
 
 
 def test_validate_profiles_rejects_malformed_documents():
@@ -197,6 +218,11 @@ def test_validate_profiles_rejects_malformed_documents():
     )
     assert any("offered" in p for p in counts)
     assert any("threshold_seconds" in p for p in counts)
+    # A valid record is a snapshot profile only with its keep reason.
+    unkept = _profile("u", 0.01).to_dict()
+    assert check(RECORD, unkept, "line") == []
+    assert any("keep_reason" in p
+               for p in validate_profiles(dict(doc, profiles=[unkept])))
 
 
 # -- SLO burn-rate monitoring -------------------------------------------------
@@ -401,23 +427,21 @@ def test_attribute_profile_never_goes_negative():
 
 def test_tail_report_groups_slow_and_errored_by_shape_and_tenant():
     slow_shape = "select * from orders"
-    doc = {
-        "schema": PROFILES_SCHEMA,
-        "threshold_seconds": 0.5,
-        "profiles": [
-            _traced_profile("slow-1", latency=1.0, shape=slow_shape),
-            _traced_profile(
-                "slow-2", latency=2.0, shape=slow_shape, tenant="t1",
-                operator_times={"Sort#1": 0.9, "Scan#0": 0.3},
-            ),
-            # fast but errored: always part of the tail report
-            _traced_profile("err-1", latency=0.01, outcome="E_PLAN"),
-            # fast and ok: excluded
-            _traced_profile("fast-1", latency=0.01),
-        ],
-    }
-    tail = tail_report(doc)
-    assert tail["slow_count"] == 3 and tail["profiles"] == 4
+    lines = [
+        _traced_profile("slow-1", latency=1.0, shape=slow_shape),
+        _traced_profile(
+            "slow-2", latency=2.0, shape=slow_shape, tenant="t1",
+            operator_times={"Sort#1": 0.9, "Scan#0": 0.3},
+        ),
+        # fast but errored: always part of the tail report
+        _traced_profile("err-1", latency=0.01, outcome="E_PLAN"),
+        # fast and ok: excluded (eight of them put the exact p90 of the
+        # eleven latencies at 1.0 s, so both slow lines are in the tail)
+        *(_traced_profile(f"fast-{i}", latency=0.01) for i in range(1, 9)),
+    ]
+    tail = tail_report(lines)
+    assert tail["threshold_ms"] == pytest.approx(1000.0)
+    assert tail["slow_count"] == 3 and tail["lines"] == 11
     digest = shape_digest(slow_shape)
     by_shape = {e["shape"]: e for e in tail["by_shape"]}
     assert by_shape[digest]["count"] == 2
@@ -512,15 +536,25 @@ def test_regression_accepts_a_telemetry_baseline():
 # -- doctor: report + CLI -----------------------------------------------------
 
 
+def _write_stream(path, records, **log_args):
+    """An event log holding one ``request`` line per record."""
+    with EventLog(str(path), **log_args) as log:
+        for rec in records:
+            log.emit("request", **rec.to_dict())
+    return str(path)
+
+
 @pytest.fixture()
 def artifact_dir(tmp_path):
-    """A profiles snapshot + baseline/current telemetry snapshots on disk."""
+    """A request stream + baseline/current telemetry snapshots on disk."""
     sampler = TailSampler(capacity=16, warmup=2)
-    sampler.offer(
-        _profile("slow-a", 0.8, shape="select count(*) from lineitem")
-    )
-    sampler.offer(_profile("err-b", 0.01, outcome="E_PLAN"))
-    sampler.save(str(tmp_path / "profiles.json"))
+    records = [
+        _profile("slow-a", 0.8, shape="select count(*) from lineitem"),
+        _profile("err-b", 0.01, outcome="E_PLAN"),
+    ]
+    for rec in records:
+        sampler.offer(rec)
+    _write_stream(tmp_path / "events.jsonl", records)
     (tmp_path / "baseline.json").write_text(json.dumps(_telemetry_doc()))
     (tmp_path / "regressed.json").write_text(
         json.dumps(_telemetry_doc({**_BASE_MS, "shape-b": 120.0}))
@@ -530,32 +564,68 @@ def artifact_dir(tmp_path):
 
 def test_build_report_joins_artifacts_and_validates(artifact_dir):
     report = build_report(
-        profiles_path=str(artifact_dir / "profiles.json"),
+        events_path=str(artifact_dir / "events.jsonl"),
         baseline_path=str(artifact_dir / "baseline.json"),
         current_path=str(artifact_dir / "regressed.json"),
     )
     assert validate_report(report) == []
-    assert report["summary"]["requests"] == 2  # from the profiles snapshot
-    assert report["tail"]["slow_count"] >= 1
+    summary = report["summary"]
+    assert summary["requests"] == 2  # one request line each
+    assert summary["error_codes"] == {"E_PLAN": 1}
+    assert summary["latency_ms"]["p99"] == pytest.approx(800.0)
+    assert report["tail"]["slow_count"] == 2  # the p90 line and the error
     assert report["regression"]["verdict"] == "regressed"
     text = render_text(report)
     assert "repro-doctor report" in text and "regressed" in text
 
 
 def test_build_report_rejects_a_mislabeled_profiles_artifact(tmp_path):
-    path = tmp_path / "wrong.json"
-    path.write_text(json.dumps({"schema": "something-else/v9"}))
+    # A profiles snapshot is not a request stream, even on one line.
+    sampler = TailSampler(capacity=4, warmup=2)
+    sampler.offer(_profile("a", 0.01))
+    path = tmp_path / "profiles.jsonl"
+    path.write_text(json.dumps(sampler.snapshot()) + "\n")
     with pytest.raises(DoctorInputError):
-        build_report(profiles_path=str(path))
+        build_report(events_path=str(path))
+    path.write_text(json.dumps({"schema": "something-else/v9"}) + "\n")
+    with pytest.raises(DoctorInputError):
+        build_report(events_path=str(path))
+
+
+def test_doctor_reads_the_rotated_backups_oldest_first(tmp_path):
+    records = [_profile(f"r{i:02d}", 0.001 * (i + 1)) for i in range(40)]
+    path = _write_stream(
+        tmp_path / "events.jsonl", records, max_bytes=2048, backups=50
+    )
+    assert os.path.exists(path + ".2")  # the log did rotate
+    assert [d["request_id"] for d in read_log(path)] == [
+        r.request_id for r in records
+    ]
+    summary = build_report(events_path=path)["summary"]
+    assert summary["requests"] == 40
+    assert summary["latency_ms"]["p50"] == pytest.approx(21.0)  # nearest rank
+
+
+def test_compile_cost_per_shape_comes_from_the_compile_lines(tmp_path):
+    path = tmp_path / "events.jsonl"
+    with EventLog(str(path)) as log:
+        for seconds in (0.010, 0.030):
+            log.emit("compile", request_id="c", shape="tpch:1", seconds=seconds)
+        log.emit("request", **_profile("c", 0.05, shape="tpch:1").to_dict())
+    report = build_report(events_path=str(path))
+    assert validate_report(report) == []
+    entry = report["compile"][shape_digest("tpch:1")]
+    assert entry["count"] == 2
+    assert entry["mean_ms"] == pytest.approx(20.0)
 
 
 def test_doctor_cli_check_and_regression_exit_codes(artifact_dir, capsys):
-    profiles = str(artifact_dir / "profiles.json")
+    stream = str(artifact_dir / "events.jsonl")
     baseline = str(artifact_dir / "baseline.json")
     regressed = str(artifact_dir / "regressed.json")
     out = str(artifact_dir / "doctor.json")
 
-    assert doctor_main(["--profiles", profiles, "--check", "--out", out]) == 0
+    assert doctor_main(["--events", stream, "--check", "--out", out]) == 0
     written = json.loads((artifact_dir / "doctor.json").read_text())
     assert validate_report(written) == []
 
@@ -572,43 +642,45 @@ def test_doctor_cli_check_and_regression_exit_codes(artifact_dir, capsys):
     capsys.readouterr()  # drain the JSON blobs; exit codes are the contract
 
     # A corrupt artifact is a typed failure, not a traceback.
-    bad = artifact_dir / "corrupt.json"
+    bad = artifact_dir / "corrupt.jsonl"
     bad.write_text("{not json")
-    assert doctor_main(["--profiles", str(bad)]) == 1
-    # Well-formed JSON that does not match the schema it declares.
-    bare = artifact_dir / "bare-profiles.json"
+    assert doctor_main(["--events", str(bad)]) == 1
+    # Well-formed JSON that does not match the schema it declares: a
+    # request line without its record.
+    bare = artifact_dir / "bare.jsonl"
     bare.write_text(json.dumps({
-        "schema": PROFILES_SCHEMA, "offered": 1, "kept": 1, "evicted": 0,
-        "capacity": 8, "threshold_seconds": 0.0,
-        "profiles": [{"request_id": "a", "outcome": "ok"}],
-    }))
-    assert doctor_main(["--profiles", str(bare)]) == 1
+        "schema": events.SCHEMA, "ts": 0.0, "event": "request",
+        "request_id": "a", "outcome": "ok",
+    }) + "\n")
+    assert doctor_main(["--events", str(bare)]) == 1
     shapeless = artifact_dir / "bad-telemetry.json"
     shapeless.write_text(json.dumps(
         {"schema": TELEMETRY_SCHEMA, "shapes": {"s": {"compile": "x"}}}
     ))
-    assert doctor_main(["--telemetry", str(shapeless)]) == 1
-    assert doctor_main(["--baseline", str(shapeless)]) == 1
+    assert doctor_main(["--baseline", str(shapeless), "--current", baseline]) == 1
+    assert doctor_main(["--baseline", baseline, "--current", str(shapeless)]) == 1
     # A compare side is a telemetry snapshot; an unversioned document of
     # per-request samples is not one.
     samples = artifact_dir / "samples.json"
     samples.write_text(json.dumps({"samples": [{"shape": "s", "latency_ms": 1.0}]}))
-    assert doctor_main(["--baseline", str(samples)]) == 1
+    assert doctor_main(["--baseline", str(samples), "--current", baseline]) == 1
 
 
 def test_validate_report_catches_broken_sections():
     assert validate_report("nope") == ["report is not an object"]
     problems = validate_report(
         {
-            "schema": "repro-doctor/v1",
+            "schema": "repro-doctor/v2",
             "inputs": {},
-            "summary": {"requests": "many"},
+            "summary": {"requests": "many", "latency_ms": {"p50": -1.0}},
             "tail": {"threshold_ms": "slow", "attribution_ms": {},
                      "by_shape": [{}], "by_tenant": []},
             "regression": {"verdict": "maybe", "flagged": None},
         }
     )
     assert any("summary.requests" in p for p in problems)
+    assert any("latency_ms.p50" in p for p in problems)
+    assert any("latency_ms.p99" in p for p in problems)
     assert any("tail.threshold_ms" in p for p in problems)
     assert any("attribution_ms" in p for p in problems)
     assert any("by_shape[0]" in p for p in problems)

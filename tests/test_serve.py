@@ -689,16 +689,18 @@ def test_service_emits_joinable_events(serve_session, tmp_path):
     for doc in read_events(path):
         by_rid.setdefault(doc["request_id"], []).append(doc)
     ok_kinds = [d["event"] for d in by_rid["ev-ok"]]
-    assert ok_kinds[0] == "admit" and ok_kinds[-1] == "complete"
+    assert ok_kinds[0] == "admit" and ok_kinds[-1] == "request"
     assert "compile" in ok_kinds
-    complete = by_rid["ev-ok"][-1]
-    assert complete["engine"] == "compiled" and complete["rows"] >= 1
+    line = by_rid["ev-ok"][-1]
+    assert line["outcome"] == "ok"
+    assert line["engine"] == "compiled" and line["rows"] == len(ok.rows)
+    assert "trace" not in line  # no sampler kept it
     bad_kinds = [d["event"] for d in by_rid["ev-bad"]]
-    assert bad_kinds == ["reject"]  # never admitted: protocol violation
-    assert by_rid["ev-bad"][0]["code"] == "E_PROTOCOL"
+    assert bad_kinds == ["request"]  # never admitted: protocol violation
+    assert by_rid["ev-bad"][0]["outcome"] == "E_PROTOCOL"
 
 
-def test_deadline_reject_emits_budget_trip(serve_session, tmp_path):
+def test_deadline_reject_writes_one_request_line(serve_session, tmp_path):
     from repro.obs import events
     from repro.obs.events import EventLog, read_events
 
@@ -719,11 +721,133 @@ def test_deadline_reject_emits_budget_trip(serve_session, tmp_path):
         events.install(previous)
         log.close()
     assert response.code == "E_DEADLINE"
-    kinds = [
-        d["event"] for d in read_events(path) if d["request_id"] == "ev-slow"
-    ]
-    assert "budget_trip" in kinds
-    assert kinds[-1] == "reject"
+    docs = [d for d in read_events(path) if d["request_id"] == "ev-slow"]
+    kinds = [d["event"] for d in docs]
+    assert kinds.count("request") == 1 and kinds[-1] == "request"
+    assert docs[-1]["outcome"] == "E_DEADLINE" and docs[-1]["phase"]
+
+
+def test_every_request_writes_exactly_one_request_line(serve_session, tmp_path):
+    """An answered request, a parse error, a row-quota trip, a
+    pre-admission protocol reject and a deadline overrun (the worker
+    still running when the client's wait ends) each end in exactly one
+    ``request`` line, and each line passes the record spec."""
+    from repro.obs import events
+    from repro.obs.events import EventLog, read_log, validate_event
+
+    path = str(tmp_path / "events.jsonl")
+    config = ServiceConfig(
+        workers=1,
+        query_scale=TINY_SCALE,
+        deadline_grace_seconds=0.0,
+        tenants={"rows": TenantQuota(max_rows=1)},
+    )
+    requests = {
+        "one-ok": (ServiceRequest(sql=SQL_QUERIES[6]), None),
+        "one-parse": (ServiceRequest(sql="SELECT FROM nothing"), "E_SQL_PARSE"),
+        "one-budget": (ServiceRequest(sql=SQL_QUERIES[1], tenant="rows"), "E_BUDGET"),
+        "one-protocol": (ServiceRequest(), "E_PROTOCOL"),
+        "one-overrun": (ServiceRequest(tpch=6, deadline_seconds=0.05), "E_DEADLINE"),
+    }
+    overruns = REGISTRY.get_counter("serve.deadline.overrun")
+    log = EventLog(path)
+    previous = events.install(log)
+    try:
+        with QueryService(serve_session, config) as svc:
+            run_inner = svc._run_inner
+
+            def slow_run_inner(request, *args):
+                if request.request_id == "one-overrun":
+                    time.sleep(0.3)  # past the deadline and its zero grace
+                return run_inner(request, *args)
+
+            svc._run_inner = slow_run_inner
+            codes = {}
+            for rid, (request, _) in requests.items():
+                request.request_id = rid
+                codes[rid] = svc.submit(request).code
+        # close() waited for the overrun worker, so its late end is logged
+        # if anything logs it.
+    finally:
+        events.install(previous)
+        log.close()
+    assert codes == {rid: code for rid, (_, code) in requests.items()}
+    assert REGISTRY.get_counter("serve.deadline.overrun") == overruns + 1
+    lines = [d for d in read_log(path) if d["event"] == "request"]
+    assert sorted(d["request_id"] for d in lines) == sorted(requests)
+    for line in lines:
+        assert validate_event(line) == []
+        assert line["outcome"] == (codes[line["request_id"]] or "ok")
+
+
+def test_budget_trips_keep_the_shape_compiled(tpch_db):
+    """A row-quota trip is the request's, not the build's: after one
+    answered run, three trips leave the one cached build in place and
+    compile nothing more."""
+    config = ServiceConfig(
+        workers=1,
+        query_scale=TINY_SCALE,
+        tenants={"one-row": TenantQuota(max_rows=1)},
+    )
+    session = Session(tpch_db)
+    with QueryService(session, config) as svc:
+        assert svc.submit(ServiceRequest(tpch=1)).ok
+        for _ in range(3):
+            trip = svc.submit(ServiceRequest(tpch=1, tenant="one-row"))
+            assert trip.code == "E_BUDGET"
+    info = session.cache_info()
+    assert (info["size"], info["misses"]) == (1, 1)
+
+
+def test_rotating_tenant_names_share_one_overflow_state(serve_session):
+    """Tenant names past the label cap share the ``other`` state, so a
+    client rotating names cannot mint fresh quotas; a configured tenant
+    keeps its own state past the cap."""
+    config = ServiceConfig(
+        workers=1,
+        query_scale=TINY_SCALE,
+        max_tenant_labels=2,
+        default_quota=TenantQuota(rate=1, burst=1),
+        tenants={"vip": TenantQuota()},
+    )
+    with QueryService(serve_session, config) as svc:
+        codes = [
+            svc.submit(ServiceRequest(sql=SQL_QUERIES[6], tenant=f"rot-{i}")).code
+            for i in range(1000)
+        ]
+        assert svc.submit(ServiceRequest(sql=SQL_QUERIES[6], tenant="vip")).ok
+        tenants = svc.stats()["tenants"]
+    # rot-0 and rot-1 own a label each; rot-2 spends the shared bucket's
+    # one token and rot-3, a fresh name past the cap, is rate-limited.
+    assert codes[:4] == [None, None, None, "E_RATELIMIT"]
+    assert len(set(tenants) - {"vip"}) <= 3
+    assert "vip" in tenants
+
+
+def test_a_compile_fault_logs_exactly_one_fallback(serve_session, tmp_path):
+    from repro.obs import events
+    from repro.obs.events import EventLog, read_log
+
+    path = str(tmp_path / "events.jsonl")
+    log = EventLog(path)
+    previous = events.install(log)
+    try:
+        with QueryService(
+            serve_session, ServiceConfig(workers=1, query_scale=TINY_SCALE)
+        ) as svc:
+            svc.session.clear_cache()  # the compile runs, so the fault fires
+            with FaultInjector(FaultSpec("codegen", times=1)):
+                response = svc.submit(
+                    ServiceRequest(sql=SQL_QUERIES[6], request_id="fault-1")
+                )
+    finally:
+        events.install(previous)
+        log.close()
+    assert response.ok and response.engine_trail == ("compiled", "push")
+    docs = [d for d in read_log(path) if d["request_id"] == "fault-1"]
+    fallbacks = [d for d in docs if d["event"] == "fallback"]
+    assert len(fallbacks) == 1 and fallbacks[0]["engine"] == "compiled"
+    assert docs[-1]["event"] == "request" and docs[-1]["degraded"]
 
 
 # -- tail sampling + SLO through the live service -----------------------------
@@ -863,7 +987,7 @@ def test_wire_profiles_op_serves_snapshot_and_typed_error(serve_session):
         with ServiceClient(host, port) as client:
             client.sql(SQL_QUERIES[6], request_id="wire-prof-1")
             snap = client.profiles()
-            assert snap["schema"] == "repro-profiles/v1"
+            assert snap["schema"] == "repro-profiles/v2"
             assert validate_profiles(snap) == []
             assert any(p["request_id"] == "wire-prof-1" for p in snap["profiles"])
 
@@ -1005,15 +1129,13 @@ def test_every_sink_agrees_on_one_request(serve_session, tmp_path):
         scope = art["slo"]["tenants"][response.tenant]
         assert (scope["good"], scope["bad"]) == (int(response.ok), int(not response.ok))
         assert digest in art["slo"]["shapes"]
-        # the last event says the same thing
+        # the last event is its one request line, and says the same thing
         last = [e for e in art["events"] if e["request_id"] == rid][-1]
-        assert last["event"] == ("complete" if response.ok else "reject")
+        assert last["event"] == "request"
+        assert last["outcome"] == outcome
         assert last["tenant"] == response.tenant
         assert last["shape"] == response.shape
-        if response.ok:
-            assert last["rows"] == len(response.rows)
-        else:
-            assert last["code"] == outcome
+        assert last["rows"] == len(response.rows or ())
         # telemetry counts answered executions only
         entry = art["telemetry"]["shapes"].get(response.shape)
         executions = entry["executions"]["count"] if entry else 0
@@ -1023,14 +1145,33 @@ def test_every_sink_agrees_on_one_request(serve_session, tmp_path):
             assert entry["executions"]["rows_total"] == len(response.rows)
             assert entry["engines"] == {response.engine: 1}
     budget_kinds = [e["event"] for e in art["events"] if e["request_id"] == "rec-budget"]
-    assert budget_kinds[-2:] == ["budget_trip", "reject"]
+    assert budget_kinds == ["admit", "compile", "request"]  # nothing fell back
     assert REGISTRY.get_counter("serve.tenant.rec-rows.budget_trips") >= 1
     service = art["slo"]["service"]
     assert (service["good"], service["bad"]) == (1, 2)
 
 
+def test_the_stream_carries_every_kept_profile(serve_session, tmp_path):
+    """A kept request's line is its snapshot profile: the doctor's
+    attribution of the kept lines equals the attribution of the sampler's
+    profiles, so the stream lost nothing the profiles file had."""
+    from repro.obs.doctor import attribute_profile
+
+    art = _served_round(serve_session, tmp_path)
+    kept = {
+        e["request_id"]: e for e in art["events"]
+        if e["event"] == "request" and "keep_reason" in e
+    }
+    profiles = {p["request_id"]: p for p in art["profiles"]["profiles"]}
+    assert set(kept) == set(profiles) == set(art["responses"])
+    for rid, profile in profiles.items():
+        assert attribute_profile(kept[rid]) == attribute_profile(profile)
+        line = {k: v for k, v in kept[rid].items() if k not in ("schema", "event")}
+        assert line == profile
+
+
 def test_artifact_keys_of_one_served_round(serve_session, tmp_path):
-    """Pins the key sets of the ``repro-profiles/v1``, ``repro-events/v1``
+    """Pins the key sets of the ``repro-profiles/v2``, ``repro-events/v2``
     and ``repro-telemetry/v1`` documents one round writes, optional keys
     included, so no refactor of the accounting can drop one unnoticed."""
     from repro.compiler.runtime import have_numpy
@@ -1042,36 +1183,35 @@ def test_artifact_keys_of_one_served_round(serve_session, tmp_path):
         "threshold_seconds", "offered", "kept", "evicted", "profiles",
     }
     common = {
-        "request_id", "tenant", "latency_seconds", "outcome",
+        "request_id", "tenant", "latency_seconds", "outcome", "rows",
         "queued_seconds", "exec_seconds", "ts", "shape", "breaker", "trace",
         "keep_reason",
     }
     kernels = {"kernels"} if have_numpy() else set()
-    assert {p["request_id"]: set(p) for p in snap["profiles"]} == {
+    profile_keys = {
         "rec-ok": common | {
             "engine", "engine_trail", "trace_id", "operator_times",
             "operator_rows",
         } | kernels,
-        "rec-parse": common,
-        "rec-budget": common | {"engine_trail"},
+        "rec-parse": common | {"phase"},
+        "rec-budget": common | {"phase", "engine_trail"},
     }
+    assert {p["request_id"]: set(p) for p in snap["profiles"]} == profile_keys
     keys = {}
     for e in art["events"]:
         keys.setdefault((e["request_id"], e["event"]), set()).update(e)
     base = {"schema", "ts", "event", "request_id", "shape", "tenant"}
     compiled = base | {"seconds", "generation_seconds", "host_seconds"}
-    failed = base | {"code", "phase"}
+    line = {"schema", "event"}
     assert keys == {
         ("rec-ok", "admit"): base,
         ("rec-ok", "compile"): compiled | {"trace_id"},
-        ("rec-ok", "complete"): base | {"engine", "degraded", "rows", "elapsed_ms"},
+        ("rec-ok", "request"): line | profile_keys["rec-ok"],
         ("rec-parse", "admit"): base,
-        ("rec-parse", "reject"): failed | {"elapsed_ms"},
+        ("rec-parse", "request"): line | profile_keys["rec-parse"],
         ("rec-budget", "admit"): base,
         ("rec-budget", "compile"): compiled,
-        ("rec-budget", "fallback"): failed | {"engine"},
-        ("rec-budget", "budget_trip"): failed,
-        ("rec-budget", "reject"): failed | {"elapsed_ms"},
+        ("rec-budget", "request"): line | profile_keys["rec-budget"],
     }
     tel = art["telemetry"]
     assert set(tel) == {"schema", "started", "written", "shapes"}
@@ -1165,19 +1305,18 @@ def _mix_round(port: int, round_index: int, clients: int) -> list:
 def test_repro_serve_end_to_end(tmp_path):
     """The product entry point over real sockets: a mix round from two
     clients while compile faults fire, a clean round, the in-band
-    shutdown -- then the artifacts ``repro-serve`` left behind must join
-    up.  Checks only what the service-level tests above do not."""
+    shutdown -- then the request stream and the telemetry snapshot
+    ``repro-serve`` left behind must join up.  Checks only what the
+    service-level tests above do not."""
     from repro.obs.artifacts import read_json
     from repro.obs.doctor import main as doctor_main
-    from repro.obs.events import read_events, validate_log
+    from repro.obs.events import read_log
     from repro.obs.metrics import percentile
-    from repro.obs.sampler import PROFILES
     from repro.obs.telemetry import SNAPSHOT, TELEMETRY
     from repro.serve import cli
 
-    events, telemetry, profiles = (
-        str(tmp_path / name)
-        for name in ("events.jsonl", "telemetry.json", "profiles.json")
+    events, telemetry = (
+        str(tmp_path / name) for name in ("events.jsonl", "telemetry.json")
     )
     port = _free_port()
     # Exemplars and SLO counters live in the process-wide registry.
@@ -1188,8 +1327,8 @@ def test_repro_serve_end_to_end(tmp_path):
     server = threading.Thread(
         target=lambda: exit_codes.append(cli.main([
             "--port", str(port), "--scale", str(TINY_SCALE), "--workers", "2",
-            "--events", events, "--telemetry", telemetry,
-            "--profiles", profiles, "--slo-latency", "30",
+            "--events", events, "--telemetry", telemetry, "--sampling",
+            "--slo-latency", "30",
         ])),
         daemon=True,
     )
@@ -1223,16 +1362,18 @@ def test_repro_serve_end_to_end(tmp_path):
     assert all(r["ok"] for r in replies), [r for r in replies if not r["ok"]][:3]
     assert any(r.get("degraded") for r in faulted)
 
-    # The event log joins per request: one admit, exactly one terminal.
-    assert validate_log(events) == []
+    # The stream joins per request: one admit, exactly one request line.
+    stream = read_log(events)  # every line checked against its spec
     kinds: dict = {}
-    for doc in read_events(events):
+    lines: dict = {}
+    for doc in stream:
         kinds.setdefault(doc.get("request_id"), []).append(doc["event"])
+        if doc["event"] == "request":
+            lines[doc["request_id"]] = doc
     for reply in replies:
         seen = kinds.get(reply["request_id"], [])
         assert seen.count("admit") == 1, (reply["request_id"], seen)
-        terminal = [k for k in seen if k in ("complete", "reject")]
-        assert len(terminal) == 1, (reply["request_id"], seen)
+        assert seen.count("request") == 1, (reply["request_id"], seen)
 
     # The snapshot written on exit has operator timings per executed shape.
     shapes = read_json(telemetry, SNAPSHOT, "telemetry snapshot")["shapes"]
@@ -1245,18 +1386,17 @@ def test_repro_serve_end_to_end(tmp_path):
         for op in e["operators"].values()
     )
 
-    # Stored profiles cover the slow decile and every degraded reply (with
-    # its span tree), and every serve.* exemplar id resolves to one.
-    snapshot = read_json(profiles, PROFILES, "profiles snapshot")
-    assert snapshot["kept"] * 10 >= snapshot["offered"]
-    stored = {p["request_id"]: p for p in snapshot["profiles"]}
+    # Kept lines cover the slow decile and every degraded reply (with its
+    # span tree), and every serve.* exemplar id resolves to one.
+    kept = {rid for rid, line in lines.items() if "keep_reason" in line}
+    assert len(kept) * 10 >= len(lines)
     timed = sorted((r["elapsed_ms"], r["request_id"]) for r in replies)
     cut = percentile([t for t, _ in timed], 0.9)
     top = [rid for t, rid in timed if t >= cut]
-    assert sum(rid in stored for rid in top) >= 0.7 * len(top)
+    assert sum(rid in kept for rid in top) >= 0.7 * len(top)
     for reply in replies:
         if reply.get("degraded"):
-            assert (stored[reply["request_id"]].get("trace") or {}).get("children")
+            assert (lines[reply["request_id"]].get("trace") or {}).get("children")
     exemplars = [
         e["id"]
         for name, h in metrics["histograms"].items()
@@ -1264,7 +1404,7 @@ def test_repro_serve_end_to_end(tmp_path):
         for cell in (h.get("exemplars") or {}).values()
         for e in cell
     ]
-    assert exemplars and set(exemplars) <= set(stored)
+    assert exemplars and set(exemplars) <= kept
 
     # The SLO latch, the burn gauge and the alert counter agree: a healthy
     # run under a 30 s threshold burns nothing and never fired.
@@ -1274,8 +1414,10 @@ def test_repro_serve_end_to_end(tmp_path):
     assert metrics["gauges"]["slo.burn.service"] == service["burn_short"] == 0.0
     assert not service["alerting"] and alerts == 0
 
-    # repro-doctor's schema gate passes over the three artifacts.
+    # repro-doctor's schema gate passes over the request stream, and the
+    # snapshot compared with itself is no regression.
     assert doctor_main([
-        "--events", events, "--telemetry", telemetry, "--profiles", profiles,
-        "--json", "--check", "--out", str(tmp_path / "doctor.json"),
+        "--events", events, "--baseline", telemetry, "--current", telemetry,
+        "--fail-on-regression", "--json", "--check",
+        "--out", str(tmp_path / "doctor.json"),
     ]) == 0

@@ -291,10 +291,14 @@ def test_event_log_emits_schema_valid_lines(tmp_path):
     with EventLog(path) as log:
         doc = log.emit("admit", request_id="r1", tenant="t", shape="sql:q")
         assert validate_event(doc) == []
-        log.emit("complete", request_id="r1", rows=3, elapsed_ms=1.5)
+        line = log.emit("request", **RequestRecord("r1", rows=3).to_dict())
+        assert validate_event(line) == []
+        # A request line is checked against the record spec too.
+        assert validate_event(dict(line, rows=-1))
+        assert validate_event({k: v for k, v in line.items() if k != "tenant"})
     assert validate_log(path) == []
     kinds = [d["event"] for d in read_events(path)]
-    assert kinds == ["admit", "complete"]
+    assert kinds == ["admit", "request"]
 
 
 def test_event_log_rejects_unknown_kinds(tmp_path):
@@ -305,7 +309,7 @@ def test_event_log_rejects_unknown_kinds(tmp_path):
 
 def test_event_log_drops_none_fields(tmp_path):
     with EventLog(str(tmp_path / "e.jsonl")) as log:
-        doc = log.emit("reject", request_id="r1", shape=None, code="E_PROTOCOL")
+        doc = log.emit("fallback", request_id="r1", shape=None, code="E_COMPILE")
     assert "shape" not in doc
     assert validate_event(doc) == []
 
@@ -363,8 +367,7 @@ def test_event_log_rotates_by_size(tmp_path):
 
 def test_event_kinds_cover_the_request_lifecycle():
     assert set(EVENT_KINDS) == {
-        "admit", "reject", "compile", "fallback", "budget_trip", "complete",
-        "slo_burn",
+        "admit", "compile", "fallback", "request", "slo_burn",
     }
 
 
