@@ -15,6 +15,7 @@ programs call the helpers of the first kind.
 from __future__ import annotations
 
 import functools
+import math as _math
 import re
 import threading
 from time import perf_counter as _perf_counter
@@ -871,7 +872,13 @@ def v_group_sum(codes, ngroups, values):
 # :class:`_Pairs` table combines (group so far, its code) into the group
 # id.  Every existing group maps to itself, since the key was constant
 # within each of them.  q10's seven keys are ``c_custkey`` plus six
-# columns it determines; q1's second flag is promoted in its first batch.
+# columns it determines.
+#
+# Static layouts.  When the generator traces every key to a base column it
+# passes each column's load-time bounds (``db.bounds``), and the table is
+# laid out once over their product (:class:`_Span`): a group's id is the
+# mixed-radix offset of its keys, and none of the discovery above runs.
+# A ``count(distinct)`` value with bounds is coded the same way.
 
 
 class _Grow:
@@ -1403,17 +1410,19 @@ _FOLLOW_HEAD = 64
 class _Slot:
     """One aggregate slot's accumulator over the groups (``data[:n]``),
     plus a sum's magnitude bound and a ``count(distinct)``'s codebook and
-    (group, value) pairs."""
+    (group, value) pairs.  ``exact``: the groups are a static layout's, so
+    the accumulator is allocated once at their number, not grown."""
 
-    __slots__ = ("data", "n", "fill", "bound", "values", "pairs")
+    __slots__ = ("data", "n", "fill", "bound", "values", "pairs", "exact")
 
-    def __init__(self) -> None:
+    def __init__(self, exact: bool = False) -> None:
         self.data = None
         self.n = 0
         self.fill = 0
         self.bound = 0  # no |sum| in this slot can be larger
         self.values = None
         self.pairs = None
+        self.exact = exact
 
     def view(self, size: int, dtype, fill=0):
         """The accumulator over ``size`` groups; groups new since the last
@@ -1423,7 +1432,7 @@ class _Slot:
         if data is not None and data.dtype != dtype:
             data = self.data = data.astype(dtype)
         if data is None or len(data) < size:
-            grown = _np.full(max(2 * size, 16), fill, dtype=dtype)
+            grown = _np.full(size if self.exact else max(2 * size, 16), fill, dtype=dtype)
             if data is not None:
                 grown[: self.n] = data[: self.n]
             data = self.data = grown
@@ -1477,6 +1486,68 @@ def _identity(dtype, pick: str):
     return info.max if pick == "min" else info.min
 
 
+class _Span:
+    """A base column's values coded over its load-time bounds ``(lo, hi,
+    rows)`` (``Database.bounds``): a value's code is ``v - lo``, one of
+    ``0 .. size - 1``, with no lookup; a one-byte typed string's value is
+    its byte.  The first non-empty batch pins the dtype and is checked
+    against the bounds, once; a batch of another dtype gets no codes."""
+
+    __slots__ = ("lo", "size", "dtype")
+
+    def __init__(self, bounds) -> None:
+        self.lo = bounds[0]
+        self.size = bounds[1] - bounds[0] + 1
+        self.dtype = None
+
+    def codes(self, a):
+        """``a``'s codes, or None when its dtype does not match."""
+        if not len(a):
+            return _EMPTY
+        dtype = a.dtype
+        if dtype != self.dtype and (
+            self.dtype is not None
+            or not (dtype.kind in "iub" or dtype.kind == "S" and dtype.itemsize == 1)
+        ):
+            return None
+        codes = _np.subtract(_words(a) if dtype.kind == "S" else a, self.lo, dtype=_np.int64)
+        if self.dtype is None:
+            if codes.min() < 0 or codes.max() >= self.size:
+                return None
+            self.dtype = dtype
+        return codes
+
+    def values(self, codes):
+        """The values of ``codes``, in the pinned dtype (int64 before any)."""
+        values = codes + self.lo
+        if self.dtype is None:
+            return values
+        if self.dtype.kind == "S":
+            return values.astype(_np.uint8).view(self.dtype)
+        return values.astype(self.dtype)
+
+    def coder(self, rows: int) -> "_Values":
+        """A :class:`_Values` that gives this span's values the codes they
+        have here, and codes any other value after them."""
+        coder = _Values()
+        coder.codes(self.values(_np.arange(self.size)), rows)
+        return coder
+
+
+def _spans(bounds) -> Optional[list]:
+    """A static layout over ``bounds``, one :class:`_Span` per key -- or
+    None when a key has no bounds, or the product of the spans passes the
+    direct bound over the largest key table's rows.  Each key table is
+    scanned in full, so the layout's set-up and merge cost at most a
+    constant factor of those scans."""
+    if not bounds or None in bounds:
+        return None
+    spans = [_Span(b) for b in bounds]
+    if not _direct(_math.prod(s.size for s in spans), max(b[2] for b in bounds)):
+        return None
+    return spans
+
+
 class GroupTable:
     """The state of one grouped aggregation (see the comment above).
 
@@ -1494,9 +1565,15 @@ class GroupTable:
 
     ``reps[j]`` holds each group's value of key ``j``, ``slots[s]`` each
     group's accumulator of slot ``s``.
+
+    With ``bounds`` for every key (:func:`_spans`) the table is *static*
+    instead: ``size`` is the product of the keys' spans, fixed, and a
+    group's id is ``sum((k_j - lo_j) * stride_j)`` with the last key's
+    stride 1.  A batch whose dtype does not match its bounds replays the
+    groups seen into the coded form, as above.
     """
 
-    def __init__(self, nkeys: int, nslots: int) -> None:
+    def __init__(self, nkeys: int, nslots: int, *bounds) -> None:
         self.size = 0
         self.rows = 0
         self.real = [0]  # the keys telling groups apart, in the order combined
@@ -1504,18 +1581,30 @@ class GroupTable:
         self.stages: list = []  # a _Pairs per real key after the first
         self.dependent = list(range(1, nkeys))
         self.reps = [_Grow() for _ in range(nkeys)]
-        self.slots = [_Slot() for _ in range(nslots)]
         self.coded = False
         self.lo = None  # direct: the key (word) at offset 0
         self.klo = self.khi = 0  # direct: the keys seen span these
         self.kind = self.dtype = None
         self.seen = None
+        self.spans = _spans(bounds)  # static: one _Span per key
+        if self.spans is not None:
+            self.size = _math.prod(span.size for span in self.spans)
+            self.seen = _np.zeros(self.size, dtype=bool)
+        self.slots = [_Slot(self.spans is not None) for _ in range(nslots)]
+        # rows a count(distinct)'s pair bits may size by (the key tables')
+        self.scanned = 0 if self.spans is None else max(b[2] for b in bounds)
 
     # -- group ids ----------------------------------------------------------------
 
     def ids(self, n: int, keys) -> object:
         self.rows += n
         keys = [_batch_of(n, k) for k in keys]
+        if self.spans is not None:
+            ids = self._static_ids(keys)
+            if ids is not None:
+                self.seen[ids] = True
+                return ids
+            self._leave_static()
         failed = None
         if not self.coded:
             ids = self._offsets(keys)
@@ -1523,6 +1612,41 @@ class GroupTable:
                 return ids
             failed = ids
         return self._coded_ids(keys, failed)
+
+    def _static_ids(self, keys):
+        """The static form's ids, or None when a key's dtype does not
+        match its bounds."""
+        ids = None
+        for span, key in zip(self.spans, keys):
+            codes = span.codes(key)
+            if codes is None:
+                return None
+            if ids is None:
+                ids = codes
+            else:
+                ids *= span.size
+                ids += codes
+        return ids
+
+    def _static_keys(self, offsets) -> list:
+        """The static form's key values at ``offsets``."""
+        keys = []
+        for span in reversed(self.spans):
+            keys.append(span.values(offsets % span.size))
+            offsets = offsets // span.size
+        return keys[::-1]
+
+    def _leave_static(self) -> None:
+        """Replay the groups seen, one row each, into the coded form and
+        move the accumulators to the ids they get."""
+        old = _np.flatnonzero(self.seen)
+        columns = self._static_keys(old)
+        self.spans = self.seen = None
+        self.size, self.scanned, self.coded = 0, 0, True
+        new = self._coded_ids(columns)
+        for s in self.slots:
+            s.exact = False
+            s.remap(old, new, self.size, self.rows)
 
     def _offsets(self, keys):
         """The direct form's ids -- or, once the table turned coded, the
@@ -1714,17 +1838,27 @@ class GroupTable:
             if current is None or (v < current if pick == "min" else v > current):
                 acc[g] = v
 
-    def distinct(self, slot: int, ids, values) -> None:
+    def distinct(self, slot: int, ids, values, bounds=None) -> None:
         """Fold a batch into a ``count(distinct)``: code the values, and
-        count a group up once per (group, value) pair it has not seen."""
+        count a group up once per (group, value) pair it has not seen.
+        With ``bounds`` (the value column's) a value's code is its offset
+        (:class:`_Span`) while the span obeys the direct bound over that
+        column's rows."""
         values = _batch_of(len(ids), values)
         s = self.slots[slot]
         if s.values is None:
-            s.values, s.pairs = _Values(), _PairBits()
-        codes, _ = s.values.codes(values, self.rows)
+            spans = _spans((bounds,))
+            s.values, s.pairs = spans[0] if spans else _Values(), _PairBits()
+        codes = None
+        if isinstance(s.values, _Span):
+            codes = s.values.codes(values)
+            if codes is None:  # another dtype: code by value from here on
+                s.values = s.values.coder(self.rows)
+        if codes is None:
+            codes, _ = s.values.codes(values, self.rows)
         ncodes = s.values.size
         if isinstance(s.pairs, _PairBits):
-            if _PairBits.fits(self.size, ncodes, self.rows):
+            if _PairBits.fits(self.size, ncodes, max(self.rows, self.scanned)):
                 s.pairs.add(ids, codes, ncodes, self.size)
                 return
             # too many bits for the rows seen: a hash table of the pairs
@@ -1738,7 +1872,10 @@ class GroupTable:
     # -- the merge --------------------------------------------------------------------
 
     def merge(self, batch: bool) -> list:
-        if self.coded or self.lo is None:
+        if self.spans is not None:  # offsets ascend with (k_0, k_1, ...)
+            order = _np.flatnonzero(self.seen)
+            keys = self._static_keys(order)
+        elif self.coded or self.lo is None:
             order = self._order()
             keys = [rep.view()[order] for rep in self.reps]
         else:  # offsets ascend with the first key, which the others follow
@@ -1793,10 +1930,11 @@ def _present(values: list, valid) -> list:
     return [ok and v is not None for v, ok in zip(values, _to_list(valid))]
 
 
-def group_state(nkeys: int, nslots: int):
+def group_state(nkeys: int, nslots: int, *bounds):
     """A grouped aggregation's group table (:class:`GroupTable`),
-    allocated ahead of its input loop."""
-    return GroupTable(nkeys, nslots)
+    allocated ahead of its input loop; ``bounds``, one per key when every
+    key is a base column, make it static."""
+    return GroupTable(nkeys, nslots, *bounds)
 
 
 def v_group_ids(groups, n, *keys):
@@ -1834,9 +1972,10 @@ def v_agg_max(groups, slot, ids, values):
     groups.extreme(slot, ids, values, "max")
 
 
-def v_agg_distinct(groups, slot, ids, values):
-    """Fold a batch into a ``count(distinct)``."""
-    groups.distinct(slot, ids, values)
+def v_agg_distinct(groups, slot, ids, values, bounds=None):
+    """Fold a batch into a ``count(distinct)`` (``bounds``: the value's
+    base column's, when it is one)."""
+    groups.distinct(slot, ids, values, bounds)
 
 
 def group_merge(groups, batch: bool = False) -> list:

@@ -484,7 +484,9 @@ class VecAggMap:
     """Grouped aggregation over batches into one group table.
 
     Implements the accumulate/foreach protocol of the staged hash maps.
-    The table (``rt.group_state``) is allocated ahead of the input loop;
+    The table (``rt.group_state``) is allocated ahead of the input loop,
+    with each key's base-column bounds (``key_columns``, empty unless
+    every key has one: see :func:`field_columns`) for a static layout;
     ``accumulate`` is called once per batch and stages one ``v_group_ids``
     -- every row's global group id -- and one ``v_agg_*`` fold per
     aggregate slot into the table's accumulators.  ``foreach`` stages
@@ -503,6 +505,8 @@ class VecAggMap:
         key_ctypes: Sequence[str],
         slot_ctypes: Sequence[str],
         batch_out: bool,
+        key_columns: Sequence[tuple[str, str]],
+        value_columns: Sequence[Optional[tuple[str, str]]],
     ) -> None:
         self.comp = comp
         self.ctx = ctx = comp.ctx
@@ -514,10 +518,15 @@ class VecAggMap:
         )
         self.state = ctx.call(
             "group_state",
-            [len(self.key_ctypes), len(self.slot_ctypes)],
+            [len(self.key_ctypes), len(self.slot_ctypes),
+             *(_bounds(ctx, c) for c in key_columns)],
             result="void*",
             prefix="groups",
         )
+        # per aggregate: its count(distinct) value's bounds, if it has any
+        self._value_bounds = [
+            None if c is None else _bounds(ctx, c) for c in value_columns
+        ]
         self._ngroups: Optional[RepInt] = None
 
     def accumulate(self, rec: VecRecord, stage_keys, staged_aggs) -> None:
@@ -527,8 +536,8 @@ class VecAggMap:
             "v_group_ids", [self.state, rec.nrows(), *keys],
             result="vec_long", prefix="gid",
         )
-        for agg in staged_aggs:
-            _fold_batch(ctx, self.state, agg, ids, *_agg_input(rec, agg))
+        for agg, bounds in zip(staged_aggs, self._value_bounds):
+            _fold_batch(ctx, self.state, agg, ids, *_agg_input(rec, agg), bounds)
 
     def foreach(self, on_group) -> None:
         ctx = self.ctx
@@ -575,6 +584,12 @@ class VecAggMap:
         return rec
 
 
+def _bounds(ctx: StagingContext, column: tuple[str, str]) -> Rep:
+    """A base column's bounds, read from the database the program runs
+    against (``db.bounds``): a residual program holds no data."""
+    return ctx.call("db_bounds", list(column), result="void*", prefix="bnd")
+
+
 def _agg_input(rec: VecRecord, agg: StagedAgg):
     """``(value, valid)``: the batch's values of one aggregate's
     expression and -- for a count of a null-extended field -- the field's
@@ -595,10 +610,11 @@ def _fold_batch(
     ids: Rep,
     value: Optional[StagedValue],
     valid: Optional[Rep],
+    bounds: Optional[Rep] = None,
 ) -> None:
     """Stage the folds of one batch into one aggregate's slots of the
     group table (``valid``: the mask of the null-extended field a count
-    counts)."""
+    counts; ``bounds``: a ``count(distinct)`` value's base column's)."""
     kind = agg.spec.kind
     if kind == "count":
         if agg.spec.expr is None:
@@ -611,7 +627,7 @@ def _fold_batch(
     elif kind in ("sum", "min", "max"):
         folds = [(f"v_agg_{kind}", [value])]
     elif kind == "count_distinct":
-        folds = [("v_agg_distinct", [value])]
+        folds = [("v_agg_distinct", [value] + ([] if bounds is None else [bounds]))]
     else:
         raise AssertionError(f"aggregate kind {kind!r} passed vector eligibility")
     for offset, (kernel, args) in enumerate(folds):
@@ -902,6 +918,57 @@ def _counts_only(node: phys.PhysicalPlan, fields: frozenset[str]) -> bool:
     )
 
 
+def field_columns(
+    node: phys.PhysicalPlan, catalog, memo: Optional[dict] = None
+) -> dict[str, tuple[str, str]]:
+    """Each field of ``node``'s output that carries a base column's values
+    unchanged -> that column's ``(table, column)``.
+
+    A field keeps its column through a scan's renames, a filter, a
+    projection of the bare field, either side of an inner join, the kept
+    (left) side of a semi, anti or left outer join, and a grouping key
+    that is the bare field: each passes on some of the column's values
+    and makes none.  Anything else -- a computed expression, a
+    ``SUBSTRING``, an outer join's null-extended side, a group join's or
+    index join's output -- has none.  ``memo`` (by node id) shares the
+    work across one plan.
+    """
+    memo = {} if memo is None else memo
+    if id(node) in memo:
+        return memo[id(node)]
+
+    def sub(child) -> dict[str, tuple[str, str]]:
+        return field_columns(child, catalog, memo)
+
+    def bare(outputs) -> dict[str, tuple[str, str]]:
+        source = sub(node.child)
+        return {
+            name: source[e.name]
+            for name, e in outputs
+            if isinstance(e, Col) and e.name in source
+        }
+
+    out: dict[str, tuple[str, str]] = {}
+    if isinstance(node, phys.Scan):
+        renames = node.rename_map
+        out = {
+            renames.get(c.name, c.name): (node.table, c.name)
+            for c in catalog.table(node.table).columns
+        }
+    elif isinstance(node, phys.Select):
+        out = sub(node.child)
+    elif isinstance(node, phys.Project):
+        out = bare(node.outputs)
+    elif isinstance(node, phys.Agg):
+        out = bare(node.keys)
+    elif isinstance(node, phys.HashJoin):
+        out = {**sub(node.left), **sub(node.right)}
+    elif isinstance(node, (phys.SemiJoin, phys.AntiJoin, phys.LeftOuterJoin)):
+        out = sub(node.left)
+    memo[id(node)] = out
+    return out
+
+
 def _plan_children(node: phys.PhysicalPlan) -> list[phys.PhysicalPlan]:
     out = []
     for attr in ("child", "left", "right"):
@@ -931,10 +998,13 @@ class VectorBackend(ScalarBackend):
             "batch_key_set_joins": 0,
             "batch_outer_joins": 0,
             "vector_aggs": 0,
+            "static_group_tables": 0,
+            "static_distinct_slots": 0,
             "scalar_nodes": 0,
             "devectorized_edges": 0,
         }
         self._pruned_chains: list[dict] = []
+        self._columns: dict = {}  # field_columns' memo over this plan
 
     # -- whole-plan analysis --------------------------------------------------
 
@@ -1151,9 +1221,29 @@ class VectorBackend(ScalarBackend):
 
     def agg_map(self, node, key_ctypes, slot_ctypes):
         if id(node) in self._vec_aggs:
+            catalog = self.comp.catalog
+            columns = field_columns(node.child, catalog, self._columns)
+            types = node.child.field_types(catalog)
+
+            def column(expr) -> Optional[tuple[str, str]]:
+                # a float column never has bounds (Database.bounds)
+                if not isinstance(expr, Col) or types[expr.name] is ColumnType.FLOAT:
+                    return None
+                return columns.get(expr.name)
+
+            keys = [column(expr) for _, expr in node.keys]
+            if None in keys:
+                keys = []  # the static layout needs every key's bounds
+            values = [
+                column(spec.expr) if spec.kind == "count_distinct" else None
+                for _, spec in node.aggs
+            ]
+            self._counts["static_group_tables"] += bool(keys)
+            self._counts["static_distinct_slots"] += sum(v is not None for v in values)
             return VecAggMap(
                 self.comp, node, key_ctypes, slot_ctypes,
                 batch_out=id(node) in self._batch,
+                key_columns=keys, value_columns=values,
             )
         return super().agg_map(node, key_ctypes, slot_ctypes)
 

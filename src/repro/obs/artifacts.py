@@ -1,7 +1,7 @@
 """Versioned JSON artifacts: one checker, one reader, one writer.
 
 Every schema the repo writes (``repro-lint/v2``, ``repro-obs/v1``,
-``repro-doctor/v2``, ``repro-events/v2``, ``repro-profiles/v2``,
+``repro-doctor/v2``, ``repro-events/v3``, ``repro-profiles/v2``,
 ``repro-telemetry/v1``) is a *spec* -- plain data defined next to its
 writer -- and :func:`check` walks a document against it.  A spec is
 built from:

@@ -5,7 +5,9 @@ submitted request ends in exactly one ``request`` line whose body is the
 request's record (outcome, latency with its queued/exec split, engine
 trail, rows; the span tree and per-operator times when the tail sampler
 kept it), beside the ``admit``/``compile``/``fallback``/``slo_burn``
-lines.  The doctor reads that stream -- the log at ``--events`` and its
+lines.  Lines name their plan shape by digest; the shape's text is on
+the ``compile`` line that built it, and the doctor joins the two on the
+digest.  The doctor reads that stream -- the log at ``--events`` and its
 rotated backups, oldest first -- and produces one schema-versioned
 report (``repro-doctor/v2``):
 
@@ -48,7 +50,7 @@ from repro.obs.artifacts import (
 )
 from repro.obs.events import read_log
 from repro.obs.metrics import percentile
-from repro.obs.telemetry import SNAPSHOT, shape_digest
+from repro.obs.telemetry import SNAPSHOT
 
 SCHEMA = "repro-doctor/v2"
 
@@ -149,9 +151,11 @@ def _aggregate(profiles: Sequence[dict]) -> dict:
     }
 
 
-def tail_report(lines: Sequence[dict]) -> dict:
+def tail_report(lines: Sequence[dict], texts: Optional[Dict[str, str]] = None) -> dict:
     """The tail attribution section over a stream's ``request`` lines:
-    every line at or over the exact p90 latency, plus every error."""
+    every line at or over the exact p90 latency, plus every error.  Lines
+    name their shape by ``shape_digest``; ``texts`` (digest -> shape text,
+    from the stream's ``compile`` lines) puts the text beside it."""
     threshold = percentile(
         sorted(line["latency_seconds"] for line in lines), TAIL_QUANTILE
     )
@@ -162,9 +166,7 @@ def tail_report(lines: Sequence[dict]) -> dict:
     by_shape: Dict[str, List[dict]] = {}
     by_tenant: Dict[str, List[dict]] = {}
     for line in slow:
-        shape = line.get("shape")
-        digest = shape_digest(shape) if shape else "none"
-        by_shape.setdefault(digest, []).append(line)
+        by_shape.setdefault(line.get("shape_digest", "none"), []).append(line)
         by_tenant.setdefault(line["tenant"], []).append(line)
 
     def named(groups: Dict[str, List[dict]], key: str) -> List[dict]:
@@ -172,12 +174,9 @@ def tail_report(lines: Sequence[dict]) -> dict:
         for name, members in groups.items():
             entry = _aggregate(members)
             entry[key] = name
-            if key == "shape":
-                text = next(
-                    (m.get("shape") for m in members if m.get("shape")), None
-                )
-                if text:
-                    entry["shape_text"] = text[:120]
+            text = (texts or {}).get(name) if key == "shape" else None
+            if text:
+                entry["shape_text"] = text[:120]
             out.append(entry)
         out.sort(key=lambda e: e["attribution_ms"]["execute"], reverse=True)
         return out
@@ -215,13 +214,23 @@ def stream_summary(docs: Sequence[dict], lines: Sequence[dict]) -> dict:
     }
 
 
+def shape_texts(docs: Sequence[dict]) -> Dict[str, str]:
+    """Each shape digest's text, from the ``compile`` lines: the one
+    place the stream writes it."""
+    return {
+        doc["shape_digest"]: doc["shape"]
+        for doc in docs
+        if doc["event"] == "compile" and "shape" in doc
+    }
+
+
 def compile_report(docs: Sequence[dict]) -> Dict[str, dict]:
     """Compile count and mean cost per plan-shape digest."""
     out: Dict[str, dict] = {}
     for doc in docs:
         if doc["event"] == "compile":
             entry = out.setdefault(
-                shape_digest(doc.get("shape") or ""), {"count": 0, "total_ms": 0.0}
+                doc.get("shape_digest", "none"), {"count": 0, "total_ms": 0.0}
             )
             entry["count"] += 1
             entry["total_ms"] += float(doc.get("seconds", 0.0)) * 1e3
@@ -369,7 +378,7 @@ def build_report(
                 if doc["event"] == "slo_burn"
             ]
         }
-        report["tail"] = tail_report(lines)
+        report["tail"] = tail_report(lines, shape_texts(docs))
         report["compile"] = compile_report(docs)
     if baseline_path is not None and current_path is not None:
         report["regression"] = regression_report(
@@ -476,7 +485,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         prog="repro-doctor", description=__doc__.splitlines()[0]
     )
     parser.add_argument("--events", default=None, metavar="PATH",
-                        help="repro-events/v2 log (its rotated PATH.N "
+                        help="repro-events/v3 log (its rotated PATH.N "
                              "backups are read too, oldest first)")
     parser.add_argument("--baseline", default=None, metavar="PATH",
                         help="repro-telemetry/v1 snapshot to compare against")

@@ -9,7 +9,12 @@ is the request's :class:`~repro.obs.sampler.RequestRecord` document
 (outcome, latency split, engine trail, rows; the span tree and operator
 times when the tail sampler kept it), so the log is the one per-request
 stream ``repro-doctor`` reads.  Events are one JSON object per line
-(schema ``repro-events/v2``) in a size-rotated file.
+(schema ``repro-events/v3``) in a size-rotated file.
+
+A line names its plan shape by ``shape_digest`` only; the shape's text is
+written once, on the ``compile`` line that built it, and a reader joins
+the two on the digest: a shape's text runs to hundreds of characters,
+more than the rest of an ``admit`` line.
 
 Two pieces of ambient, thread-local state make the emission sites cheap
 and cycle-free:
@@ -23,8 +28,9 @@ and cycle-free:
   fallback) can stamp events without threading the id through every
   signature.
 
-Stdlib-only leaf over :mod:`repro.obs.artifacts` and
-:mod:`repro.obs.sampler` (the record spec).
+Stdlib-only leaf over :mod:`repro.obs.artifacts`,
+:mod:`repro.obs.sampler` (the record spec) and
+:mod:`repro.obs.telemetry` (the shape digest).
 """
 
 from __future__ import annotations
@@ -38,8 +44,9 @@ from typing import Iterator, List, Optional
 
 from repro.obs.artifacts import ArtifactError, Const, Maybe, OneOf, check
 from repro.obs.sampler import RECORD
+from repro.obs.telemetry import shape_digest
 
-SCHEMA = "repro-events/v2"
+SCHEMA = "repro-events/v3"
 
 #: Every event kind the schema admits, in lifecycle order.
 EVENT_KINDS = (
@@ -125,9 +132,10 @@ class EventLog:
         """Append one event; returns the document written.
 
         ``request_id`` (and ``shape``/``tenant``, unless given
-        explicitly) default to the thread's bound request context.
-        None-valued fields are dropped, so call sites can pass
-        optional attributes unconditionally.
+        explicitly) default to the thread's bound request context.  The
+        shape is written as its ``shape_digest``, and as text too on a
+        ``compile`` line only.  None-valued fields are dropped, so call
+        sites can pass optional attributes unconditionally.
         """
         if kind not in EVENT_KINDS:
             raise ValueError(f"unknown event kind {kind!r}; one of {EVENT_KINDS}")
@@ -138,8 +146,11 @@ class EventLog:
             "event": kind,
             "request_id": request_id or current_request_id(),
         }
-        if "shape" not in fields and current_shape() is not None:
-            doc["shape"] = current_shape()
+        shape = fields.pop("shape", None) or current_shape()
+        if shape is not None:
+            doc["shape_digest"] = shape_digest(shape)
+            if kind == "compile":
+                doc["shape"] = shape
         tenant = getattr(_CTX, "tenant", None)
         if "tenant" not in fields and tenant is not None:
             doc["tenant"] = tenant
@@ -217,7 +228,8 @@ EVENT = {
     "event": OneOf(EVENT_KINDS),
     "request_id": Maybe(str),
     **dict.fromkeys(
-        ("shape", "tenant", "engine", "code", "trace_id", "scope", "state"),
+        ("shape", "shape_digest", "tenant", "engine", "code", "trace_id",
+         "scope", "state"),
         Maybe(str, null=False),
     ),
 }
@@ -227,6 +239,8 @@ def validate_event(doc: object) -> List[str]:
     """Every schema problem of one event; a ``request`` line is also
     checked against the record spec."""
     problems = check(EVENT, doc, "event")
+    if not problems and "shape" in doc and doc["event"] != "compile":
+        problems = ["event: shape text outside a compile line (shape_digest names it)"]
     if not problems and doc["event"] == "request":
         problems = check(RECORD, doc, "request line")
     return problems

@@ -136,7 +136,8 @@ class RequestRecord:
 
     def to_dict(self) -> dict:
         """The record's one document: a ``repro-profiles/v2`` profile and
-        the body of its ``repro-events/v2`` ``request`` line.  The span
+        the body of its ``repro-events/v3`` ``request`` line (which
+        writes ``shape`` as its ``shape_digest``).  The span
         tree and the per-operator views ride along only on a record the
         sampler kept (``keep_reason`` set)."""
         doc = {

@@ -19,7 +19,7 @@ each **plan shape**, and on every record:
 * on an alert *transition* (both windows at or above ``burn_threshold``
   with enough traffic -> firing; short window back below -> resolved)
   emits a typed ``slo_burn`` event into the installed
-  ``repro-events/v2`` log and bumps the ``slo.alerts`` counter.
+  ``repro-events/v3`` log and bumps the ``slo.alerts`` counter.
 
 Windows are rings of time-aligned counter pairs, so memory is fixed per
 scope and recording is O(1); scopes are keyed by the record's tenant and

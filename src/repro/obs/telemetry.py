@@ -24,11 +24,12 @@ byte-identical.  Stdlib-only leaf.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import threading
 import time
-from functools import partial
+from functools import lru_cache, partial
 from typing import Dict, Optional
 
 from repro.obs.artifacts import (
@@ -38,10 +39,11 @@ from repro.obs.artifacts import (
 SCHEMA = "repro-telemetry/v1"
 
 
+@lru_cache(maxsize=256)
 def shape_digest(shape: str) -> str:
-    """A short stable digest for metric labels (full shapes are long SQL)."""
-    import hashlib
-
+    """A short stable digest for metric labels and event-log lines (full
+    shapes are long SQL); a service has few shapes, so each is hashed
+    once."""
     return hashlib.sha1(shape.encode("utf-8")).hexdigest()[:8]
 
 

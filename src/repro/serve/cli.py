@@ -5,7 +5,7 @@ client sends the in-band ``shutdown`` op::
 
     repro-serve --port 7433 --scale 0.01 --workers 8
 
-``--events`` names the event log (``repro-events/v2``): one ``request``
+``--events`` names the event log (``repro-events/v3``): one ``request``
 line per submitted request, carrying its record (and, with
 ``--sampling``, the span tree and operator times of every request the
 tail sampler kept) -- the stream ``repro-doctor --events`` reads.

@@ -152,6 +152,10 @@ INTRINSICS: dict[str, Intrinsic] = {
         None, READ, "db.column_vec({0}, {1})", "load_column_vec({0}, {1})"
     ),
     "db_size": Intrinsic("long", READ, "db.size({0})", "table_size({0})"),
+    # (lo, hi, rows) of an integer / one-byte string column, or None
+    "db_bounds": Intrinsic(
+        "void*", READ, "db.bounds({0}, {1})", "load_column_bounds({0}, {1})"
+    ),
     "db_index": Intrinsic("void*", READ, "db.index({0}, {1})", "load_index({0}, {1})"),
     "db_unique_index": Intrinsic(
         "void*", READ, "db.unique_index({0}, {1})", "load_unique_index({0}, {1})"

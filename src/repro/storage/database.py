@@ -13,8 +13,9 @@ Index construction is timed (``build_seconds``) so the loading-overhead
 experiment (Figure 10) can report slowdowns relative to compliant loading.
 
 Generated code accesses everything through the narrow, stable surface
-``column / size / index / unique_index / date_index / dictionary /
-encoded_column`` -- these names are baked into residual programs.
+``column / column_vec / size / bounds / index / unique_index / date_index /
+dictionary / encoded_column`` -- these names are baked into residual
+programs.
 """
 
 from __future__ import annotations
@@ -72,6 +73,7 @@ class Database:
         self._dictionaries: dict[tuple[str, str], StringDictionary] = {}
         self._encoded: dict[tuple[str, str], list[int]] = {}
         self._stats: dict[str, TableStats] = {}
+        self._bounds: dict[tuple[str, str], Optional[tuple[int, int, int]]] = {}
         self._dictionary_columns = dict(dictionary_columns or {})
         self._date_index_columns = dict(date_index_columns or {})
         self.build_seconds = 0.0  # auxiliary-structure build time (Figure 10)
@@ -143,6 +145,18 @@ class Database:
     def size(self, table: str) -> int:
         return len(self.table(table))
 
+    def bounds(self, table: str, column: str) -> Optional[tuple[int, int, int]]:
+        """``(lo, hi, rows)``: the least and greatest value of an integer or
+        bool column -- of a one-byte typed string column, its byte's -- and
+        the table's row count; None for any other column (floats, wider
+        strings, object arrays) and for an empty table.  Worked out once
+        per column: tables are load-once, so the bounds hold for every
+        program run against this database."""
+        key = (table, column)
+        if key not in self._bounds:
+            self._bounds[key] = _array_bounds(self.column_vec(table, column))
+        return self._bounds[key]
+
     def unique_index(self, table: str, column: str) -> UniqueHashIndex:
         key = (table, column)
         if key not in self._unique_indexes:
@@ -206,3 +220,15 @@ class Database:
         if table not in self._stats:
             self._stats[table] = collect_table_stats(self.table(table).columns)
         return self._stats[table]
+
+
+def _array_bounds(array) -> Optional[tuple[int, int, int]]:
+    """:meth:`Database.bounds` of one column array."""
+    kind = array.dtype.kind
+    if kind == "S" and array.dtype.itemsize == 1:
+        array = array.view("u1")
+    elif kind not in "iub":
+        return None
+    if not len(array):
+        return None
+    return int(array.min()), int(array.max()), len(array)

@@ -380,7 +380,7 @@ def _traced_profile(
     }
     return {
         "request_id": rid,
-        "shape": shape,
+        "shape_digest": shape_digest(shape),
         "tenant": tenant,
         "latency_seconds": latency,
         "outcome": outcome,
@@ -439,7 +439,7 @@ def test_tail_report_groups_slow_and_errored_by_shape_and_tenant():
         # eleven latencies at 1.0 s, so both slow lines are in the tail)
         *(_traced_profile(f"fast-{i}", latency=0.01) for i in range(1, 9)),
     ]
-    tail = tail_report(lines)
+    tail = tail_report(lines, {shape_digest(slow_shape): slow_shape})
     assert tail["threshold_ms"] == pytest.approx(1000.0)
     assert tail["slow_count"] == 3 and tail["lines"] == 11
     digest = shape_digest(slow_shape)

@@ -1134,7 +1134,7 @@ def test_every_sink_agrees_on_one_request(serve_session, tmp_path):
         assert last["event"] == "request"
         assert last["outcome"] == outcome
         assert last["tenant"] == response.tenant
-        assert last["shape"] == response.shape
+        assert last["shape_digest"] == digest and "shape" not in last
         assert last["rows"] == len(response.rows or ())
         # telemetry counts answered executions only
         entry = art["telemetry"]["shapes"].get(response.shape)
@@ -1156,6 +1156,7 @@ def test_the_stream_carries_every_kept_profile(serve_session, tmp_path):
     attribution of the kept lines equals the attribution of the sampler's
     profiles, so the stream lost nothing the profiles file had."""
     from repro.obs.doctor import attribute_profile
+    from repro.obs.telemetry import shape_digest
 
     art = _served_round(serve_session, tmp_path)
     kept = {
@@ -1167,13 +1168,18 @@ def test_the_stream_carries_every_kept_profile(serve_session, tmp_path):
     for rid, profile in profiles.items():
         assert attribute_profile(kept[rid]) == attribute_profile(profile)
         line = {k: v for k, v in kept[rid].items() if k not in ("schema", "event")}
+        # the line names the profile's shape by its digest
+        profile = dict(profile)
+        assert line.pop("shape_digest") == shape_digest(profile.pop("shape"))
         assert line == profile
 
 
 def test_artifact_keys_of_one_served_round(serve_session, tmp_path):
-    """Pins the key sets of the ``repro-profiles/v2``, ``repro-events/v2``
+    """Pins the key sets of the ``repro-profiles/v2``, ``repro-events/v3``
     and ``repro-telemetry/v1`` documents one round writes, optional keys
-    included, so no refactor of the accounting can drop one unnoticed."""
+    included, so no refactor of the accounting can drop one unnoticed.
+    Event lines name the shape by ``shape_digest``; only a ``compile``
+    line carries its text."""
     from repro.compiler.runtime import have_numpy
 
     art = _served_round(serve_session, tmp_path)
@@ -1200,18 +1206,21 @@ def test_artifact_keys_of_one_served_round(serve_session, tmp_path):
     keys = {}
     for e in art["events"]:
         keys.setdefault((e["request_id"], e["event"]), set()).update(e)
-    base = {"schema", "ts", "event", "request_id", "shape", "tenant"}
-    compiled = base | {"seconds", "generation_seconds", "host_seconds"}
-    line = {"schema", "event"}
+    base = {"schema", "ts", "event", "request_id", "shape_digest", "tenant"}
+    compiled = base | {"shape", "seconds", "generation_seconds", "host_seconds"}
+
+    def line(rid):
+        return {"schema", "event", "shape_digest"} | profile_keys[rid] - {"shape"}
+
     assert keys == {
         ("rec-ok", "admit"): base,
         ("rec-ok", "compile"): compiled | {"trace_id"},
-        ("rec-ok", "request"): line | profile_keys["rec-ok"],
+        ("rec-ok", "request"): line("rec-ok"),
         ("rec-parse", "admit"): base,
-        ("rec-parse", "request"): line | profile_keys["rec-parse"],
+        ("rec-parse", "request"): line("rec-parse"),
         ("rec-budget", "admit"): base,
         ("rec-budget", "compile"): compiled,
-        ("rec-budget", "request"): line | profile_keys["rec-budget"],
+        ("rec-budget", "request"): line("rec-budget"),
     }
     tel = art["telemetry"]
     assert set(tel) == {"schema", "started", "written", "shapes"}
