@@ -24,10 +24,11 @@ neither always runs first.  Which tree is first swaps on every pair.  Each
 statement is timed around ``QueryService.submit``, the call ``mix_warm``
 makes, and every reply is checked against the ledger's oracle (Volcano's
 rows), outside the timing; a rejected reply is reported by key, and the
-script then exits 1.  The
-script prints, per statement, the median milliseconds of each side (a
-round's two variants averaged), the ratio B/A and how many rounds B won;
-then the same for the whole round.  The statements, their literals and the
+script then exits 1.  The script prints, per statement, the median
+milliseconds of each side (a round's two variants averaged), the ratio
+B/A, how many rounds B won and each side's median minor page faults per
+request (the process's ``ru_minflt`` delta around ``submit``); then the
+same for the whole round.  The statements, their literals and the
 oracle are the ledger's (``benchmarks/ledger/workloads.py``,
 ``oracle.py``), imported read-only.
 
@@ -39,7 +40,7 @@ change to how columns are stored or to what a kernel does is on both
 sides at once.  Each tree here runs in its own process, from its own
 source.
 
-Two traps, both measured with this script on a 2-core VM:
+Three traps, measured on a 2-core VM:
 
 * **malloc arenas.**  A service runs statements on its worker thread,
   and glibc gives that thread a malloc arena of its own, apart from the
@@ -59,6 +60,20 @@ Two traps, both measured with this script on a 2-core VM:
   one 1.08x.  ``--pairs`` starts fresh processes and swaps which side
   goes first, so the medians average over it.  Read a per-statement ratio
   against the calibration's spread, not against 1.
+* **Trimmed heap.**  A static group table allocates arrays of its whole
+  span on every run (q20's are 1.6 MB).  glibc raises its mmap
+  threshold to the size of a freed mapped block, so later arrays of that
+  size come from the heap; whether freeing them trims the heap, so that
+  the next request faults the pages in again, depends on the heap's
+  layout: it happens in one process and not in another of the same code.
+  In a single-process probe at SF 0.01, q18, q20 and q21 took 200, 438
+  and 361 minor faults per request and ran 1.36x, 1.39x and 1.12x slower
+  than with none (the round 1.11x).  The fault columns show it: a
+  statement that reads slow with hundreds of faults where the other side
+  has ~0 is this trap, not the change.  Setting
+  ``MALLOC_MMAP_THRESHOLD_=33554432 MALLOC_TRIM_THRESHOLD_=134217728`` in
+  this script's environment (both workers inherit it) removed the faults
+  and the difference.
 """
 
 from __future__ import annotations
@@ -67,6 +82,7 @@ import argparse
 import gc
 import json
 import os
+import resource
 import statistics
 import subprocess
 import sys
@@ -113,14 +129,17 @@ def worker(src: str, db_name: str, core: int) -> None:
     oracle = Oracle(db_name, statements)
 
     def mix_round(variant: int) -> dict:
-        times, rejected = {}, []
+        times, faults, rejected = {}, {}, []
         for key, doc in workloads._mix_round(statements, variant, "ab"):
+            name = key.split(".")[0]
+            f = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
             t = time.perf_counter()
             reply = service.submit(ServiceRequest(**doc))
-            times[key.split(".")[0]] = time.perf_counter() - t
+            times[name] = time.perf_counter() - t
+            faults[name] = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - f
             if not (reply.ok and oracle.matches(key, reply.rows)):
                 rejected.append(key)
-        return {"times": times, "rejected": rejected}
+        return {"times": times, "faults": faults, "rejected": rejected}
 
     warm = [mix_round(0), mix_round(1)]
     gc.collect()
@@ -179,9 +198,11 @@ def materialize(rev: str, into: Path) -> Path:
 
 
 def run(rev: str, rounds: int, pairs: int, db_name: str) -> dict:
-    """Per-round, per-statement seconds of both sides, and the rejects."""
+    """Per-round, per-statement seconds and minor page faults of both
+    sides, and the rejects."""
     core = sorted(os.sched_getaffinity(0))[-1]
     samples = {"A": [], "B": []}  # per round: {statement: mean of both variants}
+    faults = {"A": [], "B": []}  # the same, of the faults
     rejected = {"A": [], "B": []}
     with tempfile.TemporaryDirectory(prefix="repro-ab-") as tmp:
         trees = {"A": materialize(rev, Path(tmp)), "B": ROOT / "src"}
@@ -196,25 +217,31 @@ def run(rev: str, rounds: int, pairs: int, db_name: str) -> dict:
                     got = {first: [], second: []}
                     for name, variant in ((first, 0), (second, 0), (second, 1), (first, 1)):
                         reply = sides[name].round(variant)
-                        got[name].append(reply["times"])
+                        got[name].append(reply)
                         rejected[name] += reply["rejected"]
                     for name, (v0, v1) in got.items():
-                        samples[name].append({k: (v0[k] + v1[k]) / 2 for k in v0})
+                        for into, field in ((samples, "times"), (faults, "faults")):
+                            r0, r1 = v0[field], v1[field]
+                            into[name].append({k: (r0[k] + r1[k]) / 2 for k in r0})
             finally:
                 for side in sides.values():
                     side.close()
-    return {"samples": samples, "rejected": rejected}
+    return {"samples": samples, "faults": faults, "rejected": rejected}
 
 
-def summarize(samples: dict) -> dict:
-    """Per statement and for the round: medians (ms), B/A and B's wins."""
-    a, b = samples["A"], samples["B"]
+def _per_key(rounds: list, key: str) -> list:
+    """One statement's value per round, or the whole round's sum."""
+    if key == "round":
+        return [sum(r.values()) for r in rounds]
+    return [r[key] for r in rounds]
+
+
+def summarize(samples: dict, faults: dict) -> dict:
+    """Per statement and for the round: medians (ms), B/A, B's wins and
+    each side's median minor page faults."""
     rows = {}
-    for key in list(a[0]) + ["round"]:
-        if key == "round":
-            xs, ys = [sum(r.values()) for r in a], [sum(r.values()) for r in b]
-        else:
-            xs, ys = [r[key] for r in a], [r[key] for r in b]
+    for key in list(samples["A"][0]) + ["round"]:
+        xs, ys = _per_key(samples["A"], key), _per_key(samples["B"], key)
         ma, mb = statistics.median(xs), statistics.median(ys)
         rows[key] = {
             "a_ms": ma * 1e3,
@@ -222,6 +249,8 @@ def summarize(samples: dict) -> dict:
             "ratio": mb / ma,
             "b_wins": sum(y < x for x, y in zip(xs, ys)),
             "rounds": len(xs),
+            "a_faults": statistics.median(_per_key(faults["A"], key)),
+            "b_faults": statistics.median(_per_key(faults["B"], key)),
         }
     return rows
 
@@ -241,13 +270,15 @@ def main(argv=None) -> int:
         return 0
 
     result = run(args.rev, args.rounds, args.pairs, args.db)
-    rows = summarize(result["samples"])
+    rows = summarize(result["samples"], result["faults"])
     print(f"A = {args.rev}, B = {ROOT}; db {args.db}, {args.pairs} pair(s) x "
           f"{args.rounds} round(s); medians of one mix round (both variants averaged)")
-    print(f"{'statement':<10} {'A ms':>8} {'B ms':>8} {'B/A':>7} {'B wins':>8}")
+    print(f"{'statement':<10} {'A ms':>8} {'B ms':>8} {'B/A':>7} {'B wins':>8} "
+          f"{'A flt':>7} {'B flt':>7}")
     for key, row in rows.items():
         print(f"{key:<10} {row['a_ms']:8.3f} {row['b_ms']:8.3f} {row['ratio']:7.3f} "
-              f"{row['b_wins']:>4}/{row['rounds']:<3}")
+              f"{row['b_wins']:>4}/{row['rounds']:<3} "
+              f"{row['a_faults']:7.0f} {row['b_faults']:7.0f}")
     rejected = result["rejected"]
     keys = sorted(set(rejected["A"] + rejected["B"]))
     print(f"replies rejected by the oracle: A {len(rejected['A'])}, B {len(rejected['B'])}"

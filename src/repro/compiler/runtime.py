@@ -855,30 +855,29 @@ def v_group_sum(codes, ngroups, values):
 #
 # A grouped aggregation over batches keeps one group table
 # (:func:`group_state`) from its first batch to its merge.  Per batch,
-# :func:`v_group_ids` gives every row the *global* id of its group -- the
-# first key's offset while the table is direct, a dense id once it is coded
-# (:class:`GroupTable`) -- and one ``v_agg_*`` kernel per aggregate slot
+# :func:`v_group_ids` gives every row the *global* id of its group
+# (:class:`GroupTable`), and one ``v_agg_*`` kernel per aggregate slot
 # folds the batch straight into that slot's accumulator, an array over all
 # groups.  :func:`group_merge` then only orders the groups and hands out
 # their keys and slots.  No batch's groups are kept apart, and none is
 # grouped twice.
 #
-# Keys.  The first key gives the ids, directly or through a :class:`_Values`
-# codebook; every later key is
-# first assumed *dependent*: determined by the keys that tell the groups
-# apart so far.  It is checked -- one vectorized compare against the value
-# each group stored when it was created -- and not coded.  The first batch
-# where the check fails promotes it: it gets its own codebook, and a
+# The generator decides the table's form.  When it traces every key to a
+# base column it passes each column's load-time bounds (``db.bounds``), and
+# the table is *static*: laid out once over their product (:class:`_Span`),
+# a group's id is the mixed-radix offset of its keys, with no lookup.  A
+# ``count(distinct)`` value with bounds is coded the same way.
+#
+# Otherwise the table is *coded* from its first batch.  The first key gives
+# the ids through a :class:`_Values` codebook; every later key is first
+# assumed *dependent*: determined by the keys that tell the groups apart so
+# far.  It is checked -- one vectorized compare against the value each
+# group stored when it was created -- and not coded.  The first batch where
+# the check fails promotes it: it gets its own codebook, and a
 # :class:`_Pairs` table combines (group so far, its code) into the group
 # id.  Every existing group maps to itself, since the key was constant
 # within each of them.  q10's seven keys are ``c_custkey`` plus six
 # columns it determines.
-#
-# Static layouts.  When the generator traces every key to a base column it
-# passes each column's load-time bounds (``db.bounds``), and the table is
-# laid out once over their product (:class:`_Span`): a group's id is the
-# mixed-radix offset of its keys, and none of the discovery above runs.
-# A ``count(distinct)`` value with bounds is coded the same way.
 
 
 class _Grow:
@@ -908,27 +907,6 @@ class _Grow:
             self.data = grown
         self.data[self.n : end] = values
         self.n = end
-
-    def put(self, at, values, size: int) -> None:
-        """``data[at] = values`` over ``size`` slots (a direct table's)."""
-        if self.data is None or len(self.data) < size:
-            grown = _np.empty(size, dtype=values.dtype if self.data is None else self.data.dtype)
-            if self.data is not None:
-                grown[: self.n] = self.view()
-            self.data = grown
-        if values.dtype != self.data.dtype:
-            self.data = _concat_arrays([self.data, values[:0]])
-            if self.data.dtype == object and values.dtype.kind == "S":
-                values = _str_objects(values)
-        self.data[at] = values
-        self.n = size
-
-    def remap(self, old, new, size: int) -> None:
-        """Move the values at ``old`` to ``new``, over ``size`` slots."""
-        if self.data is not None:
-            data = _np.empty(size, dtype=self.data.dtype)
-            data[new] = self.data[old]
-            self.data, self.n = data, size
 
 
 #: Multiplier of the open-addressing hash (Fibonacci hashing).
@@ -1549,28 +1527,22 @@ def _spans(bounds) -> Optional[list]:
 
 
 class GroupTable:
-    """The state of one grouped aggregation (see the comment above).
+    """The state of one grouped aggregation (see the comment above), in
+    one of two forms, chosen when it is made.
 
-    It starts *direct* when its first key holds integers or typed
-    strings of at most 8 bytes: a group's id is its key's offset from
-    ``lo`` (its little-endian word's, for strings), ``size`` is the span the
-    accumulators cover, and ``seen`` marks the offsets that are groups
-    -- no lookup at all, while the span obeys :func:`_direct` over
-    the rows seen (grown with room, moving every group by the same
-    shift).  A key
-    that stops following from the first, a span past the bound or another
-    kind of key makes it *coded*, once: the groups seen are replayed, one
-    row each, through the codebooks, and the accumulators move to the ids
-    they get.  Coded, ``size`` groups have ids ``0 .. size - 1``.
+    *Static*, with ``bounds`` for every key (:func:`_spans`): ``size`` is
+    the product of the keys' spans, fixed, a group's id is
+    ``sum((k_j - lo_j) * stride_j)`` with the last key's stride 1, and
+    ``seen`` marks the ids that are groups.  A batch whose dtype does not
+    match its bounds (a guard: the generator passes bounds only for base
+    columns, whose dtype is fixed at load) replays the groups seen, one
+    row each, into the coded form, and the accumulators move to the ids
+    they get.
 
-    ``reps[j]`` holds each group's value of key ``j``, ``slots[s]`` each
-    group's accumulator of slot ``s``.
+    *Coded* otherwise: ``size`` groups have ids ``0 .. size - 1``,
+    ``reps[j]`` holds each group's value of key ``j``.
 
-    With ``bounds`` for every key (:func:`_spans`) the table is *static*
-    instead: ``size`` is the product of the keys' spans, fixed, and a
-    group's id is ``sum((k_j - lo_j) * stride_j)`` with the last key's
-    stride 1.  A batch whose dtype does not match its bounds replays the
-    groups seen into the coded form, as above.
+    ``slots[s]`` holds each group's accumulator of slot ``s``.
     """
 
     def __init__(self, nkeys: int, nslots: int, *bounds) -> None:
@@ -1581,10 +1553,6 @@ class GroupTable:
         self.stages: list = []  # a _Pairs per real key after the first
         self.dependent = list(range(1, nkeys))
         self.reps = [_Grow() for _ in range(nkeys)]
-        self.coded = False
-        self.lo = None  # direct: the key (word) at offset 0
-        self.klo = self.khi = 0  # direct: the keys seen span these
-        self.kind = self.dtype = None
         self.seen = None
         self.spans = _spans(bounds)  # static: one _Span per key
         if self.spans is not None:
@@ -1605,13 +1573,7 @@ class GroupTable:
                 self.seen[ids] = True
                 return ids
             self._leave_static()
-        failed = None
-        if not self.coded:
-            ids = self._offsets(keys)
-            if not isinstance(ids, int):
-                return ids
-            failed = ids
-        return self._coded_ids(keys, failed)
+        return self._coded_ids(keys)
 
     def _static_ids(self, keys):
         """The static form's ids, or None when a key's dtype does not
@@ -1642,109 +1604,21 @@ class GroupTable:
         old = _np.flatnonzero(self.seen)
         columns = self._static_keys(old)
         self.spans = self.seen = None
-        self.size, self.scanned, self.coded = 0, 0, True
+        self.size = self.scanned = 0
         new = self._coded_ids(columns)
         for s in self.slots:
             s.exact = False
             s.remap(old, new, self.size, self.rows)
 
-    def _offsets(self, keys):
-        """The direct form's ids -- or, once the table turned coded, the
-        dependent key whose check failed (-1 for none)."""
-        first = keys[0]
-        if not len(first):
-            return _EMPTY
-        kind = _value_kind(first)
-        kind = (kind, word_width(first.dtype.itemsize) if kind == "word" else 0)
-        if kind[0] not in ("int", "word") or self.kind not in (None, kind):
-            return self._to_coded(-1)
-        self.kind = kind
-        self.dtype = first.dtype
-        k = (_words(first) if kind[0] == "word" else first).astype(_np.int64, copy=False)
-        lo, hi = int(k.min()), int(k.max())
-        if self.lo is None or lo < self.lo or hi >= self.lo + self.size:
-            if not self._regrid(lo, hi):
-                return self._to_coded(-1)
-        self.klo, self.khi = min(lo, self.klo), max(hi, self.khi)
-        ids = k - self.lo
-        if not self.dependent:
-            self.seen[ids] = True
-            return ids
-        # the first key's values follow from the offsets; the others' are
-        # kept from one of each new group's rows
-        fresh = _np.flatnonzero(~self.seen[ids])
-        if len(fresh):
-            at = ids[fresh]
-            self.seen[at] = True
-            for j in self.dependent:
-                self.reps[j].put(at, keys[j][fresh], self.size)
-        for j in self.dependent:
-            if not _follows(self.reps[j].view(), ids, keys[j]):
-                return self._to_coded(j)
-        return ids
-
-    def _regrid(self, lo: int, hi: int) -> bool:
-        """Cover keys ``lo .. hi`` (and those seen) with room, moving the
-        groups; False when the span is past the direct bound."""
-        if self.lo is not None:
-            lo, hi = min(lo, self.klo), max(hi, self.khi)
-        span = hi - lo + 1
-        bound = _direct_bound(self.rows, _DIRECT_SLOTS_PER_ROW, _DIRECT_SLOTS_MIN)
-        if span > bound:
-            return False
-        room = min(span, bound - span)
-        down = self.lo is None or lo < self.lo
-        up = self.lo is None or hi >= self.lo + self.size
-        start = lo - (room if not up else room // 2 if down else 0)
-        size = span + room
-        seen = _np.zeros(size, dtype=bool)
-        if self.lo is not None:
-            old = _np.flatnonzero(self.seen[: self.size])
-            new = old + (self.lo - start)
-            seen[new] = True
-            for rep in self.reps:
-                rep.remap(old, new, size)
-            for s in self.slots:
-                s.remap(old, new, size, self.rows)
-        else:
-            self.klo, self.khi = lo, hi
-        self.lo, self.size, self.seen = start, size, seen
-        return True
-
-    def _first_key(self, offsets):
-        """The direct form's first-key values at ``offsets``."""
-        keys = offsets + self.lo
-        if self.kind[0] == "int":
-            return keys.astype(self.dtype)
-        width = self.kind[1]
-        return keys.astype(_word_dtype(width)).view(f"S{width}")
-
-    def _to_coded(self, failed: int) -> int:
-        """Leave the direct form: replay the groups seen through the
-        codebooks and move the accumulators to their ids.  Returns
-        ``failed`` (the caller codes its batch next)."""
-        self.coded = True
-        if self.lo is None:
-            return failed
-        old = _np.flatnonzero(self.seen[: self.size])
-        columns = [self._first_key(old)] + [rep.view()[old] for rep in self.reps[1:]]
-        self.reps = [_Grow() for _ in self.reps]
-        self.size, self.seen = 0, None
-        new = self._coded_ids(columns)
-        for s in self.slots:
-            s.remap(old, new, self.size, self.rows)
-        return failed
-
-    def _coded_ids(self, keys, failed=None):
-        """The coded form's ids (``failed``: a dependent key already known
-        not to follow, promoted without another check)."""
+    def _coded_ids(self, keys):
+        """The coded form's ids."""
         first = self.real[0]
         ids, new = self.coders[first].codes(keys[first], self.rows)
         for stage, j in zip(self.stages, self.real[1:]):
             ids, new = self._pair(stage, j, ids, keys)
         self._start(keys, new)
         for j in list(self.dependent):
-            if j == failed or not _follows(self.reps[j].view(), ids, keys[j]):
+            if not _follows(self.reps[j].view(), ids, keys[j]):
                 self._promote(j)
                 ids, new = self._pair(self.stages[-1], j, ids, keys)
                 self._start(keys, new)
@@ -1875,17 +1749,9 @@ class GroupTable:
         if self.spans is not None:  # offsets ascend with (k_0, k_1, ...)
             order = _np.flatnonzero(self.seen)
             keys = self._static_keys(order)
-        elif self.coded or self.lo is None:
+        else:
             order = self._order()
             keys = [rep.view()[order] for rep in self.reps]
-        else:  # offsets ascend with the first key, which the others follow
-            order = _np.flatnonzero(self.seen[: self.size])
-            first = self._first_key(order)
-            if self.kind[0] == "word" and self.kind[1] > 1:
-                # a little-endian word orders as its value only at one byte
-                by = _np.argsort(_ordered_words(first))
-                order, first = order[by], first[by]
-            keys = [first] + [rep.view()[order] for rep in self.reps[1:]]
         columns = keys + [s.result(self.size, order) for s in self.slots]
         if not batch:
             columns = [_to_list(c) for c in columns]

@@ -233,6 +233,11 @@ class QueryService:
     """Admission-controlled concurrent query execution over a Session."""
 
     def __init__(self, session: Session, config: Optional[ServiceConfig] = None) -> None:
+        if not isinstance(session, Session):
+            raise TypeError(
+                f"QueryService serves a Session, not a {type(session).__name__}:"
+                " wrap a database as Session(db)"
+            )
         self.session = session
         self.config = config or ServiceConfig()
         cfg = self.config

@@ -1,6 +1,7 @@
 """``benchmarks/ab.py``, the per-statement A/B of the served mix, runs its
 calibration end to end: HEAD's tree against this checkout, one ABBA round
-on the small database, every reply checked by the ledger's oracle."""
+on the small database, every reply checked by the ledger's oracle, and
+each side's minor page faults per statement reported."""
 
 from __future__ import annotations
 
@@ -40,4 +41,12 @@ def test_ab_calibration_round_checks_every_mix_reply(tmp_path):
     assert doc["rejected"] == {"A": [], "B": []}
     for row in doc["statements"].values():
         assert row["rounds"] == 1 and row["a_ms"] > 0 and row["b_ms"] > 0
+        # minor page faults per request: a count, never negative
+        assert row["a_faults"] >= 0 and row["b_faults"] >= 0
+    round_row = doc["statements"]["round"]
+    for side in ("a_faults", "b_faults"):
+        assert round_row[side] >= max(
+            row[side] for key, row in doc["statements"].items() if key != "round"
+        )
     assert "replies rejected by the oracle: A 0, B 0" in done.stdout
+    assert "A flt" in done.stdout and "B flt" in done.stdout

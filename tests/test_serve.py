@@ -207,6 +207,13 @@ def service(serve_session):
         yield svc
 
 
+def test_a_database_is_refused_at_construction(tpch_db):
+    """A service over a bare ``Database`` would fail every request with an
+    untyped error; it is refused before any worker starts."""
+    with pytest.raises(TypeError, match=r"Session\(db\)"):
+        QueryService(tpch_db, ServiceConfig(workers=1, query_scale=TINY_SCALE))
+
+
 def test_simple_sql_roundtrip(service, serve_session):
     response = service.submit(ServiceRequest(sql=SQL_QUERIES[6], id="q6"))
     assert response.ok and response.id == "q6"

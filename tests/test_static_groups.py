@@ -14,7 +14,8 @@
   a bare field keeps its column through a scan's renames, a filter, a
   projection and either side of a join; a computed key, a ``SUBSTRING``
   key and an outer join's null-extended side get none;
-* the served q1, q20 and q21 report static group tables, and one compiled
+* the served q1, q20 and q21 report static group tables, the served mix
+  never replays a static table into the coded form, and one compiled
   grouped program answers against two databases of different bounds;
 * vector, scalar, push and Volcano agree on ad hoc ``GROUP BY``s over
   flags and keys, an empty input and ``count(distinct)`` included.
@@ -22,7 +23,9 @@
 
 from __future__ import annotations
 
+import json
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -38,6 +41,7 @@ from repro.plan import (
     Agg, Arith, Cmp, HashJoin, LeftOuterJoin, Project, Scan, Select, Substring,
     col, count, count_distinct, lit,
 )
+from repro.serve import QueryService, ServiceConfig, ServiceRequest
 from repro.session import Session
 from repro.sql import sql_to_plan
 from repro.storage import Database
@@ -49,6 +53,9 @@ from tests.test_batch_joins import _served_build
 pytestmark = needs_numpy
 
 BATCH_SIZES = [1, 5, 8192, vec.BATCH_ROWS]
+
+#: Where the ledger keeps its statements (the served mix, both literal variants).
+LEDGER = Path(__file__).resolve().parents[1] / "benchmarks" / "ledger"
 
 #: The direct bound over a table of at most this many rows is its floor.
 FLOOR = rt._DIRECT_SLOTS_MIN
@@ -207,7 +214,8 @@ def _flag_batches():
 ])
 def test_a_batch_whose_dtype_does_not_match_its_bounds_is_replayed(late):
     """The static form never gives such a batch an id: the groups seen
-    move to the coded form, and the answer is the adaptive table's."""
+    move to the coded form, and the answer is the coded table's (as a bag
+    of rows where a key of objects leaves the groups unordered)."""
     np = _np()
     batches = _flag_batches()
     if late == "float key":
@@ -227,7 +235,13 @@ def test_a_batch_whose_dtype_does_not_match_its_bounds_is_replayed(late):
             rt.v_agg_distinct(groups, 1, ids, value, (1, 6, 10) if bounds else None)
         assert groups.spans is None
         answers.append(rt.group_merge(groups))
-    assert answers[0] == answers[1]
+    if late == "object key":
+        # a key of objects orders nothing, so the groups come in id order:
+        # the replay's (static offsets) and the codebook's (arrival) differ
+        assert answers[0][0] == answers[1][0]
+        assert sorted(zip(*answers[0][1:])) == sorted(zip(*answers[1][1:]))
+    else:
+        assert answers[0] == answers[1]
 
 
 def test_a_distinct_value_of_another_dtype_is_coded_by_value():
@@ -345,6 +359,51 @@ def test_served_plans_report_static_group_tables(q, tables, slots, tpch_db):
     stats = _served_build(Session(tpch_db), q).codegen_stats
     assert stats["static_group_tables"] == tables, stats
     assert stats["static_distinct_slots"] == slots, stats
+
+
+def test_the_served_mix_never_leaves_a_static_table(monkeypatch):
+    """Both literal variants of the ledger's 22-statement mix, served
+    through ``QueryService.submit`` at SF 0.001: no static table replays
+    into the coded form (that path is a guard, not one the mix takes),
+    q1's and q20's tables are static, and q10's seven keys stay
+    ``c_custkey`` plus six dependent keys, never promoted."""
+    mix = json.loads((LEDGER / "statements.json").read_text())["mix"]
+    tables: list = []
+    left: list = []
+
+    class Recorded(rt.GroupTable):
+        def __init__(self, *args) -> None:
+            super().__init__(*args)
+            tables.append(self)
+
+        def _leave_static(self) -> None:
+            left.append(self)
+            super()._leave_static()
+
+    monkeypatch.setattr(rt, "GroupTable", Recorded)
+    scale = 0.001
+    served: dict = {}
+    with QueryService(
+        Session(generate_database(scale)), ServiceConfig(workers=1, query_scale=scale)
+    ) as service:
+        for variant in (0, 1):
+            for entry in mix:
+                if "tpch" in entry:
+                    request = ServiceRequest(tpch=entry["tpch"])
+                else:
+                    request = ServiceRequest(sql=entry["sql"][variant % len(entry["sql"])])
+                del tables[:]
+                reply = service.submit(request)
+                assert reply.ok, (entry["key"], reply.error)
+                served.setdefault(entry["key"], []).extend(tables)
+    assert left == []
+    for key in ("q1", "q20"):
+        assert served[key] and all(t.spans is not None for t in served[key]), key
+    assert len(served["q10"]) == 2  # one per variant
+    for table in served["q10"]:
+        assert len(table.reps) == 7 and table.spans is None
+        assert table.real == [0] and not table.stages
+        assert table.dependent == [1, 2, 3, 4, 5, 6]
 
 
 def test_one_grouped_program_answers_against_two_databases():
