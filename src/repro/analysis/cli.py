@@ -10,10 +10,10 @@ Usage::
 For each of the 22 TPC-H queries this compiles the residual program under
 every :class:`repro.compiler.lb2.Config` combination (codegen backend x
 hash map implementation x sort layout x allocation hoisting x dictionaries
-x instrumentation), plus the Section-4.4 ``prepare``/``run`` split form,
-the rewritten (index/date-index) plans, and the Section-4.5 parallel
-partials -- and runs the verifier, the type checker and all lint passes
-over each.
+x instrumentation), every one in the Section-4.4 ``prepare``/``run``
+form the driver emits, plus the rewritten (index/date-index) plans and the
+Section-4.5 parallel partials -- and runs the verifier, the type checker
+and all lint passes over each.
 Any diagnostic fails the gate: the residual program is supposed to be a
 *checked* contract, not just one that happens to run.
 
@@ -76,7 +76,7 @@ def iter_configs(fast: bool = False) -> Iterator[Config]:
         )
 
 
-def config_label(config: Config, *, split: bool = False) -> str:
+def config_label(config: Config) -> str:
     parts = [
         config.codegen,
         config.hashmap,
@@ -88,8 +88,6 @@ def config_label(config: Config, *, split: bool = False) -> str:
         parts.append("instr")
     if config.budget_checks:
         parts.append("budget")
-    if split:
-        parts.append("prepare/run")
     return "+".join(parts)
 
 
@@ -118,9 +116,9 @@ def lint_query(
     plans = {"": query_plan(q, scale=scale)}
     if not fast:
         plans["rewritten:"] = optimize_for_level(plans[""], db, db.catalog)
-    # The parameterized residual program is its own closure convention
-    # (the generated function takes a runtime parameter vector); hold it
-    # to the same verifier/type-checker bar across the config matrix.
+    # The parameterized residual program's ``run`` closure takes a runtime
+    # parameter vector; hold it to the same verifier/type-checker bar
+    # across the config matrix.
     # Built from the auto-parameterized shape of the query's SQL text, so
     # the lint gate covers exactly what the session cache compiles.
     from repro.sql import sql_to_plan
@@ -138,17 +136,6 @@ def lint_query(
             compiled = compiler.compile(plan, verify=False)
             _analyze_program(label, compiled.functions, findings)
             checked += 1
-            # split_prepare stages build-side work at hoist time, which a
-            # per-execution parameter vector is incompatible with (the
-            # driver raises the typed CompileError); param plans skip it.
-            if config.hoist and not config.instrument and plan_tag != "param:":
-                split = compiler.compile(plan, split_prepare=True, verify=False)
-                _analyze_program(
-                    f"Q{q} {plan_tag}{config_label(config, split=True)}",
-                    split.functions,
-                    findings,
-                )
-                checked += 1
     # Section 4.5: the parallel partial is its own residual program.
     for hoist in (True,) if fast else (True, False):
         try:

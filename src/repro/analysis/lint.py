@@ -181,9 +181,9 @@ class HoistSafety(AnalysisPass):
     """Proves the cold path of a ``prepare``/``run`` split is safe to hoist.
 
     For every function that defines a nested closure at the top level of
-    its body (the code-motion shape the driver emits with
-    ``split_prepare=True``), each statement *preceding* the closure was
-    moved out of the hot path by the generation pass.  The move is safe iff
+    its body (the code-motion shape the driver emits for every program),
+    each statement *preceding* the closure was moved out of the hot path
+    by the generation pass.  The move is safe iff
     those statements only compute, allocate, read the database, or
     initialize state allocated within the same prelude; anything that
     writes pre-existing state or emits output is flagged.

@@ -25,7 +25,7 @@ from repro.staging import generate_c, generate_python
 from repro.staging.builder import StagingContext
 from repro.staging.pygen import PyProgram
 from repro.storage.database import Database
-from repro.compiler.lb2 import CompileError, Config, StagedPlanBuilder
+from repro.compiler.lb2 import Config, StagedPlanBuilder
 from repro.compiler.staged_record import value_output
 from repro.resilience.faults import fault_point
 from repro.staging import ir
@@ -41,7 +41,6 @@ class CompiledQuery:
     field_names: list[str]
     generation_seconds: float
     compile_seconds: float
-    hoisted: bool = False
     instrumented: bool = False
     codegen_stats: dict = field(default_factory=dict, repr=False)
     last_stats: Optional[dict] = field(default=None, repr=False)
@@ -49,18 +48,20 @@ class CompiledQuery:
     last_kernels: Optional[dict] = field(default=None, repr=False)
     functions: list[ir.Function] = field(default_factory=list, repr=False)
     param_signature: tuple[ParamSlot, ...] = ()
-    _prepared: Optional[Callable] = field(default=None, repr=False)
     _c_source: Optional[str] = field(default=None, repr=False)
 
     def run(self, db: Database, params=None) -> list[tuple]:
         """Execute the compiled query against ``db``; returns result rows.
 
+        Every run is the Figure 7 sequence: ``prepare(db)`` allocates and
+        returns the hot-path closure, which runs once into ``out``.
+
         For a parameterized plan, ``params`` supplies the bindings (a
         sequence for positional ``?`` statements, a mapping for ``:name``
         statements); they are validated against :attr:`param_signature`
-        and passed to the residual program as its runtime parameter
-        vector -- the compiled code is shared across bindings.  Arity or
-        type mismatches raise the typed ``E_PARAM`` error.
+        and passed to ``run`` as its runtime parameter vector -- the
+        compiled code is shared across bindings.  Arity or type mismatches
+        raise the typed ``E_PARAM`` error.
 
         In instrument mode, each run refreshes three per-operator views:
         :attr:`last_stats` (label -> rows emitted), :attr:`last_times`
@@ -68,25 +69,15 @@ class CompiledQuery:
         (kernel name -> ``{"calls", "rows"}``; empty under scalar codegen).
         """
         out: list[tuple] = []
+        extra: list = []
         if self.param_signature or params:
-            vector = list(check_bindings(self.param_signature, params))
-            if self.instrumented:
-                return self._run_instrumented(db, out, (vector,))
-            self.program.fn("query")(db, out, vector)
-            return out
-        if self.hoisted:
-            # Figure 7-b2: allocation ran in prepare(); time only the closure.
-            run = self.program.fn("prepare")(db)
-            run(out)
-        elif self.instrumented:
-            self._run_instrumented(db, out, ())
-        else:
-            self.program.fn("query")(db, out)
+            extra.append(list(check_bindings(self.param_signature, params)))
+        if self.instrumented:
+            return self._run_instrumented(db, out, extra)
+        self.prepare(db)(out, *extra)
         return out
 
-    def _run_instrumented(
-        self, db: Database, out: list, extra_args: tuple
-    ) -> list[tuple]:
+    def _run_instrumented(self, db: Database, out: list, extra: list) -> list[tuple]:
         # Counters and @t:-prefixed timings share the staged stats dict;
         # split them back apart so counter consumers never see times.
         raw: dict = {}
@@ -101,7 +92,7 @@ class CompiledQuery:
 
         previous = runtime.set_kernel_observer(observe)
         try:
-            self.program.fn("query")(db, out, *extra_args, raw)
+            self.prepare(db)(out, *extra, raw)
         finally:
             runtime.set_kernel_observer(previous)
         self.last_stats = {
@@ -113,10 +104,15 @@ class CompiledQuery:
         self.last_kernels = kernels
         return out
 
-    def prepare(self, db: Database) -> Callable[[list], None]:
-        """Hoisted mode: allocate now, return the hot-path closure."""
-        if not self.hoisted:
-            raise ValueError("query was not compiled in hoisted mode")
+    def prepare(self, db: Database) -> Callable[..., None]:
+        """Run the allocation prelude; return the hot-path closure
+        ``run(out[, params][, stats])``.
+
+        One closure answers once: its state (hash maps, aggregates, sort
+        buffers) is filled by its first call, so a second call on the same
+        closure sees the first call's rows.  Call ``prepare`` again for
+        each execution.
+        """
         return self.program.fn("prepare")(db)
 
     def c_source(self) -> str:
@@ -143,14 +139,15 @@ class LB2Compiler:
     def compile(
         self,
         plan: phys.PhysicalPlan,
-        split_prepare: bool = False,
         verify: bool = True,
     ) -> CompiledQuery:
         """Specialize the evaluator to ``plan``; returns a runnable query.
 
-        ``split_prepare=True`` emits the Figure 7 two-function form:
-        ``prepare(db)`` performs allocations and returns a ``run(out)``
-        closure containing only the hot path.
+        The residual program has the Figure 7 form: ``prepare(db)``
+        performs the allocations the generation pass hoisted and returns a
+        ``run(out[, params][, stats])`` closure holding the hot path.
+        Parameter slots are bound at the top of ``run``, so a parameter
+        never reaches ``prepare``.
 
         ``verify=True`` (the default) runs the IR verifier over the staged
         program between generation and host compilation, raising
@@ -160,21 +157,6 @@ class LB2Compiler:
         """
         plan.validate(self.catalog)
         param_slots = collect_params(plan)
-        if split_prepare and self.config.instrument:
-            raise CompileError(
-                "instrument mode is not supported with split_prepare: the "
-                "stats dict is a run-time parameter, but the hoisted "
-                "prepare/run split closes over run-time state at prepare "
-                "time; compile with either instrument or split_prepare"
-            )
-        if split_prepare and param_slots:
-            raise CompileError(
-                "parameterized plans are not supported with split_prepare: "
-                "prepare() stages build-side work at hoist time, but a "
-                "parameter is a per-execution value; the session cache "
-                "already gives parameterized statements compile-once "
-                "economics without the prepare/run split"
-            )
         with span("codegen") as sp:
             fault_point("codegen")
             t0 = time.perf_counter()
@@ -192,24 +174,18 @@ class LB2Compiler:
 
                 rec.rows(per_row)
 
-            if split_prepare:
-                with ctx.function("prepare", ["db"]):
-                    datapath = root.exec()
-                    with ctx.nested_function("run", ["out"]):
-                        datapath(output_cb)
-                    ctx.emit(ir.Return(ir.Sym("run")))
-            else:
-                params = ["db", "out"]
-                if param_slots:
-                    params.append("params")
-                if self.config.instrument:
-                    params.append("stats")
-                with ctx.function("query", params):
-                    if self.config.instrument:
-                        builder.stats_sym = ctx.sym("stats", "void*")
-                    # Bind each parameter slot once at the top of the
-                    # function: the residual program closes over the
-                    # runtime vector, it never bakes bindings in.
+            run_params = ["out"]
+            if param_slots:
+                run_params.append("params")
+            if self.config.instrument:
+                run_params.append("stats")
+                builder.stats_sym = ctx.sym("stats", "void*")
+            with ctx.function("prepare", ["db"]):
+                datapath = root.exec()
+                with ctx.nested_function("run", run_params):
+                    # Bind each parameter slot once at the top of the hot
+                    # path: the closure reads the runtime vector, it never
+                    # bakes bindings in.
                     for slot in param_slots:
                         sym = ctx.bind(
                             ir.Index(ir.Sym("params"), ir.Const(slot.index)),
@@ -219,8 +195,8 @@ class LB2Compiler:
                         ctx.register_param(
                             slot.index, ctx.sym(sym.name, slot.ctype.ctype)
                         )
-                    datapath = root.exec()
                     datapath(output_cb)
+                ctx.emit(ir.Return(ir.Sym("run")))
 
             functions = ctx.program()
             source = generate_python(functions, header=_header(plan))
@@ -255,7 +231,6 @@ class LB2Compiler:
             field_names=field_names,
             generation_seconds=generation_seconds,
             compile_seconds=compile_seconds,
-            hoisted=split_prepare,
             instrumented=self.config.instrument,
             codegen_stats=builder.backend.stats(),
             functions=functions,

@@ -312,14 +312,13 @@ def test_deep_pipeline(tiny_db):
 
 def test_compiled_hoisted_mode_matches(tiny_db):
     plan = Agg(Scan("Emp"), [("edname", col("edname"))], [("n", count())])
-    compiler = LB2Compiler(tiny_db.catalog, tiny_db)
-    hoisted = compiler.compile(plan, split_prepare=True)
-    assert hoisted.hoisted
-    assert "def prepare(db):" in hoisted.source
-    assert "def run(out):" in hoisted.source
-    assert normalize(hoisted.run(tiny_db)) == normalize(
-        execute_push(plan, tiny_db, tiny_db.catalog)
-    )
+    compiled = LB2Compiler(tiny_db.catalog, tiny_db).compile(plan)
+    assert "def prepare(db):" in compiled.source
+    assert "def run(out):" in compiled.source
+    out: list = []
+    compiled.prepare(tiny_db)(out)
+    assert normalize(out) == normalize(execute_push(plan, tiny_db, tiny_db.catalog))
+    assert normalize(compiled.run(tiny_db)) == normalize(out)
 
 
 def test_compiled_no_hoist_config(tiny_db):

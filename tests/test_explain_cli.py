@@ -168,7 +168,7 @@ def test_cli_show(capsys):
     assert main(["show", "--query", "6", "--scale", "0.001"]) == 0
     output = capsys.readouterr().out
     assert "-> Agg" in output
-    assert "def query(db, out):" in output
+    assert "def prepare(db):" in output and "def run(out):" in output
 
 
 def test_cli_bad_level():

@@ -98,25 +98,6 @@ def test_bad_config_rejected():
         Config(hashmap="cuckoo")
 
 
-def test_prepare_requires_hoisted_mode(tiny_db):
-    compiled = LB2Compiler(tiny_db.catalog, tiny_db).compile(Scan("Dep"))
-    with pytest.raises(ValueError, match="hoisted"):
-        compiled.prepare(tiny_db)
-
-
-def test_instrument_with_split_prepare_is_typed_compile_error(tiny_db):
-    """The incompatible mode pair raises a taxonomy member (E_COMPILE in
-    phase codegen), not a bare ValueError -- the resilient executor and
-    its fallback policy route on code/phase."""
-    from repro.errors import error_code, error_phase
-
-    compiler = LB2Compiler(tiny_db.catalog, tiny_db, Config(instrument=True))
-    with pytest.raises(CompileError, match="split_prepare") as info:
-        compiler.compile(Scan("Dep"), split_prepare=True)
-    assert error_code(info.value) == "E_COMPILE"
-    assert error_phase(info.value) == "codegen"
-
-
 # -- parallel misuse -----------------------------------------------------------------
 
 

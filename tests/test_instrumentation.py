@@ -66,14 +66,6 @@ def test_counts_reset_between_runs(tiny_db):
     assert compiled.last_stats == first  # fresh counters each run, not doubled
 
 
-def test_instrument_with_split_prepare_rejected(tiny_db):
-    from repro.compiler.lb2 import CompileError
-
-    compiler = LB2Compiler(tiny_db.catalog, tiny_db, Config(instrument=True))
-    with pytest.raises(CompileError, match="split_prepare"):
-        compiler.compile(Scan("Dep"), split_prepare=True)
-
-
 def test_times_and_counts_are_split(tiny_db):
     plan = Select(Scan("Dep"), col("rank").lt(10))
     compiled = compile_instrumented(plan, tiny_db)

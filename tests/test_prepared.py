@@ -14,8 +14,7 @@ from __future__ import annotations
 import pytest
 
 from repro.catalog.types import ColumnType
-from repro.compiler.driver import LB2Compiler
-from repro.compiler.lb2 import CompileError, Config
+from repro.compiler.lb2 import Config
 from repro.errors import ParamError, error_code, error_from_dict, error_to_dict
 from repro.obs.metrics import REGISTRY
 from repro.obs.trace import Trace
@@ -177,16 +176,9 @@ def test_generated_param_code_closes_over_vector(tiny_db):
     ps = session.prepare_statement(
         "select count(*) from Sales where amount > ?"
     )
-    assert "def query(db, out, params):" in ps.source
+    assert "def prepare(db):" in ps.source
+    assert "def run(out, params):" in ps.source
     assert "params[0]" in ps.source
-
-
-def test_split_prepare_rejects_params(tiny_db):
-    plan = sql_to_plan("select count(*) from Sales where amount > ?", tiny_db)
-    with pytest.raises(CompileError):
-        LB2Compiler(tiny_db.catalog, tiny_db, Config()).compile(
-            plan, split_prepare=True
-        )
 
 
 @needs_numpy
@@ -470,5 +462,5 @@ def test_tpch_literal_variants_share_compiles(tpch_db):
 
 def test_non_param_compile_signature_unchanged(tiny_db):
     compiled = Session(tiny_db).prepare("select count(*) from Emp")
-    assert "def query(db, out):" in compiled.source
+    assert "def run(out):" in compiled.source
     assert compiled.param_signature == ()

@@ -332,7 +332,11 @@ def test_full_gate_sheds_with_e_admit(service):
             service._gate.leave()
 
 
-def test_breaker_opens_degrades_and_recovers(service, serve_session):
+def test_breaker_opens_degrades_and_recovers(service, serve_session, monkeypatch):
+    # The breaker reads time through its clock; step it by hand so a slow
+    # moment cannot end the cooldown before the bypass below.
+    now = [0.0]
+    monkeypatch.setattr(service.breaker, "_clock", lambda: now[0])
     sql = SQL_QUERIES[14]
     # Breaker keys are statement *shapes* (literals lifted), so every
     # literal variant of this query shares the same circuit.
@@ -359,7 +363,7 @@ def test_breaker_opens_degrades_and_recovers(service, serve_session):
     assert bypassed.ok and bypassed.degraded
     assert bypassed.engine in ("push", "volcano")
 
-    time.sleep(service.config.breaker_cooldown_seconds * 1.5)
+    now[0] += service.config.breaker_cooldown_seconds * 1.5
     probe = service.submit(ServiceRequest(sql=sql))  # half-open probe compiles
     assert probe.ok and probe.engine == "compiled"
     assert service.breaker.state(shape) == "closed"

@@ -81,7 +81,7 @@ def test_session_explain(tiny_db):
 def test_session_generated_code(tiny_db):
     session = Session(tiny_db)
     code = session.generated_code("select count(*) from Emp")
-    assert "def query(db, out):" in code
+    assert "def prepare(db):" in code and "def run(out):" in code
 
 
 def test_session_uses_index_rewrites_when_available(tiny_db_full):
