@@ -14,22 +14,47 @@ from repro.errors import ReproError
 from repro.catalog.types import ColumnType
 
 
-@dataclass(frozen=True)
-class Column:
-    """A named, typed column."""
-
-    name: str
-    type: ColumnType
-
-    def __repr__(self) -> str:
-        return f"{self.name}:{self.type.value}"
-
-
 class SchemaError(ReproError):
-    """Raised on unknown columns or inconsistent schema definitions."""
+    """Raised on unknown columns, inconsistent schema definitions, or data
+    that breaks a column's declaration."""
 
     code = "E_SCHEMA"
     phase = "catalog"
+
+
+@dataclass(frozen=True)
+class Column:
+    """A named, typed column and its declared facts.
+
+    ``width`` is a STRING column's declared length (``CHAR(n)`` /
+    ``VARCHAR(n)``), None when undeclared.  A column is NOT NULL unless
+    declared ``nullable``, and only a STRING column can be: no read path
+    holds a NULL number (a typed array has no slot for one).  The loader
+    enforces both facts, and the plan's nullability rule
+    (:meth:`repro.plan.physical.PhysicalPlan.nullable`) starts from them.
+    """
+
+    name: str
+    type: ColumnType
+    width: Optional[int] = None
+    nullable: bool = False
+
+    def __post_init__(self) -> None:
+        if self.nullable and self.type is not ColumnType.STRING:
+            raise SchemaError(
+                f"column {self.name!r}: only a STRING column can be nullable, "
+                f"not {self.type.value.upper()}"
+            )
+        if self.width is not None and (
+            self.type is not ColumnType.STRING or self.width < 1
+        ):
+            raise SchemaError(
+                f"column {self.name!r}: width {self.width} is not the "
+                f"positive length of a STRING column"
+            )
+
+    def __repr__(self) -> str:
+        return f"{self.name}:{self.type.value}"
 
 
 @dataclass
@@ -93,12 +118,16 @@ class TableSchema:
         return iter(self.columns)
 
 
-def schema(name: str, *cols: tuple[str, ColumnType], pk: Sequence[str] = (),
+def schema(name: str, *cols: tuple | Column, pk: Sequence[str] = (),
            fks: Optional[dict[str, tuple[str, str]]] = None) -> TableSchema:
-    """Terse schema constructor used throughout tests and the TPC-H module."""
+    """Terse schema constructor used throughout tests and the TPC-H module.
+
+    Each column is a :class:`Column` or its fields as a tuple:
+    ``(name, type)`` or ``(name, type, width)``.
+    """
     return TableSchema(
         name,
-        [Column(n, t) for n, t in cols],
+        [c if isinstance(c, Column) else Column(*c) for c in cols],
         primary_key=tuple(pk),
         foreign_keys=dict(fks or {}),
     )

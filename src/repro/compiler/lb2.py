@@ -246,19 +246,19 @@ class StagedProject(StagedOp):
 
     def exec(self) -> Datapath:
         child_dp = self.comp.backend.edge(self.child, self.node)
-        null_guard = phys.needs_null_guard(self.node)
+        null_refs = self.node.null_refs(self.comp.catalog)
         types = self.node.field_types(self.comp.catalog)
 
         def datapath(cb: RecCallback) -> None:
             def on_rec(rec: StagedRecord) -> None:
                 values: dict[str, StagedValue] = {}
                 descs: list[FieldDesc] = []
-                for name, expr in self.node.outputs:
-                    if null_guard and expr.columns():
-                        # SQL NULL propagation for the one place a None can
-                        # feed arithmetic: projections over global aggregates.
+                for (name, expr), refs in zip(self.node.outputs, null_refs):
+                    if refs:
+                        # SQL NULL propagation: the output reads a field
+                        # the plan says can be NULL (PhysicalPlan.nullable)
                         present = None
-                        for ref in sorted(expr.columns()):
+                        for ref in refs:
                             check = self.ctx.call("not_none", [rec[ref]], result="bool")
                             present = check if present is None else (present & check)
                         none_rep = Rep(ir.Const(None), self.ctx, ctype="void*")

@@ -35,7 +35,6 @@ from repro.analysis.verifier import Verifier
 from repro.analysis.walker import IRVerificationError
 from repro.catalog.catalog import Catalog
 from repro.engine import push as push_engine
-from repro.engine.aggregates import eval_null_safe
 from repro.errors import ReproError, error_code
 from repro.plan import physical as phys
 from repro.plan.expressions import AggSpec
@@ -372,7 +371,7 @@ class ParallelQuery:
         if isinstance(node, phys.Select):
             return push_engine.Select(child, node)
         if isinstance(node, phys.Project):
-            return push_engine.Project(child, node)
+            return push_engine.Project(child, node, self.catalog)
         if isinstance(node, phys.Agg):
             return push_engine.Agg(child, node)
         if isinstance(node, phys.Distinct):

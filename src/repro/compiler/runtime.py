@@ -248,6 +248,7 @@ try:
 except ImportError:  # pragma: no cover - exercised via the no-numpy tests
     _np = None
 
+from repro.plan.physical import PlanError
 from repro.storage.buffer import typed_strings, word_width
 
 #: NumPy's string functions (``np.strings`` from NumPy 2, ``np.char``
@@ -1932,19 +1933,29 @@ def _full(n: int, value):
     return _np.repeat(_column([value]), n)
 
 
-def _key_kind(x) -> Optional[str]:
+def _key_kind(x) -> str:
     """How a join key array codes: ``"i"`` (integer, bool and date keys,
-    which direct tables take), ``"f"`` (floats, which only sort), or None
-    (anything else, which the dict form answers)."""
-    if not _is_batch(x):
-        return None
-    if x.dtype.kind in "iub":
-        return "i"
-    return "f" if x.dtype.kind == "f" else None
+    which direct tables take) or ``"f"`` (floats, which only sort)."""
+    if _is_batch(x):
+        if x.dtype.kind in "iub":
+            return "i"
+        if x.dtype.kind == "f":
+            return "f"
+    raise PlanError(
+        f"a batch join key must be an integer or float array, not {x!r:.60}: "
+        "the generator keeps a join whose key can be NULL in rows"
+    )
 
 
 class JoinIndex:
     """Build keys -> build rows, for batch probes.
+
+    Its precondition: every key, build and probe, is an integer (bool,
+    date) or a float array -- a probe key may be a broadcast scalar of the
+    same kind -- and each probe key has its build key's kind.  Anything
+    else is a :class:`PlanError`; the generator sees to it, because
+    ``VectorBackend._join_ok`` refuses a key pair of two kinds and a key
+    the plan says can be NULL.
 
     Every probe row maps to one *slot* of dense tables: the build row of
     each slot when build keys are unique, else a start/count per slot
@@ -1961,24 +1972,16 @@ class JoinIndex:
     only form a float key takes, so ``-0.0`` meets ``0.0`` and no key is
     truncated), and composite keys combine those codes by mixed radix --
     re-densified whenever the radix outgrows a direct table, so no packed
-    key can overflow int64.  A build key array that is neither integer
-    nor float -- an object array holding ``None`` (an INT field from a
-    left outer join's null-extended side) -- or a probe key of the other
-    kind than its build column (an integer meeting a float) makes a dict
-    from key to build rows answer instead; all forms give the same
-    matches in the same order.
+    key can overflow int64.
     """
 
     def __init__(self, keys: list) -> None:
-        self.keys = keys
         self.size = len(keys[0])
-        self._dict: Optional[dict] = None
         self._kinds = [_key_kind(k) for k in keys]
-        self._numeric = None not in self._kinds
-        if self._numeric and self.size:
+        if self.size:
             self._build(keys)
 
-    # -- numeric tables -------------------------------------------------------
+    # -- tables ---------------------------------------------------------------
 
     def _build(self, keys: list) -> None:
         n = self.size
@@ -2045,22 +2048,19 @@ class JoinIndex:
                 codes, valid = step.encode(codes, valid)
         return _np.where(valid, codes, self._radix)
 
-    def _probe_keys(self, keys: list, n: int):
-        """The probe keys as arrays of their build columns' kinds, or None
-        (use the dict)."""
-        if not self._numeric:
-            return None
+    def _probe_keys(self, keys: list, n: int) -> list:
+        """The probe keys as arrays, each of its build key's kind."""
         out = []
         for k, kind in zip(keys, self._kinds):
-            if not _is_batch(k):
-                if isinstance(k, (bool, int)):
-                    k = _np.full(n, k, dtype=_np.int64)
-                elif isinstance(k, float):
-                    k = _np.full(n, k)
-                else:
-                    return None
+            if isinstance(k, (bool, int, _np.integer)):
+                k = _np.full(n, k, dtype=_np.int64)
+            elif isinstance(k, float):
+                k = _np.full(n, k)
             if _key_kind(k) != kind:
-                return None
+                raise PlanError(
+                    f"a batch join probe key of kind {_key_kind(k)!r} meets "
+                    f"a build key of kind {kind!r}"
+                )
             out.append(k)
         return out
 
@@ -2076,10 +2076,7 @@ class JoinIndex:
                 return _np.full(n, -1, dtype=_np.int64), _np.arange(n)
             empty = _np.empty(0, dtype=_np.int64)
             return empty, empty
-        arrays = self._probe_keys(keys, n)
-        if arrays is None:
-            return self._probe_dict(keys, n, outer)
-        slots = self._slots(arrays, n)
+        slots = self._slots(self._probe_keys(keys, n), n)
         if self._unique:
             rows = self._row_of.take(slots)
             if outer:
@@ -2106,46 +2103,10 @@ class JoinIndex:
         """Per probe row: does any build row carry its key?"""
         if self.size == 0:
             return _np.zeros(n, dtype=bool)
-        arrays = self._probe_keys(keys, n)
-        if arrays is None:
-            table = self._lookup()
-            return _np.asarray([key in table for key in _key_rows(keys, n)], dtype=bool)
-        slots = self._slots(arrays, n)
+        slots = self._slots(self._probe_keys(keys, n), n)
         if self._unique:
             return self._row_of.take(slots) >= 0
         return self._counts.take(slots) > 0
-
-    # -- the dict form ----------------------------------------------------------
-
-    def _lookup(self) -> dict:
-        if self._dict is None:
-            table: dict = {}
-            for row, key in enumerate(_key_rows(self.keys, self.size)):
-                table.setdefault(key, []).append(row)
-            self._dict = table
-        return self._dict
-
-    def _probe_dict(self, keys: list, n: int, outer: bool):
-        table = self._lookup()
-        build_rows: list = []
-        probe_rows: list = []
-        unmatched = [-1] if outer else []
-        for i, key in enumerate(_key_rows(keys, n)):
-            for row in table.get(key, unmatched):
-                build_rows.append(row)
-                probe_rows.append(i)
-        return (
-            _np.asarray(build_rows, dtype=_np.int64),
-            _np.asarray(probe_rows, dtype=_np.int64),
-        )
-
-
-def _key_rows(keys: list, n: int) -> list:
-    """Per-row keys: the value for one key column, a tuple for several."""
-    cols = [_to_list(k) if _is_batch(k) else [k] * n for k in keys]
-    if len(cols) == 1:
-        return cols[0]
-    return list(zip(*cols))
 
 
 def v_join_probe(index, n, *keys):

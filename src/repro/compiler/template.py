@@ -102,15 +102,14 @@ def _emit(node: phys.PhysicalPlan, em: _Emitter, catalog: Catalog,
         _emit(node.child, em, catalog, rec, on_child)
 
     elif isinstance(node, phys.Project):
-        null_guard = phys.needs_null_guard(node)
+        null_refs = node.null_refs(catalog)
 
         def on_child(child_rec: str) -> None:
             out = em.fresh("prj")
             parts = []
-            for name, expr in node.outputs:
+            for (name, expr), refs in zip(node.outputs, null_refs):
                 code = expr.template(child_rec)
-                refs = sorted(expr.columns())
-                if null_guard and refs:
+                if refs:
                     guard = " or ".join(f"{child_rec}[{r!r}] is None" for r in refs)
                     code = f"(None if ({guard}) else {code})"
                 parts.append(f"{name!r}: {code}")

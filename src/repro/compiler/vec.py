@@ -988,7 +988,9 @@ class VectorBackend(ScalarBackend):
         self._batch: set[int] = set()  # id(node) -> emits VecRecords
         self._vec_aggs: set[int] = set()  # id(node) -> vectorized Agg
         self._uses: dict[int, int] = {}  # id(node) -> occurrences in the plan
-        # id(batch outer join) -> the null-extended fields it emits
+        # id(batch outer join) -> the null-extended fields it emits with a
+        # validity mask: how a batch represents them, not whether a value
+        # can be NULL (that is PhysicalPlan.nullable, the plan's one rule)
         self._nullable: dict[int, frozenset[str]] = {}
         self._counts = {
             "batch_scans": 0,
@@ -1040,7 +1042,7 @@ class VectorBackend(ScalarBackend):
         elif isinstance(node, phys.Project):
             if (
                 id(node.child) in self._batch
-                and not phys.needs_null_guard(node)
+                and not any(node.null_refs(self.comp.catalog))
                 and all(_expr_supported(e) for _, e in node.outputs)
             ):
                 self._batch.add(id(node))
@@ -1083,16 +1085,21 @@ class VectorBackend(ScalarBackend):
         return not any(f.compressed for f in self.comp.static_fields(node))
 
     def _join_ok(self, node, build: phys.PhysicalPlan) -> bool:
-        """Key pairs both integer-like or both float, and a plain build
-        side (its columns are kept as arrays, so no dictionary codes)."""
+        """Key pairs both integer-like or both float, no key the plan says
+        can be NULL (:meth:`PhysicalPlan.nullable`: the join index holds
+        typed key arrays only), and a plain build side (its columns are
+        kept as arrays, so no dictionary codes)."""
         if self.comp.config.hashmap != "native" or not node.left_keys:
             return False
         catalog = self.comp.catalog
         left = node.left.field_types(catalog)
         right = node.right.field_types(catalog)
+        left_null, right_null = node.left.nullable(catalog), node.right.nullable(catalog)
         for lk, rk in zip(node.left_keys, node.right_keys):
             kind = _JOIN_KEY_KINDS.get(left[lk])
             if kind is None or kind != _JOIN_KEY_KINDS.get(right[rk]):
+                return False
+            if lk in left_null or rk in right_null:
                 return False
         return not any(f.compressed for f in self.comp.static_fields(build))
 
@@ -1226,10 +1233,16 @@ class VectorBackend(ScalarBackend):
             types = node.child.field_types(catalog)
 
             def column(expr) -> Optional[tuple[str, str]]:
-                # a float column never has bounds (Database.bounds)
+                # the columns Database.bounds answers: integer-like ones,
+                # and strings declared one character wide (NOT NULL)
                 if not isinstance(expr, Col) or types[expr.name] is ColumnType.FLOAT:
                     return None
-                return columns.get(expr.name)
+                found = columns.get(expr.name)
+                if found is not None and types[expr.name] is ColumnType.STRING:
+                    declared = catalog.table(found[0]).require(found[1])
+                    if declared.width != 1 or declared.nullable:
+                        return None
+                return found
 
             keys = [column(expr) for _, expr in node.keys]
             if None in keys:

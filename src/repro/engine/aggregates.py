@@ -13,13 +13,11 @@ from typing import Sequence
 from repro.plan.expressions import AggSpec
 
 
-def eval_null_safe(expr, row: dict) -> object:
-    """Evaluate ``expr`` with SQL NULL propagation: None in -> None out.
-
-    Used by null-guarded Projects (over global aggregates whose input may
-    be empty); see :func:`repro.plan.physical.needs_null_guard`.
-    """
-    if any(row.get(name) is None for name in expr.columns()):
+def eval_null_safe(expr, refs: Sequence[str], row: dict) -> object:
+    """Evaluate ``expr`` with SQL NULL propagation: None when any of
+    ``refs`` -- the nullable fields it reads, from
+    :meth:`repro.plan.physical.Project.null_refs` -- is None."""
+    if any(row[name] is None for name in refs):
         return None
     return expr.eval(row)
 

@@ -96,16 +96,18 @@ class Select(Op):
 
 
 class Project(Op):
-    def __init__(self, child: Op, node: phys.Project) -> None:
+    def __init__(self, child: Op, node: phys.Project, catalog: Catalog) -> None:
         self.child = child
         self.outputs = node.outputs
-        self.null_guard = phys.needs_null_guard(node)
+        self.refs = node.null_refs(catalog)
 
     def exec(self, cb: Callback) -> None:
         outputs = self.outputs
-        if self.null_guard:
+        if any(self.refs):
+            guarded = [(name, expr, r) for (name, expr), r in zip(outputs, self.refs)]
+
             def on_row(row: Row) -> None:
-                cb({name: eval_null_safe(expr, row) for name, expr in outputs})
+                cb({name: eval_null_safe(expr, refs, row) for name, expr, refs in guarded})
         else:
             def on_row(row: Row) -> None:
                 cb({name: expr.eval(row) for name, expr in outputs})
@@ -474,7 +476,7 @@ def _build_op_raw(node: phys.PhysicalPlan, db: Database, catalog: Catalog) -> Op
     if isinstance(node, phys.Select):
         return Select(build_op(node.child, db, catalog), node)
     if isinstance(node, phys.Project):
-        return Project(build_op(node.child, db, catalog), node)
+        return Project(build_op(node.child, db, catalog), node, catalog)
     if isinstance(node, phys.HashJoin):
         return HashJoin(
             build_op(node.left, db, catalog), build_op(node.right, db, catalog), node

@@ -114,10 +114,15 @@ class SelectOp(Operator):
 
 
 class ProjectOp(Operator):
-    def __init__(self, child: Operator, node: phys.Project) -> None:
+    def __init__(self, child: Operator, node: phys.Project, catalog: Catalog) -> None:
         self.child = child
         self.outputs = node.outputs
-        self.null_guard = phys.needs_null_guard(node)
+        refs = node.null_refs(catalog)
+        # with an output that reads a nullable field: every output's refs
+        self.guarded = (
+            [(name, expr, r) for (name, expr), r in zip(node.outputs, refs)]
+            if any(refs) else None
+        )
 
     def open(self) -> None:
         self.child.open()
@@ -126,8 +131,8 @@ class ProjectOp(Operator):
         row = self.child.next()
         if row is None:
             return None
-        if self.null_guard:
-            return {name: eval_null_safe(expr, row) for name, expr in self.outputs}
+        if self.guarded is not None:
+            return {name: eval_null_safe(expr, refs, row) for name, expr, refs in self.guarded}
         return {name: expr.eval(row) for name, expr in self.outputs}
 
     def close(self) -> None:
@@ -591,7 +596,7 @@ def _build_operator_raw(
     if isinstance(node, phys.Select):
         return SelectOp(build_operator(node.child, db, catalog), node)
     if isinstance(node, phys.Project):
-        return ProjectOp(build_operator(node.child, db, catalog), node)
+        return ProjectOp(build_operator(node.child, db, catalog), node, catalog)
     if isinstance(node, phys.HashJoin):
         return HashJoinOp(
             build_operator(node.left, db, catalog),

@@ -2,6 +2,12 @@
 
 Primary/foreign keys follow the spec; the loader uses them to build the
 "idx" optimization level's indexes (Section 4.3 / Figure 9).
+
+Every column is NOT NULL, as the spec says.  A string column's third
+field is its spec width (``CHAR(n)`` / ``VARCHAR(n)``), which the loader
+enforces; the free-text columns (addresses and comments) declare none,
+because this generator's pseudo-text is not spec-sized (three words of an
+address reach 44 bytes, against ``VARCHAR(40)``).
 """
 
 from __future__ import annotations
@@ -12,7 +18,7 @@ from repro.catalog.schema import TableSchema, schema
 REGION = schema(
     "region",
     ("r_regionkey", INT),
-    ("r_name", STRING),
+    ("r_name", STRING, 25),
     ("r_comment", STRING),
     pk=["r_regionkey"],
 )
@@ -20,7 +26,7 @@ REGION = schema(
 NATION = schema(
     "nation",
     ("n_nationkey", INT),
-    ("n_name", STRING),
+    ("n_name", STRING, 25),
     ("n_regionkey", INT),
     ("n_comment", STRING),
     pk=["n_nationkey"],
@@ -30,10 +36,10 @@ NATION = schema(
 SUPPLIER = schema(
     "supplier",
     ("s_suppkey", INT),
-    ("s_name", STRING),
+    ("s_name", STRING, 25),
     ("s_address", STRING),
     ("s_nationkey", INT),
-    ("s_phone", STRING),
+    ("s_phone", STRING, 15),
     ("s_acctbal", FLOAT),
     ("s_comment", STRING),
     pk=["s_suppkey"],
@@ -43,12 +49,12 @@ SUPPLIER = schema(
 CUSTOMER = schema(
     "customer",
     ("c_custkey", INT),
-    ("c_name", STRING),
+    ("c_name", STRING, 25),
     ("c_address", STRING),
     ("c_nationkey", INT),
-    ("c_phone", STRING),
+    ("c_phone", STRING, 15),
     ("c_acctbal", FLOAT),
-    ("c_mktsegment", STRING),
+    ("c_mktsegment", STRING, 10),
     ("c_comment", STRING),
     pk=["c_custkey"],
     fks={"c_nationkey": ("nation", "n_nationkey")},
@@ -57,12 +63,12 @@ CUSTOMER = schema(
 PART = schema(
     "part",
     ("p_partkey", INT),
-    ("p_name", STRING),
-    ("p_mfgr", STRING),
-    ("p_brand", STRING),
-    ("p_type", STRING),
+    ("p_name", STRING, 55),
+    ("p_mfgr", STRING, 25),
+    ("p_brand", STRING, 10),
+    ("p_type", STRING, 25),
     ("p_size", INT),
-    ("p_container", STRING),
+    ("p_container", STRING, 10),
     ("p_retailprice", FLOAT),
     ("p_comment", STRING),
     pk=["p_partkey"],
@@ -85,11 +91,11 @@ ORDERS = schema(
     "orders",
     ("o_orderkey", INT),
     ("o_custkey", INT),
-    ("o_orderstatus", STRING),
+    ("o_orderstatus", STRING, 1),
     ("o_totalprice", FLOAT),
     ("o_orderdate", DATE),
-    ("o_orderpriority", STRING),
-    ("o_clerk", STRING),
+    ("o_orderpriority", STRING, 15),
+    ("o_clerk", STRING, 15),
     ("o_shippriority", INT),
     ("o_comment", STRING),
     pk=["o_orderkey"],
@@ -106,13 +112,13 @@ LINEITEM = schema(
     ("l_extendedprice", FLOAT),
     ("l_discount", FLOAT),
     ("l_tax", FLOAT),
-    ("l_returnflag", STRING),
-    ("l_linestatus", STRING),
+    ("l_returnflag", STRING, 1),
+    ("l_linestatus", STRING, 1),
     ("l_shipdate", DATE),
     ("l_commitdate", DATE),
     ("l_receiptdate", DATE),
-    ("l_shipinstruct", STRING),
-    ("l_shipmode", STRING),
+    ("l_shipinstruct", STRING, 25),
+    ("l_shipmode", STRING, 10),
     ("l_comment", STRING),
     fks={
         "l_orderkey": ("orders", "o_orderkey"),

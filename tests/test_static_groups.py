@@ -14,9 +14,14 @@
   a bare field keeps its column through a scan's renames, a filter, a
   projection and either side of a join; a computed key, a ``SUBSTRING``
   key and an outer join's null-extended side get none;
+* a string key or distinct value gets bounds only when its column is
+  declared one character wide;
 * the served q1, q20 and q21 report static group tables, the served mix
-  never replays a static table into the coded form, and one compiled
-  grouped program answers against two databases of different bounds;
+  never replays a static table into the coded form, every ``db.bounds``
+  call it makes returns bounds and each request's
+  ``static_group_tables`` counts the tables made with every key's bounds,
+  and one compiled grouped program answers against two databases of
+  different bounds;
 * vector, scalar, push and Volcano agree on ad hoc ``GROUP BY``s over
   flags and keys, an empty input and ``count(distinct)`` included.
 """
@@ -34,7 +39,7 @@ from repro.catalog import INT, STRING, Catalog
 from repro.catalog.schema import schema
 from repro.compiler import runtime as rt
 from repro.compiler import vec
-from repro.compiler.driver import LB2Compiler
+from repro.compiler.driver import CompiledQuery, LB2Compiler
 from repro.compiler.lb2 import Config
 from repro.engine import execute_push, execute_volcano
 from repro.plan import (
@@ -271,7 +276,7 @@ def test_static_accumulators_are_allocated_once_at_their_size():
 def _flags_db(rows) -> Database:
     db = Database(Catalog())
     db.add_rows(
-        schema("F", ("k", INT), ("flag", STRING), ("name", STRING), ("v", INT), ("d", INT)),
+        schema("F", ("k", INT), ("flag", STRING, 1), ("name", STRING), ("v", INT), ("d", INT)),
         rows,
     )
     db.add_rows(schema("G", ("gk", INT), ("g", INT)), [(1, 10), (2, 20), (3, 30)])
@@ -351,10 +356,35 @@ def test_only_bare_keys_get_a_static_table():
         assert build.codegen_stats["static_distinct_slots"] == 1
 
 
+def test_a_string_key_needs_a_declared_width_of_one():
+    """``db.bounds`` answers a string column only when its values are one
+    byte wide, so the generator asks for a string key's or distinct
+    value's bounds only when the column is declared one character wide:
+    an undeclared column, or one declared wider, stays coded even when its
+    values happen to be one byte."""
+    db = Database(Catalog())
+    db.add_rows(
+        schema("W", ("wide", STRING, 2), ("free", STRING), ("one", STRING, 1)),
+        [("a", "b", "c"), ("d", "e", "f")],
+    )
+    for key in ("wide", "free"):
+        build = _compiled(db, Agg(Scan("W"), [(key, col(key))], [
+            ("n", count()), ("d", count_distinct(col("one"))),
+        ]))
+        assert build.codegen_stats["static_group_tables"] == 0, key
+        assert f"db.bounds('W', '{key}')" not in build.source
+        assert build.codegen_stats["static_distinct_slots"] == 1, key
+        distinct = _compiled(db, Agg(Scan("W"), [("one", col("one"))], [
+            ("d", count_distinct(col(key))),
+        ]))
+        assert distinct.codegen_stats["static_group_tables"] == 1, key
+        assert distinct.codegen_stats["static_distinct_slots"] == 0, key
+
+
 # -- served plans and data independence --------------------------------------------------
 
 
-@pytest.mark.parametrize("q,tables,slots", [(1, 1, 0), (20, 1, 0), (21, 3, 2)])
+@pytest.mark.parametrize("q,tables,slots", [(1, 1, 0), (20, 1, 0), (21, 2, 2)])
 def test_served_plans_report_static_group_tables(q, tables, slots, tpch_db):
     stats = _served_build(Session(tpch_db), q).codegen_stats
     assert stats["static_group_tables"] == tables, stats
@@ -404,6 +434,60 @@ def test_the_served_mix_never_leaves_a_static_table(monkeypatch):
         assert len(table.reps) == 7 and table.spans is None
         assert table.real == [0] and not table.stages
         assert table.dependent == [1, 2, 3, 4, 5, 6]
+
+
+def test_the_served_mix_asks_only_for_bounds_it_gets(monkeypatch):
+    """Both literal variants of the 22 mix statements, served through
+    ``QueryService.submit`` at SF 0.001: every ``db.bounds`` call a served
+    program makes returns bounds, and each request's
+    ``codegen_stats["static_group_tables"]`` is the number of its group
+    tables that can run static -- made with every key's bounds -- since a
+    string key is given bounds only when its column is declared one
+    character wide.  (Whether such a table does run static is decided at
+    run time, from the bounds' product: q3's three integer keys span too
+    much and stay coded.)"""
+    mix = json.loads((LEDGER / "statements.json").read_text())["mix"]
+    calls: list = []
+    tables: list = []
+    programs: list = []
+    real_bounds, real_prepare = Database.bounds, CompiledQuery.prepare
+
+    def bounds(self, table, column):
+        answer = real_bounds(self, table, column)
+        calls.append((table, column, answer))
+        return answer
+
+    def prepare(self, db):
+        programs.append(self)
+        return real_prepare(self, db)
+
+    class Recorded(rt.GroupTable):
+        def __init__(self, nkeys, nslots, *bounds) -> None:
+            super().__init__(nkeys, nslots, *bounds)
+            tables.append(len(bounds) == nkeys and None not in bounds)
+
+    monkeypatch.setattr(Database, "bounds", bounds)
+    monkeypatch.setattr(CompiledQuery, "prepare", prepare)
+    monkeypatch.setattr(rt, "GroupTable", Recorded)
+    scale = 0.001
+    with QueryService(
+        Session(generate_database(scale)), ServiceConfig(workers=1, query_scale=scale)
+    ) as service:
+        for variant in (0, 1):
+            for entry in mix:
+                if "tpch" in entry:
+                    request = ServiceRequest(tpch=entry["tpch"])
+                else:
+                    request = ServiceRequest(sql=entry["sql"][variant % len(entry["sql"])])
+                del tables[:], programs[:]
+                reply = service.submit(request)
+                assert reply.ok, (entry["key"], reply.error)
+                assert len(programs) == 1, entry["key"]
+                assert programs[0].codegen_stats["static_group_tables"] == sum(tables), (
+                    entry["key"], variant
+                )
+    assert calls
+    assert [(t, c) for t, c, answer in calls if answer is None] == []
 
 
 def test_one_grouped_program_answers_against_two_databases():

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.catalog import INT, STRING, Catalog
-from repro.catalog.schema import schema
+from repro.catalog.schema import Column, schema
 from repro.compiler import runtime as rt
 from repro.compiler.driver import LB2Compiler
 from repro.compiler.lb2 import Config
@@ -55,7 +55,7 @@ def test_only_ascii_text_without_nul_gets_the_typed_layout():
     db.add_rows(
         schema(
             "T", ("ascii", STRING), ("accent", STRING), ("nul", STRING),
-            ("null", STRING), ("empty", STRING), ("n", INT),
+            Column("null", STRING, nullable=True), ("empty", STRING), ("n", INT),
         ),
         [("ab ", "café", "a\0b", "x", "", 1), ("c", "d", "e", None, "", 2)],
     )
