@@ -1002,22 +1002,19 @@ class _IdMap:
         return True
 
     def _direct_ids(self, keys):
-        offsets = keys - self.lo
-        ids = self.table[offsets].astype(_np.int64)
-        ids -= 1
-        missing = _np.flatnonzero(ids < 0)
+        table, offsets = self.table, keys - self.lo
+        held = table[offsets]
+        missing = _np.flatnonzero(held == 0)
         if not len(missing):
-            return ids, _EMPTY
+            return _np.subtract(held, 1, dtype=_np.int64), _EMPTY
         slots = offsets[missing]
         # one row per new key: of the rows sharing a slot, the last write wins
         marks = _np.arange(1, len(missing) + 1, dtype=_np.int32)
-        self.table[slots] = marks
-        first = missing[self.table[slots] == marks]
-        self.table[offsets[first]] = _np.arange(self.size + 1, self.size + 1 + len(first))
-        ids[missing] = self.table[slots]
-        ids[missing] -= 1
+        table[slots] = marks
+        first = missing[table[slots] == marks]
+        table[offsets[first]] = _np.arange(self.size + 1, self.size + 1 + len(first))
         self._added(keys[first])
-        return ids, first
+        return _np.subtract(table[offsets], 1, dtype=_np.int64), first
 
     # -- open addressing ----------------------------------------------------------
 

@@ -87,8 +87,9 @@ def attribute_profile(profile: dict) -> Dict[str, float]:
     ``compile`` sums the session's ``compile`` spans, ``execute`` is the
     engine ``attempt`` time net of compilation (falling back to the
     worker wall clock when the profile carries no trace), ``queue`` is
-    admission-to-worker-pickup, and ``other`` the unattributed rest
-    (response shaping, context binding, scheduler noise).
+    the wait from the pool hand-off after admission to worker pickup, and
+    ``other`` the unattributed rest (admission, response shaping, context
+    binding, scheduler noise).
     """
     latency = float(profile.get("latency_seconds", 0.0))
     queue = float(profile.get("queued_seconds", 0.0))

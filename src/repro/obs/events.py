@@ -39,7 +39,6 @@ import json
 import os
 import threading
 import time
-from contextlib import contextmanager
 from typing import Iterator, List, Optional
 
 from repro.obs.artifacts import ArtifactError, Const, Maybe, OneOf, check
@@ -60,41 +59,47 @@ EVENT_KINDS = (
 
 # -- request context (thread-local) -------------------------------------------
 
-_CTX = threading.local()
+
+class _Context(threading.local):
+    # The bound request: (request_id, shape, tenant, trace_id).  A class
+    # default, so an unbound thread reads it without a failed lookup.
+    bound: tuple = (None, None, None, None)
+
+
+_CTX = _Context()
 
 
 def current_request_id() -> Optional[str]:
     """The request id bound to this thread, if any."""
-    return getattr(_CTX, "request_id", None)
+    return _CTX.bound[0]
 
 
 def current_shape() -> Optional[str]:
     """The plan shape bound to this thread, if any."""
-    return getattr(_CTX, "shape", None)
+    return _CTX.bound[1]
 
 
-@contextmanager
-def request_context(
-    request_id: Optional[str],
-    shape: Optional[str] = None,
-    tenant: Optional[str] = None,
-    trace_id: Optional[str] = None,
-) -> Iterator[None]:
-    """Bind this thread to one request for the duration of the block."""
-    previous = (
-        getattr(_CTX, "request_id", None),
-        getattr(_CTX, "shape", None),
-        getattr(_CTX, "tenant", None),
-        getattr(_CTX, "trace_id", None),
-    )
-    _CTX.request_id, _CTX.shape, _CTX.tenant = request_id, shape, tenant
-    _CTX.trace_id = trace_id
-    try:
-        yield
-    finally:
-        (
-            _CTX.request_id, _CTX.shape, _CTX.tenant, _CTX.trace_id,
-        ) = previous
+class request_context:
+    """Bind this thread to one request for the duration of a ``with``
+    block (the previous binding comes back on exit)."""
+
+    __slots__ = ("_bound", "_previous")
+
+    def __init__(
+        self,
+        request_id: Optional[str],
+        shape: Optional[str] = None,
+        tenant: Optional[str] = None,
+        trace_id: Optional[str] = None,
+    ) -> None:
+        self._bound = (request_id, shape, tenant, trace_id)
+
+    def __enter__(self) -> None:
+        self._previous = _CTX.bound
+        _CTX.bound = self._bound
+
+    def __exit__(self, *exc_info) -> None:
+        _CTX.bound = self._previous
 
 
 # -- the log ------------------------------------------------------------------
@@ -151,10 +156,9 @@ class EventLog:
             doc["shape_digest"] = shape_digest(shape)
             if kind == "compile":
                 doc["shape"] = shape
-        tenant = getattr(_CTX, "tenant", None)
+        _, _, tenant, trace_id = _CTX.bound
         if "tenant" not in fields and tenant is not None:
             doc["tenant"] = tenant
-        trace_id = getattr(_CTX, "trace_id", None)
         if "trace_id" not in fields and trace_id is not None:
             doc["trace_id"] = trace_id
         doc.update(fields)

@@ -188,10 +188,25 @@ class MetricsRegistry:
             self._counters[name] = value
             return value
 
+    def bump(self, *names: str) -> None:
+        """Increment every counter in ``names`` by one, under one lock
+        take (a request's several counters)."""
+        counters = self._counters
+        with self._lock:
+            for name in names:
+                counters[name] = counters.get(name, 0) + 1
+
     def gauge(self, name: str, value: float) -> None:
         """Set gauge ``name`` to ``value`` (last write wins)."""
         with self._lock:
             self._gauges[name] = value
+
+    def set_gauges(self, names: Sequence[str], value: float) -> None:
+        """Set every gauge in ``names`` to ``value``, under one lock take."""
+        gauges = self._gauges
+        with self._lock:
+            for name in names:
+                gauges[name] = value
 
     def observe(
         self,
@@ -214,6 +229,19 @@ class MetricsRegistry:
                     buckets if buckets is not None else DEFAULT_BUCKETS
                 )
             h.observe(value, exemplar=exemplar)
+
+    def observe_all(
+        self, names: Sequence[str], value: float, exemplar: Optional[str] = None
+    ) -> None:
+        """:meth:`observe` ``value`` into every histogram in ``names``
+        (default buckets when one is created), under one lock take."""
+        histograms = self._histograms
+        with self._lock:
+            for name in names:
+                h = histograms.get(name)
+                if h is None:
+                    h = histograms[name] = Histogram(DEFAULT_BUCKETS)
+                h.observe(value, exemplar=exemplar)
 
     def quantile(self, name: str, q: float) -> float:
         """The live quantile of histogram ``name`` (0.0 when absent)."""

@@ -36,10 +36,10 @@ Stdlib-only leaf (imports only :mod:`repro.obs.metrics` and
 
 from __future__ import annotations
 
+import os
 import re
 import threading
 import time
-import uuid
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Dict, Optional, Tuple
@@ -64,9 +64,12 @@ _TRACEPARENT = re.compile(r"^00-([0-9a-f]{32})-([0-9a-f]{16})-([0-9a-f]{2})$")
 def make_traceparent(
     trace_id: Optional[str] = None, span_id: Optional[str] = None
 ) -> str:
-    """A fresh W3C-style traceparent header value (version 00, sampled)."""
-    trace_id = trace_id or uuid.uuid4().hex
-    span_id = span_id or uuid.uuid4().hex[:16]
+    """A fresh W3C-style traceparent header value (version 00, sampled);
+    the ids not given are random hex (32 and 16 digits)."""
+    if not (trace_id and span_id):
+        fresh = os.urandom(24).hex()
+        trace_id = trace_id or fresh[:32]
+        span_id = span_id or fresh[32:]
     return f"00-{trace_id}-{span_id}-01"
 
 
@@ -118,8 +121,8 @@ class RequestRecord:
     degraded: bool = False
     breaker: Optional[str] = None  # breaker decision, when one was made
     rows: int = 0
-    latency_seconds: float = 0.0  # admission -> reply
-    queued_seconds: float = 0.0  # admission -> worker pickup
+    latency_seconds: float = 0.0  # arrival at submit -> reply
+    queued_seconds: float = 0.0  # pool hand-off after admission -> worker pickup
     exec_seconds: float = 0.0  # worker wall clock (queueing excluded)
     attempt_seconds: float = 0.0  # the answering engine attempt alone
     trace: Optional[dict] = None  # the full span tree (Trace.to_dict())

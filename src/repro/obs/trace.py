@@ -18,9 +18,8 @@ from __future__ import annotations
 import json
 import threading
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Iterator, List, Optional
+from typing import List, Optional
 
 
 @dataclass
@@ -64,7 +63,9 @@ class Span:
 
 
 class _NullSpan:
-    """What ``span()`` yields when no trace is active: falsy, inert."""
+    """What ``span()`` yields when no trace is active: falsy, inert; it is
+    its own context manager, so an untraced ``with span(...)`` builds
+    nothing."""
 
     __slots__ = ()
 
@@ -75,8 +76,20 @@ class _NullSpan:
     def meta(self) -> dict:  # writes vanish; guard real work with `if sp:`
         return {}
 
+    def __enter__(self) -> "_NullSpan":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        return None
+
 
 _NULL_SPAN = _NullSpan()
+
+
+class _State(threading.local):
+    active: Optional["Trace"] = None  # class defaults: an untraced thread
+    stack: Optional[List[Span]] = None  # reads them without a failed lookup
+
 
 # Trace state is *per thread*: the serve tier runs one request per worker
 # thread, each under its own :class:`Trace`, and spans opened on one
@@ -84,44 +97,55 @@ _NULL_SPAN = _NullSpan()
 # survives ``fork`` for the forking thread, so the parallel layer's
 # forked workers still inherit the (usually absent) trace state exactly
 # as they did when this was a plain module global.
-_STATE = threading.local()
+_STATE = _State()
 
 
 def _active() -> Optional["Trace"]:
-    return getattr(_STATE, "active", None)
+    return _STATE.active
 
 
 def _stack() -> List[Span]:
-    stack = getattr(_STATE, "stack", None)
+    stack = _STATE.stack
     if stack is None:
         stack = _STATE.stack = []
     return stack
 
 
 def active_trace() -> Optional["Trace"]:
-    return _active()
+    return _STATE.active
 
 
-@contextmanager
-def span(name: str, **meta) -> Iterator[object]:
+def span(name: str, **meta):
     """Record a child span under the innermost open span.
 
-    Yields the :class:`Span` when a trace is active, else a falsy
-    no-op -- guard any expensive annotation work with ``if sp:``.
+    Use as ``with span(...) as sp``: ``sp`` is the :class:`Span` when a
+    trace is active, else a falsy no-op -- guard any expensive annotation
+    work with ``if sp:``.
     """
-    if _active() is None:
-        yield _NULL_SPAN
-        return
-    sp = Span(name=name, start=time.perf_counter(), meta=dict(meta))
-    stack = _stack()
-    parent = stack[-1]
-    parent.children.append(sp)
-    stack.append(sp)
-    try:
-        yield sp
-    finally:
-        sp.end = time.perf_counter()
-        stack.pop()
+    if _STATE.active is None:
+        return _NULL_SPAN
+    return _Opened(name, meta)
+
+
+class _Opened:
+    """The context manager of one recorded span."""
+
+    __slots__ = ("name", "meta", "span")
+
+    def __init__(self, name: str, meta: dict) -> None:
+        self.name = name
+        self.meta = meta
+
+    def __enter__(self) -> Span:
+        sp = self.span = Span(name=self.name, start=time.perf_counter(), meta=self.meta)
+        stack = _stack()
+        stack[-1].children.append(sp)
+        stack.append(sp)
+        return sp
+
+    def __exit__(self, *exc_info) -> None:
+        self.span.end = time.perf_counter()
+        _stack().pop()
 
 
 class Trace:

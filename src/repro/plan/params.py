@@ -253,6 +253,24 @@ def _check_value(slot: ParamSlot, value: object) -> object:
     return value
 
 
+class ParamVector(tuple):
+    """A positional value vector :func:`check_bindings` validated against
+    :attr:`signature` -- what a compiled program reads at run time.
+
+    Handing it to :func:`check_bindings` again with an equal signature
+    returns it as is, so a request whose bindings were checked when its
+    statement was resolved is not checked a second time when it runs.
+    """
+
+    signature: Tuple[ParamSlot, ...]
+
+
+def _vector(signature: Tuple[ParamSlot, ...], values) -> ParamVector:
+    vector = ParamVector(_check_value(slot, v) for slot, v in zip(signature, values))
+    vector.signature = signature
+    return vector
+
+
 def check_bindings(
     signature: Sequence[ParamSlot], params: Optional[Bindings]
 ) -> Tuple[object, ...]:
@@ -262,8 +280,14 @@ def check_bindings(
     statements take either a mapping over exactly the statement's names or
     a sequence in first-occurrence order.  Every violation is a typed
     ``E_PARAM`` with ``phase="execute"`` -- never a raw ``TypeError``.
+    The vector is a :class:`ParamVector`, which passes back through
+    unchecked.
     """
     signature = tuple(signature)
+    if type(params) is ParamVector and (
+        params.signature is signature or params.signature == signature
+    ):
+        return params
     if not signature:
         if params:
             raise ParamError(
@@ -271,48 +295,50 @@ def check_bindings(
                 phase="execute",
             )
         return ()
-    named = any(slot.name for slot in signature)
     if params is None:
         raise ParamError(
             f"statement takes {len(signature)} parameter(s), got none",
             phase="execute",
         )
-    if isinstance(params, Mapping):
-        if not named:
+    if type(params) is not tuple and type(params) is not list:
+        if isinstance(params, Mapping):
+            return _check_mapping(signature, params)
+        if isinstance(params, (str, bytes)):
             raise ParamError(
-                "statement uses positional '?' parameters; pass a sequence, "
-                "not a mapping",
+                "parameters must be a sequence or mapping, not a string",
                 phase="execute",
             )
-        names = {slot.name for slot in signature}
-        unknown = sorted(set(params) - names)
-        if unknown:
-            raise ParamError(
-                f"unknown parameter name(s): {', '.join(unknown)}",
-                phase="execute",
-            )
-        missing = sorted(names - set(params))
-        if missing:
-            raise ParamError(
-                f"missing parameter(s): {', '.join(missing)}", phase="execute"
-            )
-        return tuple(
-            _check_value(slot, params[slot.name]) for slot in signature
-        )
-    if isinstance(params, (str, bytes)):
+        params = tuple(params)
+    if len(params) != len(signature):
         raise ParamError(
-            "parameters must be a sequence or mapping, not a string",
+            f"statement takes {len(signature)} parameter(s), got {len(params)}",
             phase="execute",
         )
-    values = tuple(params)
-    if len(values) != len(signature):
+    return _vector(signature, params)
+
+
+def _check_mapping(
+    signature: Tuple[ParamSlot, ...], params: Mapping[str, object]
+) -> ParamVector:
+    if not any(slot.name for slot in signature):
         raise ParamError(
-            f"statement takes {len(signature)} parameter(s), got {len(values)}",
+            "statement uses positional '?' parameters; pass a sequence, "
+            "not a mapping",
             phase="execute",
         )
-    return tuple(
-        _check_value(slot, value) for slot, value in zip(signature, values)
-    )
+    names = {slot.name for slot in signature}
+    unknown = sorted(set(params) - names)
+    if unknown:
+        raise ParamError(
+            f"unknown parameter name(s): {', '.join(unknown)}",
+            phase="execute",
+        )
+    missing = sorted(names - set(params))
+    if missing:
+        raise ParamError(
+            f"missing parameter(s): {', '.join(missing)}", phase="execute"
+        )
+    return _vector(signature, [params[slot.name] for slot in signature])
 
 
 def bind_params(

@@ -30,6 +30,7 @@ import time
 from dataclasses import dataclass
 from typing import Optional
 
+from repro.compiler import runtime
 from repro.errors import BudgetExceeded
 from repro.obs.metrics import REGISTRY
 
@@ -62,13 +63,22 @@ class BudgetGuard:
     While active, the guard registers itself as a runtime tick hook so
     guarded residual programs report progress without knowing the guard
     exists; interpreted engines call :meth:`tick` directly.
+
+    Every reading of elapsed time goes through :attr:`clock` (seconds;
+    ``time.perf_counter`` unless a ``clock`` is passed or the class
+    attribute is replaced), so a test can step time instead of depending
+    on how fast a query runs.
     """
 
-    def __init__(self, budget: Budget) -> None:
+    clock = staticmethod(time.perf_counter)
+
+    def __init__(self, budget: Budget, clock=None) -> None:
+        if clock is not None:
+            self.clock = clock
         self.budget = budget
         self.rows_seen = 0
         self.checks = 0
-        self.started_at = time.perf_counter()
+        self.started_at = self.clock()
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -76,21 +86,17 @@ class BudgetGuard:
         # Note: the clock starts at construction, not entry -- a guard
         # re-entered across fallback attempts charges them all to one
         # budget instead of handing each engine a fresh allowance.
-        from repro.compiler import runtime
-
         runtime.push_tick_hook(self.tick)
         return self
 
     def __exit__(self, *exc_info) -> None:
-        from repro.compiler import runtime
-
         runtime.pop_tick_hook(self.tick)
 
     # -- enforcement --------------------------------------------------------
 
     @property
     def elapsed(self) -> float:
-        return time.perf_counter() - self.started_at
+        return self.clock() - self.started_at
 
     def stats(self) -> dict:
         """Partial execution statistics (attached to ``BudgetExceeded``)."""

@@ -42,6 +42,30 @@ from repro.sql.shape import StatementShape
 #: vector lowering is ``Config(codegen="vector")`` on the session.)
 ENGINE_CHAIN = ("compiled", "push", "volcano")
 
+#: Derived configs, ``(base, budget_checks, instrument) -> copy``: each is
+#: built once per distinct base config and override set, so every request
+#: of a shape keys the session cache with the one ``Config`` object.
+_DERIVED: dict = {}
+
+
+def derived_config(
+    config: Optional[Config], budget_checks: bool, instrument: bool
+) -> Optional[Config]:
+    """``config`` (None: the scalar default) with scan checkpoints and/or
+    per-operator timers on; ``config`` itself when neither is asked."""
+    if not (budget_checks or instrument):
+        return config
+    key = (config, budget_checks, instrument)
+    derived = _DERIVED.get(key)
+    if derived is None:
+        overrides: dict = {}
+        if budget_checks:
+            overrides["budget_checks"] = True
+        if instrument:
+            overrides["instrument"] = True
+        derived = _DERIVED.setdefault(key, replace(config or Config(), **overrides))
+    return derived
+
 
 @dataclass
 class EngineAttempt:
@@ -184,14 +208,13 @@ class ResilientExecutor:
         ``statement_shape(sql)`` when the caller already lexed it; on a
         cache hit the statement is not planned at all.
         """
-        resolved = self.session.resolve(
-            sql, params, shape=shape, config=self._config()
-        )
+        config = self._config()
+        resolved = self.session.resolve(sql, params, shape=shape, config=config)
         if resolved.parameterized and resolved.vector is None:
             check_bindings(resolved.signature, None)  # raises: none given
         self._param_vector = resolved.vector
         try:
-            return self._execute(resolved.plan, resolved.kind, resolved.text)
+            return self._execute(resolved.plan, resolved.kind, resolved.text, config)
         finally:
             self._param_vector = None
 
@@ -203,7 +226,7 @@ class ResilientExecutor:
         without it, every call compiles fresh.
         """
         plan.validate(self.session.db.catalog)
-        return self._execute(plan, PLAN, cache_key)
+        return self._execute(plan, PLAN, cache_key, self._config())
 
     def prepare(self, sql: str, *, shape: Optional[StatementShape] = None):
         """Resolve ``sql`` as :meth:`query` does and compile it under the
@@ -218,7 +241,11 @@ class ResilientExecutor:
 
     # -- the chain ----------------------------------------------------------
 
-    def _execute(self, plan, kind: str, text: Optional[str]) -> ResilientResult:
+    def _execute(
+        self, plan, kind: str, text: Optional[str], config
+    ) -> ResilientResult:
+        """Walk the chain; ``config`` is what the compiled engine builds
+        under (:meth:`_config`, derived once per request)."""
         report = ExecutionReport(
             budget=self.budget,
             request_id=self.request_id or events.current_request_id(),
@@ -232,7 +259,7 @@ class ResilientExecutor:
             with span("attempt", engine=engine) as sp:
                 try:
                     if engine == "compiled":
-                        rows = self._run_compiled(plan, kind, text, guard)
+                        rows = self._run_compiled(plan, kind, text, guard, config)
                     else:
                         rows = self._run_interpreted(engine, plan, guard)
                     if guard is not None:
@@ -260,7 +287,7 @@ class ResilientExecutor:
                         # that just failed (stale plan, codegen bug...).  A
                         # budget or deadline trip is the request's, not the
                         # build's: the build stays cached.
-                        self._forget_compiled(kind, text)
+                        self._forget_compiled(kind, text, config)
                     if not self.policy.should_degrade(exc):
                         self._attach(exc, report, guard)
                         raise
@@ -340,17 +367,11 @@ class ResilientExecutor:
         )
 
     def _config(self):
-        """The session config, or a copy with scan checkpoints (budgets,
+        """The session config, or its copy with scan checkpoints (budgets,
         mid-scan faults) and/or per-operator timers (telemetry) on."""
-        overrides: dict = {}
-        if self._needs_ticks():
-            overrides["budget_checks"] = True
-        if self.instrument:
-            overrides["instrument"] = True
-        config = self.session.config
-        if not overrides:
-            return config
-        return replace(config or Config(), **overrides)
+        return derived_config(
+            self.session.config, self._needs_ticks(), self.instrument
+        )
 
     def _cache_key(self, kind: str, text: Optional[str], config):
         """The session key of the build under ``config``; None when it is
@@ -362,13 +383,13 @@ class ResilientExecutor:
             return None
         return self.session.cache_key(kind, text, config)
 
-    def _forget_compiled(self, kind: str, text: Optional[str]) -> None:
+    def _forget_compiled(self, kind: str, text: Optional[str], config) -> None:
         """Never serve a cached compiled query that just failed: evict this
         run's key and the same statement under the session's own config."""
         if text is not None:
             session = self.session
             session.evict(
-                session.cache_key(kind, text, self._config()),
+                session.cache_key(kind, text, config),
                 session.cache_key(kind, text),
             )
 
@@ -378,9 +399,9 @@ class ResilientExecutor:
         kind: str,
         text: Optional[str],
         guard: Optional[BudgetGuard],
+        config,
     ) -> list[tuple]:
         session = self.session
-        config = self._config()
         key = self._cache_key(kind, text, config)
         if key is None:
             compiled = LB2Compiler(session.db.catalog, session.db, config).compile(plan)

@@ -92,8 +92,7 @@ class AdmissionGate:
         self._export_depth()
 
     def _export_depth(self) -> None:
-        REGISTRY.gauge("serve.inflight", self._depth)
-        REGISTRY.gauge("serve.queue.depth", self._depth)
+        REGISTRY.set_gauges(("serve.inflight", "serve.queue.depth"), self._depth)
 
     def enter(self) -> None:
         with self._lock:

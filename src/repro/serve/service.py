@@ -29,14 +29,13 @@ compile once).
 
 from __future__ import annotations
 
+import os
 import re
 import threading
 import time
-import uuid
 from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeout
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Dict, Optional, Sequence, Tuple
 
 from repro.errors import (
@@ -76,8 +75,9 @@ MAX_SHAPE_LABELS = 256
 
 
 def mint_request_id() -> str:
-    """A fresh correlation id for a request that did not bring one."""
-    return uuid.uuid4().hex[:16]
+    """A fresh correlation id for a request that did not bring one: 16
+    random hex digits."""
+    return os.urandom(8).hex()
 
 
 @dataclass(frozen=True)
@@ -153,20 +153,29 @@ class ServiceRequest:
     # lands in the worker's request context, the trace meta, the event
     # log and the stored profile.
     traceparent: Optional[str] = None
-    # Stamped by submit(): when this request entered admission, on the
-    # monotonic clock (queueing attribution for the profile).
+    # Stamped by submit(): when this request was handed to the worker
+    # pool after admission, on the monotonic clock; from there to worker
+    # pickup is the request's queue wait.
     submitted_at: Optional[float] = None
+    _statement: Optional[StatementShape] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    _shape: Optional[str] = field(default=None, init=False, repr=False, compare=False)
 
-    @cached_property
+    @property
     def statement(self) -> Optional[StatementShape]:
         """``statement_shape(sql)`` (None for a TPC-H plan request): the
-        one lex of this request, first read at admission.  Everything
+        one lex of this request, first read by :meth:`shape`.  Everything
         downstream -- the shape key, the breaker, the executor, the
         session lookup -- reads this value instead of lexing again."""
-        return None if self.sql is None else statement_shape(self.sql)
+        statement = self._statement
+        if statement is None and self.sql is not None:
+            statement = self._statement = statement_shape(self.sql)
+        return statement
 
     def shape(self) -> str:
-        """The plan-shape key the breaker and compiled cache share.
+        """The plan-shape key the breaker and compiled cache share (built
+        on first call).
 
         For SQL this is the statement's *shape* -- canonical spelling
         with eligible literals lifted to placeholders (:func:`repro.sql.
@@ -174,9 +183,14 @@ class ServiceRequest:
         share breaker state, telemetry digests and the session's
         shape-keyed compile.
         """
-        if self.sql is not None:
-            return "sql:" + self.statement.text
-        return f"tpch:{self.tpch}"
+        shape = self._shape
+        if shape is None:
+            if self.sql is not None:
+                shape = "sql:" + self.statement.text
+            else:
+                shape = f"tpch:{self.tpch}"
+            self._shape = shape
+        return shape
 
 
 @dataclass
@@ -267,8 +281,9 @@ class QueryService:
         # registry names.  First-come families keep their own label; the
         # rest share ``other``.
         self._label_lock = threading.Lock()
-        self._tenant_labels: set = set()
-        self._shape_labels: set = set()
+        # Per family: (labels handed out, name -> label memo).
+        self._tenant_labels: tuple = (set(), {})
+        self._shape_labels: tuple = (set(), {})
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -291,12 +306,10 @@ class QueryService:
         """Admit, execute, respond.  Blocks the calling thread until the
         response is ready or the deadline (plus grace) has passed."""
         started = time.monotonic()
-        request.submitted_at = started
         if request.request_id is None:
             request.request_id = mint_request_id()
         tenant = self._tenant_label(request.tenant)
-        REGISTRY.counter("serve.requests")
-        REGISTRY.counter(f"serve.tenant.{tenant}.requests")
+        REGISTRY.bump("serve.requests", f"serve.tenant.{tenant}.requests")
         try:
             self._validate(request)
             tenant_state = self._tenants.state(request.tenant, tenant)
@@ -304,15 +317,20 @@ class QueryService:
             self._admit(tenant_state, tenant)  # raises typed rejections; no gate held
         except ReproError as exc:
             return self._reject(request, tenant, exc, started)
-        events.emit(
-            "admit",
-            request_id=request.request_id,
-            tenant=request.tenant,
-            shape=request.shape(),
-        )
+        log = events.installed()
+        if log is not None:  # no log, no line: its fields are not built
+            log.emit(
+                "admit",
+                request_id=request.request_id,
+                tenant=request.tenant,
+                shape=request.shape(),
+            )
         # Admitted: the gate slot is held until the worker finishes (or the
         # client gives up waiting -- the slot follows the *work*, which is
-        # what protects the pool, not the waiting client).
+        # what protects the pool, not the waiting client).  The queue wait
+        # starts here, after the front door's own work; the deadline and
+        # the latency still count from arrival.
+        request.submitted_at = time.monotonic()
         try:
             future = self._pool.submit(self._run, request, tenant_state, deadline)
         except RuntimeError as exc:  # pool already shut down
@@ -644,26 +662,39 @@ class QueryService:
 
     # -- metric labels (wire-controlled, so capped) --------------------------
 
-    def _capped(self, seen: set, label: str, cap: int) -> str:
+    def _capped(self, family: tuple, name: str, cap: int, make) -> str:
         """The service's one label rule: the first ``cap`` distinct labels
-        of a family keep their own name, later ones share ``other``, so a
-        hostile client cannot grow the registry without bound."""
+        (``make(name)``) of a family keep their own name, later ones share
+        ``other``, so a hostile client cannot grow the registry without
+        bound.  A name's label never changes (the set of labels only
+        grows), so the family remembers the labels of its first ``cap``
+        names and a repeat costs one dict read."""
+        seen, memo = family
+        label = memo.get(name)
+        if label is not None:
+            return label
+        label = make(name)
         with self._label_lock:
             if label in seen or len(seen) < cap:
                 seen.add(label)
-                return label
-        return "other"
+            else:
+                label = "other"
+            if len(memo) < cap:
+                memo[name] = label
+        return label
 
     def _tenant_label(self, tenant: str) -> str:
         """Registry-safe tenant label: sanitized, truncated, capped."""
-        label = _LABEL_SAFE.sub("_", str(tenant))[:_LABEL_MAX_CHARS] or "_"
-        return self._capped(self._tenant_labels, label, self.config.max_tenant_labels)
+        return self._capped(
+            self._tenant_labels, str(tenant), self.config.max_tenant_labels,
+            lambda name: _LABEL_SAFE.sub("_", name)[:_LABEL_MAX_CHARS] or "_",
+        )
 
     def _shape_label(self, shape: str) -> str:
         """Plan-shape label: the telemetry digest (also in every telemetry
         snapshot entry, so per-shape histograms join operator profiles),
         capped."""
-        return self._capped(self._shape_labels, shape_digest(shape), MAX_SHAPE_LABELS)
+        return self._capped(self._shape_labels, shape, MAX_SHAPE_LABELS, shape_digest)
 
     # -- accounting: one record per finished request --------------------------
 
@@ -709,29 +740,26 @@ class QueryService:
         exemplar = None
         if self.sampler is not None and self.sampler.offer(rec):
             exemplar = rec.request_id
-        latency = rec.latency_seconds
-        REGISTRY.observe("serve.latency_seconds", latency, exemplar=exemplar)
-        REGISTRY.observe(
-            f"serve.tenant.{rec.tenant_label}.latency_seconds", latency,
-            exemplar=exemplar,
-        )
+        histograms = ["serve.latency_seconds", f"serve.tenant.{rec.tenant_label}.latency_seconds"]
         if rec.shape_label is not None:
-            REGISTRY.observe(
-                f"serve.shape.{rec.shape_label}.latency_seconds", latency,
-                exemplar=exemplar,
-            )
+            histograms.append(f"serve.shape.{rec.shape_label}.latency_seconds")
+        REGISTRY.observe_all(histograms, rec.latency_seconds, exemplar=exemplar)
         if self.slo is not None:
             self.slo.record(rec)
         TELEMETRY.record_execution(rec)
         if rec.ok:
-            REGISTRY.counter("serve.completed")
             if rec.degraded:
-                REGISTRY.counter("serve.degraded")
+                REGISTRY.bump("serve.completed", "serve.degraded")
+            else:
+                REGISTRY.counter("serve.completed")
+        elif rec.outcome == "E_BUDGET":  # only a tenant row quota stays E_BUDGET
+            REGISTRY.bump(
+                "serve.failed",
+                f"serve.errors.{rec.outcome}",
+                f"serve.tenant.{rec.tenant_label}.budget_trips",
+            )
         else:
-            REGISTRY.counter("serve.failed")
-            REGISTRY.counter(f"serve.errors.{rec.outcome}")
-            if rec.outcome == "E_BUDGET":  # only a tenant row quota stays E_BUDGET
-                REGISTRY.counter(f"serve.tenant.{rec.tenant_label}.budget_trips")
+            REGISTRY.bump("serve.failed", f"serve.errors.{rec.outcome}")
         log = events.installed()
         if log is not None:  # no log, no line: the document is not built
             log.emit("request", **rec.to_dict())

@@ -390,10 +390,11 @@ class Session:
                 if cached is not None:
                     self._cache.move_to_end(key)
                     self._hits += 1
-                    REGISTRY.counter("session.cache.hits")
                     if shaped:
                         self._shape_hits += 1
-                        REGISTRY.counter("session.cache.shape_hits")
+                        REGISTRY.bump("session.cache.hits", "session.cache.shape_hits")
+                    else:
+                        REGISTRY.counter("session.cache.hits")
                     return cached
                 flight = self._inflight.get(key)
                 if flight is not None:

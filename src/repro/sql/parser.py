@@ -19,7 +19,7 @@ from typing import Optional, Union
 from repro.catalog.types import date_to_int
 from repro.errors import ParamError, ReproError
 from repro.sql import ast_nodes as ast
-from repro.sql.lexer import Token, tokenize
+from repro.sql.lexer import KIND, POSITION, VALUE, Token, is_kw, is_sym, tokenize
 
 
 class SqlParseError(ReproError):
@@ -56,13 +56,13 @@ class _Parser:
         return token
 
     def accept_kw(self, *names: str) -> bool:
-        if self.cur.is_kw(*names):
+        if is_kw(self.cur, *names):
             self.advance()
             return True
         return False
 
     def accept_sym(self, *symbols: str) -> bool:
-        if self.cur.is_sym(*symbols):
+        if is_sym(self.cur, *symbols):
             self.advance()
             return True
         return False
@@ -78,22 +78,22 @@ class _Parser:
     def fail(self, message: str) -> None:
         token = self.cur
         raise SqlParseError(
-            f"{message}, found {token.kind} {token.value!r} at position {token.position}"
+            f"{message}, found {token[KIND]} {token[VALUE]!r} at position {token[POSITION]}"
         )
 
     def integer(self, message: str) -> int:
         """Consume an integer literal; anything else fails with ``message``."""
-        if self.cur.kind != "number" or not self.cur.value.isdigit():
+        if self.cur[KIND] != "number" or not self.cur[VALUE].isdigit():
             self.fail(message)
-        return int(self.advance().value)
+        return int(self.advance()[VALUE])
 
     def fail_param(self, message: str) -> None:
         token = self.cur
-        raise ParamError(f"{message} (at position {token.position})", phase="plan")
+        raise ParamError(f"{message} (at position {token[POSITION]})", phase="plan")
 
     def placeholder(self) -> ast.Placeholder:
         token = self.advance()
-        if token.value == "?":
+        if token[VALUE] == "?":
             if self.param_style == "named":
                 raise ParamError(
                     "cannot mix positional '?' and named ':name' parameters "
@@ -111,15 +111,15 @@ class _Parser:
                 phase="plan",
             )
         self.param_style = "named"
-        index = self.named_params.setdefault(token.value, len(self.named_params))
-        return ast.Placeholder(index=index, name=token.value)
+        index = self.named_params.setdefault(token[VALUE], len(self.named_params))
+        return ast.Placeholder(index=index, name=token[VALUE])
 
     # -- statement ---------------------------------------------------------------
 
     def parse(self) -> ast.SelectStmt:
         stmt = self.select_body()
         self.accept_sym(";")
-        if self.cur.kind != "eof":
+        if self.cur[KIND] != "eof":
             self.fail("unexpected trailing input")
         return stmt
 
@@ -141,7 +141,7 @@ class _Parser:
         while True:
             if self.accept_sym(","):
                 from_tables.append(self.from_item())
-            elif self.cur.is_kw("join", "inner"):
+            elif is_kw(self.cur, "join", "inner"):
                 self.accept_kw("inner")
                 self.expect_kw("join")
                 from_tables.append(self.from_item())
@@ -168,7 +168,7 @@ class _Parser:
         limit: Optional[int] = None
         if self.accept_kw("limit"):
             token = self.cur
-            if token.kind == "param":
+            if token[KIND] == "param":
                 self.fail_param(
                     "LIMIT cannot be a parameter; the bound is baked "
                     "into the residual program"
@@ -189,34 +189,34 @@ class _Parser:
         expr = self.expr()
         alias: Optional[str] = None
         if self.accept_kw("as"):
-            if self.cur.kind != "ident":
+            if self.cur[KIND] != "ident":
                 self.fail("expected an alias after AS")
-            alias = self.advance().value
-        elif self.cur.kind == "ident":
-            alias = self.advance().value
+            alias = self.advance()[VALUE]
+        elif self.cur[KIND] == "ident":
+            alias = self.advance()[VALUE]
         return alias, expr
 
     def from_item(self) -> ast.FromTable:
-        if self.cur.kind == "param":
+        if self.cur[KIND] == "param":
             self.fail_param(
                 "a parameter cannot stand for a table name; "
                 "parameters bind values, not plan structure"
             )
-        if self.cur.kind != "ident":
+        if self.cur[KIND] != "ident":
             self.fail("expected a table name")
-        table = self.advance().value
+        table = self.advance()[VALUE]
         alias = table
         if self.accept_kw("as"):
-            if self.cur.kind != "ident":
+            if self.cur[KIND] != "ident":
                 self.fail("expected an alias after AS")
-            alias = self.advance().value
-        elif self.cur.kind == "ident":
-            alias = self.advance().value
+            alias = self.advance()[VALUE]
+        elif self.cur[KIND] == "ident":
+            alias = self.advance()[VALUE]
         return ast.FromTable(table, alias)
 
     def order_item(self) -> tuple[Union[ast.SqlExpr, int], bool]:
-        if self.cur.kind == "number":
-            key: Union[ast.SqlExpr, int] = int(self.advance().value)
+        if self.cur[KIND] == "number":
+            key: Union[ast.SqlExpr, int] = int(self.advance()[VALUE])
         else:
             key = self.expr()
         asc = True
@@ -244,7 +244,7 @@ class _Parser:
         return left
 
     def not_expr(self) -> ast.SqlExpr:
-        if self.cur.is_kw("not") and self.tokens[self.pos + 1].is_kw("exists"):
+        if is_kw(self.cur, "not") and is_kw(self.tokens[self.pos + 1], "exists"):
             self.advance()
             self.advance()
             self.expect_sym("(")
@@ -259,24 +259,24 @@ class _Parser:
     def predicate(self) -> ast.SqlExpr:
         left = self.additive()
         negate = False
-        if self.cur.is_kw("not"):
+        if is_kw(self.cur, "not"):
             # LIKE/IN/BETWEEN can be negated inline: x NOT LIKE 'p'
             nxt = self.tokens[self.pos + 1]
-            if nxt.is_kw("like", "in", "between"):
+            if is_kw(nxt, "like", "in", "between"):
                 self.advance()
                 negate = True
         if self.accept_kw("like"):
-            if self.cur.kind == "param":
+            if self.cur[KIND] == "param":
                 self.fail_param(
                     "a LIKE pattern cannot be a parameter; the pattern "
                     "shape specializes the residual program"
                 )
-            if self.cur.kind != "string":
+            if self.cur[KIND] != "string":
                 self.fail("expected a pattern string after LIKE")
-            return ast.LikeOp(left, self.advance().value, negate=negate)
+            return ast.LikeOp(left, self.advance()[VALUE], negate=negate)
         if self.accept_kw("in"):
             self.expect_sym("(")
-            if self.cur.is_kw("select"):
+            if is_kw(self.cur, "select"):
                 return ast.InSelectOp(left, self.subselect(), negate=negate)
             values = [self.constant()]
             while self.accept_sym(","):
@@ -290,23 +290,23 @@ class _Parser:
             return ast.BetweenOp(left, lo, hi, negate=negate)
         if negate:
             self.fail("expected LIKE, IN or BETWEEN after NOT")
-        if self.cur.is_sym(*_CMP_OPS):
-            op = self.advance().value
+        if is_sym(self.cur, *_CMP_OPS):
+            op = self.advance()[VALUE]
             right = self.additive()
             return ast.BinOp(op, left, right)
         return left
 
     def additive(self) -> ast.SqlExpr:
         left = self.multiplicative()
-        while self.cur.is_sym("+", "-"):
-            op = self.advance().value
+        while is_sym(self.cur, "+", "-"):
+            op = self.advance()[VALUE]
             left = ast.BinOp(op, left, self.multiplicative())
         return left
 
     def multiplicative(self) -> ast.SqlExpr:
         left = self.unary()
-        while self.cur.is_sym("*", "/"):
-            op = self.advance().value
+        while is_sym(self.cur, "*", "/"):
+            op = self.advance()[VALUE]
             left = ast.BinOp(op, left, self.unary())
         return left
 
@@ -321,91 +321,91 @@ class _Parser:
     def constant(self) -> object:
         """A bare literal (for IN lists)."""
         token = self.cur
-        if token.kind == "param":
+        if token[KIND] == "param":
             self.fail_param(
                 "a parameter cannot appear in an IN list; the list "
                 "unrolls into the residual program at compile time"
             )
-        if token.kind == "number":
+        if token[KIND] == "number":
             self.advance()
-            return float(token.value) if "." in token.value else int(token.value)
-        if token.kind == "string":
+            return float(token[VALUE]) if "." in token[VALUE] else int(token[VALUE])
+        if token[KIND] == "string":
             self.advance()
-            return token.value
-        if token.is_kw("date"):
+            return token[VALUE]
+        if is_kw(token, "date"):
             self.advance()
-            if self.cur.kind != "string":
+            if self.cur[KIND] != "string":
                 self.fail("expected a date string")
-            return date_to_int(self.advance().value)
+            return date_to_int(self.advance()[VALUE])
         self.fail("expected a constant")
         raise AssertionError  # unreachable
 
     def primary(self) -> ast.SqlExpr:
         token = self.cur
-        if token.kind == "param":
+        if token[KIND] == "param":
             return self.placeholder()
-        if token.kind == "number":
+        if token[KIND] == "number":
             self.advance()
-            value = float(token.value) if "." in token.value else int(token.value)
+            value = float(token[VALUE]) if "." in token[VALUE] else int(token[VALUE])
             return ast.Literal(value)
-        if token.kind == "string":
+        if token[KIND] == "string":
             self.advance()
-            return ast.Literal(token.value)
-        if token.is_kw("true"):
+            return ast.Literal(token[VALUE])
+        if is_kw(token, "true"):
             self.advance()
             return ast.Literal(True)
-        if token.is_kw("false"):
+        if is_kw(token, "false"):
             self.advance()
             return ast.Literal(False)
-        if token.is_kw("date"):
+        if is_kw(token, "date"):
             self.advance()
-            if self.cur.kind == "param":
+            if self.cur[KIND] == "param":
                 self.fail_param(
                     "a DATE literal cannot be a parameter; date bounds "
                     "drive index-rewrite decisions at plan time"
                 )
-            if self.cur.kind != "string":
+            if self.cur[KIND] != "string":
                 self.fail("expected a date string after DATE")
-            return ast.Literal(date_to_int(self.advance().value))
-        if token.is_kw("interval"):
+            return ast.Literal(date_to_int(self.advance()[VALUE]))
+        if is_kw(token, "interval"):
             self.advance()
-            if self.cur.kind == "param":
+            if self.cur[KIND] == "param":
                 self.fail_param("an INTERVAL amount cannot be a parameter")
-            if self.cur.kind != "string":
+            if self.cur[KIND] != "string":
                 self.fail("expected a quoted amount after INTERVAL")
-            amount = int(self.advance().value)
-            if not self.cur.is_kw("day", "month", "year"):
+            amount = int(self.advance()[VALUE])
+            if not is_kw(self.cur, "day", "month", "year"):
                 self.fail("expected DAY, MONTH or YEAR")
-            unit = self.advance().value
+            unit = self.advance()[VALUE]
             return ast.Interval(amount, unit)
-        if token.is_kw("case"):
+        if is_kw(token, "case"):
             return self.case_expr()
-        if token.is_kw("extract"):
+        if is_kw(token, "extract"):
             self.advance()
             self.expect_sym("(")
-            if not self.cur.is_kw("year", "month", "day"):
+            if not is_kw(self.cur, "year", "month", "day"):
                 self.fail("expected YEAR, MONTH or DAY in EXTRACT")
-            unit = self.advance().value
+            unit = self.advance()[VALUE]
             self.expect_kw("from")
             term = self.expr()
             self.expect_sym(")")
             return ast.ExtractOp(unit, term)
-        if token.is_kw("substring"):
+        if is_kw(token, "substring"):
             self.advance()
             self.expect_sym("(")
             term = self.expr()
             self.expect_kw("from")
-            if self.cur.kind == "param":
+            if self.cur[KIND] == "param":
                 self.fail_param("a SUBSTRING position cannot be a parameter")
             start = self.integer("expected an integer start position")
             self.expect_kw("for")
-            if self.cur.kind == "param":
+            if self.cur[KIND] == "param":
                 self.fail_param("a SUBSTRING length cannot be a parameter")
             length = self.integer("expected an integer length")
             self.expect_sym(")")
             return ast.SubstringOp(term, start, length)
-        if token.is_kw(*_AGG_NAMES):
-            name = self.advance().value
+        if is_kw(token, *_AGG_NAMES):
+            name = self.advance()[VALUE]
             self.expect_sym("(")
             if name == "count" and self.accept_sym("*"):
                 self.expect_sym(")")
@@ -414,16 +414,16 @@ class _Parser:
             arg = self.expr()
             self.expect_sym(")")
             return ast.FuncCall(name, arg=arg, distinct=distinct)
-        if token.kind == "ident":
-            name = self.advance().value
+        if token[KIND] == "ident":
+            name = self.advance()[VALUE]
             if self.accept_sym("."):
-                if self.cur.kind not in ("ident",):
+                if self.cur[KIND] not in ("ident",):
                     self.fail("expected a column name after '.'")
-                column = self.advance().value
+                column = self.advance()[VALUE]
                 return ast.Ref(column=column, table=name)
             return ast.Ref(column=name)
         if self.accept_sym("("):
-            if self.cur.is_kw("select"):
+            if is_kw(self.cur, "select"):
                 return ast.ScalarSubquery(self.subselect())
             inner = self.expr()
             self.expect_sym(")")
@@ -437,7 +437,7 @@ class _Parser:
         cond = self.expr()
         self.expect_kw("then")
         then = self.expr()
-        if self.cur.is_kw("when"):
+        if is_kw(self.cur, "when"):
             els = self.case_tail()
         elif self.accept_kw("else"):
             els = self.expr()
@@ -453,7 +453,7 @@ class _Parser:
         cond = self.expr()
         self.expect_kw("then")
         then = self.expr()
-        if self.cur.is_kw("when"):
+        if is_kw(self.cur, "when"):
             els = self.case_tail()
         elif self.accept_kw("else"):
             els = self.expr()

@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import List, Optional, Sequence, Tuple
 
-from repro.sql.lexer import SqlLexError, Token, tokenize
+from repro.sql.lexer import KIND, VALUE, SqlLexError, Token, is_kw, tokenize
 
 #: A literal directly after one of these keywords stays present-stage.
 _SKIP_AFTER_KW = frozenset(
@@ -95,15 +95,15 @@ class StatementShape:
 def _render(tokens: Sequence[Token]) -> str:
     """One canonical spelling of a token stream."""
     parts: List[str] = []
-    for token in tokens:
-        if token.kind == "eof":
+    for kind, value, _ in tokens:
+        if kind == "eof":
             break
-        if token.kind == "string":
-            parts.append("'" + token.value.replace("'", "''") + "'")
-        elif token.kind == "param":
-            parts.append("?" if token.value == "?" else ":" + token.value)
+        if kind == "string":
+            parts.append("'" + value.replace("'", "''") + "'")
+        elif kind == "param":
+            parts.append("?" if value == "?" else ":" + value)
         else:
-            parts.append(token.value)
+            parts.append(value)
     return " ".join(parts)
 
 
@@ -123,13 +123,13 @@ def normalize_statement(sql: str) -> str:
 def _explicit_shape(tokens: Sequence[Token]) -> StatementShape:
     names: List[str] = []
     positional = 0
-    for token in tokens:
-        if token.kind != "param":
+    for kind, value, _ in tokens:
+        if kind != "param":
             continue
-        if token.value == "?":
+        if value == "?":
             positional += 1
-        elif token.value not in names:
-            names.append(token.value)
+        elif value not in names:
+            names.append(value)
     count = len(names) if names else positional
     return StatementShape(
         text=_render(tokens),
@@ -144,12 +144,13 @@ def _is_unary_minus(prev: Optional[Token]) -> bool:
     """Is a ``-`` at this position a sign rather than subtraction?"""
     if prev is None:
         return True
-    if prev.kind in ("number", "string", "ident", "param"):
+    kind, value, _ = prev
+    if kind in ("number", "string", "ident", "param"):
         return False
-    if prev.kind == "symbol":
-        return prev.value != ")"
-    if prev.kind == "keyword":
-        return prev.value not in _BINARY_MINUS_AFTER_KW
+    if kind == "symbol":
+        return value != ")"
+    if kind == "keyword":
+        return value not in _BINARY_MINUS_AFTER_KW
     return True
 
 
@@ -163,8 +164,6 @@ def statement_shape(sql: str) -> StatementShape:
         tokens = tokenize(sql)
     except SqlLexError:
         return StatementShape(text=" ".join(sql.split()))
-    if any(t.kind == "param" for t in tokens):
-        return _explicit_shape(tokens)
 
     out: List[str] = []
     values: List[object] = []
@@ -173,58 +172,64 @@ def statement_shape(sql: str) -> StatementShape:
     in_list_depths: List[int] = []  # IN-list paren depths currently open
     in_by_list = False  # inside a GROUP BY / ORDER BY key list
     i = 0
-    n = len(tokens)
+    n = len(tokens) - 1  # the last token is eof
     while i < n:
         token = tokens[i]
-        if token.kind == "eof":
-            break
-        if token.kind == "symbol":
-            if token.value == "(":
+        kind, value, _ = token
+        if kind == "symbol":
+            if value == "(":
                 paren_depth += 1
                 # ``IN (`` opens a constant list unless a subselect follows.
                 if (
                     prev is not None
-                    and prev.is_kw("in")
-                    and not tokens[i + 1].is_kw("select")
+                    and is_kw(prev, "in")
+                    and not is_kw(tokens[i + 1], "select")
                 ):
                     in_list_depths.append(paren_depth)
-            elif token.value == ")":
+            elif value == ")":
                 if in_list_depths and in_list_depths[-1] == paren_depth:
                     in_list_depths.pop()
                 paren_depth -= 1
-        elif token.kind == "keyword":
-            if token.value == "by":
+        elif kind == "keyword":
+            if value == "by":
                 in_by_list = True
-            elif token.value in ("having", "limit", "where"):
+            elif value in ("having", "limit", "where"):
                 in_by_list = False
+        elif kind == "param":
+            return _explicit_shape(tokens)
 
         liftable = (
             not in_list_depths
             and not in_by_list
-            and not (prev is not None and prev.is_kw(*_SKIP_AFTER_KW))
+            and not (
+                prev is not None
+                and prev[KIND] == "keyword"
+                and prev[VALUE] in _SKIP_AFTER_KW
+            )
         )
-        if liftable and token.kind in ("number", "string"):
-            values.append(_literal_value(token))
-            out.append("?")
-            prev = token
-            i += 1
-            continue
-        if (
-            liftable
-            and token.is_sym("-")
-            and tokens[i + 1].kind == "number"
-            and _is_unary_minus(prev)
-        ):
-            values.append(-_literal_value(tokens[i + 1]))
-            out.append("?")
-            prev = tokens[i + 1]
-            i += 2
-            continue
+        if liftable:
+            if kind == "number" or kind == "string":
+                values.append(_literal_value(token))
+                out.append("?")
+                prev = token
+                i += 1
+                continue
+            if (
+                kind == "symbol"
+                and value == "-"
+                and tokens[i + 1][KIND] == "number"
+                and _is_unary_minus(prev)
+            ):
+                prev = tokens[i + 1]
+                values.append(-_literal_value(prev))
+                out.append("?")
+                i += 2
+                continue
 
-        if token.kind == "string":
-            out.append("'" + token.value.replace("'", "''") + "'")
+        if kind == "string":
+            out.append("'" + value.replace("'", "''") + "'")
         else:
-            out.append(token.value)
+            out.append(value)
         prev = token
         i += 1
 
@@ -239,6 +244,7 @@ def statement_shape(sql: str) -> StatementShape:
 
 
 def _literal_value(token: Token) -> object:
-    if token.kind == "string":
-        return token.value
-    return float(token.value) if "." in token.value else int(token.value)
+    kind, value, _ = token
+    if kind == "string":
+        return value
+    return float(value) if "." in value else int(value)

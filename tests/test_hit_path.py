@@ -20,6 +20,8 @@ from pathlib import Path
 
 import pytest
 
+from repro.compiler.lb2 import Config
+from repro.plan import params
 from repro.plan.rewrite import optimize_for_level
 from repro.resilience import Budget, ResilientExecutor
 from repro.resilience.faults import FaultInjector, FaultSpec
@@ -80,6 +82,44 @@ def test_warm_submit_lexes_once_and_never_plans(service, stage_calls):
     after = service.session.cache_info()
     assert after["shape_hits"] == before["shape_hits"] + 1
     assert after["misses"] == before["misses"]
+
+
+def test_warm_hit_validates_its_bindings_once(service, monkeypatch):
+    """The session checks a hit's lifted literals against the shape's slots
+    when it resolves the statement; the compiled run takes that vector as
+    checked."""
+    assert service.submit(ServiceRequest(sql=SQL.format(20.0))).ok  # compiles
+    checked = []
+    check_value = params._check_value
+
+    def counting(slot, value):
+        checked.append(value)
+        return check_value(slot, value)
+
+    monkeypatch.setattr(params, "_check_value", counting)
+    for literal in (50.0, 70.0):
+        checked.clear()
+        response = service.submit(ServiceRequest(sql=SQL.format(literal)))
+        assert response.ok and response.engine == "compiled"
+        assert checked == [literal]
+
+
+def test_second_warm_hit_builds_no_config(service, monkeypatch):
+    """The guarded config a served request compiles and looks up under is
+    derived once per session config, not copied per request."""
+    for literal in (20.0, 50.0):  # compile, then one warm hit
+        assert service.submit(ServiceRequest(sql=SQL.format(literal))).ok
+    built = []
+    post_init = Config.__post_init__
+
+    def counting(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(Config, "__post_init__", counting)
+    response = service.submit(ServiceRequest(sql=SQL.format(70.0)))
+    assert response.ok and response.engine == "compiled"
+    assert built == []
 
 
 def test_warm_wire_requests_lex_once_and_never_plan(service, stage_calls):

@@ -25,7 +25,7 @@ from repro.errors import (
     ServiceOverloadError,
 )
 from repro.obs.metrics import REGISTRY
-from repro.resilience import ResilientExecutor
+from repro.resilience import BudgetGuard, ResilientExecutor
 from repro.resilience.faults import FaultInjector, FaultSpec, fault_point
 from repro.serve import (
     CircuitBreaker,
@@ -306,8 +306,22 @@ def test_serving_without_numpy_stays_scalar(monkeypatch):
     assert response.ok and response.rows == [(3,)]
 
 
-def test_tenant_deadline_cap_clamps_requests(service):
+def step_budget_clock(monkeypatch, step: float = 0.01) -> None:
+    """Every budget guard's clock moves ``step`` seconds per reading, so a
+    deadline shorter than ``step`` is crossed at the first checkpoint --
+    however fast the query runs."""
+    now = [0.0]
+
+    def clock() -> float:
+        now[0] += step
+        return now[0]
+
+    monkeypatch.setattr(BudgetGuard, "clock", staticmethod(clock))
+
+
+def test_tenant_deadline_cap_clamps_requests(service, monkeypatch):
     # The "hurried" tenant's max_deadline_seconds overrides the generous ask.
+    step_budget_clock(monkeypatch)
     response = service.submit(
         ServiceRequest(sql=SQL_QUERIES[1], tenant="hurried", deadline_seconds=60.0)
     )
@@ -711,10 +725,11 @@ def test_service_emits_joinable_events(serve_session, tmp_path):
     assert by_rid["ev-bad"][0]["outcome"] == "E_PROTOCOL"
 
 
-def test_deadline_reject_writes_one_request_line(serve_session, tmp_path):
+def test_deadline_reject_writes_one_request_line(serve_session, tmp_path, monkeypatch):
     from repro.obs import events
     from repro.obs.events import EventLog, read_events
 
+    step_budget_clock(monkeypatch)
     path = str(tmp_path / "events.jsonl")
     config = ServiceConfig(
         workers=1,
@@ -736,6 +751,46 @@ def test_deadline_reject_writes_one_request_line(serve_session, tmp_path):
     kinds = [d["event"] for d in docs]
     assert kinds.count("request") == 1 and kinds[-1] == "request"
     assert docs[-1]["outcome"] == "E_DEADLINE" and docs[-1]["phase"]
+
+
+@pytest.mark.parametrize("event_log", [False, True])
+def test_queued_seconds_excludes_front_door_work(
+    serve_session, tmp_path, monkeypatch, event_log
+):
+    """Queue wait is pool hand-off -> worker pickup.  A lex slowed by 20 ms
+    (on the admitting thread when an event log wants the ``admit`` line's
+    shape, else on the worker) counts in the latency, not the queue wait."""
+    from repro.obs import events
+    from repro.obs.events import EventLog, read_events
+    from repro.serve import service as service_module
+    from repro.sql.shape import statement_shape
+
+    def slow_shape(sql: str):
+        time.sleep(0.02)
+        return statement_shape(sql)
+
+    monkeypatch.setattr(service_module, "statement_shape", slow_shape)
+    path = str(tmp_path / "events.jsonl")
+    log = EventLog(path) if event_log else None
+    previous = events.install(log)
+    try:
+        with QueryService(
+            serve_session, ServiceConfig(workers=1, query_scale=TINY_SCALE)
+        ) as svc:
+            response = svc.submit(ServiceRequest(
+                sql="select count(*) from nation where n_regionkey = 1",
+                request_id="ev-queued",
+            ))
+    finally:
+        events.install(previous)
+        if log is not None:
+            log.close()
+    assert response.ok
+    assert response.elapsed_seconds >= 0.02 > response.queued_seconds
+    if event_log:
+        line = [d for d in read_events(path) if d["event"] == "request"][-1]
+        assert line["request_id"] == "ev-queued"
+        assert line["latency_seconds"] >= 0.02 > line["queued_seconds"]
 
 
 def test_every_request_writes_exactly_one_request_line(serve_session, tmp_path):

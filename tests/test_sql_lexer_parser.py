@@ -11,7 +11,7 @@ from repro.sql.parser import SqlParseError, parse_select
 
 
 def kinds(text):
-    return [(t.kind, t.value) for t in tokenize(text)][:-1]  # drop eof
+    return [(kind, value) for kind, value, _ in tokenize(text)][:-1]  # drop eof
 
 
 def test_tokenize_keywords_case_insensitive():
@@ -67,7 +67,7 @@ def test_tokenize_rejects_garbage():
 
 
 def test_eof_token_present():
-    assert tokenize("")[-1].kind == "eof"
+    assert tokenize("") == [("eof", "", 0)]
 
 
 # -- parser -----------------------------------------------------------------------
