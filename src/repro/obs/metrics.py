@@ -201,13 +201,6 @@ class MetricsRegistry:
         with self._lock:
             self._gauges[name] = value
 
-    def set_gauges(self, names: Sequence[str], value: float) -> None:
-        """Set every gauge in ``names`` to ``value``, under one lock take."""
-        gauges = self._gauges
-        with self._lock:
-            for name in names:
-                gauges[name] = value
-
     def observe(
         self,
         name: str,

@@ -64,17 +64,14 @@ class BudgetGuard:
     guarded residual programs report progress without knowing the guard
     exists; interpreted engines call :meth:`tick` directly.
 
-    Every reading of elapsed time goes through :attr:`clock` (seconds;
-    ``time.perf_counter`` unless a ``clock`` is passed or the class
-    attribute is replaced), so a test can step time instead of depending
+    Every reading of elapsed time goes through :attr:`clock` (seconds,
+    ``time.perf_counter``), so a test can step time instead of depending
     on how fast a query runs.
     """
 
     clock = staticmethod(time.perf_counter)
 
-    def __init__(self, budget: Budget, clock=None) -> None:
-        if clock is not None:
-            self.clock = clock
+    def __init__(self, budget: Budget) -> None:
         self.budget = budget
         self.rows_seen = 0
         self.checks = 0

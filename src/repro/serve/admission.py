@@ -92,7 +92,8 @@ class AdmissionGate:
         self._export_depth()
 
     def _export_depth(self) -> None:
-        REGISTRY.set_gauges(("serve.inflight", "serve.queue.depth"), self._depth)
+        REGISTRY.gauge("serve.inflight", self._depth)
+        REGISTRY.gauge("serve.queue.depth", self._depth)
 
     def enter(self) -> None:
         with self._lock:

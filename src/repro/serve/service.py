@@ -740,7 +740,10 @@ class QueryService:
         exemplar = None
         if self.sampler is not None and self.sampler.offer(rec):
             exemplar = rec.request_id
-        histograms = ["serve.latency_seconds", f"serve.tenant.{rec.tenant_label}.latency_seconds"]
+        histograms = [
+            "serve.latency_seconds",
+            f"serve.tenant.{rec.tenant_label}.latency_seconds",
+        ]
         if rec.shape_label is not None:
             histograms.append(f"serve.shape.{rec.shape_label}.latency_seconds")
         REGISTRY.observe_all(histograms, rec.latency_seconds, exemplar=exemplar)
@@ -748,18 +751,14 @@ class QueryService:
             self.slo.record(rec)
         TELEMETRY.record_execution(rec)
         if rec.ok:
+            counters = ["serve.completed"]
             if rec.degraded:
-                REGISTRY.bump("serve.completed", "serve.degraded")
-            else:
-                REGISTRY.counter("serve.completed")
-        elif rec.outcome == "E_BUDGET":  # only a tenant row quota stays E_BUDGET
-            REGISTRY.bump(
-                "serve.failed",
-                f"serve.errors.{rec.outcome}",
-                f"serve.tenant.{rec.tenant_label}.budget_trips",
-            )
+                counters.append("serve.degraded")
         else:
-            REGISTRY.bump("serve.failed", f"serve.errors.{rec.outcome}")
+            counters = ["serve.failed", f"serve.errors.{rec.outcome}"]
+            if rec.outcome == "E_BUDGET":  # only a tenant row quota stays E_BUDGET
+                counters.append(f"serve.tenant.{rec.tenant_label}.budget_trips")
+        REGISTRY.bump(*counters)
         log = events.installed()
         if log is not None:  # no log, no line: the document is not built
             log.emit("request", **rec.to_dict())

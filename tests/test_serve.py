@@ -328,6 +328,13 @@ def test_tenant_deadline_cap_clamps_requests(service, monkeypatch):
     assert not response.ok and response.code == "E_DEADLINE"
 
 
+def test_unlexable_sql_is_a_typed_reply(service):
+    response = service.submit(
+        ServiceRequest(sql="select count(*) from nation where n_nationkey < ²")
+    )
+    assert not response.ok and response.code == "E_SQL_LEX"
+
+
 def test_tenant_row_quota_stays_e_budget(service):
     response = service.submit(ServiceRequest(sql=SQL_QUERIES[1], tenant="capped"))
     assert not response.ok

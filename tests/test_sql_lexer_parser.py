@@ -66,6 +66,14 @@ def test_tokenize_rejects_garbage():
         tokenize("select @")
 
 
+def test_tokenize_rejects_digits_that_are_not_decimal():
+    # '²' and '½' are numeric but no int() reads them: a typed lex error,
+    # not a number token that fails later with a raw ValueError.
+    for text, ch, at in (("x < ²", "²", 4), ("1² + 2", "²", 1), ("½", "½", 0)):
+        with pytest.raises(SqlLexError, match=f"unexpected character '{ch}' at position {at}"):
+            tokenize(text)
+
+
 def test_eof_token_present():
     assert tokenize("") == [("eof", "", 0)]
 
