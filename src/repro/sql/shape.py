@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import List, Optional, Sequence, Tuple
 
-from repro.sql.lexer import KIND, VALUE, SqlLexError, Token, is_kw, tokenize
+from repro.sql.lexer import KIND, VALUE, SqlLexError, Token, is_kw, is_sym, tokenize
 
 #: A literal directly after one of these keywords stays present-stage.
 _SKIP_AFTER_KW = frozenset(
@@ -207,24 +207,23 @@ def statement_shape(sql: str) -> StatementShape:
                 and prev[VALUE] in _SKIP_AFTER_KW
             )
         )
-        if liftable:
-            if kind == "number" or kind == "string":
-                values.append(_literal_value(token))
-                out.append("?")
-                prev = token
-                i += 1
-                continue
-            if (
-                kind == "symbol"
-                and value == "-"
-                and tokens[i + 1][KIND] == "number"
-                and _is_unary_minus(prev)
-            ):
-                prev = tokens[i + 1]
-                values.append(-_literal_value(prev))
-                out.append("?")
-                i += 2
-                continue
+        if liftable and kind in ("number", "string"):
+            values.append(_literal_value(token))
+            out.append("?")
+            prev = token
+            i += 1
+            continue
+        if (
+            liftable
+            and is_sym(token, "-")
+            and tokens[i + 1][KIND] == "number"
+            and _is_unary_minus(prev)
+        ):
+            values.append(-_literal_value(tokens[i + 1]))
+            out.append("?")
+            prev = tokens[i + 1]
+            i += 2
+            continue
 
         if kind == "string":
             out.append("'" + value.replace("'", "''") + "'")
