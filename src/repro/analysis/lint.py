@@ -27,7 +27,7 @@ Each pass is independent and composes over the shared walker:
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from repro.analysis.walker import (
     AnalysisPass,
@@ -50,7 +50,8 @@ def default_lint_passes() -> list[AnalysisPass]:
     ]
 
 
-_TERMINATORS = (ir.Break, ir.Continue, ir.Return)
+_TERMINATORS = frozenset({ir.Break, ir.Continue, ir.Return})
+_IMPURE = frozenset({ir.Call, ir.Index})
 
 
 class UnreachableCode(AnalysisPass):
@@ -61,14 +62,21 @@ class UnreachableCode(AnalysisPass):
     def run(self, functions: Sequence[ir.Function]) -> list[Diagnostic]:
         out: list[Diagnostic] = []
         for fn in functions:
-            self._check_block(fn.name, fn.body, out)
+            self._check(fn.name, fn.body, out)
         return out
 
-    def _check_block(self, fn_name: str, block: ir.Block,
-                     out: list[Diagnostic]) -> None:
-        terminated_by: Optional[ir.Stmt] = None
-        for stmt in block:
-            if terminated_by is not None and not isinstance(stmt, ir.Comment):
+    def _check(self, fn_name: str, body: ir.Block, out: list[Diagnostic]) -> None:
+        # One frame per open block: its statements and the statement that
+        # terminated it, if any.
+        todo: list[list] = [[iter(body), None]]
+        while todo:
+            frame = todo[-1]
+            stmt = next(frame[0], None)
+            if stmt is None:
+                todo.pop()
+                continue
+            terminated_by: Optional[ir.Stmt] = frame[1]
+            if terminated_by is not None and type(stmt) is not ir.Comment:
                 kind = type(terminated_by).__name__.lower()
                 out.append(self.diag(
                     "unreachable-code",
@@ -78,19 +86,15 @@ class UnreachableCode(AnalysisPass):
                     stmt,
                     severity=Severity.WARNING,
                 ))
-            for sub in ir.stmt_blocks(stmt):
-                self._check_block(fn_name, sub, out)
-            if isinstance(stmt, _TERMINATORS) and terminated_by is None:
-                terminated_by = stmt
-        return None
+            elif terminated_by is None and type(stmt) in _TERMINATORS:
+                frame[1] = stmt
+            todo.extend([iter(sub), None] for sub in reversed(ir.stmt_blocks(stmt)))
 
 
 def _is_pure(expr: ir.Expr) -> bool:
     """Pure = safe to delete: no helper calls, no subscripts (which may
     fault at run time), only constants/symbols/operators/constructors."""
-    if isinstance(expr, (ir.Call, ir.Index)):
-        return False
-    return all(_is_pure(child) for child in ir.expr_children(expr))
+    return not any(type(node) in _IMPURE for node in ir.walk_expr(expr))
 
 
 class DeadStore(AnalysisPass):
@@ -104,7 +108,7 @@ class DeadStore(AnalysisPass):
             used = used_names(fn.body)
             for stmt in iter_stmts(fn.body):
                 if (
-                    isinstance(stmt, ir.Assign)
+                    type(stmt) is ir.Assign
                     and not stmt.mutable
                     and stmt.name not in used
                     and _is_pure(stmt.expr)
@@ -135,7 +139,7 @@ class InfiniteLoop(AnalysisPass):
         out: list[Diagnostic] = []
         for fn in functions:
             for stmt in iter_stmts(fn.body, into_nested=False):
-                if isinstance(stmt, ir.While) and not self._has_exit(stmt.body, 0):
+                if type(stmt) is ir.While and not self._has_exit(stmt.body):
                     out.append(self.diag(
                         "infinite-loop",
                         "while-true body contains no reachable break or "
@@ -146,20 +150,13 @@ class InfiniteLoop(AnalysisPass):
                     ))
         return out
 
-    def _has_exit(self, block: ir.Block, depth: int) -> bool:
-        for stmt in block:
-            if isinstance(stmt, ir.Break) and depth == 0:
-                return True
-            if isinstance(stmt, ir.Return):
-                return True
-            if isinstance(stmt, ir.If):
-                if self._has_exit(stmt.then, depth) or self._has_exit(stmt.els, depth):
-                    return True
-            elif isinstance(stmt, (ir.While, ir.ForRange, ir.ForEach)):
-                # inner loops swallow their own breaks; returns still exit
-                if self._has_exit(stmt.body, depth + 1):
-                    return True
-        return False
+    @staticmethod
+    def _has_exit(body: ir.Block) -> bool:
+        # inner loops swallow their own breaks; returns still exit
+        return any(
+            type(stmt) is ir.Return or (type(stmt) is ir.Break and loops == 0)
+            for stmt, loops in ir.walk_stmts(body, into_nested=False)
+        )
 
 
 # -- effect analysis ---------------------------------------------------------
@@ -195,13 +192,13 @@ class HoistSafety(AnalysisPass):
         out: list[Diagnostic] = []
         for fn in functions:
             split = next(
-                (i for i, s in enumerate(fn.body) if isinstance(s, ir.NestedFunc)),
+                (i for i, s in enumerate(fn.body) if type(s) is ir.NestedFunc),
                 None,
             )
             if split is None:
                 continue
             local_allocs: set[str] = set()
-            for stmt in fn.body[:split]:
+            for stmt, _ in ir.walk_stmts(fn.body[:split]):
                 self._check_hoisted(fn.name, stmt, local_allocs, out)
         return out
 
@@ -221,43 +218,43 @@ class HoistSafety(AnalysisPass):
                 severity=Severity.WARNING,
             ))
 
-        def check_expr(expr: ir.Expr) -> None:
-            for node in ir.walk_expr(expr):
-                if isinstance(node, ir.Call):
-                    effect = call_effect(node.fn)
-                    if effect in (ir.WRITE, ir.IO):
-                        target = node.args[0] if node.args else None
-                        if (
-                            effect == ir.WRITE
-                            and isinstance(target, ir.Sym)
-                            and target.name in local_allocs
-                        ):
-                            continue  # initializing freshly allocated state
-                        flag(
-                            f"hoisted statement calls {node.fn!r}, which "
-                            "has observable effects; it must stay on the "
-                            "hot path"
-                        )
-                    elif effect is None:
-                        flag(
-                            f"hoisted statement calls unknown helper "
-                            f"{node.fn!r}; cannot prove the hoist safe"
-                        )
-
-        if isinstance(stmt, ir.SetIndex):
-            if not (isinstance(stmt.arr, ir.Sym) and stmt.arr.name in local_allocs):
+        if type(stmt) is ir.SetIndex:
+            if not (type(stmt.arr) is ir.Sym and stmt.arr.name in local_allocs):
                 flag(
                     "hoisted subscript-write targets state that was not "
                     "allocated in the prelude"
                 )
-        for expr in ir.stmt_exprs(stmt):
-            check_expr(expr)
-        if isinstance(stmt, ir.Assign):
-            if isinstance(stmt.expr, ir.Call) and call_effect(stmt.expr.fn) == ir.ALLOC:
+        for node in _calls(stmt):
+            effect = call_effect(node.fn)
+            if effect in (ir.WRITE, ir.IO):
+                target = node.args[0] if node.args else None
+                if (
+                    effect == ir.WRITE
+                    and type(target) is ir.Sym
+                    and target.name in local_allocs
+                ):
+                    continue  # initializing freshly allocated state
+                flag(
+                    f"hoisted statement calls {node.fn!r}, which "
+                    "has observable effects; it must stay on the "
+                    "hot path"
+                )
+            elif effect is None:
+                flag(
+                    f"hoisted statement calls unknown helper "
+                    f"{node.fn!r}; cannot prove the hoist safe"
+                )
+        if type(stmt) is ir.Assign:
+            if type(stmt.expr) is ir.Call and call_effect(stmt.expr.fn) == ir.ALLOC:
                 local_allocs.add(stmt.name)
-        for sub in ir.stmt_blocks(stmt):
-            for inner in sub:
-                self._check_hoisted(fn_name, inner, local_allocs, out)
+
+
+def _calls(stmt: ir.Stmt) -> Iterator[ir.Call]:
+    """Every intrinsic call ``stmt`` evaluates directly, pre-order."""
+    for expr in ir.stmt_exprs(stmt):
+        for node in ir.walk_expr(expr):
+            if type(node) is ir.Call:
+                yield node
 
 
 def _is_kernel(fn: str) -> bool:
@@ -286,37 +283,35 @@ class BulkOpInLoop(AnalysisPass):
     def run(self, functions: Sequence[ir.Function]) -> list[Diagnostic]:
         out: list[Diagnostic] = []
         for fn in functions:
-            self._check_block(fn.name, fn.body, False, out)
+            self._check(fn.name, fn.body, out)
         return out
 
-    def _check_block(
-        self,
-        fn_name: str,
-        block: ir.Block,
-        in_loop: bool,
-        out: list[Diagnostic],
-    ) -> None:
-        for stmt in block:
+    def _check(self, fn_name: str, body: ir.Block, out: list[Diagnostic]) -> None:
+        # One frame per open block: its statements and whether it runs
+        # inside a loop other than a batch loop.
+        todo = [(iter(body), False)]
+        while todo:
+            stmts, in_loop = todo[-1]
+            stmt = next(stmts, None)
+            if stmt is None:
+                todo.pop()
+                continue
             if in_loop:
-                for expr in ir.stmt_exprs(stmt):
-                    for node in ir.walk_expr(expr):
-                        if isinstance(node, ir.Call) and _is_kernel(node.fn):
-                            out.append(self.diag(
-                                "bulk-op-in-loop",
-                                f"vector kernel {node.fn!r} is staged inside "
-                                "a loop body; whole-batch kernels must run "
-                                "once per batch, not once per iteration",
-                                fn_name,
-                                stmt,
-                                severity=Severity.WARNING,
-                            ))
-            batch_loop = isinstance(stmt, ir.ForRange) and stmt.batch
-            entered = in_loop or (
-                isinstance(stmt, (ir.While, ir.ForRange, ir.ForEach))
-                and not batch_loop
-            )
-            for sub in ir.stmt_blocks(stmt):
-                self._check_block(fn_name, sub, entered, out)
+                for node in _calls(stmt):
+                    if _is_kernel(node.fn):
+                        out.append(self.diag(
+                            "bulk-op-in-loop",
+                            f"vector kernel {node.fn!r} is staged inside "
+                            "a loop body; whole-batch kernels must run "
+                            "once per batch, not once per iteration",
+                            fn_name,
+                            stmt,
+                            severity=Severity.WARNING,
+                        ))
+            shape = ir.SHAPES.get(type(stmt), ir.LEAF)
+            batch_loop = type(stmt) is ir.ForRange and stmt.batch
+            entered = in_loop or (shape.loop and not batch_loop)
+            todo.extend((iter(sub), entered) for sub in reversed(shape.blocks(stmt)))
 
 
 class DeadInstrumentation(AnalysisPass):
@@ -339,12 +334,12 @@ class DeadInstrumentation(AnalysisPass):
     def run(self, functions: Sequence[ir.Function]) -> list[Diagnostic]:
         out: list[Diagnostic] = []
         for fn in functions:
-            self._check_block(fn.name, fn.body, False, out)
+            self._check_loops(fn.name, fn.body, out)
             used = used_names(fn.body)
             for stmt in iter_stmts(fn.body):
                 if (
-                    isinstance(stmt, ir.Assign)
-                    and isinstance(stmt.expr, ir.Call)
+                    type(stmt) is ir.Assign
+                    and type(stmt.expr) is ir.Call
                     and stmt.expr.fn in OBS_CALLS
                     and stmt.name not in used
                 ):
@@ -358,29 +353,20 @@ class DeadInstrumentation(AnalysisPass):
                     ))
         return out
 
-    def _check_block(
-        self,
-        fn_name: str,
-        block: ir.Block,
-        in_loop: bool,
-        out: list[Diagnostic],
+    def _check_loops(
+        self, fn_name: str, body: ir.Block, out: list[Diagnostic]
     ) -> None:
-        for stmt in block:
-            if in_loop:
-                for expr in ir.stmt_exprs(stmt):
-                    for node in ir.walk_expr(expr):
-                        if isinstance(node, ir.Call) and node.fn in OBS_CALLS:
-                            out.append(self.diag(
-                                "dead-instrumentation",
-                                f"observability intrinsic {node.fn!r} is "
-                                "staged inside a loop body; timers bracket "
-                                "whole datapaths, they never run per row",
-                                fn_name,
-                                stmt,
-                                severity=Severity.WARNING,
-                            ))
-            entered = in_loop or isinstance(
-                stmt, (ir.While, ir.ForRange, ir.ForEach)
-            )
-            for sub in ir.stmt_blocks(stmt):
-                self._check_block(fn_name, sub, entered, out)
+        for stmt, loops in ir.walk_stmts(body):
+            if not loops:
+                continue
+            for node in _calls(stmt):
+                if node.fn in OBS_CALLS:
+                    out.append(self.diag(
+                        "dead-instrumentation",
+                        f"observability intrinsic {node.fn!r} is "
+                        "staged inside a loop body; timers bracket "
+                        "whole datapaths, they never run per row",
+                        fn_name,
+                        stmt,
+                        severity=Severity.WARNING,
+                    ))

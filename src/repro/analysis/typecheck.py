@@ -118,7 +118,7 @@ class TypeChecker(AnalysisPass):
         declared: dict[str, str],
         out: list[Diagnostic],
     ) -> None:
-        for stmt in block:
+        for stmt, _ in ir.walk_stmts(block):
             if isinstance(stmt, ir.Assign):
                 inferred = infer_expr(stmt.expr, env)
                 if not compatible(stmt.ctype, inferred):
@@ -162,5 +162,3 @@ class TypeChecker(AnalysisPass):
             elif isinstance(stmt, ir.NestedFunc):
                 for p in stmt.params:
                     env.setdefault(p, None)
-            for sub in ir.stmt_blocks(stmt):
-                self._check_block(fn_name, sub, env, declared, out)

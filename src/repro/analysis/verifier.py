@@ -22,44 +22,26 @@ multi-pass IRs get for free, as pure analysis:
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 from repro.analysis.walker import AnalysisPass, Diagnostic
 from repro.staging import ir
 
 
-class _Scope:
-    """A lexical scope: name -> mutable flag, chained to the enclosing one."""
-
-    def __init__(self, parent: Optional["_Scope"] = None,
-                 params: Sequence[str] = ()) -> None:
-        self.parent = parent
-        self.names: dict[str, bool] = {p: False for p in params}
-
-    def lookup(self, name: str) -> Optional[bool]:
-        scope: Optional[_Scope] = self
-        while scope is not None:
-            if name in scope.names:
-                return scope.names[name]
-            scope = scope.parent
-        return None
-
-    def is_visible(self, name: str) -> bool:
-        return self.lookup(name) is not None
-
-    def define(self, name: str, mutable: bool) -> None:
-        self.names[name] = mutable
-
-
 class Verifier(AnalysisPass):
-    """Checks every function of a staged program; reports all violations."""
+    """Checks every function of a staged program; reports all violations.
+
+    A scope is one dict, name -> mutable flag, holding every name visible
+    in it: a closure's starts as a copy of its enclosing scope's, complete
+    by then (see :meth:`_check_scope`), plus its parameters.
+    """
 
     name = "verifier"
 
     def run(self, functions: Sequence[ir.Function]) -> list[Diagnostic]:
         out: list[Diagnostic] = []
         for fn in functions:
-            scope = _Scope(params=fn.params)
+            scope = dict.fromkeys(fn.params, False)
             self._check_scope(fn.name, fn.body, scope, nested=False, out=out)
         return out
 
@@ -69,7 +51,7 @@ class Verifier(AnalysisPass):
         self,
         fn_name: str,
         body: ir.Block,
-        scope: _Scope,
+        scope: dict[str, bool],
         nested: bool,
         out: list[Diagnostic],
     ) -> None:
@@ -82,85 +64,98 @@ class Verifier(AnalysisPass):
         situation the Section 4.4 code-motion path produces.
         """
         deferred: list[ir.NestedFunc] = []
-        self._check_block(fn_name, body, scope, loop_depth=0, nested=nested,
-                          deferred=deferred, out=out)
-        for node in deferred:
-            child = _Scope(parent=scope, params=node.params)
-            self._check_scope(f"{fn_name}.{node.name}", node.body, child,
-                              nested=True, out=out)
+        shapes, leaf, sym, const = ir.SHAPES, ir.LEAF, ir.Sym, ir.Const
+        # One frame per open block: its statements (an iterator, so a
+        # frame resumes after a sub-block) and the loops around it.
+        frames = [(iter(body), 0)]
+        while frames:
+            stmts, loops = frames[-1]
+            for stmt in stmts:
+                kind = type(stmt)
+                shape = shapes.get(kind, leaf)
+                # 1. every directly-read symbol must already be bound
+                todo = list(shape.reads(stmt))
+                while todo:
+                    node = todo.pop()
+                    nkind = type(node)
+                    if nkind is sym:
+                        if node.name not in scope:
+                            self._unbound(fn_name, stmt, scope, nested, out)
+                            break
+                    elif nkind is not const:
+                        todo.extend(shapes.get(nkind, leaf).reads(node))
 
-    def _check_block(
-        self,
-        fn_name: str,
-        block: ir.Block,
-        scope: _Scope,
-        loop_depth: int,
-        nested: bool,
-        deferred: list[ir.NestedFunc],
-        out: list[Diagnostic],
-    ) -> None:
-        for stmt in block:
-            # 1. every directly-read symbol must already be bound
-            for expr in ir.stmt_exprs(stmt):
-                for node in ir.walk_expr(expr):
-                    if isinstance(node, ir.Sym) and not scope.is_visible(node.name):
-                        rule = "closure-capture" if nested else "undefined-sym"
-                        what = (
-                            "free variable of closure is not bound in any "
-                            "enclosing scope"
-                            if nested
-                            else "symbol used before any definition"
-                        )
+                # 2. statement-specific rules
+                name = shape.binds(stmt)
+                if name is not None:
+                    mutable = kind is ir.Assign and stmt.mutable
+                    self._define(fn_name, stmt, name, mutable, scope, out)
+                    if kind is ir.NestedFunc:
+                        deferred.append(stmt)  # checked against the full scope
+                        continue
+                elif kind is ir.Reassign:
+                    mutable = scope.get(stmt.name)
+                    if mutable is None:
                         out.append(self.diag(
-                            rule,
-                            f"{what}: {node.name!r}",
+                            "reassign-undefined",
+                            f"reassignment of undefined name {stmt.name!r}",
                             fn_name,
                             stmt,
                         ))
+                    elif not mutable:
+                        out.append(self.diag(
+                            "reassign-immutable",
+                            f"reassignment of immutable name {stmt.name!r} "
+                            "(bound without mutable=True)",
+                            fn_name,
+                            stmt,
+                        ))
+                elif (kind is ir.Break or kind is ir.Continue) and loops == 0:
+                    what = "break" if kind is ir.Break else "continue"
+                    out.append(self.diag(
+                        f"{what}-outside-loop",
+                        f"{what} statement outside any loop body",
+                        fn_name,
+                        stmt,
+                    ))
 
-            # 2. statement-specific rules
-            if isinstance(stmt, ir.Assign):
-                self._define(fn_name, stmt, stmt.name, stmt.mutable, scope, out)
-            elif isinstance(stmt, ir.Reassign):
-                mutable = scope.lookup(stmt.name)
-                if mutable is None:
-                    out.append(self.diag(
-                        "reassign-undefined",
-                        f"reassignment of undefined name {stmt.name!r}",
-                        fn_name,
-                        stmt,
-                    ))
-                elif not mutable:
-                    out.append(self.diag(
-                        "reassign-immutable",
-                        f"reassignment of immutable name {stmt.name!r} "
-                        "(bound without mutable=True)",
-                        fn_name,
-                        stmt,
-                    ))
-            elif isinstance(stmt, (ir.Break, ir.Continue)):
-                if loop_depth == 0:
-                    kind = "break" if isinstance(stmt, ir.Break) else "continue"
-                    out.append(self.diag(
-                        f"{kind}-outside-loop",
-                        f"{kind} statement outside any loop body",
-                        fn_name,
-                        stmt,
-                    ))
-            elif isinstance(stmt, ir.NestedFunc):
-                self._define(fn_name, stmt, stmt.name, False, scope, out)
-                deferred.append(stmt)
-                continue  # body checked later, against the complete scope
-            elif isinstance(stmt, (ir.ForRange, ir.ForEach)):
-                self._define(fn_name, stmt, stmt.var, False, scope, out)
+                # 3. descend into sub-blocks (loops bump the break context);
+                #    this frame resumes after them
+                blocks = shape.blocks(stmt)
+                if blocks:
+                    inner = loops + shape.loop
+                    frames.extend((iter(sub), inner) for sub in reversed(blocks))
+                    break
+            else:
+                frames.pop()
+        for node in deferred:
+            child = dict(scope)
+            child.update(dict.fromkeys(node.params, False))
+            self._check_scope(f"{fn_name}.{node.name}", node.body, child,
+                              nested=True, out=out)
 
-            # 3. recurse into sub-blocks (loops bump the break context)
-            inner_depth = loop_depth + (
-                1 if isinstance(stmt, (ir.While, ir.ForRange, ir.ForEach)) else 0
-            )
-            for sub in ir.stmt_blocks(stmt):
-                self._check_block(fn_name, sub, scope, inner_depth, nested,
-                                  deferred, out)
+    def _unbound(
+        self,
+        fn_name: str,
+        stmt: ir.Stmt,
+        scope: dict[str, bool],
+        nested: bool,
+        out: list[Diagnostic],
+    ) -> None:
+        """Report each unbound symbol ``stmt`` reads, in pre-order (the
+        walk that found one stopped at it)."""
+        rule = "closure-capture" if nested else "undefined-sym"
+        what = (
+            "free variable of closure is not bound in any enclosing scope"
+            if nested
+            else "symbol used before any definition"
+        )
+        for expr in ir.stmt_exprs(stmt):
+            for node in ir.walk_expr(expr):
+                if type(node) is ir.Sym and node.name not in scope:
+                    out.append(self.diag(
+                        rule, f"{what}: {node.name!r}", fn_name, stmt
+                    ))
 
     def _define(
         self,
@@ -168,10 +163,10 @@ class Verifier(AnalysisPass):
         stmt: ir.Stmt,
         name: str,
         mutable: bool,
-        scope: _Scope,
+        scope: dict[str, bool],
         out: list[Diagnostic],
     ) -> None:
-        if scope.is_visible(name):
+        if name in scope:
             out.append(self.diag(
                 "duplicate-def",
                 f"second static binding of name {name!r} "
@@ -179,4 +174,4 @@ class Verifier(AnalysisPass):
                 fn_name,
                 stmt,
             ))
-        scope.define(name, mutable)
+        scope[name] = mutable

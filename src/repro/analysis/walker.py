@@ -9,8 +9,8 @@ emitters.
 
 Every pass subclasses :class:`AnalysisPass` and reports
 :class:`Diagnostic`s; the walk itself is driven through the hook functions
-in :mod:`repro.staging.ir` (``stmt_exprs`` / ``stmt_blocks`` /
-``stmt_binds``), so passes never hard-code node shapes.
+in :mod:`repro.staging.ir` (its :data:`~repro.staging.ir.SHAPES` table,
+``walk_stmts`` and ``walk_expr``), so passes never hard-code node shapes.
 """
 
 from __future__ import annotations
@@ -98,19 +98,15 @@ def iter_stmts(block: ir.Block, *, into_nested: bool = True) -> Iterator[ir.Stmt
     is what scope-sensitive passes want (a nested function is a separate
     scope and, for loops, a separate break/continue context).
     """
-    for stmt in block:
+    for stmt, _ in ir.walk_stmts(block, into_nested=into_nested):
         yield stmt
-        if isinstance(stmt, ir.NestedFunc) and not into_nested:
-            continue
-        for sub in ir.stmt_blocks(stmt):
-            yield from iter_stmts(sub, into_nested=into_nested)
 
 
 def stmt_syms(stmt: ir.Stmt) -> Iterator[ir.Sym]:
     """Every :class:`ir.Sym` read directly by ``stmt`` (not by sub-blocks)."""
     for expr in ir.stmt_exprs(stmt):
         for node in ir.walk_expr(expr):
-            if isinstance(node, ir.Sym):
+            if type(node) is ir.Sym:
                 yield node
 
 
@@ -119,10 +115,10 @@ def used_names(block: ir.Block) -> set[str]:
     including :class:`ir.Reassign` targets (a reassignment keeps the
     original binding live)."""
     names: set[str] = set()
-    for stmt in iter_stmts(block):
+    for stmt, _ in ir.walk_stmts(block):
         for sym in stmt_syms(stmt):
             names.add(sym.name)
-        if isinstance(stmt, ir.Reassign):
+        if type(stmt) is ir.Reassign:
             names.add(stmt.name)
     return names
 

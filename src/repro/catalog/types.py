@@ -11,8 +11,23 @@ from __future__ import annotations
 import enum
 
 
+#: Column type value -> (C type hint, Python type).
+_REPRESENTATION = {
+    "int": ("long", int),
+    "float": ("double", float),
+    "string": ("char*", str),
+    "date": ("long", int),
+    "bool": ("bool", bool),
+}
+
+
 class ColumnType(enum.Enum):
-    """The value domain of a column."""
+    """The value domain of a column.
+
+    ``ctype`` is the C type hint the staging layer uses for the type and
+    ``python_type`` the type of its values; both are fixed per member, so
+    the code generator reads them as plain attributes.
+    """
 
     INT = "int"
     FLOAT = "float"
@@ -20,26 +35,8 @@ class ColumnType(enum.Enum):
     DATE = "date"
     BOOL = "bool"
 
-    @property
-    def ctype(self) -> str:
-        """The C type hint used by the staging layer for this column type."""
-        return {
-            ColumnType.INT: "long",
-            ColumnType.FLOAT: "double",
-            ColumnType.STRING: "char*",
-            ColumnType.DATE: "long",
-            ColumnType.BOOL: "bool",
-        }[self]
-
-    @property
-    def python_type(self) -> type:
-        return {
-            ColumnType.INT: int,
-            ColumnType.FLOAT: float,
-            ColumnType.STRING: str,
-            ColumnType.DATE: int,
-            ColumnType.BOOL: bool,
-        }[self]
+    def __init__(self, value: str) -> None:
+        self.ctype, self.python_type = _REPRESENTATION[value]
 
 
 INT = ColumnType.INT

@@ -140,6 +140,9 @@ class LB2Compiler:
         self,
         plan: phys.PhysicalPlan,
         verify: bool = True,
+        *,
+        validated: bool = False,
+        signature: Optional[tuple[ParamSlot, ...]] = None,
     ) -> CompiledQuery:
         """Specialize the evaluator to ``plan``; returns a runnable query.
 
@@ -154,9 +157,16 @@ class LB2Compiler:
         :class:`repro.analysis.IRVerificationError` -- with structured
         diagnostics and a source excerpt -- instead of letting a codegen
         bug surface as an arbitrary runtime failure.
+
+        A caller that already ran ``plan.validate`` says ``validated``, and
+        one that already ran ``collect_params(plan)`` passes its
+        ``signature``: a served miss does each once (the resilient
+        executor validates a hand-built plan up front, the session's
+        resolve collects a statement's slots).
         """
-        plan.validate(self.catalog)
-        param_slots = collect_params(plan)
+        if not validated:
+            plan.validate(self.catalog)
+        param_slots = collect_params(plan) if signature is None else signature
         with span("codegen") as sp:
             fault_point("codegen")
             t0 = time.perf_counter()
@@ -199,10 +209,11 @@ class LB2Compiler:
                 ctx.emit(ir.Return(ir.Sym("run")))
 
             functions = ctx.program()
+            codegen_stats = builder.finish()
             source = generate_python(functions, header=_header(plan))
             generation_seconds = time.perf_counter() - t0
             if sp:
-                sp.meta["backend"] = builder.backend.name
+                sp.meta["backend"] = codegen_stats["backend"]
                 sp.meta["residual_bytes"] = len(source)
                 sp.meta["ir_stmts"] = sum(
                     1 for fn in functions for _ in iter_stmts(fn.body)
@@ -232,7 +243,7 @@ class LB2Compiler:
             generation_seconds=generation_seconds,
             compile_seconds=compile_seconds,
             instrumented=self.config.instrument,
-            codegen_stats=builder.backend.stats(),
+            codegen_stats=codegen_stats,
             functions=functions,
             param_signature=param_slots,
         )

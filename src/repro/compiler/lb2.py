@@ -27,7 +27,7 @@ this seam (the paper's Section 4 claim, made testable).
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from repro.errors import ReproError
 from repro.catalog.catalog import Catalog
@@ -108,9 +108,9 @@ class Config:
             raise CompileError(f"unknown codegen backend {self.codegen!r}")
 
 
-@dataclass(frozen=True)
-class StaticField:
-    """Generation-time field info: name, SQL type, compressed or not."""
+class StaticField(NamedTuple):
+    """Generation-time field info: name, SQL type, compressed or not (a
+    tuple: the eligibility analysis builds one per field per node)."""
 
     name: str
     type: ColumnType
@@ -247,7 +247,7 @@ class StagedProject(StagedOp):
     def exec(self) -> Datapath:
         child_dp = self.comp.backend.edge(self.child, self.node)
         null_refs = self.node.null_refs(self.comp.catalog)
-        types = self.node.field_types(self.comp.catalog)
+        types = self.comp.field_types(self.node)
 
         def datapath(cb: RecCallback) -> None:
             def on_rec(rec: StagedRecord) -> None:
@@ -289,17 +289,20 @@ def _desc_for_value(name: str, value: StagedValue, rec: StagedRecord, expr) -> F
             dictionary=value.dictionary,
             strings_sym=value.strings_sym,
         )
-    type_map = {
-        "long": ColumnType.INT,
-        "double": ColumnType.FLOAT,
-        "bool": ColumnType.BOOL,
-        "char*": ColumnType.STRING,
-        "vec_long": ColumnType.INT,
-        "vec_double": ColumnType.FLOAT,
-        "vec_bool": ColumnType.BOOL,
-        "vec_str": ColumnType.STRING,
-    }
-    return FieldDesc(name, type_map.get(value.ctype, ColumnType.INT))
+    return FieldDesc(name, _TYPE_OF_CTYPE.get(value.ctype, ColumnType.INT))
+
+
+#: A staged value's C type -> the column type of a field holding it.
+_TYPE_OF_CTYPE = {
+    "long": ColumnType.INT,
+    "double": ColumnType.FLOAT,
+    "bool": ColumnType.BOOL,
+    "char*": ColumnType.STRING,
+    "vec_long": ColumnType.INT,
+    "vec_double": ColumnType.FLOAT,
+    "vec_bool": ColumnType.BOOL,
+    "vec_str": ColumnType.STRING,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -311,6 +314,33 @@ def _join_key(value: StagedValue) -> Rep:
     """Join keys compare across tables: decode compressed values so the key
     domain is the raw column domain (different dictionaries stay safe)."""
     return value_output(value)
+
+
+def _keys_present(comp, side: phys.PhysicalPlan, keys) -> Optional[Callable]:
+    """SQL equality never holds for NULL, so a row whose join key holds
+    one matches nothing: given a record of ``side``, the staged condition
+    "every key field that can be NULL is present" -- or None when the plan
+    says no key field can be NULL (:meth:`PhysicalPlan.nullable`), and no
+    guard is emitted."""
+    nullable = phys.nullable_keys(side, keys, comp.catalog)
+    if not nullable:
+        return None
+
+    def present(rec: StagedRecord) -> Rep:
+        cond = None
+        for k in nullable:
+            check = comp.ctx.call("not_none", [rec[k]], result="bool")
+            cond = check if cond is None else (cond & check)
+        return cond
+
+    return present
+
+
+def _guarded(cb: RecCallback, present: Optional[Callable]) -> RecCallback:
+    """``cb``, forwarded only the records whose ``present`` holds."""
+    if present is None:
+        return cb
+    return lambda rec: rec.guard(present(rec), cb)
 
 
 class StagedHashJoin(StagedOp):
@@ -327,26 +357,30 @@ class StagedHashJoin(StagedOp):
         def allocate():
             return self.comp.backend.multimap(self.node, "hash join build table")
 
+        node = self.node
+        build_present = _keys_present(self.comp, node.left, node.left_keys)
+        probe_present = _keys_present(self.comp, node.right, node.right_keys)
+
         def emit(mm, cb: RecCallback) -> None:
             build_descs: list[FieldDesc] = []
 
             def build(rec: StagedRecord) -> None:
                 nonlocal build_descs
-                keys = [_join_key(rec[k]) for k in self.node.left_keys]
+                keys = [_join_key(rec[k]) for k in node.left_keys]
                 payloads, build_descs = materialize(rec)
                 mm.insert(keys, payloads, rec=rec)
 
-            left_dp(build)
+            left_dp(_guarded(build, build_present))
             mm.finish()
 
             def probe(rec: StagedRecord) -> None:
-                keys = [_join_key(rec[k]) for k in self.node.right_keys]
+                keys = [_join_key(rec[k]) for k in node.right_keys]
                 mm.each_match(
                     keys, build_descs, lambda left_rec: cb(left_rec.merged(rec)),
                     rec=rec,
                 )
 
-            right_dp(probe)
+            right_dp(_guarded(probe, probe_present))
 
         return self._two_phase(allocate, emit)
 
@@ -362,6 +396,9 @@ class StagedLeftOuterJoin(StagedOp):
         left_dp = self.comp.backend.edge(self.left, self.node)
         right_dp = self.comp.backend.edge(self.right, self.node)
         right_fields = self.node.right.fields(self.comp.catalog)
+        node = self.node
+        build_present = _keys_present(self.comp, node.right, node.right_keys)
+        probe_present = _keys_present(self.comp, node.left, node.left_keys)
 
         def allocate():
             return self.comp.backend.multimap(
@@ -384,7 +421,7 @@ class StagedLeftOuterJoin(StagedOp):
                     build_descs.append(FieldDesc(name, rec.desc(name).type))
                 mm.insert(keys, payloads, rec=rec)
 
-            right_dp(build)
+            right_dp(_guarded(build, build_present))
             mm.finish()
 
             def probe(rec: StagedRecord) -> None:
@@ -401,13 +438,23 @@ class StagedLeftOuterJoin(StagedOp):
                     )
                     cb(rec.merged(null_rec))
 
-                mm.each_match_or_missing(
-                    keys,
-                    build_descs,
-                    lambda right_rec: cb(rec.merged(right_rec)),
-                    on_missing,
-                    rec=rec,
-                )
+                def each_match() -> None:
+                    mm.each_match_or_missing(
+                        keys,
+                        build_descs,
+                        lambda right_rec: cb(rec.merged(right_rec)),
+                        on_missing,
+                        rec=rec,
+                    )
+
+                if probe_present is None:
+                    each_match()
+                    return
+                # a NULL key matches nothing: the row is null-extended
+                with self.ctx.if_(probe_present(rec)):
+                    each_match()
+                with self.ctx.else_():
+                    on_missing()
 
             left_dp(probe)
 
@@ -432,11 +479,15 @@ class StagedKeySetJoin(StagedOp):
             kind = "semi" if self.keep else "anti"
             return self.comp.backend.key_set(self.node, f"{kind} join key set")
 
+        # A key set holds no NULL-bearing key, so a probe key holding NULL
+        # is never in it: a semi join drops the row, an anti join keeps it.
+        build_present = _keys_present(self.comp, self.node.right, self.node.right_keys)
+
         def emit(keyset, cb: RecCallback) -> None:
             def build(rec: StagedRecord) -> None:
                 keyset.add([_join_key(rec[k]) for k in self.node.right_keys], rec=rec)
 
-            right_dp(build)
+            right_dp(_guarded(build, build_present))
             keyset.finish()
 
             def probe(rec: StagedRecord) -> None:
@@ -560,7 +611,7 @@ class StagedAggOp(StagedOp):
         super().__init__(comp)
         self.node = node
         self.child = child
-        self.child_types = node.child.field_types(comp.catalog)
+        self.child_types = comp.field_types(node.child)
         self.staged_aggs = build_staged_aggs(node.aggs, self.child_types)
         self.out_fields = node.fields(comp.catalog)
 
@@ -709,7 +760,7 @@ class StagedGroupJoin(StagedOp):
         self.node = node
         self.left = left
         self.right = right
-        right_types = node.right.field_types(comp.catalog)
+        right_types = comp.field_types(node.right)
         self.staged_aggs = build_staged_aggs(node.aggs, right_types)
         self.out_types = dict(node.fields(comp.catalog))
 
@@ -717,7 +768,7 @@ class StagedGroupJoin(StagedOp):
         left_dp = self.comp.backend.edge(self.left, self.node)
         right_dp = self.comp.backend.edge(self.right, self.node)
         node = self.node
-        right_types = node.right.field_types(self.comp.catalog)
+        right_types = self.comp.field_types(node.right)
         key_ctypes = [right_types[k].ctype for k in node.right_keys]
         slot_ctypes = all_slot_ctypes(self.staged_aggs)
 
@@ -922,8 +973,26 @@ class StagedPlanBuilder:
         self._partition_bounds: Optional[tuple[Rep, Rep]] = None
         self.stats_sym: Optional[Rep] = None  # set by the driver in instrument mode
         self._op_counter = 0
+        # This compile's plan facts, once per node: id(node) -> (node,
+        # fact).  Holding the node keeps its id unique; the static fields
+        # read the config and the database, so neither memo outlives the
+        # builder (one per compile).
+        self._static_fields: dict[int, tuple] = {}
+        self._field_types: dict[int, tuple] = {}
         self.backend = make_backend(self)
         self._prepared = False
+
+    def finish(self) -> dict:
+        """End generation: the backend's codegen stats.
+
+        The backend points back at this builder; dropping that link ends
+        their cycle, so this compile's staged state (its plan facts among
+        it) is freed when the compile returns instead of waiting for the
+        cyclic collector.
+        """
+        stats = self.backend.stats()
+        self.backend.comp = None
+        return stats
 
     def _maybe_instrument(self, op: StagedOp, node: phys.PhysicalPlan) -> StagedOp:
         if not self.config.instrument:
@@ -953,7 +1022,26 @@ class StagedPlanBuilder:
 
     # -- static (pre-datapath) field info --------------------------------------
 
+    def field_types(self, node: phys.PhysicalPlan) -> dict[str, ColumnType]:
+        """``node.field_types(catalog)``, computed once per node per
+        compile (read only: the dict is shared)."""
+        memo = self._field_types.get(id(node))
+        if memo is None:
+            memo = (node, node.field_types(self.catalog))
+            self._field_types[id(node)] = memo
+        return memo[1]
+
     def static_fields(self, node: phys.PhysicalPlan) -> list[StaticField]:
+        """Each output field's type and whether it holds dictionary codes,
+        computed once per node per compile (read only: the list is
+        shared)."""
+        memo = self._static_fields.get(id(node))
+        if memo is None:
+            memo = (node, self._compute_static_fields(node))
+            self._static_fields[id(node)] = memo
+        return memo[1]
+
+    def _compute_static_fields(self, node: phys.PhysicalPlan) -> list[StaticField]:
         if isinstance(node, (phys.Scan, phys.DateIndexScan)):
             schema = self.catalog.table(node.table)
             rename = node.rename_map
@@ -974,7 +1062,7 @@ class StagedPlanBuilder:
             return self.static_fields(node.child)
         if isinstance(node, phys.Project):
             child = {f.name: f for f in self.static_fields(node.child)}
-            types = node.child.field_types(self.catalog)
+            types = self.field_types(node.child)
             out = []
             for name, expr in node.outputs:
                 if isinstance(expr, Col) and child[expr.name].compressed:
@@ -1007,13 +1095,13 @@ class StagedPlanBuilder:
             ]
             return self.static_fields(node.child) + table_fields
         if isinstance(node, phys.GroupJoin):
-            right_types = node.right.field_types(self.catalog)
+            right_types = self.field_types(node.right)
             out = list(self.static_fields(node.left))
             for name, spec in node.aggs:
                 out.append(StaticField(name, spec.result_type(right_types)))
             return out
         if isinstance(node, phys.Agg):
-            types = node.child.field_types(self.catalog)
+            types = self.field_types(node.child)
             child = {f.name: f for f in self.static_fields(node.child)}
             out = []
             for name, expr in node.keys:

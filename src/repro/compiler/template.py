@@ -57,6 +57,21 @@ def _keys_code(rec: str, keys) -> str:
     return f"({inner})"
 
 
+def _add_key(em: _Emitter, side: phys.PhysicalPlan, keys, catalog: Catalog,
+             add: str, key: str) -> None:
+    """Emit ``add``, the line putting ``key`` into a join's build table,
+    guarded where one of ``side``'s key fields can be NULL: a NULL-bearing
+    key is left out, so it matches nothing (SQL equality never holds for
+    NULL) and an outer or anti join's probe row with one finds no match."""
+    if phys.nullable_keys(side, keys, catalog):
+        em.line(f"if None not in {key}:")
+        em.depth += 1
+        em.line(add)
+        em.depth -= 1
+    else:
+        em.line(add)
+
+
 def _emit(node: phys.PhysicalPlan, em: _Emitter, catalog: Catalog,
           rec: str, body) -> None:
     """Expand ``node``'s template; ``body(rec)`` expands the consumer."""
@@ -125,7 +140,8 @@ def _emit(node: phys.PhysicalPlan, em: _Emitter, catalog: Catalog,
         def on_left(lrec: str) -> None:
             key = em.fresh("k")
             em.line(f"{key} = {_keys_code(lrec, node.left_keys)}")
-            em.line(f"{table}.setdefault({key}, []).append({lrec})")
+            _add_key(em, node.left, node.left_keys, catalog,
+                     f"{table}.setdefault({key}, []).append({lrec})", key)
 
         _emit(node.left, em, catalog, em.fresh("rec"), on_left)
 
@@ -149,7 +165,8 @@ def _emit(node: phys.PhysicalPlan, em: _Emitter, catalog: Catalog,
         def on_right(rrec: str) -> None:
             key = em.fresh("k")
             em.line(f"{key} = {_keys_code(rrec, node.right_keys)}")
-            em.line(f"{table}.setdefault({key}, []).append({rrec})")
+            _add_key(em, node.right, node.right_keys, catalog,
+                     f"{table}.setdefault({key}, []).append({rrec})", key)
 
         _emit(node.right, em, catalog, em.fresh("rec"), on_right)
         nulls = em.bind(
@@ -183,7 +200,8 @@ def _emit(node: phys.PhysicalPlan, em: _Emitter, catalog: Catalog,
         em.line(f"{keys} = set()")
 
         def on_right(rrec: str) -> None:
-            em.line(f"{keys}.add({_keys_code(rrec, node.right_keys)})")
+            key = _keys_code(rrec, node.right_keys)
+            _add_key(em, node.right, node.right_keys, catalog, f"{keys}.add({key})", key)
 
         _emit(node.right, em, catalog, em.fresh("rec"), on_right)
         negate = "not " if isinstance(node, phys.AntiJoin) else ""

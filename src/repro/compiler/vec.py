@@ -815,15 +815,21 @@ class _MatchBatch:
         if clash:
             raise KeyError(f"merged record field clash: {sorted(clash)}")
 
+        # Each build column is bound once, by the first record that reads
+        # it: later gathers through any level share the binding.
+        loaded: dict[int, StagedValue] = {}
+
         def column(j: int, desc: FieldDesc) -> Callable[[], StagedValue]:
-            @functools.cache
             def load() -> StagedValue:
-                ctype = vec_ctype(desc.type.ctype)
-                return rep_for_ctype(ctype)(
-                    ctx.bind(ir.Index(build.built.expr, ir.Const(1 + j)),
-                             ctype=ctype, prefix="v"),
-                    ctx,
-                )
+                value = loaded.get(j)
+                if value is None:
+                    ctype = vec_ctype(desc.type.ctype)
+                    value = loaded[j] = rep_for_ctype(ctype)(
+                        ctx.bind(ir.Index(build.built.expr, ir.Const(1 + j)),
+                                 ctype=ctype, prefix="v"),
+                        ctx,
+                    )
+                return value
 
             return load
 
@@ -969,15 +975,6 @@ def field_columns(
     return out
 
 
-def _plan_children(node: phys.PhysicalPlan) -> list[phys.PhysicalPlan]:
-    out = []
-    for attr in ("child", "left", "right"):
-        sub = getattr(node, attr, None)
-        if isinstance(sub, phys.PhysicalPlan):
-            out.append(sub)
-    return out
-
-
 class VectorBackend(ScalarBackend):
     """Batch-vectorized lowering with per-operator scalar fallback."""
 
@@ -1021,10 +1018,10 @@ class VectorBackend(ScalarBackend):
         consumer: Optional[phys.PhysicalPlan],
     ) -> None:
         self._uses[id(node)] = self._uses.get(id(node), 0) + 1
-        for sub in _plan_children(node):
+        for sub in node.children():
             self._analyze(sub, consumer=node)
         nullable = frozenset().union(
-            *(self._nullable.get(id(sub), ()) for sub in _plan_children(node))
+            *(self._nullable.get(id(sub), ()) for sub in node.children())
         )
         if nullable and not _counts_only(node, nullable):
             # reads null-extended fields: takes rows, through a devectorizing edge
@@ -1092,8 +1089,8 @@ class VectorBackend(ScalarBackend):
         if self.comp.config.hashmap != "native" or not node.left_keys:
             return False
         catalog = self.comp.catalog
-        left = node.left.field_types(catalog)
-        right = node.right.field_types(catalog)
+        left = self.comp.field_types(node.left)
+        right = self.comp.field_types(node.right)
         left_null, right_null = node.left.nullable(catalog), node.right.nullable(catalog)
         for lk, rk in zip(node.left_keys, node.right_keys):
             kind = _JOIN_KEY_KINDS.get(left[lk])
@@ -1132,7 +1129,7 @@ class VectorBackend(ScalarBackend):
                         "nodes": stripped,
                     })
         keeps = nid in self._batch or nid in self._vec_aggs
-        for sub in _plan_children(node):
+        for sub in node.children():
             self._prune(sub, kept_above=keeps)
 
     def _chain_earns(self, node: phys.PhysicalPlan) -> bool:
@@ -1143,7 +1140,7 @@ class VectorBackend(ScalarBackend):
             return False
         if isinstance(node, _EARNING):
             return True
-        return any(self._chain_earns(sub) for sub in _plan_children(node))
+        return any(self._chain_earns(sub) for sub in node.children())
 
     def _strip(self, node: phys.PhysicalPlan) -> int:
         """Demote a batch chain to scalar; returns how many nodes it held.
@@ -1159,7 +1156,7 @@ class VectorBackend(ScalarBackend):
             return 0  # still aggregates in batches; emits its groups as rows
         self._counts[self._STRIP_COUNTERS[type(node)]] -= 1
         self._counts["scalar_nodes"] += 1
-        return 1 + sum(self._strip(sub) for sub in _plan_children(node))
+        return 1 + sum(self._strip(sub) for sub in node.children())
 
     def _agg_ok(self, node: phys.Agg) -> bool:
         for _, expr in node.keys:
@@ -1230,7 +1227,7 @@ class VectorBackend(ScalarBackend):
         if id(node) in self._vec_aggs:
             catalog = self.comp.catalog
             columns = field_columns(node.child, catalog, self._columns)
-            types = node.child.field_types(catalog)
+            types = self.comp.field_types(node.child)
 
             def column(expr) -> Optional[tuple[str, str]]:
                 # the columns Database.bounds answers: integer-like ones,

@@ -117,20 +117,29 @@ class Project(Op):
 
 class HashJoin(Op):
     """Figure 5(b): two callbacks, build then probe -- no produce/consume
-    state flags, no parent links."""
+    state flags, no parent links.
 
-    def __init__(self, left: Op, right: Op, node: phys.HashJoin) -> None:
+    A build row whose key holds NULL is left out (SQL equality never holds
+    for NULL), so a probe key holding one finds no match either; the check
+    runs only where the plan says a build key can be NULL.
+    """
+
+    def __init__(self, left: Op, right: Op, node: phys.HashJoin, catalog: Catalog) -> None:
         self.left = left
         self.right = right
         self.lkeys = node.left_keys
         self.rkeys = node.right_keys
+        self.skip_null = bool(phys.nullable_keys(node.left, node.left_keys, catalog))
 
     def exec(self, cb: Callback) -> None:
         table: dict[tuple, list[Row]] = {}
         lkeys, rkeys = self.lkeys, self.rkeys
+        skip_null = self.skip_null
 
         def build(row: Row) -> None:
             key = tuple(row[k] for k in lkeys)
+            if skip_null and None in key:
+                return
             bucket = table.get(key)
             if bucket is None:
                 table[key] = [row]
@@ -150,22 +159,30 @@ class HashJoin(Op):
 
 
 class LeftOuterJoin(Op):
+    """Probes a table built on the right, which leaves out NULL-bearing
+    keys as :class:`HashJoin`'s does: a left row whose key holds NULL is
+    null-extended."""
+
     def __init__(
-        self, left: Op, right: Op, node: phys.LeftOuterJoin, right_fields: list[str]
+        self, left: Op, right: Op, node: phys.LeftOuterJoin, catalog: Catalog
     ) -> None:
         self.left = left
         self.right = right
         self.lkeys = node.left_keys
         self.rkeys = node.right_keys
-        self.right_fields = right_fields
+        self.right_fields = node.right.field_names(catalog)
+        self.skip_null = bool(phys.nullable_keys(node.right, node.right_keys, catalog))
 
     def exec(self, cb: Callback) -> None:
         table: dict[tuple, list[Row]] = {}
         rkeys, lkeys = self.rkeys, self.lkeys
         null_fill = {name: None for name in self.right_fields}
+        skip_null = self.skip_null
 
         def build(row: Row) -> None:
             key = tuple(row[k] for k in rkeys)
+            if skip_null and None in key:
+                return
             bucket = table.get(key)
             if bucket is None:
                 table[key] = [row]
@@ -191,20 +208,28 @@ class LeftOuterJoin(Op):
 
 
 class _KeySetJoin(Op):
+    """Semi/anti join over a right key set that leaves out NULL-bearing
+    keys: a left key holding NULL is in no set, so an anti join keeps its
+    row (NOT EXISTS semantics)."""
+
     keep_matches: bool
 
-    def __init__(self, left: Op, right: Op, lkeys, rkeys) -> None:
+    def __init__(self, left: Op, right: Op, node, catalog: Catalog) -> None:
         self.left = left
         self.right = right
-        self.lkeys = lkeys
-        self.rkeys = rkeys
+        self.lkeys = node.left_keys
+        self.rkeys = node.right_keys
+        self.skip_null = bool(phys.nullable_keys(node.right, node.right_keys, catalog))
 
     def exec(self, cb: Callback) -> None:
         keys: set[tuple] = set()
         rkeys, lkeys = self.rkeys, self.lkeys
+        skip_null = self.skip_null
 
         def build(row: Row) -> None:
-            keys.add(tuple(row[k] for k in rkeys))
+            key = tuple(row[k] for k in rkeys)
+            if not (skip_null and None in key):
+                keys.add(key)
 
         self.right.exec(build)
         keep = self.keep_matches
@@ -479,28 +504,29 @@ def _build_op_raw(node: phys.PhysicalPlan, db: Database, catalog: Catalog) -> Op
         return Project(build_op(node.child, db, catalog), node, catalog)
     if isinstance(node, phys.HashJoin):
         return HashJoin(
-            build_op(node.left, db, catalog), build_op(node.right, db, catalog), node
+            build_op(node.left, db, catalog), build_op(node.right, db, catalog),
+            node, catalog,
         )
     if isinstance(node, phys.LeftOuterJoin):
         return LeftOuterJoin(
             build_op(node.left, db, catalog),
             build_op(node.right, db, catalog),
             node,
-            node.right.field_names(catalog),
+            catalog,
         )
     if isinstance(node, phys.SemiJoin):
         return SemiJoin(
             build_op(node.left, db, catalog),
             build_op(node.right, db, catalog),
-            node.left_keys,
-            node.right_keys,
+            node,
+            catalog,
         )
     if isinstance(node, phys.AntiJoin):
         return AntiJoin(
             build_op(node.left, db, catalog),
             build_op(node.right, db, catalog),
-            node.left_keys,
-            node.right_keys,
+            node,
+            catalog,
         )
     if isinstance(node, phys.IndexJoin):
         return IndexJoin(build_op(node.child, db, catalog), db, node)

@@ -140,13 +140,20 @@ class ProjectOp(Operator):
 
 
 class HashJoinOp(Operator):
-    """Builds on the left child during ``open``; probes per ``next``."""
+    """Builds on the left child during ``open``; probes per ``next``.
 
-    def __init__(self, left: Operator, right: Operator, node: phys.HashJoin) -> None:
+    A build row whose key holds NULL is left out (SQL equality never holds
+    for NULL), so a probe key holding one finds no match either; the check
+    runs only where the plan says a build key can be NULL.
+    """
+
+    def __init__(self, left: Operator, right: Operator, node: phys.HashJoin,
+                 catalog: Catalog) -> None:
         self.left = left
         self.right = right
         self.lkeys = node.left_keys
         self.rkeys = node.right_keys
+        self.skip_null = bool(phys.nullable_keys(node.left, node.left_keys, catalog))
         self.table: dict[tuple, list[Row]] = {}
         self.pending: list[Row] = []
         self.pending_pos = 0
@@ -161,6 +168,8 @@ class HashJoinOp(Operator):
             if row is None:
                 break
             key = tuple(row[k] for k in self.lkeys)
+            if self.skip_null and None in key:
+                continue
             self.table.setdefault(key, []).append(row)
         self.pending = []
         self.pending_pos = 0
@@ -187,14 +196,17 @@ class HashJoinOp(Operator):
 
 
 class LeftOuterJoinOp(Operator):
-    """Streams the *left* child, probing a table built on the right."""
+    """Streams the *left* child, probing a table built on the right (which
+    leaves out NULL-bearing keys, as :class:`HashJoinOp` does: a left row
+    whose key holds NULL is null-extended)."""
 
     def __init__(self, left: Operator, right: Operator, node: phys.LeftOuterJoin,
-                 right_fields: list[str]) -> None:
+                 right_fields: list[str], catalog: Catalog) -> None:
         self.left = left
         self.right = right
         self.lkeys = node.left_keys
         self.rkeys = node.right_keys
+        self.skip_null = bool(phys.nullable_keys(node.right, node.right_keys, catalog))
         self.right_fields = right_fields
         self.table: dict[tuple, list[Row]] = {}
         self.pending: list[Row] = []
@@ -210,6 +222,8 @@ class LeftOuterJoinOp(Operator):
             if row is None:
                 break
             key = tuple(row[k] for k in self.rkeys)
+            if self.skip_null and None in key:
+                continue
             self.table.setdefault(key, []).append(row)
         self.pending = []
         self.pending_pos = 0
@@ -243,15 +257,21 @@ class LeftOuterJoinOp(Operator):
 
 
 class _KeySetJoinOp(Operator):
-    """Shared semi/anti join: build a right key set, stream the left."""
+    """Shared semi/anti join: build a right key set, stream the left.
+
+    The set leaves out NULL-bearing keys, as :class:`HashJoinOp`'s table
+    does: a left key holding NULL is in no set, so an anti join keeps its
+    row (NOT EXISTS semantics).
+    """
 
     keep_matches: bool
 
-    def __init__(self, left: Operator, right: Operator, lkeys, rkeys) -> None:
+    def __init__(self, left: Operator, right: Operator, node, catalog: Catalog) -> None:
         self.left = left
         self.right = right
-        self.lkeys = lkeys
-        self.rkeys = rkeys
+        self.lkeys = node.left_keys
+        self.rkeys = node.right_keys
+        self.skip_null = bool(phys.nullable_keys(node.right, node.right_keys, catalog))
         self.keys: set[tuple] = set()
 
     def open(self) -> None:
@@ -262,7 +282,9 @@ class _KeySetJoinOp(Operator):
             row = self.right.next()
             if row is None:
                 break
-            self.keys.add(tuple(row[k] for k in self.rkeys))
+            key = tuple(row[k] for k in self.rkeys)
+            if not (self.skip_null and None in key):
+                self.keys.add(key)
 
     def next(self) -> Optional[Row]:
         while True:
@@ -602,6 +624,7 @@ def _build_operator_raw(
             build_operator(node.left, db, catalog),
             build_operator(node.right, db, catalog),
             node,
+            catalog,
         )
     if isinstance(node, phys.LeftOuterJoin):
         right_fields = node.right.field_names(catalog)
@@ -610,20 +633,21 @@ def _build_operator_raw(
             build_operator(node.right, db, catalog),
             node,
             right_fields,
+            catalog,
         )
     if isinstance(node, phys.SemiJoin):
         return SemiJoinOp(
             build_operator(node.left, db, catalog),
             build_operator(node.right, db, catalog),
-            node.left_keys,
-            node.right_keys,
+            node,
+            catalog,
         )
     if isinstance(node, phys.AntiJoin):
         return AntiJoinOp(
             build_operator(node.left, db, catalog),
             build_operator(node.right, db, catalog),
-            node.left_keys,
-            node.right_keys,
+            node,
+            catalog,
         )
     if isinstance(node, phys.IndexJoin):
         return IndexJoinOp(build_operator(node.child, db, catalog), db, node)

@@ -766,6 +766,17 @@ def _plain(expr: Expr) -> bool:
     return isinstance(expr, (Col, Const, Param))
 
 
+def nullable_keys(
+    side: PhysicalPlan, keys: Sequence[str], catalog: Catalog
+) -> tuple[str, ...]:
+    """The join key fields of ``side`` that can hold NULL.  SQL equality
+    never holds for NULL, so where there are any, every engine leaves
+    NULL-bearing keys out of its build table and a NULL probe key matches
+    nothing; where there are none, no check runs."""
+    nullable = side.nullable(catalog)
+    return tuple(k for k in keys if k in nullable)
+
+
 def _as_keys(keys) -> tuple[str, ...]:
     if isinstance(keys, str):
         return (keys,)

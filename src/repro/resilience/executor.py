@@ -214,7 +214,10 @@ class ResilientExecutor:
             check_bindings(resolved.signature, None)  # raises: none given
         self._param_vector = resolved.vector
         try:
-            return self._execute(resolved.plan, resolved.kind, resolved.text, config)
+            return self._execute(
+                resolved.plan, resolved.kind, resolved.text, config,
+                signature=resolved.signature,
+            )
         finally:
             self._param_vector = None
 
@@ -226,7 +229,7 @@ class ResilientExecutor:
         without it, every call compiles fresh.
         """
         plan.validate(self.session.db.catalog)
-        return self._execute(plan, PLAN, cache_key, self._config())
+        return self._execute(plan, PLAN, cache_key, self._config(), validated=True)
 
     def prepare(self, sql: str, *, shape: Optional[StatementShape] = None):
         """Resolve ``sql`` as :meth:`query` does and compile it under the
@@ -236,16 +239,28 @@ class ResilientExecutor:
         resolved = self.session.resolve(sql, shape=shape, config=config)
         key = self._cache_key(resolved.kind, resolved.text, config)
         if key is not None:
-            self.session.prepare_plan(resolved.plan, key)
+            self.session.prepare_plan(
+                resolved.plan, key, signature=resolved.signature
+            )
         return resolved
 
     # -- the chain ----------------------------------------------------------
 
     def _execute(
-        self, plan, kind: str, text: Optional[str], config
+        self,
+        plan,
+        kind: str,
+        text: Optional[str],
+        config,
+        *,
+        validated: bool = False,
+        signature=None,
     ) -> ResilientResult:
         """Walk the chain; ``config`` is what the compiled engine builds
-        under (:meth:`_config`, derived once per request)."""
+        under (:meth:`_config`, derived once per request).  ``validated``
+        and ``signature`` say what this request already ran on ``plan``
+        (see :meth:`LB2Compiler.compile`), so a miss does not run it
+        again."""
         report = ExecutionReport(
             budget=self.budget,
             request_id=self.request_id or events.current_request_id(),
@@ -259,7 +274,9 @@ class ResilientExecutor:
             with span("attempt", engine=engine) as sp:
                 try:
                     if engine == "compiled":
-                        rows = self._run_compiled(plan, kind, text, guard, config)
+                        rows = self._run_compiled(
+                            plan, kind, text, guard, config, validated, signature
+                        )
                     else:
                         rows = self._run_interpreted(engine, plan, guard)
                     if guard is not None:
@@ -400,13 +417,19 @@ class ResilientExecutor:
         text: Optional[str],
         guard: Optional[BudgetGuard],
         config,
+        validated: bool,
+        signature,
     ) -> list[tuple]:
         session = self.session
         key = self._cache_key(kind, text, config)
         if key is None:
-            compiled = LB2Compiler(session.db.catalog, session.db, config).compile(plan)
+            compiled = LB2Compiler(session.db.catalog, session.db, config).compile(
+                plan, validated=validated, signature=signature
+            )
         else:
-            compiled = session.prepare_plan(plan, key)
+            compiled = session.prepare_plan(
+                plan, key, validated=validated, signature=signature
+            )
         return self._run_query(compiled, guard)
 
     def _run_query(self, compiled, guard: Optional[BudgetGuard]) -> list[tuple]:

@@ -140,13 +140,14 @@ class TenantQuota:
 
 
 class TenantState:
-    """One tenant's armed limits: bucket + in-flight count."""
+    """One tenant's armed limits: bucket (refilled by ``clock``) +
+    in-flight count."""
 
-    def __init__(self, name: str, quota: TenantQuota) -> None:
+    def __init__(self, name: str, quota: TenantQuota, clock=time.monotonic) -> None:
         self.name = name
         self.quota = quota
         self.bucket = (
-            TokenBucket(quota.rate, quota.burst) if quota.rate else None
+            TokenBucket(quota.rate, quota.burst, clock) if quota.rate else None
         )
         self._active = 0
         self._lock = threading.Lock()
@@ -199,14 +200,19 @@ class TenantRegistry:
     by their registry label (sanitized, capped): every name past the
     label cap shares the one ``other`` state, its bucket and its
     concurrency count, and rotating names cannot mint fresh quotas.
+    Every tenant's bucket refills by the one ``clock``.
     """
 
     def __init__(
         self,
         quotas: Optional[Dict[str, TenantQuota]] = None,
         default: Optional[TenantQuota] = None,
+        clock=time.monotonic,
     ) -> None:
-        self._named = {name: TenantState(name, q) for name, q in (quotas or {}).items()}
+        self._clock = clock
+        self._named = {
+            name: TenantState(name, q, clock) for name, q in (quotas or {}).items()
+        }
         self._default = default or TenantQuota()
         self._states: Dict[str, TenantState] = {}  # label -> state
         self._lock = threading.Lock()
@@ -219,7 +225,9 @@ class TenantRegistry:
         with self._lock:
             st = self._states.get(label)
             if st is None:
-                st = self._states[label] = TenantState(label, self._default)
+                st = self._states[label] = TenantState(
+                    label, self._default, self._clock
+                )
             return st
 
     def snapshot(self) -> dict:

@@ -29,6 +29,7 @@ compile once).
 
 from __future__ import annotations
 
+import gc
 import os
 import re
 import threading
@@ -243,8 +244,32 @@ class ServiceResponse:
         return doc
 
 
+_heap_frozen = False
+_freeze_lock = threading.Lock()
+
+
+def freeze_loaded_heap() -> None:
+    """Once per process: collect, then move every surviving object -- the
+    loaded database, the modules, what set-up built -- to the collector's
+    permanent generation, which it never scans again.  The database is
+    immutable once loaded, so a full collection had nothing to find
+    there; later calls do nothing."""
+    global _heap_frozen
+    with _freeze_lock:
+        if _heap_frozen:
+            return
+        _heap_frozen = True
+    gc.collect()
+    gc.freeze()
+
+
 class QueryService:
-    """Admission-controlled concurrent query execution over a Session."""
+    """Admission-controlled concurrent query execution over a Session.
+
+    The first service of a process freezes the heap once its session's
+    database is loaded (:func:`freeze_loaded_heap`); later ones do not
+    collect or freeze again.
+    """
 
     def __init__(self, session: Session, config: Optional[ServiceConfig] = None) -> None:
         if not isinstance(session, Session):
@@ -284,6 +309,7 @@ class QueryService:
         # Per family: (labels handed out, name -> label memo).
         self._tenant_labels: tuple = (set(), {})
         self._shape_labels: tuple = (set(), {})
+        freeze_loaded_heap()
 
     # -- lifecycle ----------------------------------------------------------
 

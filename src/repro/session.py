@@ -187,10 +187,11 @@ class Session:
         # Shape texts whose parameterized plan failed with E_PARAM:
         # :meth:`resolve` falls back to per-literal compiles for these and
         # skips re-planning the shape on every call.  (Compiling a planned
-        # shape raises no E_PARAM of its own: the compiler's only source
-        # is ``collect_params``, which resolve already ran on that plan.
-        # A literal that does not fit its slot type is not the shape's
-        # fault and is never memoized here.)
+        # shape raises no E_PARAM of its own: its only source is
+        # ``collect_params``, which resolve ran on that plan and whose
+        # signature the compile takes as is.  A literal that does not fit
+        # its slot type is not the shape's fault and is never memoized
+        # here.)
         self._shape_fallbacks: set[str] = set()
 
     # -- planning ---------------------------------------------------------------
@@ -241,6 +242,8 @@ class Session:
         key: Union[str, CacheKey],
         *,
         config: Optional[Config] = None,
+        validated: bool = False,
+        signature: Optional[tuple[ParamSlot, ...]] = None,
     ) -> CompiledQuery:
         """Compile-and-cache ``plan`` under ``key``.
 
@@ -248,10 +251,12 @@ class Session:
         owns the contract that one name means one plan).  A
         :class:`CacheKey` is used as is: the resilience layer hands over
         a statement it already planned, so a miss does not plan again.
+        ``validated`` and ``signature`` say what the caller already ran,
+        as for :meth:`LB2Compiler.compile`; a miss does not run it again.
         """
         if not isinstance(key, CacheKey):
             key = self.cache_key(PLAN, key, config)
-        return self.compiled(key, plan)
+        return self.compiled(key, plan, validated=validated, signature=signature)
 
     def prepare_statement(
         self, sql: str, *, config: Optional[Config] = None
@@ -377,11 +382,18 @@ class Session:
             self._shape_fallbacks.add(text)
 
     def compiled(
-        self, key: CacheKey, plan: Optional[PhysicalPlan] = None
+        self,
+        key: CacheKey,
+        plan: Optional[PhysicalPlan] = None,
+        *,
+        validated: bool = False,
+        signature: Optional[tuple[ParamSlot, ...]] = None,
     ) -> CompiledQuery:
         """The one cache lookup, single-flight: a miss compiles ``plan``
-        (default: ``key.text`` planned) under ``key.config``.  LRU: a hit
-        refreshes recency; past ``max_cache_size`` the oldest goes."""
+        (default: ``key.text`` planned) under ``key.config``, passing
+        ``validated`` and ``signature`` on to :meth:`LB2Compiler.compile`.
+        LRU: a hit refreshes recency; past ``max_cache_size`` the oldest
+        goes."""
         while True:
             wait_for: Optional[_Inflight] = None
             with self._lock:
@@ -428,7 +440,7 @@ class Session:
                         plan = self.plan(key.text)
                     compiled = LB2Compiler(
                         self.db.catalog, self.db, key.config
-                    ).compile(plan)
+                    ).compile(plan, validated=validated, signature=signature)
             except BaseException as exc:
                 flight.error = exc
                 with self._lock:

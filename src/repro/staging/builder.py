@@ -81,10 +81,13 @@ class StagingContext:
         Comments are transparent to control flow: a ``ctx.comment(...)``
         between an ``if_`` block and its ``else_`` must not sever the pair.
         """
-        self.current_block.append(stmt)
-        if isinstance(stmt, ir.If):
+        if not self._block_stack:
+            raise StagingError("emit outside of a function body")
+        self._block_stack[-1].append(stmt)
+        kind = type(stmt)
+        if kind is ir.If:
             self._last_if = stmt
-        elif not isinstance(stmt, ir.Comment):
+        elif kind is not ir.Comment:
             self._last_if = None
 
     def comment(self, text: str) -> None:
@@ -112,10 +115,10 @@ class StagingContext:
         Binding every intermediate result is what guarantees proper
         sequencing of staged operations (Section 2 of the paper).
         """
-        if ir.is_atom(expr):
-            if isinstance(expr, ir.Sym):
-                return expr
-        name = self.fresh(prefix)
+        if type(expr) is ir.Sym:
+            return expr
+        name = f"{prefix}{self._counter}"  # fresh(), on the hottest path
+        self._counter += 1
         self.emit(ir.Assign(name, expr, ctype=ctype))
         return ir.Sym(name)
 
@@ -199,13 +202,13 @@ class StagingContext:
         prefix: str = "x",
     ) -> Rep:
         """Emit a bound call to an intrinsic/runtime helper, return its value."""
-        exprs = tuple(lift_expr(self, a) for a in args)
+        exprs = tuple([lift_expr(self, a) for a in args])
         sym = self.bind(ir.Call(fn, exprs), ctype=result, prefix=prefix)
         return rep_for_ctype(result)(sym, self)
 
     def call_stmt(self, fn: str, args: Sequence[object]) -> None:
         """Emit a call purely for its side effect."""
-        exprs = tuple(lift_expr(self, a) for a in args)
+        exprs = tuple([lift_expr(self, a) for a in args])
         self.emit(ir.ExprStmt(ir.Call(fn, exprs)))
 
     # -- control flow ----------------------------------------------------------

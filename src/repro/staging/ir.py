@@ -15,7 +15,8 @@ exactly as in the paper -- guarantees proper sequencing of effects.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from operator import attrgetter
+from typing import Callable, Optional, Union
 
 
 # --------------------------------------------------------------------------
@@ -417,83 +418,132 @@ Node = Union[Expr, Stmt]
 # Walker hooks
 #
 # The analysis layer (:mod:`repro.analysis`) never rewrites the IR -- it only
-# traverses it.  These helpers are the single place that knows the child
-# structure of every node, so adding an IR node means extending exactly one
-# table here and every analysis pass picks it up.
+# traverses it.  :data:`SHAPES` is the single place that knows the child
+# structure of every node, so adding an IR node means adding exactly one row
+# there and every walker (the verifier, the lint passes, the emitters'
+# helpers) picks it up.  Walkers look a node's row up by its exact type once
+# and walk with an explicit stack, never by ``isinstance`` chains or
+# recursive generators.
 # --------------------------------------------------------------------------
 
 
-def expr_children(expr: Expr) -> tuple[Expr, ...]:
-    """The direct sub-expressions of ``expr`` (empty for atoms)."""
-    if isinstance(expr, Bin):
-        return (expr.lhs, expr.rhs)
-    if isinstance(expr, Un):
-        return (expr.operand,)
-    if isinstance(expr, Call):
-        return expr.args
-    if isinstance(expr, Index):
-        return (expr.arr, expr.idx)
-    if isinstance(expr, (TupleExpr, ListExpr)):
-        return expr.items
+def _none(node) -> tuple:
     return ()
+
+
+def _no_name(node) -> None:
+    return None
+
+
+@dataclass(frozen=True)
+class Shape:
+    """What a walker needs to know of one node type.
+
+    ``reads`` gives the expressions the node evaluates directly: an
+    expression's operands, a statement's own expressions (not those of its
+    sub-blocks).  ``blocks`` gives a statement's nested blocks, ``binds``
+    the name it introduces into the current scope (a ``NestedFunc`` binds
+    its function name; its parameters belong to the nested scope), and
+    ``loop`` marks a loop, whose body is a break/continue context.
+    """
+
+    reads: Callable[[Node], tuple[Expr, ...]] = _none
+    blocks: Callable[[Stmt], tuple[Block, ...]] = _none
+    binds: Callable[[Stmt], Optional[str]] = _no_name
+    loop: bool = False
+
+
+#: The row of a node without children, sub-blocks or binding (and of any
+#: node type the table does not know).
+LEAF = Shape()
+
+
+def _range_reads(stmt: ForRange) -> tuple[Expr, ...]:
+    if stmt.step is None:
+        return (stmt.start, stmt.stop)
+    return (stmt.start, stmt.stop, stmt.step)
+
+
+def _body(stmt) -> tuple[Block, ...]:
+    return (stmt.body,)
+
+
+def _expr(node) -> tuple[Expr, ...]:
+    return (node.expr,)
+
+
+SHAPES: dict[type, Shape] = {
+    Const: LEAF,
+    Sym: LEAF,
+    Bin: Shape(attrgetter("lhs", "rhs")),
+    Un: Shape(lambda e: (e.operand,)),
+    Call: Shape(attrgetter("args")),
+    Index: Shape(attrgetter("arr", "idx")),
+    TupleExpr: Shape(attrgetter("items")),
+    ListExpr: Shape(attrgetter("items")),
+    Assign: Shape(_expr, binds=attrgetter("name")),
+    Reassign: Shape(_expr),
+    SetIndex: Shape(attrgetter("arr", "idx", "value")),
+    ExprStmt: Shape(_expr),
+    If: Shape(lambda s: (s.cond,), attrgetter("then", "els")),
+    While: Shape(blocks=_body, loop=True),
+    ForRange: Shape(_range_reads, _body, attrgetter("var"), loop=True),
+    ForEach: Shape(lambda s: (s.iterable,), _body, attrgetter("var"), loop=True),
+    Break: LEAF,
+    Continue: LEAF,
+    Return: Shape(lambda s: () if s.expr is None else (s.expr,)),
+    NestedFunc: Shape(blocks=_body, binds=attrgetter("name")),
+    Comment: LEAF,
+}
 
 
 def walk_expr(expr: Expr):
     """Yield ``expr`` and every sub-expression, pre-order."""
-    yield expr
-    for child in expr_children(expr):
-        yield from walk_expr(child)
+    todo = [expr]
+    while todo:
+        node = todo.pop()
+        yield node
+        children = SHAPES.get(type(node), LEAF).reads(node)
+        if children:
+            todo.extend(reversed(children))
 
 
 def stmt_exprs(stmt: Stmt) -> tuple[Expr, ...]:
     """The expressions a statement evaluates directly (not its sub-blocks)."""
-    if isinstance(stmt, (Assign, Reassign)):
-        return (stmt.expr,)
-    if isinstance(stmt, SetIndex):
-        return (stmt.arr, stmt.idx, stmt.value)
-    if isinstance(stmt, ExprStmt):
-        return (stmt.expr,)
-    if isinstance(stmt, If):
-        return (stmt.cond,)
-    if isinstance(stmt, ForRange):
-        if stmt.step is None:
-            return (stmt.start, stmt.stop)
-        return (stmt.start, stmt.stop, stmt.step)
-    if isinstance(stmt, ForEach):
-        return (stmt.iterable,)
-    if isinstance(stmt, Return):
-        return () if stmt.expr is None else (stmt.expr,)
-    return ()
+    return SHAPES.get(type(stmt), LEAF).reads(stmt)
 
 
 def stmt_blocks(stmt: Stmt) -> tuple[Block, ...]:
     """The nested statement blocks of a structured statement."""
-    if isinstance(stmt, If):
-        return (stmt.then, stmt.els)
-    if isinstance(stmt, (While, ForRange, ForEach, NestedFunc)):
-        return (stmt.body,)
-    return ()
+    return SHAPES.get(type(stmt), LEAF).blocks(stmt)
 
 
-def stmt_binds(stmt: Stmt) -> Optional[str]:
-    """The name a statement introduces into the current scope, if any.
+def walk_stmts(block: Block, *, into_nested: bool = True):
+    """Yield ``(stmt, loops)`` for every statement under ``block``,
+    pre-order; ``loops`` counts the loops around it inside ``block``.
 
-    ``NestedFunc`` binds its *function name*; its parameters belong to the
-    nested scope and are not returned here.
+    ``into_nested=False`` stops at :class:`NestedFunc` boundaries (a
+    nested function is a separate scope and break/continue context).
     """
-    if isinstance(stmt, Assign):
-        return stmt.name
-    if isinstance(stmt, (ForRange, ForEach)):
-        return stmt.var
-    if isinstance(stmt, NestedFunc):
-        return stmt.name
-    return None
+    todo = [(iter(block), 0)]
+    while todo:
+        stmts, loops = todo[-1]
+        stmt = next(stmts, None)
+        if stmt is None:
+            todo.pop()
+            continue
+        yield stmt, loops
+        kind = type(stmt)
+        if kind is NestedFunc and not into_nested:
+            continue
+        shape = SHAPES.get(kind, LEAF)
+        blocks = shape.blocks(stmt)
+        if blocks:
+            inner = loops + shape.loop
+            todo.extend((iter(sub), inner) for sub in reversed(blocks))
 
 
-def is_atom(expr: Expr) -> bool:
-    """Return True when ``expr`` needs no binding to a fresh name.
-
-    Symbols and constants can be referenced any number of times without
-    duplicating work; everything else is bound once by the staging context.
-    """
-    return isinstance(expr, (Sym, Const))
+#: The atom types: an expression of one needs no binding to a fresh name.
+#: Symbols and constants can be referenced any number of times without
+#: duplicating work; everything else is bound once by the staging context.
+ATOMS = frozenset({Sym, Const})

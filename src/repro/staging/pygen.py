@@ -20,7 +20,7 @@ are atoms (the open map's probe is ``(cur + 1) % size``), so
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Sequence
+from typing import Callable, Optional, Sequence
 
 from repro.errors import ReproError
 from repro.staging import ir
@@ -33,10 +33,11 @@ class CodegenError(ReproError):
     phase = "host-compile"
 
 
-def _render_call(node: ir.Call, args: Sequence[str]) -> str:
+def _render_call(node: ir.Call) -> str:
     row = ir.INTRINSICS.get(node.fn)
     if row is None:
         raise CodegenError(f"undeclared intrinsic {node.fn!r} (see ir.INTRINSICS)")
+    args = [render_expr(a) for a in node.args]
     if row.py is not None:
         return row.py.format(*args)
     return f"rt.{node.fn}({', '.join(args)})"
@@ -55,16 +56,19 @@ PRIMARY = 99
 
 def binding(expr: ir.Expr, prec: dict[str, int]) -> int:
     """How tightly ``expr`` binds once rendered, in ``prec``'s terms."""
-    if isinstance(expr, ir.Bin):
+    kind = type(expr)
+    if kind is ir.Bin:
         return prec.get(expr.op, -1)
-    if isinstance(expr, ir.Un):
+    if kind is ir.Un:
         return prec["not" if expr.op == "not" else "neg"]
-    if isinstance(expr, ir.Const) and type(expr.value) in (int, float) and expr.value < 0:
+    if kind is ir.Const and type(expr.value) in (int, float) and expr.value < 0:
         return prec["neg"]  # rendered with its sign
     return PRIMARY
 
 
 def _operand(expr: ir.Expr, floor: int) -> str:
+    if type(expr) is ir.Sym:
+        return expr.name
     text = render_expr(expr)
     return f"({text})" if binding(expr, _PY_PREC) < floor else text
 
@@ -73,31 +77,48 @@ def render_expr(expr: ir.Expr) -> str:
     """Render one IR expression as Python source, parenthesizing a child
     only where it binds looser than its parent or equally tight on the
     right (or is a comparison under a comparison)."""
-    if isinstance(expr, ir.Const):
-        return repr(expr.value)
-    if isinstance(expr, ir.Sym):
+    kind = type(expr)
+    if kind is ir.Sym:  # most operands: skip the table
         return expr.name
-    if isinstance(expr, ir.Bin):
-        level = _PY_PREC.get(expr.op, -1)
-        lhs = _operand(expr.lhs, level + (level == _PY_PREC["<"]))
-        return f"{lhs} {expr.op} {_operand(expr.rhs, level + 1)}"
-    if isinstance(expr, ir.Un):
-        operand = _operand(expr.operand, binding(expr, _PY_PREC))
-        if expr.op == "not":
-            return f"not {operand}"
-        return f"{expr.op}{operand}"
-    if isinstance(expr, ir.Call):
-        return _render_call(expr, [render_expr(a) for a in expr.args])
-    if isinstance(expr, ir.Index):
-        return f"{_operand(expr.arr, PRIMARY)}[{render_expr(expr.idx)}]"
-    if isinstance(expr, ir.TupleExpr):
-        inner = ", ".join(render_expr(i) for i in expr.items)
-        if len(expr.items) == 1:
-            inner += ","
-        return f"({inner})"
-    if isinstance(expr, ir.ListExpr):
-        return f"[{', '.join(render_expr(i) for i in expr.items)}]"
-    raise CodegenError(f"unhandled expression node: {expr!r}")
+    render = _RENDER.get(kind)
+    if render is None:
+        raise CodegenError(f"unhandled expression node: {expr!r}")
+    return render(expr)
+
+
+def _bin(expr: ir.Bin) -> str:
+    level = _PY_PREC.get(expr.op, -1)
+    lhs = _operand(expr.lhs, level + (level == _COMPARE))
+    return f"{lhs} {expr.op} {_operand(expr.rhs, level + 1)}"
+
+
+def _un(expr: ir.Un) -> str:
+    operand = _operand(expr.operand, binding(expr, _PY_PREC))
+    if expr.op == "not":
+        return f"not {operand}"
+    return f"{expr.op}{operand}"
+
+
+def _tuple(expr: ir.TupleExpr) -> str:
+    inner = ", ".join(map(render_expr, expr.items))
+    if len(expr.items) == 1:
+        inner += ","
+    return f"({inner})"
+
+
+_COMPARE = _PY_PREC["<"]
+
+#: Expression type -> its Python rendering.
+_RENDER: dict[type, Callable[..., str]] = {
+    ir.Const: lambda e: repr(e.value),
+    ir.Sym: lambda e: e.name,
+    ir.Bin: _bin,
+    ir.Un: _un,
+    ir.Call: _render_call,
+    ir.Index: lambda e: f"{_operand(e.arr, PRIMARY)}[{render_expr(e.idx)}]",
+    ir.TupleExpr: _tuple,
+    ir.ListExpr: lambda e: f"[{', '.join(map(render_expr, e.items))}]",
+}
 
 
 class _Writer:
@@ -119,93 +140,108 @@ class _Writer:
 
     def stmt(self, node: ir.Stmt) -> bool:
         """Render one statement; returns False for pure comments."""
-        if isinstance(node, ir.Comment):
-            self.line(f"# {node.text}")
-            return False
-        if isinstance(node, (ir.Assign, ir.Reassign)):
-            self.line(f"{node.name} = {render_expr(node.expr)}")
-        elif isinstance(node, ir.SetIndex):
-            self.line(
-                f"{render_expr(node.arr)}[{render_expr(node.idx)}] = "
-                f"{render_expr(node.value)}"
-            )
-        elif isinstance(node, ir.ExprStmt):
-            self.line(render_expr(node.expr))
-        elif isinstance(node, ir.If):
-            self.line(f"if {render_expr(node.cond)}:")
-            self.block(node.then)
-            if node.els:
-                self.line("else:")
-                self.block(node.els)
-        elif isinstance(node, ir.While):
-            self.line("while True:")
-            self.block(node.body)
-        elif isinstance(node, ir.ForRange):
-            if node.step is None:
-                rng = f"range({render_expr(node.start)}, {render_expr(node.stop)})"
-            else:
-                rng = (
-                    f"range({render_expr(node.start)}, {render_expr(node.stop)}, "
-                    f"{render_expr(node.step)})"
-                )
-            self.line(f"for {node.var} in {rng}:")
-            self.block(node.body)
-        elif isinstance(node, ir.ForEach):
-            self.line(f"for {node.var} in {render_expr(node.iterable)}:")
-            self.block(node.body)
-        elif isinstance(node, ir.NestedFunc):
-            self.line(f"def {node.name}({', '.join(node.params)}):")
-            free = _free_mutables(node.body)
-            self.depth += 1
-            emitted = False
-            if free:
-                # Mutable staged locals hoisted into the enclosing prepare()
-                # scope (Section 4.4) are reassigned by this closure.
-                self.line(f"nonlocal {', '.join(sorted(free))}")
-                emitted = True
-            for stmt in node.body:
-                emitted = self.stmt(stmt) or emitted
-            if not emitted:
-                self.line("pass")
-            self.depth -= 1
-        elif isinstance(node, ir.Break):
-            self.line("break")
-        elif isinstance(node, ir.Continue):
-            self.line("continue")
-        elif isinstance(node, ir.Return):
-            if node.expr is None:
-                self.line("return")
-            else:
-                self.line(f"return {render_expr(node.expr)}")
-        else:
+        render = _WRITE.get(type(node))
+        if render is None:
             raise CodegenError(f"unhandled statement node: {node!r}")
-        return True
+        return render(self, node) is not False
+
+    def _comment(self, node: ir.Comment) -> bool:
+        self.line(f"# {node.text}")
+        return False
+
+    def _assign(self, node) -> None:
+        self.line(f"{node.name} = {render_expr(node.expr)}")
+
+    def _set_index(self, node: ir.SetIndex) -> None:
+        self.line(
+            f"{render_expr(node.arr)}[{render_expr(node.idx)}] = "
+            f"{render_expr(node.value)}"
+        )
+
+    def _expr_stmt(self, node: ir.ExprStmt) -> None:
+        self.line(render_expr(node.expr))
+
+    def _if(self, node: ir.If) -> None:
+        self.line(f"if {render_expr(node.cond)}:")
+        self.block(node.then)
+        if node.els:
+            self.line("else:")
+            self.block(node.els)
+
+    def _while(self, node: ir.While) -> None:
+        self.line("while True:")
+        self.block(node.body)
+
+    def _for_range(self, node: ir.ForRange) -> None:
+        bounds = ", ".join(map(render_expr, ir.stmt_exprs(node)))
+        self.line(f"for {node.var} in range({bounds}):")
+        self.block(node.body)
+
+    def _for_each(self, node: ir.ForEach) -> None:
+        self.line(f"for {node.var} in {render_expr(node.iterable)}:")
+        self.block(node.body)
+
+    def _nested_func(self, node: ir.NestedFunc) -> None:
+        self.line(f"def {node.name}({', '.join(node.params)}):")
+        free = _free_mutables(node.body)
+        self.depth += 1
+        emitted = False
+        if free:
+            # Mutable staged locals hoisted into the enclosing prepare()
+            # scope (Section 4.4) are reassigned by this closure.
+            self.line(f"nonlocal {', '.join(sorted(free))}")
+            emitted = True
+        for stmt in node.body:
+            emitted = self.stmt(stmt) or emitted
+        if not emitted:
+            self.line("pass")
+        self.depth -= 1
+
+    def _return(self, node: ir.Return) -> None:
+        if node.expr is None:
+            self.line("return")
+        else:
+            self.line(f"return {render_expr(node.expr)}")
 
 
-def _free_mutables(body) -> set[str]:
-    """Names a block reassigns without defining -- closures need ``nonlocal``."""
-    assigned: set[str] = set()
+#: Statement type -> the writer method that renders it.
+_WRITE: dict[type, Callable[[_Writer, ir.Stmt], Optional[bool]]] = {
+    ir.Comment: _Writer._comment,
+    ir.Assign: _Writer._assign,
+    ir.Reassign: _Writer._assign,
+    ir.SetIndex: _Writer._set_index,
+    ir.ExprStmt: _Writer._expr_stmt,
+    ir.If: _Writer._if,
+    ir.While: _Writer._while,
+    ir.ForRange: _Writer._for_range,
+    ir.ForEach: _Writer._for_each,
+    ir.NestedFunc: _Writer._nested_func,
+    ir.Break: lambda writer, node: writer.line("break"),
+    ir.Continue: lambda writer, node: writer.line("continue"),
+    ir.Return: _Writer._return,
+}
+
+
+def _free_mutables(body: ir.Block) -> set[str]:
+    """Names a block reassigns without binding -- closures need ``nonlocal``."""
+    bound: set[str] = set()
     reassigned: set[str] = set()
-
-    def walk(block) -> None:
-        for stmt in block:
-            if isinstance(stmt, ir.Assign):
-                assigned.add(stmt.name)
-            elif isinstance(stmt, ir.Reassign):
+    shapes, leaf = ir.SHAPES, ir.LEAF
+    todo = [body]
+    while todo:
+        for stmt in todo.pop():
+            kind = type(stmt)
+            if kind is ir.Assign:  # most statements
+                bound.add(stmt.name)
+            elif kind is ir.Reassign:
                 reassigned.add(stmt.name)
-            elif isinstance(stmt, ir.If):
-                walk(stmt.then)
-                walk(stmt.els)
-            elif isinstance(stmt, (ir.While,)):
-                walk(stmt.body)
-            elif isinstance(stmt, (ir.ForRange, ir.ForEach)):
-                assigned.add(stmt.var)
-                walk(stmt.body)
-            elif isinstance(stmt, ir.NestedFunc):
-                walk(stmt.body)
-
-    walk(body)
-    return reassigned - assigned
+            else:
+                shape = shapes.get(kind, leaf)
+                name = shape.binds(stmt)
+                if name is not None:
+                    bound.add(name)
+                todo.extend(shape.blocks(stmt))
+    return reassigned - bound
 
 
 def generate_python(functions: Sequence[ir.Function], header: str = "") -> str:

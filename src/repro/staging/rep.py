@@ -83,7 +83,7 @@ class Rep:
     is_vector = False  # RepVec subclasses carry batches, not scalars
 
     def __init__(self, expr: ir.Expr, ctx: "StagingContext", ctype: str | None = None):
-        if not ir.is_atom(expr):
+        if type(expr) not in ir.ATOMS:
             sym = ctx.bind(expr, ctype=ctype or type(self).ctype)
             expr = sym
         self.expr = expr
@@ -313,7 +313,7 @@ class RepVec(Rep):
     is_vector = True
 
     def _vcall(self, fn: str, args: Sequence[Liftable], result_cls: Type["Rep"]):
-        exprs = tuple(lift_expr(self.ctx, a) for a in args)
+        exprs = tuple([lift_expr(self.ctx, a) for a in args])
         sym = self.ctx.bind(ir.Call(fn, exprs), ctype=result_cls.ctype, prefix="v")
         return result_cls(sym, self.ctx)
 

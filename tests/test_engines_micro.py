@@ -444,6 +444,44 @@ def test_a_project_over_a_project_above_an_empty_global_aggregate(tiny_db):
     assert run_five(plan, tiny_db) == [(None, 1)]
 
 
+def _emp_sales(suffix: str):
+    """Emp's ``eid`` and its Sales ``sid`` over 50 (None for eid 4-6),
+    renamed with ``suffix``: a join key that is NULL on three rows."""
+    outer = LeftOuterJoin(Scan("Emp"), _sales_over_50(), ["eid"], ["sid"])
+    return Project(outer, [("eid" + suffix, col("eid")), ("sid" + suffix, col("sid"))])
+
+
+def test_a_null_join_key_matches_nothing(tiny_db):
+    """``None = None`` is not true in SQL: the three NULL keys on each
+    side meet no row (SQL gives 3 rows, not 3 + 3 x 3)."""
+    plan = HashJoin(_emp_sales("a"), _emp_sales("b"), ["sida"], ["sidb"])
+    assert normalize(run_five(plan, tiny_db)) == normalize([
+        (1, 1, 1, 1), (2, 2, 2, 2), (3, 3, 3, 3),
+    ])
+
+
+def test_a_null_semi_join_key_has_no_match(tiny_db):
+    plan = SemiJoin(_emp_sales("a"), _emp_sales("b"), ["sida"], ["sidb"])
+    assert normalize(run_five(plan, tiny_db)) == normalize([(1, 1), (2, 2), (3, 3)])
+
+
+def test_a_null_anti_join_key_keeps_its_row(tiny_db):
+    """NOT EXISTS semantics: no right row equals a NULL key, so the left
+    rows holding one are kept."""
+    plan = AntiJoin(_emp_sales("a"), _emp_sales("b"), ["sida"], ["sidb"])
+    assert normalize(run_five(plan, tiny_db)) == normalize([
+        (4, None), (5, None), (6, None),
+    ])
+
+
+def test_a_null_outer_join_key_is_null_extended(tiny_db):
+    plan = LeftOuterJoin(_emp_sales("a"), _emp_sales("b"), ["sida"], ["sidb"])
+    assert normalize(run_five(plan, tiny_db)) == normalize([
+        (1, 1, 1, 1), (2, 2, 2, 2), (3, 3, 3, 3),
+        (4, None, None, None), (5, None, None, None), (6, None, None, None),
+    ])
+
+
 def test_a_groupjoin_with_unmatched_left_rows(tiny_db):
     """ME and BIO meet no Emp row below 4: their count is 0 and their
     max is None, which ``m + 10`` carries through."""

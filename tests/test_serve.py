@@ -38,7 +38,7 @@ from repro.serve import (
     TokenBucket,
     mixed_workload,
 )
-from repro.serve.admission import AdmissionGate, TenantState
+from repro.serve.admission import AdmissionGate, TenantRegistry, TenantState
 from repro.session import Session
 from repro.tpch import query_plan
 from repro.tpch.sql_queries import SQL_QUERIES
@@ -98,6 +98,25 @@ def test_tenant_concurrency_and_rate_quotas():
         limited.admit("slow")
     assert excinfo.value.code == "E_RATELIMIT"
     assert excinfo.value.tenant == "slow"
+
+
+def test_tenant_buckets_refill_by_the_registry_clock():
+    """A stepped clock, not a rate too slow to refill: one token a second,
+    burst 1, for a configured tenant and for the default quota."""
+    clock = FakeClock()
+    quota = TenantQuota(rate=1.0, burst=1)
+    registry = TenantRegistry({"paid": quota}, default=quota, clock=clock)
+    for tenant in ("paid", "walk-in"):
+        state = registry.state(tenant, tenant)
+        state.admit(tenant)  # the burst token
+        state.release()
+        clock.advance(0.5)  # half a token back: still over the rate
+        with pytest.raises(RateLimitError) as excinfo:
+            state.admit(tenant)
+        assert excinfo.value.code == "E_RATELIMIT"
+        clock.advance(0.5)  # a whole token
+        state.admit(tenant)
+        state.release()
 
 
 # -- circuit breaker ----------------------------------------------------------
