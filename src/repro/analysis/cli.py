@@ -11,8 +11,9 @@ For each of the 22 TPC-H queries this compiles the residual program under
 every :class:`repro.compiler.lb2.Config` combination (codegen backend x
 hash map implementation x sort layout x allocation hoisting x dictionaries
 x instrumentation), every one in the Section-4.4 ``prepare``/``run``
-form the driver emits, plus the rewritten (index/date-index) plans and the
-Section-4.5 parallel partials -- and runs the verifier, the type checker
+form the driver emits, plus the rewritten (index/date-index) plans, Q13's
+GroupJoin variant (plain and rewritten) and the Section-4.5 parallel
+partials -- and runs the verifier, the type checker
 and all lint passes over each.
 Any diagnostic fails the gate: the residual program is supposed to be a
 *checked* contract, not just one that happens to run.
@@ -41,7 +42,7 @@ from repro.obs.metrics import REGISTRY
 from repro.plan.rewrite import optimize_for_level
 from repro.storage.database import Database, OptimizationLevel
 from repro.tpch.dbgen import generate_database
-from repro.tpch.queries import QUERIES, query_plan
+from repro.tpch.queries import QUERIES, q13_groupjoin, query_plan
 
 SCHEMA = "repro-lint/v2"
 
@@ -114,8 +115,11 @@ def lint_query(
     number of programs checked."""
     checked = 0
     plans = {"": query_plan(q, scale=scale)}
+    if q == 13:  # the GroupJoin operator's plan is a variant of Q13's
+        plans["groupjoin:"] = q13_groupjoin(scale)
     if not fast:
-        plans["rewritten:"] = optimize_for_level(plans[""], db, db.catalog)
+        for tag, plan in list(plans.items()):
+            plans[f"rewritten:{tag}"] = optimize_for_level(plan, db, db.catalog)
     # The parameterized residual program's ``run`` closure takes a runtime
     # parameter vector; hold it to the same verifier/type-checker bar
     # across the config matrix.

@@ -32,7 +32,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.obs import events
 from repro.obs.metrics import REGISTRY
@@ -122,18 +122,21 @@ def _burn(good: int, bad: int, objective: float) -> float:
 class SLOMonitor:
     """Per-service / per-tenant / per-shape burn-rate monitoring.
 
-    ``clock`` is injectable so tests can march a fake wall clock through
-    the windows deterministically.
+    The windows run on the monotonic clock: they measure elapsed time and
+    the monitor never reports ``now`` as a timestamp, so a wall-clock step
+    neither re-counts old buckets nor empties them.  ``clock`` is
+    injectable so tests can march a fake clock through the windows
+    deterministically.
     """
 
     def __init__(
         self,
         config: Optional[SLOConfig] = None,
-        clock=time.time,
+        clock: Optional[Callable[[], float]] = None,
         registry=REGISTRY,
     ) -> None:
         self.config = config or SLOConfig()
-        self._clock = clock
+        self._clock = clock or time.monotonic
         self._registry = registry
         self._lock = threading.Lock()
         self._service = _Tracker(self.config)

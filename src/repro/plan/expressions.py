@@ -16,9 +16,11 @@ paper's claim that the compiler is the interpreter, re-typed.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
+import operator
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 from repro.catalog.types import ColumnType
 
@@ -42,7 +44,8 @@ class Expr:
         raise NotImplementedError
 
     def columns(self) -> set[str]:
-        raise NotImplementedError
+        """The fields the expression reads: its :class:`Col` leaves."""
+        return {node.name for node in walk_expr(self) if type(node) is Col}
 
     def result_type(self, types: Types) -> ColumnType:
         raise NotImplementedError
@@ -106,9 +109,6 @@ class Col(Expr):
     def template(self, rec: str) -> str:
         return f"{rec}[{self.name!r}]"
 
-    def columns(self) -> set[str]:
-        return {self.name}
-
     def result_type(self, types: Types) -> ColumnType:
         try:
             return types[self.name]
@@ -130,9 +130,6 @@ class Const(Expr):
 
     def template(self, rec: str) -> str:
         return repr(self.value)
-
-    def columns(self) -> set[str]:
-        return set()
 
     def result_type(self, types: Types) -> ColumnType:
         if isinstance(self.value, bool):
@@ -182,9 +179,6 @@ class Param(Expr):
     def template(self, rec: str) -> str:
         return f"params[{self.index}]"
 
-    def columns(self) -> set[str]:
-        return set()
-
     def result_type(self, types: Types) -> ColumnType:
         if self.ptype is None:
             raise ExprError(f"parameter {self.describe()} has no inferred type")
@@ -229,9 +223,6 @@ class Arith(Expr):
 
     def template(self, rec: str) -> str:
         return f"({self.lhs.template(rec)} {self.op} {self.rhs.template(rec)})"
-
-    def columns(self) -> set[str]:
-        return self.lhs.columns() | self.rhs.columns()
 
     def result_type(self, types: Types) -> ColumnType:
         if self.op == "/":
@@ -293,11 +284,19 @@ class Cmp(Expr):
     def template(self, rec: str) -> str:
         return f"({self.lhs.template(rec)} {self.op} {self.rhs.template(rec)})"
 
-    def columns(self) -> set[str]:
-        return self.lhs.columns() | self.rhs.columns()
-
     def result_type(self, types: Types) -> ColumnType:
         return ColumnType.BOOL
+
+
+def _flatten_into(node, terms) -> None:
+    """Set an And/Or's terms, splicing in those of a nested node of its
+    own type."""
+    flat: list[Expr] = []
+    for term in terms:
+        flat.extend(term.terms if type(term) is type(node) else (term,))
+    if not flat:
+        raise ExprError(f"{type(node).__name__}() needs at least one term")
+    object.__setattr__(node, "terms", tuple(flat))
 
 
 @dataclass(frozen=True)
@@ -307,15 +306,7 @@ class And(Expr):
     terms: tuple[Expr, ...]
 
     def __init__(self, *terms: Expr) -> None:
-        flat: list[Expr] = []
-        for term in terms:
-            if isinstance(term, And):
-                flat.extend(term.terms)
-            else:
-                flat.append(term)
-        if not flat:
-            raise ExprError("And() needs at least one term")
-        object.__setattr__(self, "terms", tuple(flat))
+        _flatten_into(self, terms)
 
     def eval(self, row: dict) -> bool:
         return all(t.eval(row) for t in self.terms)
@@ -329,12 +320,6 @@ class And(Expr):
     def template(self, rec: str) -> str:
         return "(" + " and ".join(t.template(rec) for t in self.terms) + ")"
 
-    def columns(self) -> set[str]:
-        out: set[str] = set()
-        for term in self.terms:
-            out |= term.columns()
-        return out
-
     def result_type(self, types: Types) -> ColumnType:
         return ColumnType.BOOL
 
@@ -346,15 +331,7 @@ class Or(Expr):
     terms: tuple[Expr, ...]
 
     def __init__(self, *terms: Expr) -> None:
-        flat: list[Expr] = []
-        for term in terms:
-            if isinstance(term, Or):
-                flat.extend(term.terms)
-            else:
-                flat.append(term)
-        if not flat:
-            raise ExprError("Or() needs at least one term")
-        object.__setattr__(self, "terms", tuple(flat))
+        _flatten_into(self, terms)
 
     def eval(self, row: dict) -> bool:
         return any(t.eval(row) for t in self.terms)
@@ -367,12 +344,6 @@ class Or(Expr):
 
     def template(self, rec: str) -> str:
         return "(" + " or ".join(t.template(rec) for t in self.terms) + ")"
-
-    def columns(self) -> set[str]:
-        out: set[str] = set()
-        for term in self.terms:
-            out |= term.columns()
-        return out
 
     def result_type(self, types: Types) -> ColumnType:
         return ColumnType.BOOL
@@ -393,9 +364,6 @@ class Not(Expr):
     def template(self, rec: str) -> str:
         return f"(not {self.term.template(rec)})"
 
-    def columns(self) -> set[str]:
-        return self.term.columns()
-
     def result_type(self, types: Types) -> ColumnType:
         return ColumnType.BOOL
 
@@ -414,9 +382,6 @@ class IsNotNull(Expr):
 
     def template(self, rec: str) -> str:
         return f"({self.term.template(rec)} is not None)"
-
-    def columns(self) -> set[str]:
-        return self.term.columns()
 
     def result_type(self, types: Types) -> ColumnType:
         return ColumnType.BOOL
@@ -541,9 +506,6 @@ class Like(Expr):
             body = f"rt.like({value}, {self.pattern!r})"
         return f"(not {body})" if self.negate else body
 
-    def columns(self) -> set[str]:
-        return self.term.columns()
-
     def result_type(self, types: Types) -> ColumnType:
         return ColumnType.BOOL
 
@@ -578,9 +540,6 @@ class Case(Expr):
             f"else {self.els.template(rec)})"
         )
 
-    def columns(self) -> set[str]:
-        return self.cond.columns() | self.then.columns() | self.els.columns()
-
     def result_type(self, types: Types) -> ColumnType:
         return self.then.result_type(types)
 
@@ -608,9 +567,6 @@ class ExtractYear(Expr):
 
     def template(self, rec: str) -> str:
         return f"({self.term.template(rec)} // 10000)"
-
-    def columns(self) -> set[str]:
-        return self.term.columns()
 
     def result_type(self, types: Types) -> ColumnType:
         return ColumnType.INT
@@ -653,9 +609,6 @@ class Substring(Expr):
         lo, hi = self.bounds
         return f"{self.term.template(rec)}[{lo}:{hi}]"
 
-    def columns(self) -> set[str]:
-        return self.term.columns()
-
     def result_type(self, types: Types) -> ColumnType:
         return ColumnType.STRING
 
@@ -667,9 +620,8 @@ class InList(Expr):
     term: Expr
     values: tuple
 
-    def __init__(self, term: Expr, values: Sequence[object]) -> None:
-        object.__setattr__(self, "term", term)
-        object.__setattr__(self, "values", tuple(values))
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "values", tuple(self.values))
 
     def eval(self, row: dict) -> bool:
         return self.term.eval(row) in self.values
@@ -683,9 +635,6 @@ class InList(Expr):
 
     def template(self, rec: str) -> str:
         return f"({self.term.template(rec)} in {self.values!r})"
-
-    def columns(self) -> set[str]:
-        return self.term.columns()
 
     def result_type(self, types: Types) -> ColumnType:
         return ColumnType.BOOL
@@ -724,6 +673,140 @@ class AggSpec:
             return ColumnType.FLOAT
         assert self.expr is not None
         return self.expr.result_type(types)
+
+
+# -- declared structure -----------------------------------------------------------
+#
+# :data:`SLOTS` is the one place that knows where an expression form keeps
+# its sub-expressions; ``plan.physical.SHAPES`` does the same for operators,
+# with the same slot kinds.  Every walk (:func:`walk_expr`,
+# :meth:`Expr.columns`, the plan's parameter walk) and every rebuild
+# (:func:`map_slots`, :func:`replace_expr`) reads them, so a new expression
+# form is one row here.
+
+#: Slot kinds.  ``ONE``: the field holds an Expr, or None.  ``TERMS``: a
+#: tuple of Exprs that is its node's only field and its constructor's
+#: arguments (a rebuilt And/Or flattens there).  ``NAMED``: a tuple of
+#: ``(name, Expr)`` pairs.  ``AGGS``: a tuple of ``(name, AggSpec)`` pairs.
+ONE, TERMS, NAMED, AGGS = "one", "terms", "named", "aggs"
+
+Slots = tuple[tuple[str, str], ...]
+
+_TERM: Slots = (("term", ONE),)
+_SIDES: Slots = (("lhs", ONE), ("rhs", ONE))
+
+SLOTS: dict[type, Slots] = {
+    Col: (),
+    Const: (),
+    Param: (),
+    Arith: _SIDES,
+    Cmp: _SIDES,
+    And: (("terms", TERMS),),
+    Or: (("terms", TERMS),),
+    Not: _TERM,
+    IsNotNull: _TERM,
+    Like: _TERM,
+    Case: (("cond", ONE), ("then", ONE), ("els", ONE)),
+    ExtractYear: _TERM,
+    Substring: _TERM,
+    InList: _TERM,
+    AggSpec: (("expr", ONE),),
+}
+
+
+def slot_exprs(node, slots: Slots) -> list[Expr]:
+    """The expressions ``node`` holds directly in ``slots``, in order."""
+    out: list[Expr] = []
+    for name, kind in slots:
+        value = getattr(node, name)
+        if kind == ONE:
+            if value is not None:
+                out.append(value)
+        elif kind == TERMS:
+            out.extend(value)
+        elif kind == NAMED:
+            out.extend(expr for _, expr in value)
+        else:
+            out.extend(spec.expr for _, spec in value if spec.expr is not None)
+    return out
+
+
+def walk_expr(expr: Expr) -> list[Expr]:
+    """``expr`` and every sub-expression, pre-order."""
+    out: list[Expr] = []
+    todo = [expr]
+    while todo:
+        node = todo.pop()
+        out.append(node)
+        slots = SLOTS[type(node)]
+        if slots:
+            todo.extend(reversed(slot_exprs(node, slots)))
+    return out
+
+
+def map_slots(node, slots: Slots, fn: Callable[[Expr], Expr], changes=None):
+    """``node`` with ``fn`` applied to every expression in its ``slots``
+    and the field values in ``changes`` put in: a copy when anything
+    differs (by identity), ``node`` itself when nothing does."""
+    changes = dict(changes or ())
+    for name, kind in slots:
+        old = getattr(node, name)
+        if kind == ONE:
+            new = old if old is None else fn(old)
+        elif kind == TERMS:
+            new = _map_tuple(old, fn)
+            if new is not old:
+                return type(node)(*new)
+        else:
+            item = fn if kind == NAMED else functools.partial(
+                map_slots, slots=SLOTS[AggSpec], fn=fn
+            )
+            new = _map_tuple(old, lambda pair: _map_pair(pair, item))
+        if new is not old:
+            changes[name] = new
+    return remake(node, changes) if changes else node
+
+
+def _map_tuple(values: tuple, fn) -> tuple:
+    new = tuple(map(fn, values))
+    return values if all(map(operator.is_, new, values)) else new
+
+
+def _map_pair(pair: tuple, fn) -> tuple:
+    name, value = pair
+    new = fn(value)
+    return pair if new is value else (name, new)
+
+
+def remake(node, changes: dict):
+    """A copy of the dataclass ``node`` with the field values in
+    ``changes``, set field by field: no constructor runs, and nothing the
+    old node memoized outside its fields carries over."""
+    cls = type(node)
+    new = object.__new__(cls)
+    values = vars(new)
+    for name in _field_names(cls):
+        values[name] = changes[name] if name in changes else getattr(node, name)
+    return new
+
+
+@functools.cache
+def _field_names(cls: type) -> tuple[str, ...]:
+    return tuple(f.name for f in dataclasses.fields(cls))
+
+
+def replace_expr(expr: Expr, fn: Callable[[Expr], Optional[Expr]]) -> Expr:
+    """``expr`` with every sub-expression ``fn`` maps to a value replaced
+    by it, top-down: a replaced node is not looked into, and a node ``fn``
+    maps to None is rebuilt over its own replaced sub-expressions (it is
+    returned as is when none is replaced)."""
+    new = fn(expr)
+    if new is not None:
+        return new
+    slots = SLOTS[type(expr)]
+    if not slots:
+        return expr
+    return map_slots(expr, slots, lambda sub: replace_expr(sub, fn))
 
 
 def sum_(expr: Expr) -> AggSpec:

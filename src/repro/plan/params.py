@@ -2,8 +2,9 @@
 
 A plan produced from parameterized SQL carries :class:`~repro.plan.
 expressions.Param` leaves in its expression slots (Select predicates,
-Project outputs, index-join residuals, aggregate arguments).  This module
-is the single place that understands where those slots live:
+Project outputs, index-join residuals, aggregate arguments), which
+:data:`repro.plan.physical.SHAPES` declares.  This module reads and binds
+them:
 
 * :func:`collect_params` walks a plan and returns its parameter signature
   -- one :class:`ParamSlot` per vector index, with the planner-inferred
@@ -28,22 +29,7 @@ from typing import Mapping, Optional, Sequence, Tuple, Union
 from repro.catalog.types import ColumnType
 from repro.errors import ParamError
 from repro.plan import physical as phys
-from repro.plan.expressions import (
-    AggSpec,
-    And,
-    Arith,
-    Case,
-    Cmp,
-    Const,
-    Expr,
-    ExtractYear,
-    InList,
-    Like,
-    Not,
-    Or,
-    Param,
-    Substring,
-)
+from repro.plan.expressions import Const, Expr, Param, replace_expr, walk_expr
 
 Bindings = Union[Sequence[object], Mapping[str, object]]
 
@@ -60,117 +46,16 @@ class ParamSlot:
         return f":{self.name}" if self.name else f"?{self.index}"
 
 
-def _map_expr(expr: Expr, fn) -> Expr:
-    """Rebuild ``expr`` with ``fn`` applied to every :class:`Param` leaf."""
-    if isinstance(expr, Param):
-        return fn(expr)
-    if isinstance(expr, Arith):
-        return Arith(expr.op, _map_expr(expr.lhs, fn), _map_expr(expr.rhs, fn))
-    if isinstance(expr, Cmp):
-        return Cmp(expr.op, _map_expr(expr.lhs, fn), _map_expr(expr.rhs, fn))
-    if isinstance(expr, And):
-        return And(*[_map_expr(t, fn) for t in expr.terms])
-    if isinstance(expr, Or):
-        return Or(*[_map_expr(t, fn) for t in expr.terms])
-    if isinstance(expr, Not):
-        return Not(_map_expr(expr.term, fn))
-    if isinstance(expr, Case):
-        return Case(
-            _map_expr(expr.cond, fn),
-            _map_expr(expr.then, fn),
-            _map_expr(expr.els, fn),
-        )
-    if isinstance(expr, Like):
-        return Like(_map_expr(expr.term, fn), expr.pattern, expr.negate)
-    if isinstance(expr, InList):
-        return InList(_map_expr(expr.term, fn), expr.values)
-    if isinstance(expr, ExtractYear):
-        return ExtractYear(_map_expr(expr.term, fn))
-    if isinstance(expr, Substring):
-        return Substring(_map_expr(expr.term, fn), expr.start, expr.length)
-    return expr
-
-
-def _map_agg(spec: AggSpec, fn) -> AggSpec:
-    if spec.expr is None:
-        return spec
-    return AggSpec(spec.kind, _map_expr(spec.expr, fn))
-
-
-def map_plan_exprs(plan: phys.PhysicalPlan, fn) -> phys.PhysicalPlan:
-    """Rebuild ``plan`` with ``fn`` applied to every Param in every
-    expression slot.  Operators without expression slots are rebuilt only
-    when a child changed."""
-    if isinstance(plan, phys.Select):
-        return phys.Select(map_plan_exprs(plan.child, fn), _map_expr(plan.pred, fn))
-    if isinstance(plan, phys.Project):
-        return phys.Project(
-            map_plan_exprs(plan.child, fn),
-            [(n, _map_expr(e, fn)) for n, e in plan.outputs],
-        )
-    if isinstance(plan, phys.Agg):
-        return phys.Agg(
-            map_plan_exprs(plan.child, fn),
-            [(n, _map_expr(e, fn)) for n, e in plan.keys],
-            [(n, _map_agg(s, fn)) for n, s in plan.aggs],
-        )
-    if isinstance(plan, phys.GroupJoin):
-        return phys.GroupJoin(
-            map_plan_exprs(plan.left, fn),
-            map_plan_exprs(plan.right, fn),
-            plan.left_keys,
-            plan.right_keys,
-            [(n, _map_agg(s, fn)) for n, s in plan.aggs],
-        )
-    if isinstance(plan, phys.IndexJoin):
-        return phys.IndexJoin(
-            map_plan_exprs(plan.child, fn),
-            plan.table,
-            plan.table_key,
-            plan.child_key,
-            unique=plan.unique,
-            residual=None if plan.residual is None else _map_expr(plan.residual, fn),
-            rename=plan.rename_map,
-        )
-    if isinstance(plan, phys.IndexSemiJoin):
-        return phys.IndexSemiJoin(
-            map_plan_exprs(plan.child, fn),
-            plan.table,
-            plan.table_key,
-            plan.child_key,
-            anti=plan.anti,
-            unique=plan.unique,
-            residual=None if plan.residual is None else _map_expr(plan.residual, fn),
-            rename=plan.rename_map,
-        )
-    if isinstance(plan, (phys.HashJoin, phys.LeftOuterJoin, phys.SemiJoin, phys.AntiJoin)):
-        return type(plan)(
-            map_plan_exprs(plan.left, fn),
-            map_plan_exprs(plan.right, fn),
-            plan.left_keys,
-            plan.right_keys,
-        )
-    if isinstance(plan, phys.Sort):
-        return phys.Sort(map_plan_exprs(plan.child, fn), plan.keys, plan.limit)
-    if isinstance(plan, phys.Limit):
-        return phys.Limit(map_plan_exprs(plan.child, fn), plan.n)
-    if isinstance(plan, phys.Distinct):
-        return phys.Distinct(map_plan_exprs(plan.child, fn))
-    # Leaves (Scan, DateIndexScan) and any operator without expression
-    # slots pass through untouched.
-    return plan
-
-
 def plan_params(plan: phys.PhysicalPlan) -> list[Param]:
-    """Every Param occurrence in the plan, in traversal order."""
-    out: list[Param] = []
-
-    def visit(param: Param) -> Expr:
-        out.append(param)
-        return param
-
-    map_plan_exprs(plan, visit)
-    return out
+    """Every Param occurrence in the plan, in traversal order (children
+    before their parent); a read-only walk that builds no node."""
+    return [
+        leaf
+        for node in phys.walk(plan)
+        for expr in phys.node_exprs(node)
+        for leaf in walk_expr(expr)
+        if type(leaf) is Param
+    ]
 
 
 def _unify(a: Optional[ColumnType], b: Optional[ColumnType], slot: str) -> Optional[ColumnType]:
@@ -351,7 +236,9 @@ def bind_params(
     """
     values = tuple(values)
 
-    def visit(param: Param) -> Expr:
+    def visit(param: Expr) -> Optional[Expr]:
+        if type(param) is not Param:
+            return None
         if param.index >= len(values):
             raise ParamError(
                 f"no binding for parameter {param.describe()}",
@@ -362,4 +249,9 @@ def bind_params(
             value = float(value)
         return Const(value)
 
-    return map_plan_exprs(plan, visit)
+    return _map_exprs(plan, lambda expr: replace_expr(expr, visit))
+
+
+def _map_exprs(node: phys.PhysicalPlan, fn) -> phys.PhysicalPlan:
+    """``node``'s tree with ``fn`` applied to every expression slot."""
+    return phys.rebuild(node, [_map_exprs(child, fn) for child in node.children()], fn)

@@ -14,14 +14,16 @@ the interpreters use it to emit result rows in a deterministic column order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from operator import attrgetter
+from typing import Callable, Optional, Sequence
 
 from repro.errors import ReproError
 from repro.catalog.catalog import Catalog
 from repro.catalog.types import ColumnType
 from repro.plan.expressions import (
-    AggSpec, And, Arith, Cmp, Col, Const, Expr, ExprError, IsNotNull, Param,
+    AGGS, NAMED, ONE, AggSpec, And, Arith, Cmp, Col, Const, Expr, ExprError,
+    IsNotNull, Param, Slots, map_slots, remake, slot_exprs,
 )
 
 Fields = list[tuple[str, ColumnType]]
@@ -38,7 +40,9 @@ class PhysicalPlan:
     """Base class for physical operators."""
 
     def children(self) -> tuple["PhysicalPlan", ...]:
-        raise NotImplementedError
+        """The child plans, in the order :data:`SHAPES` declares them
+        (each declared operator's method is made from its row)."""
+        raise PlanError(f"undeclared plan operator {type(self).__name__}")
 
     def fields(self, catalog: Catalog) -> Fields:
         """Ordered output fields of this operator (memoized per catalog).
@@ -123,16 +127,12 @@ class Scan(PhysicalPlan):
     table: str
     rename: tuple[tuple[str, str], ...] = ()
 
-    def __init__(self, table: str, rename: Optional[dict[str, str]] = None) -> None:
-        object.__setattr__(self, "table", table)
-        object.__setattr__(self, "rename", tuple(sorted((rename or {}).items())))
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "rename", _renames(self.rename))
 
     @property
     def rename_map(self) -> dict[str, str]:
         return dict(self.rename)
-
-    def children(self) -> tuple[PhysicalPlan, ...]:
-        return ()
 
     def compute_fields(self, catalog: Catalog) -> Fields:
         schema = catalog.table(self.table)
@@ -174,25 +174,8 @@ class DateIndexScan(PhysicalPlan):
     lo_strict: bool = False
     hi_strict: bool = False
 
-    def __init__(
-        self,
-        table: str,
-        column: str,
-        lo: Optional[int] = None,
-        hi: Optional[int] = None,
-        rename: Optional[dict[str, str]] = None,
-        enforce: bool = False,
-        lo_strict: bool = False,
-        hi_strict: bool = False,
-    ) -> None:
-        object.__setattr__(self, "table", table)
-        object.__setattr__(self, "column", column)
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
-        object.__setattr__(self, "rename", tuple(sorted((rename or {}).items())))
-        object.__setattr__(self, "enforce", enforce)
-        object.__setattr__(self, "lo_strict", lo_strict)
-        object.__setattr__(self, "hi_strict", hi_strict)
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "rename", _renames(self.rename))
 
     def bound_check(self, value: int) -> bool:
         """Evaluate the enforced bounds on one encoded date (runtime use)."""
@@ -214,9 +197,6 @@ class DateIndexScan(PhysicalPlan):
     def rename_map(self) -> dict[str, str]:
         return dict(self.rename)
 
-    def children(self) -> tuple[PhysicalPlan, ...]:
-        return ()
-
     def compute_fields(self, catalog: Catalog) -> Fields:
         schema = catalog.table(self.table)
         if schema.column_type(self.column) is not ColumnType.DATE:
@@ -237,9 +217,6 @@ class Select(PhysicalPlan):
     child: PhysicalPlan
     pred: Expr
 
-    def children(self) -> tuple[PhysicalPlan, ...]:
-        return (self.child,)
-
     def compute_fields(self, catalog: Catalog) -> Fields:
         out = self.child.fields(catalog)
         self._require(catalog, self.child, sorted(self.pred.columns()))
@@ -259,12 +236,8 @@ class Project(PhysicalPlan):
     child: PhysicalPlan
     outputs: tuple[tuple[str, Expr], ...]
 
-    def __init__(self, child: PhysicalPlan, outputs: Sequence[tuple[str, Expr]]):
-        object.__setattr__(self, "child", child)
-        object.__setattr__(self, "outputs", tuple(outputs))
-
-    def children(self) -> tuple[PhysicalPlan, ...]:
-        return (self.child,)
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "outputs", tuple(self.outputs))
 
     def compute_fields(self, catalog: Catalog) -> Fields:
         types = self.child.field_types(catalog)
@@ -292,19 +265,11 @@ class Project(PhysicalPlan):
         return [tuple(sorted(expr.columns() & nullable)) for _, expr in self.outputs]
 
 
-def _join_fields(
-    node: PhysicalPlan,
-    catalog: Catalog,
-    left: PhysicalPlan,
-    right: PhysicalPlan,
-    left_keys: Sequence[str],
-    right_keys: Sequence[str],
-) -> Fields:
-    if len(left_keys) != len(right_keys):
+def _join_fields(node: "EquiJoin", catalog: Catalog) -> Fields:
+    if len(node.left_keys) != len(node.right_keys):
         raise PlanError(f"{type(node).__name__}: key arity mismatch")
-    node._require(catalog, left, left_keys)
-    node._require(catalog, right, right_keys)
-    lf, rf = left.fields(catalog), right.fields(catalog)
+    node._require_keys(catalog)
+    lf, rf = node.left.fields(catalog), node.right.fields(catalog)
     clash = {n for n, _ in lf} & {n for n, _ in rf}
     if clash:
         raise PlanError(
@@ -315,101 +280,59 @@ def _join_fields(
 
 
 @dataclass(frozen=True)
-class HashJoin(PhysicalPlan):
-    """Inner equi-join; builds a hash table on the left (build) side."""
+class EquiJoin(PhysicalPlan):
+    """The fields every two-sided equi-join shares: its two inputs and the
+    key fields each side matches on.  A join type subclasses this, never
+    another join type, so ``isinstance`` tells them apart."""
 
     left: PhysicalPlan
     right: PhysicalPlan
     left_keys: tuple[str, ...]
     right_keys: tuple[str, ...]
 
-    def __init__(self, left, right, left_keys, right_keys):
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
-        object.__setattr__(self, "left_keys", _as_keys(left_keys))
-        object.__setattr__(self, "right_keys", _as_keys(right_keys))
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "left_keys", _as_keys(self.left_keys))
+        object.__setattr__(self, "right_keys", _as_keys(self.right_keys))
 
-    def children(self) -> tuple[PhysicalPlan, ...]:
-        return (self.left, self.right)
-
-    def compute_fields(self, catalog: Catalog) -> Fields:
-        return _join_fields(
-            self, catalog, self.left, self.right, self.left_keys, self.right_keys
-        )
+    def _require_keys(self, catalog: Catalog) -> None:
+        self._require(catalog, self.left, self.left_keys)
+        self._require(catalog, self.right, self.right_keys)
 
 
 @dataclass(frozen=True)
-class LeftOuterJoin(PhysicalPlan):
-    """Left outer equi-join; unmatched left rows carry None right fields."""
-
-    left: PhysicalPlan
-    right: PhysicalPlan
-    left_keys: tuple[str, ...]
-    right_keys: tuple[str, ...]
-
-    def __init__(self, left, right, left_keys, right_keys):
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
-        object.__setattr__(self, "left_keys", _as_keys(left_keys))
-        object.__setattr__(self, "right_keys", _as_keys(right_keys))
-
-    def children(self) -> tuple[PhysicalPlan, ...]:
-        return (self.left, self.right)
+class HashJoin(EquiJoin):
+    """Inner equi-join; builds a hash table on the left (build) side."""
 
     def compute_fields(self, catalog: Catalog) -> Fields:
-        return _join_fields(
-            self, catalog, self.left, self.right, self.left_keys, self.right_keys
-        )
+        return _join_fields(self, catalog)
+
+
+@dataclass(frozen=True)
+class LeftOuterJoin(EquiJoin):
+    """Left outer equi-join; unmatched left rows carry None right fields."""
+
+    def compute_fields(self, catalog: Catalog) -> Fields:
+        return _join_fields(self, catalog)
 
     def compute_nullable(self, catalog: Catalog) -> set[str]:
         return self.left.nullable(catalog) | set(self.right.field_names(catalog))
 
 
 @dataclass(frozen=True)
-class SemiJoin(PhysicalPlan):
+class SemiJoin(EquiJoin):
     """Keep left rows having at least one key match on the right (EXISTS)."""
 
-    left: PhysicalPlan
-    right: PhysicalPlan
-    left_keys: tuple[str, ...]
-    right_keys: tuple[str, ...]
-
-    def __init__(self, left, right, left_keys, right_keys):
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
-        object.__setattr__(self, "left_keys", _as_keys(left_keys))
-        object.__setattr__(self, "right_keys", _as_keys(right_keys))
-
-    def children(self) -> tuple[PhysicalPlan, ...]:
-        return (self.left, self.right)
-
     def compute_fields(self, catalog: Catalog) -> Fields:
-        self._require(catalog, self.left, self.left_keys)
-        self._require(catalog, self.right, self.right_keys)
+        self._require_keys(catalog)
         return self.left.fields(catalog)
 
 
 @dataclass(frozen=True)
-class AntiJoin(PhysicalPlan):
+class AntiJoin(EquiJoin):
     """Keep left rows having no key match on the right (NOT EXISTS)."""
 
-    left: PhysicalPlan
-    right: PhysicalPlan
-    left_keys: tuple[str, ...]
-    right_keys: tuple[str, ...]
-
-    def __init__(self, left, right, left_keys, right_keys):
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
-        object.__setattr__(self, "left_keys", _as_keys(left_keys))
-        object.__setattr__(self, "right_keys", _as_keys(right_keys))
-
-    def children(self) -> tuple[PhysicalPlan, ...]:
-        return (self.left, self.right)
-
     def compute_fields(self, catalog: Catalog) -> Fields:
-        self._require(catalog, self.left, self.left_keys)
-        self._require(catalog, self.right, self.right_keys)
+        self._require_keys(catalog)
         return self.left.fields(catalog)
 
 
@@ -431,30 +354,12 @@ class IndexJoin(PhysicalPlan):
     residual: Optional[Expr] = None
     rename: tuple[tuple[str, str], ...] = ()
 
-    def __init__(
-        self,
-        child: PhysicalPlan,
-        table: str,
-        table_key: str,
-        child_key: str,
-        unique: bool = True,
-        residual: Optional[Expr] = None,
-        rename: Optional[dict[str, str]] = None,
-    ) -> None:
-        object.__setattr__(self, "child", child)
-        object.__setattr__(self, "table", table)
-        object.__setattr__(self, "table_key", table_key)
-        object.__setattr__(self, "child_key", child_key)
-        object.__setattr__(self, "unique", unique)
-        object.__setattr__(self, "residual", residual)
-        object.__setattr__(self, "rename", tuple(sorted((rename or {}).items())))
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "rename", _renames(self.rename))
 
     @property
     def rename_map(self) -> dict[str, str]:
         return dict(self.rename)
-
-    def children(self) -> tuple[PhysicalPlan, ...]:
-        return (self.child,)
 
     def compute_fields(self, catalog: Catalog) -> Fields:
         self._require(catalog, self.child, [self.child_key])
@@ -500,32 +405,12 @@ class IndexSemiJoin(PhysicalPlan):
     residual: Optional[Expr] = None
     rename: tuple[tuple[str, str], ...] = ()
 
-    def __init__(
-        self,
-        child: PhysicalPlan,
-        table: str,
-        table_key: str,
-        child_key: str,
-        anti: bool = False,
-        unique: bool = False,
-        residual: Optional[Expr] = None,
-        rename: Optional[dict[str, str]] = None,
-    ) -> None:
-        object.__setattr__(self, "child", child)
-        object.__setattr__(self, "table", table)
-        object.__setattr__(self, "table_key", table_key)
-        object.__setattr__(self, "child_key", child_key)
-        object.__setattr__(self, "anti", anti)
-        object.__setattr__(self, "unique", unique)
-        object.__setattr__(self, "residual", residual)
-        object.__setattr__(self, "rename", tuple(sorted((rename or {}).items())))
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "rename", _renames(self.rename))
 
     @property
     def rename_map(self) -> dict[str, str]:
         return dict(self.rename)
-
-    def children(self) -> tuple[PhysicalPlan, ...]:
-        return (self.child,)
 
     def compute_fields(self, catalog: Catalog) -> Fields:
         self._require(catalog, self.child, [self.child_key])
@@ -558,18 +443,9 @@ class Agg(PhysicalPlan):
     keys: tuple[tuple[str, Expr], ...]
     aggs: tuple[tuple[str, AggSpec], ...]
 
-    def __init__(
-        self,
-        child: PhysicalPlan,
-        keys: Sequence[tuple[str, Expr]],
-        aggs: Sequence[tuple[str, AggSpec]],
-    ) -> None:
-        object.__setattr__(self, "child", child)
-        object.__setattr__(self, "keys", tuple(keys))
-        object.__setattr__(self, "aggs", tuple(aggs))
-
-    def children(self) -> tuple[PhysicalPlan, ...]:
-        return (self.child,)
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "keys", tuple(self.keys))
+        object.__setattr__(self, "aggs", tuple(self.aggs))
 
     def compute_fields(self, catalog: Catalog) -> Fields:
         types = self.child.field_types(catalog)
@@ -598,7 +474,7 @@ class Agg(PhysicalPlan):
 
 
 @dataclass(frozen=True)
-class GroupJoin(PhysicalPlan):
+class GroupJoin(EquiJoin):
     """Combined outer join + aggregation (HyPer's specialized operator).
 
     The paper attributes part of HyPer's edge on some queries to "specialized
@@ -612,27 +488,16 @@ class GroupJoin(PhysicalPlan):
     ``aggs`` range over *right-side* fields only.
     """
 
-    left: PhysicalPlan
-    right: PhysicalPlan
-    left_keys: tuple[str, ...]
-    right_keys: tuple[str, ...]
     aggs: tuple[tuple[str, AggSpec], ...]
 
-    def __init__(self, left, right, left_keys, right_keys, aggs):
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
-        object.__setattr__(self, "left_keys", _as_keys(left_keys))
-        object.__setattr__(self, "right_keys", _as_keys(right_keys))
-        object.__setattr__(self, "aggs", tuple(aggs))
-
-    def children(self) -> tuple[PhysicalPlan, ...]:
-        return (self.left, self.right)
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        object.__setattr__(self, "aggs", tuple(self.aggs))
 
     def compute_fields(self, catalog: Catalog) -> Fields:
         if len(self.left_keys) != len(self.right_keys):
             raise PlanError("GroupJoin: key arity mismatch")
-        self._require(catalog, self.left, self.left_keys)
-        self._require(catalog, self.right, self.right_keys)
+        self._require_keys(catalog)
         right_types = self.right.field_types(catalog)
         needed: set[str] = set()
         for _, spec in self.aggs:
@@ -666,18 +531,8 @@ class Sort(PhysicalPlan):
     keys: tuple[tuple[str, bool], ...]
     limit: Optional[int] = None
 
-    def __init__(
-        self,
-        child: PhysicalPlan,
-        keys: Sequence[tuple[str, bool]],
-        limit: Optional[int] = None,
-    ):
-        object.__setattr__(self, "child", child)
-        object.__setattr__(self, "keys", tuple(keys))
-        object.__setattr__(self, "limit", limit)
-
-    def children(self) -> tuple[PhysicalPlan, ...]:
-        return (self.child,)
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "keys", tuple(self.keys))
 
     def compute_fields(self, catalog: Catalog) -> Fields:
         if self.limit is not None and self.limit < 0:
@@ -693,9 +548,6 @@ class Limit(PhysicalPlan):
     child: PhysicalPlan
     n: int
 
-    def children(self) -> tuple[PhysicalPlan, ...]:
-        return (self.child,)
-
     def compute_fields(self, catalog: Catalog) -> Fields:
         if self.n < 0:
             raise PlanError(f"Limit must be non-negative, got {self.n}")
@@ -708,11 +560,111 @@ class Distinct(PhysicalPlan):
 
     child: PhysicalPlan
 
-    def children(self) -> tuple[PhysicalPlan, ...]:
-        return (self.child,)
-
     def compute_fields(self, catalog: Catalog) -> Fields:
         return self.child.fields(catalog)
+
+
+# -- declared structure -----------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Shape:
+    """Where an operator keeps its sub-trees: ``children`` names the fields
+    holding child plans, in order, and ``exprs`` the fields holding
+    expressions, each with its slot kind (:data:`expressions.SLOTS`)."""
+
+    children: tuple[str, ...] = ()
+    exprs: Slots = ()
+
+
+#: The row of an operator without children or expressions.
+LEAF = Shape()
+
+_CHILD = ("child",)
+_SIDES = ("left", "right")
+_RESIDUAL: Slots = (("residual", ONE),)
+
+#: The one declaration of the plan tree's structure: :meth:`PhysicalPlan.
+#: children`, :func:`walk`, :func:`node_exprs` and :func:`rebuild` read it,
+#: so a new operator is one row here.
+SHAPES: dict[type, Shape] = {
+    Scan: LEAF,
+    DateIndexScan: LEAF,
+    Select: Shape(_CHILD, (("pred", ONE),)),
+    Project: Shape(_CHILD, (("outputs", NAMED),)),
+    HashJoin: Shape(_SIDES),
+    LeftOuterJoin: Shape(_SIDES),
+    SemiJoin: Shape(_SIDES),
+    AntiJoin: Shape(_SIDES),
+    IndexJoin: Shape(_CHILD, _RESIDUAL),
+    IndexSemiJoin: Shape(_CHILD, _RESIDUAL),
+    Agg: Shape(_CHILD, (("keys", NAMED), ("aggs", AGGS))),
+    GroupJoin: Shape(_SIDES, (("aggs", AGGS),)),
+    Sort: Shape(_CHILD),
+    Limit: Shape(_CHILD),
+    Distinct: Shape(_CHILD),
+}
+
+
+def _children_method(names: tuple[str, ...]) -> Callable[[PhysicalPlan], tuple]:
+    """An operator's ``children()``, reading the child fields its row names."""
+    if not names:
+        return lambda self: ()
+    if len(names) == 1:
+        (name,) = names
+        return lambda self: (getattr(self, name),)
+    get = attrgetter(*names)
+    return lambda self: get(self)
+
+
+for _operator, _shape in SHAPES.items():
+    _operator.children = _children_method(_shape.children)
+
+
+def shape_of(node: PhysicalPlan) -> Shape:
+    try:
+        return SHAPES[type(node)]
+    except KeyError:
+        raise PlanError(f"undeclared plan operator {type(node).__name__}") from None
+
+
+def node_exprs(node: PhysicalPlan) -> list[Expr]:
+    """The expressions the operator holds directly (an undeclared one
+    holds none)."""
+    return slot_exprs(node, SHAPES.get(type(node), LEAF).exprs)
+
+
+def walk(plan: PhysicalPlan) -> list[PhysicalPlan]:
+    """Every operator of ``plan``, children before their parent, left to
+    right (the reverse of a pre-order that visits the right child first)."""
+    out: list[PhysicalPlan] = []
+    todo = [plan]
+    while todo:
+        node = todo.pop()
+        out.append(node)
+        todo.extend(node.children())
+    out.reverse()
+    return out
+
+
+def rebuild(
+    node: PhysicalPlan,
+    children: Optional[Sequence[PhysicalPlan]] = None,
+    exprs: Optional[Callable[[Expr], Expr]] = None,
+) -> PhysicalPlan:
+    """``node`` with ``children`` in its child slots and ``exprs`` applied
+    to every expression in its expression slots: a copy, with no memo of
+    the old node, when anything differs (by identity); ``node`` itself
+    when nothing does."""
+    shape = shape_of(node)
+    changes = {}
+    if children is not None:
+        for name, child in zip(shape.children, children, strict=True):
+            if child is not getattr(node, name):
+                changes[name] = child
+    if exprs is not None:
+        return map_slots(node, shape.exprs, exprs, changes)
+    return remake(node, changes) if changes else node
 
 
 #: Aggregates whose value over no (non-NULL) input is NULL.
@@ -775,6 +727,11 @@ def nullable_keys(
     nothing; where there are none, no check runs."""
     nullable = side.nullable(catalog)
     return tuple(k for k in keys if k in nullable)
+
+
+def _renames(rename) -> tuple[tuple[str, str], ...]:
+    """A scan's renames as a sorted tuple of pairs, given a dict or None."""
+    return tuple(sorted(dict(rename).items())) if rename else ()
 
 
 def _as_keys(keys) -> tuple[str, ...]:

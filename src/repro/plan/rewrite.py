@@ -154,7 +154,7 @@ def rewrite_index_joins(
     plan: phys.PhysicalPlan, db: Database, catalog: Catalog
 ) -> phys.PhysicalPlan:
     """Bottom-up: turn eligible hash/semi/anti joins into index joins."""
-    rebuilt = _rebuild(plan, [
+    rebuilt = phys.rebuild(plan, [
         rewrite_index_joins(c, db, catalog) for c in plan.children()
     ])
     if isinstance(rebuilt, phys.HashJoin):
@@ -253,7 +253,7 @@ def rewrite_date_index_scans(
     can skip the comparison entirely on interior partitions; the residual
     Select keeps only the remaining conjuncts.
     """
-    rebuilt = _rebuild(plan, [
+    rebuilt = phys.rebuild(plan, [
         rewrite_date_index_scans(c, db, catalog) for c in plan.children()
     ])
     if isinstance(rebuilt, phys.Select) and isinstance(rebuilt.child, phys.Scan):
@@ -284,67 +284,6 @@ def rewrite_date_index_scans(
     return rebuilt
 
 
-# -- generic tree reconstruction ------------------------------------------------
-
-
-def _rebuild(
-    node: phys.PhysicalPlan, new_children: list[phys.PhysicalPlan]
-) -> phys.PhysicalPlan:
-    """A copy of ``node`` with ``new_children`` substituted in order."""
-    if not new_children:
-        return node
-    if isinstance(node, phys.Select):
-        return phys.Select(new_children[0], node.pred)
-    if isinstance(node, phys.Project):
-        return phys.Project(new_children[0], node.outputs)
-    if isinstance(node, phys.HashJoin):
-        return phys.HashJoin(
-            new_children[0], new_children[1], node.left_keys, node.right_keys
-        )
-    if isinstance(node, phys.LeftOuterJoin):
-        return phys.LeftOuterJoin(
-            new_children[0], new_children[1], node.left_keys, node.right_keys
-        )
-    if isinstance(node, phys.SemiJoin):
-        return phys.SemiJoin(
-            new_children[0], new_children[1], node.left_keys, node.right_keys
-        )
-    if isinstance(node, phys.AntiJoin):
-        return phys.AntiJoin(
-            new_children[0], new_children[1], node.left_keys, node.right_keys
-        )
-    if isinstance(node, phys.IndexJoin):
-        return phys.IndexJoin(
-            new_children[0],
-            node.table,
-            node.table_key,
-            node.child_key,
-            unique=node.unique,
-            residual=node.residual,
-            rename=node.rename_map or None,
-        )
-    if isinstance(node, phys.IndexSemiJoin):
-        return phys.IndexSemiJoin(
-            new_children[0],
-            node.table,
-            node.table_key,
-            node.child_key,
-            anti=node.anti,
-            unique=node.unique,
-            residual=node.residual,
-            rename=node.rename_map or None,
-        )
-    if isinstance(node, phys.Agg):
-        return phys.Agg(new_children[0], node.keys, node.aggs)
-    if isinstance(node, phys.Sort):
-        return phys.Sort(new_children[0], node.keys, limit=node.limit)
-    if isinstance(node, phys.Limit):
-        return phys.Limit(new_children[0], node.n)
-    if isinstance(node, phys.Distinct):
-        return phys.Distinct(new_children[0])
-    raise phys.PlanError(f"_rebuild: unhandled node {type(node).__name__}")
-
-
 def fuse_topk(plan: phys.PhysicalPlan) -> phys.PhysicalPlan:
     """Fuse ``Limit(Sort(x))`` into a bounded (Top-K) sort.
 
@@ -352,7 +291,7 @@ def fuse_topk(plan: phys.PhysicalPlan) -> phys.PhysicalPlan:
     engine-defined, exactly as for Limit itself); engines then select the
     top ``n`` with a bounded heap instead of sorting everything.
     """
-    rebuilt = _rebuild(plan, [fuse_topk(c) for c in plan.children()])
+    rebuilt = phys.rebuild(plan, [fuse_topk(c) for c in plan.children()])
     if (
         isinstance(rebuilt, phys.Limit)
         and isinstance(rebuilt.child, phys.Sort)

@@ -44,9 +44,10 @@ from repro.plan.expressions import (
     Or,
     Param,
     Substring,
+    replace_expr,
 )
 from repro.errors import ReproError
-from repro.plan.optimizer import QueryBlock, Relation, plan_block
+from repro.plan.optimizer import QueryBlock, Relation, order_joins, plan_block
 from repro.sql import ast_nodes as ast
 from repro.sql.parser import parse_select
 from repro.storage.database import Database
@@ -246,37 +247,6 @@ def _aliases_of(expr: Expr) -> set[str]:
     return {name.split(".", 1)[0] for name in expr.columns()}
 
 
-def _replace(expr: Expr, mapping: dict[Expr, Expr]) -> Expr:
-    """Structurally replace subexpressions (group keys in select items)."""
-    if expr in mapping:
-        return mapping[expr]
-    if isinstance(expr, Arith):
-        return Arith(expr.op, _replace(expr.lhs, mapping), _replace(expr.rhs, mapping))
-    if isinstance(expr, Cmp):
-        return Cmp(expr.op, _replace(expr.lhs, mapping), _replace(expr.rhs, mapping))
-    if isinstance(expr, And):
-        return And(*[_replace(t, mapping) for t in expr.terms])
-    if isinstance(expr, Or):
-        return Or(*[_replace(t, mapping) for t in expr.terms])
-    if isinstance(expr, Not):
-        return Not(_replace(expr.term, mapping))
-    if isinstance(expr, Case):
-        return Case(
-            _replace(expr.cond, mapping),
-            _replace(expr.then, mapping),
-            _replace(expr.els, mapping),
-        )
-    if isinstance(expr, Like):
-        return Like(_replace(expr.term, mapping), expr.pattern, expr.negate)
-    if isinstance(expr, InList):
-        return InList(_replace(expr.term, mapping), expr.values)
-    if isinstance(expr, ExtractYear):
-        return ExtractYear(_replace(expr.term, mapping))
-    if isinstance(expr, Substring):
-        return Substring(_replace(expr.term, mapping), expr.start, expr.length)
-    return expr
-
-
 def _ast_conjuncts(expr: Optional[ast.SqlExpr]) -> list[ast.SqlExpr]:
     """Split an AST boolean expression on top-level ANDs."""
     if expr is None:
@@ -388,7 +358,7 @@ def plan_query(
     used_names: set[str] = set()
     for i, (alias, item) in enumerate(stmt.items):
         translated = translator.translate(item, allow_aggs=True)
-        translated = _replace(translated, key_map)
+        translated = replace_expr(translated, key_map.get)
         if alias is None:
             # SQL default naming: a bare column reference keeps its name;
             # colliding defaults (self-joins) fall back to positionals.
@@ -403,7 +373,7 @@ def plan_query(
 
     having = None
     if stmt.having is not None:
-        having = _replace(translator.translate(stmt.having, True), key_map)
+        having = replace_expr(translator.translate(stmt.having, True), key_map.get)
 
     aggs = [(name, spec) for name, spec, _ in translator.aggs]
     if (aggs or keys) and not stmt.group_by:
@@ -437,7 +407,7 @@ def plan_query(
         if isinstance(key, ast.Ref) and key.table is None and key.column in names:
             order_by.append((key.column, asc))
             continue
-        translated = _replace(translator.translate(key, True), key_map)
+        translated = replace_expr(translator.translate(key, True), key_map.get)
         for name, expr in outputs:
             if expr == translated:
                 order_by.append((name, asc))
@@ -468,12 +438,9 @@ def plan_query(
         return plan_block(block, db, catalog)
 
     # Build the join tree first, then graft decorrelated subquery operators.
-    from repro.plan.expressions import And as AndExpr
-    from repro.plan.optimizer import order_joins
-
     base = order_joins(block, db, catalog)
     if cross_filters:
-        base = phys.Select(base, AndExpr(*cross_filters))
+        base = phys.Select(base, And(*cross_filters))
     for i, conjunct in enumerate(subquery_conjuncts):
         base = _apply_subquery(conjunct, base, scope, db, catalog, i)
     return plan_block(block, db, catalog, base=base)
@@ -558,9 +525,6 @@ def _apply_exists(
             inner_relations[aliases.pop()].filters.append(conjunct)
         else:
             inner_cross.append(conjunct)
-    from repro.plan.expressions import And as AndExpr
-    from repro.plan.optimizer import order_joins
-
     inner_block = QueryBlock(
         relations=list(inner_relations.values()),
         join_edges=inner_edges,
@@ -571,7 +535,7 @@ def _apply_exists(
     )
     inner_plan = order_joins(inner_block, db, catalog)
     if inner_cross:
-        inner_plan = phys.Select(inner_plan, AndExpr(*inner_cross))
+        inner_plan = phys.Select(inner_plan, And(*inner_cross))
     outer_keys = tuple(outer for outer, _ in pairs)
     inner_keys = tuple(inner for _, inner in pairs)
     join = phys.AntiJoin if node.negate else phys.SemiJoin
@@ -585,7 +549,13 @@ def _apply_in_select(
     db: Database,
     catalog: Catalog,
 ) -> phys.PhysicalPlan:
-    """``col [NOT] IN (uncorrelated subselect)`` -> Semi/AntiJoin."""
+    """``col [NOT] IN (uncorrelated subselect)`` -> Semi/AntiJoin.
+
+    Where the subselect's column or the outer key can be NULL, ``NOT IN``
+    also needs SQL's three-valued answer, which the anti-join alone does
+    not give: a NULL in the subselect passes no row, and a NULL outer key
+    passes only when the subselect is empty.  The plan checks both against
+    a one-row count of the subselect's rows and non-NULL values."""
     if not isinstance(node.term, ast.Ref):
         raise SqlPlanError("IN (subquery) requires a plain column on the left")
     outer_key = outer_scope.resolve(node.term)
@@ -593,8 +563,23 @@ def _apply_in_select(
     inner_fields = inner_plan.field_names(catalog)
     if len(inner_fields) != 1:
         raise SqlPlanError("IN (subquery) must select exactly one column")
-    join = phys.AntiJoin if node.negate else phys.SemiJoin
-    return join(base, inner_plan, (outer_key,), (inner_fields[0],))
+    inner_key = inner_fields[0]
+    if not node.negate:
+        return phys.SemiJoin(base, inner_plan, (outer_key,), (inner_key,))
+    anti = phys.AntiJoin(base, inner_plan, (outer_key,), (inner_key,))
+    passes = []
+    if inner_key in inner_plan.nullable(catalog):
+        passes.append(Cmp("==", Col("__in_keys"), Col("__in_rows")))
+    if outer_key in base.nullable(catalog):
+        passes.append(IsNotNull(Col(outer_key)))
+    if not passes:
+        return anti
+    counts = phys.Agg(_plan_uncorrelated(node.select, db, catalog), [], [
+        ("__in_rows", AggSpec("count")), ("__in_keys", AggSpec("count", Col(inner_key))),
+    ])
+    empty = Cmp("==", Col("__in_rows"), Const(0))
+    outputs = [(name, Col(name)) for name in ("__in_rows", "__in_keys")]
+    return _filter_on_one_row(anti, counts, outputs, Or(empty, And(*passes)), catalog)
 
 
 def _apply_scalar_compare(
@@ -624,23 +609,34 @@ def _apply_scalar_compare(
     inner_fields = inner_plan.field_names(catalog)
     if len(inner_fields) != 1:
         raise SqlPlanError("scalar subqueries must select exactly one column")
-    scalar_name = f"__scalar{index}"
+    scalar = Col(f"__scalar{index}")
     # An empty input aggregates to NULL, and a comparison with NULL is never
     # true: a NULL scalar leaves no build row, so the join drops every row.
-    inner_proj = phys.Project(
-        phys.Select(inner_plan, IsNotNull(Col(inner_fields[0]))),
-        [(scalar_name, Col(inner_fields[0])), ("__kr", Const(1))],
+    value = phys.Select(inner_plan, IsNotNull(Col(inner_fields[0])))
+    other_expr = _Translator(outer_scope).scalar(other)
+    return _filter_on_one_row(
+        base, value, [(scalar.name, Col(inner_fields[0]))],
+        Cmp(_CMP_MAP[op], other_expr, scalar), catalog,
     )
+
+
+def _filter_on_one_row(
+    base: phys.PhysicalPlan,
+    row: phys.PhysicalPlan,
+    outputs: list[tuple[str, Expr]],
+    pred: Expr,
+    catalog: Catalog,
+) -> phys.PhysicalPlan:
+    """Pair every row of ``base`` with the (at most) one row of ``row``,
+    projected to ``outputs``, keep the pairs ``pred`` passes, and trim
+    back to ``base``'s fields so downstream shaping is unaffected."""
     outer_fields = base.field_names(catalog)
-    outer_proj = phys.Project(
-        base, [(n, Col(n)) for n in outer_fields] + [("__kl", Const(1))]
+    joined = phys.HashJoin(
+        phys.Project(row, outputs + [("__kr", Const(1))]),
+        phys.Project(base, [(n, Col(n)) for n in outer_fields] + [("__kl", Const(1))]),
+        ("__kr",), ("__kl",),
     )
-    joined = phys.HashJoin(inner_proj, outer_proj, ("__kr",), ("__kl",))
-    translator = _Translator(outer_scope)
-    other_expr = translator.scalar(other)
-    filtered = phys.Select(joined, Cmp(_CMP_MAP[op], other_expr, Col(scalar_name)))
-    # Trim back to the outer fields so downstream shaping is unaffected.
-    return phys.Project(filtered, [(n, Col(n)) for n in outer_fields])
+    return phys.Project(phys.Select(joined, pred), [(n, Col(n)) for n in outer_fields])
 
 
 def sql_to_plan(text: str, db: Database, catalog: Optional[Catalog] = None) -> phys.PhysicalPlan:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import os
+import time
 
 import pytest
 
@@ -283,6 +284,37 @@ def test_slo_burn_fires_once_and_resolves(tmp_path):
     assert [d["state"] for d in burn] == ["firing", "resolved"]
     assert burn[0]["scope"] == "service"
     assert burn[0]["burn_short"] >= 2.0
+
+
+def test_slo_windows_ignore_wall_clock_steps(monkeypatch):
+    """The default clock is monotonic: stepping the wall clock an hour
+    back between records, then two hours forward, moves no burn rate;
+    the monotonic clock passing the long window empties both."""
+    elapsed = [time.monotonic()]
+    monkeypatch.setattr(time, "monotonic", lambda: elapsed[0])
+    mon = SLOMonitor(_slo_config(), registry=MetricsRegistry())
+
+    def burns():
+        snap = mon.snapshot()["service"]
+        return snap["burn_short"], snap["burn_long"]
+
+    def record_mix():
+        for ok in (False, True, True, True):
+            mon.record(_rec(0.01, ok=ok))
+
+    record_mix()
+    before = burns()
+    assert before[0] > 0
+    wall = time.time()
+    monkeypatch.setattr(time, "time", lambda: wall - 3600.0)
+    record_mix()
+    assert burns() == before
+    monkeypatch.setattr(time, "time", lambda: wall + 3600.0)
+    assert burns() == before
+    assert mon.snapshot()["service"]["bad"] == 2
+    # what does move the windows is elapsed time
+    elapsed[0] += _slo_config().long_window_seconds + 1.0
+    assert burns() == (0.0, 0.0)
 
 
 def test_slo_min_requests_floor_prevents_spike_paging():

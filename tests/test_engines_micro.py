@@ -50,6 +50,7 @@ from repro.plan import (
     min_,
     sum_,
 )
+from repro.sql import sql_to_plan
 from tests.conftest import normalize
 
 
@@ -532,6 +533,40 @@ def test_a_declared_nullable_string_column(level):
     assert normalize(run_five(present, db)) == normalize([("a",), ("b",), ("g",)])
     counted = Agg(Scan("Notes"), [], [("notes", count_col(col("note"))), ("rows", count())])
     assert run_five(counted, db) == [(3, 5)]
+
+
+def _not_in_db() -> Database:
+    """``Notes`` (a nullable ``note``), ``Tags`` (NOT NULL tags) and
+    ``Labels`` (a nullable ``label``, one of them NULL)."""
+    db = _notes_db()
+    db.add_rows(schema("Tags", ("tag", STRING)), [("alpha",), ("zeta",)])
+    db.add_rows(
+        schema("Labels", ("lid", INT), Column("label", STRING, nullable=True)),
+        [(1, "alpha"), (2, None), (3, "zeta"), (4, "omega")],
+    )
+    return db
+
+
+@pytest.mark.parametrize("sql,expected", [
+    # a NULL in the subquery: no tag is known not to be in it
+    ("select count(*) from Tags where tag not in (select note from Notes)", [(0,)]),
+    ("select tag from Tags where tag not in (select note from Notes)", []),
+    # the same nullable column holding no NULL in the rows it selects
+    ("select tag from Tags where tag not in (select note from Notes where nid = 1)",
+     [("zeta",)]),
+    # a NULL outer key against a non-empty subquery does not pass
+    ("select lid from Labels where label not in (select tag from Tags)", [(4,)]),
+    # a NULL outer key against an empty subquery passes, as every row does
+    ("select lid from Labels where label not in (select tag from Tags where tag = 'none')",
+     [(1,), (2,), (3,), (4,)]),
+    ("select lid from Labels where label not in (select note from Notes where nid > 9)",
+     [(1,), (2,), (3,), (4,)]),
+])
+def test_not_in_a_subquery_follows_sql_nulls(sql, expected):
+    """``NOT IN (subquery)`` is three-valued where either side can be NULL;
+    every engine and both lowerings agree."""
+    db = _not_in_db()
+    assert normalize(run_five(sql_to_plan(sql, db), db)) == normalize(expected)
 
 
 # -- the loader enforces each column's declaration -----------------------------------

@@ -3,6 +3,8 @@
 import pytest
 
 from repro.compiler.driver import LB2Compiler
+from repro.compiler.lb2 import Config
+from repro.compiler.runtime import have_numpy
 from repro.compiler.template import execute_template
 from repro.engine import execute_push, execute_volcano
 from repro.plan import (
@@ -19,6 +21,7 @@ from repro.plan import (
     sum_,
 )
 from repro.plan.physical import GroupJoin, PlanError
+from repro.plan.rewrite import fuse_topk, optimize_for_level
 from repro.tpch import query_plan
 from repro.tpch.queries import q13_groupjoin, keep
 from tests.conftest import TINY_SCALE, normalize
@@ -124,3 +127,26 @@ def test_q13_groupjoin_equals_q13(tpch_db):
 
 def test_q13_groupjoin_fewer_operators():
     assert q13_groupjoin().operator_count() < query_plan(13).operator_count()
+
+
+def test_q13_groupjoin_goes_through_the_level_rewrites(tpch_db, tpch_db_full):
+    """The level rewrites rebuild a plan holding a GroupJoin like any
+    other, and every engine and lowering runs the result."""
+    reference = normalize(
+        execute_volcano(query_plan(13, scale=TINY_SCALE), tpch_db, tpch_db.catalog)
+    )
+    db, cat = tpch_db_full, tpch_db_full.catalog
+    variant = q13_groupjoin(TINY_SCALE)
+    assert fuse_topk(variant) is variant
+    plan = optimize_for_level(variant, db, cat)
+    results = {
+        "volcano": execute_volcano(plan, db, cat),
+        "push": execute_push(plan, db, cat),
+        "template": execute_template(plan, db, cat),
+        "lb2": LB2Compiler(cat, db).compile(plan).run(db),
+    }
+    if have_numpy():
+        vector = LB2Compiler(cat, db, Config(codegen="vector")).compile(plan)
+        results["vector"] = vector.run(db)
+    for engine, rows in results.items():
+        assert normalize(rows) == reference, engine

@@ -288,3 +288,93 @@ def test_a_select_clears_only_what_its_predicate_rejects(null_cat):
     assert kept(And(col("k").ne(lit(1)), IsNotNull(col("note")))) == {"k"}
     assert outer.nullable(null_cat) is outer.nullable(null_cat)  # memoized
 
+
+# -- the declared structure: one table per layer, one rebuild, one walk ------------
+
+
+def _leaf_classes(base):
+    """The classes of the package deriving from ``base`` that nothing
+    derives from: the operators and expression forms a plan can hold."""
+    out, todo = [], [base]
+    while todo:
+        cls = todo.pop()
+        subs = [c for c in cls.__subclasses__() if c.__module__.startswith("repro.")]
+        todo.extend(subs)
+        if not subs and cls is not base:
+            out.append(cls)
+    return out
+
+
+def test_every_operator_and_expression_form_declares_its_structure():
+    from repro.plan import expressions, physical
+
+    operators = _leaf_classes(physical.PhysicalPlan)
+    assert len(operators) == 15
+    assert [c.__name__ for c in operators if c not in physical.SHAPES] == []
+    forms = _leaf_classes(expressions.Expr)
+    assert len(forms) == 14
+    assert [c.__name__ for c in forms if c not in expressions.SLOTS] == []
+    assert expressions.AggSpec in expressions.SLOTS
+    # every declared slot names a field of its class
+    for table in (physical.SHAPES, expressions.SLOTS):
+        for cls, shape in table.items():
+            slots = shape if table is expressions.SLOTS else (
+                tuple((n, "child") for n in shape.children) + shape.exprs
+            )
+            fields = set(cls.__dataclass_fields__)
+            assert {name for name, _ in slots} <= fields, cls.__name__
+
+
+def _tpch_plans():
+    from repro.tpch import query_plan
+    from repro.tpch.queries import q13_groupjoin
+
+    return [query_plan(q) for q in range(1, 23)] + [q13_groupjoin()]
+
+
+def test_an_identity_rebuild_returns_the_same_object():
+    from repro.plan.expressions import replace_expr, walk_expr
+    from repro.plan.physical import node_exprs, rebuild, walk
+
+    for plan in _tpch_plans():
+        for node in walk(plan):
+            assert rebuild(node, node.children(), lambda expr: expr) is node
+            assert rebuild(node) is node
+            for expr in node_exprs(node):
+                for sub in walk_expr(expr):
+                    assert replace_expr(sub, lambda _: None) is sub
+
+
+def test_a_rebuild_copies_only_what_changed_and_drops_memos(cat):
+    from repro.plan.expressions import replace_expr
+    from repro.plan.physical import rebuild
+
+    old_child = Select(Scan("t"), col("a").gt(1))
+    node = Project(old_child, [("a", col("a")), ("w", col("v") * lit(2.0))])
+    node.fields(cat)
+    node.nullable(cat)
+    new_child = Select(Scan("t"), col("a").gt(2))
+    copy = rebuild(node, [new_child])
+    assert copy == Project(new_child, node.outputs) and copy is not node
+    assert copy.outputs is node.outputs
+    assert "_fields_memo" not in vars(copy) and "_nullable_memo" not in vars(copy)
+    doubled = rebuild(node, exprs=lambda expr: replace_expr(
+        expr, lambda e: lit(3.0) if e == lit(2.0) else None
+    ))
+    assert doubled.outputs[0] is node.outputs[0]
+    assert doubled.outputs[1][1] == col("v") * lit(3.0)
+    assert doubled.child is old_child
+
+
+def test_a_rebuilt_and_or_flattens_through_its_constructor():
+    from repro.plan.expressions import replace_expr
+
+    pred = And(col("a").gt(1), IsNotNull(col("b")))
+    spliced = replace_expr(
+        pred, lambda e: And(col("x").lt(2), col("y").lt(3)) if isinstance(e, IsNotNull) else None
+    )
+    assert spliced == And(col("a").gt(1), col("x").lt(2), col("y").lt(3))
+    assert len(spliced.terms) == 3
+    either = Or(col("a").gt(1), Case(col("a").gt(2), col("a"), col("b")))
+    assert replace_expr(either, lambda e: None) is either
+

@@ -18,7 +18,12 @@ from repro.compiler.lb2 import Config
 from repro.errors import ParamError, error_code, error_from_dict, error_to_dict
 from repro.obs.metrics import REGISTRY
 from repro.obs.trace import Trace
+from repro.plan import (
+    Agg, GroupJoin, IndexJoin, IndexSemiJoin, Project, Scan, Select, col, sum_,
+)
+from repro.plan.expressions import AggSpec, Const, Expr, Param
 from repro.plan.params import bind_params, check_bindings, collect_params
+from repro.plan.physical import PhysicalPlan
 from repro.session import Session
 from repro.sql import sql_to_plan
 from repro.sql.lexer import tokenize
@@ -223,6 +228,87 @@ def test_executor_chain_agrees_on_params(tiny_db):
     for owner, engine in runs:
         result = ResilientExecutor(owner, engines=(engine,)).query(sql, [20.0])
         assert result.rows == expected, (owner.config, engine)
+
+
+def _every_slot(slot):
+    """A plan holding ``slot(i)`` in every kind of expression slot: an
+    IndexJoin and an IndexSemiJoin residual, a Select predicate, a
+    GroupJoin aggregate, a Project output, an Agg key and argument."""
+    emp = IndexJoin(Scan("Emp"), "Dep", "dname", "edname", residual=col("rank").lt(slot(0)))
+    kept = IndexSemiJoin(Scan("Sales"), "Dep", "dname", "sdep", residual=col("rank").gt(slot(1)))
+    joined = GroupJoin(
+        emp, Select(kept, col("amount").gt(slot(2))), ["edname"], ["sdep"],
+        [("total", sum_(col("amount") * slot(3)))],
+    )
+    shaped = Project(joined, [("eid", col("eid")), ("t", col("total") + slot(4))])
+    return Agg(shaped, [("k", col("eid") + slot(5))], [("s", sum_(col("t") - slot(6)))])
+
+
+def test_bind_params_fills_every_slot_kind(tiny_db):
+    plan = _every_slot(lambda i: Param(i, ptype=ColumnType.INT))
+    plan.validate(tiny_db.catalog)
+    assert [slot.index for slot in collect_params(plan)] == list(range(7))
+    values = list(range(10, 17))
+    bound = bind_params(plan, values)
+    assert bound == _every_slot(lambda i: Const(values[i]))
+    assert collect_params(bound) == ()
+    assert bind_params(bound, ()) is bound
+
+
+def _node_classes():
+    """Every plan operator and expression class of the package."""
+    out, todo = [AggSpec], [PhysicalPlan, Expr]
+    while todo:
+        cls = todo.pop()
+        subs = [c for c in cls.__subclasses__() if c.__module__.startswith("repro.")]
+        out.extend(subs)
+        todo.extend(subs)
+    return out
+
+
+def test_collect_params_builds_no_node(tiny_db, monkeypatch):
+    """Listing a plan's slots is a read-only walk: no constructor runs and
+    no node is copied."""
+    from repro.plan import expressions, physical
+
+    plan = _every_slot(lambda i: Param(i, ptype=ColumnType.INT))
+    made = []
+
+    def counting(fn):
+        def counted(node, *args, **kwargs):
+            made.append(type(node).__name__)
+            return fn(node, *args, **kwargs)
+        return counted
+
+    for cls in _node_classes():
+        if "__init__" in vars(cls):
+            monkeypatch.setattr(cls, "__init__", counting(cls.__init__))
+    for module in (expressions, physical):  # the copy path that runs no __init__
+        if hasattr(module, "remake"):
+            monkeypatch.setattr(module, "remake", counting(module.remake))
+    Select(Scan("Dep"), col("rank").gt(Const(1)))
+    bind_params(plan, list(range(7)))
+    assert made[:5] == ["Scan", "Col", "Const", "Cmp", "Select"]  # the probes count
+    assert "Agg" in made[5:]
+    made.clear()
+    assert len(collect_params(plan)) == 7
+    assert made == []
+
+
+def test_walking_and_binding_a_plan_leave_no_cyclic_garbage(tiny_db):
+    """A request's plan is freed when its last reference goes, not at the
+    next collection."""
+    import gc
+
+    plan = _every_slot(lambda i: Param(i, ptype=ColumnType.INT))
+    gc.collect()
+    gc.disable()
+    try:
+        collect_params(plan)
+        bind_params(plan, list(range(7)))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_unbound_param_eval_is_typed_error(tiny_db):
