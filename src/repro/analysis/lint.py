@@ -22,7 +22,11 @@ Each pass is independent and composes over the shared walker:
   statement nesting depth zero);
 * :class:`DeadInstrumentation` -- an observability intrinsic (``obs_now``)
   staged inside a hot loop, or a timer bind that is never read: profiling
-  overhead the instrument lowering is supposed to keep off the per-row path.
+  overhead the instrument lowering is supposed to keep off the per-row path;
+* :class:`DeadBuildColumn` -- a batch join build (``join_finish``) payload
+  column that nothing reads, and :class:`DeadGather` -- a bound ``v_take``
+  whose result nothing reads: fields carried past their last reader, which
+  the plan's liveness pass (``physical.live_fields``) is there to drop.
 """
 
 from __future__ import annotations
@@ -47,6 +51,8 @@ def default_lint_passes() -> list[AnalysisPass]:
         HoistSafety(),
         BulkOpInLoop(),
         DeadInstrumentation(),
+        DeadBuildColumn(),
+        DeadGather(),
     ]
 
 
@@ -370,3 +376,80 @@ class DeadInstrumentation(AnalysisPass):
                         stmt,
                         severity=Severity.WARNING,
                     ))
+
+
+# -- dead fields ---------------------------------------------------------------
+
+
+class DeadBuildColumn(AnalysisPass):
+    """Flags batch join build columns no probe reads.
+
+    ``jx = rt.join_finish(state, nkeys, ncols, ...)`` holds the key index
+    at ``jx[0]`` and payload column ``j`` at ``jx[1 + j]``; a probe reads a
+    column it gathers as exactly that subscript.  A payload column with no
+    such read was stored, concatenated and carried for nothing: its field
+    is not read past the join.
+    """
+
+    name = "lint"
+
+    def run(self, functions: Sequence[ir.Function]) -> list[Diagnostic]:
+        out: list[Diagnostic] = []
+        for fn in functions:
+            builds: dict[str, tuple[ir.Stmt, int]] = {}
+            read: set[tuple[str, object]] = set()
+            for stmt in iter_stmts(fn.body):
+                if (
+                    type(stmt) is ir.Assign
+                    and type(stmt.expr) is ir.Call
+                    and stmt.expr.fn == "join_finish"
+                    and type(stmt.expr.args[2]) is ir.Const
+                ):
+                    builds[stmt.name] = (stmt, stmt.expr.args[2].value)
+                for expr in ir.stmt_exprs(stmt):
+                    for node in ir.walk_expr(expr):
+                        if (
+                            type(node) is ir.Index
+                            and type(node.arr) is ir.Sym
+                            and type(node.idx) is ir.Const
+                        ):
+                            read.add((node.arr.name, node.idx.value))
+            for name, (stmt, ncols) in builds.items():
+                dead = [j for j in range(ncols) if (name, 1 + j) not in read]
+                if dead:
+                    out.append(self.diag(
+                        "dead-build-column",
+                        f"join build {name!r} stores payload column(s) {dead} "
+                        f"of {ncols} that no probe reads",
+                        fn.name,
+                        stmt,
+                        severity=Severity.WARNING,
+                    ))
+        return out
+
+
+class DeadGather(AnalysisPass):
+    """Flags a bound ``v_take`` (a gather through row ids) whose result is
+    never read: a whole-batch copy made for nothing."""
+
+    name = "lint"
+
+    def run(self, functions: Sequence[ir.Function]) -> list[Diagnostic]:
+        out: list[Diagnostic] = []
+        for fn in functions:
+            used = used_names(fn.body)
+            for stmt in iter_stmts(fn.body):
+                if (
+                    type(stmt) is ir.Assign
+                    and type(stmt.expr) is ir.Call
+                    and stmt.expr.fn == "v_take"
+                    and stmt.name not in used
+                ):
+                    out.append(self.diag(
+                        "dead-gather",
+                        f"gather {stmt.name!r} (v_take) is never read",
+                        fn.name,
+                        stmt,
+                        severity=Severity.WARNING,
+                    ))
+        return out

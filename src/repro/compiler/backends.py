@@ -111,7 +111,7 @@ class ScalarBackend:
     def sort_buffer(self, node, field_names: list[str]):
         if self.comp.config.sort_layout == "column":
             return ColumnSortBuffer(self.ctx, field_names)
-        return RowSortBuffer(self.ctx)
+        return RowSortBuffer(self.ctx, field_names)
 
 
 def make_backend(comp: "StagedPlanBuilder"):

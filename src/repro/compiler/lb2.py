@@ -248,12 +248,18 @@ class StagedProject(StagedOp):
         child_dp = self.comp.backend.edge(self.child, self.node)
         null_refs = self.node.null_refs(self.comp.catalog)
         types = self.comp.field_types(self.node)
+        live = self.comp.live(self.node)
+        outputs = [
+            (name, expr, refs)
+            for (name, expr), refs in zip(self.node.outputs, null_refs)
+            if name in live
+        ]
 
         def datapath(cb: RecCallback) -> None:
             def on_rec(rec: StagedRecord) -> None:
                 values: dict[str, StagedValue] = {}
                 descs: list[FieldDesc] = []
-                for (name, expr), refs in zip(self.node.outputs, null_refs):
+                for name, expr, refs in outputs:
                     if refs:
                         # SQL NULL propagation: the output reads a field
                         # the plan says can be NULL (PhysicalPlan.nullable)
@@ -360,6 +366,7 @@ class StagedHashJoin(StagedOp):
         node = self.node
         build_present = _keys_present(self.comp, node.left, node.left_keys)
         probe_present = _keys_present(self.comp, node.right, node.right_keys)
+        stored = self.comp.live_names(node.left, node)
 
         def emit(mm, cb: RecCallback) -> None:
             build_descs: list[FieldDesc] = []
@@ -367,7 +374,7 @@ class StagedHashJoin(StagedOp):
             def build(rec: StagedRecord) -> None:
                 nonlocal build_descs
                 keys = [_join_key(rec[k]) for k in node.left_keys]
-                payloads, build_descs = materialize(rec)
+                payloads, build_descs = materialize(rec, stored)
                 mm.insert(keys, payloads, rec=rec)
 
             left_dp(_guarded(build, build_present))
@@ -395,8 +402,13 @@ class StagedLeftOuterJoin(StagedOp):
     def exec(self) -> Datapath:
         left_dp = self.comp.backend.edge(self.left, self.node)
         right_dp = self.comp.backend.edge(self.right, self.node)
-        right_fields = self.node.right.fields(self.comp.catalog)
         node = self.node
+        live = self.comp.live(node)
+        right_fields = [
+            (name, ftype)
+            for name, ftype in node.right.fields(self.comp.catalog)
+            if name in live
+        ]
         build_present = _keys_present(self.comp, node.right, node.right_keys)
         probe_present = _keys_present(self.comp, node.left, node.left_keys)
 
@@ -415,7 +427,7 @@ class StagedLeftOuterJoin(StagedOp):
                 # no-match branches below produce identically-typed fields.
                 payloads: list[Rep] = []
                 build_descs = []
-                for name in rec.field_names:
+                for name, _ in right_fields:
                     value = value_output(rec[name])
                     payloads.append(value)
                     build_descs.append(FieldDesc(name, rec.desc(name).type))
@@ -829,7 +841,8 @@ class StagedSort(StagedOp):
         super().__init__(comp)
         self.node = node
         self.child = child
-        self.field_names = node.child.field_names(comp.catalog)
+        # what the buffer stores: the fields read past the sort, and its keys
+        self.field_names = comp.live_names(node.child, node.child)
 
     def _spec(self) -> tuple[tuple[int, bool], ...]:
         index_of = {name: i for i, name in enumerate(self.field_names)}
@@ -979,6 +992,9 @@ class StagedPlanBuilder:
         # builder (one per compile).
         self._static_fields: dict[int, tuple] = {}
         self._field_types: dict[int, tuple] = {}
+        # id(node) -> the node's fields some consumer reads (the root
+        # build() call holds the plan while this compile runs)
+        self._live: dict[int, frozenset[str]] = {}
         self.backend = make_backend(self)
         self._prepared = False
 
@@ -1116,11 +1132,27 @@ class StagedPlanBuilder:
 
     # -- construction --------------------------------------------------------------
 
+    def live(self, node: phys.PhysicalPlan) -> frozenset[str]:
+        """The output fields of ``node`` that some consumer reads
+        (:func:`repro.plan.physical.live_fields`)."""
+        return self._live[id(node)]
+
+    def live_names(
+        self, source: phys.PhysicalPlan, reader: phys.PhysicalPlan
+    ) -> list[str]:
+        """The fields of ``source``, in its order, that ``reader``'s
+        consumers read: what a materialization at ``reader`` stores of
+        ``source`` (a join's build side, or a sort's own input)."""
+        live = self._live[id(reader)]
+        return [name for name in source.field_names(self.catalog) if name in live]
+
     def build(self, node: phys.PhysicalPlan) -> StagedOp:
         if not self._prepared:
-            # First build() call sees the plan root: let the backend run its
+            # First build() call sees the plan root: compute which fields
+            # each operator must hand on, then let the backend run its
             # whole-plan analysis (the vector backend's eligibility pass).
             self._prepared = True
+            self._live = phys.live_fields(node, self.catalog)
             self.backend.prepare(node)
         return self._maybe_instrument(self._build_raw(node), node)
 

@@ -18,6 +18,7 @@ import functools
 import math as _math
 import re
 import threading
+from operator import itemgetter
 from time import perf_counter as _perf_counter
 from typing import Optional, Sequence
 
@@ -25,26 +26,15 @@ from typing import Optional, Sequence
 def sort_rows(rows: list, spec: Sequence[tuple[int, bool]]) -> list:
     """Sort ``rows`` (tuples) in place by a multi-key ordering spec.
 
-    ``spec`` is a sequence of ``(column_index, ascending)`` pairs.  Mixed
-    ascending/descending orderings over non-numeric keys cannot be expressed
-    with a single ``key=`` function, so a comparator is used; this runs once
-    per query, never per tuple of the hot path.
+    ``spec`` is a sequence of ``(column_index, ascending)`` pairs.  An
+    all-ascending spec sorts once by a key tuple; a mixed one takes one
+    stable pass per key, last key first (:func:`_sort_passes`).  This runs
+    once per query, never per tuple of the hot path.
     """
     if all(asc for _, asc in spec):
         rows.sort(key=lambda row: tuple(row[i] for i, _ in spec))
-        return rows
-
-    def compare(a: tuple, b: tuple) -> int:
-        for idx, asc in spec:
-            av, bv = a[idx], b[idx]
-            if av == bv:
-                continue
-            if av < bv:
-                return -1 if asc else 1
-            return 1 if asc else -1
-        return 0
-
-    rows.sort(key=functools.cmp_to_key(compare))
+    else:
+        _sort_passes(rows, spec, itemgetter)
     return rows
 
 
@@ -52,7 +42,9 @@ def topk_rows(rows: list, spec: Sequence[tuple[int, bool]], n: int) -> list:
     """The ``n`` smallest rows under the multi-key ordering spec.
 
     Backs the Limit-over-Sort fusion: a bounded heap selection instead of a
-    full sort when only the top of the ordering is needed.
+    full sort when only the top of the ordering is needed.  A mixed spec
+    sorts a copy by stable passes and keeps its head, which is what
+    ``heapq.nsmallest`` is documented to equal (``sorted(...)[:n]``).
     """
     import heapq
 
@@ -60,18 +52,9 @@ def topk_rows(rows: list, spec: Sequence[tuple[int, bool]], n: int) -> list:
         return []
     if all(asc for _, asc in spec):
         return heapq.nsmallest(n, rows, key=lambda row: tuple(row[i] for i, _ in spec))
-
-    def compare(a: tuple, b: tuple) -> int:
-        for idx, asc in spec:
-            av, bv = a[idx], b[idx]
-            if av == bv:
-                continue
-            if av < bv:
-                return -1 if asc else 1
-            return 1 if asc else -1
-        return 0
-
-    return heapq.nsmallest(n, rows, key=functools.cmp_to_key(compare))
+    ordered = list(rows)
+    _sort_passes(ordered, spec, itemgetter)
+    return ordered[:n]
 
 
 def argsort_columns(columns: Sequence[list], spec: Sequence[tuple[int, bool]]) -> list[int]:
@@ -86,20 +69,25 @@ def argsort_columns(columns: Sequence[list], spec: Sequence[tuple[int, bool]]) -
     order = list(range(size))
     if all(asc for _, asc in spec):
         order.sort(key=lambda rid: tuple(columns[i][rid] for i, _ in spec))
-        return order
-
-    def compare(a: int, b: int) -> int:
-        for i, asc in spec:
-            av, bv = columns[i][a], columns[i][b]
-            if av == bv:
-                continue
-            if av < bv:
-                return -1 if asc else 1
-            return 1 if asc else -1
-        return 0
-
-    order.sort(key=functools.cmp_to_key(compare))
+    else:
+        _sort_passes(order, spec, lambda i: columns[i].__getitem__)
     return order
+
+
+def _sort_passes(items: list, spec: Sequence[tuple[int, bool]], key_of) -> None:
+    """Sort ``items`` in place by a mixed-direction spec: one stable pass
+    per key, from the last key to the first, each ascending or reversed
+    (``reverse`` keeps equal items in order), so an earlier key decides
+    and later ones break its ties.  ``key_of(i)`` is the key function of
+    spec column ``i``.
+
+    Unlike a comparator, every pass compares its whole column: a NULL
+    (None) in a later key raises ``TypeError`` even where an earlier key
+    would have decided (SQL's NULL ordering is not implemented)."""
+    if len(items) < 2:
+        return
+    for i, asc in reversed(spec):
+        items.sort(key=key_of(i), reverse=not asc)
 
 
 @functools.lru_cache(maxsize=256)

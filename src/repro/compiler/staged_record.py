@@ -22,7 +22,7 @@ Operations specialize:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, Optional, Sequence, Union
 
 from repro.catalog.types import ColumnType
 from repro.staging import ir
@@ -317,11 +317,14 @@ def _raiser(name: str) -> Callable[[], StagedValue]:
 # ---------------------------------------------------------------------------
 
 
-def materialize(rec: StagedRecord) -> tuple[list[Rep], list[FieldDesc]]:
-    """Force all fields to payload Reps, keeping descriptors for rebuild."""
+def materialize(
+    rec: StagedRecord, names: Sequence[str]
+) -> tuple[list[Rep], list[FieldDesc]]:
+    """Force the fields ``names`` to payload Reps, keeping descriptors for
+    rebuild: a pipeline breaker stores only the fields read past it."""
     payloads: list[Rep] = []
     descs: list[FieldDesc] = []
-    for name in rec.field_names:
+    for name in names:
         value = rec[name]
         payloads.append(value_payload(value))
         descs.append(desc_from_existing(rec.desc(name), value))

@@ -353,14 +353,15 @@ class IndexSource:
 class RowSortBuffer:
     """A FlatBuffer of row tuples, sorted in place (or top-K selected)."""
 
-    def __init__(self, ctx: StagingContext) -> None:
+    def __init__(self, ctx: StagingContext, field_names: list[str]) -> None:
         self.ctx = ctx
+        self.field_names = field_names
         ctx.comment("sort buffer (row layout)")
         self.buf = ctx.call("list_new", [], result="void*", prefix="buf")
         self.descs: list[FieldDesc] = []
 
     def append(self, rec: StagedRecord) -> None:
-        payloads, self.descs = materialize(rec)
+        payloads, self.descs = materialize(rec, self.field_names)
         row = self.ctx.bind(
             ir.TupleExpr(tuple(v.expr for v in payloads)), ctype="void*"
         )
@@ -397,6 +398,7 @@ class ColumnSortBuffer:
 
     def __init__(self, ctx: StagingContext, field_names: list[str]) -> None:
         self.ctx = ctx
+        self.field_names = field_names
         ctx.comment("sort buffer (column layout: one list per field)")
         self.columns = [
             ctx.call("list_new", [], result="void*", prefix="sc")
@@ -405,7 +407,7 @@ class ColumnSortBuffer:
         self.descs: list[FieldDesc] = []
 
     def append(self, rec: StagedRecord) -> None:
-        payloads, self.descs = materialize(rec)
+        payloads, self.descs = materialize(rec, self.field_names)
         for column, value in zip(self.columns, payloads):
             self.ctx.call_stmt("list_append", [column, value])
 

@@ -1210,7 +1210,7 @@ class VectorBackend(ScalarBackend):
             build = node.right if outer else node.left
             return BatchJoinBuild(
                 self.comp, label, len(node.left_keys),
-                len(build.fields(self.comp.catalog)),
+                len(self.comp.live_names(build, node)),
                 batched=id(build) in self._batch, outer=outer,
             )
         return super().multimap(node, label)

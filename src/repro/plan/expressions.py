@@ -43,9 +43,15 @@ class Expr:
     def template(self, rec: str) -> str:
         raise NotImplementedError
 
-    def columns(self) -> set[str]:
-        """The fields the expression reads: its :class:`Col` leaves."""
-        return {node.name for node in walk_expr(self) if type(node) is Col}
+    def columns(self) -> frozenset[str]:
+        """The fields the expression reads: its :class:`Col` leaves.
+
+        Memoized on the node (nodes are frozen); a rebuilt node
+        (:func:`remake`) starts without it."""
+        memo = self.__dict__.get(_COLUMNS_MEMO)
+        if memo is None:
+            memo = _memo_columns(self)
+        return memo
 
     def result_type(self, types: Types) -> ColumnType:
         raise NotImplementedError
@@ -108,6 +114,9 @@ class Col(Expr):
 
     def template(self, rec: str) -> str:
         return f"{rec}[{self.name!r}]"
+
+    def columns(self) -> frozenset[str]:
+        return frozenset((self.name,))
 
     def result_type(self, types: Types) -> ColumnType:
         try:
@@ -663,8 +672,8 @@ class AggSpec:
         if self.kind != "count" and self.expr is None:
             raise ExprError(f"aggregate {self.kind!r} requires an expression")
 
-    def columns(self) -> set[str]:
-        return self.expr.columns() if self.expr is not None else set()
+    def columns(self) -> frozenset[str]:
+        return self.expr.columns() if self.expr is not None else _NO_COLUMNS
 
     def result_type(self, types: Types) -> ColumnType:
         if self.kind in ("count", "count_distinct"):
@@ -729,6 +738,58 @@ def slot_exprs(node, slots: Slots) -> list[Expr]:
         else:
             out.extend(spec.expr for _, spec in value if spec.expr is not None)
     return out
+
+
+_COLUMNS_MEMO = "_columns_memo"
+_NO_COLUMNS: frozenset[str] = frozenset()
+
+
+def _memo_columns(expr: Expr) -> frozenset[str]:
+    """Compute and memoize :meth:`Expr.columns` of ``expr``: one iterative
+    walk that takes a memoized sub-expression's answer whole."""
+    out: set[str] = set()
+    todo = [expr]
+    while todo:
+        node = todo.pop()
+        kind = type(node)
+        if kind is Col:
+            out.add(node.name)
+            continue
+        subs = _SUBS[kind]
+        if subs is None:  # a leaf, or an empty ONE slot
+            continue
+        memo = node.__dict__.get(_COLUMNS_MEMO)
+        if memo is not None:
+            out |= memo
+            continue
+        get, many = subs
+        if many:
+            todo.extend(get(node))
+        else:
+            todo.append(get(node))
+    cols = frozenset(out)
+    object.__setattr__(expr, _COLUMNS_MEMO, cols)
+    return cols
+
+
+def _subs_getter(slots: Slots) -> Optional[tuple[Callable, bool]]:
+    """How :func:`_memo_columns` reads a form's sub-expressions, made from
+    its :data:`SLOTS` row: ``(get, many)``, where ``get(node)`` is one
+    sub-expression (or None) unless ``many`` says it is a sequence; None
+    for a leaf.  An expression form's slots are ONE slots, or one TERMS
+    slot (its only field)."""
+    if not slots:
+        return None
+    names = [name for name, _ in slots]
+    if slots[0][1] == TERMS:
+        return operator.attrgetter(names[0]), True
+    return operator.attrgetter(*names), len(names) > 1
+
+
+#: Per form, how its sub-expressions are read (None: a leaf, and the
+#: type of an empty ONE slot), made from SLOTS.
+_SUBS = {form: _subs_getter(slots) for form, slots in SLOTS.items()}
+_SUBS[type(None)] = None
 
 
 def walk_expr(expr: Expr) -> list[Expr]:

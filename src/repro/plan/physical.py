@@ -647,6 +647,66 @@ def walk(plan: PhysicalPlan) -> list[PhysicalPlan]:
     return out
 
 
+def live_fields(plan: PhysicalPlan, catalog: Catalog) -> dict[int, frozenset[str]]:
+    """Per operator of ``plan`` (by ``id``; the caller holds the plan), the
+    output fields some consumer reads: fields die where their last reader
+    is.
+
+    The root's every field is read (they are the result).  An operator
+    reads what its keys and expressions name (:func:`node_exprs`,
+    :meth:`Expr.columns`) and hands on the live fields it passes through
+    (:func:`_input_reads`); a child's live fields are the ones its
+    consumers read, over every consumer of a shared sub-plan.  One
+    iterative walk: parents before children, each operator once.
+    """
+    order: list[PhysicalPlan] = []
+    seen: set[int] = set()
+    todo: list[tuple[PhysicalPlan, bool]] = [(plan, False)]
+    while todo:
+        node, done = todo.pop()
+        if done:
+            order.append(node)
+        elif id(node) not in seen:
+            seen.add(id(node))
+            todo.append((node, True))
+            todo.extend((child, False) for child in node.children())
+    live: dict[int, frozenset[str]] = {id(plan): frozenset(plan.field_names(catalog))}
+    for node in reversed(order):  # a reverse post-order: parents first
+        out = live[id(node)]
+        for child, reads in zip(node.children(), _input_reads(node, out)):
+            names = child.field_names(catalog)
+            read = frozenset(names) if reads is None else reads.intersection(names)
+            live[id(child)] = live.get(id(child), frozenset()) | read
+    return live
+
+
+def _input_reads(node: PhysicalPlan, out: frozenset[str]) -> list[Optional[set[str]]]:
+    """Per child of ``node``, the names it reads from that child when its
+    consumers read ``out`` of its output (None: every field).  A join side
+    is intersected with its own fields by the caller, so both sides may be
+    handed the same set."""
+    if isinstance(node, Project):
+        return [set().union(*(e.columns() for n, e in node.outputs if n in out))]
+    if isinstance(node, Distinct):
+        return [None]  # every field decides what is distinct
+    exprs: set[str] = set()
+    for expr in node_exprs(node):
+        exprs |= expr.columns()
+    if isinstance(node, Agg):
+        return [exprs]
+    if isinstance(node, Sort):
+        return [out | {name for name, _ in node.keys}]
+    if isinstance(node, (IndexJoin, IndexSemiJoin)):
+        return [out | exprs | {node.child_key}]
+    if isinstance(node, (HashJoin, LeftOuterJoin)):
+        return [out | set(node.left_keys), out | set(node.right_keys)]
+    if isinstance(node, (SemiJoin, AntiJoin)):
+        return [out | set(node.left_keys), set(node.right_keys)]
+    if isinstance(node, GroupJoin):
+        return [out | set(node.left_keys), exprs | set(node.right_keys)]
+    return [out | exprs for _ in node.children()]  # Select, Limit; leaves: none
+
+
 def rebuild(
     node: PhysicalPlan,
     children: Optional[Sequence[PhysicalPlan]] = None,

@@ -221,14 +221,19 @@ class ResilientExecutor:
         finally:
             self._param_vector = None
 
-    def execute_plan(self, plan, cache_key: Optional[str] = None) -> ResilientResult:
+    def execute_plan(
+        self, plan, cache_key: Optional[str] = None, *, validated: bool = False
+    ) -> ResilientResult:
         """Execute a hand-built physical plan with fallback.
 
         With ``cache_key`` set, the compiled engine caches the build under
         that plan name (compile-once semantics for plan-level callers);
-        without it, every call compiles fresh.
+        without it, every call compiles fresh.  A caller that already ran
+        ``plan.validate`` against the session's catalog says ``validated``
+        (the service keeps one validated plan per TPC-H number).
         """
-        plan.validate(self.session.db.catalog)
+        if not validated:
+            plan.validate(self.session.db.catalog)
         return self._execute(plan, PLAN, cache_key, self._config(), validated=True)
 
     def prepare(self, sql: str, *, shape: Optional[StatementShape] = None):

@@ -309,6 +309,10 @@ class QueryService:
         # Per family: (labels handed out, name -> label memo).
         self._tenant_labels: tuple = (set(), {})
         self._shape_labels: tuple = (set(), {})
+        # TPC-H number -> (catalog, its plan validated there): built once
+        # per number (query_scale is fixed per service); two workers
+        # racing on a first request each build one, and either is kept.
+        self._tpch_plans: dict[int, tuple] = {}
         freeze_loaded_heap()
 
     # -- lifecycle ----------------------------------------------------------
@@ -559,7 +563,9 @@ class QueryService:
                 )
             else:
                 result = executor.execute_plan(
-                    self._tpch_plan(request.tpch), cache_key=f"tpch:{request.tpch}"
+                    self._tpch_plan(request.tpch),
+                    cache_key=f"tpch:{request.tpch}",
+                    validated=True,
                 )
         except BaseException as exc:
             compiled_attempted = self._feed_breaker_from_error(shape, exc)
@@ -611,12 +617,21 @@ class QueryService:
         return self.config.engines
 
     def _tpch_plan(self, number: int):
+        """TPC-H query ``number``'s plan, validated against the session's
+        catalog: built and validated on its first request only."""
         from repro.errors import ServiceProtocolError
         from repro.tpch.queries import QUERIES, query_plan
 
+        catalog = self.session.db.catalog
+        kept = self._tpch_plans.get(number)
+        if kept is not None and kept[0] is catalog:
+            return kept[1]
         if number not in QUERIES:
             raise ServiceProtocolError(f"unknown TPC-H query number {number!r}")
-        return query_plan(number, scale=self.config.query_scale)
+        plan = query_plan(number, scale=self.config.query_scale)
+        plan.validate(catalog)
+        self._tpch_plans[number] = (catalog, plan)
+        return plan
 
     # -- breaker feedback ---------------------------------------------------
 

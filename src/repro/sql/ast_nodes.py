@@ -62,6 +62,14 @@ class NotOp(SqlExpr):
 
 
 @dataclass(frozen=True)
+class IsNullOp(SqlExpr):
+    """``term IS NULL``, or ``term IS NOT NULL`` when ``negate``."""
+
+    term: SqlExpr
+    negate: bool = False
+
+
+@dataclass(frozen=True)
 class LikeOp(SqlExpr):
     term: SqlExpr
     pattern: str

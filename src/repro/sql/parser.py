@@ -258,6 +258,10 @@ class _Parser:
 
     def predicate(self) -> ast.SqlExpr:
         left = self.additive()
+        if self.accept_kw("is"):
+            negate = self.accept_kw("not")
+            self.expect_kw("null")
+            return ast.IsNullOp(left, negate=negate)
         negate = False
         if is_kw(self.cur, "not"):
             # LIKE/IN/BETWEEN can be negated inline: x NOT LIKE 'p'

@@ -150,6 +150,11 @@ class _Translator:
             return self._binop(node, allow_aggs)
         if isinstance(node, ast.NotOp):
             return Not(self.translate(node.term, allow_aggs))
+        if isinstance(node, ast.IsNullOp):
+            # IS NULL stays a negation: only IS NOT NULL clears a field's
+            # nullability (PhysicalPlan.nullable)
+            expr = IsNotNull(self.translate(node.term, allow_aggs))
+            return expr if node.negate else Not(expr)
         if isinstance(node, ast.LikeOp):
             term = self._infer(self.translate(node.term, allow_aggs), ColumnType.STRING)
             return Like(term, node.pattern, node.negate)

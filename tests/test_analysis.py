@@ -315,6 +315,32 @@ class TestLints:
         ):
             assert rules(BulkOpInLoop().run(fn(body))) == {"bulk-op-in-loop"}
 
+    def test_a_build_column_no_probe_reads_is_dead(self):
+        from repro.analysis.lint import DeadBuildColumn
+
+        def program(*reads):
+            build = ir.Assign("jx", ir.Call("join_finish", (
+                ir.Sym("p"), ir.Const(1), ir.Const(2), ir.Const(True))))
+            loads = [
+                ir.Assign(f"v{j}", ir.Index(ir.Sym("jx"), ir.Const(j)))
+                for j in reads
+            ]
+            return fn([build, *loads, ir.Return(ir.Const(0))])
+
+        assert DeadBuildColumn().run(program(1, 2)) == []
+        diags = DeadBuildColumn().run(program(0, 2))  # jx[0] is the key index
+        assert rules(diags) == {"dead-build-column"}
+        assert "[0]" in diags[0].message
+
+    def test_an_unread_gather_is_dead(self):
+        from repro.analysis.lint import DeadGather
+
+        take = ir.Assign("g", ir.Call("v_take", (ir.Sym("p"), ir.Sym("p"))))
+        assert rules(DeadGather().run(fn([take, ir.Return(ir.Const(0))]))) == {
+            "dead-gather"
+        }
+        assert DeadGather().run(fn([take, ir.Return(ir.Sym("g"))])) == []
+
     def _split(self, prelude):
         return fn(prelude + [
             ir.NestedFunc("run", ("out",), [ir.Return(ir.Const(0))]),

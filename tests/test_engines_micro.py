@@ -569,6 +569,34 @@ def test_not_in_a_subquery_follows_sql_nulls(sql, expected):
     assert normalize(run_five(sql_to_plan(sql, db), db)) == normalize(expected)
 
 
+@pytest.mark.parametrize("sql,expected", [
+    ("select count(*) from Notes where note is not null", [(3,)]),
+    ("select count(*) from Notes where note is null", [(2,)]),
+    ("select nid from Notes where note is null or nid = 1", [(1,), (2,), (4,)]),
+    ("select count(*) from Notes where not note is not null", [(2,)]),
+    ("select count(*) from Labels where label is not null and lid > 1", [(2,)]),
+    ("select count(*) from Tags where tag is null", [(0,)]),
+    # clearing the subselect's NULLs makes NOT IN a plain anti-join
+    ("select tag from Tags where tag not in (select note from Notes where note is not null)",
+     [("zeta",)]),
+    ("select count(*) from Tags where tag not in (select note from Notes where note is null)",
+     [(0,)]),
+])
+def test_is_null_in_sql(sql, expected):
+    """``IS [NOT] NULL`` parses to ``IsNotNull`` / ``Not(IsNotNull)``;
+    every engine and both lowerings agree."""
+    db = _not_in_db()
+    assert normalize(run_five(sql_to_plan(sql, db), db)) == normalize(expected)
+
+
+def test_only_is_not_null_clears_nullability():
+    db = _not_in_db()
+    cleared = sql_to_plan("select note from Notes where note is not null", db)
+    assert cleared.nullable(db.catalog) == frozenset()
+    kept = sql_to_plan("select note from Notes where note is null", db)
+    assert kept.nullable(db.catalog) == {"note"}
+
+
 # -- the loader enforces each column's declaration -----------------------------------
 
 

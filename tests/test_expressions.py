@@ -165,6 +165,20 @@ def test_columns_collection():
     assert lit(1).columns() == set()
 
 
+def test_columns_are_memoized_per_node_and_a_rebuild_starts_fresh():
+    from repro.plan.expressions import remake
+
+    lhs = col("a") + col("b")
+    expr = lhs.gt(col("c"))
+    assert expr.columns() is expr.columns()
+    assert lhs.columns() == {"a", "b"} and "_columns_memo" in vars(lhs)
+    copy = remake(expr, {"rhs": col("d")})
+    assert "_columns_memo" not in vars(copy)
+    assert copy.columns() == {"a", "b", "d"}
+    assert expr.columns() == {"a", "b", "c"}
+    assert copy.lhs is lhs and copy.lhs.columns() is lhs.columns()
+
+
 def test_result_types():
     types = TYPES
     assert (col("a") + col("b")).result_type(types) is ColumnType.INT

@@ -224,3 +224,36 @@ def test_traced_point_wire_lexes_once_and_self_times_add_up(tmp_path):
         assert names.count("sql.shape") == 1 and "sql.plan" not in names
         total = sum(selfs[id(s)] for s in tree)
         assert total == pytest.approx(root[spans.END] - root[spans.START], rel=0.05)
+
+
+def test_second_warm_plan_request_builds_and_validates_nothing(tpch_db, monkeypatch):
+    """A ``{"tpch": n}`` request reuses the plan the service built and
+    validated on that number's first request: a warm one builds no plan
+    and resolves no operator's fields."""
+    from repro.plan import physical
+    from repro.tpch import queries
+    from tests.conftest import TINY_SCALE
+
+    config = ServiceConfig(workers=1, query_scale=TINY_SCALE)
+    with QueryService(Session(tpch_db), config) as svc:
+        first = svc.submit(ServiceRequest(tpch=3))  # builds, compiles
+        assert first.ok
+        built, resolved = [], []
+        query_plan = queries.query_plan
+        fields = physical.PhysicalPlan.fields
+
+        def counting_plan(*args, **kwargs):
+            built.append(args)
+            return query_plan(*args, **kwargs)
+
+        def counting_fields(self, catalog):
+            resolved.append(self)
+            return fields(self, catalog)
+
+        monkeypatch.setattr(queries, "query_plan", counting_plan)
+        monkeypatch.setattr(physical.PhysicalPlan, "fields", counting_fields)
+        for _ in range(2):
+            warm = svc.submit(ServiceRequest(tpch=3))
+            assert warm.ok and warm.engine == "compiled"
+            assert warm.rows == first.rows
+        assert built == [] and resolved == []

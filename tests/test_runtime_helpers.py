@@ -48,6 +48,73 @@ def test_sort_rows_matches_python_sorted(rows, asc0, asc1):
     assert mine == expected
 
 
+def _comparator_sorted(items: list, spec, value) -> list:
+    """The comparator the mixed-direction sorts used before they sorted by
+    stable passes: the oracle for the properties below."""
+    import functools
+
+    def compare(a, b) -> int:
+        for i, asc in spec:
+            av, bv = value(a, i), value(b, i)
+            if av == bv:
+                continue
+            if av < bv:
+                return -1 if asc else 1
+            return 1 if asc else -1
+        return 0
+
+    return sorted(items, key=functools.cmp_to_key(compare))
+
+
+#: Keys of one column share a kind: ints and floats mix, strings don't.
+_KEYS = st.one_of(
+    st.lists(st.one_of(st.integers(-3, 3), st.sampled_from([0.5, -1.5, 2.0]))),
+    st.lists(st.sampled_from(["", "a", "ab", "b", "B"])),
+)
+
+
+@st.composite
+def _table(draw):
+    """Rows (each ending in its insertion index, to expose tie order) and
+    a spec over their key columns that mixes directions."""
+    width = draw(st.integers(1, 4))
+    nrows = draw(st.integers(0, 30))
+    columns = []
+    for _ in range(width):
+        values = draw(_KEYS.filter(bool)) if nrows else []
+        columns.append([values[j % len(values)] for j in range(nrows)])
+        draw(st.randoms()).shuffle(columns[-1])
+    rows = [tuple(c[r] for c in columns) + (r,) for r in range(nrows)]
+    picked = draw(st.lists(st.integers(0, width - 1), min_size=1, max_size=4))
+    spec = [(i, draw(st.booleans())) for i in picked]
+    if all(asc for _, asc in spec):
+        spec[0] = (spec[0][0], False)
+    return rows, tuple(spec)
+
+
+@given(_table())
+@settings(max_examples=200, deadline=None)
+def test_mixed_direction_sorts_match_the_comparator(table):
+    rows, spec = table
+    expected = _comparator_sorted(rows, spec, lambda row, i: row[i])
+    assert rt.sort_rows(list(rows), spec) == expected
+    columns = [list(c) for c in zip(*rows)] if rows else [[] for _ in range(5)]
+    order = rt.argsort_columns(columns, spec)
+    assert [rows[r] for r in order] == expected
+    for n in {0, 1, 3, len(rows), len(rows) + 2}:
+        assert rt.topk_rows(list(rows), spec, n) == expected[:n]
+
+
+def test_a_null_in_a_later_key_raises_where_the_comparator_decided_earlier():
+    """SQL NULL ordering is not implemented: every pass compares its whole
+    column, so a None in a tie-breaking key raises even where the first
+    key already decides."""
+    rows = [(1, None), (2, 5)]
+    assert _comparator_sorted(rows, ((0, False), (1, True)), lambda r, i: r[i])
+    with pytest.raises(TypeError):
+        rt.sort_rows(list(rows), ((0, False), (1, True)))
+
+
 # -- like ------------------------------------------------------------------------------
 
 
