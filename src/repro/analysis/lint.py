@@ -26,7 +26,11 @@ Each pass is independent and composes over the shared walker:
 * :class:`DeadBuildColumn` -- a batch join build (``join_finish``) payload
   column that nothing reads, and :class:`DeadGather` -- a bound ``v_take``
   whose result nothing reads: fields carried past their last reader, which
-  the plan's liveness pass (``physical.live_fields``) is there to drop.
+  the plan's liveness pass (``physical.live_fields``) is there to drop;
+* :class:`DuplicateFold` -- two ``v_agg_*`` folds of the same staged input
+  into one group table in one batch loop: one accumulator computed twice,
+  which the aggregate slot layout (``staged_agg.AggLayout``) is there to
+  share.
 """
 
 from __future__ import annotations
@@ -53,6 +57,7 @@ def default_lint_passes() -> list[AnalysisPass]:
         DeadInstrumentation(),
         DeadBuildColumn(),
         DeadGather(),
+        DuplicateFold(),
     ]
 
 
@@ -453,3 +458,71 @@ class DeadGather(AnalysisPass):
                         severity=Severity.WARNING,
                     ))
         return out
+
+
+class DuplicateFold(AnalysisPass):
+    """Flags two folds of the same staged input into one group table
+    within one batch loop.
+
+    A fold is ``rt.v_agg_<kind>(groups, slot, ids, *inputs)``; two that
+    name the same ``groups``, ``ids`` and inputs and compute the same --
+    the same kernel, or a float total twice (``v_agg_fsum``, and
+    ``v_agg_sum`` of a batch bound as ``vec_double``) -- fill two slots
+    with one accumulator: every batch pays its fold twice.
+    """
+
+    name = "lint"
+
+    def run(self, functions: Sequence[ir.Function]) -> list[Diagnostic]:
+        out: list[Diagnostic] = []
+        for fn in functions:
+            ctypes = {
+                stmt.name: stmt.ctype
+                for stmt in iter_stmts(fn.body)
+                if type(stmt) is ir.Assign
+            }
+            for stmt in iter_stmts(fn.body):
+                if type(stmt) is ir.ForRange and stmt.batch:
+                    self._check_loop(fn.name, stmt.body, ctypes, out)
+        return out
+
+    def _check_loop(
+        self, fn_name: str, body: ir.Block, ctypes: dict, out: list[Diagnostic]
+    ) -> None:
+        seen: dict[tuple, object] = {}
+        for stmt, _ in ir.walk_stmts(body):
+            fold = _fold_of(stmt, ctypes)
+            if fold is None:
+                continue
+            computes, slot = fold
+            first = seen.setdefault(computes, slot)
+            if first != slot:
+                out.append(self.diag(
+                    "duplicate-fold",
+                    f"{stmt.expr.fn} folds into slot {slot} what slot "
+                    f"{first} of the same group table already folds",
+                    fn_name,
+                    stmt,
+                    severity=Severity.WARNING,
+                ))
+
+
+def _fold_of(stmt: ir.Stmt, ctypes: dict) -> Optional[tuple]:
+    """``(what it computes, slot)`` of a group-table fold statement."""
+    if type(stmt) is not ir.ExprStmt or type(stmt.expr) is not ir.Call:
+        return None
+    call = stmt.expr
+    if not call.fn.startswith("v_agg_") or len(call.args) < 3:
+        return None
+    groups, slot, ids, *inputs = call.args
+    kind = call.fn
+    if kind == "v_agg_fsum" or (
+        kind == "v_agg_sum" and inputs and _is_float_batch(inputs[0], ctypes)
+    ):
+        kind = "float total"
+    slot_value = slot.value if type(slot) is ir.Const else slot
+    return (kind, groups, ids, *inputs), slot_value
+
+
+def _is_float_batch(expr: ir.Expr, ctypes: dict) -> bool:
+    return type(expr) is ir.Sym and ctypes.get(expr.name) == "vec_double"

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable, Sequence
 
-from repro.compiler.staged_agg import GlobalAggState, StagedAgg
+from repro.compiler.staged_agg import AggLayout, GlobalAggState
 from repro.compiler.staged_hashmap import (
     NativeAggMap,
     NativeMultiMap,
@@ -105,8 +105,8 @@ class ScalarBackend:
             )
         return NativeAggMap(self.ctx, key_ctypes, slot_ctypes)
 
-    def global_agg_state(self, node, staged_aggs: Sequence[StagedAgg]):
-        return GlobalAggState(self.ctx, staged_aggs)
+    def global_agg_state(self, node, layout: AggLayout):
+        return GlobalAggState(self.ctx, layout)
 
     def sort_buffer(self, node, field_names: list[str]):
         if self.comp.config.sort_layout == "column":

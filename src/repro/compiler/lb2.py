@@ -39,12 +39,7 @@ from repro.staging.builder import StagingContext
 from repro.staging.rep import Rep, RepInt, rep_for_ctype
 from repro.storage.database import Database
 from repro.compiler.backends import make_backend
-from repro.compiler.staged_agg import (
-    GlobalAggState,
-    StagedAgg,
-    all_slot_ctypes,
-    build_staged_aggs,
-)
+from repro.compiler.staged_agg import AggLayout, GlobalAggState
 from repro.compiler.staged_hashmap import NativeAggMap
 from repro.compiler.staged_record import (
     DicValue,
@@ -624,7 +619,9 @@ class StagedAggOp(StagedOp):
         self.node = node
         self.child = child
         self.child_types = comp.field_types(node.child)
-        self.staged_aggs = build_staged_aggs(node.aggs, self.child_types)
+        self.layout = AggLayout(
+            node.aggs, self.child_types, node.child.nullable(comp.catalog)
+        )
         self.out_fields = node.fields(comp.catalog)
 
     def exec(self) -> Datapath:
@@ -648,10 +645,9 @@ class StagedAggOp(StagedOp):
     def _exec_grouped(self) -> Datapath:
         child_dp = self.comp.backend.edge(self.child, self.node)
         key_ctypes = self._key_ctypes()
-        slot_ctypes = all_slot_ctypes(self.staged_aggs)
 
         def allocate():
-            return self.comp.backend.agg_map(self.node, key_ctypes, slot_ctypes)
+            return self.comp.backend.agg_map(self.node, key_ctypes, self.layout.ctypes)
 
         def emit(hm, cb: RecCallback) -> None:
             key_descs: list[Optional[FieldDesc]] = [None] * len(self.node.keys)
@@ -674,7 +670,7 @@ class StagedAggOp(StagedOp):
                     else:
                         values[desc.name] = key
                     descs.append(desc)
-                for (name, _), agg in zip(self.node.aggs, self.staged_aggs):
+                for (name, _), agg in zip(self.node.aggs, self.layout.aggs):
                     values[name] = agg.finalize(self.ctx, slots)
                     descs.append(FieldDesc(name, dict(self.out_fields)[name]))
                 cb(hm.record(descs, values))
@@ -695,17 +691,15 @@ class StagedAggOp(StagedOp):
         """
         child_dp = self.comp.backend.edge(self.child, self.node)
         if not self.node.keys:
-            state = GlobalAggState(self.ctx, self.staged_aggs, comment=False)
-            child_dp(lambda rec: state.accumulate(rec, self.staged_aggs))
+            state = GlobalAggState(self.ctx, self.layout, comment=False)
+            child_dp(lambda rec: state.accumulate(rec, self.layout))
             self.ctx.emit(ir.Return(ir.ListExpr(tuple(state.raw_items()))))
             return
         if self.comp.config.hashmap != "native":
             raise CompileError(
                 "parallel partial aggregation requires the native hash map"
             )
-        key_ctypes = self._key_ctypes()
-        slot_ctypes = all_slot_ctypes(self.staged_aggs)
-        hm = NativeAggMap(self.ctx, key_ctypes, slot_ctypes)
+        hm = NativeAggMap(self.ctx, self._key_ctypes(), self.layout.ctypes)
         self._emit_grouped_accumulate(child_dp, hm, [None] * len(self.node.keys))
         self.ctx.emit(ir.Return(hm.hm.expr))
 
@@ -736,7 +730,7 @@ class StagedAggOp(StagedOp):
         stage_keys = self._stage_keys(key_descs)
 
         def accumulate(rec: StagedRecord) -> None:
-            hm.accumulate(rec, stage_keys, self.staged_aggs)
+            hm.accumulate(rec, stage_keys, self.layout)
 
         child_dp(accumulate)
 
@@ -746,15 +740,15 @@ class StagedAggOp(StagedOp):
         child_dp = self.comp.backend.edge(self.child, self.node)
 
         def allocate():
-            return self.comp.backend.global_agg_state(self.node, self.staged_aggs)
+            return self.comp.backend.global_agg_state(self.node, self.layout)
 
         def emit(state, cb: RecCallback) -> None:
-            child_dp(lambda rec: state.accumulate(rec, self.staged_aggs))
+            child_dp(lambda rec: state.accumulate(rec, self.layout))
 
             values: dict[str, StagedValue] = {}
             descs: list[FieldDesc] = []
             empty = state.empty_cond()
-            for (name, _), agg in zip(self.node.aggs, self.staged_aggs):
+            for (name, _), agg in zip(self.node.aggs, self.layout.aggs):
                 values[name] = state.result(agg, empty)
                 descs.append(FieldDesc(name, dict(self.out_fields)[name]))
             cb(StagedRecord.from_values(self.ctx, descs, values))
@@ -773,7 +767,9 @@ class StagedGroupJoin(StagedOp):
         self.left = left
         self.right = right
         right_types = comp.field_types(node.right)
-        self.staged_aggs = build_staged_aggs(node.aggs, right_types)
+        self.layout = AggLayout(
+            node.aggs, right_types, node.right.nullable(comp.catalog)
+        )
         self.out_types = dict(node.fields(comp.catalog))
 
     def exec(self) -> Datapath:
@@ -782,13 +778,12 @@ class StagedGroupJoin(StagedOp):
         node = self.node
         right_types = self.comp.field_types(node.right)
         key_ctypes = [right_types[k].ctype for k in node.right_keys]
-        slot_ctypes = all_slot_ctypes(self.staged_aggs)
 
         def allocate() -> NativeAggMap:
             self.ctx.comment(
                 f"group join state (aggregate right side by {list(node.right_keys)})"
             )
-            return NativeAggMap(self.ctx, key_ctypes, slot_ctypes)
+            return NativeAggMap(self.ctx, key_ctypes, self.layout.ctypes)
 
         def emit(hm: NativeAggMap, cb: RecCallback) -> None:
             ctx = self.ctx
@@ -797,7 +792,7 @@ class StagedGroupJoin(StagedOp):
                 return [_join_key(rec[k]) for k in node.right_keys]
 
             def build(rec: StagedRecord) -> None:
-                hm.accumulate(rec, stage_keys, self.staged_aggs)
+                hm.accumulate(rec, stage_keys, self.layout)
 
             right_dp(build)
 
@@ -806,7 +801,7 @@ class StagedGroupJoin(StagedOp):
                 state, present = hm.lookup(keys)
                 values: dict[str, StagedValue] = {}
                 descs: list[FieldDesc] = []
-                for (name, _), agg in zip(node.aggs, self.staged_aggs):
+                for (name, _), agg in zip(node.aggs, self.layout.aggs):
                     slot = ctx.var(agg.empty_value(ctx), prefix="gj")
                     with ctx.if_(present):
                         slot.set(agg.finalize(ctx, hm.slots_of(state)))

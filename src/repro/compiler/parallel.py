@@ -44,7 +44,7 @@ from repro.staging.builder import StagingContext
 from repro.staging.pygen import PyProgram
 from repro.storage.database import Database
 from repro.compiler.lb2 import CompileError, Config, StagedPlanBuilder
-from repro.compiler.staged_agg import StagedAgg, build_staged_aggs
+from repro.compiler.staged_agg import AggLayout
 
 
 class ParallelError(ReproError):
@@ -137,28 +137,22 @@ def split_plan(plan: phys.PhysicalPlan) -> SplitPlan:
 # ---------------------------------------------------------------------------
 
 
-def _merge_slots(acc: list, new: Sequence, staged: Sequence[StagedAgg]) -> None:
-    for agg in staged:
-        base = agg.base
-        kind = agg.spec.kind
-        if kind in ("sum", "count"):
-            acc[base] += new[base]
-        elif kind == "avg":
-            acc[base] += new[base]
-            acc[base + 1] += new[base + 1]
-        elif kind == "min":
-            if new[base] < acc[base]:
-                acc[base] = new[base]
-        elif kind == "max":
-            if new[base] > acc[base]:
-                acc[base] = new[base]
-        elif kind == "count_distinct":
-            acc[base] |= new[base]
+def _merge_slots(acc: list, new: Sequence, layout: AggLayout) -> None:
+    for slot in range(len(layout.folds)):
+        fold = layout.combine(slot)
+        if fold == "sum":
+            acc[slot] += new[slot]
+        elif fold == "min":
+            if new[slot] < acc[slot]:
+                acc[slot] = new[slot]
+        elif fold == "max":
+            if new[slot] > acc[slot]:
+                acc[slot] = new[slot]
+        else:
+            acc[slot] |= new[slot]
 
 
-def merge_states(
-    states: Sequence[dict], staged: Sequence[StagedAgg]
-) -> dict:
+def merge_states(states: Sequence[dict], layout: AggLayout) -> dict:
     """Merge per-partition grouped states key-wise."""
     merged: dict = {}
     for state in states:
@@ -167,12 +161,12 @@ def merge_states(
             if acc is None:
                 merged[key] = list(slots)
             else:
-                _merge_slots(acc, slots, staged)
+                _merge_slots(acc, slots, layout)
     return merged
 
 
 def merge_global_states(
-    states: Sequence[list], staged: Sequence[StagedAgg]
+    states: Sequence[list], layout: AggLayout
 ) -> tuple[int, Optional[list]]:
     """Merge per-partition ``[seen, slot...]`` global states."""
     total_seen = 0
@@ -185,26 +179,28 @@ def merge_global_states(
         if acc is None:
             acc = slots
         else:
-            _merge_slots(acc, slots, staged)
+            _merge_slots(acc, slots, layout)
         total_seen += seen
     return total_seen, acc
 
 
-def _finalize_slots(slots: Sequence, staged: Sequence[StagedAgg]) -> list:
+def _finalize_slots(slots: Sequence, layout: AggLayout) -> list:
     out = []
-    for agg in staged:
+    for agg in layout.aggs:
         kind = agg.spec.kind
         if kind == "avg":
-            out.append(slots[agg.base] / slots[agg.base + 1])
+            out.append(slots[agg.slots[0]] / slots[agg.slots[1]])
         elif kind == "count_distinct":
-            out.append(len(slots[agg.base]))
+            out.append(len(slots[agg.slots[0]]))
         else:
-            out.append(slots[agg.base])
+            out.append(slots[agg.slots[0]])
     return out
 
 
-def _empty_values(staged: Sequence[StagedAgg]) -> list:
-    return [0 if a.spec.kind in ("count", "count_distinct") else None for a in staged]
+def _empty_values(layout: AggLayout) -> list:
+    return [
+        0 if a.spec.kind in ("count", "count_distinct") else None for a in layout.aggs
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -278,9 +274,6 @@ class ParallelQuery:
             budget_check_interval=base.budget_check_interval,
         )
         self.split = split_plan(plan)
-        self.staged_aggs = build_staged_aggs(
-            self.split.agg.aggs, self.split.agg.child.field_types(catalog)
-        )
         self.agg_field_names = self.split.agg.field_names(catalog)
         self.grouped = bool(self.split.agg.keys)
         self.source = self._compile(verify)
@@ -294,6 +287,8 @@ class ParallelQuery:
             root = builder.build(self.split.agg)
             builder.set_partition(self.split.driving_scan, lo, hi)
             root.exec_partial()  # type: ignore[attr-defined]
+        # the partials' slots, as the program lays them out, for the merge
+        self.layout: AggLayout = root.layout  # type: ignore[attr-defined]
         self.functions = ctx.program()
         if verify:
             diagnostics = Verifier().run(self.functions)
@@ -329,21 +324,21 @@ class ParallelQuery:
         agg_names = [n for n, _ in self.split.agg.aggs]
         rows: list[dict] = []
         if self.grouped:
-            merged = merge_states(states, self.staged_aggs)
+            merged = merge_states(states, self.layout)
             for key, slots in merged.items():
                 row: dict = {}
                 if len(key_names) == 1:
                     row[key_names[0]] = key
                 else:
                     row.update(zip(key_names, key))
-                row.update(zip(agg_names, _finalize_slots(slots, self.staged_aggs)))
+                row.update(zip(agg_names, _finalize_slots(slots, self.layout)))
                 rows.append(row)
         else:
-            seen, slots = merge_global_states(states, self.staged_aggs)
+            seen, slots = merge_global_states(states, self.layout)
             if seen and slots is not None:
-                values = _finalize_slots(slots, self.staged_aggs)
+                values = _finalize_slots(slots, self.layout)
             else:
-                values = _empty_values(self.staged_aggs)
+                values = _empty_values(self.layout)
             rows.append(dict(zip(agg_names, values)))
         return rows
 

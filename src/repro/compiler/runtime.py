@@ -689,6 +689,9 @@ def _factorize_object(column):
 #: every probe row, may spend more to save a binary search per probe.
 _DIRECT_SLOTS_PER_ROW = 8
 _JOIN_SLOTS_PER_ROW = 32
+#: A join's first-key membership table (:class:`JoinIndex`) takes one byte
+#: per slot: the rule sizes it by the bytes a join's int64 table may take.
+_MEMBER_BYTES_PER_ROW = 8 * _JOIN_SLOTS_PER_ROW
 _DIRECT_SLOTS_MIN = 4096
 _DIRECT_SLOTS_MAX = 1 << 22
 
@@ -1958,6 +1961,15 @@ class JoinIndex:
     truncated), and composite keys combine those codes by mixed radix --
     re-densified whenever the radix outgrows a direct table, so no packed
     key can overflow int64.
+
+    Only the probe rows that can match are coded and expanded: a coded
+    index whose first key is an integer keeps a *membership table*, one
+    byte per value of that key's build span ``[lo, hi]``, while the span
+    passes the direct rule at the join's slot budget counted in bytes
+    (``_MEMBER_BYTES_PER_ROW``: the bytes an int64 direct table may take);
+    a probe codes only the rows whose first key it holds.  A direct index
+    with duplicate keys expands only the rows its ``counts`` table says
+    match.
     """
 
     def __init__(self, keys: list) -> None:
@@ -1971,6 +1983,7 @@ class JoinIndex:
     def _build(self, keys: list) -> None:
         n = self.size
         self._lo = None  # the one-table form's lowest key
+        self._member = None  # the coded form's first-key membership table
         if self._kinds == ["i"]:
             key = keys[0].astype(_np.int64, copy=False)
             lo = int(key.min())
@@ -1980,6 +1993,8 @@ class JoinIndex:
                 codes, radix = key - _np.int64(lo), span
         if self._lo is None:
             codes, radix = self._code_build(keys, n)
+            if self._kinds[0] == "i":
+                self._member_table(keys[0].astype(_np.int64, copy=False), n)
         self._radix = radix
         counts = _np.bincount(codes, minlength=radix + 1)
         self._unique = int(counts.max()) <= 1
@@ -1990,6 +2005,18 @@ class JoinIndex:
             self._counts = counts
             self._starts = _np.cumsum(counts) - counts
             self._codes = codes
+
+    def _member_table(self, first, n: int) -> None:
+        """One byte per value of the first key's build span, set where a
+        build row holds it, plus a last, clear byte for every key outside."""
+        lo = int(first.min())
+        span = int(first.max()) - lo + 1
+        if not _direct(span, n, _MEMBER_BYTES_PER_ROW):
+            return
+        member = _np.zeros(span + 1, dtype=bool)
+        member[first - _np.int64(lo)] = True
+        self._member = member
+        self._member_lo = _np.uint64(lo % (1 << 64))
 
     def _code_build(self, keys: list, n: int):
         """Dense codes of the build keys through per-column codebooks."""
@@ -2020,10 +2047,7 @@ class JoinIndex:
         """Each probe row's table slot; ``self._radix`` where its key occurs
         on no build row."""
         if self._lo is not None:
-            offsets = keys[0].astype(_np.int64, copy=False).view(_np.uint64)
-            # wraps modulo 2**64: below ``lo`` lands past the span too
-            slots = _np.minimum(offsets - self._lo, _np.uint64(self._radix))
-            return slots.view(_np.int64)
+            return _offsets(keys[0], self._lo, self._radix)
         valid = _np.ones(n, dtype=bool)
         codes = None
         for k, book, step in zip(keys, self._books, self._steps):
@@ -2032,6 +2056,21 @@ class JoinIndex:
             if step is not None:
                 codes, valid = step.encode(codes, valid)
         return _np.where(valid, codes, self._radix)
+
+    def _admitted_slots(self, keys: list, n: int):
+        """``(rows, slots)``: the probe rows whose first key the membership
+        table holds, ascending -- None when there is no table or it admits
+        every row -- and the table slots of those rows."""
+        keys = self._probe_keys(keys, n)
+        rows = None
+        if self._member is not None:
+            offsets = _offsets(keys[0], self._member_lo, len(self._member) - 1)
+            rows = _np.flatnonzero(self._member.take(offsets))
+            if len(rows) == n:
+                rows = None
+            else:
+                keys, n = [k.take(rows) for k in keys], len(rows)
+        return rows, self._slots(keys, n)
 
     def _probe_keys(self, keys: list, n: int) -> list:
         """The probe keys as arrays, each of its build key's kind."""
@@ -2061,37 +2100,65 @@ class JoinIndex:
                 return _np.full(n, -1, dtype=_np.int64), _np.arange(n)
             empty = _np.empty(0, dtype=_np.int64)
             return empty, empty
-        slots = self._slots(self._probe_keys(keys, n), n)
+        rows, slots = self._admitted_slots(keys, n)
+        if outer:
+            if rows is not None:  # every row a probe codes not: absent
+                every = _np.full(n, self._radix, dtype=_np.int64)
+                every[rows] = slots
+                slots = every
+            return self._probe_outer(slots, n)
         if self._unique:
-            rows = self._row_of.take(slots)
-            if outer:
-                return rows, _np.arange(n)
-            probe_rows = _np.flatnonzero(rows >= 0)
-            return rows.take(probe_rows), probe_rows
+            build_rows = self._row_of.take(slots)
+            hit = _np.flatnonzero(build_rows >= 0)
+            return build_rows.take(hit), hit if rows is None else rows.take(hit)
         counts = self._counts.take(slots)
-        starts = self._starts.take(slots)
-        taken = counts
-        if outer:
-            # an unmatched row takes one output slot, gathering build row 0
-            # there (any in-range row) until it is set to -1 below
-            taken = _np.maximum(counts, 1)
-            starts = _np.where(counts > 0, starts, 0)
+        hit = _np.flatnonzero(counts)
+        counts = counts.take(hit)
+        starts = self._starts.take(slots.take(hit))
+        probe_rows = _np.repeat(hit if rows is None else rows.take(hit), counts)
+        # each match's position in the sorted build rows: its probe row's
+        # start, plus how far into that row's run of matches it is
+        run_starts = _np.cumsum(counts) - counts
+        at = _np.repeat(starts - run_starts, counts) + _np.arange(len(probe_rows))
+        return self._order.take(at), probe_rows
+
+    def _probe_outer(self, slots, n: int):
+        if self._unique:
+            return self._row_of.take(slots), _np.arange(n)
+        counts = self._counts.take(slots)
+        # an unmatched row takes one output slot, gathering build row 0
+        # there (any in-range row) until it is set to -1 below
+        taken = _np.maximum(counts, 1)
+        starts = _np.where(counts > 0, self._starts.take(slots), 0)
         probe_rows = _np.repeat(_np.arange(n), taken)
-        run_starts = _np.repeat(_np.cumsum(taken) - taken, taken)
-        within = _np.arange(len(probe_rows)) - run_starts
-        build_rows = self._order.take(_np.repeat(starts, taken) + within)
-        if outer:
-            build_rows[_np.repeat(counts == 0, taken)] = -1
+        run_starts = _np.cumsum(taken) - taken
+        at = _np.repeat(starts - run_starts, taken) + _np.arange(len(probe_rows))
+        build_rows = self._order.take(at)
+        build_rows[_np.repeat(counts == 0, taken)] = -1
         return build_rows, probe_rows
 
     def contains(self, keys: list, n: int):
         """Per probe row: does any build row carry its key?"""
         if self.size == 0:
             return _np.zeros(n, dtype=bool)
-        slots = self._slots(self._probe_keys(keys, n), n)
+        rows, slots = self._admitted_slots(keys, n)
         if self._unique:
-            return self._row_of.take(slots) >= 0
-        return self._counts.take(slots) > 0
+            found = self._row_of.take(slots) >= 0
+        else:
+            found = self._counts.take(slots) > 0
+        if rows is None:
+            return found
+        mask = _np.zeros(n, dtype=bool)
+        mask[rows] = found
+        return mask
+
+
+def _offsets(key, lo, span: int):
+    """Each key's offset from ``lo`` (a uint64), or ``span`` where the key
+    lies outside ``[lo, lo + span)``: the unsigned difference wraps modulo
+    2**64, so a key below ``lo`` lands past the span too."""
+    offsets = key.astype(_np.int64, copy=False).view(_np.uint64)
+    return _np.minimum(offsets - lo, _np.uint64(span)).view(_np.int64)
 
 
 def v_join_probe(index, n, *keys):

@@ -122,24 +122,25 @@ class _AggAccumulate:
     """Shared per-record accumulate protocol for scalar aggregation maps.
 
     The operator hands over the record plus *how* to stage its keys and
-    aggregates; the map decides what residual code one row's worth of
-    accumulation becomes.  A batch map (``repro.compiler.vec.VecAggMap``)
-    implements the same method over whole columns at once.
+    the slot layout of its aggregates (``staged_agg.AggLayout``); the map
+    decides what residual code one row's worth of accumulation becomes.
+    A batch map (``repro.compiler.vec.VecAggMap``) implements the same
+    method over whole columns at once.
     """
 
-    def accumulate(self, rec, stage_keys, staged_aggs) -> None:
+    def accumulate(self, rec, stage_keys, layout) -> None:
         keys = stage_keys(rec)
-        values = [agg.row_value(rec) for agg in staged_aggs]
+        values = layout.row_values(rec)
 
         def on_insert() -> list[Rep]:
-            init: list[Rep] = []
-            for agg, value in zip(staged_aggs, values):
-                init.extend(agg.init_values(self.ctx, value))
-            return init
+            return [
+                agg.init_value(self.ctx, offset, values[id(agg)])
+                for agg, offset in layout.folds
+            ]
 
         def on_update(slots: Slots) -> None:
-            for agg, value in zip(staged_aggs, values):
-                agg.update(self.ctx, slots, value)
+            for agg, offset in layout.folds:
+                agg.update(self.ctx, slots, offset, values[id(agg)])
 
         self.update(keys, on_insert, on_update)
 

@@ -58,7 +58,7 @@ from repro.staging import ir
 from repro.staging.builder import StagingContext
 from repro.staging.rep import Rep, RepInt, RepVecInt, rep_for_ctype, vec_ctype
 from repro.compiler.backends import ScalarBackend
-from repro.compiler.staged_agg import GlobalAggState, StagedAgg
+from repro.compiler.staged_agg import AggLayout, GlobalAggState, StagedAgg
 from repro.compiler.staged_hashmap import Slots
 from repro.compiler.staged_record import FieldDesc, StagedRecord, StagedValue
 from repro.compiler.staged_source import column_loader, row_chunks, row_loop
@@ -465,21 +465,6 @@ class _ColumnSlots(Slots):
         return self.arrays[i]  # merged to counts already
 
 
-#: How each aggregate kind's slots combine across batches, slot by slot
-#: (the layout of :meth:`StagedAgg.slot_ctypes`), in a global aggregate.
-_SLOT_FOLDS = {
-    "count": ("sum",),
-    "sum": ("sum",),
-    "avg": ("sum", "sum"),
-    "min": ("min",),
-    "max": ("max",),
-}
-
-
-def _slot_folds(staged_aggs: Sequence[StagedAgg]) -> list[str]:
-    return [fold for agg in staged_aggs for fold in _SLOT_FOLDS[agg.spec.kind]]
-
-
 class VecAggMap:
     """Grouped aggregation over batches into one group table.
 
@@ -488,14 +473,14 @@ class VecAggMap:
     with each key's base-column bounds (``key_columns``, empty unless
     every key has one: see :func:`field_columns`) for a static layout;
     ``accumulate`` is called once per batch and stages one ``v_group_ids``
-    -- every row's global group id -- and one ``v_agg_*`` fold per
-    aggregate slot into the table's accumulators.  ``foreach`` stages
-    ``group_merge``, which orders the groups and hands out their key and
-    slot columns.  With ``batch_out`` it hands the operator every group at
-    once, from which :meth:`record` builds one output batch with a row per
-    group, for a batch consumer (a filter or join over the groups);
-    otherwise it loops over the groups, the scalar emit loop a
-    row-at-a-time consumer expects.
+    -- every row's global group id -- and one ``v_agg_*`` fold per slot
+    of the node's :class:`AggLayout` into the table's accumulators.
+    ``foreach`` stages ``group_merge``, which orders the groups and hands
+    out their key and slot columns.  With ``batch_out`` it hands the
+    operator every group at once, from which :meth:`record` builds one
+    output batch with a row per group, for a batch consumer (a filter or
+    join over the groups); otherwise it loops over the groups, the scalar
+    emit loop a row-at-a-time consumer expects.
     """
 
     def __init__(
@@ -529,15 +514,18 @@ class VecAggMap:
         ]
         self._ngroups: Optional[RepInt] = None
 
-    def accumulate(self, rec: VecRecord, stage_keys, staged_aggs) -> None:
+    def accumulate(self, rec: VecRecord, stage_keys, layout: AggLayout) -> None:
         ctx = self.ctx
         keys = stage_keys(rec)
         ids = ctx.call(
             "v_group_ids", [self.state, rec.nrows(), *keys],
             result="vec_long", prefix="gid",
         )
-        for agg, bounds in zip(staged_aggs, self._value_bounds):
-            _fold_batch(ctx, self.state, agg, ids, *_agg_input(rec, agg), bounds)
+        input_of = _agg_inputs(rec)
+        bounds = dict(zip(map(id, layout.aggs), self._value_bounds))
+        for agg, offset in layout.folds:
+            value, valid = input_of(agg)
+            _fold_batch(ctx, self.state, agg, offset, ids, value, valid, bounds[id(agg)])
 
     def foreach(self, on_group) -> None:
         ctx = self.ctx
@@ -590,12 +578,21 @@ def _bounds(ctx: StagingContext, column: tuple[str, str]) -> Rep:
     return ctx.call("db_bounds", list(column), result="void*", prefix="bnd")
 
 
-def _agg_input(rec: VecRecord, agg: StagedAgg):
-    """``(value, valid)``: the batch's values of one aggregate's
-    expression and -- for a count of a null-extended field -- the field's
-    validity mask (the count reads both: a matched build value may itself
-    be None)."""
-    return agg.row_value(rec), rec.validity(agg.spec.expr)
+def _agg_inputs(rec: VecRecord) -> Callable:
+    """``input_of(agg)``: ``(value, valid)``, the batch's values of the
+    aggregate's expression (None where no slot it folds takes them) and --
+    for a count of a null-extended field -- the field's validity mask (the
+    count reads both: a matched build value may itself be None).  Staged
+    at the aggregate's first fold, once."""
+    staged: dict[int, tuple] = {}
+
+    def input_of(agg: StagedAgg) -> tuple:
+        if id(agg) not in staged:
+            value = agg.row_value(rec) if agg.needs_value() else None
+            staged[id(agg)] = (value, rec.validity(agg.spec.expr))
+        return staged[id(agg)]
+
+    return input_of
 
 
 def _mask_arg(valid: Optional[Rep]) -> list[Rep]:
@@ -607,42 +604,44 @@ def _fold_batch(
     ctx: StagingContext,
     groups: Rep,
     agg: StagedAgg,
+    offset: int,
     ids: Rep,
     value: Optional[StagedValue],
     valid: Optional[Rep],
     bounds: Optional[Rep] = None,
 ) -> None:
-    """Stage the folds of one batch into one aggregate's slots of the
-    group table (``valid``: the mask of the null-extended field a count
-    counts; ``bounds``: a ``count(distinct)`` value's base column's)."""
+    """Stage the fold of one batch into the group table's slot at
+    ``offset`` of ``agg`` (``valid``: the mask of the null-extended field a
+    count counts; ``bounds``: a ``count(distinct)`` value's base
+    column's)."""
     kind = agg.spec.kind
     if kind == "count":
         if agg.spec.expr is None:
-            folds = [("v_agg_count", [])]
+            kernel, args = "v_agg_count", []
         else:
-            folds = [("v_agg_count_nn", [value, *_mask_arg(valid)])]
+            kernel, args = "v_agg_count_nn", [value, *_mask_arg(valid)]
     elif kind == "avg":
         # Matches the scalar layout: a float total plus an all-rows counter.
-        folds = [("v_agg_fsum", [value]), ("v_agg_count", [])]
+        kernel, args = ("v_agg_fsum", [value]) if offset == 0 else ("v_agg_count", [])
     elif kind in ("sum", "min", "max"):
-        folds = [(f"v_agg_{kind}", [value])]
+        kernel, args = f"v_agg_{kind}", [value]
     elif kind == "count_distinct":
-        folds = [("v_agg_distinct", [value] + ([] if bounds is None else [bounds]))]
+        kernel, args = "v_agg_distinct", [value] + ([] if bounds is None else [bounds])
     else:
         raise AssertionError(f"aggregate kind {kind!r} passed vector eligibility")
-    for offset, (kernel, args) in enumerate(folds):
-        ctx.call_stmt(kernel, [groups, agg.base + offset, ids, *args])
+    ctx.call_stmt(kernel, [groups, agg.slots[offset], ids, *args])
 
 
-def _global_partials(
+def _global_partial(
     ctx: StagingContext,
     agg: StagedAgg,
+    offset: int,
     value: Optional[StagedValue],
     valid: Optional[Rep],
     n: RepInt,
-) -> list[Rep]:
-    """One batch's reduction(s) backing one aggregate's slots (``valid``
-    as for :func:`_fold_batch`)."""
+) -> Rep:
+    """One batch's reduction backing the slot at ``offset`` of ``agg``
+    (``valid`` as for :func:`_fold_batch`)."""
     kind = agg.spec.kind
 
     def reduce(fn: str, ctype: str, *extra) -> Rep:
@@ -650,13 +649,13 @@ def _global_partials(
 
     if kind == "count":
         if agg.spec.expr is None:
-            return [n]
-        return [reduce("v_count_nn", "long", *_mask_arg(valid))]
+            return n
+        return reduce("v_count_nn", "long", *_mask_arg(valid))
     if kind == "avg":
         # Float total + all-rows counter, mirroring the scalar slots.
-        return [reduce("v_fsum", "double"), n]
+        return reduce("v_fsum", "double") if offset == 0 else n
     if kind in ("sum", "min", "max"):
-        return [reduce(f"v_{kind}", agg.value_type.ctype)]
+        return reduce(f"v_{kind}", agg.value_type.ctype)
     raise AssertionError(f"aggregate kind {kind!r} passed vector eligibility")
 
 
@@ -670,28 +669,31 @@ class GlobalAggVec(GlobalAggState):
     the scalar lowering's.
     """
 
-    def __init__(self, ctx: StagingContext, staged_aggs) -> None:
+    def __init__(self, ctx: StagingContext, layout: AggLayout) -> None:
         ctx.comment("vectorized global aggregation")
-        super().__init__(ctx, staged_aggs, comment=False)
+        super().__init__(ctx, layout, comment=False)
 
-    def accumulate(self, rec: VecRecord, staged_aggs) -> None:
+    def accumulate(self, rec: VecRecord, layout: AggLayout) -> None:
         ctx = self.ctx
         n = rec.nrows()
-        partials = []
-        for agg in staged_aggs:
-            partials.extend(_global_partials(ctx, agg, *_agg_input(rec, agg), n))
+        input_of = _agg_inputs(rec)
+        partials = [
+            _global_partial(ctx, agg, offset, *input_of(agg), n)
+            for agg, offset in layout.folds
+        ]
         with ctx.if_(n > 0):
             with ctx.if_(self.empty_cond()):
                 for i, part in enumerate(partials):
                     self.slots.set(i, part)
             with ctx.else_():
-                for i, fold in enumerate(_slot_folds(staged_aggs)):
+                for i, part in enumerate(partials):
                     acc = self.slots.get(i)
+                    fold = layout.combine(i)
                     if fold == "sum":
-                        self.slots.set(i, acc + partials[i])
+                        self.slots.set(i, acc + part)
                     else:
                         self.slots.set(i, ctx.call(
-                            f"{fold}2", [acc, partials[i]], result=acc.ctype
+                            f"{fold}2", [acc, part], result=acc.ctype
                         ))
             self.seen.set(self.seen.get() + n)
 
@@ -1257,7 +1259,7 @@ class VectorBackend(ScalarBackend):
             )
         return super().agg_map(node, key_ctypes, slot_ctypes)
 
-    def global_agg_state(self, node, staged_aggs):
+    def global_agg_state(self, node, layout):
         if id(node) in self._vec_aggs:
-            return GlobalAggVec(self.ctx, staged_aggs)
-        return super().global_agg_state(node, staged_aggs)
+            return GlobalAggVec(self.ctx, layout)
+        return super().global_agg_state(node, layout)

@@ -332,6 +332,66 @@ class TestLints:
         assert rules(diags) == {"dead-build-column"}
         assert "[0]" in diags[0].message
 
+    def test_a_fold_of_one_input_twice_into_one_table_is_a_duplicate(self):
+        from repro.analysis.lint import DuplicateFold
+
+        def fold(kernel, slot, *inputs, table="g"):
+            return ir.ExprStmt(ir.Call(kernel, (
+                ir.Sym(table), ir.Const(slot), ir.Sym("ids"), *map(ir.Sym, inputs))))
+
+        def program(*folds, batch=True):
+            take = ir.Call("v_take", (ir.Sym("p"), ir.Sym("p")))
+            binds = [
+                ir.Assign("x", take, ctype="vec_double"),
+                ir.Assign("k", take, ctype="vec_long"),
+            ]
+            loop = ir.ForRange("c", ir.Const(0), ir.Sym("p"), binds + list(folds),
+                               step=ir.Const(8), batch=batch)
+            return fn([loop])
+
+        clean = [
+            program(fold("v_agg_sum", 0, "x"), fold("v_agg_count", 1)),
+            # an exact INT total and a float one compute two things
+            program(fold("v_agg_sum", 0, "k"), fold("v_agg_fsum", 1, "k")),
+            # two tables, or two inputs, or outside a batch loop
+            program(fold("v_agg_count", 0), fold("v_agg_count", 0, table="h")),
+            program(fold("v_agg_min", 0, "x"), fold("v_agg_min", 1, "k")),
+            program(fold("v_agg_count", 0), fold("v_agg_count", 1), batch=False),
+        ]
+        for functions in clean:
+            assert DuplicateFold().run(functions) == []
+        for folds in (
+            (fold("v_agg_count", 0), fold("v_agg_count", 3)),
+            (fold("v_agg_sum", 0, "x"), fold("v_agg_fsum", 2, "x")),
+            (fold("v_agg_fsum", 1, "k"), fold("v_agg_fsum", 2, "k")),
+        ):
+            diags = DuplicateFold().run(program(*folds))
+            assert rules(diags) == {"duplicate-fold"} and len(diags) == 1
+
+    @needs_numpy
+    def test_duplicate_fold_fires_when_aggregates_stop_sharing(
+        self, tpch_db, monkeypatch
+    ):
+        """A seeded mutation: with every slot kept apart, q1's served
+        program folds its row count four times and two float totals twice."""
+        from repro.analysis.lint import DuplicateFold
+        from repro.compiler import staged_agg
+
+        def compile_q1():
+            config = Config(codegen="vector", budget_checks=True)
+            compiled = LB2Compiler(tpch_db.catalog, tpch_db, config).compile(
+                query_plan(1, scale=TINY_SCALE)
+            )
+            return DuplicateFold().run(compiled.functions)
+
+        assert compile_q1() == []
+        monkeypatch.setattr(
+            staged_agg.StagedAgg, "share_keys",
+            lambda self, nullable: [None] * len(self.slot_ctypes()),
+        )
+        diags = compile_q1()
+        assert rules(diags) == {"duplicate-fold"} and len(diags) == 5
+
     def test_an_unread_gather_is_dead(self):
         from repro.analysis.lint import DeadGather
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.catalog import Catalog
 from repro.compiler import runtime as rt
@@ -186,6 +186,156 @@ def test_key_set_mask_matches_set_membership(case):
 #: int64 extremes: a probe key this far from the build span must neither
 #: wrap into it nor overflow the offset.
 _EDGE = [-(1 << 63), -(1 << 63) + 1, (1 << 63) - 2, (1 << 63) - 1]
+
+
+#: First-key domains of :func:`index_case`: a span one table takes, one
+#: only the membership table takes (wider than a join table over 30 rows,
+#: within its byte budget), one neither takes, and int64's extremes.
+_FIRST_KEYS = {
+    "dense": st.integers(-8, 24),
+    "member": st.integers(-3000, 3000),
+    "sparse": st.integers(-(1 << 40), 1 << 40),
+    "extreme": st.sampled_from(_EDGE + [-3, 0, 2]),
+}
+
+#: Second-key values: integers, or floats with both zeros.
+_SECOND_KEYS = {
+    "i": st.integers(-2, 2),
+    "f": st.sampled_from([-0.0, 0.0, 0.5, 1.5, -2.25, 1e300]),
+}
+
+
+@st.composite
+def index_case(draw, big: bool = False):
+    """A build (possibly empty, possibly with duplicate keys, one key or
+    an integer key plus an integer or float one) and probe keys that
+    are a mix, all absent -- below, above and around the build span,
+    negative, int64 extremes -- or all present.  ``big`` repeats a drawn
+    pattern to a whole ``vec.BATCH_ROWS`` batch."""
+    first = _FIRST_KEYS[draw(st.sampled_from(sorted(_FIRST_KEYS)))]
+    second = draw(st.sampled_from([None, "i", "f"]))
+    key = first if second is None else st.tuples(first, _SECOND_KEYS[second])
+    build = draw(st.lists(key, max_size=12 if big else 30))
+    if build and draw(st.booleans()):
+        build += draw(st.lists(st.sampled_from(build), min_size=1, max_size=8))
+    modes = ["mixed", "missing", "hitting"] if build else ["missing"]
+    mode = draw(st.sampled_from(modes))
+    firsts = [k if second is None else k[0] for k in build] or [0]
+    around = [
+        k for k in [min(firsts) - 1, max(firsts) + 1, min(firsts) - 4097, *_EDGE]
+        if -(1 << 63) <= k < 1 << 63
+    ]
+    if second is None:
+        absent = st.one_of(key, st.sampled_from(around))
+    else:
+        absent = st.one_of(key, st.tuples(st.sampled_from(around), _SECOND_KEYS[second]))
+    if mode == "hitting":
+        pool = st.sampled_from(build)
+    elif mode == "missing":
+        pool = absent.filter(lambda k: k not in build)
+    else:
+        pool = st.one_of(absent, st.sampled_from(build))
+    probe = draw(st.lists(pool, min_size=1 if big else 0, max_size=40))
+    if big:
+        probe = [probe[i % len(probe)] for i in range(vec.BATCH_ROWS)]
+    cuts = sorted(draw(st.lists(st.integers(0, len(build)), max_size=3)))
+    return second, build, probe, cuts
+
+
+def _key_columns(rows, second):
+    import numpy as np
+
+    if second is None:
+        return [_batch(rows)]
+    dtype = np.float64 if second == "f" else np.int64
+    return [
+        _batch([k for k, _ in rows]),
+        np.asarray([v for _, v in rows], dtype=dtype).reshape(len(rows)),
+    ]
+
+
+def _check_index_against_nested_loops(case):
+    second, build, probe, cuts = case
+    nkeys = 1 if second is None else 2
+
+    def finish(ncols, outer=False):
+        state = []
+        for lo, hi in zip([0, *cuts], [*cuts, len(build)]):
+            chunk = build[lo:hi]
+            payload = [_batch(range(lo, hi))] if ncols else []
+            state.append((len(chunk), *_key_columns(chunk, second), *payload))
+        return rt.join_finish(state, nkeys, ncols, True, outer)
+
+    # the reference: every probe row against every build row, once per
+    # distinct probe key (a whole batch repeats a short pattern)
+    matches = {k: [b for b, bk in enumerate(build) if bk == k] for k in set(probe)}
+    inner = [(b, p) for p, k in enumerate(probe) for b in matches[k]]
+    outer = [(b, p) for p, k in enumerate(probe) for b in matches[k] or [-1]]
+    columns = _key_columns(probe, second)
+
+    def pairs(result):
+        build_rows, probe_rows = result
+        return list(zip(build_rows.tolist(), probe_rows.tolist()))
+
+    assert pairs(rt.v_join_probe(finish(1), len(probe), *columns)) == inner
+    assert pairs(rt.v_join_probe_outer(finish(1, True), len(probe), *columns)) == outer
+    mask = rt.v_join_contains(finish(0), len(probe), *columns)
+    assert mask.tolist() == [bool(matches[k]) for k in probe]
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=index_case())
+# a duplicate composite key after a row the membership table turns away;
+# a single key too wide for one table, duplicated, probed from both
+# sides of its span; signed zeros in a float second key; an empty build
+@example(case=("i", [(0, 0), (0, 0)], [(1, 0), (0, 0)], []))
+@example(case=(None, [-3000, 3000, 3000], [5, 3000, -3001, -3000, 3001], [1]))
+@example(case=(
+    "f", [(2, 0.0), (2, -0.0), (5, 1.5)], [(3, 0.0), (2, -0.0), (2, 0.5)], []
+))
+@example(case=(None, [], [1, 2], []))
+def test_join_index_answers_like_nested_loops(case):
+    """``probe``, ``probe(outer=True)`` and ``contains`` against a nested
+    loop over the build rows: the same pairs in the same order -- probe
+    order, then build order -- whether the index codes every probe row or
+    only those its membership table admits."""
+    _check_index_against_nested_loops(case)
+
+
+@settings(max_examples=25, deadline=None)
+@given(case=index_case(big=True))
+def test_join_index_answers_like_nested_loops_over_a_whole_batch(case):
+    _check_index_against_nested_loops(case)
+
+
+def test_coded_probes_code_only_the_rows_the_build_can_match(monkeypatch):
+    """A composite build keeps a byte per first-key value of its span; a
+    probe codes only the rows whose first key the build holds.  A direct
+    build with duplicate keys expands only the rows its counts match."""
+    import numpy as np
+
+    coded: list[int] = []
+    slots = rt.JoinIndex._slots
+    monkeypatch.setattr(
+        rt.JoinIndex, "_slots",
+        lambda self, keys, n: coded.append(n) or slots(self, keys, n),
+    )
+    index = rt.JoinIndex([_batch([10, 12, 12, 4000]), _batch([1, 2, 3, 4])])
+    assert index._member is not None and len(index._member) == 3992
+    first = np.arange(1000) % 400
+    rows, probes = index.probe([first, _batch([2] * 1000)], 1000)
+    assert coded == [np.isin(first, [10, 12, 4000]).sum()] == [6]
+    assert rows.tolist() == [1] * 3 and probes.tolist() == [12, 412, 812]
+    assert index.contains([first, _batch([2] * 1000)], 1000).sum() == 3
+    # a first key no byte table may span: every row is coded
+    wide = rt.JoinIndex([_batch([0, 1 << 40]), _batch([1, 2])])
+    assert wide._member is None
+    direct = rt.JoinIndex([_batch([7, 3, 7])])
+    assert direct._lo is not None and not direct._unique
+    rows, probes = direct.probe([_batch([1, 7, 2, 3, 7])], 5)
+    assert list(zip(rows.tolist(), probes.tolist())) == [
+        (0, 1), (2, 1), (1, 3), (0, 4), (2, 4)
+    ]
 
 
 @st.composite

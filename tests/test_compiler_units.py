@@ -9,7 +9,7 @@ from repro.staging import PyProgram, StagingContext, generate_python
 from repro.staging import ir
 from repro.staging.rep import Rep, RepInt, RepStr, rep_for_ctype
 from repro.storage.dictionary import StringDictionary
-from repro.compiler.staged_agg import all_slot_ctypes, build_staged_aggs
+from repro.compiler.staged_agg import AggLayout
 from repro.compiler.staged_hashmap import NativeAggMap, OpenAggMap, StagedSet, hash_keys
 from repro.compiler.staged_record import (
     DicValue,
@@ -313,7 +313,7 @@ def test_slot_layout():
     types = {"v": ColumnType.FLOAT}
     from repro.plan.expressions import avg, col, count, count_distinct, max_, sum_
 
-    staged = build_staged_aggs(
+    layout = AggLayout(
         [
             ("s", sum_(col("v"))),
             ("a", avg(col("v"))),
@@ -323,8 +323,9 @@ def test_slot_layout():
         ],
         types,
     )
-    assert [a.base for a in staged] == [0, 1, 3, 4, 5]
-    assert all_slot_ctypes(staged) == ["double", "double", "long", "long", "void*", "double"]
+    # the FLOAT sum is avg's total, count(*) its row counter: both shared
+    assert [a.slots for a in layout.aggs] == [[0], [0, 1], [1], [2], [3]]
+    assert layout.ctypes == ["double", "long", "void*", "double"]
 
 
 def test_empty_values():
@@ -332,10 +333,10 @@ def test_empty_values():
 
     ctx = StagingContext()
     types = {"v": ColumnType.INT}
-    staged = build_staged_aggs(
+    layout = AggLayout(
         [("n", count()), ("d", count_distinct(col("v"))), ("s", sum_(col("v")))], types
     )
     with ctx.function("f", []):
-        values = [a.empty_value(ctx) for a in staged]
+        values = [a.empty_value(ctx) for a in layout.aggs]
         assert [v.expr for v in values][0] == ir.Const(0)
         assert values[2].expr == ir.Const(None)
