@@ -1,4 +1,4 @@
-"""Observability: tracing, metrics, events, telemetry, EXPLAIN ANALYZE.
+"""Observability: tracing, metrics, events, sampling, SLOs, EXPLAIN ANALYZE.
 
 Only the stdlib-leaf submodules are re-exported here;
 :mod:`repro.obs.explain` imports the compiler and the interpreters, so
@@ -21,7 +21,6 @@ from repro.obs.sampler import (
     validate_profiles,
 )
 from repro.obs.slo import SLOConfig, SLOMonitor
-from repro.obs.telemetry import TELEMETRY, TelemetryStore
 from repro.obs.trace import Span, Trace, active_trace, span
 
 __all__ = [
@@ -33,9 +32,7 @@ __all__ = [
     "SLOConfig",
     "SLOMonitor",
     "Span",
-    "TELEMETRY",
     "TailSampler",
-    "TelemetryStore",
     "Trace",
     "active_trace",
     "make_traceparent",

@@ -1,9 +1,9 @@
-"""Versioned JSON artifacts: one checker, one reader, one writer.
+"""Versioned JSON artifacts: one checker, one writer.
 
 Every schema the repo writes (``repro-lint/v2``, ``repro-obs/v1``,
-``repro-doctor/v2``, ``repro-events/v3``, ``repro-profiles/v2``,
-``repro-telemetry/v1``) is a *spec* -- plain data defined next to its
-writer -- and :func:`check` walks a document against it.  A spec is
+``repro-doctor/v2``, ``repro-events/v3``, ``repro-profiles/v2``) is a
+*spec* -- plain data defined next to its writer -- and :func:`check`
+walks a document against it.  A spec is
 built from:
 
 * a Python type: ``int`` (never a ``bool``), ``float`` (a JSON number:
@@ -17,7 +17,7 @@ built from:
 * one predicate hook, :class:`Where`, for rules types cannot say.
 
 Problems read ``path: expected X`` with dotted, indexed paths
-(``summary.requests``, ``tail.by_shape[0]``, ``shapes['s'].compile.count``).
+(``summary.requests``, ``tail.by_shape[0]``, ``compile['1a2b3c4d'].mean_ms``).
 
 Stdlib-only leaf, like the rest of :mod:`repro.obs`.
 """
@@ -142,20 +142,6 @@ def check(spec: Spec, doc: object, what: str) -> List[str]:
 
 class ArtifactError(ValueError):
     """An artifact could not be read or is not what it claims to be."""
-
-
-def read_json(path: str, spec: Spec, what: str) -> Any:
-    """The document at ``path``, checked against ``spec``; raises
-    :class:`ArtifactError` when it cannot be read or does not match."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (OSError, ValueError) as exc:
-        raise ArtifactError(f"unreadable {what} {path!r}: {exc}") from exc
-    problems = check(spec, doc, what)
-    if problems:
-        raise ArtifactError(f"invalid {what} {path!r}: {'; '.join(problems[:3])}")
-    return doc
 
 
 def _dumps(doc: object) -> str:

@@ -19,20 +19,24 @@ report (``repro-doctor/v2``):
   else from its queued/exec split) per plan shape and per tenant, with
   the hottest operators and exemplar request ids per shape;
 * **compile** -- compile cost per plan shape, from the ``compile`` lines;
-* **regression** -- a verdict of one ``repro-telemetry/v1`` snapshot
-  against a baseline snapshot: shapes whose mean execution or compile
-  cost moved beyond a noise threshold, or whose engine mix shifted (e.g.
-  a breaker quietly parking a shape on the interpreters), are flagged;
-  below-noise drift is not.
+* **regression** -- a verdict of the stream against a baseline log
+  (``--baseline``, an older run's log): each side is folded per shape
+  (answered requests, engine mix, mean execution and compile time), and
+  shapes whose mean execution or compile cost moved beyond a noise
+  threshold, or whose engine mix shifted (e.g. a breaker quietly parking
+  a shape on the interpreters), are flagged; below-noise drift is not.
+  Each side covers what its log retains, not a lifetime.
 
-Each input is checked against the schema it declares (a bad one is a
-:data:`DoctorInputError`).  Like the other CLIs, the report has a spec
-(:data:`REPORT`, checked by ``validate_report``) and ``--json`` /
-``--check`` / ``--out`` flags, so CI can gate on schema validity (and,
-with ``--fail-on-regression``, on the verdict itself).
+Every line is checked against the schema it declares (a bad one is a
+:data:`DoctorInputError`); only a torn last line, the event a killed
+writer was writing, is skipped, and counted in the summary.  Like the
+other CLIs, the report has a spec (:data:`REPORT`, checked by
+``validate_report``) and ``--json`` / ``--check`` / ``--out`` flags, so
+CI can gate on schema validity (and, with ``--fail-on-regression``, on
+the verdict itself).
 
     repro-doctor --events events.jsonl --json --check --out doctor.json
-    repro-doctor --baseline telemetry-before.json --current telemetry-after.json
+    repro-doctor --events after.jsonl --baseline before.jsonl --fail-on-regression
 """
 
 from __future__ import annotations
@@ -46,11 +50,10 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.obs.artifacts import (
     ArtifactError, Const, ListOf, MapOf, Maybe, OneOf, Where, add_report_flags,
-    check, finish_report, read_json,
+    check, finish_report,
 )
 from repro.obs.events import read_log
 from repro.obs.metrics import percentile
-from repro.obs.telemetry import SNAPSHOT
 
 SCHEMA = "repro-doctor/v2"
 
@@ -243,25 +246,28 @@ def compile_report(docs: Sequence[dict]) -> Dict[str, dict]:
 # -- regression analysis ------------------------------------------------------
 
 
-def _normalize_telemetry(doc: dict) -> Dict[str, dict]:
-    """Per-shape records from a ``repro-telemetry/v1`` snapshot."""
+def shape_stats(docs: Sequence[dict]) -> Dict[str, dict]:
+    """What the regression verdict compares, per plan-shape digest, folded
+    from one stream: the count of answered requests, their engine counts
+    and mean execution time, and the shape's mean compile time (from the
+    ``compile`` lines)."""
     out: Dict[str, dict] = {}
-    for entry in (doc.get("shapes") or {}).values():
-        if not isinstance(entry, dict) or "digest" not in entry:
-            continue
-        execs = entry.get("executions") or {}
-        comp = entry.get("compile") or {}
-        n = execs.get("count", 0)
-        record: dict = {
-            "count": n,
-            "engines": dict(entry.get("engines") or {}),
-            "mean_ms": (execs.get("total_seconds", 0.0) / n * 1e3) if n else None,
-        }
-        if comp.get("count"):
-            record["compile_ms"] = (
-                comp.get("total_seconds", 0.0) / comp["count"] * 1e3
+    for doc in docs:
+        if doc["event"] == "request" and doc["outcome"] == "ok":
+            entry = out.setdefault(
+                doc.get("shape_digest", "none"),
+                {"count": 0, "engines": {}, "total_ms": 0.0},
             )
-        out[entry["digest"]] = record
+            entry["count"] += 1
+            engine = doc.get("engine", "unknown")
+            entry["engines"][engine] = entry["engines"].get(engine, 0) + 1
+            entry["total_ms"] += doc["exec_seconds"] * 1e3
+    for entry in out.values():
+        entry["mean_ms"] = entry["total_ms"] / entry["count"]
+    for digest, cost in compile_report(docs).items():
+        out.setdefault(digest, {"count": 0, "engines": {}})["compile_ms"] = (
+            cost["mean_ms"]
+        )
     return out
 
 
@@ -277,14 +283,14 @@ def _mix_distance(a: Dict[str, int], b: Dict[str, int]) -> float:
 
 
 def regression_report(
-    baseline_doc: dict,
-    current_doc: dict,
+    baseline_docs: Sequence[dict],
+    current_docs: Sequence[dict],
     threshold: float = 1.3,
     min_samples: int = 5,
     noise_floor_ms: float = 2.0,
 ) -> dict:
-    """Compare two telemetry snapshots per shape; flag movement beyond
-    the noise.
+    """Compare two streams per shape (:func:`shape_stats`); flag movement
+    beyond the noise.
 
     A mean execution or compile time is flagged when current exceeds
     baseline by both the relative ``threshold`` *and* the absolute
@@ -292,8 +298,8 @@ def regression_report(
     millisecond); an engine mix is flagged past
     :data:`ENGINE_MIX_TOLERANCE` total variation.
     """
-    base = _normalize_telemetry(baseline_doc)
-    cur = _normalize_telemetry(current_doc)
+    base = shape_stats(baseline_docs)
+    cur = shape_stats(current_docs)
     flagged: List[dict] = []
     compared = skipped = 0
     for digest in sorted(set(base) & set(cur)):
@@ -349,42 +355,38 @@ def regression_report(
 
 
 def build_report(
-    events_path: Optional[str] = None,
+    events_path: str,
     baseline_path: Optional[str] = None,
-    current_path: Optional[str] = None,
     threshold: float = 1.3,
     min_samples: int = 5,
     noise_floor_ms: float = 2.0,
 ) -> dict:
     """One ``repro-doctor/v2`` report from the stream at ``events_path``
-    and, given both, a baseline/current pair of telemetry snapshots."""
+    and, given ``baseline_path``, its regression verdict against that
+    older log."""
+    torn: List[str] = []
+    docs = read_log(events_path, torn)
+    baseline = None if baseline_path is None else read_log(baseline_path, torn)
+    lines = [doc for doc in docs if doc["event"] == "request"]
     report: dict = {
         "schema": SCHEMA,
         "generated_unix": time.time(),
-        "inputs": {
-            "events": events_path,
-            "baseline": baseline_path,
-            "current": current_path,
-        },
-        "summary": {},
-    }
-    if events_path is not None:
-        docs = read_log(events_path)
-        lines = [doc for doc in docs if doc["event"] == "request"]
-        report["summary"] = stream_summary(docs, lines)
-        report["slo"] = {
+        "inputs": {"events": events_path, "baseline": baseline_path},
+        "summary": dict(stream_summary(docs, lines), torn_lines=len(torn)),
+        "slo": {
             "burn_events": [
                 {k: doc.get(k) for k in ("scope", "state", "burn_short", "ts")}
                 for doc in docs
                 if doc["event"] == "slo_burn"
             ]
-        }
-        report["tail"] = tail_report(lines, shape_texts(docs))
-        report["compile"] = compile_report(docs)
-    if baseline_path is not None and current_path is not None:
+        },
+        "tail": tail_report(lines, shape_texts(docs)),
+        "compile": compile_report(docs),
+    }
+    if baseline is not None:
         report["regression"] = regression_report(
-            read_json(baseline_path, SNAPSHOT, "baseline"),
-            read_json(current_path, SNAPSHOT, "current"),
+            baseline,
+            docs,
             threshold=threshold,
             min_samples=min_samples,
             noise_floor_ms=noise_floor_ms,
@@ -401,7 +403,10 @@ REPORT = {
     "schema": Const(SCHEMA),
     "inputs": dict,
     "summary": {
-        **dict.fromkeys(("requests", "degraded", "slo_burns"), Maybe(int, null=False)),
+        **dict.fromkeys(
+            ("requests", "degraded", "slo_burns", "torn_lines"),
+            Maybe(int, null=False),
+        ),
         "latency_ms": Maybe(
             dict.fromkeys(("p50", "p95", "p99"), _NON_NEGATIVE), null=False
         ),
@@ -437,6 +442,8 @@ def render_text(report: dict) -> str:
             f"slo_burns={summary.get('slo_burns', 0)}  "
             + " ".join(f"{q}={v:.1f}ms" for q, v in latency.items())
         )
+        if summary.get("torn_lines"):
+            lines.append(f"  torn last lines skipped: {summary['torn_lines']}")
     tail = report.get("tail")
     if tail:
         att = tail["attribution_ms"]
@@ -485,14 +492,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro-doctor", description=__doc__.splitlines()[0]
     )
-    parser.add_argument("--events", default=None, metavar="PATH",
+    parser.add_argument("--events", required=True, metavar="PATH",
                         help="repro-events/v3 log (its rotated PATH.N "
                              "backups are read too, oldest first)")
     parser.add_argument("--baseline", default=None, metavar="PATH",
-                        help="repro-telemetry/v1 snapshot to compare against")
-    parser.add_argument("--current", default=None, metavar="PATH",
-                        help="repro-telemetry/v1 snapshot for the current "
-                             "side of the compare")
+                        help="an older repro-events/v3 log to compare the "
+                             "--events log against, per shape")
     parser.add_argument("--threshold", type=float, default=1.3,
                         help="relative regression threshold (default 1.3x)")
     parser.add_argument("--min-samples", type=int, default=5)
@@ -501,15 +506,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--fail-on-regression", action="store_true",
                         help="exit 3 when the regression verdict is 'regressed'")
     args = parser.parse_args(argv)
-    if (args.baseline is None) != (args.current is None):
-        parser.error("--baseline and --current go together")
-    if args.events is None and args.baseline is None:
-        parser.error("give --events, or --baseline with --current")
     try:
         report = build_report(
             events_path=args.events,
             baseline_path=args.baseline,
-            current_path=args.current,
             threshold=args.threshold,
             min_samples=args.min_samples,
             noise_floor_ms=args.noise_floor_ms,

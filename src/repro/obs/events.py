@@ -28,22 +28,22 @@ and cycle-free:
   fallback) can stamp events without threading the id through every
   signature.
 
-Stdlib-only leaf over :mod:`repro.obs.artifacts`,
-:mod:`repro.obs.sampler` (the record spec) and
-:mod:`repro.obs.telemetry` (the shape digest).
+Stdlib-only leaf over :mod:`repro.obs.artifacts` and
+:mod:`repro.obs.sampler` (the record spec).
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import threading
 import time
+from functools import lru_cache
 from typing import Iterator, List, Optional
 
 from repro.obs.artifacts import ArtifactError, Const, Maybe, OneOf, check
 from repro.obs.sampler import RECORD
-from repro.obs.telemetry import shape_digest
 
 SCHEMA = "repro-events/v3"
 
@@ -55,6 +55,14 @@ EVENT_KINDS = (
     "request",   # the request finished: its record (one per request)
     "slo_burn",  # an SLO burn-rate alert fired (or resolved)
 )
+
+
+@lru_cache(maxsize=256)
+def shape_digest(shape: str) -> str:
+    """A short stable digest for metric labels and event-log lines (full
+    shapes are long SQL); a service has few shapes, so each is hashed
+    once."""
+    return hashlib.sha1(shape.encode("utf-8")).hexdigest()[:8]
 
 
 # -- request context (thread-local) -------------------------------------------
@@ -250,13 +258,25 @@ def validate_event(doc: object) -> List[str]:
     return problems
 
 
-def read_events(path: str) -> Iterator[dict]:
-    """Parsed events from one JSONL file (raises on malformed JSON)."""
+def read_events(path: str, torn: Optional[List[str]] = None) -> Iterator[dict]:
+    """Parsed events from one JSONL file; a malformed line raises a
+    ``ValueError`` naming ``path:line:column``.  With ``torn`` given, a
+    final line that lacks its newline and does not parse -- the event a
+    killed writer was writing -- is appended to ``torn`` and skipped
+    instead."""
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                yield json.loads(line)
+        for n, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            try:
+                doc = json.loads(line)
+            except json.JSONDecodeError as exc:
+                # Only the file's last line can lack its newline.
+                if torn is not None and not line.endswith("\n"):
+                    torn.append(line)
+                    return
+                raise ValueError(f"{path}:{n}:{exc.colno}: {exc.msg}") from None
+            yield doc
 
 
 def log_files(path: str) -> List[str]:
@@ -268,21 +288,24 @@ def log_files(path: str) -> List[str]:
     return backups[::-1] + [path]
 
 
-def read_log(path: str) -> List[dict]:
+def read_log(path: str, torn: Optional[List[str]] = None) -> List[dict]:
     """Every event the log at ``path`` retains, rotated backups first,
     each checked; raises :class:`~repro.obs.artifacts.ArtifactError` on
-    an unreadable file or an invalid line."""
+    an unreadable file or an invalid line.  ``torn`` collects a torn last
+    line of the active file (see :func:`read_events`), the one place a
+    killed writer leaves one; anywhere else a malformed line raises."""
     docs: List[dict] = []
     problems: List[str] = []
     for name in log_files(path):
         try:
-            for n, doc in enumerate(read_events(name), 1):
+            lines = read_events(name, torn if name == path else None)
+            for n, doc in enumerate(lines, 1):
                 docs.append(doc)
                 problems += [f"{name}:{n}: {p}" for p in validate_event(doc)]
         except (OSError, ValueError) as exc:
-            raise ArtifactError(f"unreadable event log {name!r}: {exc}") from exc
+            raise ArtifactError(f"unreadable event log: {exc}") from exc
     if problems:
-        raise ArtifactError(f"invalid event log {path!r}: {'; '.join(problems[:3])}")
+        raise ArtifactError(f"invalid event log: {'; '.join(problems[:3])}")
     return docs
 
 

@@ -99,9 +99,10 @@ def parse_traceparent(value: object) -> Optional[Tuple[str, str]]:
 class RequestRecord:
     """One finished request: built once by the serve tier when the request
     ends, then read by every sink -- the sampler keeps it as the request's
-    profile, the telemetry store and the SLO monitor fold it in, the
-    histograms and counters take their fields from it, and the event log
-    writes it as the request's one ``request`` line.
+    profile, the SLO monitor folds it in, the histograms and counters
+    take their fields from it, and the event log writes it as the
+    request's one ``request`` line, the stream every per-shape number
+    (``repro-doctor``'s regression verdict) is folded from.
 
     ``tenant``/``shape`` are the names the client and the planner gave;
     ``tenant_label``/``shape_label`` are their registry-safe, capped forms.
@@ -124,7 +125,6 @@ class RequestRecord:
     latency_seconds: float = 0.0  # arrival at submit -> reply
     queued_seconds: float = 0.0  # pool hand-off after admission -> worker pickup
     exec_seconds: float = 0.0  # worker wall clock (queueing excluded)
-    attempt_seconds: float = 0.0  # the answering engine attempt alone
     trace: Optional[dict] = None  # the full span tree (Trace.to_dict())
     trace_id: Optional[str] = None  # propagated traceparent trace id
     operator_times: Optional[Dict[str, float]] = None

@@ -101,7 +101,7 @@ class ExecutionReport:
     budget: Optional[Budget] = None
     budget_stats: Optional[dict] = None
     request_id: Optional[str] = None  # serve-tier correlation id
-    # Per-operator telemetry, populated when the executor was built with
+    # Per-operator profile, populated when the executor was built with
     # ``instrument=True`` and a compiled engine answered: label -> seconds,
     # label -> rows, and the vector backend's kernel counts.
     operator_times: Optional[dict] = None
@@ -178,7 +178,7 @@ class ResilientExecutor:
         # With ``instrument=True`` the compiled engines build with staged
         # per-operator timers (``Config(instrument=True)``, its own cache
         # key) and the report carries operator_times/operator_rows/kernels
-        # -- what the serve tier feeds the workload-telemetry store.
+        # -- what a request the tail sampler keeps carries on its line.
         self.instrument = instrument
         # The serve tier's correlation id; attached to the report and to
         # every error leaving the chain.  An executor instance serves one
@@ -338,8 +338,7 @@ class ResilientExecutor:
                 # The staged instrumentation's per-operator views, taken
                 # right after this request's run (the CompiledQuery object
                 # is shared across requests of the same shape, so a late
-                # read could see a sibling's numbers -- same shape, so the
-                # aggregate telemetry stays correct either way).
+                # read could see a sibling's numbers).
                 report.operator_times = dict(captured.last_times or {})
                 report.operator_rows = dict(captured.last_stats or {})
                 report.kernels = dict(captured.last_kernels or {})
@@ -390,7 +389,7 @@ class ResilientExecutor:
 
     def _config(self):
         """The session config, or its copy with scan checkpoints (budgets,
-        mid-scan faults) and/or per-operator timers (telemetry) on."""
+        mid-scan faults) and/or per-operator timers (instrumented builds) on."""
         return derived_config(
             self.session.config, self._needs_ticks(), self.instrument
         )

@@ -9,8 +9,9 @@ client sends the in-band ``shutdown`` op::
 line per submitted request, carrying its record (and, with
 ``--sampling``, the span tree and operator times of every request the
 tail sampler kept) -- the stream ``repro-doctor --events`` reads.
-``--telemetry`` names the ``repro-telemetry/v1`` snapshot written on
-exit, the doctor's ``--baseline``/``--current`` input.
+``--telemetry`` builds the compiled engines instrumented, so those kept
+lines carry per-operator times and rows too.  An older run's log is the
+doctor's ``--baseline``.
 ``tests/test_serve.py`` drives this entry point end to end over real
 sockets.
 """
@@ -24,7 +25,6 @@ from typing import Optional, Sequence
 from repro.obs import events as obs_events
 from repro.obs.events import EventLog
 from repro.obs.slo import SLOConfig
-from repro.obs.telemetry import TELEMETRY
 from repro.serve.admission import TenantQuota
 from repro.serve.server import QueryServer
 from repro.serve.service import QueryService, ServiceConfig
@@ -55,7 +55,7 @@ def build_service(args: argparse.Namespace) -> QueryService:
         default_quota=TenantQuota(max_rows=args.max_rows),
         query_scale=args.scale,
         trace_requests=args.trace,
-        telemetry=args.telemetry is not None,
+        telemetry=args.telemetry,
         sampling=args.sampling,
         sampler_capacity=args.sampler_capacity,
         slo=slo_config,
@@ -68,8 +68,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     if args.events is not None:
         log = EventLog(args.events)
         obs_events.install(log)
-    if args.telemetry is not None:
-        TELEMETRY.enable(args.telemetry)
     service = build_service(args)
     server = QueryServer(service, host=args.host, port=args.port).start()
     host, port = server.address
@@ -84,11 +82,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         print("interrupt: shutting down", file=sys.stderr)
     finally:
         server.close()
-        if args.telemetry is not None:
-            TELEMETRY.save()
-            TELEMETRY.disable()
-            print(f"repro-serve telemetry snapshot: {args.telemetry}",
-                  file=sys.stderr)
         if log is not None:
             obs_events.install(None)
             log.close()
@@ -117,9 +110,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         help="attach a per-request trace to every response")
     parser.add_argument("--events", default=None, metavar="PATH",
                         help="write the structured JSONL event log to PATH")
-    parser.add_argument("--telemetry", default=None, metavar="PATH",
-                        help="enable the workload-telemetry store and "
-                             "snapshot it to PATH on shutdown")
+    parser.add_argument("--telemetry", action="store_true",
+                        help="build instrumented compiled engines (kept "
+                             "requests' lines carry per-operator times)")
     parser.add_argument("--sampling", action="store_true",
                         help="enable tail-based profile sampling (kept "
                              "requests' lines carry their span trees)")

@@ -226,9 +226,9 @@ class QueryServer:
         from repro.obs import events
         from repro.serve.service import ServiceRequest, mint_request_id
 
-        # Bind the ambient request context so the compile event and the
-        # telemetry sample land on the same shape key later executions
-        # record under ("sql:<shape text>", not the raw cache key).
+        # Bind the ambient request context so the compile event lands on
+        # the same shape key later executions record under
+        # ("sql:<shape text>", not the raw cache key).
         request_id = rid if isinstance(rid, str) else mint_request_id()
         tenant = str(doc.get("tenant", "default"))
         request = ServiceRequest(sql=sql, tenant=tenant, request_id=request_id)

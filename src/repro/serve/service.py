@@ -48,10 +48,10 @@ from repro.errors import (
     error_to_dict,
 )
 from repro.obs import events
+from repro.obs.events import shape_digest
 from repro.obs.metrics import REGISTRY
 from repro.obs.sampler import RequestRecord, TailSampler, parse_traceparent
 from repro.obs.slo import SLOConfig, SLOMonitor
-from repro.obs.telemetry import TELEMETRY, shape_digest
 from repro.obs.trace import Trace, span
 from repro.resilience.budget import Budget
 from repro.resilience.executor import ENGINE_CHAIN, ExecutionReport, ResilientExecutor
@@ -98,11 +98,12 @@ class ServiceConfig:
     default_quota: TenantQuota = field(default_factory=TenantQuota)
     query_scale: float = 1.0  # scale passed to TPC-H plan builders
     trace_requests: bool = False
-    # Per-request workload telemetry: compiled engines build with the
-    # staged per-operator timers (``Config(instrument=True)``, cached
-    # under its own key) and successful executions feed the process-wide
-    # :data:`repro.obs.telemetry.TELEMETRY` store.  Off by default: the
-    # uninstrumented residual programs stay byte-identical to the goldens.
+    # Instrumented builds: compiled engines build with the staged
+    # per-operator timers (``Config(instrument=True)``, cached under its
+    # own key), and a request the tail sampler keeps carries its operator
+    # times and rows on its ``request`` line and in the ``profiles`` op.
+    # Off by default: the uninstrumented residual programs stay
+    # byte-identical to the goldens.
     telemetry: bool = False
     # Tail-based profile sampling: when on, every request runs traced and
     # the finished profile (spans, operator timings, engine trail) is
@@ -181,7 +182,7 @@ class ServiceRequest:
         For SQL this is the statement's *shape* -- canonical spelling
         with eligible literals lifted to placeholders (:func:`repro.sql.
         shape.statement_shape`) -- so literal variants of one statement
-        share breaker state, telemetry digests and the session's
+        share breaker state, shape digests and the session's
         shape-keyed compile.
         """
         shape = self._shape
@@ -732,9 +733,8 @@ class QueryService:
         )
 
     def _shape_label(self, shape: str) -> str:
-        """Plan-shape label: the telemetry digest (also in every telemetry
-        snapshot entry, so per-shape histograms join operator profiles),
-        capped."""
+        """Plan-shape label: the shape digest (also on every event-log
+        line, so per-shape histograms join the request stream), capped."""
         return self._capped(self._shape_labels, shape, MAX_SHAPE_LABELS, shape_digest)
 
     # -- accounting: one record per finished request --------------------------
@@ -747,8 +747,8 @@ class QueryService:
         trace: Optional[dict] = None,
     ) -> None:
         """Build the request's :class:`RequestRecord` and hand it to every
-        sink: sampler, histograms, SLO monitor, telemetry, counters, and
-        the event log's one ``request`` line."""
+        sink: sampler, histograms, SLO monitor, counters, and the event
+        log's one ``request`` line."""
         shape = response.shape
         rec = RequestRecord(
             request_id=response.request_id,
@@ -766,9 +766,6 @@ class QueryService:
             latency_seconds=response.elapsed_seconds,
             queued_seconds=response.queued_seconds,
             exec_seconds=response.exec_seconds,
-            attempt_seconds=(
-                report.attempts[-1].seconds if report and report.attempts else 0.0
-            ),
             trace=trace,
             trace_id=response.trace_id,
             operator_times=getattr(report, "operator_times", None),
@@ -790,7 +787,6 @@ class QueryService:
         REGISTRY.observe_all(histograms, rec.latency_seconds, exemplar=exemplar)
         if self.slo is not None:
             self.slo.record(rec)
-        TELEMETRY.record_execution(rec)
         if rec.ok:
             counters = ["serve.completed"]
             if rec.degraded:

@@ -36,7 +36,6 @@ from repro.compiler.runtime import have_numpy
 from repro.errors import ParamError
 from repro.obs import events
 from repro.obs.metrics import REGISTRY
-from repro.obs.telemetry import TELEMETRY
 from repro.obs.trace import span
 from repro.plan.explain import explain
 from repro.plan.params import Bindings, ParamSlot, check_bindings, collect_params
@@ -447,11 +446,11 @@ class Session:
                     self._inflight.pop(key, None)
                 flight.event.set()
                 raise
-            # Exactly one compile event / telemetry sample per actual
-            # compilation: waiters and cache hits never reach this point.
-            # The ambient request context (serve worker threads) supplies
-            # the request id; the shape falls back to the cache key's
-            # display text for library callers.
+            # Exactly one compile event per actual compilation: waiters and
+            # cache hits never reach this point.  The ambient request
+            # context (serve worker threads) supplies the request id; the
+            # shape falls back to the cache key's display text for library
+            # callers.
             shape = events.current_shape() or key.display
             seconds = time.perf_counter() - t0
             events.emit(
@@ -460,12 +459,6 @@ class Session:
                 seconds=round(seconds, 6),
                 generation_seconds=round(compiled.generation_seconds, 6),
                 host_seconds=round(compiled.compile_seconds, 6),
-            )
-            TELEMETRY.record_compile(
-                shape,
-                seconds,
-                generation_seconds=compiled.generation_seconds,
-                host_seconds=compiled.compile_seconds,
             )
             with self._lock:
                 self._cache[key] = compiled

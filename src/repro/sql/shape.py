@@ -13,7 +13,7 @@ happen here, at the token level, before the parser runs:
   literals out of the text, replacing each with a positional ``?`` and
   collecting the values in order.  The canonical parameterized text is the
   statement's *shape* -- the session cache key and the unit the serving
-  tier's breaker/telemetry digests agree on.
+  tier's breaker and shape digests agree on.
 
 A statement that already carries explicit placeholders (``?`` or
 ``:name``) is never auto-parameterized: the user has drawn the

@@ -3,10 +3,10 @@ SLO burn-rate windows, and the ``repro-doctor`` attribution/regression
 report over the request stream (the event log's ``request`` lines).
 
 The regression tests are the acceptance gate for the doctor: a synthetic
-per-shape slowdown injected into a telemetry snapshot must be flagged
-against the unperturbed baseline, while comparing the baseline against
-itself must report a clean verdict -- same artifacts, same thresholds,
-opposite answers.
+per-shape slowdown injected into a run's event log must be flagged
+against the unperturbed baseline log, while comparing the baseline
+against itself must report a clean verdict -- same artifacts, same
+thresholds, opposite answers.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import pytest
 
 from repro.obs import events
 from repro.obs.artifacts import check
-from repro.obs.events import EventLog, read_log
+from repro.obs.events import EventLog, read_log, shape_digest
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.sampler import (
     RECORD,
@@ -31,7 +31,6 @@ from repro.obs.sampler import (
     validate_profiles,
 )
 from repro.obs.slo import SLOConfig, SLOMonitor
-from repro.obs.telemetry import SCHEMA as TELEMETRY_SCHEMA, shape_digest
 from repro.obs.doctor import (
     DoctorInputError,
     attribute_profile,
@@ -493,81 +492,6 @@ def test_tail_report_groups_slow_and_errored_by_shape_and_tenant():
 _BASE_MS = {"shape-a": 10.0, "shape-b": 40.0}
 
 
-def _telemetry_doc(ms=None, engine="compiled", count=8, compile_ms=5.0):
-    """A ``repro-telemetry/v1`` snapshot: ``count`` executions of each
-    shape in ``ms`` (digest -> mean execution milliseconds)."""
-    shapes = {}
-    for digest, mean_ms in (ms or _BASE_MS).items():
-        shapes[f"sql:{digest}"] = {
-            "digest": digest,
-            "compile": {
-                "count": 1,
-                "total_seconds": compile_ms / 1e3,
-                "max_seconds": compile_ms / 1e3,
-            },
-            "executions": {
-                "count": count,
-                "rows_total": count,
-                "total_seconds": count * mean_ms / 1e3,
-            },
-            "engines": {engine: count},
-            "operators": {},
-            "kernels": {},
-        }
-    return {"schema": TELEMETRY_SCHEMA, "shapes": shapes}
-
-
-def test_regression_flags_an_injected_per_shape_slowdown():
-    baseline = _telemetry_doc()
-    current = _telemetry_doc({**_BASE_MS, "shape-b": 120.0})
-    rep = regression_report(baseline, current)
-    assert rep["verdict"] == "regressed"
-    assert rep["compared_shapes"] == 2
-    flagged_shapes = {f["shape"] for f in rep["flagged"]}
-    assert flagged_shapes == {"shape-b"}  # the unperturbed shape is quiet
-    assert {f["metric"] for f in rep["flagged"]} == {"mean_ms"}
-    assert all(f["ratio"] > 2.5 for f in rep["flagged"])
-
-
-def test_regression_unperturbed_rerun_reports_ok():
-    rep = regression_report(_telemetry_doc(), _telemetry_doc())
-    assert rep["verdict"] == "ok"
-    assert rep["flagged"] == [] and rep["compared_shapes"] == 2
-
-
-def test_regression_below_noise_floor_is_not_flagged():
-    # 3x ratio but sub-millisecond absolute movement: jitter, not news.
-    base = _telemetry_doc({"tiny": 0.2}, count=6)
-    cur = _telemetry_doc({"tiny": 0.6}, count=6)
-    assert regression_report(base, cur)["verdict"] == "ok"
-
-
-def test_regression_engine_mix_shift_is_flagged():
-    baseline = _telemetry_doc(engine="compiled")
-    current = _telemetry_doc(engine="push")
-    rep = regression_report(baseline, current)
-    assert rep["verdict"] == "regressed"
-    assert {f["metric"] for f in rep["flagged"]} == {"engine_mix"}
-
-
-def test_regression_skips_undersampled_shapes():
-    thin = _telemetry_doc({"rare": 5.0}, count=1)
-    rep = regression_report(thin, thin, min_samples=5)
-    assert rep["verdict"] == "skipped"
-    assert rep["compared_shapes"] == 0 and rep["skipped_shapes"] == 1
-
-
-def test_regression_accepts_a_telemetry_baseline():
-    # Compile cost is compared per compile, apart from execution time.
-    rep = regression_report(_telemetry_doc(), _telemetry_doc(compile_ms=50.0))
-    assert rep["verdict"] == "regressed"
-    assert {f["metric"] for f in rep["flagged"]} == {"compile_ms"}
-    assert {f["shape"] for f in rep["flagged"]} == set(_BASE_MS)
-
-
-# -- doctor: report + CLI -----------------------------------------------------
-
-
 def _write_stream(path, records, **log_args):
     """An event log holding one ``request`` line per record."""
     with EventLog(str(path), **log_args) as log:
@@ -576,9 +500,175 @@ def _write_stream(path, records, **log_args):
     return str(path)
 
 
+def _shape_log(path, ms=None, engine="compiled", count=8, compile_ms=5.0,
+               errors=0, **log_args):
+    """A run's event log: one ``compile`` line, ``count`` answered and
+    ``errors`` failed ``request`` lines of each shape in ``ms`` (shape ->
+    execution ms)."""
+    with EventLog(str(path), **log_args) as log:
+        for shape, mean_ms in (ms or _BASE_MS).items():
+            log.emit("compile", request_id=f"{shape}-0", shape=shape,
+                     seconds=compile_ms / 1e3)
+            for i in range(count):
+                rec = RequestRecord(
+                    request_id=f"{shape}-{i}", shape=shape, engine=engine,
+                    rows=1, exec_seconds=mean_ms / 1e3,
+                )
+                log.emit("request", **rec.to_dict())
+            for i in range(errors):
+                rec = RequestRecord(
+                    request_id=f"{shape}-err-{i}", shape=shape,
+                    outcome="E_RUNTIME", exec_seconds=mean_ms / 1e3,
+                )
+                log.emit("request", **rec.to_dict())
+    return str(path)
+
+
+def _compare(tmp_path, baseline, current, **kw):
+    """The regression verdict of two logs written by :func:`_shape_log`."""
+    return regression_report(
+        read_log(_shape_log(tmp_path / "base.jsonl", **baseline)),
+        read_log(_shape_log(tmp_path / "cur.jsonl", **current)),
+        **kw,
+    )
+
+
+def test_regression_flags_an_injected_per_shape_slowdown(tmp_path):
+    rep = _compare(tmp_path, {}, {"ms": {**_BASE_MS, "shape-b": 120.0}})
+    assert rep["verdict"] == "regressed"
+    assert rep["compared_shapes"] == 2
+    flagged_shapes = {f["shape"] for f in rep["flagged"]}
+    assert flagged_shapes == {shape_digest("shape-b")}  # the other is quiet
+    assert {f["metric"] for f in rep["flagged"]} == {"mean_ms"}
+    assert all(f["ratio"] > 2.5 for f in rep["flagged"])
+
+
+def test_regression_unperturbed_rerun_reports_ok(tmp_path):
+    rep = _compare(tmp_path, {}, {})
+    assert rep["verdict"] == "ok"
+    assert rep["flagged"] == [] and rep["compared_shapes"] == 2
+
+
+def test_regression_below_noise_floor_is_not_flagged(tmp_path):
+    # 3x ratio but sub-millisecond absolute movement: jitter, not news.
+    rep = _compare(
+        tmp_path, {"ms": {"tiny": 0.2}, "count": 6}, {"ms": {"tiny": 0.6}, "count": 6}
+    )
+    assert rep["verdict"] == "ok"
+
+
+def test_regression_engine_mix_shift_is_flagged(tmp_path):
+    rep = _compare(tmp_path, {"engine": "compiled"}, {"engine": "push"})
+    assert rep["verdict"] == "regressed"
+    assert {f["metric"] for f in rep["flagged"]} == {"engine_mix"}
+
+
+def test_regression_skips_undersampled_shapes(tmp_path):
+    # Failed requests are not samples: only answered lines count.
+    thin = {"ms": {"rare": 5.0}, "count": 1, "errors": 6}
+    rep = _compare(tmp_path, thin, thin, min_samples=5)
+    assert rep["verdict"] == "skipped"
+    assert rep["compared_shapes"] == 0 and rep["skipped_shapes"] == 1
+
+
+def test_regression_flags_a_compile_only_shift(tmp_path):
+    # Compile cost is compared per compile, apart from execution time.
+    rep = _compare(tmp_path, {}, {"compile_ms": 50.0})
+    assert rep["verdict"] == "regressed"
+    assert {f["metric"] for f in rep["flagged"]} == {"compile_ms"}
+    assert {f["shape"] for f in rep["flagged"]} == set(map(shape_digest, _BASE_MS))
+
+
+def test_regression_reads_the_baselines_rotated_backups(tmp_path):
+    baseline = _shape_log(tmp_path / "base.jsonl", max_bytes=2048, backups=50)
+    assert os.path.exists(baseline + ".1")  # part of it sits in PATH.1
+    report = build_report(
+        events_path=_shape_log(tmp_path / "cur.jsonl"),
+        baseline_path=baseline,
+        min_samples=8,  # every line of each side, or the shape is skipped
+    )
+    assert report["regression"]["verdict"] == "ok"
+    assert report["regression"]["compared_shapes"] == 2
+
+
+def test_regression_rejects_a_malformed_baseline_line(tmp_path, capsys):
+    current = _shape_log(tmp_path / "cur.jsonl")
+    baseline = tmp_path / "base.jsonl"
+    baseline.write_text(
+        open(current).read() + json.dumps({"samples": [{"shape": "s"}]}) + "\n"
+    )
+    with pytest.raises(DoctorInputError, match=r"base\.jsonl:19: "):
+        build_report(events_path=current, baseline_path=str(baseline))
+    assert doctor_main(["--events", current, "--baseline", str(baseline)]) == 1
+    assert "base.jsonl:19: " in capsys.readouterr().err
+
+
+def test_baseline_without_events_is_a_usage_error(tmp_path, capsys):
+    baseline = _shape_log(tmp_path / "base.jsonl")
+    with pytest.raises(SystemExit) as exit_info:
+        doctor_main(["--baseline", baseline])
+    assert exit_info.value.code == 2
+    assert "--events" in capsys.readouterr().err
+
+
+# -- doctor: a torn last line -------------------------------------------------
+
+
+_TORN = '{"schema": "repro-events/v3", "event": "requ'
+
+
+def test_a_torn_last_line_is_skipped_and_counted(tmp_path):
+    path = _write_stream(
+        tmp_path / "events.jsonl", [_profile(f"r{i}", 0.01) for i in range(3)]
+    )
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write(_TORN)  # a writer killed mid-line
+    report = build_report(events_path=path)
+    assert validate_report(report) == []
+    assert report["summary"]["requests"] == 3
+    assert report["summary"]["torn_lines"] == 1
+    assert "torn last lines skipped: 1" in render_text(report)
+    assert doctor_main(["--events", path, "--check"]) == 0
+    # A log without one reports none.
+    clean = _write_stream(tmp_path / "clean.jsonl", [_profile("c", 0.01)])
+    assert build_report(events_path=clean)["summary"]["torn_lines"] == 0
+
+
+def test_a_malformed_line_names_its_file_and_line(tmp_path, capsys):
+    path = _write_stream(
+        tmp_path / "events.jsonl", [_profile(f"r{i}", 0.01) for i in range(3)]
+    )
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write("{not json\n")  # complete, so not torn
+    with pytest.raises(DoctorInputError, match=r"events\.jsonl:4:2: "):
+        build_report(events_path=path)
+    assert doctor_main(["--events", path]) == 1
+    assert "events.jsonl:4:2: " in capsys.readouterr().err
+
+
+def test_a_torn_line_in_the_middle_still_raises(tmp_path):
+    # A restarted writer appends after the torn line; only the active
+    # file's last line can be the one a killed writer left.
+    path = tmp_path / "events.jsonl"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(_TORN)
+    _write_stream(path, [_profile("after", 0.01)])
+    with pytest.raises(DoctorInputError, match=r"events\.jsonl:1:"):
+        build_report(events_path=str(path))
+    # Nor is a rotated backup's torn tail skipped.
+    live = _write_stream(tmp_path / "live.jsonl", [_profile("live", 0.01)])
+    with open(live + ".1", "w", encoding="utf-8") as fh:
+        fh.write(_TORN)
+    with pytest.raises(DoctorInputError, match=r"live\.jsonl\.1:1:"):
+        build_report(events_path=live)
+
+
+# -- doctor: report + CLI -----------------------------------------------------
+
+
 @pytest.fixture()
 def artifact_dir(tmp_path):
-    """A request stream + baseline/current telemetry snapshots on disk."""
+    """A request stream + baseline/regressed run logs on disk."""
     sampler = TailSampler(capacity=16, warmup=2)
     records = [
         _profile("slow-a", 0.8, shape="select count(*) from lineitem"),
@@ -587,28 +677,28 @@ def artifact_dir(tmp_path):
     for rec in records:
         sampler.offer(rec)
     _write_stream(tmp_path / "events.jsonl", records)
-    (tmp_path / "baseline.json").write_text(json.dumps(_telemetry_doc()))
-    (tmp_path / "regressed.json").write_text(
-        json.dumps(_telemetry_doc({**_BASE_MS, "shape-b": 120.0}))
-    )
+    _shape_log(tmp_path / "baseline.jsonl")
+    _shape_log(tmp_path / "regressed.jsonl", {**_BASE_MS, "shape-b": 120.0})
     return tmp_path
 
 
 def test_build_report_joins_artifacts_and_validates(artifact_dir):
     report = build_report(
-        events_path=str(artifact_dir / "events.jsonl"),
-        baseline_path=str(artifact_dir / "baseline.json"),
-        current_path=str(artifact_dir / "regressed.json"),
+        events_path=str(artifact_dir / "regressed.jsonl"),
+        baseline_path=str(artifact_dir / "baseline.jsonl"),
     )
+    assert validate_report(report) == []
+    assert report["regression"]["verdict"] == "regressed"
+    text = render_text(report)
+    assert "repro-doctor report" in text and "regressed" in text
+    report = build_report(events_path=str(artifact_dir / "events.jsonl"))
     assert validate_report(report) == []
     summary = report["summary"]
     assert summary["requests"] == 2  # one request line each
     assert summary["error_codes"] == {"E_PLAN": 1}
     assert summary["latency_ms"]["p99"] == pytest.approx(800.0)
     assert report["tail"]["slow_count"] == 2  # the p90 line and the error
-    assert report["regression"]["verdict"] == "regressed"
-    text = render_text(report)
-    assert "repro-doctor report" in text and "regressed" in text
+    assert "regression" not in report
 
 
 def test_build_report_rejects_a_mislabeled_profiles_artifact(tmp_path):
@@ -653,8 +743,8 @@ def test_compile_cost_per_shape_comes_from_the_compile_lines(tmp_path):
 
 def test_doctor_cli_check_and_regression_exit_codes(artifact_dir, capsys):
     stream = str(artifact_dir / "events.jsonl")
-    baseline = str(artifact_dir / "baseline.json")
-    regressed = str(artifact_dir / "regressed.json")
+    baseline = str(artifact_dir / "baseline.jsonl")
+    regressed = str(artifact_dir / "regressed.jsonl")
     out = str(artifact_dir / "doctor.json")
 
     assert doctor_main(["--events", stream, "--check", "--out", out]) == 0
@@ -663,20 +753,21 @@ def test_doctor_cli_check_and_regression_exit_codes(artifact_dir, capsys):
 
     # Unperturbed compare: clean verdict, exit 0 even when gating.
     assert doctor_main(
-        ["--baseline", baseline, "--current", baseline,
+        ["--events", baseline, "--baseline", baseline,
          "--fail-on-regression", "--json"]
     ) == 0
     # Injected slowdown: the gate trips with the dedicated exit code.
     assert doctor_main(
-        ["--baseline", baseline, "--current", regressed,
+        ["--events", regressed, "--baseline", baseline,
          "--fail-on-regression", "--json"]
     ) == 3
     capsys.readouterr()  # drain the JSON blobs; exit codes are the contract
 
     # A corrupt artifact is a typed failure, not a traceback.
     bad = artifact_dir / "corrupt.jsonl"
-    bad.write_text("{not json")
+    bad.write_text("{not json\n")
     assert doctor_main(["--events", str(bad)]) == 1
+    assert doctor_main(["--events", baseline, "--baseline", str(bad)]) == 1
     # Well-formed JSON that does not match the schema it declares: a
     # request line without its record.
     bare = artifact_dir / "bare.jsonl"
@@ -685,17 +776,12 @@ def test_doctor_cli_check_and_regression_exit_codes(artifact_dir, capsys):
         "request_id": "a", "outcome": "ok",
     }) + "\n")
     assert doctor_main(["--events", str(bare)]) == 1
-    shapeless = artifact_dir / "bad-telemetry.json"
-    shapeless.write_text(json.dumps(
-        {"schema": TELEMETRY_SCHEMA, "shapes": {"s": {"compile": "x"}}}
-    ))
-    assert doctor_main(["--baseline", str(shapeless), "--current", baseline]) == 1
-    assert doctor_main(["--baseline", baseline, "--current", str(shapeless)]) == 1
-    # A compare side is a telemetry snapshot; an unversioned document of
+    assert doctor_main(["--events", baseline, "--baseline", str(bare)]) == 1
+    # A compare side is an event log; an unversioned document of
     # per-request samples is not one.
     samples = artifact_dir / "samples.json"
     samples.write_text(json.dumps({"samples": [{"shape": "s", "latency_ms": 1.0}]}))
-    assert doctor_main(["--baseline", str(samples), "--current", baseline]) == 1
+    assert doctor_main(["--events", baseline, "--baseline", str(samples)]) == 1
 
 
 def test_validate_report_catches_broken_sections():

@@ -691,31 +691,62 @@ def test_hostile_tenant_labels_are_sanitized_and_capped(serve_session):
 
 
 def test_service_telemetry_captures_operator_times(serve_session, tmp_path):
-    from repro.obs.telemetry import TELEMETRY
+    """With instrumented builds, a kept line of an answered compiled
+    request carries its operator profile; an unkept line and every line
+    of an uninstrumented service carry none ("off means off")."""
+    from repro.obs import events
+    from repro.obs.events import EventLog, read_log
+    from repro.obs.sampler import RequestRecord
 
-    config = ServiceConfig(workers=2, query_scale=TINY_SCALE, telemetry=True)
-    TELEMETRY.reset()
-    TELEMETRY.enable(str(tmp_path / "telemetry.json"))
-    try:
-        with QueryService(serve_session, config) as svc:
-            sql_resp = svc.submit(ServiceRequest(sql=SQL_QUERIES[6]))
-            plan_resp = svc.submit(ServiceRequest(tpch=2))
-        assert sql_resp.ok and plan_resp.ok
-        snapshot = TELEMETRY.snapshot()
-    finally:
-        TELEMETRY.disable()
-        TELEMETRY.reset()
-    shapes = snapshot["shapes"]
-    assert len(shapes) == 2
-    for shape, entry in shapes.items():
-        assert entry["executions"]["count"] == 1
-        assert entry["operators"], f"no operator times for {shape}"
-        assert any(op["total_seconds"] > 0 for op in entry["operators"].values())
-        assert any(op["rows_total"] > 0 for op in entry["operators"].values())
+    operator_keys = {"operator_times", "operator_rows", "kernels"}
+
+    def served(path, telemetry):
+        config = ServiceConfig(
+            workers=2, query_scale=TINY_SCALE, telemetry=telemetry,
+            sampling=True, sampler_warmup=4,
+        )
+        log = EventLog(str(path))
+        previous = events.install(log)
+        try:
+            with QueryService(serve_session, config) as svc:
+                kept = [
+                    svc.submit(ServiceRequest(sql=SQL_QUERIES[6])),
+                    svc.submit(ServiceRequest(tpch=2)),
+                ]  # inside the sampler's warmup: both kept
+                # Slow traffic the log never sees raises the keep
+                # threshold far above the next request's latency.
+                for i in range(20):
+                    svc.sampler.offer(RequestRecord(f"pad-{i}", latency_seconds=10.0))
+                unkept = svc.submit(ServiceRequest(sql=SQL_QUERIES[6]))
+        finally:
+            events.install(previous)
+            log.close()
+            # Kept ids ride into the process-wide latency histogram as
+            # exemplars that no later service's sampler holds.
+            REGISTRY.reset("serve.latency_seconds")
+        assert all(r.ok for r in kept + [unkept])
+        lines = {d["request_id"]: d for d in read_log(str(path))
+                 if d["event"] == "request"}
+        return kept, unkept, lines
+
+    kept, unkept, lines = served(tmp_path / "on.jsonl", telemetry=True)
+    for response in kept:
+        line = lines[response.request_id]
+        assert line["keep_reason"] == "warmup" and line["engine"] == "compiled"
+        assert line["operator_times"] and line["operator_rows"]
+        assert any(t > 0 for t in line["operator_times"].values())
+        assert any(n > 0 for n in line["operator_rows"].values())
+    assert "keep_reason" not in lines[unkept.request_id]
+    assert not operator_keys & set(lines[unkept.request_id])
     # instrumented builds answered, and correctly
+    sql_resp = kept[0]
     assert sql_resp.engine == "compiled"
     golden = serve_session.query(SQL_QUERIES[6])
     assert normalize(sql_resp.rows) == normalize(golden)
+
+    kept, _, lines = served(tmp_path / "off.jsonl", telemetry=False)
+    assert all("keep_reason" in lines[r.request_id] for r in kept)
+    assert not any(operator_keys & set(line) for line in lines.values())
 
 
 def test_service_emits_joinable_events(serve_session, tmp_path):
@@ -1121,15 +1152,14 @@ def test_wire_error_replies_count_and_echo_the_request_id(serve_session):
 
 
 def _served_round(session, tmp_path):
-    """One served round with every sink on -- sampling, an armed SLO, the
-    telemetry store and an event log: an answered request, a parse error
-    and a tenant row-quota trip.  Returns the service's artifacts and the
-    histogram counts each request added."""
+    """One served round with every sink on -- sampling, an armed SLO,
+    instrumented builds and an event log: an answered request, a parse
+    error and a tenant row-quota trip.  Returns the service's artifacts
+    and the histogram counts each request added."""
     from repro.obs import events
-    from repro.obs.events import EventLog, read_events
+    from repro.obs.events import EventLog, read_events, shape_digest
     from repro.obs.sampler import make_traceparent
     from repro.obs.slo import SLOConfig
-    from repro.obs.telemetry import TELEMETRY, shape_digest
 
     config = ServiceConfig(
         workers=1,
@@ -1153,8 +1183,6 @@ def _served_round(session, tmp_path):
     }
     log = EventLog(str(tmp_path / "events.jsonl"))
     previous = events.install(log)
-    TELEMETRY.reset()
-    TELEMETRY.enable()
     added = {}
     try:
         with QueryService(session, config) as svc:
@@ -1176,24 +1204,20 @@ def _served_round(session, tmp_path):
                 }
             profiles = svc.sampler.snapshot()
             slo = svc.slo.snapshot()
-        telemetry = TELEMETRY.snapshot()
     finally:
-        TELEMETRY.disable()
-        TELEMETRY.reset()
         events.install(previous)
         log.close()
     return {
         "responses": responses,
         "profiles": profiles,
         "events": list(read_events(str(tmp_path / "events.jsonl"))),
-        "telemetry": telemetry,
         "slo": slo,
         "added": added,
     }
 
 
 def test_every_sink_agrees_on_one_request(serve_session, tmp_path):
-    from repro.obs.telemetry import shape_digest
+    from repro.obs.events import shape_digest
 
     art = _served_round(serve_session, tmp_path)
     ok, parse, budget = (
@@ -1228,14 +1252,7 @@ def test_every_sink_agrees_on_one_request(serve_session, tmp_path):
         assert last["tenant"] == response.tenant
         assert last["shape_digest"] == digest and "shape" not in last
         assert last["rows"] == len(response.rows or ())
-        # telemetry counts answered executions only
-        entry = art["telemetry"]["shapes"].get(response.shape)
-        executions = entry["executions"]["count"] if entry else 0
-        assert executions == int(response.ok)
-        if response.ok:
-            assert entry["digest"] == digest
-            assert entry["executions"]["rows_total"] == len(response.rows)
-            assert entry["engines"] == {response.engine: 1}
+        assert last.get("engine") == response.engine
     budget_kinds = [e["event"] for e in art["events"] if e["request_id"] == "rec-budget"]
     assert budget_kinds == ["admit", "compile", "request"]  # nothing fell back
     assert REGISTRY.get_counter("serve.tenant.rec-rows.budget_trips") >= 1
@@ -1248,7 +1265,7 @@ def test_the_stream_carries_every_kept_profile(serve_session, tmp_path):
     attribution of the kept lines equals the attribution of the sampler's
     profiles, so the stream lost nothing the profiles file had."""
     from repro.obs.doctor import attribute_profile
-    from repro.obs.telemetry import shape_digest
+    from repro.obs.events import shape_digest
 
     art = _served_round(serve_session, tmp_path)
     kept = {
@@ -1267,8 +1284,8 @@ def test_the_stream_carries_every_kept_profile(serve_session, tmp_path):
 
 
 def test_artifact_keys_of_one_served_round(serve_session, tmp_path):
-    """Pins the key sets of the ``repro-profiles/v2``, ``repro-events/v3``
-    and ``repro-telemetry/v1`` documents one round writes, optional keys
+    """Pins the key sets of the ``repro-profiles/v2`` and
+    ``repro-events/v3`` documents one round writes, optional keys
     included, so no refactor of the accounting can drop one unnoticed.
     Event lines name the shape by ``shape_digest``; only a ``compile``
     line carries its text."""
@@ -1314,24 +1331,6 @@ def test_artifact_keys_of_one_served_round(serve_session, tmp_path):
         ("rec-budget", "compile"): compiled,
         ("rec-budget", "request"): line("rec-budget"),
     }
-    tel = art["telemetry"]
-    assert set(tel) == {"schema", "started", "written", "shapes"}
-    for entry in tel["shapes"].values():
-        assert set(entry) == {
-            "digest", "compile", "executions", "engines", "operators", "kernels",
-        }
-        assert set(entry["executions"]) == {"count", "rows_total", "total_seconds"}
-        for op in entry["operators"].values():
-            assert set(op) == {"count", "total_seconds", "rows_total"}
-        for k in entry["kernels"].values():
-            assert set(k) == {"calls", "rows"}
-    compile_keys = {
-        frozenset(e["compile"]) for e in tel["shapes"].values() if e["compile"]["count"]
-    }
-    assert compile_keys == {frozenset({
-        "count", "total_seconds", "max_seconds", "generation_seconds",
-        "host_seconds",
-    })}
 
 
 def test_admission_gate_exports_inflight_gauges():
@@ -1406,29 +1405,23 @@ def _mix_round(port: int, round_index: int, clients: int) -> list:
 def test_repro_serve_end_to_end(tmp_path):
     """The product entry point over real sockets: a mix round from two
     clients while compile faults fire, a clean round, the in-band
-    shutdown -- then the request stream and the telemetry snapshot
-    ``repro-serve`` left behind must join up.  Checks only what the
-    service-level tests above do not."""
-    from repro.obs.artifacts import read_json
+    shutdown -- then the request stream ``repro-serve`` left behind must
+    join up.  Checks only what the service-level tests above do not."""
     from repro.obs.doctor import main as doctor_main
     from repro.obs.events import read_log
     from repro.obs.metrics import percentile
-    from repro.obs.telemetry import SNAPSHOT, TELEMETRY
     from repro.serve import cli
 
-    events, telemetry = (
-        str(tmp_path / name) for name in ("events.jsonl", "telemetry.json")
-    )
+    events = str(tmp_path / "events.jsonl")
     port = _free_port()
     # Exemplars and SLO counters live in the process-wide registry.
     REGISTRY.reset("serve.")
     REGISTRY.reset("slo.")
-    TELEMETRY.reset()
     exit_codes = []
     server = threading.Thread(
         target=lambda: exit_codes.append(cli.main([
             "--port", str(port), "--scale", str(TINY_SCALE), "--workers", "2",
-            "--events", events, "--telemetry", telemetry, "--sampling",
+            "--events", events, "--telemetry", "--sampling",
             "--slo-latency", "30",
         ])),
         daemon=True,
@@ -1450,13 +1443,11 @@ def test_repro_serve_end_to_end(tmp_path):
             assert client.shutdown()
         server.join(timeout=30.0)
         assert exit_codes == [0]
-        assert not TELEMETRY.enabled
     finally:
         if server.is_alive():  # pragma: no cover - a failed run above
             with _connect(port, server) as client:
                 client.shutdown()
             server.join(timeout=30.0)
-        TELEMETRY.reset()
     replies = faulted + clean
 
     # Every reply is rows; the faulted round degraded instead of failing.
@@ -1476,16 +1467,15 @@ def test_repro_serve_end_to_end(tmp_path):
         assert seen.count("admit") == 1, (reply["request_id"], seen)
         assert seen.count("request") == 1, (reply["request_id"], seen)
 
-    # The snapshot written on exit has operator timings per executed shape.
-    shapes = read_json(telemetry, SNAPSHOT, "telemetry snapshot")["shapes"]
-    executed = [e for e in shapes.values() if e["executions"]["count"]]
-    assert len(executed) >= 22
-    assert all(e["operators"] for e in executed)
-    assert all(
-        op["total_seconds"] >= 0.0 and op["count"] >= 0
-        for e in executed
-        for op in e["operators"].values()
-    )
+    # Every kept line of an answered compiled request carries its
+    # instrumented build's operator timings.
+    profiled = [
+        line for line in lines.values()
+        if "keep_reason" in line and line["outcome"] == "ok"
+        and line.get("engine") == "compiled"
+    ]
+    assert profiled
+    assert all(line.get("operator_times") for line in profiled)
 
     # Kept lines cover the slow decile and every degraded reply (with its
     # span tree), and every serve.* exemplar id resolves to one.
@@ -1516,9 +1506,9 @@ def test_repro_serve_end_to_end(tmp_path):
     assert not service["alerting"] and alerts == 0
 
     # repro-doctor's schema gate passes over the request stream, and the
-    # snapshot compared with itself is no regression.
+    # stream compared with itself is no regression.
     assert doctor_main([
-        "--events", events, "--baseline", telemetry, "--current", telemetry,
+        "--events", events, "--baseline", events,
         "--fail-on-regression", "--json", "--check",
         "--out", str(tmp_path / "doctor.json"),
     ]) == 0

@@ -1,6 +1,6 @@
 """Observability-tier tests: live quantile histograms, the Prometheus
-exposition, the structured event log, the workload-telemetry store, and
-request-id correlation through the error taxonomy.
+exposition, the structured event log, and request-id correlation through
+the error taxonomy.
 
 The concurrency test (satellite of the telemetry PR) hammers one
 :class:`MetricsRegistry` from many threads -- counters, observations,
@@ -10,7 +10,6 @@ double-counted, or torn.
 
 from __future__ import annotations
 
-import json
 import os
 import threading
 
@@ -45,11 +44,6 @@ from repro.obs.metrics import (
     percentile,
 )
 from repro.obs.sampler import RequestRecord
-from repro.obs.telemetry import (
-    TelemetryStore,
-    shape_digest,
-    validate_snapshot,
-)
 
 # -- histograms and quantiles -------------------------------------------------
 
@@ -369,100 +363,6 @@ def test_event_kinds_cover_the_request_lifecycle():
     assert set(EVENT_KINDS) == {
         "admit", "compile", "fallback", "request", "slo_burn",
     }
-
-
-# -- the telemetry store ------------------------------------------------------
-
-
-def _executed(shape, engine, rows, seconds, **profile):
-    return RequestRecord(
-        request_id="r", shape=shape, engine=engine, rows=rows,
-        attempt_seconds=seconds, **profile,
-    )
-
-
-def test_telemetry_disabled_records_nothing():
-    store = TelemetryStore()
-    store.record_compile("sql:q", 0.5)
-    store.record_execution(_executed("sql:q", "compiled", 10, 0.01))
-    assert store.snapshot()["shapes"] == {}
-
-
-def test_telemetry_aggregates_per_shape():
-    store = TelemetryStore(enabled=True)
-    store.record_compile("sql:q", 0.5, generation_seconds=0.3, host_seconds=0.2)
-    store.record_compile("sql:q", 0.1)
-    store.record_execution(_executed(
-        "sql:q", "compiled", 10, 0.01,
-        operator_times={"Scan#1": 0.004, "Agg#2": 0.001},
-        operator_rows={"Scan#1": 100, "Agg#2": 10},
-        kernels={"filter_mask": {"calls": 2, "rows": 100}},
-    ))
-    store.record_execution(_executed("sql:q", "push", 10, 0.05))
-    # a failed request is not an execution
-    store.record_execution(
-        RequestRecord(request_id="x", shape="sql:q", outcome="E_PLAN")
-    )
-    entry = store.snapshot()["shapes"]["sql:q"]
-    assert entry["digest"] == shape_digest("sql:q")
-    assert entry["compile"]["count"] == 2
-    assert entry["compile"]["max_seconds"] == 0.5
-    assert entry["executions"] == {
-        "count": 2, "rows_total": 20, "total_seconds": pytest.approx(0.06),
-    }
-    assert entry["engines"] == {"compiled": 1, "push": 1}
-    assert entry["operators"]["Scan#1"] == {
-        "count": 1, "total_seconds": 0.004, "rows_total": 100,
-    }
-    assert entry["kernels"]["filter_mask"] == {"calls": 2, "rows": 100}
-
-
-def test_telemetry_save_load_merges(tmp_path):
-    path = str(tmp_path / "telemetry.json")
-    store = TelemetryStore(path=path, enabled=True)
-    store.record_execution(_executed("sql:q", "compiled", 5, 0.01))
-    saved = store.save()
-    assert saved == path
-    with open(path, encoding="utf-8") as fh:
-        assert validate_snapshot(json.load(fh)) == []
-    other = TelemetryStore(enabled=True)
-    other.record_execution(_executed("sql:q", "volcano", 5, 0.02))
-    assert other.load(path) == 1
-    entry = other.snapshot()["shapes"]["sql:q"]
-    assert entry["executions"]["count"] == 2
-    assert entry["engines"] == {"compiled": 1, "volcano": 1}
-
-
-def test_telemetry_save_is_atomic(tmp_path):
-    path = str(tmp_path / "t.json")
-    store = TelemetryStore(path=path, enabled=True)
-    store.record_execution(_executed("s", "compiled", 1, 0.001))
-    store.save()
-    store.save()  # replaces, never appends
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    assert validate_snapshot(doc) == []
-    assert not [p for p in os.listdir(tmp_path) if ".tmp." in p]
-
-
-def test_validate_snapshot_rejects_malformed():
-    assert validate_snapshot([]) == ["snapshot is not an object"]
-    assert any("schema" in p for p in validate_snapshot({"shapes": {}}))
-    bad = {
-        "schema": "repro-telemetry/v1",
-        "shapes": {"s": {"compile": {}, "executions": {}, "engines": {},
-                         "operators": {"op": "fast"}, "kernels": {}}},
-    }
-    problems = validate_snapshot(bad)
-    assert any("compile.count" in p for p in problems)
-    assert any("operators" in p for p in problems)
-
-
-def test_telemetry_reset_clears_shapes():
-    store = TelemetryStore(enabled=True)
-    store.record_execution(_executed("s", "compiled", 1, 0.001))
-    store.reset()
-    assert store.snapshot()["shapes"] == {}
 
 
 # -- request-id correlation through the taxonomy ------------------------------
